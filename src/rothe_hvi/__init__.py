@@ -23,13 +23,11 @@ from .potentials import (
     check_growth,
     clarke_interval,
     potential_value,
-    regularized_selection,
 )
 from .fem1d import ForcingSpec, Mesh1D, assemble_forcing, assemble_space, make_initial
 from .inclusion_solver import (
     NonConvergenceError,
     NumericalFailureError,
-    SolveOptions,
     SolveReport,
     StepProblem,
     solve_step_inclusion,

@@ -11,7 +11,8 @@ compare  : both schemes on the same ladder against both a two-step and a
 check    : hypothesis certificates (operator bounds, flux growth, step
            coercivity, discrete identities); nonzero exit on violation.
 
-Configs are flat INI files with typed keys (documented in docs/config.md);
+Configs are flat INI files with typed keys (the fields of
+`ExperimentConfig`); unknown sections and keys are rejected.
 `render_config` emits the canonical form whose serialize/parse round trip
 is byte-identical.  All CSV output starts with a `# schema_version=1`
 comment line and uses 17-significant-digit floats.
@@ -41,7 +42,6 @@ from .diagnostics import (
 )
 from .fem1d import ForcingSpec, Mesh1D, assemble_forcing, assemble_space, make_initial
 from .galerkin import GalerkinSpace, LinearOperatorA, check_hypotheses_A
-from .inclusion_solver import SolveOptions
 from .oracle import reference_solution
 from .potentials import (
     BoundaryFunctional,
@@ -117,20 +117,12 @@ class ExperimentConfig:
     tau_ref: Optional[float] = None  # None -> min(taus) / 32
     # [solver]
     tol: float = 1e-10
-    eps0: float = 1e-2
-    eps_min: float = 1e-10
-    max_iter: int = 100
     # [check]
     n_samples: int = 1000
     n_fuzz: int = 2000
     coercivity_taus: tuple[float, ...] = (0.1, 0.05, 0.01)
     # [output]
     output_dir: str = ""
-
-    def solver_options(self) -> SolveOptions:
-        return SolveOptions(
-            tol=self.tol, eps0=self.eps0, eps_min=self.eps_min, max_iter=self.max_iter
-        )
 
     def reference_tau(self) -> float:
         return self.tau_ref if self.tau_ref is not None else min(self.taus) / 32.0
@@ -169,7 +161,7 @@ _SCHEMA: dict[str, tuple[str, ...]] = {
     ),
     "scheme": ("kind",),
     "ladder": ("taus", "tau_ref"),
-    "solver": ("tol", "eps0", "eps_min", "max_iter"),
+    "solver": ("tol",),
     "check": ("n_samples", "n_fuzz", "coercivity_taus"),
     "output": ("dir",),
 }
@@ -284,8 +276,8 @@ def _validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"[ladder] taus: {tau} does not divide t_final={cfg.t_final}")
     if any(b >= a for a, b in zip(cfg.taus, cfg.taus[1:])):
         raise ConfigError("[ladder] taus: must be strictly decreasing")
-    if not (cfg.tol > 0 and cfg.eps0 > 0 and cfg.eps_min > 0):
-        raise ConfigError("[solver] tol/eps0/eps_min: must be > 0")
+    if not cfg.tol > 0:
+        raise ConfigError("[solver] tol: must be > 0")
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +377,11 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> N
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _trajectory_rows(traj: RotheTrajectory) -> tuple[list[str], list[list]]:
-    dim, dim_u = traj.u.shape[1], traj.xi.shape[1]
+def _trajectory_rows(
+    times: np.ndarray, u: np.ndarray, xi: np.ndarray, residuals: np.ndarray
+) -> tuple[list[str], list[list]]:
+    """Rows of u^0..u^k with the multipliers and residuals of steps 1..k."""
+    dim, dim_u = u.shape[1], xi.shape[1]
     header = (
         ["t"]
         + [f"u{i}" for i in range(dim)]
@@ -394,11 +389,10 @@ def _trajectory_rows(traj: RotheTrajectory) -> tuple[list[str], list[list]]:
         + ["residual"]
     )
     rows = []
-    times = traj.grid.times()
-    for n in range(traj.grid.N + 1):
-        xi = traj.xi[n - 1] if n >= 1 else np.zeros(dim_u)
-        res = traj.per_step_residuals[n - 1] if n >= 1 else 0.0
-        rows.append([times[n], *traj.u[n], *xi, res])
+    for n in range(u.shape[0]):
+        xi_n = xi[n - 1] if n >= 1 else np.zeros(dim_u)
+        res = residuals[n - 1] if n >= 1 else 0.0
+        rows.append([times[n], *u[n], *xi_n, res])
     return header, rows
 
 
@@ -424,6 +418,11 @@ def _write_summary(out: Path, rows: list[tuple[str, bool, str]]) -> None:
     )
 
 
+def _failure_detail(exc: StepFailureError) -> str:
+    # the CSV writer does not quote, so the detail cell must hold no comma
+    return f"step {exc.step} failed: {exc.reason}".replace(",", ";")
+
+
 def _resolve_out(cli_out: Optional[str], cfg: ExperimentConfig) -> Path:
     if cli_out:
         return Path(cli_out)
@@ -442,13 +441,12 @@ def _ladder(
     reference: Optional[RotheTrajectory],
     jobs: int,
 ) -> LadderStudy:
-    opts = cfg.solver_options()
     if jobs <= 1:
-        return tau_ladder_study(problem, cfg.t_final, cfg.taus, scheme, opts, reference)
+        return tau_ladder_study(problem, cfg.t_final, cfg.taus, scheme, cfg.tol, reference)
 
     def one(tau: float) -> LadderRow:
         n = round(cfg.t_final / tau)
-        traj = run_rothe(problem, TimeGrid(cfg.t_final, n), scheme, opts)
+        traj = run_rothe(problem, TimeGrid(cfg.t_final, n), scheme, cfg.tol)
         rep = estimate_report(traj, problem.space, problem.boundary.weights)
         err = float("nan")
         if reference is not None:
@@ -494,27 +492,17 @@ def cmd_run(cfg: ExperimentConfig, out: Path, seed: int, quiet: bool, jobs: int 
     tau = cfg.taus[0]
     grid = TimeGrid(cfg.t_final, round(cfg.t_final / tau))
     try:
-        traj = run_rothe(problem, grid, cfg.scheme, cfg.solver_options())
+        traj = run_rothe(problem, grid, cfg.scheme, cfg.tol)
     except StepFailureError as exc:
-        dim, dim_u = problem.space.dim, problem.space.dim_u
-        header = (
-            ["t"]
-            + [f"u{i}" for i in range(dim)]
-            + [f"xi{i}" for i in range(dim_u)]
-            + ["residual"]
+        header, rows = _trajectory_rows(
+            grid.times(), exc.partial_u, exc.partial_xi, exc.partial_residuals
         )
-        rows = []
-        if exc.partial_u is not None:
-            for n in range(exc.partial_u.shape[0]):
-                xi = exc.partial_xi[n - 1] if n >= 1 else np.zeros(dim_u)
-                res = exc.partial_residuals[n - 1] if n >= 1 else 0.0
-                rows.append([n * grid.tau, *exc.partial_u[n], *xi, res])
         _write_csv(out / "trajectory.csv.partial", header, rows)
-        _write_summary(out, [("run", False, f"step {exc.step} failed")])
+        _write_summary(out, [("run", False, _failure_detail(exc))])
         if not quiet:
-            print(f"run failed at step {exc.step}", file=sys.stderr)
+            print(f"run failed: {exc}", file=sys.stderr)
         return 1
-    header, rows = _trajectory_rows(traj)
+    header, rows = _trajectory_rows(grid.times(), traj.u, traj.xi, traj.per_step_residuals)
     _write_csv(out / "trajectory.csv", header, rows)
     rep = estimate_report(traj, problem.space, problem.boundary.weights)
     _write_csv(out / "estimates.csv", list(_ESTIMATE_COLS), [_estimate_row(tau, rep)])
@@ -531,7 +519,7 @@ def cmd_study(cfg: ExperimentConfig, out: Path, seed: int, quiet: bool, jobs: in
         reference = reference_solution(problem, cfg.t_final, cfg.reference_tau())
         study = _ladder(problem, cfg, cfg.scheme, reference, jobs)
     except StepFailureError as exc:
-        _write_summary(out, [("study", False, f"step {exc.step} failed")])
+        _write_summary(out, [("study", False, _failure_detail(exc))])
         return 1
     taus = study.taus()
     _write_csv(
@@ -559,17 +547,16 @@ def cmd_study(cfg: ExperimentConfig, out: Path, seed: int, quiet: bool, jobs: in
 def cmd_compare(cfg: ExperimentConfig, out: Path, seed: int, quiet: bool, jobs: int = 1) -> int:
     _, problem = build_problem(cfg)
     tau_ref = cfg.reference_tau()
-    opts = SolveOptions(tol=1e-12)
     try:
         ref_two = reference_solution(problem, cfg.t_final, tau_ref)
         n_ref = round(cfg.t_final / tau_ref)
-        ref_one = run_rothe(problem, TimeGrid(cfg.t_final, n_ref), BACKWARD_EULER, opts)
+        ref_one = run_rothe(problem, TimeGrid(cfg.t_final, n_ref), BACKWARD_EULER, 1e-12)
         studies = {
             scheme: _ladder(problem, cfg, scheme, ref_two, jobs)
             for scheme in (BDF2, BACKWARD_EULER)
         }
     except StepFailureError as exc:
-        _write_summary(out, [("compare", False, f"step {exc.step} failed")])
+        _write_summary(out, [("compare", False, _failure_detail(exc))])
         return 1
     err_rows = []
     order_rows = []

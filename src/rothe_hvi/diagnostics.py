@@ -12,7 +12,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .galerkin import GalerkinSpace
-from .inclusion_solver import SolveOptions
 from .stepper import BDF2, RotheProblem, RotheTrajectory, TimeGrid, run_rothe
 
 __all__ = [
@@ -298,7 +297,7 @@ def tau_ladder_study(
     t_final: float,
     taus: Sequence[float],
     scheme: str = BDF2,
-    options: Optional[SolveOptions] = None,
+    tol: float = 1e-10,
     reference: Optional[RotheTrajectory] = None,
 ) -> LadderStudy:
     """Run the scheme once per step size (decreasing, each dividing the
@@ -315,7 +314,7 @@ def tau_ladder_study(
         n = round(t_final / tau)
         if abs(n * tau - t_final) > 4.0 * np.finfo(float).eps * t_final:
             raise ValueError(f"tau={tau} does not divide T={t_final}")
-        traj = run_rothe(problem, TimeGrid(t_final, n), scheme, options)
+        traj = run_rothe(problem, TimeGrid(t_final, n), scheme, tol)
         rep = estimate_report(traj, problem.space, weights)
         err = float("nan")
         if reference is not None:

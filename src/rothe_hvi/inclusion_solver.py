@@ -1,24 +1,41 @@
 """Per-step solver for the finite-dimensional inclusion
 
-    M u + c tau K u + c tau trace^T W z(trace u) = b,   z(s) set-valued,
+    M u + c tau K u + c tau trace^T W xi = b,   xi in z(trace u),
 
-where z applies a scalar derivative interval nodewise on the boundary.
+where z is the generalized-derivative interval of a scalar potential.
 
-Strategy: continuation over a shrinking regularization width eps, with a
-damped Newton method on the ramp-regularized residual at each level
-(backtracking on the V*-norm of the residual).  After each level the
-unregularized pair (u, xi) is recovered either directly (projecting the
-implied flux onto the admissible interval) or, when a boundary value sits
-near a jump point, by pinning it there and solving the resulting saddle
-system exactly.  The recovered multiplier is admissible by construction
-and a candidate is accepted only when the residual recomputed with it
-verifies to tolerance, so the reported pair always satisfies the
-unregularized inclusion.
+The step is linear in u and set-valued only at the boundary.  With a single
+boundary row t, S = M + c tau K, y = S^{-1} t^T and gamma = t y, every
+solution is u = x - c tau w xi y with x = S^{-1} b, and its boundary value
+s = t u solves the scalar inclusion
+
+    0 in g(s) = s - t x + F z(s),    F = c tau w gamma > 0.
+
+S depends on the stencil and tau only, so a ``StepFactorization`` of it
+(with y and gamma) can be built once and shared by every step of a run;
+each step is then one back-solve plus this scalar problem.
+
+The scalar inclusion is solved exactly.  z is convex between consecutive
+kinks (the ``ScalarPotential`` contract), so g is convex on each piece
+and has at most two roots there.  A piece on which g' >= 0 at
+its left end is monotone; otherwise it is split at the minimiser of g,
+found by bisection on the sign of g'.  Each sign-change bracket gets a
+safeguarded Newton iteration, and a kink is a root when its interval
+contains zero.  Where there are several roots the solver takes the one
+nearest the warm start's boundary value t u_warm, the smaller one on a
+tie, so a trajectory stays on its branch.  From the root,
+xi = (t x - s) / F and u = x - c tau w xi y.
+
+A step is accepted only when the V*-norm of its residual is at most tol
+(a NaN residual fails); otherwise NonConvergenceError is raised.  Only a
+single boundary row (dim_u = 1) is supported; other spaces raise
+ValueError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -29,19 +46,22 @@ from .potentials import ScalarPotential
 
 __all__ = [
     "StepProblem",
-    "SolveOptions",
+    "StepFactorization",
     "SolveReport",
     "VerifyResult",
     "NonConvergenceError",
     "NumericalFailureError",
     "solve_step_inclusion",
-    "solve_regularized",
     "verify_inclusion",
 ]
 
+# safety cap on each scalar loop; exact brackets converge in far fewer steps
+_MAX_SCALAR_ITER = 400
+_EPS = float(np.finfo(float).eps)
+
 
 class NonConvergenceError(RuntimeError):
-    """Newton continuation exhausted its budget; carries the last report."""
+    """The step inclusion could not be solved to tolerance; carries the report."""
 
     def __init__(self, message: str, report: "SolveReport"):
         super().__init__(message)
@@ -49,7 +69,7 @@ class NonConvergenceError(RuntimeError):
 
 
 class NumericalFailureError(RuntimeError):
-    """NaN or Inf appeared in an iterate."""
+    """NaN or Inf in the data or the solution of a step."""
 
 
 @dataclass(frozen=True)
@@ -58,7 +78,7 @@ class StepProblem:
 
     ``stiff_scaled`` already contains the factor c_coef * tau; the flux
     term carries the same factor.  The Galerkin space provides the metric
-    for the dual-norm merit function.
+    for the dual-norm residual.
     """
 
     space: GalerkinSpace
@@ -99,23 +119,26 @@ class StepProblem:
         return self.flux_coef * (self.trace.T * self.weights)
 
 
-@dataclass(frozen=True)
-class SolveOptions:
-    tol: float = 1e-10
-    eps0: float = 1e-2
-    eps_min: float = 1e-10
-    max_iter: int = 100
-    armijo_factor: float = 0.5
-    armijo_slope: float = 1e-4
-    max_backtracks: int = 40
+class StepFactorization:
+    """Cholesky factor of S = mass + stiff_scaled together with
+    y = S^{-1} t^T and gamma = t y for the boundary row t.
+
+    S is the same at every step of one stencil and step size, so one
+    factorization serves all of them."""
+
+    def __init__(self, mass: np.ndarray, stiff_scaled: np.ndarray, trace_row: np.ndarray):
+        self._cho = sla.cho_factor(mass + stiff_scaled, overwrite_a=True)
+        self.y = sla.cho_solve(self._cho, trace_row)
+        self.gamma = float(trace_row @ self.y)
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        return sla.cho_solve(self._cho, b)
 
 
 @dataclass
 class SolveReport:
-    iterations: int = 0
-    residual_history: list = field(default_factory=list)
-    regularization_eps_final: float = 0.0
-    membership_slack: float = 0.0
+    iterations: int = 0  # scalar iterations of the boundary solve
+    residual: float = math.nan  # V*-norm of the accepted step residual
 
 
 class VerifyResult(NamedTuple):
@@ -124,16 +147,12 @@ class VerifyResult(NamedTuple):
     membership_gap: float
 
 
-class _Candidate(NamedTuple):
-    u: np.ndarray
-    xi: np.ndarray
-    residual: float
-    slack: float
-
-
-def _check_finite(u: np.ndarray) -> None:
-    if not np.all(np.isfinite(u)):
-        raise NumericalFailureError("non-finite values in iterate")
+def _finite_dual_norm(space: GalerkinSpace, r: np.ndarray) -> float:
+    """V*-norm of a residual; NumericalFailureError when it is not finite."""
+    norm = space.dual_norm(r) if np.all(np.isfinite(r)) else math.nan
+    if not math.isfinite(norm):
+        raise NumericalFailureError("non-finite step residual")
+    return norm
 
 
 def _membership_bounds(p: StepProblem, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -146,237 +165,162 @@ def _membership_bounds(p: StepProblem, s: np.ndarray) -> tuple[np.ndarray, np.nd
     return lo, hi
 
 
-def _flux_reg(p: StepProblem, s: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    vals = np.empty(p.dim_u)
-    ders = np.empty(p.dim_u)
-    for i, si in enumerate(s):
-        vals[i], ders[i] = p.potential.regularized_selection(float(si), eps)
-    return vals, ders
+class _BoundaryInclusion:
+    """0 in g(s) = s - target + factor z(s); counts the scalar iterations
+    spent on it."""
 
+    def __init__(self, pot: ScalarPotential, target: float, factor: float, warm: float):
+        self.pot = pot
+        self.target = target
+        self.factor = factor
+        self.warm = warm
+        self.iterations = 0
 
-def _solve_linear(J: np.ndarray, r: np.ndarray) -> np.ndarray:
-    try:
-        return sla.cho_solve(sla.cho_factor(J), r)
-    except np.linalg.LinAlgError:
-        pass
-    ridge = 0.0
-    scale = max(1.0, float(np.abs(J).max()))
-    for _ in range(6):
-        try:
-            return sla.lu_solve(sla.lu_factor(J + ridge * np.eye(J.shape[0])), r)
-        except (np.linalg.LinAlgError, ValueError):
-            ridge = max(ridge * 100.0, 1e-12 * scale)
-    raise NumericalFailureError("linear solve failed even with ridge regularization")
+    def g(self, s: float) -> float:
+        lo, _ = self.pot.interval_arrays(s)  # a single value off the kinks
+        return s - self.target + self.factor * float(lo)
 
+    def dg(self, s: float) -> float:
+        return 1.0 + self.factor * self.pot.branch_slope(s)
 
-def _newton_at_eps(
-    p: StepProblem,
-    u: np.ndarray,
-    eps: float,
-    tol: float,
-    opts: SolveOptions,
-    report: SolveReport,
-) -> tuple[np.ndarray, bool]:
-    """Damped Newton on the eps-regularized residual; returns (u, converged)."""
-    S = p.system
-    B = p.flux_matrix
+    def refine(self, neg: float, pos: float) -> list[float]:
+        """The root between ``neg`` (g < 0) and ``pos`` (g > 0), either of
+        which may be infinite: Newton from the warm start when it lies
+        between them (else from the finite end where g > 0), with bisection
+        or doubling towards an infinite end whenever a step leaves the
+        bracket.  Empty if the iteration cap is reached."""
+        x = self.warm if min(neg, pos) < self.warm < max(neg, pos) else pos
+        x = x if math.isfinite(x) else neg
+        width = 1.0
+        for _ in range(_MAX_SCALAR_ITER):
+            gx = self.g(x)
+            # zero up to the rounding of its own terms
+            if abs(gx) <= 4.0 * _EPS * (abs(x) + abs(self.target) + abs(gx - x + self.target)):
+                return [x]
+            if gx < 0.0:
+                neg = x
+            else:
+                pos = x
+            lo, hi = min(neg, pos), max(neg, pos)
+            self.iterations += 1
+            dgx = self.dg(x)
+            x_new = x - gx / dgx if dgx != 0.0 else math.nan
+            if abs(x_new - x) <= 4.0 * _EPS * max(1.0, abs(x)):
+                return [x_new]
+            if not lo < x_new < hi:  # also catches a NaN step
+                if math.isinf(lo) or math.isinf(hi):
+                    width = max(2.0 * width, abs(x))
+                    x_new = x + (width if math.isinf(hi) else -width)
+                else:
+                    x_new = 0.5 * (lo + hi)
+            x = x_new
+        return []
 
-    def residual(uu: np.ndarray) -> np.ndarray:
-        vals, _ = _flux_reg(p, p.trace @ uu, eps)
-        return S @ uu + B @ vals - p.rhs
+    def minimiser(self, a: float, b: float) -> float:
+        """Where g' changes sign on (a, b), given g'(a) < 0; b may be +inf."""
+        width = max(1.0, abs(a))
+        while math.isinf(b) and math.isfinite(a):
+            self.iterations += 1
+            if self.dg(a + width) >= 0.0:
+                b = a + width
+            else:
+                a, width = a + width, 2.0 * width
+        while b - a > 4.0 * _EPS * max(1.0, abs(a), abs(b)):
+            self.iterations += 1
+            mid = 0.5 * (a + b)
+            if self.dg(mid) < 0.0:
+                a = mid
+            else:
+                b = mid
+        return b
 
-    F = residual(u)
-    merit = p.space.dual_norm(F)
-    history = [merit]
-    for _ in range(opts.max_iter):
-        if merit <= tol:
-            break
-        _, ders = _flux_reg(p, p.trace @ u, eps)
-        J = S + B @ (ders[:, None] * p.trace)
-        delta = _solve_linear(J, -F)
-        step = 1.0
-        accepted = False
-        for _ in range(opts.max_backtracks):
-            u_try = u + step * delta
-            _check_finite(u_try)
-            F_try = residual(u_try)
-            m_try = p.space.dual_norm(F_try)
-            if m_try <= (1.0 - opts.armijo_slope * step) * merit:
-                u, F, merit = u_try, F_try, m_try
-                accepted = True
-                break
-            step *= opts.armijo_factor
-        report.iterations += 1
-        if not accepted:
-            break
-        history.append(merit)
-    report.residual_history = history
-    return u, merit <= tol
+    def piece_roots(self, a: float, b: float, ga: float, gb: float) -> list[float]:
+        """Roots on the open piece (a, b) between consecutive kinks, where g
+        is convex; ga, gb are its one-sided limits at the ends (-inf / +inf
+        at infinite ends)."""
+        # just inside the finite ends, where z takes its one-sided limits
+        a_in = math.nextafter(a, math.inf) if math.isfinite(a) else a
+        b_in = math.nextafter(b, -math.inf) if math.isfinite(b) else b
+        if math.isinf(a) or self.dg(a_in) >= 0.0:
+            # convex with g' >= 0 at the left end (or g -> -inf there): nondecreasing
+            return self.refine(a_in, b_in) if ga < 0.0 < gb else []
+        m = self.minimiser(a_in, b_in)
+        gm = self.g(m)
+        if gm >= 0.0:
+            return [m] if gm == 0.0 else []
+        return (self.refine(m, a_in) if ga > 0.0 else []) + (
+            self.refine(m, b_in) if gb > 0.0 else []
+        )
 
-
-def _direct_candidate(p: StepProblem, u: np.ndarray) -> _Candidate:
-    """Recover the multiplier implied by u and project it onto the
-    admissible interval nodewise."""
-    S = p.system
-    B = p.flux_matrix
-    r = p.rhs - S @ u
-    xi_implied, *_ = np.linalg.lstsq(B, r, rcond=None)
-    s = p.trace @ u
-    lo, hi = _membership_bounds(p, s)
-    xi = np.clip(xi_implied, lo, hi)
-    slack = float(np.max(np.abs(xi - xi_implied), initial=0.0))
-    resid = p.space.dual_norm(S @ u + B @ xi - p.rhs)
-    return _Candidate(u, xi, resid, slack)
-
-
-def _pinned_candidate(
-    p: StepProblem, u: np.ndarray, eps: float, snap_floor: float = 1e-7
-) -> Optional[_Candidate]:
-    """Pin boundary values close to a jump point exactly onto it and solve
-    the saddle system for (u, xi) there; smooth nodes keep their
-    single-valued flux, updated by a short fixed-point loop."""
-    kinks = np.asarray(p.potential.kinks, dtype=float)
-    if kinks.size == 0:
-        return None
-    s = p.trace @ u
-    nearest = kinks[np.argmin(np.abs(s[:, None] - kinks[None, :]), axis=1)]
-    snap = max(2.0 * eps, snap_floor)
-    active = np.where(np.abs(s - nearest) <= snap)[0]
-    if active.size == 0:
-        return None
-    inactive = np.setdiff1d(np.arange(p.dim_u), active)
-    S = p.system
-    B = p.flux_matrix
-    n, na = p.dim, active.size
-    kkt = np.zeros((n + na, n + na))
-    kkt[:n, :n] = S
-    kkt[:n, n:] = B[:, active]
-    kkt[n:, :n] = p.trace[active]
-    target = nearest[active]
-    u_cur = u.copy()
-    for _ in range(8):
-        rhs_eff = p.rhs.copy()
-        if inactive.size:
-            s_in = (p.trace @ u_cur)[inactive]
-            z_in = np.array([p.potential.selection(float(si)) for si in s_in])
-            rhs_eff = rhs_eff - B[:, inactive] @ z_in
-        rhs_full = np.concatenate([rhs_eff, target])
-        try:
-            sol = sla.lu_solve(sla.lu_factor(kkt), rhs_full)
-        except (np.linalg.LinAlgError, ValueError):
-            return None
-        u_new = sol[:n]
-        _check_finite(u_new)
-        if inactive.size == 0 or np.max(np.abs(u_new - u_cur)) <= 1e-14 * (1.0 + np.max(np.abs(u_new))):
-            u_cur = u_new
-            break
-        u_cur = u_new
-    xi = np.empty(p.dim_u)
-    xi[active] = sol[n:]
-    if inactive.size:
-        s_in = (p.trace @ u_cur)[inactive]
-        xi[inactive] = [p.potential.selection(float(si)) for si in s_in]
-    # pinned nodes sit at their jump point by construction; evaluate the
-    # admissible interval there, not at the roundoff-perturbed trace value
-    s_fin = p.trace @ u_cur
-    s_fin[active] = target
-    lo, hi = _membership_bounds(p, s_fin)
-    xi_proj = np.clip(xi, lo, hi)
-    slack = float(np.max(np.abs(xi_proj - xi), initial=0.0))
-    resid = p.space.dual_norm(S @ u_cur + B @ xi_proj - p.rhs)
-    return _Candidate(u_cur, xi_proj, resid, slack)
-
-
-def _eps_schedule(p: StepProblem, opts: SolveOptions) -> list[float]:
-    if not p.potential.kinks:
-        return [opts.eps0]  # no ramps anywhere: one level suffices
-    levels = []
-    eps = opts.eps0
-    while eps > opts.eps_min:
-        levels.append(eps)
-        eps /= 4.0
-    levels.append(opts.eps_min)
-    return levels
-
-
-def _probe_starts(p: StepProblem) -> list[np.ndarray]:
-    S = p.system
-    B = p.flux_matrix
-    starts = []
-    for sp in p.potential.probe_points():
-        z = np.full(p.dim_u, p.potential.selection(float(sp)))
-        try:
-            starts.append(_solve_linear(S, p.rhs - B @ z))
-        except NumericalFailureError:
-            continue
-    return starts
+    def roots(self) -> list[float]:
+        """Every root: the kinks whose interval contains zero and the roots
+        of each piece between them."""
+        kinks = sorted(float(k) for k in self.pot.kinks)
+        ks = np.asarray(kinks, dtype=float)
+        # one-sided limits just outside each kink and the interval at it
+        pts = np.concatenate([np.nextafter(ks, -math.inf), ks, np.nextafter(ks, math.inf)])
+        lo, hi = self.pot.interval_arrays(pts)
+        g_lo = pts - self.target + self.factor * lo
+        g_hi = pts - self.target + self.factor * hi
+        m = len(kinks)
+        out = [k for i, k in enumerate(kinks) if g_lo[m + i] <= 0.0 <= g_hi[m + i]]
+        ends = [-math.inf, *kinks, math.inf]
+        g_left = [-math.inf, *g_lo[2 * m:]]  # g just right of each piece's left end
+        g_right = [*g_lo[:m], math.inf]  # g just left of each piece's right end
+        for j in range(m + 1):
+            out += self.piece_roots(ends[j], ends[j + 1], g_left[j], g_right[j])
+        return out
 
 
 def solve_step_inclusion(
     p: StepProblem,
     warm_start: np.ndarray,
-    tol: Optional[float] = None,
-    options: Optional[SolveOptions] = None,
+    tol: float = 1e-10,
+    factorization: Optional[StepFactorization] = None,
 ) -> tuple[np.ndarray, np.ndarray, SolveReport]:
-    """Solve the step inclusion to ``tol`` in both residual (V*-norm) and
-    interval membership.  Raises NonConvergenceError with the accumulated
-    report if every start and every regularization level fails."""
-    opts = options or SolveOptions()
-    if tol is None:
-        tol = opts.tol
+    """Solve the step inclusion exactly on the boundary and certify the
+    V*-norm residual against ``tol``.
+
+    ``factorization`` is a StepFactorization of p.mass + p.stiff_scaled
+    to reuse; without one it is computed here.  Raises NonConvergenceError
+    with its report when no root is found or the residual exceeds tol, and
+    NumericalFailureError on non-finite data or solutions."""
     if not tol > 0:
         raise ValueError("tol must be > 0")
+    if p.dim_u != 1:
+        raise ValueError(
+            f"the step solver supports a single boundary row (dim_u = 1), got dim_u = {p.dim_u}"
+        )
     warm = np.asarray(warm_start, dtype=float)
     if warm.shape != (p.dim,):
         raise ValueError(f"warm start has shape {warm.shape}, expected ({p.dim},)")
     if not (np.all(np.isfinite(p.rhs)) and np.all(np.isfinite(warm))):
         raise NumericalFailureError("non-finite right-hand side or warm start")
-    report = SolveReport()
-    starts = [warm]
-    tried_probes = False
-    while starts:
-        start = starts.pop(0)
-        u = start.copy()
-        for eps in _eps_schedule(p, opts):
-            u, converged = _newton_at_eps(p, u, eps, tol, opts, report)
-            report.regularization_eps_final = eps
-            candidates = [_direct_candidate(p, u)]
-            pinned = _pinned_candidate(p, u, eps)
-            if pinned is not None:
-                candidates.append(pinned)
-            # the projected multiplier is admissible by construction, so the
-            # recovered pair solves the inclusion exactly when the residual
-            # recomputed after projection is small
-            best = min(candidates, key=lambda c: c.residual)
-            if best.residual <= tol:
-                report.membership_slack = best.slack
-                report.residual_history.append(best.residual)
-                return best.u, best.xi, report
-            if not converged:
-                break  # this start stalled; retry from a probe point
-        if not tried_probes:
-            starts.extend(_probe_starts(p))
-            tried_probes = True
-    raise NonConvergenceError(
-        f"step inclusion did not converge to tol={tol:g}", report
-    )
-
-
-def solve_regularized(
-    p: StepProblem,
-    start: np.ndarray,
-    eps: float,
-    tol: float = 1e-12,
-    options: Optional[SolveOptions] = None,
-) -> np.ndarray:
-    """Newton solve of the eps-regularized residual at a single fixed level
-    (no continuation, no recovery); used to study eps-consistency."""
-    opts = options or SolveOptions()
-    report = SolveReport()
-    u, converged = _newton_at_eps(p, np.asarray(start, dtype=float), eps, tol, opts, report)
-    if not converged:
-        raise NonConvergenceError(f"regularized solve stalled at eps={eps:g}", report)
-    return u
+    t_row = p.trace[0]
+    fac = factorization or StepFactorization(p.mass, p.stiff_scaled, t_row)
+    lift = p.flux_coef * float(p.weights[0])
+    factor = lift * fac.gamma
+    if not factor > 0:
+        raise ValueError("the boundary weight and trace row must give c tau w gamma > 0")
+    x = fac.solve(p.rhs)
+    if not np.all(np.isfinite(x)):
+        raise NumericalFailureError("non-finite interior solve")
+    s_warm = float(t_row @ warm)
+    inclusion = _BoundaryInclusion(p.potential, float(t_row @ x), factor, s_warm)
+    roots = inclusion.roots()
+    report = SolveReport(iterations=inclusion.iterations)
+    if not roots:
+        raise NonConvergenceError("no root of the boundary inclusion found", report)
+    s = min(roots, key=lambda r: (abs(r - s_warm), r))
+    xi = np.array([(inclusion.target - s) / factor])
+    u = x - (lift * xi[0]) * fac.y
+    r = p.mass @ u + p.stiff_scaled @ u + p.flux_matrix @ xi - p.rhs
+    report.residual = _finite_dual_norm(p.space, r)
+    if not report.residual <= tol:
+        raise NonConvergenceError(
+            f"step residual {report.residual:.3e} above tol {tol:g}", report
+        )
+    return u, xi, report
 
 
 def verify_inclusion(p: StepProblem, u: np.ndarray, xi: np.ndarray, tol: float) -> VerifyResult:

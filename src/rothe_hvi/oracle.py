@@ -8,12 +8,12 @@ a much finer run of the scheme itself.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 import scipy.linalg as sla
 
-from .inclusion_solver import SolveOptions, StepProblem
+from .inclusion_solver import StepProblem
 from .stepper import BDF2, RotheProblem, RotheTrajectory, TimeGrid, run_rothe
 
 __all__ = [
@@ -214,12 +214,11 @@ def reference_solution(
     problem: RotheProblem,
     t_final: float,
     tau_fine: float,
-    options: Optional[SolveOptions] = None,
+    tol: float = 1e-12,
 ) -> RotheTrajectory:
     """Fine-step two-step run with tightened tolerance, used as the
     reference when measuring temporal errors at shared grid points."""
     n = round(t_final / tau_fine)
     if abs(n * tau_fine - t_final) > 4.0 * np.finfo(float).eps * t_final:
         raise ValueError(f"tau_fine={tau_fine} does not divide T={t_final}")
-    opts = options or SolveOptions(tol=1e-12)
-    return run_rothe(problem, TimeGrid(t_final, n), BDF2, opts)
+    return run_rothe(problem, TimeGrid(t_final, n), BDF2, tol)

@@ -3,16 +3,14 @@ derivatives.
 
 Each potential exposes its value j(s), the generalized-derivative interval
 [lo, hi] (a single point wherever j is differentiable), a single-valued
-selection, and a Lipschitz regularization that bridges each jump with a
-linear ramp of width ``eps``.  The ramp sits on the side of the jump where
-the upper value is attained, so it is continuous at the jump point itself.
+selection and the slope of its derivative between jump points.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -23,22 +21,22 @@ __all__ = [
     "NonconvexPiecewise",
     "ZeroPotential",
     "BoundaryFunctional",
-    "RegularizedSelection",
     "GrowthReport",
     "potential_value",
     "clarke_interval",
-    "regularized_selection",
     "check_growth",
 ]
 
 
-class RegularizedSelection(NamedTuple):
-    value: float
-    derivative: float
-
-
 class ScalarPotential:
     """Base class; subclasses fill in the branch formulas.
+
+    Contract relied on by the step solver: the derivative z is convex on
+    each open interval between consecutive kinks (and on the unbounded
+    intervals beyond the first and last kink), and ``branch_slope`` is its
+    slope there.  Then s + F z(s) is convex on every such piece for F > 0,
+    so each piece holds at most two roots of the step's boundary inclusion.
+    The interval at a kink is the hull of the one-sided limits there.
 
     Attributes
     ----------
@@ -60,24 +58,9 @@ class ScalarPotential:
         raise NotImplementedError
 
     def branch_slope(self, s: float) -> float:
-        """a.e. derivative of the selection away from jump points."""
+        """a.e. derivative of the selection away from jump points (the
+        right-hand slope at a jump point)."""
         raise NotImplementedError
-
-    def one_sided_limits(self, s0: float) -> tuple[float, float]:
-        """(left, right) limits of the derivative at a jump point."""
-        raise NotImplementedError
-
-    def probe_points(self) -> tuple[float, ...]:
-        """One representative point per smooth branch plus each kink;
-        used for deterministic multistart in the step solver."""
-        pts = list(self.kinks)
-        if self.kinks:
-            lo = min(self.kinks) - 1.0
-            hi = max(self.kinks) + 1.0
-            pts = [lo, *self.kinks, hi]
-        else:
-            pts = [0.0]
-        return tuple(pts)
 
     # --- derived conveniences -------------------------------------------
 
@@ -102,32 +85,6 @@ class ScalarPotential:
         the interval midpoint at a kink."""
         lo, hi = self.clarke_interval(s)
         return 0.5 * (lo + hi)
-
-    def regularized_selection(self, s: float, eps: float) -> RegularizedSelection:
-        if not eps > 0:
-            raise ValueError("eps must be > 0")
-        s = float(s)
-        for s0 in self.kinks:
-            left, right = self.one_sided_limits(s0)
-            lo, hi = min(left, right), max(left, right)
-            if hi <= lo:
-                continue
-            if right >= left:
-                # upper value attained on the right: ramp on [s0, s0 + eps]
-                if s0 <= s <= s0 + eps:
-                    t = (s - s0) / eps
-                    return RegularizedSelection(lo + (hi - lo) * t, (hi - lo) / eps)
-            else:
-                # upper value attained on the left: ramp on [s0 - eps, s0]
-                if s0 - eps <= s <= s0:
-                    t = (s - (s0 - eps)) / eps
-                    return RegularizedSelection(hi + (lo - hi) * t, (lo - hi) / eps)
-        lo, hi = self.clarke_interval(s)
-        if hi > lo:
-            # exactly at a jump point but outside every ramp (cannot happen
-            # for the ramps constructed above); fall back to the midpoint
-            return RegularizedSelection(0.5 * (lo + hi), 0.0)
-        return RegularizedSelection(lo, self.branch_slope(s))
 
 
 class PaperExponential(ScalarPotential):
@@ -176,9 +133,6 @@ class PaperExponential(ScalarPotential):
         if self.literal_branch:
             return 1.0 - self.d * math.exp(-s)
         return self.d * (1.0 - math.exp(-s))
-
-    def one_sided_limits(self, s0: float) -> tuple[float, float]:
-        return 0.0, self.d
 
 
 class LinearRobin(ScalarPotential):
@@ -285,12 +239,6 @@ class NonconvexPiecewise(ScalarPotential):
             return -self.drop_slope
         return self.tail_slope
 
-    def one_sided_limits(self, s0: float) -> tuple[float, float]:
-        return 0.0, self.jump
-
-    def probe_points(self) -> tuple[float, ...]:
-        return (-1.0, 0.0, 0.5 * self.drop_width, self.drop_width + 1.0)
-
 
 @dataclass(frozen=True)
 class BoundaryFunctional:
@@ -332,10 +280,6 @@ def potential_value(pot: ScalarPotential, s: float) -> float:
 
 def clarke_interval(pot: ScalarPotential, s: float) -> tuple[float, float]:
     return pot.clarke_interval(s)
-
-
-def regularized_selection(pot: ScalarPotential, s: float, eps: float) -> RegularizedSelection:
-    return pot.regularized_selection(s, eps)
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,11 @@ import numpy as np
 from .galerkin import GalerkinSpace, LinearOperatorA
 from .inclusion_solver import (
     NonConvergenceError,
-    SolveOptions,
+    NumericalFailureError,
     SolveReport,
+    StepFactorization,
     StepProblem,
+    _finite_dual_norm,
     solve_step_inclusion,
 )
 from .potentials import BoundaryFunctional
@@ -52,19 +54,22 @@ _GAUSS5 = np.polynomial.legendre.leggauss(5)
 
 
 class StepFailureError(RuntimeError):
-    """A time step failed to converge; carries the step index, the solver
-    report and the completed prefix of the trajectory."""
+    """A time step failed; carries the step index, the reason, the solver
+    report (None for non-finite data or solutions) and the completed
+    prefix of the trajectory."""
 
     def __init__(
         self,
         step: int,
-        report: SolveReport,
-        partial_u: Optional[np.ndarray] = None,
-        partial_xi: Optional[np.ndarray] = None,
-        partial_residuals: Optional[np.ndarray] = None,
+        reason: str,
+        report: Optional[SolveReport],
+        partial_u: np.ndarray,
+        partial_xi: np.ndarray,
+        partial_residuals: np.ndarray,
     ):
-        super().__init__(f"time step {step} failed to converge")
+        super().__init__(f"time step {step} failed: {reason}")
         self.step = step
+        self.reason = reason
         self.report = report
         self.partial_u = partial_u
         self.partial_xi = partial_xi
@@ -197,11 +202,12 @@ def initial_step(
     u0_vec: np.ndarray,
     f1: np.ndarray,
     tau: float,
-    options: Optional[SolveOptions] = None,
+    tol: float = 1e-10,
+    factorization: Optional[StepFactorization] = None,
 ) -> tuple[np.ndarray, np.ndarray, SolveReport]:
     """One-step implicit solve: M u + tau K u + tau trace^T W xi = tau f1 + M u0."""
     p = _one_step_problem(problem, np.asarray(u0_vec, dtype=float), f1, tau)
-    return solve_step_inclusion(p, np.asarray(u0_vec, dtype=float), options=options)
+    return solve_step_inclusion(p, np.asarray(u0_vec, dtype=float), tol, factorization)
 
 
 def bdf2_step(
@@ -210,13 +216,14 @@ def bdf2_step(
     u_nm2: np.ndarray,
     f_n: np.ndarray,
     tau: float,
-    options: Optional[SolveOptions] = None,
+    tol: float = 1e-10,
+    factorization: Optional[StepFactorization] = None,
 ) -> tuple[np.ndarray, np.ndarray, SolveReport]:
     """Two-step stencil solve, warm-started from the extrapolant 2u^{n-1} - u^{n-2}."""
     u_nm1 = np.asarray(u_nm1, dtype=float)
     u_nm2 = np.asarray(u_nm2, dtype=float)
     p = _two_step_problem(problem, u_nm1, u_nm2, f_n, tau)
-    return solve_step_inclusion(p, 2.0 * u_nm1 - u_nm2, options=options)
+    return solve_step_inclusion(p, 2.0 * u_nm1 - u_nm2, tol, factorization)
 
 
 def _unscaled_residual(
@@ -233,48 +240,65 @@ def _unscaled_residual(
         + sp.trace.T @ (problem.boundary.weights * xi_n)
         - f_n
     )
-    return sp.dual_norm(r)
+    return _finite_dual_norm(sp, r)
 
 
 def run_rothe(
     problem: RotheProblem,
     grid: TimeGrid,
     scheme: str = BDF2,
-    options: Optional[SolveOptions] = None,
+    tol: float = 1e-10,
 ) -> RotheTrajectory:
-    """Run the full scheme on the grid.  Deterministic: fixed iteration
-    order, no randomness anywhere, so identical inputs give bit-identical
-    trajectories."""
+    """Run the full scheme on the grid, each step solved to ``tol``.
+    Deterministic: fixed iteration order, no randomness anywhere, so
+    identical inputs give bit-identical trajectories.  A failing step
+    raises StepFailureError with the completed prefix."""
     if scheme not in (BDF2, BACKWARD_EULER):
         raise ValueError(f"unknown scheme {scheme!r}")
     if scheme == BDF2 and grid.N < 2:
         raise ValueError("the two-step scheme needs N >= 2")
     tau = grid.tau
-    dim = problem.space.dim
-    dim_u = problem.space.dim_u
-    u = np.zeros((grid.N + 1, dim))
-    xi = np.zeros((grid.N, dim_u))
-    f_avg = np.zeros((grid.N, dim))
+    sp = problem.space
+    u = np.zeros((grid.N + 1, sp.dim))
+    xi = np.zeros((grid.N, sp.dim_u))
+    f_avg = np.zeros((grid.N, sp.dim))
     residuals = np.zeros(grid.N)
     u[0] = problem.u0
     for n in range(1, grid.N + 1):
         f_avg[n - 1] = average_forcing(problem.forcing, n, grid)
+    factorization = None
     for n in range(1, grid.N + 1):
         f_n = f_avg[n - 1]
+        two_step = scheme == BDF2 and n >= 2
+        if n == 1 or (two_step and n == 2):
+            # one factorization per stencil, at most one alive at a time
+            factorization = None
+            c = 2.0 / 3.0 if two_step else 1.0
+            factorization = StepFactorization(
+                sp.gram_h, c * tau * problem.operator.stiffness, sp.trace[0]
+            )
         try:
-            if scheme == BDF2 and n >= 2:
-                u_n, xi_n, _ = bdf2_step(problem, u[n - 1], u[n - 2], f_n, tau, options)
+            if two_step:
+                u_n, xi_n, _ = bdf2_step(
+                    problem, u[n - 1], u[n - 2], f_n, tau, tol, factorization
+                )
                 stencil = (1.5 * u_n - 2.0 * u[n - 1] + 0.5 * u[n - 2]) / tau
             else:
-                u_n, xi_n, _ = initial_step(problem, u[n - 1], f_n, tau, options)
+                u_n, xi_n, _ = initial_step(problem, u[n - 1], f_n, tau, tol, factorization)
                 stencil = (u_n - u[n - 1]) / tau
-        except NonConvergenceError as exc:
+            residual = _unscaled_residual(problem, stencil, u_n, xi_n, f_n)
+        except (NonConvergenceError, NumericalFailureError) as exc:
             raise StepFailureError(
-                n, exc.report, u[:n].copy(), xi[: n - 1].copy(), residuals[: n - 1].copy()
+                n,
+                str(exc),
+                getattr(exc, "report", None),
+                u[:n].copy(),
+                xi[: n - 1].copy(),
+                residuals[: n - 1].copy(),
             ) from exc
         u[n] = u_n
         xi[n - 1] = xi_n
-        residuals[n - 1] = _unscaled_residual(problem, stencil, u_n, xi_n, f_n)
+        residuals[n - 1] = residual
     return RotheTrajectory(grid, u, xi, f_avg, scheme, residuals)
 
 

@@ -1,0 +1,86 @@
+from __future__ import annotations
+
+import numpy as np
+
+from rothe_hvi.cli import ExperimentConfig, main, parse_config, render_config
+
+NCVX = """[problem]
+n_el = 64
+forcing = constant
+f0_value = 3.0
+potential = nonconvex_piecewise
+
+[ladder]
+taus = 0.125,0.0625,0.03125
+"""
+
+
+def read_csv(path):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "# schema_version=1"
+    header = lines[1].split(",")
+    rows = [ln.split(",") for ln in lines[2:]]
+    assert all(len(r) == len(header) for r in rows)
+    return header, rows
+
+
+def run_cli(tmp_path, command, config_text):
+    cfg = tmp_path / "config.ini"
+    cfg.write_text(config_text, encoding="utf-8")
+    out = tmp_path / "out"
+    return main([command, str(cfg), "--out", str(out), "--quiet"]), out
+
+
+def test_run_on_a_nonconvex_step_with_a_root_past_the_drop_window(tmp_path):
+    text = NCVX.replace("n_el = 64", "n_el = 8").replace("f0_value = 3.0", "f0_value = 2.0")
+    text = text.replace("0.125,0.0625,0.03125", "0.125")
+    rc, out = run_cli(tmp_path, "run", text)
+    assert rc == 0
+    header, rows = read_csv(out / "trajectory.csv")
+    assert header == ["t", *(f"u{i}" for i in range(9)), "xi0", "residual"]
+    assert len(rows) == 9
+    assert np.all(np.isfinite(np.array(rows, dtype=float)))
+    _, summary = read_csv(out / "summary.csv")
+    assert summary[0][:2] == ["run", "PASS"]
+
+
+def test_compare_on_the_nonconvex_reference_config(tmp_path):
+    rc, out = run_cli(tmp_path, "compare", NCVX)
+    assert rc == 0
+    header, rows = read_csv(out / "orders.csv")
+    assert header == ["scheme", "order_vs_two_step_ref", "order_vs_one_step_ref"]
+    assert [r[0] for r in rows] == ["bdf2", "backward_euler"]
+
+
+def test_run_with_non_finite_forcing_reports_the_failure(tmp_path):
+    text = """[problem]
+n_el = 8
+forcing = poly
+f0_t_coeffs = 0.0,1e308,1e308
+potential = paper_exponential
+
+[ladder]
+taus = 0.25
+"""
+    with np.errstate(all="ignore"):
+        rc, out = run_cli(tmp_path, "run", text)
+    assert rc == 1
+    _, summary = read_csv(out / "summary.csv")
+    assert summary[0][:2] == ["run", "FAIL"]
+    assert "non-finite" in summary[0][2]
+    header, rows = read_csv(out / "trajectory.csv.partial")
+    assert header[0] == "t" and header[-1] == "residual"
+    assert len(rows) >= 1  # at least the initial state
+    assert not (out / "trajectory.csv").exists()
+
+
+def test_removed_solver_keys_are_rejected(tmp_path, capsys):
+    rc, _ = run_cli(tmp_path, "run", NCVX + "\n[solver]\ntol = 1e-10\neps0 = 0.01\n")
+    assert rc == 2
+    assert "[solver] eps0" in capsys.readouterr().err
+
+
+def test_render_parse_render_is_byte_identical():
+    for cfg in (ExperimentConfig(), parse_config(NCVX)):
+        text = render_config(cfg)
+        assert render_config(parse_config(text)) == text

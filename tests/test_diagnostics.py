@@ -14,7 +14,6 @@ from rothe_hvi import (
     PaperExponential,
     RotheProblem,
     RotheTrajectory,
-    SolveOptions,
     TimeGrid,
     ZeroPotential,
     assemble_forcing,
@@ -191,7 +190,7 @@ def test_gap_bound_holds_on_real_run():
     problem = fem_problem(16, PaperExponential(1.0),
                           lambda t, x: np.ones_like(x), lambda t: 0.0,
                           lambda x: np.zeros_like(x))
-    traj = run_rothe(problem, TimeGrid(1.0, 16), "bdf2", SolveOptions(tol=1e-12))
+    traj = run_rothe(problem, TimeGrid(1.0, 16), "bdf2", 1e-12)
     rep = estimate_report(traj, problem.space, problem.boundary.weights)
     assert rep.gap_quadrature <= rep.gap_closed_form * (1.0 + 1e-8)
 
@@ -201,7 +200,7 @@ def test_ladder_study_smooth_problem_gaps_shrink():
                           lambda t, x: np.ones_like(x) * np.sin(np.pi * t),
                           lambda t: 0.0, lambda x: np.zeros_like(x))
     taus = [1.0 / n for n in (8, 16, 32, 64)]
-    study = tau_ladder_study(problem, 1.0, taus, "bdf2", SolveOptions(tol=1e-12))
+    study = tau_ladder_study(problem, 1.0, taus, "bdf2", 1e-12)
     u1 = study.series("u1_u0_gap")
     ratios = u1[1:] / u1[:-1]
     assert np.all(ratios <= 0.75)
@@ -236,6 +235,6 @@ def test_peak_h_norm_stable_across_ladder():
                           lambda t, x: np.ones_like(x), lambda t: 0.0,
                           lambda x: np.zeros_like(x))
     taus = [1.0 / n for n in (8, 16, 32)]
-    study = tau_ladder_study(problem, 1.0, taus, "bdf2", SolveOptions(tol=1e-12))
+    study = tau_ladder_study(problem, 1.0, taus, "bdf2", 1e-12)
     q4 = study.series("q4")
     assert q4.max() / q4.min() < 1.001

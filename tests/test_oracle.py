@@ -17,7 +17,6 @@ from rothe_hvi import (
     NonconvexPiecewise,
     PaperExponential,
     RotheProblem,
-    SolveOptions,
     StepProblem,
     TimeGrid,
     ZeroPotential,
@@ -199,3 +198,18 @@ def test_reference_validates_step():
                           lambda x: np.zeros_like(x))
     with pytest.raises(ValueError):
         reference_solution(problem, 1.0, 0.3)
+
+
+def test_reference_completes_on_smooth_problem_near_unit_flux_scale():
+    # the ROADMAP "smooth" configuration (n_el = 64, its forcing preset, zero
+    # start) with potential_d = 0.9926; an earlier solver stalled at step 904
+    tau_fine = 1.0 / 1024
+    problem = fem_problem(64, PaperExponential(0.9926),
+                          lambda t, x: (1.0 - np.cos(np.pi * t)) * 0.5 * (1.0 + x),
+                          lambda t: 0.5 * t * t * np.exp(-t),
+                          lambda x: np.zeros_like(x))
+    tol = 1e-12
+    ref = reference_solution(problem, 1.0, tau_fine, tol)
+    assert ref.grid.N == 1024
+    # a certified step leaves an unscaled residual of at most tol / (c tau)
+    assert np.all(ref.per_step_residuals <= 1.5 * tol / tau_fine)

@@ -4,8 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from rothe_hvi import (
     BoundaryFunctional,
@@ -16,7 +14,6 @@ from rothe_hvi import (
     check_growth,
     clarke_interval,
     potential_value,
-    regularized_selection,
 )
 
 ALL_POTENTIALS = [
@@ -77,50 +74,6 @@ def test_derivative_consistent_with_branch_of_value():
     for s in (0.5, 1.0, 4.0):
         fd = (pot.value(s + 1e-6) - pot.value(s - 1e-6)) / 2e-6
         assert pot.selection(s) == pytest.approx(fd, rel=1e-8)
-
-
-def test_regularized_far_from_kink():
-    val = regularized_selection(PaperExponential(1.0), -1.0, 0.1)
-    assert val == (0.0, 0.0)
-
-
-def test_regularized_midramp():
-    val = regularized_selection(PaperExponential(1.0), 0.05, 0.1)
-    assert val.value == pytest.approx(0.5)
-    assert val.derivative == pytest.approx(10.0)
-
-
-def test_regularized_eps_to_zero_consistency():
-    pot = PaperExponential(1.0)
-    target = math.exp(-1.0) + 1.0
-    for eps in (1e-2, 1e-5, 1e-9):
-        assert pot.regularized_selection(1.0, eps).value == pytest.approx(target)
-
-
-def test_regularized_invalid_eps():
-    with pytest.raises(ValueError):
-        regularized_selection(PaperExponential(1.0), 0.0, 0.0)
-    with pytest.raises(ValueError):
-        regularized_selection(PaperExponential(1.0), 0.0, -1.0)
-
-
-@given(
-    st.floats(-5.0, 5.0, allow_nan=False),
-    st.floats(1e-6, 0.5, allow_nan=False),
-    st.sampled_from([0, 1, 2]),
-)
-def test_regularized_interval_consistency(s, eps, which):
-    pot = [PaperExponential(1.5), NonconvexPiecewise(), LinearRobin(2.0)][which]
-    val = pot.regularized_selection(s, eps).value
-    in_ramp = any(k <= s <= k + eps for k in pot.kinks)
-    if in_ramp:
-        k = next(k for k in pot.kinks if k <= s <= k + eps)
-        lo, hi = pot.clarke_interval(k)
-        assert lo - 1e-12 <= val <= hi + 1e-12
-    else:
-        lo, hi = pot.clarke_interval(s)
-        assert lo == pytest.approx(hi)
-        assert val == pytest.approx(lo, abs=1e-12)
 
 
 def test_growth_bound_random_sweep():

@@ -14,7 +14,6 @@ from rothe_hvi import (
     Mesh1D,
     PaperExponential,
     RotheProblem,
-    SolveOptions,
     StepFailureError,
     TimeGrid,
     ZeroPotential,
@@ -171,9 +170,8 @@ def test_step_residual_identity_and_membership():
     problem = fem_problem(16, PaperExponential(1.0),
                           lambda t, x: np.ones_like(x), lambda t: 0.0,
                           lambda x: np.zeros_like(x))
-    opts = SolveOptions(tol=1e-12)
     for scheme in ("bdf2", "backward_euler"):
-        traj = run_rothe(problem, TimeGrid(1.0, 16), scheme, opts)
+        traj = run_rothe(problem, TimeGrid(1.0, 16), scheme, 1e-12)
         assert traj.per_step_residuals.max() <= 1e-9
         pot = problem.boundary.potential
         for n in range(1, traj.grid.N + 1):
@@ -186,10 +184,10 @@ def test_fem_run_approaches_fine_reference():
     problem = fem_problem(8, PaperExponential(1.0),
                           lambda t, x: np.ones_like(x), lambda t: 0.0,
                           lambda x: np.zeros_like(x))
-    fine = run_rothe(problem, TimeGrid(1.0, 512), "bdf2", SolveOptions(tol=1e-12))
+    fine = run_rothe(problem, TimeGrid(1.0, 512), "bdf2", 1e-12)
     errs = []
     for n in (16, 32):
-        traj = run_rothe(problem, TimeGrid(1.0, n), "bdf2", SolveOptions(tol=1e-12))
+        traj = run_rothe(problem, TimeGrid(1.0, n), "bdf2", 1e-12)
         errs.append(problem.space.h_norm(traj.u[-1] - fine.u[-1]))
     assert errs[1] < 0.5 * errs[0]
 
@@ -226,11 +224,23 @@ def test_coercivity_empty_samples_rejected():
 
 
 def test_step_failure_carries_index_and_partial_data():
-    problem = fem_problem(4, LinearRobin(1.0),
-                          lambda t, x: np.ones_like(x), lambda t: 0.0,
-                          lambda x: np.zeros_like(x))
-    with pytest.raises(StepFailureError) as info:
-        run_rothe(problem, TimeGrid(1.0, 4), "bdf2", SolveOptions(tol=1e-10, max_iter=0))
-    assert info.value.step == 1
-    assert info.value.partial_u.shape == (1, 5)
-    assert info.value.report.residual_history
+    # the load turns infinite after t = 0.5, so the averaged forcing of
+    # step 3 (window [0.5, 0.75]) is the first non-finite one
+    mesh = Mesh1D(4)
+    space, op = assemble_space(mesh)
+    spec = ForcingSpec(lambda t, x: np.ones_like(x), lambda t: 0.0)
+
+    def forcing(t):
+        f = assemble_forcing(mesh, spec, t)
+        return f if t <= 0.5 else f * np.inf
+
+    problem = RotheProblem(space, op, BoundaryFunctional(LinearRobin(1.0), np.ones(1)),
+                           forcing, np.zeros(5))
+    with pytest.raises(StepFailureError) as info, np.errstate(invalid="ignore"):
+        run_rothe(problem, TimeGrid(1.0, 4), "bdf2")
+    assert info.value.step == 3
+    assert info.value.partial_u.shape == (3, 5)
+    assert info.value.partial_xi.shape == (2, 1)
+    assert np.all(np.isfinite(info.value.partial_u))
+    assert "non-finite right-hand side" in info.value.reason
+    assert info.value.report is None
