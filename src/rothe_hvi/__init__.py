@@ -9,8 +9,6 @@ from .galerkin import (
     Norms,
     apply_A,
     check_hypotheses_A,
-    dual_norm,
-    embed_h,
     norms,
 )
 from .potentials import (
@@ -21,8 +19,6 @@ from .potentials import (
     ScalarPotential,
     ZeroPotential,
     check_growth,
-    clarke_interval,
-    potential_value,
 )
 from .fem1d import ForcingSpec, Mesh1D, assemble_forcing, assemble_space, make_initial
 from .inclusion_solver import (
@@ -52,7 +48,6 @@ from .diagnostics import (
     LadderStudy,
     bdf2_identity_gap,
     bdf2_inequality_slack,
-    build_interpolants,
     estimate_report,
     tau_ladder_study,
 )

@@ -14,17 +14,19 @@ check    : hypothesis certificates (operator bounds, flux growth, step
 Configs are flat INI files with typed keys (the fields of
 `ExperimentConfig`); unknown sections and keys are rejected.
 `render_config` emits the canonical form whose serialize/parse round trip
-is byte-identical.  All CSV output starts with a `# schema_version=1`
-comment line and uses 17-significant-digit floats.
+is byte-identical.  All CSV output starts with a `# schema_version=2`
+comment line and uses 17-significant-digit floats.  Estimate tables carry
+one interpolant-gap column, `gap_closed_form`, the exact squared
+L2(0,T;V*) gap.  Only `check` draws random samples, seeded by `--seed`.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -33,8 +35,6 @@ import numpy as np
 
 from .diagnostics import (
     QUANTITY_FIELDS,
-    LadderRow,
-    LadderStudy,
     bdf2_identity_gap,
     bdf2_inequality_slack,
     estimate_report,
@@ -56,7 +56,6 @@ from .stepper import (
     BACKWARD_EULER,
     BDF2,
     RotheProblem,
-    RotheTrajectory,
     StepFailureError,
     TimeGrid,
     check_step_coercivity,
@@ -76,7 +75,7 @@ __all__ = [
     "main",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 ENV_OUT = "ROTHE_HVI_OUT"
 
 
@@ -271,13 +270,24 @@ def _validate_config(cfg: ExperimentConfig) -> None:
     if not cfg.taus:
         raise ConfigError("[ladder] taus: must be non-empty")
     for tau in cfg.taus:
-        n = round(cfg.t_final / tau)
-        if n < 1 or abs(n * tau - cfg.t_final) > 4.0 * np.finfo(float).eps * cfg.t_final:
+        if not _divides(tau, cfg.t_final):
             raise ConfigError(f"[ladder] taus: {tau} does not divide t_final={cfg.t_final}")
     if any(b >= a for a, b in zip(cfg.taus, cfg.taus[1:])):
         raise ConfigError("[ladder] taus: must be strictly decreasing")
+    if cfg.tau_ref is not None and not _divides(cfg.tau_ref, cfg.t_final):
+        raise ConfigError(f"[ladder] tau_ref: {cfg.tau_ref} must be > 0 and divide t_final")
     if not cfg.tol > 0:
         raise ConfigError("[solver] tol: must be > 0")
+    if cfg.n_samples < 1:
+        raise ConfigError("[check] n_samples: must be >= 1")
+
+
+def _divides(tau: float, t_final: float) -> bool:
+    """True when tau > 0 splits [0, t_final] into a whole number of steps."""
+    if not (tau > 0 and math.isfinite(t_final / tau)):
+        return False
+    n = round(t_final / tau)
+    return n >= 1 and abs(n * tau - t_final) <= 4.0 * np.finfo(float).eps * t_final
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +375,8 @@ def build_problem(cfg: ExperimentConfig) -> tuple[Mesh1D, RotheProblem]:
 def _fmt(x) -> str:
     if isinstance(x, (float, np.floating)):
         return f"{float(x):.17g}"
-    return str(x)
+    # cells are not quoted, so a text cell must hold no comma
+    return str(x).replace(",", ";")
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
@@ -400,7 +411,6 @@ _ESTIMATE_COLS = (
     "tau",
     *QUANTITY_FIELDS,
     "gap_closed_form",
-    "gap_quadrature",
     "u1_u0_gap",
     "bv_bound",
 )
@@ -419,8 +429,7 @@ def _write_summary(out: Path, rows: list[tuple[str, bool, str]]) -> None:
 
 
 def _failure_detail(exc: StepFailureError) -> str:
-    # the CSV writer does not quote, so the detail cell must hold no comma
-    return f"step {exc.step} failed: {exc.reason}".replace(",", ";")
+    return f"step {exc.step} failed: {exc.reason}"
 
 
 def _resolve_out(cli_out: Optional[str], cfg: ExperimentConfig) -> Path:
@@ -432,30 +441,6 @@ def _resolve_out(cli_out: Optional[str], cfg: ExperimentConfig) -> Path:
     if env:
         return Path(env)
     return Path("rothe_out")
-
-
-def _ladder(
-    problem: RotheProblem,
-    cfg: ExperimentConfig,
-    scheme: str,
-    reference: Optional[RotheTrajectory],
-    jobs: int,
-) -> LadderStudy:
-    if jobs <= 1:
-        return tau_ladder_study(problem, cfg.t_final, cfg.taus, scheme, cfg.tol, reference)
-
-    def one(tau: float) -> LadderRow:
-        n = round(cfg.t_final / tau)
-        traj = run_rothe(problem, TimeGrid(cfg.t_final, n), scheme, cfg.tol)
-        rep = estimate_report(traj, problem.space, problem.boundary.weights)
-        err = float("nan")
-        if reference is not None:
-            err = problem.space.h_norm(traj.u[-1] - reference.u[-1])
-        return LadderRow(tau, rep, err, traj)
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        rows = tuple(pool.map(one, cfg.taus))
-    return LadderStudy(scheme, rows)
 
 
 def _write_series(out: Path, name: str, taus: np.ndarray, values: np.ndarray) -> None:
@@ -487,7 +472,7 @@ def _write_plots(out: Path, series_names: list[str]) -> None:
 # subcommands
 
 
-def cmd_run(cfg: ExperimentConfig, out: Path, seed: int, quiet: bool, jobs: int = 1) -> int:
+def cmd_run(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
     _, problem = build_problem(cfg)
     tau = cfg.taus[0]
     grid = TimeGrid(cfg.t_final, round(cfg.t_final / tau))
@@ -513,11 +498,11 @@ def cmd_run(cfg: ExperimentConfig, out: Path, seed: int, quiet: bool, jobs: int 
     return 0
 
 
-def cmd_study(cfg: ExperimentConfig, out: Path, seed: int, quiet: bool, jobs: int = 1) -> int:
+def cmd_study(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
     _, problem = build_problem(cfg)
     try:
         reference = reference_solution(problem, cfg.t_final, cfg.reference_tau())
-        study = _ladder(problem, cfg, cfg.scheme, reference, jobs)
+        study = tau_ladder_study(problem, cfg.t_final, cfg.taus, cfg.scheme, cfg.tol, reference)
     except StepFailureError as exc:
         _write_summary(out, [("study", False, _failure_detail(exc))])
         return 1
@@ -534,7 +519,7 @@ def cmd_study(cfg: ExperimentConfig, out: Path, seed: int, quiet: bool, jobs: in
     )
     order = study.fitted_order()
     _write_csv(out / "orders.csv", ["scheme", "fitted_order"], [[cfg.scheme, order]])
-    series = ["error_at_T", "u1_u0_gap", "gap_quadrature", *QUANTITY_FIELDS]
+    series = ["error_at_T", "u1_u0_gap", "gap_closed_form", *QUANTITY_FIELDS]
     for name in series:
         _write_series(out, name, taus, study.series(name))
     _write_plots(out, series)
@@ -544,7 +529,7 @@ def cmd_study(cfg: ExperimentConfig, out: Path, seed: int, quiet: bool, jobs: in
     return 0
 
 
-def cmd_compare(cfg: ExperimentConfig, out: Path, seed: int, quiet: bool, jobs: int = 1) -> int:
+def cmd_compare(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
     _, problem = build_problem(cfg)
     tau_ref = cfg.reference_tau()
     try:
@@ -552,7 +537,7 @@ def cmd_compare(cfg: ExperimentConfig, out: Path, seed: int, quiet: bool, jobs: 
         n_ref = round(cfg.t_final / tau_ref)
         ref_one = run_rothe(problem, TimeGrid(cfg.t_final, n_ref), BACKWARD_EULER, 1e-12)
         studies = {
-            scheme: _ladder(problem, cfg, scheme, ref_two, jobs)
+            scheme: tau_ladder_study(problem, cfg.t_final, cfg.taus, scheme, cfg.tol, ref_two)
             for scheme in (BDF2, BACKWARD_EULER)
         }
     except StepFailureError as exc:
@@ -611,7 +596,7 @@ def _fuzz_identities(rng: np.random.Generator, n_fuzz: int) -> tuple[float, floa
     return worst_gap, worst_slack
 
 
-def cmd_check(cfg: ExperimentConfig, out: Path, seed: int, quiet: bool, jobs: int = 1) -> int:
+def cmd_check(cfg: ExperimentConfig, out: Path, quiet: bool, seed: int = 0) -> int:
     rng = np.random.default_rng(seed)
     _, problem = build_problem(cfg)
     space, op = problem.space, problem.operator
@@ -692,9 +677,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sp.add_argument("config_path", nargs="?", default=None, help="config file")
         sp.add_argument("--config", dest="config_flag", default=None, help="config file")
         sp.add_argument("--out", default=None, help="output directory")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--jobs", type=int, default=1)
         sp.add_argument("--quiet", action="store_true")
+        if name == "check":
+            sp.add_argument("--seed", type=int, default=0, help="sampling seed")
     args = parser.parse_args(argv)
     path = args.config_flag or args.config_path
     if not path or (args.config_flag and args.config_path):
@@ -710,7 +695,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     out = _resolve_out(args.out, cfg)
     out.mkdir(parents=True, exist_ok=True)
-    return _COMMANDS[args.command](cfg, out, args.seed, args.quiet, max(1, args.jobs))
+    if args.command == "check":
+        return cmd_check(cfg, out, args.quiet, args.seed)
+    return _COMMANDS[args.command](cfg, out, args.quiet)
 
 
 if __name__ == "__main__":

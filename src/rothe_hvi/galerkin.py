@@ -24,9 +24,7 @@ __all__ = [
     "Norms",
     "HypothesesAReport",
     "norms",
-    "dual_norm",
     "apply_A",
-    "embed_h",
     "check_hypotheses_A",
 ]
 
@@ -200,19 +198,9 @@ def norms(space: GalerkinSpace, v) -> Norms:
     return Norms(space.h_norm(v), space.v_norm(v), space.u_norm(space.trace @ v))
 
 
-def dual_norm(space: GalerkinSpace, w) -> float:
-    return space.dual_norm(w)
-
-
 def apply_A(A: LinearOperatorA, v) -> DualVector:
     v = _require_vector(v, A.dim)
     return A.stiffness @ v
-
-
-def embed_h(space: GalerkinSpace, v) -> DualVector:
-    """Action vector of an H-element viewed as a functional on V."""
-    v = _require_vector(v, space.dim)
-    return space.gram_h @ v
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,6 @@ __all__ = [
     "ZeroPotential",
     "BoundaryFunctional",
     "GrowthReport",
-    "potential_value",
-    "clarke_interval",
     "check_growth",
 ]
 
@@ -272,14 +270,6 @@ class BoundaryFunctional:
         """Growth constant of the lifted functional on the boundary space:
         sqrt(2) * d_j * max(1, sqrt(total boundary weight))."""
         return math.sqrt(2.0) * self.potential.d_j * max(1.0, math.sqrt(float(self.weights.sum())))
-
-
-def potential_value(pot: ScalarPotential, s: float) -> float:
-    return float(pot.value(float(s)))
-
-
-def clarke_interval(pot: ScalarPotential, s: float) -> tuple[float, float]:
-    return pot.clarke_interval(s)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ The first step uses the one-step implicit stencil, later steps the two-step
 backward differentiation stencil (3/2, -2, 1/2)/tau.  The forcing sequence
 combines window integrals with weights matched to the stencils:
 
-    F_1 = (1/tau) * int_{0ends}^{tau} f,
+    F_1 = (1/tau) * int_0^tau f,
     F_n = (3/(2 tau)) * int_{(n-1)tau}^{n tau} f
         - (1/(2 tau)) * int_{(n-2)tau}^{(n-1)tau} f,   n >= 2.
 
@@ -27,7 +27,6 @@ from .inclusion_solver import (
     SolveReport,
     StepFactorization,
     StepProblem,
-    _finite_dual_norm,
     solve_step_inclusion,
 )
 from .potentials import BoundaryFunctional
@@ -226,23 +225,6 @@ def bdf2_step(
     return solve_step_inclusion(p, 2.0 * u_nm1 - u_nm2, tol, factorization)
 
 
-def _unscaled_residual(
-    problem: RotheProblem,
-    stencil_over_tau: np.ndarray,
-    u_n: np.ndarray,
-    xi_n: np.ndarray,
-    f_n: np.ndarray,
-) -> float:
-    sp = problem.space
-    r = (
-        sp.gram_h @ stencil_over_tau
-        + problem.operator.stiffness @ u_n
-        + sp.trace.T @ (problem.boundary.weights * xi_n)
-        - f_n
-    )
-    return _finite_dual_norm(sp, r)
-
-
 def run_rothe(
     problem: RotheProblem,
     grid: TimeGrid,
@@ -270,23 +252,20 @@ def run_rothe(
     for n in range(1, grid.N + 1):
         f_n = f_avg[n - 1]
         two_step = scheme == BDF2 and n >= 2
+        c = 2.0 / 3.0 if two_step else 1.0
         if n == 1 or (two_step and n == 2):
             # one factorization per stencil, at most one alive at a time
             factorization = None
-            c = 2.0 / 3.0 if two_step else 1.0
             factorization = StepFactorization(
                 sp.gram_h, c * tau * problem.operator.stiffness, sp.trace[0]
             )
         try:
             if two_step:
-                u_n, xi_n, _ = bdf2_step(
+                u_n, xi_n, report = bdf2_step(
                     problem, u[n - 1], u[n - 2], f_n, tau, tol, factorization
                 )
-                stencil = (1.5 * u_n - 2.0 * u[n - 1] + 0.5 * u[n - 2]) / tau
             else:
-                u_n, xi_n, _ = initial_step(problem, u[n - 1], f_n, tau, tol, factorization)
-                stencil = (u_n - u[n - 1]) / tau
-            residual = _unscaled_residual(problem, stencil, u_n, xi_n, f_n)
+                u_n, xi_n, report = initial_step(problem, u[n - 1], f_n, tau, tol, factorization)
         except (NonConvergenceError, NumericalFailureError) as exc:
             raise StepFailureError(
                 n,
@@ -298,7 +277,8 @@ def run_rothe(
             ) from exc
         u[n] = u_n
         xi[n - 1] = xi_n
-        residuals[n - 1] = residual
+        # the step equation is the unscaled one multiplied by c tau
+        residuals[n - 1] = report.residual / (c * tau)
     return RotheTrajectory(grid, u, xi, f_avg, scheme, residuals)
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from rothe_hvi.cli import ExperimentConfig, main, parse_config, render_config
 
@@ -17,18 +18,33 @@ taus = 0.125,0.0625,0.03125
 
 def read_csv(path):
     lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "# schema_version=1"
+    assert lines[0] == "# schema_version=2"
     header = lines[1].split(",")
     rows = [ln.split(",") for ln in lines[2:]]
     assert all(len(r) == len(header) for r in rows)
     return header, rows
 
 
-def run_cli(tmp_path, command, config_text):
+SMOOTH_TINY = """[problem]
+n_el = 8
+forcing = smooth
+potential = paper_exponential
+
+[ladder]
+taus = 0.25,0.125
+
+[check]
+n_samples = 20
+n_fuzz = 50
+coercivity_taus = 0.1
+"""
+
+
+def run_cli(tmp_path, command, config_text, *flags, out_name="out"):
     cfg = tmp_path / "config.ini"
     cfg.write_text(config_text, encoding="utf-8")
-    out = tmp_path / "out"
-    return main([command, str(cfg), "--out", str(out), "--quiet"]), out
+    out = tmp_path / out_name
+    return main([command, str(cfg), "--out", str(out), "--quiet", *flags]), out
 
 
 def test_run_on_a_nonconvex_step_with_a_root_past_the_drop_window(tmp_path):
@@ -84,3 +100,50 @@ def test_render_parse_render_is_byte_identical():
     for cfg in (ExperimentConfig(), parse_config(NCVX)):
         text = render_config(cfg)
         assert render_config(parse_config(text)) == text
+
+
+def test_study_writes_one_exact_gap_column_and_its_series(tmp_path):
+    rc, out = run_cli(tmp_path, "study", SMOOTH_TINY)
+    assert rc == 0
+    header, rows = read_csv(out / "ladder.csv")
+    assert [h for h in header if h.startswith("gap")] == ["gap_closed_form"]
+    assert [float(r[0]) for r in rows] == [0.25, 0.125]
+    read_csv(out / "errors.csv")
+    header, _ = read_csv(out / "orders.csv")
+    assert header == ["scheme", "fitted_order"]
+    series = (out / "series_gap_closed_form.dat").read_text(encoding="utf-8").splitlines()
+    assert series[:2] == ["# schema_version=2", "# tau gap_closed_form"]
+    assert len(series) == 4
+    assert not (out / "series_gap_quadrature.dat").exists()
+
+
+def test_check_is_reproducible_for_a_seed(tmp_path):
+    rc_a, out_a = run_cli(tmp_path, "check", SMOOTH_TINY, "--seed", "7", out_name="a")
+    rc_b, out_b = run_cli(tmp_path, "check", SMOOTH_TINY, "--seed", "7", out_name="b")
+    assert rc_a == rc_b == 0
+    checks = (out_a / "checks.csv").read_bytes()
+    assert checks == (out_b / "checks.csv").read_bytes()
+    header, rows = read_csv(out_a / "checks.csv")
+    assert header == ["name", "status", "detail"]
+    assert all(r[1] == "PASS" for r in rows)
+
+
+@pytest.mark.parametrize("flag", [["--jobs", "2"], ["--seed", "1"]])
+def test_run_rejects_removed_flags(tmp_path, flag):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(tmp_path, "run", SMOOTH_TINY, *flag)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "command, old, new, key",
+    [
+        ("study", "taus = 0.25,0.125", "taus = 0.25,0.125\ntau_ref = 0.3", "[ladder] tau_ref"),
+        ("study", "taus = 0.25,0.125", "taus = 0.25,0.125\ntau_ref = 0", "[ladder] tau_ref"),
+        ("check", "n_samples = 20", "n_samples = 0", "[check] n_samples"),
+    ],
+)
+def test_invalid_values_exit_2_naming_the_key(tmp_path, capsys, command, old, new, key):
+    rc, _ = run_cli(tmp_path, command, SMOOTH_TINY.replace(old, new))
+    assert rc == 2
+    assert key in capsys.readouterr().err

@@ -2,13 +2,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import make_space, random_spd
 from rothe_hvi import (
     BoundaryFunctional,
     ForcingSpec,
     GalerkinSpace,
-    LinearOperatorA,
+    Interpolants,
     LinearRobin,
     Mesh1D,
     PaperExponential,
@@ -20,7 +22,6 @@ from rothe_hvi import (
     assemble_space,
     bdf2_identity_gap,
     bdf2_inequality_slack,
-    build_interpolants,
     estimate_report,
     make_initial,
     run_rothe,
@@ -28,19 +29,37 @@ from rothe_hvi import (
 )
 
 
-def scalar_traj(u_values, T=1.0):
-    """Hand-made trajectory on the 1-d space with unit Grams."""
-    space = GalerkinSpace(gram_h=[[1.0]], gram_v=[[1.0]], trace=[[1.0]], gram_u=[[1.0]])
-    u = np.asarray(u_values, dtype=float).reshape(-1, 1)
+def hand_traj(u, T=1.0):
+    """Hand-made trajectory with the rows of ``u`` as u^0..u^N."""
+    u = np.asarray(u, dtype=float)
     N = u.shape[0] - 1
-    return space, RotheTrajectory(
+    return RotheTrajectory(
         grid=TimeGrid(T, N),
         u=u,
         xi=np.zeros((N, 1)),
-        f_avg=np.zeros((N, 1)),
+        f_avg=np.zeros((N, u.shape[1])),
         scheme="bdf2",
         per_step_residuals=np.zeros(N),
     )
+
+
+def scalar_traj(u_values, T=1.0):
+    """Hand-made trajectory on the 1-d space with unit Grams."""
+    space = GalerkinSpace(gram_h=[[1.0]], gram_v=[[1.0]], trace=[[1.0]], gram_u=[[1.0]])
+    return space, hand_traj(np.reshape(u_values, (-1, 1)), T)
+
+
+def gap_quadrature(space, traj):
+    """5-point Gauss quadrature of the squared V*-norm of the interpolant
+    gap on each window; exact, since the gap is linear in t there."""
+    interp = Interpolants(traj)
+    tau = traj.grid.tau
+    total = 0.0
+    for n in range(1, traj.grid.N + 1):
+        for x, w in zip(*np.polynomial.legendre.leggauss(5)):
+            gap = interp.gap((n - 0.5 + 0.5 * x) * tau)
+            total += 0.5 * tau * w * space.dual_norm(space.gram_h @ gap) ** 2
+    return total
 
 
 def fem_problem(n_el, potential, f0, f_N, u0_fun):
@@ -100,7 +119,7 @@ def test_identity_dimension_mismatch(scalar_space):
 
 def test_interpolant_values_at_knots():
     space, traj = scalar_traj([0.0, 1.0, 3.0, 4.0], T=3.0)
-    interp = build_interpolants(traj)
+    interp = Interpolants(traj)
     u = traj.u
     for n in (2, 3):
         expected = 1.5 * u[n] - 0.5 * u[n - 1]
@@ -111,7 +130,7 @@ def test_interpolant_values_at_knots():
 def test_interpolant_continuity_at_interior_knots():
     rng = np.random.default_rng(8)
     space, traj = scalar_traj(rng.normal(size=6), T=1.0)
-    interp = build_interpolants(traj)
+    interp = Interpolants(traj)
     tau = traj.grid.tau
     for n in range(1, 5):
         left = interp.piecewise_linear(n * tau - 1e-12)
@@ -121,7 +140,7 @@ def test_interpolant_continuity_at_interior_knots():
 
 def test_interpolant_constant_trajectory():
     space, traj = scalar_traj([2.0] * 5)
-    interp = build_interpolants(traj)
+    interp = Interpolants(traj)
     for t in (0.0, 0.3, 0.77, 1.0):
         assert interp.piecewise_constant(t) == pytest.approx([2.0])
         assert interp.piecewise_linear(t) == pytest.approx([2.0])
@@ -130,7 +149,7 @@ def test_interpolant_constant_trajectory():
 
 def test_interpolant_right_continuity_of_constant_branch():
     space, traj = scalar_traj([0.0, 1.0, 2.0])
-    interp = build_interpolants(traj)
+    interp = Interpolants(traj)
     assert interp.piecewise_constant(0.0) == pytest.approx([0.0])
     assert interp.piecewise_constant(1e-9) == pytest.approx([1.0])
     assert interp.piecewise_constant(0.5) == pytest.approx([1.0])
@@ -139,7 +158,7 @@ def test_interpolant_right_continuity_of_constant_branch():
 
 def test_interpolant_domain_error():
     space, traj = scalar_traj([0.0, 1.0, 2.0])
-    interp = build_interpolants(traj)
+    interp = Interpolants(traj)
     with pytest.raises(ValueError):
         interp.piecewise_linear(-0.1)
     with pytest.raises(ValueError):
@@ -149,7 +168,7 @@ def test_interpolant_domain_error():
 def test_interpolant_gap_matches_difference():
     rng = np.random.default_rng(12)
     space, traj = scalar_traj(rng.normal(size=7))
-    interp = build_interpolants(traj)
+    interp = Interpolants(traj)
     for t in rng.uniform(1e-6, 1.0, 40):
         direct = interp.piecewise_linear(t) - interp.piecewise_constant(t)
         assert interp.gap(t) == pytest.approx(direct, abs=1e-12)
@@ -167,15 +186,14 @@ def test_estimate_report_hand_computed_scalar_case():
     assert rep.u1_u0_gap == pytest.approx(1.0)
     assert rep.bv_bound == pytest.approx(0.5 * ((1 / 0.5) ** 2 + (1 / 0.5) ** 2))
     # both windows contribute ||diff||^2 integrals of tau/12 each
-    assert rep.gap_quadrature == pytest.approx(1.0 / 12.0, rel=1e-12)
-    assert rep.gap_closed_form == pytest.approx(0.5 / 12.0 + 0.5 / 6.0, rel=1e-12)
+    assert rep.gap_closed_form == pytest.approx(1.0 / 12.0, rel=1e-12)
 
 
 def test_estimate_report_zero_trajectory():
     space, traj = scalar_traj([0.0, 0.0, 0.0, 0.0])
     rep = estimate_report(traj, space)
     for name in ("q3", "q4", "q5", "q6", "q7", "q75", "gap_closed_form",
-                 "gap_quadrature", "u1_u0_gap", "bv_bound"):
+                 "u1_u0_gap", "bv_bound"):
         assert getattr(rep, name) == 0.0
 
 
@@ -186,13 +204,46 @@ def test_estimate_report_linear_in_time_second_differences_vanish():
     assert rep.q75 == pytest.approx(0.0, abs=1e-26)
 
 
-def test_gap_bound_holds_on_real_run():
+def test_gap_closed_form_matches_quadrature_on_real_run():
     problem = fem_problem(16, PaperExponential(1.0),
                           lambda t, x: np.ones_like(x), lambda t: 0.0,
                           lambda x: np.zeros_like(x))
     traj = run_rothe(problem, TimeGrid(1.0, 16), "bdf2", 1e-12)
     rep = estimate_report(traj, problem.space, problem.boundary.weights)
-    assert rep.gap_quadrature <= rep.gap_closed_form * (1.0 + 1e-8)
+    assert rep.gap_closed_form == pytest.approx(gap_quadrature(problem.space, traj), rel=1e-12)
+
+
+def test_gap_with_small_trace_norm_and_zero_stencil():
+    # the gap is then pure second difference, which no trace-norm-scaled
+    # bound may stand in for
+    space = GalerkinSpace(gram_h=np.eye(2), gram_v=np.eye(2), trace=[[1e-3, 0.0]],
+                          gram_u=[[1.0]])
+    traj = hand_traj([[0.0, 0.0], [1.0, 0.0], [4.0 / 3.0, 0.0]])
+    rep = estimate_report(traj, space)
+    assert rep.q7 == pytest.approx(0.0, abs=1e-30)
+    assert rep.gap_closed_form == pytest.approx(0.5 / 12.0 + 0.5 / 16.0 * 4.0 / 9.0, rel=1e-14)
+    assert rep.gap_closed_form == pytest.approx(gap_quadrature(space, traj), rel=1e-12)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 6),
+    n_steps=st.integers(1, 8),
+    log_trace=st.floats(-3.0, 0.0),
+    log_t=st.floats(-1.0, 1.0),
+)
+def test_gap_closed_form_is_the_exact_gap_integral(seed, dim, n_steps, log_trace, log_t):
+    rng = np.random.default_rng(seed)
+    space = GalerkinSpace(
+        gram_h=random_spd(rng, dim),
+        gram_v=random_spd(rng, dim),
+        trace=10.0**log_trace * rng.normal(size=(1, dim)),
+        gram_u=np.eye(1),
+    )
+    u = rng.normal(size=(n_steps + 1, dim)) * rng.choice([0.1, 1.0, 10.0])
+    traj = hand_traj(u, 10.0**log_t)
+    rep = estimate_report(traj, space)  # never raises on a finite trajectory
+    assert rep.gap_closed_form == pytest.approx(gap_quadrature(space, traj), rel=1e-12)
 
 
 def test_ladder_study_smooth_problem_gaps_shrink():
@@ -204,7 +255,7 @@ def test_ladder_study_smooth_problem_gaps_shrink():
     u1 = study.series("u1_u0_gap")
     ratios = u1[1:] / u1[:-1]
     assert np.all(ratios <= 0.75)
-    gq = study.series("gap_quadrature")
+    gq = study.series("gap_closed_form")
     assert np.all(gq[1:] / gq[:-1] <= 0.75)
 
 
@@ -215,7 +266,7 @@ def test_ladder_study_zero_data_all_rows_zero():
     study = tau_ladder_study(problem, 1.0, [0.25, 0.125], "bdf2")
     for row in study.rows:
         assert row.report.q3 == 0.0
-        assert row.report.gap_quadrature == 0.0
+        assert row.report.gap_closed_form == 0.0
 
 
 def test_ladder_study_validation():

@@ -13,7 +13,6 @@ from rothe_hvi import (
     apply_A,
     assemble_space,
     check_hypotheses_A,
-    dual_norm,
     norms,
 )
 
@@ -48,13 +47,13 @@ def test_norms_dimension_mismatch():
 
 def test_dual_norm_identity_gram():
     space = GalerkinSpace(gram_h=[[1.0]], gram_v=[[1.0]], trace=[[1.0]], gram_u=[[1.0]])
-    assert dual_norm(space, [3.0]) == pytest.approx(3.0)
+    assert space.dual_norm([3.0]) == pytest.approx(3.0)
 
 
 def test_dual_norm_closed_form():
     # w^T K^{-1} w = 2 * (1/4) * 2 = 1
     space = GalerkinSpace(gram_h=[[1.0]], gram_v=[[4.0]], trace=[[1.0]], gram_u=[[1.0]])
-    assert dual_norm(space, [2.0]) == pytest.approx(1.0)
+    assert space.dual_norm([2.0]) == pytest.approx(1.0)
 
 
 @given(st.integers(1, 8), st.integers(0, 2**32 - 1))
@@ -62,7 +61,7 @@ def test_riesz_roundtrip(dim, seed):
     rng = np.random.default_rng(seed)
     space = make_space(random_spd(rng, dim), random_spd(rng, dim, shift=0.5))
     v = rng.normal(size=dim)
-    assert dual_norm(space, space.gram_v @ v) == pytest.approx(
+    assert space.dual_norm(space.gram_v @ v) == pytest.approx(
         space.v_norm(v), rel=1e-10
     )
 
@@ -73,7 +72,7 @@ def test_cauchy_schwarz_discrete(dim, seed):
     space = make_space(random_spd(rng, dim), random_spd(rng, dim, shift=0.5))
     v = rng.normal(size=dim)
     w = rng.normal(size=dim)
-    assert abs(w @ v) <= dual_norm(space, w) * space.v_norm(v) * (1.0 + 1e-10)
+    assert abs(w @ v) <= space.dual_norm(w) * space.v_norm(v) * (1.0 + 1e-10)
 
 
 def test_apply_A_one_element():

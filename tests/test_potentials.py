@@ -12,8 +12,6 @@ from rothe_hvi import (
     PaperExponential,
     ZeroPotential,
     check_growth,
-    clarke_interval,
-    potential_value,
 )
 
 ALL_POTENTIALS = [
@@ -27,22 +25,22 @@ ALL_POTENTIALS = [
 
 
 def test_value_negative_branch():
-    assert potential_value(PaperExponential(1.0), -3.0) == 0.0
+    assert PaperExponential(1.0).value(-3.0) == 0.0
 
 
 def test_value_continuous_at_junction():
     pot = PaperExponential(1.0)
-    assert potential_value(pot, 0.0) == pytest.approx(0.0, abs=1e-15)
+    assert pot.value(0.0) == pytest.approx(0.0, abs=1e-15)
     # right slope at the junction is d, so the value vanishes linearly
-    assert potential_value(pot, 1e-9) == pytest.approx(0.0, abs=2e-9)
+    assert pot.value(1e-9) == pytest.approx(0.0, abs=2e-9)
 
 
 def test_value_positive_branch():
-    assert potential_value(PaperExponential(2.0), 1.0) == pytest.approx(3.0 - 2.0 / math.e)
+    assert PaperExponential(2.0).value(1.0) == pytest.approx(3.0 - 2.0 / math.e)
 
 
 def test_interval_at_jump():
-    assert clarke_interval(PaperExponential(1.0), 0.0) == (0.0, 1.0)
+    assert PaperExponential(1.0).clarke_interval(0.0) == (0.0, 1.0)
 
 
 def test_interval_upper_semicontinuous_at_jump():
@@ -55,7 +53,7 @@ def test_interval_upper_semicontinuous_at_jump():
 
 
 def test_interval_smooth_case():
-    assert clarke_interval(LinearRobin(3.0), 2.0) == (6.0, 6.0)
+    assert LinearRobin(3.0).clarke_interval(2.0) == (6.0, 6.0)
 
 
 def test_literal_branch_only_matches_for_unit_d():

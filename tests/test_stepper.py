@@ -12,6 +12,7 @@ from rothe_hvi import (
     LinearOperatorA,
     LinearRobin,
     Mesh1D,
+    NonconvexPiecewise,
     PaperExponential,
     RotheProblem,
     StepFailureError,
@@ -178,6 +179,27 @@ def test_step_residual_identity_and_membership():
             s = float((problem.space.trace @ traj.u[n])[0])
             lo, hi = pot.membership_interval(s, 1e-12 * (1 + abs(s)))
             assert lo - 1e-9 <= traj.xi[n - 1][0] <= hi + 1e-9
+
+
+@pytest.mark.parametrize("potential", [PaperExponential(1.0), NonconvexPiecewise()])
+def test_recorded_residual_bounds_the_unscaled_step_residual(potential):
+    # the paper's step equation: D u^n + A u^n + trace^T W xi^n = F_n, with D
+    # the one-step or two-step difference quotient
+    problem = fem_problem(16, potential, lambda t, x: np.full_like(x, 3.0),
+                          lambda t: 0.0, lambda x: np.zeros_like(x))
+    sp, tol, grid = problem.space, 1e-10, TimeGrid(1.0, 16)
+    for scheme in ("bdf2", "backward_euler"):
+        traj = run_rothe(problem, grid, scheme, tol)
+        u = traj.u
+        for n in range(1, grid.N + 1):
+            if scheme == "bdf2" and n >= 2:
+                quotient = (1.5 * u[n] - 2.0 * u[n - 1] + 0.5 * u[n - 2]) / grid.tau
+            else:
+                quotient = (u[n] - u[n - 1]) / grid.tau
+            r = (sp.gram_h @ quotient + problem.operator.stiffness @ u[n]
+                 + sp.trace.T @ (problem.boundary.weights * traj.xi[n - 1]) - traj.f_avg[n - 1])
+            assert sp.dual_norm(r) <= 1.5 * tol / grid.tau
+            assert traj.per_step_residuals[n - 1] <= 1.5 * tol / grid.tau
 
 
 def test_fem_run_approaches_fine_reference():
