@@ -5,11 +5,14 @@ so boundary integrals degenerate to point evaluation with unit weight) and
 the Neumann part at x = 0.  Mass and stiffness matrices are assembled
 exactly; the V-Gram is mass + stiffness, matching the norm
 ||u||_V^2 = |u|_H^2 + integral of |u'|^2.
+Load vectors use Gauss quadrature per element, from tables of points and
+weight-times-hat values that are built once per mesh and are read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple, Union
 
 import numpy as np
@@ -24,9 +27,6 @@ __all__ = [
     "assemble_forcing",
     "make_initial",
 ]
-
-_GAUSS3 = np.polynomial.legendre.leggauss(3)
-_GAUSS5 = np.polynomial.legendre.leggauss(5)
 
 
 @dataclass(frozen=True)
@@ -46,6 +46,21 @@ class Mesh1D:
     @property
     def nodes(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, self.n_el + 1)
+
+    @cached_property
+    def _quadrature(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """nq -> (points (n_el, nq), weight * local hat values (nq, 2)) of
+        the nq-point Gauss rule on every element, nq in {3, 5}; read-only."""
+        out = {}
+        for nq in (3, 5):
+            pts, wts = np.polynomial.legendre.leggauss(nq)
+            xi = 0.5 * (pts + 1.0)  # reference element [0, 1]
+            x = self.nodes[:-1, None] + self.h * xi[None, :]
+            w_phi = (0.5 * self.h * wts)[:, None] * np.column_stack([1.0 - xi, xi])
+            x.setflags(write=False)
+            w_phi.setflags(write=False)
+            out[nq] = (x, w_phi)
+        return out
 
 
 @dataclass(frozen=True)
@@ -68,10 +83,13 @@ def assemble_space(mesh: Mesh1D) -> tuple[GalerkinSpace, LinearOperatorA]:
     dim = n + 1
     mass = np.zeros((dim, dim))
     stiff = np.zeros((dim, dim))
-    for e in range(n):
-        sl = slice(e, e + 2)
-        mass[sl, sl] += (h / 6.0) * np.array([[2.0, 1.0], [1.0, 2.0]])
-        stiff[sl, sl] += (1.0 / h) * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    i = np.arange(dim)
+    # element e adds [[d, o], [o, d]] on nodes e, e+1: an interior diagonal
+    # entry is the sum d + d of its two elements, an end node has one
+    for mat, d, o in ((mass, (h / 6.0) * 2.0, h / 6.0), (stiff, 1.0 / h, -1.0 / h)):
+        mat[i, i] = 2.0 * d
+        mat[0, 0] = mat[n, n] = d
+        mat[i[:-1], i[1:]] = mat[i[1:], i[:-1]] = o
     trace = np.zeros((1, dim))
     trace[0, n] = 1.0
     space = GalerkinSpace(gram_h=mass, gram_v=mass + stiff, trace=trace, gram_u=np.eye(1))
@@ -79,20 +97,17 @@ def assemble_space(mesh: Mesh1D) -> tuple[GalerkinSpace, LinearOperatorA]:
     return space, op
 
 
-def _element_quadrature(mesh: Mesh1D, rule) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Quadrature points per element, their weights and hat values.
-
-    Returns (x, w, phi) with x of shape (n_el, nq), w of shape (nq,)
-    already scaled by h/2, and phi of shape (2, nq) holding the local hat
-    functions at the reference points.
-    """
-    pts, wts = rule
-    xi = 0.5 * (pts + 1.0)  # reference element [0, 1]
-    left = mesh.nodes[:-1]
-    x = left[:, None] + mesh.h * xi[None, :]
-    w = 0.5 * mesh.h * wts
-    phi = np.vstack([1.0 - xi, xi])
-    return x, w, phi
+def _load(mesh: Mesh1D, nq: int, integrand: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """l_i = sum over elements and nq-point Gauss points of integrand * w * phi_i."""
+    x, w_phi = mesh._quadrature[nq]
+    vals = np.asarray(integrand(x), dtype=float)
+    if vals.shape != x.shape:  # broadcast_to is slow next to the rest; skip it when the shape fits
+        vals = np.broadcast_to(vals, x.shape)
+    contrib = vals @ w_phi
+    load = np.zeros(mesh.n_el + 1)
+    load[:-1] += contrib[:, 0]
+    load[1:] += contrib[:, 1]
+    return load
 
 
 def assemble_forcing(mesh: Mesh1D, spec: ForcingSpec, t: float) -> np.ndarray:
@@ -101,13 +116,7 @@ def assemble_forcing(mesh: Mesh1D, spec: ForcingSpec, t: float) -> np.ndarray:
     The volume term uses 3-point Gauss per element, exact for the
     polynomial forcings used in the tests.
     """
-    x, w, phi = _element_quadrature(mesh, _GAUSS3)
-    f_vals = np.asarray(spec.f0(t, x), dtype=float)
-    f_vals = np.broadcast_to(f_vals, x.shape)
-    contrib = np.einsum("eq,q,lq->el", f_vals, w, phi)
-    load = np.zeros(mesh.n_el + 1)
-    np.add.at(load, np.arange(mesh.n_el), contrib[:, 0])
-    np.add.at(load, np.arange(1, mesh.n_el + 1), contrib[:, 1])
+    load = _load(mesh, 3, lambda x: spec.f0(t, x))
     load[0] += float(spec.f_N(t))
     return load
 
@@ -132,13 +141,7 @@ def make_initial(
     if not tau > 0:
         raise ValueError("tau must be > 0")
     if callable(u0):
-        x, w, phi = _element_quadrature(mesh, _GAUSS5)
-        vals = np.broadcast_to(np.asarray(u0(x), dtype=float), x.shape)
-        contrib = np.einsum("eq,q,lq->el", vals, w, phi)
-        load = np.zeros(mesh.n_el + 1)
-        np.add.at(load, np.arange(mesh.n_el), contrib[:, 0])
-        np.add.at(load, np.arange(1, mesh.n_el + 1), contrib[:, 1])
-        coeffs = space.solve_h(load)
+        coeffs = space.solve_h(_load(mesh, 5, u0))
     else:
         coeffs = np.array(u0, dtype=float)
         if coeffs.shape != (space.dim,):

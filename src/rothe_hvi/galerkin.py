@@ -48,6 +48,11 @@ def _require_symmetric(m: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} is not symmetric to {_SYM_RTOL:g} relative")
 
 
+def _cho_solve(cho, b) -> np.ndarray:
+    """Back-solve that scans only b for NaN/Inf (ValueError); factors are checked when built."""
+    return sla.cho_solve(cho, np.asarray_chkfinite(b, dtype=float), check_finite=False)
+
+
 def _require_vector(v, dim: int, name: str = "v") -> np.ndarray:
     a = np.asarray(v, dtype=float)
     if a.shape != (dim,):
@@ -119,10 +124,10 @@ class GalerkinSpace:
 
     def solve_v(self, w: np.ndarray) -> np.ndarray:
         """Solve gram_v x = w (Riesz map V* -> V)."""
-        return sla.cho_solve(self._cho_v, np.asarray(w, dtype=float))
+        return _cho_solve(self._cho_v, w)
 
     def solve_h(self, w: np.ndarray) -> np.ndarray:
-        return sla.cho_solve(self._cho_h, np.asarray(w, dtype=float))
+        return _cho_solve(self._cho_h, w)
 
     def h_norm(self, v) -> float:
         v = _require_vector(v, self.dim)
@@ -144,14 +149,16 @@ class GalerkinSpace:
     def dual_u_norm(self, action) -> float:
         """U*-norm of a boundary functional given by its action vector."""
         a = _require_vector(action, self.dim_u, "action")
-        return float(np.sqrt(max(a @ sla.cho_solve(self._cho_u, a), 0.0)))
+        return float(np.sqrt(max(a @ _cho_solve(self._cho_u, a), 0.0)))
 
     @cached_property
     def trace_operator_norm(self) -> float:
-        """sup ||trace v||_U / ||v||_V, the largest generalized singular value."""
-        a = self.trace.T @ self.gram_u @ self.trace
-        lam = sla.eigh(a, self.gram_v, eigvals_only=True)
-        return float(np.sqrt(max(lam[-1], 0.0)))
+        """sup ||trace v||_U / ||v||_V, the largest generalized singular value:
+        the root of the top eigenvalue of the dim_u x dim_u pencil
+        (trace gram_v^{-1} trace^T, gram_u^{-1})."""
+        b = self.trace @ self.solve_v(self.trace.T)
+        g_u_inv = _cho_solve(self._cho_u, np.eye(self.dim_u))
+        return float(np.sqrt(sla.eigvalsh(b, g_u_inv).max(initial=0.0)))
 
 
 class Norms(NamedTuple):
@@ -176,8 +183,13 @@ class LinearOperatorA:
         k = _as_matrix(self.stiffness, "stiffness")
         _require_symmetric(k, "stiffness")
         scale = max(1.0, float(np.abs(k).max(initial=0.0)))
-        if sla.eigh(k, eigvals_only=True)[0] < -1e-10 * scale:
-            raise ValueError("stiffness must be positive semi-definite")
+        # least eigenvalue > -1e-10 scale iff K + 1e-10 scale I has a Cholesky factor
+        shifted = np.array(k, order="F")
+        shifted[np.diag_indices_from(shifted)] += 1e-10 * scale
+        try:
+            sla.cholesky(shifted, overwrite_a=True)
+        except sla.LinAlgError:
+            raise ValueError("stiffness must be positive semi-definite") from None
         if not self.alpha > 0:
             raise ValueError("alpha must be > 0")
         if self.beta < 0 or self.a_growth < 0:

@@ -124,15 +124,17 @@ class StepFactorization:
     y = S^{-1} t^T and gamma = t y for the boundary row t.
 
     S is the same at every step of one stencil and step size, so one
-    factorization serves all of them."""
+    factorization, which also keeps the array stiff_scaled, serves all of them."""
 
     def __init__(self, mass: np.ndarray, stiff_scaled: np.ndarray, trace_row: np.ndarray):
+        self.stiff_scaled = stiff_scaled
         self._cho = sla.cho_factor(mass + stiff_scaled, overwrite_a=True)
-        self.y = sla.cho_solve(self._cho, trace_row)
+        self.y = self.solve(trace_row)
         self.gamma = float(trace_row @ self.y)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        return sla.cho_solve(self._cho, b)
+        """S^{-1} b; scans only b for NaN/Inf (ValueError), the factor was checked when built."""
+        return sla.cho_solve(self._cho, np.asarray_chkfinite(b, dtype=float), check_finite=False)
 
 
 @dataclass
@@ -253,8 +255,8 @@ class _BoundaryInclusion:
         )
 
     def roots(self) -> list[float]:
-        """Every root: the kinks whose interval contains zero and the roots
-        of each piece between them."""
+        """Every root: the kinks whose interval contains zero, the points
+        beside them where g vanishes and the roots of each piece between."""
         kinks = sorted(float(k) for k in self.pot.kinks)
         ks = np.asarray(kinks, dtype=float)
         # one-sided limits just outside each kink and the interval at it
@@ -263,7 +265,8 @@ class _BoundaryInclusion:
         g_lo = pts - self.target + self.factor * lo
         g_hi = pts - self.target + self.factor * hi
         m = len(kinks)
-        out = [k for i, k in enumerate(kinks) if g_lo[m + i] <= 0.0 <= g_hi[m + i]]
+        # beside a kink z is single-valued: a root there has g exactly 0
+        out = [float(x) for x, gl, gh in zip(pts, g_lo, g_hi) if gl <= 0.0 <= gh]
         ends = [-math.inf, *kinks, math.inf]
         g_left = [-math.inf, *g_lo[2 * m:]]  # g just right of each piece's left end
         g_right = [*g_lo[:m], math.inf]  # g just left of each piece's right end

@@ -1,9 +1,9 @@
 """Independent brute-force references for the step solver and the scheme.
 
-Nothing here shares code with the Newton path: roots come from interval-
-aware grid scans with bisection, convex solutions from coordinate-wise
-golden-section descent on the step energy, and trajectory references from
-a much finer run of the scheme itself.
+Nothing here shares code with the production step solver: roots come
+from interval-aware grid scans with bisection, convex solutions from
+coordinate-wise golden-section descent on the step energy, and trajectory
+references from a much finer run of the scheme itself.
 """
 
 from __future__ import annotations

@@ -257,14 +257,6 @@ class BoundaryFunctional:
     def dim_u(self) -> int:
         return self.weights.shape[0]
 
-    def value(self, boundary_values) -> float:
-        s = np.asarray(boundary_values, dtype=float)
-        return float(self.weights @ np.atleast_1d(self.potential.value(s)))
-
-    def intervals(self, boundary_values) -> tuple[np.ndarray, np.ndarray]:
-        s = np.asarray(boundary_values, dtype=float)
-        return self.potential.interval_arrays(s)
-
     @property
     def lifted_growth_constant(self) -> float:
         """Growth constant of the lifted functional on the boundary space:

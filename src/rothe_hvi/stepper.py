@@ -156,37 +156,25 @@ def average_forcing(
     return (1.5 * cur - 0.5 * prev) / tau
 
 
-def _one_step_problem(
-    problem: RotheProblem, u_prev: np.ndarray, f_n: np.ndarray, tau: float
-) -> StepProblem:
+def _factorization(problem: RotheProblem, c: float, tau: float) -> StepFactorization:
+    """The stencil's S = M + c tau K, factored, with its array c tau K."""
     sp = problem.space
-    return StepProblem(
-        space=sp,
-        mass=sp.gram_h,
-        stiff_scaled=tau * problem.operator.stiffness,
-        trace=sp.trace,
-        weights=problem.boundary.weights,
-        potential=problem.boundary.potential,
-        rhs=tau * f_n + sp.gram_h @ u_prev,
-        c_coef=1.0,
-        tau=tau,
-    )
+    return StepFactorization(sp.gram_h, c * tau * problem.operator.stiffness, sp.trace[0])
 
 
-def _two_step_problem(
-    problem: RotheProblem,
-    u_nm1: np.ndarray,
-    u_nm2: np.ndarray,
-    f_n: np.ndarray,
-    tau: float,
-) -> StepProblem:
+def _solve_step(
+    problem: RotheProblem, c: float, hist: np.ndarray, f_n: np.ndarray, tau: float,
+    warm: np.ndarray, tol: float, factorization: Optional[StepFactorization],
+) -> tuple[np.ndarray, np.ndarray, SolveReport]:
+    """Build and solve the step with stencil factor c and history vector hist,
+    M u + c tau K u + c tau trace^T W xi = c tau f_n + M hist; c tau K and
+    the factor of S come from ``factorization``, built here when None."""
     sp = problem.space
-    c = 2.0 / 3.0
-    hist = (4.0 / 3.0) * u_nm1 - (1.0 / 3.0) * u_nm2
-    return StepProblem(
+    fac = factorization or _factorization(problem, c, tau)
+    p = StepProblem(
         space=sp,
         mass=sp.gram_h,
-        stiff_scaled=c * tau * problem.operator.stiffness,
+        stiff_scaled=fac.stiff_scaled,
         trace=sp.trace,
         weights=problem.boundary.weights,
         potential=problem.boundary.potential,
@@ -194,6 +182,7 @@ def _two_step_problem(
         c_coef=c,
         tau=tau,
     )
+    return solve_step_inclusion(p, warm, tol, fac)
 
 
 def initial_step(
@@ -205,8 +194,8 @@ def initial_step(
     factorization: Optional[StepFactorization] = None,
 ) -> tuple[np.ndarray, np.ndarray, SolveReport]:
     """One-step implicit solve: M u + tau K u + tau trace^T W xi = tau f1 + M u0."""
-    p = _one_step_problem(problem, np.asarray(u0_vec, dtype=float), f1, tau)
-    return solve_step_inclusion(p, np.asarray(u0_vec, dtype=float), tol, factorization)
+    u0_vec = np.asarray(u0_vec, dtype=float)
+    return _solve_step(problem, 1.0, u0_vec, f1, tau, u0_vec, tol, factorization)
 
 
 def bdf2_step(
@@ -221,8 +210,10 @@ def bdf2_step(
     """Two-step stencil solve, warm-started from the extrapolant 2u^{n-1} - u^{n-2}."""
     u_nm1 = np.asarray(u_nm1, dtype=float)
     u_nm2 = np.asarray(u_nm2, dtype=float)
-    p = _two_step_problem(problem, u_nm1, u_nm2, f_n, tau)
-    return solve_step_inclusion(p, 2.0 * u_nm1 - u_nm2, tol, factorization)
+    hist = (4.0 / 3.0) * u_nm1 - (1.0 / 3.0) * u_nm2
+    return _solve_step(
+        problem, 2.0 / 3.0, hist, f_n, tau, 2.0 * u_nm1 - u_nm2, tol, factorization
+    )
 
 
 def run_rothe(
@@ -256,9 +247,7 @@ def run_rothe(
         if n == 1 or (two_step and n == 2):
             # one factorization per stencil, at most one alive at a time
             factorization = None
-            factorization = StepFactorization(
-                sp.gram_h, c * tau * problem.operator.stiffness, sp.trace[0]
-            )
+            factorization = _factorization(problem, c, tau)
         try:
             if two_step:
                 u_n, xi_n, report = bdf2_step(

@@ -37,6 +37,43 @@ def test_mass_sums_to_domain_length(n_el):
     assert space.gram_h.sum() == pytest.approx(1.0, rel=1e-14)
 
 
+@pytest.mark.parametrize("n_el", [1, 2, 5, 32])
+def test_matrices_match_the_element_loop_bit_for_bit(n_el):
+    h = 1.0 / n_el
+    mass = np.zeros((n_el + 1, n_el + 1))
+    stiff = np.zeros((n_el + 1, n_el + 1))
+    for e in range(n_el):
+        sl = slice(e, e + 2)
+        mass[sl, sl] += (h / 6.0) * np.array([[2.0, 1.0], [1.0, 2.0]])
+        stiff[sl, sl] += (1.0 / h) * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    space, op = assemble_space(Mesh1D(n_el))
+    assert np.array_equal(space.gram_h, mass)
+    assert np.array_equal(op.stiffness, stiff)
+    assert np.array_equal(space.gram_v, mass + stiff)
+
+
+@pytest.mark.parametrize("n_el", [1, 5, 64])
+def test_loads_match_the_per_element_sum(n_el):
+    # reference: element by element, each quadrature point in turn; the
+    # assembler sums the same products in another order, so a few ulps apart
+    mesh = Mesh1D(n_el)
+    space, _ = assemble_space(mesh)
+    f0 = lambda t, x: np.sin(3.0 * x + t) * np.exp(x)
+    for nq, got in (
+        (3, assemble_forcing(mesh, ForcingSpec(f0, lambda t: 0.0), 0.7)),
+        (5, space.gram_h @ make_initial(mesh, space, lambda x: f0(0.7, x), 1.0).coeffs),
+    ):
+        pts, wts = np.polynomial.legendre.leggauss(nq)
+        ref = np.zeros(n_el + 1)
+        for e in range(n_el):
+            for p, w in zip(pts, wts):
+                xi = 0.5 * (p + 1.0)
+                val = f0(0.7, (e + xi) / n_el) * 0.5 * w / n_el
+                ref[e] += val * (1.0 - xi)
+                ref[e + 1] += val * xi
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 @pytest.mark.parametrize("n_el", [1, 3, 8])
 def test_vgram_is_mass_plus_stiffness(n_el):
     space, op = assemble_space(Mesh1D(n_el))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -56,6 +57,17 @@ def test_dual_norm_closed_form():
     assert space.dual_norm([2.0]) == pytest.approx(1.0)
 
 
+def test_non_finite_arguments_raise():
+    space, _ = assemble_space(Mesh1D(4))
+    w = np.ones(space.dim)
+    w[2] = np.nan
+    with pytest.raises(ValueError):
+        space.dual_norm(w)
+    w[2] = np.inf
+    with pytest.raises(ValueError):
+        space.solve_h(w)
+
+
 @given(st.integers(1, 8), st.integers(0, 2**32 - 1))
 def test_riesz_roundtrip(dim, seed):
     rng = np.random.default_rng(seed)
@@ -107,6 +119,38 @@ def test_trace_constant_bounded_and_stabilizing():
     assert consts.max() / consts.min() < 1.05
     diffs = np.abs(np.diff(consts))
     assert np.all(np.diff(diffs) <= 1e-12)  # successive changes shrink
+
+
+@given(st.integers(1, 8), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_trace_operator_norm_matches_full_generalized_eigensolve(dim, dim_u, seed):
+    rng = np.random.default_rng(seed)
+    gram_v = random_spd(rng, dim, shift=0.5)
+    gram_u = random_spd(rng, dim_u, shift=0.5)
+    trace = rng.normal(size=(dim_u, dim))
+    space = GalerkinSpace(gram_h=random_spd(rng, dim), gram_v=gram_v, trace=trace, gram_u=gram_u)
+    lam = sla.eigh(trace.T @ gram_u @ trace, gram_v, eigvals_only=True)
+    assert space.trace_operator_norm == pytest.approx(np.sqrt(lam[-1]), rel=1e-12)
+
+
+def _p1_stiffness(n_el: int) -> np.ndarray:
+    k = np.zeros((n_el + 1, n_el + 1))
+    i = np.arange(n_el + 1)
+    k[i, i] = 2.0 * n_el
+    k[0, 0] = k[n_el, n_el] = n_el
+    k[i[:-1], i[1:]] = k[i[1:], i[:-1]] = -n_el
+    return k
+
+
+def test_operator_psd_certificate_threshold():
+    # the singular P1 stiffness (constants in its kernel) is accepted at a
+    # size where a dense eigensolve would be slow
+    LinearOperatorA(_p1_stiffness(4096))
+    # least eigenvalue -rel * scale: accepted at 1e-12, rejected at 1e-8
+    k = _p1_stiffness(8)
+    scale = np.abs(k).max()
+    LinearOperatorA(k - 1e-12 * scale * np.eye(9))
+    with pytest.raises(ValueError, match="positive semi-definite"):
+        LinearOperatorA(k - 1e-8 * scale * np.eye(9))
 
 
 def test_hypotheses_hold_for_builtin_operator():

@@ -108,6 +108,16 @@ def test_scalar_toy_zero_rhs_from_far_start():
     assert 0.0 <= xi[0] <= 1.0
 
 
+@pytest.mark.parametrize("name", ["paper", "nonconvex"])
+def test_root_one_ulp_left_of_the_kink_is_found(name):
+    # t S^-1 b is the subnormal just below the kink at 0, so the root s = b
+    # is the very point where the solver reads the left limit of z
+    b = math.nextafter(0.0, -math.inf)
+    p = scalar_problem(POTENTIAL_FACTORIES[name](), b=b, k=0.0)
+    u, xi, _ = solve_step_inclusion(p, np.zeros(1))
+    assert u[0] == b and xi[0] == 0.0
+
+
 def test_verify_round_trip_and_negative_control():
     p = scalar_problem(PaperExponential(1.0), b=3.0 + math.exp(-1.0))
     u, xi, _ = solve_step_inclusion(p, np.zeros(1), tol=1e-11)

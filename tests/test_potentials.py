@@ -130,9 +130,10 @@ def test_value_derivative_midpoint_consistency():
             assert abs(0.5 * (lo + hi) - fd) < 1e-4
 
 
-def test_boundary_functional_value_and_validation():
-    bf = BoundaryFunctional(LinearRobin(2.0), np.array([3.0]))
-    assert bf.value([2.0]) == pytest.approx(3.0 * 0.5 * 2.0 * 4.0)
+def test_boundary_functional_validation():
+    bf = BoundaryFunctional(LinearRobin(2.0), [[3.0]])
+    assert bf.dim_u == 1
+    assert bf.weights.shape == (1,) and not bf.weights.flags.writeable
     with pytest.raises(ValueError):
         BoundaryFunctional(LinearRobin(1.0), np.array([0.0]))
 

@@ -159,6 +159,25 @@ def test_run_rothe_deterministic_bit_identical():
     assert np.array_equal(a.per_step_residuals, b.per_step_residuals)
 
 
+@pytest.mark.parametrize("potential", [PaperExponential(1.0), NonconvexPiecewise()])
+def test_steps_without_a_factorization_repeat_the_run_bit_for_bit(potential):
+    # run_rothe shares one factorization per stencil; a step called without
+    # one builds its own and must give the same bits
+    problem = fem_problem(16, potential, lambda t, x: np.full_like(x, 3.0),
+                          lambda t: 0.0, lambda x: np.zeros_like(x))
+    grid = TimeGrid(1.0, 8)
+    for scheme in ("bdf2", "backward_euler"):
+        traj = run_rothe(problem, grid, scheme)
+        for n in range(1, grid.N + 1):
+            if scheme == "bdf2" and n >= 2:
+                u, xi, _ = bdf2_step(problem, traj.u[n - 1], traj.u[n - 2],
+                                     traj.f_avg[n - 1], grid.tau)
+            else:
+                u, xi, _ = initial_step(problem, traj.u[n - 1], traj.f_avg[n - 1], grid.tau)
+            assert np.array_equal(u, traj.u[n])
+            assert np.array_equal(xi, traj.xi[n - 1])
+
+
 def test_run_rothe_validation():
     problem = scalar_problem(ZeroPotential(), lambda t: np.zeros(1))
     with pytest.raises(ValueError):
