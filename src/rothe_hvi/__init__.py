@@ -7,6 +7,7 @@ from .galerkin import (
     GalerkinSpace,
     LinearOperatorA,
     Norms,
+    SymBand,
     apply_A,
     check_hypotheses_A,
     norms,

@@ -379,31 +379,39 @@ def _fmt(x) -> str:
     return str(x).replace(",", ";")
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence] | np.ndarray) -> None:
+    """Schema line, header and rows; ``rows`` is a list of cell lists, each
+    cell formatted by ``_fmt``, or a float array, each row formatted whole."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# schema_version={SCHEMA_VERSION}\n")
         fh.write(",".join(header) + "\n")
+        if isinstance(rows, np.ndarray):
+            line = ",".join(["%.17g"] * rows.shape[1]) + "\n"  # what _fmt gives a float
+            fh.writelines(line % tuple(row) for row in rows.tolist())
+            return
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def _trajectory_rows(
     times: np.ndarray, u: np.ndarray, xi: np.ndarray, residuals: np.ndarray
-) -> tuple[list[str], list[list]]:
-    """Rows of u^0..u^k with the multipliers and residuals of steps 1..k."""
-    dim, dim_u = u.shape[1], xi.shape[1]
+) -> tuple[list[str], np.ndarray]:
+    """Rows of u^0..u^k with the multipliers and residuals of steps 1..k
+    (zeros on the row of u^0)."""
+    k, dim = u.shape
+    dim_u = xi.shape[1]
     header = (
         ["t"]
         + [f"u{i}" for i in range(dim)]
         + [f"xi{i}" for i in range(dim_u)]
         + ["residual"]
     )
-    rows = []
-    for n in range(u.shape[0]):
-        xi_n = xi[n - 1] if n >= 1 else np.zeros(dim_u)
-        res = residuals[n - 1] if n >= 1 else 0.0
-        rows.append([times[n], *u[n], *xi_n, res])
+    rows = np.zeros((k, dim + dim_u + 2))
+    rows[:, 0] = times[:k]
+    rows[:, 1 : dim + 1] = u
+    rows[1:, dim + 1 : -1] = xi
+    rows[1:, -1] = residuals
     return header, rows
 
 

@@ -3,7 +3,8 @@
 The domain is (0, 1) with the flux boundary part at x = 1 (a single node,
 so boundary integrals degenerate to point evaluation with unit weight) and
 the Neumann part at x = 0.  Mass and stiffness matrices are assembled
-exactly; the V-Gram is mass + stiffness, matching the norm
+exactly, straight into their tridiagonal bands; the V-Gram is
+mass + stiffness, matching the norm
 ||u||_V^2 = |u|_H^2 + integral of |u'|^2.
 Load vectors use Gauss quadrature per element, from tables of points and
 weight-times-hat values that are built once per mesh and are read-only.
@@ -17,7 +18,7 @@ from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
-from .galerkin import GalerkinSpace, LinearOperatorA
+from .galerkin import GalerkinSpace, LinearOperatorA, SymBand
 
 __all__ = [
     "Mesh1D",
@@ -73,24 +74,26 @@ class ForcingSpec:
 
 
 def assemble_space(mesh: Mesh1D) -> tuple[GalerkinSpace, LinearOperatorA]:
-    """Mass, stiffness, V-Gram, boundary trace and the elliptic operator.
+    """Mass, stiffness, V-Gram (tridiagonal bands), boundary trace and the
+    elliptic operator.
 
     The operator carries the exact constants of this bilinear form:
     <Av,v> = ||v||_V^2 - |v|_H^2 and ||Av||_* <= ||v||_V.
     """
     n = mesh.n_el
     h = mesh.h
-    dim = n + 1
-    mass = np.zeros((dim, dim))
-    stiff = np.zeros((dim, dim))
-    i = np.arange(dim)
+    bands = []
     # element e adds [[d, o], [o, d]] on nodes e, e+1: an interior diagonal
     # entry is the sum d + d of its two elements, an end node has one
-    for mat, d, o in ((mass, (h / 6.0) * 2.0, h / 6.0), (stiff, 1.0 / h, -1.0 / h)):
-        mat[i, i] = 2.0 * d
-        mat[0, 0] = mat[n, n] = d
-        mat[i[:-1], i[1:]] = mat[i[1:], i[:-1]] = o
-    trace = np.zeros((1, dim))
+    for d, o in (((h / 6.0) * 2.0, h / 6.0), (1.0 / h, -1.0 / h)):
+        ab = np.empty((2, n + 1))
+        ab[0, 0] = 0.0  # unused corner of the superdiagonal row
+        ab[0, 1:] = o
+        ab[1] = 2.0 * d
+        ab[1, 0] = ab[1, n] = d
+        bands.append(SymBand(ab))
+    mass, stiff = bands
+    trace = np.zeros((1, n + 1))
     trace[0, n] = 1.0
     space = GalerkinSpace(gram_h=mass, gram_v=mass + stiff, trace=trace, gram_u=np.eye(1))
     op = LinearOperatorA(stiffness=stiff, alpha=1.0, beta=1.0, a_growth=0.0, b_growth=1.0)

@@ -5,7 +5,13 @@ vectors, a boundary restriction matrix mapping into a boundary space U, and
 the U-Gram matrix.  Functionals in V* are stored as plain arrays holding
 their action on the basis (the assembled load-vector convention), so the
 discrete dual norm is ``sqrt(w^T gram_v^{-1} w)``, evaluated through a
-Cholesky solve and never through an explicit inverse.
+back-solve with the Cholesky factor of gram_v and never through an explicit
+inverse.
+
+Every symmetric matrix is held as a ``SymBand``, its LAPACK upper band, and
+factored once by the band Cholesky (dpbtrf, then dpbtrs per solve).  For
+1-D P1 elements the band is tridiagonal, so storage, matrix-vector products
+and solves all cost O(n); a dense matrix is the band of full width.
 """
 
 from __future__ import annotations
@@ -16,12 +22,15 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import lapack
 
 __all__ = [
     "DualVector",
     "GalerkinSpace",
     "LinearOperatorA",
     "Norms",
+    "SymBand",
+    "as_band",
     "HypothesesAReport",
     "norms",
     "apply_A",
@@ -42,15 +51,139 @@ def _as_matrix(m, name: str) -> np.ndarray:
     return a
 
 
-def _require_symmetric(m: np.ndarray, name: str) -> None:
-    scale = max(1.0, float(np.abs(m).max(initial=0.0)))
-    if np.abs(m - m.T).max(initial=0.0) > _SYM_RTOL * scale:
-        raise ValueError(f"{name} is not symmetric to {_SYM_RTOL:g} relative")
+def _cholesky(ab: np.ndarray) -> np.ndarray:
+    """Upper band Cholesky factor (LAPACK dpbtrf); LinAlgError, a ValueError,
+    when the matrix is not positive definite."""
+    c, info = lapack.dpbtrf(ab)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"{info}-th leading minor of the matrix is not positive definite"
+        )
+    if info < 0:
+        raise ValueError(f"dpbtrf: illegal value in argument {-info}")
+    return c
 
 
-def _cho_solve(cho, b) -> np.ndarray:
-    """Back-solve that scans only b for NaN/Inf (ValueError); factors are checked when built."""
-    return sla.cho_solve(cho, np.asarray_chkfinite(b, dtype=float), check_finite=False)
+class SymBand:
+    """Symmetric n x n matrix held as its LAPACK upper band.
+
+    ``ab`` has shape (u + 1, n) with ab[u + i - j, j] = A[i, j] for
+    max(0, j - u) <= i <= j: row u is the diagonal and row u - k the k-th
+    superdiagonal, whose first k entries are unused.  A dense matrix is the
+    band with u = n - 1.  ``ab`` is copied, checked finite and frozen on
+    construction.  The Cholesky factor is computed once, on first use, and
+    serves every solve.
+    """
+
+    __array_ufunc__ = None  # ndarray @ band defers to __rmatmul__
+
+    def __init__(self, ab) -> None:
+        ab = np.array(ab, dtype=float)
+        if ab.ndim != 2 or ab.shape[0] < 1:
+            raise ValueError(f"band storage must be 2-d with at least one row, not {ab.shape}")
+        if not np.isfinite(ab).all():
+            raise ValueError("band has a non-finite entry")
+        ab.setflags(write=False)
+        self.ab = ab
+
+    @property
+    def n(self) -> int:
+        return self.ab.shape[1]
+
+    @property
+    def bandwidth(self) -> int:
+        return self.ab.shape[0] - 1
+
+    def toarray(self) -> np.ndarray:
+        u, n = self.bandwidth, self.n
+        a = np.zeros((n, n))
+        for k in range(u + 1):
+            d = self.ab[u - k, k:]
+            i = np.arange(n - k)
+            a[i, i + k] = a[i + k, i] = d
+        return a
+
+    def matvec(self, x) -> np.ndarray:
+        """A x along the last axis of x: a vector, or row by row of a stack."""
+        x = np.asarray(x, dtype=float)
+        if x.shape[-1:] != (self.n,):
+            raise ValueError(f"operand has shape {x.shape}, expected last axis {self.n}")
+        u = self.bandwidth
+        y = self.ab[u] * x
+        for k in range(1, u + 1):
+            d = self.ab[u - k, k:]
+            y[..., :-k] += d * x[..., k:]
+            y[..., k:] += d * x[..., :-k]
+        return y
+
+    def __matmul__(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        return self.matvec(x) if x.ndim == 1 else self.matvec(x.T).T
+
+    def __rmatmul__(self, x) -> np.ndarray:
+        return self.matvec(x)  # x A = (A x^T)^T, row by row, as A is symmetric
+
+    def __add__(self, other: "SymBand") -> "SymBand":
+        if not isinstance(other, SymBand):
+            return NotImplemented
+        if other.n != self.n:
+            raise ValueError(f"cannot add bands of sizes {self.n} and {other.n}")
+        u = max(self.bandwidth, other.bandwidth)
+        ab = np.zeros((u + 1, self.n))
+        for band in (self, other):
+            ab[u - band.bandwidth:] += band.ab  # aligned at the diagonal row
+        return SymBand(ab)
+
+    def __mul__(self, scalar: float) -> "SymBand":
+        return SymBand(float(scalar) * self.ab)
+
+    __rmul__ = __mul__
+
+    @cached_property
+    def cholesky(self) -> np.ndarray:
+        """Upper band Cholesky factor; raises LinAlgError unless positive definite."""
+        c = _cholesky(self.ab)
+        c.setflags(write=False)
+        return c
+
+    def solve(self, b) -> np.ndarray:
+        """A^{-1} b for a vector or the columns of an (n, k) array; scans only
+        b for NaN/Inf (ValueError), the matrix was checked when built."""
+        b = np.asarray_chkfinite(b, dtype=float)
+        if b.ndim not in (1, 2) or b.shape[0] != self.n:
+            raise ValueError(f"right-hand side has shape {b.shape}, expected ({self.n}, ...)")
+        x, info = lapack.dpbtrs(self.cholesky, b)
+        if info < 0:
+            raise ValueError(f"dpbtrs: illegal value in argument {-info}")
+        return x
+
+
+def as_band(m, name: str) -> SymBand:
+    """m itself when it is a SymBand; otherwise the band of the dense matrix m.
+
+    Symmetry (to 1e-12 relative to the largest entry) and finiteness are
+    checked and the bandwidth is read from the nonzeros of the upper
+    diagonals, one diagonal pair at a time, so no n x n temporary is built."""
+    if isinstance(m, SymBand):
+        return m
+    a = np.asarray(m, dtype=float)  # read only, so not copied
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"{name} must be a square matrix, got shape {a.shape}")
+    n = a.shape[0]
+    tol = _SYM_RTOL * max(1.0, float(a.max(initial=0.0)), -float(a.min(initial=0.0)))
+    u = 0
+    for k in range(n):
+        up = np.diagonal(a, k)
+        worst = np.abs(up - np.diagonal(a, -k)).max()  # NaN for a NaN or inf entry
+        if not worst <= tol:
+            what = f"symmetric to {_SYM_RTOL:g} relative" if np.isfinite(worst) else "finite"
+            raise ValueError(f"{name} is not {what}")
+        if k and up.any():
+            u = k
+    ab = np.zeros((u + 1, n))
+    for k in range(u + 1):
+        ab[u - k, k:] = np.diagonal(a, k)
+    return SymBand(ab)
 
 
 def _require_vector(v, dim: int, name: str = "v") -> np.ndarray:
@@ -69,34 +202,33 @@ class GalerkinSpace:
                      its boundary values.
     gram_u         : SPD matrix realizing the boundary-space inner product.
 
-    All arrays are copied, validated and frozen on construction; instances
-    are immutable and safe to share across threads.
+    The Grams may be given as SymBand or as dense symmetric arrays, which
+    are converted to bands; each is factored once, here, and that factor
+    both certifies positive definiteness and serves every solve.  The trace
+    is copied and frozen; instances are immutable and safe to share across
+    threads.
     """
 
-    gram_h: np.ndarray
-    gram_v: np.ndarray
+    gram_h: SymBand
+    gram_v: SymBand
     trace: np.ndarray
-    gram_u: np.ndarray
+    gram_u: SymBand
 
     def __post_init__(self) -> None:
-        gh = _as_matrix(self.gram_h, "gram_h")
-        gv = _as_matrix(self.gram_v, "gram_v")
+        gh = as_band(self.gram_h, "gram_h")
+        gv = as_band(self.gram_v, "gram_v")
         tr = _as_matrix(self.trace, "trace")
-        gu = _as_matrix(self.gram_u, "gram_u")
-        n = gh.shape[0]
-        if gh.shape != (n, n) or gv.shape != (n, n):
-            raise ValueError("gram_h and gram_v must be square with equal size")
+        gu = as_band(self.gram_u, "gram_u")
+        n = gh.n
+        if gv.n != n:
+            raise ValueError("gram_h and gram_v must have equal size")
         if tr.shape[1] != n:
             raise ValueError("trace must have one column per degree of freedom")
-        du = tr.shape[0]
-        if gu.shape != (du, du):
+        if gu.n != tr.shape[0]:
             raise ValueError("gram_u size must match the number of trace rows")
-        for mat, name in ((gh, "gram_h"), (gv, "gram_v"), (gu, "gram_u")):
-            _require_symmetric(mat, name)
-            # positive definiteness is certified by the factorization succeeding
-            sla.cho_factor(mat)
-        for arr in (gh, gv, tr, gu):
-            arr.setflags(write=False)
+        for band in (gh, gv, gu):
+            band.cholesky  # raises LinAlgError unless positive definite
+        tr.setflags(write=False)
         object.__setattr__(self, "gram_h", gh)
         object.__setattr__(self, "gram_v", gv)
         object.__setattr__(self, "trace", tr)
@@ -104,30 +236,18 @@ class GalerkinSpace:
 
     @property
     def dim(self) -> int:
-        return self.gram_h.shape[0]
+        return self.gram_h.n
 
     @property
     def dim_u(self) -> int:
         return self.trace.shape[0]
 
-    @cached_property
-    def _cho_h(self):
-        return sla.cho_factor(self.gram_h)
-
-    @cached_property
-    def _cho_v(self):
-        return sla.cho_factor(self.gram_v)
-
-    @cached_property
-    def _cho_u(self):
-        return sla.cho_factor(self.gram_u)
-
     def solve_v(self, w: np.ndarray) -> np.ndarray:
         """Solve gram_v x = w (Riesz map V* -> V)."""
-        return _cho_solve(self._cho_v, w)
+        return self.gram_v.solve(w)
 
     def solve_h(self, w: np.ndarray) -> np.ndarray:
-        return _cho_solve(self._cho_h, w)
+        return self.gram_h.solve(w)
 
     def h_norm(self, v) -> float:
         v = _require_vector(v, self.dim)
@@ -149,7 +269,7 @@ class GalerkinSpace:
     def dual_u_norm(self, action) -> float:
         """U*-norm of a boundary functional given by its action vector."""
         a = _require_vector(action, self.dim_u, "action")
-        return float(np.sqrt(max(a @ _cho_solve(self._cho_u, a), 0.0)))
+        return float(np.sqrt(max(a @ self.gram_u.solve(a), 0.0)))
 
     @cached_property
     def trace_operator_norm(self) -> float:
@@ -157,7 +277,7 @@ class GalerkinSpace:
         the root of the top eigenvalue of the dim_u x dim_u pencil
         (trace gram_v^{-1} trace^T, gram_u^{-1})."""
         b = self.trace @ self.solve_v(self.trace.T)
-        g_u_inv = _cho_solve(self._cho_u, np.eye(self.dim_u))
+        g_u_inv = self.gram_u.solve(np.eye(self.dim_u))
         return float(np.sqrt(sla.eigvalsh(b, g_u_inv).max(initial=0.0)))
 
 
@@ -173,22 +293,21 @@ class LinearOperatorA:
     of its growth bound ||Av||_* <= a_growth + b_growth ||v||_V and of its
     Garding-type lower bound <Av,v> >= alpha ||v||_V^2 - beta |v|_H^2."""
 
-    stiffness: np.ndarray
+    stiffness: SymBand
     alpha: float = 1.0
     beta: float = 1.0
     a_growth: float = 0.0
     b_growth: float = 1.0
 
     def __post_init__(self) -> None:
-        k = _as_matrix(self.stiffness, "stiffness")
-        _require_symmetric(k, "stiffness")
-        scale = max(1.0, float(np.abs(k).max(initial=0.0)))
+        k = as_band(self.stiffness, "stiffness")
+        scale = max(1.0, float(np.abs(k.ab).max()))
         # least eigenvalue > -1e-10 scale iff K + 1e-10 scale I has a Cholesky factor
-        shifted = np.array(k, order="F")
-        shifted[np.diag_indices_from(shifted)] += 1e-10 * scale
+        shifted = np.array(k.ab)
+        shifted[-1] += 1e-10 * scale
         try:
-            sla.cholesky(shifted, overwrite_a=True)
-        except sla.LinAlgError:
+            _cholesky(shifted)
+        except np.linalg.LinAlgError:
             raise ValueError("stiffness must be positive semi-definite") from None
         if not self.alpha > 0:
             raise ValueError("alpha must be > 0")
@@ -196,12 +315,11 @@ class LinearOperatorA:
             raise ValueError("beta and a_growth must be >= 0")
         if not self.b_growth > 0:
             raise ValueError("b_growth must be > 0")
-        k.setflags(write=False)
         object.__setattr__(self, "stiffness", k)
 
     @property
     def dim(self) -> int:
-        return self.stiffness.shape[0]
+        return self.stiffness.n
 
 
 def norms(space: GalerkinSpace, v) -> Norms:

@@ -12,8 +12,9 @@ s = t u solves the scalar inclusion
     0 in g(s) = s - t x + F z(s),    F = c tau w gamma > 0.
 
 S depends on the stencil and tau only, so a ``StepFactorization`` of it
-(with y and gamma) can be built once and shared by every step of a run;
-each step is then one back-solve plus this scalar problem.
+(its band Cholesky factor, with y and gamma) can be built once and shared
+by every step of a run; each step is then one band back-solve plus this
+scalar problem, O(n) for the tridiagonal P1 matrices.
 
 The scalar inclusion is solved exactly.  z is convex between consecutive
 kinks (the ``ScalarPotential`` contract), so g is convex on each piece
@@ -39,9 +40,8 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-import scipy.linalg as sla
 
-from .galerkin import GalerkinSpace
+from .galerkin import GalerkinSpace, SymBand, as_band
 from .potentials import ScalarPotential
 
 __all__ = [
@@ -77,13 +77,14 @@ class StepProblem:
     """One implicit step in assembled form.
 
     ``stiff_scaled`` already contains the factor c_coef * tau; the flux
-    term carries the same factor.  The Galerkin space provides the metric
-    for the dual-norm residual.
+    term carries the same factor.  ``mass`` and ``stiff_scaled`` are
+    SymBand or dense symmetric arrays, converted to bands.  The Galerkin
+    space provides the metric for the dual-norm residual.
     """
 
     space: GalerkinSpace
-    mass: np.ndarray
-    stiff_scaled: np.ndarray
+    mass: SymBand
+    stiff_scaled: SymBand
     trace: np.ndarray
     weights: np.ndarray
     potential: ScalarPotential
@@ -96,17 +97,19 @@ class StepProblem:
             raise ValueError("c_coef must be 1 (first step) or 2/3 (two-step stencil)")
         if not self.tau > 0:
             raise ValueError("tau must be > 0")
+        object.__setattr__(self, "mass", as_band(self.mass, "mass"))
+        object.__setattr__(self, "stiff_scaled", as_band(self.stiff_scaled, "stiff_scaled"))
 
     @property
     def dim(self) -> int:
-        return self.mass.shape[0]
+        return self.mass.n
 
     @property
     def dim_u(self) -> int:
         return self.trace.shape[0]
 
     @property
-    def system(self) -> np.ndarray:
+    def system(self) -> SymBand:
         return self.mass + self.stiff_scaled
 
     @property
@@ -120,21 +123,21 @@ class StepProblem:
 
 
 class StepFactorization:
-    """Cholesky factor of S = mass + stiff_scaled together with
+    """Band Cholesky factor of S = mass + stiff_scaled together with
     y = S^{-1} t^T and gamma = t y for the boundary row t.
 
     S is the same at every step of one stencil and step size, so one
-    factorization, which also keeps the array stiff_scaled, serves all of them."""
+    factorization, which also keeps the band stiff_scaled, serves all of them."""
 
-    def __init__(self, mass: np.ndarray, stiff_scaled: np.ndarray, trace_row: np.ndarray):
+    def __init__(self, mass: SymBand, stiff_scaled: SymBand, trace_row: np.ndarray):
         self.stiff_scaled = stiff_scaled
-        self._cho = sla.cho_factor(mass + stiff_scaled, overwrite_a=True)
-        self.y = self.solve(trace_row)
+        self.system = mass + stiff_scaled
+        self.y = self.solve(trace_row)  # factors S; LinAlgError unless positive definite
         self.gamma = float(trace_row @ self.y)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """S^{-1} b; scans only b for NaN/Inf (ValueError), the factor was checked when built."""
-        return sla.cho_solve(self._cho, np.asarray_chkfinite(b, dtype=float), check_finite=False)
+        return self.system.solve(b)
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """Independent brute-force references for the step solver and the scheme.
 
-Nothing here shares code with the production step solver: roots come
+Nothing here shares code with the production step solver: matrices are
+taken dense (``toarray``) and factored densely, roots come
 from interval-aware grid scans with bisection, convex solutions from
 coordinate-wise golden-section descent on the step energy, and trajectory
 references from a much finer run of the scheme itself.
@@ -33,7 +34,7 @@ def step_energy(p: StepProblem, u) -> float:
     u = np.asarray(u, dtype=float)
     s = p.trace @ u
     jsum = float(p.weights @ np.atleast_1d(p.potential.value(s)))
-    return 0.5 * float(u @ p.system @ u) + p.flux_coef * jsum - float(p.rhs @ u)
+    return 0.5 * float(u @ p.system.toarray() @ u) + p.flux_coef * jsum - float(p.rhs @ u)
 
 
 def _scan_scalar_inclusion(
@@ -101,7 +102,7 @@ def scan_roots_1d(p: StepProblem, lo: float, hi: float, grid_n: int = 2000) -> l
     (the caller widens the range)."""
     if p.dim != 1:
         raise ValueError("scan_roots_1d needs a one-dimensional problem")
-    m_lin = float(p.system[0, 0])
+    m_lin = float(p.system.toarray()[0, 0])
     g = float(p.trace[0, 0])
     w = float(p.weights[0])
     b = float(p.rhs[0])
@@ -134,8 +135,7 @@ def scan_roots_reduced(
     back to the full coefficient vector."""
     if p.dim_u != 1:
         raise ValueError("reduction needs exactly one boundary row")
-    S = p.system
-    cho = sla.cho_factor(S)
+    cho = sla.cho_factor(p.system.toarray())  # dense on purpose: no shared solver code
     t_row = p.trace[0]
     w = float(p.weights[0])
     s_inv_t = sla.cho_solve(cho, t_row)

@@ -157,7 +157,7 @@ def average_forcing(
 
 
 def _factorization(problem: RotheProblem, c: float, tau: float) -> StepFactorization:
-    """The stencil's S = M + c tau K, factored, with its array c tau K."""
+    """The stencil's S = M + c tau K, band-factored, with its band c tau K."""
     sp = problem.space
     return StepFactorization(sp.gram_h, c * tau * problem.operator.stiffness, sp.trace[0])
 

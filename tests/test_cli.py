@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from rothe_hvi.cli import ExperimentConfig, main, parse_config, render_config
+from rothe_hvi.cli import ExperimentConfig, _fmt, _write_csv, main, parse_config, render_config
 
 NCVX = """[problem]
 n_el = 64
@@ -147,3 +147,29 @@ def test_invalid_values_exit_2_naming_the_key(tmp_path, capsys, command, old, ne
     rc, _ = run_cli(tmp_path, command, SMOOTH_TINY.replace(old, new))
     assert rc == 2
     assert key in capsys.readouterr().err
+
+
+def test_float_rows_are_written_byte_for_byte_as_the_cell_formatter_writes_them(tmp_path):
+    specials = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e308, 1.0 / 3.0, -2.5e-17]
+    rng = np.random.default_rng(3)
+    magnitudes = 10.0 ** rng.integers(-300, 300, size=(4, len(specials)))
+    rows = np.vstack([specials, rng.normal(size=(4, len(specials))) * magnitudes])
+    text_rows = [
+        ["a,b", np.float64(0.1), -0.0, 3, "x"],
+        ["plain", np.nan, np.float64(-np.inf), True, "y,z"],
+    ]
+    header = [f"c{i}" for i in range(len(specials))]
+    _write_csv(tmp_path / "floats.csv", header, rows)
+    _write_csv(tmp_path / "mixed.csv", header[:5], text_rows)
+    for name, hdr, cells in (
+        ("floats.csv", header, list(rows)),  # np.float64 cells, one at a time
+        ("mixed.csv", header[:5], text_rows),
+    ):
+        expected = "# schema_version=2\n" + ",".join(hdr) + "\n" + "".join(
+            ",".join(_fmt(v) for v in row) + "\n" for row in cells
+        )
+        assert (tmp_path / name).read_bytes() == expected.encode("utf-8")
+    assert [_fmt(v) for v in rows[0]] == [
+        "0", "-0", "nan", "inf", "-inf", "4.9406564584124654e-324",
+        "1e+308", "0.33333333333333331", "-2.4999999999999999e-17",
+    ]

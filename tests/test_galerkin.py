@@ -11,6 +11,7 @@ from rothe_hvi import (
     GalerkinSpace,
     LinearOperatorA,
     Mesh1D,
+    SymBand,
     apply_A,
     assemble_space,
     check_hypotheses_A,
@@ -199,3 +200,53 @@ def test_space_validation():
         LinearOperatorA(stiffness=np.eye(2), alpha=0.0)
     with pytest.raises(ValueError):
         LinearOperatorA(stiffness=-np.eye(2))
+
+
+def _random_banded_spd(rng, dim: int, u: int) -> np.ndarray:
+    """L L^T for a lower band L of width u with a dominant diagonal: SPD,
+    bandwidth u, exactly symmetric."""
+    low = np.tril(np.triu(rng.uniform(-1.0, 1.0, size=(dim, dim)), -u))
+    low[np.diag_indices(dim)] = rng.uniform(1.0, 2.0, size=dim) * (u + 1)
+    a = low @ low.T
+    return 0.5 * (a + a.T)
+
+
+def _rel_err(got: np.ndarray, want: np.ndarray) -> float:
+    return float(np.abs(got - want).max() / max(np.abs(want).max(), 1e-300))
+
+
+@given(st.integers(1, 12), st.sampled_from(["0", "1", "2", "full"]), st.integers(0, 2**32 - 1))
+def test_band_kernel_matches_dense_linear_algebra(dim, width, seed):
+    rng = np.random.default_rng(seed)
+    u = dim - 1 if width == "full" else min(int(width), dim - 1)
+    a = _random_banded_spd(rng, dim, u)
+    space = GalerkinSpace(gram_h=a, gram_v=a, trace=np.eye(1, dim), gram_u=np.eye(1))
+    band = space.gram_h
+    assert isinstance(band, SymBand) and band.ab.shape == (u + 1, dim)
+    assert np.array_equal(band.toarray(), a)
+    x = rng.normal(size=dim)
+    stack = rng.normal(size=(3, dim))
+    assert _rel_err(band @ x, a @ x) <= 1e-12
+    assert _rel_err(x @ band, x @ a) <= 1e-12
+    assert _rel_err(band.matvec(stack), stack @ a) <= 1e-12
+    assert _rel_err(stack @ band, stack @ a) <= 1e-12
+    assert _rel_err(space.solve_h(x), np.linalg.solve(a, x)) <= 1e-12
+    assert _rel_err(space.solve_v(stack.T), sla.cho_solve(sla.cho_factor(a), stack.T)) <= 1e-12
+    assert _rel_err((band + 2.0 * band).toarray(), 3.0 * a) <= 1e-15
+    # shifted below its least eigenvalue the matrix is indefinite
+    shift = np.linalg.eigvalsh(a)[0] + 1.0
+    with pytest.raises(np.linalg.LinAlgError):
+        GalerkinSpace(gram_h=a - shift * np.eye(dim), gram_v=a, trace=np.eye(1, dim),
+                      gram_u=np.eye(1))
+    with pytest.raises(np.linalg.LinAlgError):
+        (band + SymBand(np.full((1, dim), -shift))).cholesky
+    i, j = rng.integers(0, dim, size=2)
+    bad = a.copy()
+    bad[i, j] = bad[j, i] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        GalerkinSpace(gram_h=a, gram_v=bad, trace=np.eye(1, dim), gram_u=np.eye(1))
+    bad_band = np.array(band.ab)
+    bad_band[-1, j] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        GalerkinSpace(gram_h=a, gram_v=SymBand(bad_band), trace=np.eye(1, dim),
+                      gram_u=np.eye(1))

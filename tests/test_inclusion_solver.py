@@ -185,7 +185,7 @@ def test_solver_picks_the_oracle_root_nearest_the_warm_start(
     assert check.residual <= tol and check.membership_ok
 
     # every root lies within |s| <= |t S^-1 b| + F d_j (F = c tau w t S^-1 t^T)
-    s_inv = np.linalg.inv(p.system)
+    s_inv = np.linalg.inv(p.system.toarray())
     factor = c * tau * weight * float(trace[0] @ s_inv @ trace[0])
     radius = abs(float(trace[0] @ s_inv @ p.rhs)) + factor * pot.d_j + 1.0
     roots = scan_roots_reduced(p, -radius, radius, 20000)

@@ -109,7 +109,7 @@ def test_minimize_energy_smooth_case_equals_linear_solve():
                     weights=np.ones(1), potential=ZeroPotential(),
                     rhs=np.array([1.0, -0.5]), c_coef=1.0, tau=0.2)
     u = minimize_energy_convex(p, tol=1e-10)
-    direct = np.linalg.solve(p.system, p.rhs)
+    direct = np.linalg.solve(p.system.toarray(), p.rhs)
     assert u == pytest.approx(direct, abs=1e-7)
 
 
@@ -165,8 +165,8 @@ def test_reference_matches_fem_closed_form():
     problem = fem_problem(4, LinearRobin(1.0),
                           lambda t, x: np.ones_like(x), lambda t: 0.0,
                           lambda x: 0.1 * np.cos(np.pi * x))
-    M = problem.space.gram_h
-    G = problem.operator.stiffness + problem.space.trace.T @ problem.space.trace
+    M = problem.space.gram_h.toarray()
+    G = problem.operator.stiffness.toarray() + problem.space.trace.T @ problem.space.trace
     F = problem.forcing(0.0)
     u_inf = np.linalg.solve(G, F)
     propagator = sla.expm(-np.linalg.solve(M, G))

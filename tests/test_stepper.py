@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from rothe_hvi import (
+    BDF2,
     BoundaryFunctional,
     ForcingSpec,
     GalerkinSpace,
@@ -23,10 +25,12 @@ from rothe_hvi import (
     average_forcing,
     bdf2_step,
     check_step_coercivity,
+    estimate_report,
     initial_step,
     make_initial,
     run_rothe,
 )
+from rothe_hvi.inclusion_solver import StepFactorization
 
 
 def scalar_problem(potential, forcing, u0=0.0, stiffness=0.0):
@@ -82,8 +86,8 @@ def test_initial_step_linear_matches_direct_solve():
     tau = 0.125
     f1 = average_forcing(problem.forcing, 1, TimeGrid(1.0, 8))
     u1, xi1, _ = initial_step(problem, problem.u0, f1, tau)
-    M = problem.space.gram_h
-    K = problem.operator.stiffness
+    M = problem.space.gram_h.toarray()
+    K = problem.operator.stiffness.toarray()
     direct = np.linalg.solve(M + tau * K, tau * f1 + M @ problem.u0)
     assert u1 == pytest.approx(direct, rel=1e-12)
     assert xi1 == pytest.approx([0.0], abs=1e-12)
@@ -123,7 +127,7 @@ def test_bdf2_step_fixed_point_at_steady_state():
     problem = fem_problem(6, LinearRobin(2.0),
                           lambda t, x: np.ones_like(x), lambda t: 0.0,
                           lambda x: np.zeros_like(x))
-    K = problem.operator.stiffness
+    K = problem.operator.stiffness.toarray()
     e = problem.space.trace
     G = K + 2.0 * e.T @ e
     F = problem.forcing(0.0)
@@ -285,3 +289,28 @@ def test_step_failure_carries_index_and_partial_data():
     assert np.all(np.isfinite(info.value.partial_u))
     assert "non-finite right-hand side" in info.value.reason
     assert info.value.report is None
+
+
+def test_matrices_stay_linear_in_n_el_at_scale():
+    # the ROADMAP smooth configuration at n_el = 16384: one dense matrix
+    # would be 2.1 GB, the banded run needs a few tens of MB
+    n_el = 16384
+    tracemalloc.start()
+    try:
+        problem = fem_problem(n_el, PaperExponential(1.0),
+                              lambda t, x: (1.0 - np.cos(np.pi * t)) * 0.5 * (1.0 + x),
+                              lambda t: 0.5 * t * t * np.exp(-t),
+                              lambda x: np.zeros_like(x))
+        traj = run_rothe(problem, TimeGrid(1.0, 32), BDF2, 1e-10)
+        report = estimate_report(traj, problem.space, problem.boundary.weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
+    assert np.all(np.isfinite(traj.u)) and report.q4 > 0.0
+    sp, op = problem.space, problem.operator
+    tau = traj.grid.tau
+    fac = StepFactorization(sp.gram_h, (2.0 / 3.0) * tau * op.stiffness, sp.trace[0])
+    held = [sp.gram_h.ab, sp.gram_v.ab, sp.gram_u.ab, sp.trace, op.stiffness.ab,
+            fac.system.ab, fac.system.cholesky, fac.stiff_scaled.ab, fac.y]
+    assert max(a.size for a in held) <= 2 * (n_el + 1)
