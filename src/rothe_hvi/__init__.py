@@ -6,11 +6,8 @@ spaces, together with the diagnostics that certify its discrete estimates.
 from .galerkin import (
     GalerkinSpace,
     LinearOperatorA,
-    Norms,
     SymBand,
-    apply_A,
     check_hypotheses_A,
-    norms,
 )
 from .potentials import (
     BoundaryFunctional,
@@ -45,7 +42,6 @@ from .stepper import (
 )
 from .diagnostics import (
     EstimateReport,
-    Interpolants,
     LadderStudy,
     bdf2_identity_gap,
     bdf2_inequality_slack,

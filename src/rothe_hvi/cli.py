@@ -11,13 +11,19 @@ compare  : both schemes on the same ladder against both a two-step and a
 check    : hypothesis certificates (operator bounds, flux growth, step
            coercivity, discrete identities); nonzero exit on violation.
 
-Configs are flat INI files with typed keys (the fields of
-`ExperimentConfig`); unknown sections and keys are rejected.
-`render_config` emits the canonical form whose serialize/parse round trip
-is byte-identical.  All CSV output starts with a `# schema_version=2`
-comment line and uses 17-significant-digit floats.  Estimate tables carry
-one interpolant-gap column, `gap_closed_form`, the exact squared
-L2(0,T;V*) gap.  Only `check` draws random samples, seeded by `--seed`.
+Configs are flat INI files whose schema is derived from `ExperimentConfig`:
+its fields, in order, are the keys, their types drive parsing, and field
+metadata marks where each section starts.  Unknown sections (`[DEFAULT]`
+included) and keys are rejected, and so are values outside what the
+commands can build or run.  The config file is the one positional
+argument; the output directory is `--out`, else `[output] dir`, else
+`rothe_out`.  `render_config` emits the canonical form whose
+serialize/parse round trip is byte-identical.
+
+All CSV output starts with a `# schema_version=2` comment line and uses
+17-significant-digit floats.  Estimate tables carry one interpolant-gap
+column, `gap_closed_form`, the exact squared L2(0,T;V*) gap.  Only `check`
+draws random samples, seeded by `--seed`.
 """
 
 from __future__ import annotations
@@ -27,21 +33,23 @@ import configparser
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .diagnostics import (
     QUANTITY_FIELDS,
+    LadderStudy,
     bdf2_identity_gap,
     bdf2_inequality_slack,
     estimate_report,
+    fitted_order,
     tau_ladder_study,
 )
 from .fem1d import ForcingSpec, Mesh1D, assemble_forcing, assemble_space, make_initial
-from .galerkin import GalerkinSpace, LinearOperatorA, check_hypotheses_A
+from .galerkin import GalerkinSpace, check_hypotheses_A
 from .oracle import reference_solution
 from .potentials import (
     BoundaryFunctional,
@@ -56,6 +64,7 @@ from .stepper import (
     BACKWARD_EULER,
     BDF2,
     RotheProblem,
+    RotheTrajectory,
     StepFailureError,
     TimeGrid,
     check_step_coercivity,
@@ -76,7 +85,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 2
-ENV_OUT = "ROTHE_HVI_OUT"
 
 
 class ConfigError(ValueError):
@@ -85,8 +93,11 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    # [problem]
-    n_el: int = 64
+    """One experiment.  The fields, in order, are the config keys, and their
+    types drive parsing: a field with a ``section`` in its metadata opens
+    that section, and the fields after it belong to it too."""
+
+    n_el: int = field(default=64, metadata={"section": "problem"})
     t_final: float = 1.0
     forcing: str = "zero"
     f0_value: float = 1.0
@@ -105,23 +116,20 @@ class ExperimentConfig:
     u0: str = "zero"
     u0_value: float = 0.0
     u0_coeffs: tuple[float, ...] = (0.0,)
-    alpha: Optional[float] = None
+    alpha: Optional[float] = None  # None -> the operator's own constant, likewise below
     beta: Optional[float] = None
     a_growth: Optional[float] = None
     b_growth: Optional[float] = None
-    # [scheme]
-    scheme: str = BDF2
-    # [ladder]
-    taus: tuple[float, ...] = (0.125, 0.0625, 0.03125)
+    scheme: str = field(default=BDF2, metadata={"section": "scheme"})
+    taus: tuple[float, ...] = field(
+        default=(0.125, 0.0625, 0.03125), metadata={"section": "ladder"}
+    )
     tau_ref: Optional[float] = None  # None -> min(taus) / 32
-    # [solver]
-    tol: float = 1e-10
-    # [check]
-    n_samples: int = 1000
+    tol: float = field(default=1e-10, metadata={"section": "solver"})
+    n_samples: int = field(default=1000, metadata={"section": "check"})
     n_fuzz: int = 2000
     coercivity_taus: tuple[float, ...] = (0.1, 0.05, 0.01)
-    # [output]
-    output_dir: str = ""
+    output_dir: str = field(default="", metadata={"section": "output"})
 
     def reference_tau(self) -> float:
         return self.tau_ref if self.tau_ref is not None else min(self.taus) / 32.0
@@ -130,50 +138,32 @@ class ExperimentConfig:
 _FORCING_NAMES = ("zero", "constant", "smooth", "poly")
 _POTENTIAL_NAMES = ("zero", "paper_exponential", "linear_robin", "nonconvex_piecewise")
 _U0_NAMES = ("zero", "constant", "poly")
+_POSITIVE = ("potential_d", "ncvx_jump", "ncvx_drop_slope", "ncvx_drop_width", "alpha", "b_growth")
+_NONNEGATIVE = ("ncvx_tail_slope", "beta", "a_growth")
 
-# canonical section/key layout; also drives parsing and validation
-_SCHEMA: dict[str, tuple[str, ...]] = {
-    "problem": (
-        "n_el",
-        "t_final",
-        "forcing",
-        "f0_value",
-        "fn_value",
-        "f0_t_coeffs",
-        "f0_x_coeffs",
-        "fn_t_coeffs",
-        "potential",
-        "potential_d",
-        "potential_k",
-        "paper_literal_subdiff",
-        "ncvx_jump",
-        "ncvx_drop_slope",
-        "ncvx_drop_width",
-        "ncvx_tail_slope",
-        "u0",
-        "u0_value",
-        "u0_coeffs",
-        "alpha",
-        "beta",
-        "a_growth",
-        "b_growth",
-    ),
-    "scheme": ("kind",),
-    "ladder": ("taus", "tau_ref"),
-    "solver": ("tol",),
-    "check": ("n_samples", "n_fuzz", "coercivity_taus"),
-    "output": ("dir",),
-}
-_KEY_TO_FIELD = {("scheme", "kind"): "scheme", ("output", "dir"): "output_dir"}
+# the only irregular facts of the layout: the keys named unlike their field,
+# and the words for None (case-insensitive on input; the first is written)
+_KEYS = {"scheme": "kind", "output_dir": "dir"}
+_NONE_WORDS = {"tau_ref": ("auto", "none")}  # every other Optional field: "default"
 
 
-def _field_name(section: str, key: str) -> str:
-    return _KEY_TO_FIELD.get((section, key), key)
+def _layout() -> dict[str, dict[str, tuple[str, type]]]:
+    """section -> key -> (field name, field type), in field order."""
+    hints = get_type_hints(ExperimentConfig)
+    layout: dict[str, dict[str, tuple[str, type]]] = {}
+    section = ""
+    for f in fields(ExperimentConfig):
+        section = f.metadata.get("section", section)
+        layout.setdefault(section, {})[_KEYS.get(f.name, f.name)] = (f.name, hints[f.name])
+    return layout
 
 
-def _fmt_value(val) -> str:
+_SCHEMA = _layout()
+
+
+def _fmt_value(name: str, val) -> str:
     if val is None:
-        return "default"
+        return _NONE_WORDS.get(name, ("default",))[0]
     if isinstance(val, bool):
         return "true" if val else "false"
     if isinstance(val, tuple):
@@ -188,39 +178,28 @@ def render_config(cfg: ExperimentConfig) -> str:
     lines = []
     for section, keys in _SCHEMA.items():
         lines.append(f"[{section}]")
-        for key in keys:
-            if key == "tau_ref":
-                val = "auto" if cfg.tau_ref is None else repr(cfg.tau_ref)
-            else:
-                val = _fmt_value(getattr(cfg, _field_name(section, key)))
-            lines.append(f"{key} = {val}")
+        for key, (name, _) in keys.items():
+            lines.append(f"{key} = {_fmt_value(name, getattr(cfg, name))}")
         lines.append("")
     return "\n".join(lines)
 
 
-def _parse_typed(section: str, key: str, raw: str, template):
-    where = f"[{section}] {key}"
-    raw = raw.strip()
-    try:
-        if key == "tau_ref":
-            return None if raw.lower() in ("auto", "none") else float(raw)
-        if template is None or (key in ("alpha", "beta", "a_growth", "b_growth")):
-            return None if raw.lower() == "default" else float(raw)
-        if isinstance(template, bool):
-            if raw.lower() in ("true", "1", "yes", "on"):
-                return True
-            if raw.lower() in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        if isinstance(template, int):
-            return int(raw)
-        if isinstance(template, float):
-            return float(raw)
-        if isinstance(template, tuple):
-            return tuple(float(x) for x in raw.split(",") if x.strip())
-        return raw
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+def _parse_typed(name: str, hint, raw: str):
+    """``raw`` as a value of the field type ``hint``; ValueError if it is none."""
+    if type(None) in get_args(hint):  # Optional[X]
+        if raw.lower() in _NONE_WORDS.get(name, ("default",)):
+            return None
+        hint = get_args(hint)[0]
+    if hint is bool:
+        if raw.lower() in ("true", "1", "yes", "on"):
+            return True
+        if raw.lower() in ("false", "0", "no", "off"):
+            return False
+        raise ValueError(f"not a boolean: {raw!r}")
+    if get_origin(hint) is tuple:
+        item = get_args(hint)[0]
+        return tuple(item(x) for x in raw.split(",") if x.strip())
+    return hint(raw)
 
 
 def parse_config(source) -> ExperimentConfig:
@@ -238,18 +217,21 @@ def parse_config(source) -> ExperimentConfig:
         lineno = getattr(exc, "lineno", None)
         loc = f" (line {lineno})" if lineno else ""
         raise ConfigError(f"cannot parse config{loc}: {exc.message}") from None
-    defaults = ExperimentConfig()
+    if cp.defaults():  # configparser would copy these keys into every section
+        raise ConfigError("unknown section [DEFAULT]")
     values = {}
     for section in cp.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown section [{section}]")
-        for key in cp[section]:
+        for key, raw in cp[section].items():
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key [{section}] {key}")
-            fname = _field_name(section, key)
-            template = getattr(defaults, fname)
-            values[fname] = _parse_typed(section, key, cp[section][key], template)
-    cfg = replace(defaults, **values)
+            name, hint = _SCHEMA[section][key]
+            try:
+                values[name] = _parse_typed(name, hint, raw.strip())
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key}: {exc}") from None
+    cfg = ExperimentConfig(**values)
     _validate_config(cfg)
     return cfg
 
@@ -280,6 +262,30 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("[solver] tol: must be > 0")
     if cfg.n_samples < 1:
         raise ConfigError("[check] n_samples: must be >= 1")
+    # the ranges of what the commands build from the config, so that a config
+    # that parses also runs; check builds the paper and nonconvex laws
+    # whatever the configured potential is
+    robin = ("potential_k",) if cfg.potential == "linear_robin" else ()
+    for name in _POSITIVE + _NONNEGATIVE + robin:
+        val, strict = getattr(cfg, name), name in _POSITIVE
+        if val is not None and not (val > 0 if strict else val >= 0):
+            raise ConfigError(f"[problem] {name}: must be {'>' if strict else '>='} 0")
+    for name in ("f0_t_coeffs", "f0_x_coeffs", "fn_t_coeffs", "u0_coeffs"):
+        if not getattr(cfg, name):
+            raise ConfigError(f"[problem] {name}: must be non-empty")
+    _require_two_steps(cfg, "tau_ref", cfg.reference_tau())  # the reference is a two-step run
+    if cfg.scheme == BDF2:
+        _require_two_steps(cfg, "taus", cfg.taus[0])
+    if not all(0 < tau < math.inf for tau in cfg.coercivity_taus):
+        raise ConfigError("[check] coercivity_taus: each must be > 0 and finite")
+
+
+def _require_two_steps(cfg: ExperimentConfig, key: str, tau: float) -> None:
+    """The two-step scheme needs at least two steps of length tau."""
+    if round(cfg.t_final / tau) < 2:
+        raise ConfigError(
+            f"[ladder] {key}: {tau} is one step of t_final; the two-step scheme needs two"
+        )
 
 
 def _divides(tau: float, t_final: float) -> bool:
@@ -341,31 +347,21 @@ def build_u0(cfg: ExperimentConfig) -> Callable[[np.ndarray], np.ndarray]:
     return _poly(cfg.u0_coeffs)
 
 
-def build_problem(cfg: ExperimentConfig) -> tuple[Mesh1D, RotheProblem]:
+def build_problem(cfg: ExperimentConfig) -> RotheProblem:
     mesh = Mesh1D(cfg.n_el)
     space, op = assemble_space(mesh)
-    overrides = {}
-    for name in ("alpha", "beta", "a_growth", "b_growth"):
-        val = getattr(cfg, name)
-        if val is not None:
-            overrides[name] = val
+    names = ("alpha", "beta", "a_growth", "b_growth")
+    overrides = {name: getattr(cfg, name) for name in names if getattr(cfg, name) is not None}
     if overrides:
-        op = LinearOperatorA(op.stiffness, **{
-            "alpha": op.alpha, "beta": op.beta,
-            "a_growth": op.a_growth, "b_growth": op.b_growth,
-            **overrides,
-        })
-    boundary = BoundaryFunctional(build_potential(cfg), np.ones(1))
+        op = replace(op, **overrides)  # re-certified by __post_init__
     spec = build_forcing_spec(cfg)
-    u0 = make_initial(mesh, space, build_u0(cfg), min(cfg.taus)).coeffs
-    problem = RotheProblem(
+    return RotheProblem(
         space=space,
         operator=op,
-        boundary=boundary,
+        boundary=BoundaryFunctional(build_potential(cfg), np.ones(1)),
         forcing=lambda t: assemble_forcing(mesh, spec, t),
-        u0=u0,
+        u0=make_initial(mesh, space, build_u0(cfg)),
     )
-    return mesh, problem
 
 
 # ---------------------------------------------------------------------------
@@ -394,9 +390,9 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence] | np.
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _trajectory_rows(
-    times: np.ndarray, u: np.ndarray, xi: np.ndarray, residuals: np.ndarray
-) -> tuple[list[str], np.ndarray]:
+def _write_trajectory(
+    path: Path, times: np.ndarray, u: np.ndarray, xi: np.ndarray, residuals: np.ndarray
+) -> None:
     """Rows of u^0..u^k with the multipliers and residuals of steps 1..k
     (zeros on the row of u^0)."""
     k, dim = u.shape
@@ -412,7 +408,7 @@ def _trajectory_rows(
     rows[:, 1 : dim + 1] = u
     rows[1:, dim + 1 : -1] = xi
     rows[1:, -1] = residuals
-    return header, rows
+    _write_csv(path, header, rows)
 
 
 _ESTIMATE_COLS = (
@@ -428,9 +424,11 @@ def _estimate_row(tau: float, rep) -> list:
     return [tau] + [getattr(rep, name) for name in _ESTIMATE_COLS[1:]]
 
 
-def _write_summary(out: Path, rows: list[tuple[str, bool, str]]) -> None:
+def _write_summary(
+    out: Path, rows: list[tuple[str, bool, str]], filename: str = "summary.csv"
+) -> None:
     _write_csv(
-        out / "summary.csv",
+        out / filename,
         ["name", "status", "detail"],
         [[name, "PASS" if ok else "FAIL", detail] for name, ok, detail in rows],
     )
@@ -438,26 +436,6 @@ def _write_summary(out: Path, rows: list[tuple[str, bool, str]]) -> None:
 
 def _failure_detail(exc: StepFailureError) -> str:
     return f"step {exc.step} failed: {exc.reason}"
-
-
-def _resolve_out(cli_out: Optional[str], cfg: ExperimentConfig) -> Path:
-    if cli_out:
-        return Path(cli_out)
-    if cfg.output_dir:
-        return Path(cfg.output_dir)
-    env = os.environ.get(ENV_OUT)
-    if env:
-        return Path(env)
-    return Path("rothe_out")
-
-
-def _write_series(out: Path, name: str, taus: np.ndarray, values: np.ndarray) -> None:
-    path = out / f"series_{name}.dat"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# schema_version={SCHEMA_VERSION}\n# tau {name}\n")
-        for t, v in zip(taus, values):
-            fh.write(f"{_fmt(t)} {_fmt(v)}\n")
 
 
 _GNUPLOT_STUB = """# gnuplot script stub for the emitted two-column series
@@ -468,12 +446,18 @@ plot \\
 """
 
 
-def _write_plots(out: Path, series_names: list[str]) -> None:
-    lines = [_GNUPLOT_STUB]
-    parts = [f"  'series_{n}.dat' using 1:2 with linespoints title '{n}'" for n in series_names]
-    lines.append(", \\\n".join(parts) + "\n")
+def _write_plots(out: Path, taus: np.ndarray, series: dict[str, np.ndarray]) -> None:
+    """One two-column file ``series_<name>.dat`` per series and a gnuplot
+    script plotting them all."""
+    out.mkdir(parents=True, exist_ok=True)
+    for name, values in series.items():
+        with open(out / f"series_{name}.dat", "w", encoding="utf-8") as fh:
+            fh.write(f"# schema_version={SCHEMA_VERSION}\n# tau {name}\n")
+            for t, v in zip(taus, values):
+                fh.write(f"{_fmt(t)} {_fmt(v)}\n")
+    parts = [f"  'series_{n}.dat' using 1:2 with linespoints title '{n}'" for n in series]
     with open(out / "plots.gp", "w", encoding="utf-8") as fh:
-        fh.writelines(lines)
+        fh.writelines([_GNUPLOT_STUB, ", \\\n".join(parts) + "\n"])
 
 
 # ---------------------------------------------------------------------------
@@ -481,22 +465,23 @@ def _write_plots(out: Path, series_names: list[str]) -> None:
 
 
 def cmd_run(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
-    _, problem = build_problem(cfg)
+    problem = build_problem(cfg)
     tau = cfg.taus[0]
     grid = TimeGrid(cfg.t_final, round(cfg.t_final / tau))
     try:
         traj = run_rothe(problem, grid, cfg.scheme, cfg.tol)
     except StepFailureError as exc:
-        header, rows = _trajectory_rows(
-            grid.times(), exc.partial_u, exc.partial_xi, exc.partial_residuals
+        _write_trajectory(
+            out / "trajectory.csv.partial",
+            grid.times(), exc.partial_u, exc.partial_xi, exc.partial_residuals,
         )
-        _write_csv(out / "trajectory.csv.partial", header, rows)
         _write_summary(out, [("run", False, _failure_detail(exc))])
         if not quiet:
             print(f"run failed: {exc}", file=sys.stderr)
         return 1
-    header, rows = _trajectory_rows(grid.times(), traj.u, traj.xi, traj.per_step_residuals)
-    _write_csv(out / "trajectory.csv", header, rows)
+    _write_trajectory(
+        out / "trajectory.csv", grid.times(), traj.u, traj.xi, traj.per_step_residuals
+    )
     rep = estimate_report(traj, problem.space, problem.boundary.weights)
     _write_csv(out / "estimates.csv", list(_ESTIMATE_COLS), [_estimate_row(tau, rep)])
     worst = float(np.max(traj.per_step_residuals, initial=0.0))
@@ -506,14 +491,39 @@ def cmd_run(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
     return 0
 
 
-def cmd_study(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
-    _, problem = build_problem(cfg)
+def _ladders(
+    cfg: ExperimentConfig,
+    out: Path,
+    command: str,
+    schemes: Sequence[str],
+    one_step_ref: bool = False,
+) -> Optional[tuple[RotheProblem, list[RotheTrajectory], list[LadderStudy]]]:
+    """The problem, its fine references (the two-step run at the reference
+    tau, then with ``one_step_ref`` the one-step run on the same grid) and one
+    ladder per scheme, errors taken against the two-step reference.  None,
+    with the FAIL summary of ``command`` written, when a step fails."""
+    problem = build_problem(cfg)
+    tau_ref = cfg.reference_tau()
     try:
-        reference = reference_solution(problem, cfg.t_final, cfg.reference_tau())
-        study = tau_ladder_study(problem, cfg.t_final, cfg.taus, cfg.scheme, cfg.tol, reference)
+        refs = [reference_solution(problem, cfg.t_final, tau_ref)]
+        if one_step_ref:
+            grid = TimeGrid(cfg.t_final, round(cfg.t_final / tau_ref))
+            refs.append(run_rothe(problem, grid, BACKWARD_EULER, 1e-12))
+        studies = [
+            tau_ladder_study(problem, cfg.t_final, cfg.taus, scheme, cfg.tol, refs[0])
+            for scheme in schemes
+        ]
     except StepFailureError as exc:
-        _write_summary(out, [("study", False, _failure_detail(exc))])
+        _write_summary(out, [(command, False, _failure_detail(exc))])
+        return None
+    return problem, refs, studies
+
+
+def cmd_study(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
+    runs = _ladders(cfg, out, "study", (cfg.scheme,))
+    if runs is None:
         return 1
+    _, _, (study,) = runs
     taus = study.taus()
     _write_csv(
         out / "ladder.csv",
@@ -525,12 +535,10 @@ def cmd_study(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
         ["scheme", "tau", "error_at_T"],
         [[cfg.scheme, r.tau, r.error_at_T] for r in study.rows],
     )
-    order = study.fitted_order()
+    order = fitted_order(taus, study.series("error_at_T"))
     _write_csv(out / "orders.csv", ["scheme", "fitted_order"], [[cfg.scheme, order]])
     series = ["error_at_T", "u1_u0_gap", "gap_closed_form", *QUANTITY_FIELDS]
-    for name in series:
-        _write_series(out, name, taus, study.series(name))
-    _write_plots(out, series)
+    _write_plots(out, taus, {name: study.series(name) for name in series})
     _write_summary(out, [("study", True, f"fitted order {order:.3f}")])
     if not quiet:
         print(f"study ok: fitted order {order:.3f}, output in {out}")
@@ -538,32 +546,23 @@ def cmd_study(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
 
 
 def cmd_compare(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
-    _, problem = build_problem(cfg)
-    tau_ref = cfg.reference_tau()
-    try:
-        ref_two = reference_solution(problem, cfg.t_final, tau_ref)
-        n_ref = round(cfg.t_final / tau_ref)
-        ref_one = run_rothe(problem, TimeGrid(cfg.t_final, n_ref), BACKWARD_EULER, 1e-12)
-        studies = {
-            scheme: tau_ladder_study(problem, cfg.t_final, cfg.taus, scheme, cfg.tol, ref_two)
-            for scheme in (BDF2, BACKWARD_EULER)
-        }
-    except StepFailureError as exc:
-        _write_summary(out, [("compare", False, _failure_detail(exc))])
+    runs = _ladders(cfg, out, "compare", (BDF2, BACKWARD_EULER), one_step_ref=True)
+    if runs is None:
         return 1
+    problem, (_, ref_one), studies = runs
+    taus = studies[0].taus()
     err_rows = []
     order_rows = []
-    for scheme, study in studies.items():
+    for study in studies:
+        errs_two = study.series("error_at_T")
         errs_one = [
             problem.space.h_norm(r.trajectory.u[-1] - ref_one.u[-1]) for r in study.rows
         ]
         for r, e1 in zip(study.rows, errs_one):
-            err_rows.append([scheme, r.tau, r.error_at_T, e1])
-        taus = study.taus()
-        order_two = study.fitted_order()
-        order_one = float(np.polyfit(np.log(taus), np.log(errs_one), 1)[0])
-        order_rows.append([scheme, order_two, order_one])
-        _write_series(out, f"error_{scheme}", taus, study.series("error_at_T"))
+            err_rows.append([study.scheme, r.tau, r.error_at_T, e1])
+        order_rows.append(
+            [study.scheme, fitted_order(taus, errs_two), fitted_order(taus, errs_one)]
+        )
     _write_csv(
         out / "errors.csv",
         ["scheme", "tau", "error_vs_two_step_ref", "error_vs_one_step_ref"],
@@ -574,7 +573,7 @@ def cmd_compare(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
         ["scheme", "order_vs_two_step_ref", "order_vs_one_step_ref"],
         order_rows,
     )
-    _write_plots(out, [f"error_{s}" for s in studies])
+    _write_plots(out, taus, {f"error_{s.scheme}": s.series("error_at_T") for s in studies})
     detail = "; ".join(f"{r[0]}: {r[1]:.2f}" for r in order_rows)
     _write_summary(out, [("compare", True, detail)])
     if not quiet:
@@ -606,7 +605,7 @@ def _fuzz_identities(rng: np.random.Generator, n_fuzz: int) -> tuple[float, floa
 
 def cmd_check(cfg: ExperimentConfig, out: Path, quiet: bool, seed: int = 0) -> int:
     rng = np.random.default_rng(seed)
-    _, problem = build_problem(cfg)
+    problem = build_problem(cfg)
     space, op = problem.space, problem.operator
     rows: list[tuple[str, bool, str]] = []
 
@@ -622,13 +621,10 @@ def cmd_check(cfg: ExperimentConfig, out: Path, quiet: bool, seed: int = 0) -> i
         )
     )
 
-    growth_targets = {
-        "configured": problem.boundary.potential,
-        "paper_exponential": PaperExponential(cfg.potential_d),
-        "nonconvex_piecewise": NonconvexPiecewise(
-            cfg.ncvx_jump, cfg.ncvx_drop_slope, cfg.ncvx_drop_width, cfg.ncvx_tail_slope
-        ),
-    }
+    growth_targets = {"configured": problem.boundary.potential}
+    for name in ("paper_exponential", "nonconvex_piecewise"):  # with the configured constants
+        fixed = replace(cfg, potential=name, paper_literal_subdiff=False)
+        growth_targets[name] = build_potential(fixed)
     s_samples = rng.uniform(-50.0, 50.0, 10_000)
     for name, pot in growth_targets.items():
         rep_g = check_growth(pot, s_samples, problem.boundary.weights)
@@ -655,11 +651,7 @@ def cmd_check(cfg: ExperimentConfig, out: Path, quiet: bool, seed: int = 0) -> i
     rows.append(("identity_fuzz", gap <= 1e-12, f"worst relative gap {gap:.3e}"))
     rows.append(("inequality_fuzz", slack >= -1e-12, f"worst relative slack {slack:.3e}"))
 
-    _write_csv(
-        out / "checks.csv",
-        ["name", "status", "detail"],
-        [[n, "PASS" if ok else "FAIL", d] for n, ok, d in rows],
-    )
+    _write_summary(out, rows, "checks.csv")
     _write_summary(out, rows)
     ok = all(r[1] for r in rows)
     if not quiet:
@@ -682,26 +674,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         sp = sub.add_parser(name)
-        sp.add_argument("config_path", nargs="?", default=None, help="config file")
-        sp.add_argument("--config", dest="config_flag", default=None, help="config file")
+        sp.add_argument("config_path", help="config file")
         sp.add_argument("--out", default=None, help="output directory")
         sp.add_argument("--quiet", action="store_true")
         if name == "check":
             sp.add_argument("--seed", type=int, default=0, help="sampling seed")
     args = parser.parse_args(argv)
-    path = args.config_flag or args.config_path
-    if not path or (args.config_flag and args.config_path):
-        print("error: provide exactly one config file (positional or --config)", file=sys.stderr)
-        return 2
-    if not os.path.exists(path):
-        print(f"error: config file not found: {path}", file=sys.stderr)
+    if not os.path.exists(args.config_path):
+        print(f"error: config file not found: {args.config_path}", file=sys.stderr)
         return 2
     try:
-        cfg = parse_config(path)
+        cfg = parse_config(args.config_path)
+        if args.command == "compare":  # runs the two-step scheme whatever [scheme] kind is
+            _require_two_steps(cfg, "taus", cfg.taus[0])
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    out = _resolve_out(args.out, cfg)
+    out = Path(args.out or cfg.output_dir or "rothe_out")
     out.mkdir(parents=True, exist_ok=True)
     if args.command == "check":
         return cmd_check(cfg, out, args.quiet, args.seed)

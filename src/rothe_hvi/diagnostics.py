@@ -1,6 +1,7 @@
 """Numerical diagnostics for the two-step scheme: discrete-energy
-identities, a-priori estimate quantities, time interpolants and their gap,
-and ladder studies across a family of step sizes.
+identities, a-priori estimate quantities (with the exact gap of the time
+interpolants), ladder studies across a family of step sizes and the
+fitted order of their errors.
 """
 
 from __future__ import annotations
@@ -16,12 +17,12 @@ from .stepper import BDF2, RotheProblem, RotheTrajectory, TimeGrid, run_rothe
 
 __all__ = [
     "EstimateReport",
-    "Interpolants",
     "LadderRow",
     "LadderStudy",
     "bdf2_identity_gap",
     "bdf2_inequality_slack",
     "estimate_report",
+    "fitted_order",
     "tau_ladder_study",
 ]
 
@@ -103,68 +104,6 @@ def bdf2_inequality_slack(a, b, c, space: GalerkinSpace) -> float:
     return lhs - rhs
 
 
-class Interpolants:
-    """Piecewise-constant and piecewise-linear time reconstructions of a
-    trajectory, plus the derivative of the linear one.
-
-    The constant reconstruction takes the new value on each window
-    ((n-1)tau, n tau] (right-continuous there, with the initial vector at
-    t = 0).  The linear reconstruction interpolates so that its slope on
-    each window is the scheme's difference stencil.
-    """
-
-    def __init__(self, traj: RotheTrajectory):
-        self._u = traj.u
-        self._grid = traj.grid
-        self._N = traj.grid.N
-
-    def _check_t(self, t: float) -> float:
-        T = self._grid.T_final
-        if t < -1e-12 * T or t > T * (1.0 + 1e-12):
-            raise ValueError(f"t={t} outside the time domain [0, {T}]")
-        return min(max(t, 0.0), T)
-
-    def _window(self, t: float) -> int:
-        # index n with t in ((n-1) tau, n tau]; n = 0 only at t = 0
-        n = int(np.ceil(t / self._grid.tau - 1e-12))
-        return min(max(n, 0), self._N)
-
-    def piecewise_constant(self, t: float) -> np.ndarray:
-        t = self._check_t(t)
-        return self._u[self._window(t)].copy()
-
-    def piecewise_linear(self, t: float) -> np.ndarray:
-        t = self._check_t(t)
-        u = self._u
-        tau = self._grid.tau
-        if t <= tau:
-            return 1.5 * u[1] - 0.5 * u[0] + (u[1] - u[0]) * ((t - tau) / tau)
-        n = self._window(t)
-        stencil = 1.5 * u[n] - 2.0 * u[n - 1] + 0.5 * u[n - 2]
-        return 1.5 * u[n] - 0.5 * u[n - 1] + stencil * ((t - n * tau) / tau)
-
-    def derivative(self, t: float) -> np.ndarray:
-        t = self._check_t(t)
-        u = self._u
-        tau = self._grid.tau
-        if t <= tau:
-            return (u[1] - u[0]) / tau
-        n = self._window(t)
-        return (1.5 * u[n] - 2.0 * u[n - 1] + 0.5 * u[n - 2]) / tau
-
-    def gap(self, t: float) -> np.ndarray:
-        """Difference (linear - constant), in its explicit branch form."""
-        t = self._check_t(t)
-        u = self._u
-        tau = self._grid.tau
-        if t <= tau:
-            return (u[1] - u[0]) * ((t - 0.5 * tau) / tau)
-        n = self._window(t)
-        stencil = 1.5 * u[n] - 2.0 * u[n - 1] + 0.5 * u[n - 2]
-        second = u[n] - 2.0 * u[n - 1] + u[n - 2]
-        return stencil * ((t - (n - 0.5) * tau) / tau) - 0.25 * second
-
-
 def _quad_rows(rows: np.ndarray, gram: np.ndarray) -> np.ndarray:
     """r^T gram r for each row r, clipped at zero against roundoff."""
     return np.maximum(np.einsum("ij,ij->i", rows @ gram, rows), 0.0)
@@ -243,14 +182,16 @@ class LadderStudy:
             return np.array([r.error_at_T for r in self.rows])
         return np.array([getattr(r.report, name) for r in self.rows])
 
-    def fitted_order(self) -> float:
-        """Least-squares slope of log(error) vs log(tau)."""
-        taus = self.taus()
-        errs = self.series("error_at_T")
-        mask = np.isfinite(errs) & (errs > 0)
-        if mask.sum() < 2:
-            return float("nan")
-        return float(np.polyfit(np.log(taus[mask]), np.log(errs[mask]), 1)[0])
+
+def fitted_order(taus, errors) -> float:
+    """Least-squares slope of log(error) vs log(tau) over the finite,
+    positive errors; nan when fewer than two remain."""
+    taus = np.asarray(taus, dtype=float)
+    errs = np.asarray(errors, dtype=float)
+    mask = np.isfinite(errs) & (errs > 0)
+    if mask.sum() < 2:
+        return float("nan")
+    return float(np.polyfit(np.log(taus[mask]), np.log(errs[mask]), 1)[0])
 
 
 def tau_ladder_study(

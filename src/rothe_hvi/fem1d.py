@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .galerkin import GalerkinSpace, LinearOperatorA, SymBand
 __all__ = [
     "Mesh1D",
     "ForcingSpec",
-    "InitialProjection",
     "assemble_space",
     "assemble_forcing",
     "make_initial",
@@ -124,29 +123,20 @@ def assemble_forcing(mesh: Mesh1D, spec: ForcingSpec, t: float) -> np.ndarray:
     return load
 
 
-class InitialProjection(NamedTuple):
-    coeffs: np.ndarray
-    vnorm_sqrt_tau: float  # ||u0_h||_V * sqrt(tau), observable across a tau ladder
-
-
 def make_initial(
     mesh: Mesh1D,
     space: GalerkinSpace,
     u0: Union[Callable[[np.ndarray], np.ndarray], np.ndarray],
-    tau: float,
-) -> InitialProjection:
+) -> np.ndarray:
     """H-orthogonal projection of the initial datum onto the P1 space.
 
     A coefficient vector is returned unchanged (the projection is the
     identity on the space); a callable is projected by solving the mass
     system against its load vector (5-point Gauss per element).
     """
-    if not tau > 0:
-        raise ValueError("tau must be > 0")
     if callable(u0):
-        coeffs = space.solve_h(_load(mesh, 5, u0))
-    else:
-        coeffs = np.array(u0, dtype=float)
-        if coeffs.shape != (space.dim,):
-            raise ValueError(f"u0 vector has shape {coeffs.shape}, expected ({space.dim},)")
-    return InitialProjection(coeffs, space.v_norm(coeffs) * float(np.sqrt(tau)))
+        return space.solve_h(_load(mesh, 5, u0))
+    coeffs = np.array(u0, dtype=float)
+    if coeffs.shape != (space.dim,):
+        raise ValueError(f"u0 vector has shape {coeffs.shape}, expected ({space.dim},)")
+    return coeffs

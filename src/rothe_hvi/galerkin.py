@@ -18,28 +18,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg as sla
 from scipy.linalg import lapack
 
 __all__ = [
-    "DualVector",
     "GalerkinSpace",
     "LinearOperatorA",
-    "Norms",
     "SymBand",
     "as_band",
     "HypothesesAReport",
-    "norms",
-    "apply_A",
     "check_hypotheses_A",
 ]
-
-# Functionals are plain coefficient arrays: entry i is the action on basis
-# function i.
-DualVector = np.ndarray
 
 _SYM_RTOL = 1e-12
 
@@ -257,10 +249,6 @@ class GalerkinSpace:
         v = _require_vector(v, self.dim)
         return float(np.sqrt(max(v @ self.gram_v @ v, 0.0)))
 
-    def u_norm(self, boundary_values) -> float:
-        b = _require_vector(boundary_values, self.dim_u, "boundary values")
-        return float(np.sqrt(max(b @ self.gram_u @ b, 0.0)))
-
     def dual_norm(self, w) -> float:
         """Discrete V*-norm sup_{v != 0} (w^T v) / ||v||_V."""
         w = _require_vector(w, self.dim, "w")
@@ -279,12 +267,6 @@ class GalerkinSpace:
         b = self.trace @ self.solve_v(self.trace.T)
         g_u_inv = self.gram_u.solve(np.eye(self.dim_u))
         return float(np.sqrt(sla.eigvalsh(b, g_u_inv).max(initial=0.0)))
-
-
-class Norms(NamedTuple):
-    h_norm: float
-    v_norm: float
-    u_norm_of_trace: float
 
 
 @dataclass(frozen=True)
@@ -316,21 +298,6 @@ class LinearOperatorA:
         if not self.b_growth > 0:
             raise ValueError("b_growth must be > 0")
         object.__setattr__(self, "stiffness", k)
-
-    @property
-    def dim(self) -> int:
-        return self.stiffness.n
-
-
-def norms(space: GalerkinSpace, v) -> Norms:
-    """H-, V- and boundary-trace norms of a coefficient vector."""
-    v = _require_vector(v, space.dim)
-    return Norms(space.h_norm(v), space.v_norm(v), space.u_norm(space.trace @ v))
-
-
-def apply_A(A: LinearOperatorA, v) -> DualVector:
-    v = _require_vector(v, A.dim)
-    return A.stiffness @ v
 
 
 @dataclass(frozen=True)
@@ -370,7 +337,7 @@ def check_hypotheses_A(
     c_bad = 0
     for v in samples:
         v = _require_vector(v, space.dim, "sample")
-        av = apply_A(A, v)
+        av = A.stiffness @ v
         nv = space.v_norm(v)
         nh = space.h_norm(v)
         scale = 1.0 + nv * nv

@@ -132,12 +132,8 @@ class StepFactorization:
     def __init__(self, mass: SymBand, stiff_scaled: SymBand, trace_row: np.ndarray):
         self.stiff_scaled = stiff_scaled
         self.system = mass + stiff_scaled
-        self.y = self.solve(trace_row)  # factors S; LinAlgError unless positive definite
+        self.y = self.system.solve(trace_row)  # factors S; LinAlgError unless positive definite
         self.gamma = float(trace_row @ self.y)
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """S^{-1} b; scans only b for NaN/Inf (ValueError), the factor was checked when built."""
-        return self.system.solve(b)
 
 
 @dataclass
@@ -308,7 +304,7 @@ def solve_step_inclusion(
     factor = lift * fac.gamma
     if not factor > 0:
         raise ValueError("the boundary weight and trace row must give c tau w gamma > 0")
-    x = fac.solve(p.rhs)
+    x = fac.system.solve(p.rhs)
     if not np.all(np.isfinite(x)):
         raise NumericalFailureError("non-finite interior solve")
     s_warm = float(t_row @ warm)

@@ -2,8 +2,8 @@
 derivatives.
 
 Each potential exposes its value j(s), the generalized-derivative interval
-[lo, hi] (a single point wherever j is differentiable), a single-valued
-selection and the slope of its derivative between jump points.
+[lo, hi] (a single point wherever j is differentiable) and the slope of its
+derivative between jump points.
 """
 
 from __future__ import annotations
@@ -56,8 +56,8 @@ class ScalarPotential:
         raise NotImplementedError
 
     def branch_slope(self, s: float) -> float:
-        """a.e. derivative of the selection away from jump points (the
-        right-hand slope at a jump point)."""
+        """Slope of the derivative between jump points (the right-hand
+        slope at a jump point)."""
         raise NotImplementedError
 
     # --- derived conveniences -------------------------------------------
@@ -77,12 +77,6 @@ class ScalarPotential:
         cands += [k for k in self.kinks if abs(k - s) <= s_atol]
         los, his = zip(*(self.clarke_interval(c) for c in cands))
         return min(los), max(his)
-
-    def selection(self, s: float) -> float:
-        """Single-valued selection: the unique element off the kink set,
-        the interval midpoint at a kink."""
-        lo, hi = self.clarke_interval(s)
-        return 0.5 * (lo + hi)
 
 
 class PaperExponential(ScalarPotential):

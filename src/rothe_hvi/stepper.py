@@ -126,10 +126,6 @@ class RotheTrajectory:
     scheme: str
     per_step_residuals: np.ndarray  # (N,) V*-norms of the unscaled step residual
 
-    @property
-    def dim(self) -> int:
-        return self.u.shape[1]
-
 
 def _window_integral(forcing: Callable[[float], np.ndarray], a: float, b: float) -> np.ndarray:
     pts, wts = _GAUSS5

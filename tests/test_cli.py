@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,56 @@ def test_render_parse_render_is_byte_identical():
         assert render_config(parse_config(text)) == text
 
 
+DEFAULTS_TEXT = """[problem]
+n_el = 64
+t_final = 1.0
+forcing = zero
+f0_value = 1.0
+fn_value = 0.0
+f0_t_coeffs = 1.0
+f0_x_coeffs = 1.0
+fn_t_coeffs = 0.0
+potential = zero
+potential_d = 1.0
+potential_k = 1.0
+paper_literal_subdiff = false
+ncvx_jump = 1.0
+ncvx_drop_slope = 4.0
+ncvx_drop_width = 1.0
+ncvx_tail_slope = 1.0
+u0 = zero
+u0_value = 0.0
+u0_coeffs = 0.0
+alpha = default
+beta = default
+a_growth = default
+b_growth = default
+
+[scheme]
+kind = bdf2
+
+[ladder]
+taus = 0.125,0.0625,0.03125
+tau_ref = auto
+
+[solver]
+tol = 1e-10
+
+[check]
+n_samples = 1000
+n_fuzz = 2000
+coercivity_taus = 0.1,0.05,0.01
+
+[output]
+""" + "dir = \n"  # an empty value, written with the separator's trailing space
+
+
+def test_the_canonical_form_keeps_its_sections_keys_and_spellings():
+    # the layout is derived from the order of the ExperimentConfig fields
+    assert render_config(ExperimentConfig()) == DEFAULTS_TEXT
+    assert parse_config(DEFAULTS_TEXT) == ExperimentConfig()
+
+
 def test_study_writes_one_exact_gap_column_and_its_series(tmp_path):
     rc, out = run_cli(tmp_path, "study", SMOOTH_TINY)
     assert rc == 0
@@ -128,7 +180,7 @@ def test_check_is_reproducible_for_a_seed(tmp_path):
     assert all(r[1] == "PASS" for r in rows)
 
 
-@pytest.mark.parametrize("flag", [["--jobs", "2"], ["--seed", "1"]])
+@pytest.mark.parametrize("flag", [["--jobs", "2"], ["--seed", "1"], ["--config", "x.ini"]])
 def test_run_rejects_removed_flags(tmp_path, flag):
     with pytest.raises(SystemExit) as exc:
         run_cli(tmp_path, "run", SMOOTH_TINY, *flag)
@@ -173,3 +225,87 @@ def test_float_rows_are_written_byte_for_byte_as_the_cell_formatter_writes_them(
         "0", "-0", "nan", "inf", "-inf", "4.9406564584124654e-324",
         "1e+308", "0.33333333333333331", "-2.4999999999999999e-17",
     ]
+
+
+@pytest.mark.parametrize(
+    "text", ["[DEFAULT]\nn_el = 5\n", "[DEFAULT]\ntol = 1e-3\n[solver]\n"], ids=["alone", "leaking"]
+)
+def test_keys_under_the_default_section_are_rejected(tmp_path, capsys, text):
+    rc, _ = run_cli(tmp_path, "run", text)
+    assert rc == 2
+    assert "unknown section [DEFAULT]" in capsys.readouterr().err
+
+
+def tiny(problem="", taus="0.25,0.125", coercivity_taus="0.1"):
+    """A small config with the given [problem] lines and [ladder]/[check] values."""
+    return (
+        f"[problem]\nn_el = 8\n{problem}\n\n[ladder]\ntaus = {taus}\n\n"
+        f"[check]\nn_samples = 20\nn_fuzz = 50\ncoercivity_taus = {coercivity_taus}\n"
+    )
+
+
+OUT_OF_RANGE = [
+    *(
+        pytest.param(tiny(lines), f"[problem] {key}", id=lines)
+        for lines, key in [
+            ("alpha = -1", "alpha"),
+            ("alpha = nan", "alpha"),
+            ("beta = -1", "beta"),
+            ("a_growth = -1", "a_growth"),
+            ("b_growth = 0", "b_growth"),
+            ("potential = paper_exponential\npotential_d = -1", "potential_d"),
+            ("potential = zero\npotential_d = -1", "potential_d"),
+            ("potential = linear_robin\npotential_k = -1", "potential_k"),
+            ("potential = nonconvex_piecewise\nncvx_jump = 0", "ncvx_jump"),
+            ("potential = zero\nncvx_jump = 0", "ncvx_jump"),
+            ("forcing = poly\nf0_t_coeffs = ,", "f0_t_coeffs"),
+            ("u0 = poly\nu0_coeffs = ,", "u0_coeffs"),
+        ]
+    ),
+    pytest.param(tiny(coercivity_taus="nan"), "[check] coercivity_taus", id="coercivity_taus"),
+    pytest.param(tiny(taus="0.25,0.125\ntau_ref = 1"), "[ladder] tau_ref", id="tau_ref = 1"),
+    pytest.param(tiny(taus="1.0,0.5"), "[ladder] taus", id="taus = 1.0,0.5"),
+]
+
+
+@pytest.mark.parametrize("command", ["run", "study", "compare", "check"])
+@pytest.mark.parametrize("text, key", OUT_OF_RANGE)
+def test_values_the_commands_cannot_build_exit_2_naming_the_key(
+    tmp_path, capsys, command, text, key
+):
+    rc, _ = run_cli(tmp_path, command, text)
+    assert rc == 2
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, rc_expected", [("run", 0), ("study", 0), ("compare", 2)])
+def test_a_one_step_ladder_runs_with_the_one_step_scheme_only(
+    tmp_path, capsys, command, rc_expected
+):
+    text = tiny(taus="1.0,0.5") + "[scheme]\nkind = backward_euler\n"
+    rc, _ = run_cli(tmp_path, command, text)
+    assert rc == rc_expected
+    if rc_expected == 2:  # compare always runs the two-step scheme too
+        assert "[ladder] taus" in capsys.readouterr().err
+
+
+def test_compare_on_the_default_config_fits_nan_orders_without_warnings(tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # log(0) in an unmasked fit
+        rc, out = run_cli(tmp_path, "compare", "")
+    assert rc == 0
+    _, rows = read_csv(out / "orders.csv")
+    assert rows == [["bdf2", "nan", "nan"], ["backward_euler", "nan", "nan"]]
+
+
+def test_output_dir_is_the_flag_then_the_config_key_then_rothe_out(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("ROTHE_HVI_OUT", str(tmp_path / "env"))  # not read
+    (tmp_path / "a.ini").write_text(SMOOTH_TINY + "[output]\ndir = from_config\n", encoding="utf-8")
+    (tmp_path / "b.ini").write_text(SMOOTH_TINY, encoding="utf-8")
+    assert main(["run", "a.ini", "--out", "from_flag", "--quiet"]) == 0
+    assert main(["run", "a.ini", "--quiet"]) == 0
+    assert main(["run", "b.ini", "--quiet"]) == 0
+    for name in ("from_flag", "from_config", "rothe_out"):
+        assert (tmp_path / name / "trajectory.csv").is_file()
+    assert not (tmp_path / "env").exists()

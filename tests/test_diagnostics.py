@@ -10,7 +10,6 @@ from rothe_hvi import (
     BoundaryFunctional,
     ForcingSpec,
     GalerkinSpace,
-    Interpolants,
     LinearRobin,
     Mesh1D,
     PaperExponential,
@@ -27,6 +26,68 @@ from rothe_hvi import (
     run_rothe,
     tau_ladder_study,
 )
+
+
+class Interpolants:
+    """Piecewise-constant and piecewise-linear time reconstructions of a
+    trajectory, plus the derivative of the linear one.
+
+    The constant reconstruction takes the new value on each window
+    ((n-1)tau, n tau] (right-continuous there, with the initial vector at
+    t = 0).  The linear reconstruction interpolates so that its slope on
+    each window is the scheme's difference stencil.
+    """
+
+    def __init__(self, traj: RotheTrajectory):
+        self._u = traj.u
+        self._grid = traj.grid
+        self._N = traj.grid.N
+
+    def _check_t(self, t: float) -> float:
+        T = self._grid.T_final
+        if t < -1e-12 * T or t > T * (1.0 + 1e-12):
+            raise ValueError(f"t={t} outside the time domain [0, {T}]")
+        return min(max(t, 0.0), T)
+
+    def _window(self, t: float) -> int:
+        # index n with t in ((n-1) tau, n tau]; n = 0 only at t = 0
+        n = int(np.ceil(t / self._grid.tau - 1e-12))
+        return min(max(n, 0), self._N)
+
+    def piecewise_constant(self, t: float) -> np.ndarray:
+        t = self._check_t(t)
+        return self._u[self._window(t)].copy()
+
+    def piecewise_linear(self, t: float) -> np.ndarray:
+        t = self._check_t(t)
+        u = self._u
+        tau = self._grid.tau
+        if t <= tau:
+            return 1.5 * u[1] - 0.5 * u[0] + (u[1] - u[0]) * ((t - tau) / tau)
+        n = self._window(t)
+        stencil = 1.5 * u[n] - 2.0 * u[n - 1] + 0.5 * u[n - 2]
+        return 1.5 * u[n] - 0.5 * u[n - 1] + stencil * ((t - n * tau) / tau)
+
+    def derivative(self, t: float) -> np.ndarray:
+        t = self._check_t(t)
+        u = self._u
+        tau = self._grid.tau
+        if t <= tau:
+            return (u[1] - u[0]) / tau
+        n = self._window(t)
+        return (1.5 * u[n] - 2.0 * u[n - 1] + 0.5 * u[n - 2]) / tau
+
+    def gap(self, t: float) -> np.ndarray:
+        """Difference (linear - constant), in its explicit branch form."""
+        t = self._check_t(t)
+        u = self._u
+        tau = self._grid.tau
+        if t <= tau:
+            return (u[1] - u[0]) * ((t - 0.5 * tau) / tau)
+        n = self._window(t)
+        stencil = 1.5 * u[n] - 2.0 * u[n - 1] + 0.5 * u[n - 2]
+        second = u[n] - 2.0 * u[n - 1] + u[n - 2]
+        return stencil * ((t - (n - 0.5) * tau) / tau) - 0.25 * second
 
 
 def hand_traj(u, T=1.0):
@@ -66,7 +127,7 @@ def fem_problem(n_el, potential, f0, f_N, u0_fun):
     mesh = Mesh1D(n_el)
     space, op = assemble_space(mesh)
     spec = ForcingSpec(f0, f_N)
-    u0 = make_initial(mesh, space, u0_fun, 0.1).coeffs
+    u0 = make_initial(mesh, space, u0_fun)
     return RotheProblem(space, op, BoundaryFunctional(potential, np.ones(1)),
                         lambda t: assemble_forcing(mesh, spec, t), u0)
 

@@ -61,7 +61,7 @@ def test_loads_match_the_per_element_sum(n_el):
     f0 = lambda t, x: np.sin(3.0 * x + t) * np.exp(x)
     for nq, got in (
         (3, assemble_forcing(mesh, ForcingSpec(f0, lambda t: 0.0), 0.7)),
-        (5, space.gram_h @ make_initial(mesh, space, lambda x: f0(0.7, x), 1.0).coeffs),
+        (5, space.gram_h @ make_initial(mesh, space, lambda x: f0(0.7, x))),
     ):
         pts, wts = np.polynomial.legendre.leggauss(nq)
         ref = np.zeros(n_el + 1)
@@ -122,30 +122,21 @@ def test_initial_vector_passthrough():
     mesh = Mesh1D(3)
     space, _ = assemble_space(mesh)
     vec = np.array([0.0, 1.0, -1.0, 2.0])
-    out = make_initial(mesh, space, vec, 0.5)
-    assert out.coeffs == pytest.approx(vec)
-    assert out.vnorm_sqrt_tau == pytest.approx(space.v_norm(vec) * np.sqrt(0.5))
+    assert make_initial(mesh, space, vec) == pytest.approx(vec)
 
 
 def test_initial_constant_function():
     mesh = Mesh1D(6)
     space, _ = assemble_space(mesh)
-    out = make_initial(mesh, space, lambda x: np.ones_like(x), 0.1)
-    assert out.coeffs == pytest.approx(np.ones(7), rel=1e-12)
+    out = make_initial(mesh, space, lambda x: np.ones_like(x))
+    assert out == pytest.approx(np.ones(7), rel=1e-12)
 
 
 def test_initial_linear_function_is_interpolated():
     mesh = Mesh1D(2)
     space, _ = assemble_space(mesh)
-    out = make_initial(mesh, space, lambda x: x, 1.0)
-    assert out.coeffs == pytest.approx([0.0, 0.5, 1.0], rel=1e-12)
-
-
-def test_initial_invalid_tau():
-    mesh = Mesh1D(2)
-    space, _ = assemble_space(mesh)
-    with pytest.raises(ValueError):
-        make_initial(mesh, space, lambda x: x, 0.0)
+    out = make_initial(mesh, space, lambda x: x)
+    assert out == pytest.approx([0.0, 0.5, 1.0], rel=1e-12)
 
 
 def test_discrete_poincare_stable_for_tied_end():
@@ -167,7 +158,7 @@ def test_steady_state_preserved_without_forcing(scheme):
     mesh = Mesh1D(8)
     space, op = assemble_space(mesh)
     spec = ForcingSpec(lambda t, x: np.zeros_like(x), lambda t: 0.0)
-    u0 = make_initial(mesh, space, lambda x: np.full_like(x, 3.0), 0.125).coeffs
+    u0 = make_initial(mesh, space, lambda x: np.full_like(x, 3.0))
     problem = RotheProblem(
         space, op, BoundaryFunctional(ZeroPotential(), np.ones(1)),
         lambda t: assemble_forcing(mesh, spec, t), u0,

@@ -12,39 +12,36 @@ from rothe_hvi import (
     LinearOperatorA,
     Mesh1D,
     SymBand,
-    apply_A,
     assemble_space,
     check_hypotheses_A,
-    norms,
 )
 
 
 def test_norms_1x1_gram():
     space = GalerkinSpace(gram_h=[[1.0]], gram_v=[[2.0]], trace=[[1.0]], gram_u=[[1.0]])
-    n = norms(space, [1.0])
-    assert n.h_norm == pytest.approx(1.0)
-    assert n.v_norm == pytest.approx(np.sqrt(2.0))
+    assert space.h_norm([1.0]) == pytest.approx(1.0)
+    assert space.v_norm([1.0]) == pytest.approx(np.sqrt(2.0))
 
 
 def test_norms_zero_vector():
     space, _ = assemble_space(Mesh1D(4))
-    n = norms(space, np.zeros(space.dim))
-    assert n == (0.0, 0.0, 0.0)
+    zero = np.zeros(space.dim)
+    assert (space.h_norm(zero), space.v_norm(zero)) == (0.0, 0.0)
 
 
 def test_norms_p1_constant_one_element():
     # hand integration on [0,1]: |1|_H = 1 and the gradient term vanishes
     space, _ = assemble_space(Mesh1D(1))
-    n = norms(space, [1.0, 1.0])
-    assert n.h_norm == pytest.approx(1.0, abs=1e-14)
-    assert n.v_norm == pytest.approx(1.0, abs=1e-14)
-    assert n.u_norm_of_trace == pytest.approx(1.0, abs=1e-14)
+    assert space.h_norm([1.0, 1.0]) == pytest.approx(1.0, abs=1e-14)
+    assert space.v_norm([1.0, 1.0]) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_norms_dimension_mismatch():
     space, _ = assemble_space(Mesh1D(2))
     with pytest.raises(ValueError):
-        norms(space, [1.0, 2.0])
+        space.h_norm([1.0, 2.0])
+    with pytest.raises(ValueError):
+        space.v_norm([1.0, 2.0])
 
 
 def test_dual_norm_identity_gram():
@@ -90,13 +87,13 @@ def test_cauchy_schwarz_discrete(dim, seed):
 
 def test_apply_A_one_element():
     _, op = assemble_space(Mesh1D(1))
-    assert apply_A(op, [1.0, 0.0]) == pytest.approx([1.0, -1.0])
+    assert op.stiffness @ np.array([1.0, 0.0]) == pytest.approx([1.0, -1.0])
 
 
 def test_apply_A_annihilates_constants():
     _, op = assemble_space(Mesh1D(7))
-    assert np.max(np.abs(apply_A(op, np.ones(8)))) < 1e-14
-    assert np.max(np.abs(apply_A(op, np.zeros(8)))) == 0.0
+    assert np.max(np.abs(op.stiffness @ np.ones(8))) < 1e-14
+    assert np.max(np.abs(op.stiffness @ np.zeros(8))) == 0.0
 
 
 @pytest.mark.parametrize("n_el", [1, 3, 16])

@@ -142,7 +142,7 @@ def fem_problem(n_el, potential, f0, f_N, u0_fun):
     mesh = Mesh1D(n_el)
     space, op = assemble_space(mesh)
     spec = ForcingSpec(f0, f_N)
-    u0 = make_initial(mesh, space, u0_fun, 0.1).coeffs
+    u0 = make_initial(mesh, space, u0_fun)
     return RotheProblem(space, op, BoundaryFunctional(potential, np.ones(1)),
                         lambda t: assemble_forcing(mesh, spec, t), u0)
 

@@ -60,10 +60,10 @@ def test_literal_branch_only_matches_for_unit_d():
     s = 1.5
     default = PaperExponential(2.0)
     literal = PaperExponential(2.0, literal_branch=True)
-    assert default.selection(s) == pytest.approx(2.0 * (math.exp(-s) + s))
-    assert literal.selection(s) == pytest.approx(2.0 * math.exp(-s) + s)
+    assert default.clarke_interval(s) == pytest.approx((2.0 * (math.exp(-s) + s),) * 2)
+    assert literal.clarke_interval(s) == pytest.approx((2.0 * math.exp(-s) + s,) * 2)
     same = PaperExponential(1.0, literal_branch=True)
-    assert same.selection(s) == pytest.approx(PaperExponential(1.0).selection(s))
+    assert same.clarke_interval(s) == pytest.approx(PaperExponential(1.0).clarke_interval(s))
 
 
 def test_derivative_consistent_with_branch_of_value():
@@ -71,7 +71,8 @@ def test_derivative_consistent_with_branch_of_value():
     pot = PaperExponential(2.0)
     for s in (0.5, 1.0, 4.0):
         fd = (pot.value(s + 1e-6) - pot.value(s - 1e-6)) / 2e-6
-        assert pot.selection(s) == pytest.approx(fd, rel=1e-8)
+        lo, hi = pot.clarke_interval(s)
+        assert lo == hi == pytest.approx(fd, rel=1e-8)
 
 
 def test_growth_bound_random_sweep():

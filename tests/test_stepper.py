@@ -41,11 +41,11 @@ def scalar_problem(potential, forcing, u0=0.0, stiffness=0.0):
     return RotheProblem(space, op, bnd, forcing, np.array([float(u0)]))
 
 
-def fem_problem(n_el, potential, f0, f_N, u0_fun, tau_hint=0.1):
+def fem_problem(n_el, potential, f0, f_N, u0_fun):
     mesh = Mesh1D(n_el)
     space, op = assemble_space(mesh)
     spec = ForcingSpec(f0, f_N)
-    u0 = make_initial(mesh, space, u0_fun, tau_hint).coeffs
+    u0 = make_initial(mesh, space, u0_fun)
     bnd = BoundaryFunctional(potential, np.ones(1))
     return RotheProblem(space, op, bnd, lambda t: assemble_forcing(mesh, spec, t), u0)
 
