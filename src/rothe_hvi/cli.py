@@ -140,6 +140,7 @@ _POTENTIAL_NAMES = ("zero", "paper_exponential", "linear_robin", "nonconvex_piec
 _U0_NAMES = ("zero", "constant", "poly")
 _POSITIVE = ("potential_d", "ncvx_jump", "ncvx_drop_slope", "ncvx_drop_width", "alpha", "b_growth")
 _NONNEGATIVE = ("ncvx_tail_slope", "beta", "a_growth")
+_MAX_ARRAY_VALUES = np.iinfo(np.intp).max // 8  # float64 values one numpy array can index
 
 # the only irregular facts of the layout: the keys named unlike their field,
 # and the words for None (case-insensitive on input; the first is written)
@@ -258,6 +259,16 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("[ladder] taus: must be strictly decreasing")
     if cfg.tau_ref is not None and not _divides(cfg.tau_ref, cfg.t_final):
         raise ConfigError(f"[ladder] tau_ref: {cfg.tau_ref} must be > 0 and divide t_final")
+    # every run holds its (N+1) x (n_el+1) trajectory in one float64 array;
+    # the reference tau underflows to 0 for subnormal taus
+    tau_min = min(*cfg.taus, cfg.reference_tau())
+    ratio = cfg.t_final / tau_min if tau_min > 0 else math.inf
+    steps = round(ratio) if math.isfinite(ratio) else math.inf
+    if not (steps + 1) * (cfg.n_el + 1) <= _MAX_ARRAY_VALUES:
+        raise ConfigError(
+            f"[problem] t_final: {cfg.t_final} takes {ratio:.6g} steps of tau = {tau_min:g}, "
+            f"too many to hold a trajectory of n_el + 1 = {cfg.n_el + 1} values per step"
+        )
     if not cfg.tol > 0:
         raise ConfigError("[solver] tol: must be > 0")
     if cfg.n_samples < 1:
@@ -424,11 +435,9 @@ def _estimate_row(tau: float, rep) -> list:
     return [tau] + [getattr(rep, name) for name in _ESTIMATE_COLS[1:]]
 
 
-def _write_summary(
-    out: Path, rows: list[tuple[str, bool, str]], filename: str = "summary.csv"
-) -> None:
+def _write_summary(out: Path, rows: list[tuple[str, bool, str]]) -> None:
     _write_csv(
-        out / filename,
+        out / "summary.csv",
         ["name", "status", "detail"],
         [[name, "PASS" if ok else "FAIL", detail] for name, ok, detail in rows],
     )
@@ -651,7 +660,6 @@ def cmd_check(cfg: ExperimentConfig, out: Path, quiet: bool, seed: int = 0) -> i
     rows.append(("identity_fuzz", gap <= 1e-12, f"worst relative gap {gap:.3e}"))
     rows.append(("inequality_fuzz", slack >= -1e-12, f"worst relative slack {slack:.3e}"))
 
-    _write_summary(out, rows, "checks.csv")
     _write_summary(out, rows)
     ok = all(r[1] for r in rows)
     if not quiet:
@@ -666,7 +674,7 @@ def cmd_check(cfg: ExperimentConfig, out: Path, quiet: bool, seed: int = 0) -> i
 _COMMANDS = {"run": cmd_run, "study": cmd_study, "compare": cmd_compare, "check": cmd_check}
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rothe-hvi",
         description="two-step implicit time stepping with set-valued boundary flux laws",
@@ -679,7 +687,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sp.add_argument("--quiet", action="store_true")
         if name == "check":
             sp.add_argument("--seed", type=int, default=0, help="sampling seed")
-    args = parser.parse_args(argv)
+    return parser
+
+
+_PARSER = _build_parser()  # parsing keeps no state, so one parser serves every call
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    args = _PARSER.parse_args(argv)
     if not os.path.exists(args.config_path):
         print(f"error: config file not found: {args.config_path}", file=sys.stderr)
         return 2

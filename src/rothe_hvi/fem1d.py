@@ -6,8 +6,9 @@ the Neumann part at x = 0.  Mass and stiffness matrices are assembled
 exactly, straight into their tridiagonal bands; the V-Gram is
 mass + stiffness, matching the norm
 ||u||_V^2 = |u|_H^2 + integral of |u'|^2.
-Load vectors use Gauss quadrature per element, from tables of points and
-weight-times-hat values that are built once per mesh and are read-only.
+Load vectors use Gauss quadrature per element: the 3- and 5-point rules on
+the reference element are built once per process, the tables of points and
+weight-times-hat values once per mesh; all are read-only.
 """
 
 from __future__ import annotations
@@ -27,6 +28,17 @@ __all__ = [
     "assemble_forcing",
     "make_initial",
 ]
+
+
+def _reference_rule(nq: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """nq-point Gauss rule on [0, 1]: points, the weights on [-1, 1] and the
+    two local hat functions at the points, (nq, 2)."""
+    pts, wts = np.polynomial.legendre.leggauss(nq)
+    xi = 0.5 * (pts + 1.0)
+    return xi, wts, np.column_stack([1.0 - xi, xi])
+
+
+_RULES = {nq: _reference_rule(nq) for nq in (3, 5)}
 
 
 @dataclass(frozen=True)
@@ -52,11 +64,9 @@ class Mesh1D:
         """nq -> (points (n_el, nq), weight * local hat values (nq, 2)) of
         the nq-point Gauss rule on every element, nq in {3, 5}; read-only."""
         out = {}
-        for nq in (3, 5):
-            pts, wts = np.polynomial.legendre.leggauss(nq)
-            xi = 0.5 * (pts + 1.0)  # reference element [0, 1]
+        for nq, (xi, wts, hats) in _RULES.items():
             x = self.nodes[:-1, None] + self.h * xi[None, :]
-            w_phi = (0.5 * self.h * wts)[:, None] * np.column_stack([1.0 - xi, xi])
+            w_phi = (0.5 * self.h * wts)[:, None] * hats
             x.setflags(write=False)
             w_phi.setflags(write=False)
             out[nq] = (x, w_phi)
@@ -99,16 +109,17 @@ def assemble_space(mesh: Mesh1D) -> tuple[GalerkinSpace, LinearOperatorA]:
     return space, op
 
 
-def _load(mesh: Mesh1D, nq: int, integrand: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """l_i = sum over elements and nq-point Gauss points of integrand * w * phi_i."""
-    x, w_phi = mesh._quadrature[nq]
-    vals = np.asarray(integrand(x), dtype=float)
+def _load(vals, x: np.ndarray, w_phi: np.ndarray) -> np.ndarray:
+    """l_i = sum over elements and Gauss points x of vals * w * phi_i, for
+    the integrand's values ``vals`` at the points ``x`` (or broadcastable)."""
+    vals = np.asarray(vals, dtype=float)
     if vals.shape != x.shape:  # broadcast_to is slow next to the rest; skip it when the shape fits
         vals = np.broadcast_to(vals, x.shape)
-    contrib = vals @ w_phi
-    load = np.zeros(mesh.n_el + 1)
-    load[:-1] += contrib[:, 0]
-    load[1:] += contrib[:, 1]
+    contrib = vals @ w_phi  # (n_el, 2): each element's share of its two nodes
+    load = np.empty(len(contrib) + 1)
+    load[0] = contrib[0, 0]
+    np.add(contrib[1:, 0], contrib[:-1, 1], out=load[1:-1])
+    load[-1] = contrib[-1, 1]
     return load
 
 
@@ -118,7 +129,8 @@ def assemble_forcing(mesh: Mesh1D, spec: ForcingSpec, t: float) -> np.ndarray:
     The volume term uses 3-point Gauss per element, exact for the
     polynomial forcings used in the tests.
     """
-    load = _load(mesh, 3, lambda x: spec.f0(t, x))
+    x, w_phi = mesh._quadrature[3]
+    load = _load(spec.f0(t, x), x, w_phi)
     load[0] += float(spec.f_N(t))
     return load
 
@@ -135,7 +147,8 @@ def make_initial(
     system against its load vector (5-point Gauss per element).
     """
     if callable(u0):
-        return space.solve_h(_load(mesh, 5, u0))
+        x, w_phi = mesh._quadrature[5]
+        return space.solve_h(_load(u0(x), x, w_phi))
     coeffs = np.array(u0, dtype=float)
     if coeffs.shape != (space.dim,):
         raise ValueError(f"u0 vector has shape {coeffs.shape}, expected ({space.dim},)")

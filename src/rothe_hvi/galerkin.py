@@ -5,13 +5,15 @@ vectors, a boundary restriction matrix mapping into a boundary space U, and
 the U-Gram matrix.  Functionals in V* are stored as plain arrays holding
 their action on the basis (the assembled load-vector convention), so the
 discrete dual norm is ``sqrt(w^T gram_v^{-1} w)``, evaluated through a
-back-solve with the Cholesky factor of gram_v and never through an explicit
+back-solve with the factor of gram_v and never through an explicit
 inverse.
 
 Every symmetric matrix is held as a ``SymBand``, its LAPACK upper band, and
-factored once by the band Cholesky (dpbtrf, then dpbtrs per solve).  For
-1-D P1 elements the band is tridiagonal, so storage, matrix-vector products
-and solves all cost O(n); a dense matrix is the band of full width.
+factored once, on first use.  A tridiagonal band (bandwidth 1) is factored
+as L D L^T (dpttrf, then dpttrs per solve); any other band by the band
+Cholesky (dpbtrf, then dpbtrs).  For 1-D P1 elements every band is
+tridiagonal, so storage, matrix-vector products and solves all cost O(n); a
+dense matrix is the band of full width.
 """
 
 from __future__ import annotations
@@ -43,16 +45,33 @@ def _as_matrix(m, name: str) -> np.ndarray:
     return a
 
 
-def _cholesky(ab: np.ndarray) -> np.ndarray:
-    """Upper band Cholesky factor (LAPACK dpbtrf); LinAlgError, a ValueError,
-    when the matrix is not positive definite."""
-    c, info = lapack.dpbtrf(ab)
+def _check_info(routine: str, info: int) -> None:
+    """LinAlgError, a ValueError, when a factorization found the matrix not
+    positive definite; ValueError for an illegal argument."""
     if info > 0:
         raise np.linalg.LinAlgError(
             f"{info}-th leading minor of the matrix is not positive definite"
         )
     if info < 0:
-        raise ValueError(f"dpbtrf: illegal value in argument {-info}")
+        raise ValueError(f"{routine}: illegal value in argument {-info}")
+
+
+def _tridiagonal(ab: np.ndarray) -> bool:
+    """Whether the band ``ab`` is factored as L D L^T (dpttrf needs n >= 2)."""
+    return ab.shape[0] == 2 and ab.shape[1] > 1
+
+
+def _factor(ab: np.ndarray) -> np.ndarray:
+    """Factor of the band ``ab``, in its band layout: L D L^T (dpttrf) for a
+    tridiagonal band, D on the diagonal row and the subdiagonal of L on the
+    superdiagonal row; otherwise the upper Cholesky factor (dpbtrf).
+    LinAlgError unless positive definite."""
+    if _tridiagonal(ab):
+        d, e, info = lapack.dpttrf(ab[1], ab[0, 1:])
+        _check_info("dpttrf", info)
+        return np.vstack([np.concatenate([[0.0], e]), d])
+    c, info = lapack.dpbtrf(ab)
+    _check_info("dpbtrf", info)
     return c
 
 
@@ -63,8 +82,8 @@ class SymBand:
     max(0, j - u) <= i <= j: row u is the diagonal and row u - k the k-th
     superdiagonal, whose first k entries are unused.  A dense matrix is the
     band with u = n - 1.  ``ab`` is copied, checked finite and frozen on
-    construction.  The Cholesky factor is computed once, on first use, and
-    serves every solve.
+    construction.  The factor (``factor``) is computed once, on first use,
+    and serves every solve.
     """
 
     __array_ufunc__ = None  # ndarray @ band defers to __rmatmul__
@@ -132,9 +151,11 @@ class SymBand:
     __rmul__ = __mul__
 
     @cached_property
-    def cholesky(self) -> np.ndarray:
-        """Upper band Cholesky factor; raises LinAlgError unless positive definite."""
-        c = _cholesky(self.ab)
+    def factor(self) -> np.ndarray:
+        """Read-only factor in band layout, L D L^T when tridiagonal and the
+        upper Cholesky factor otherwise; raises LinAlgError unless positive
+        definite."""
+        c = _factor(self.ab)
         c.setflags(write=False)
         return c
 
@@ -144,9 +165,13 @@ class SymBand:
         b = np.asarray_chkfinite(b, dtype=float)
         if b.ndim not in (1, 2) or b.shape[0] != self.n:
             raise ValueError(f"right-hand side has shape {b.shape}, expected ({self.n}, ...)")
-        x, info = lapack.dpbtrs(self.cholesky, b)
+        c = self.factor
+        if _tridiagonal(c):
+            x, info = lapack.dpttrs(c[1], c[0, 1:], b)
+        else:
+            x, info = lapack.dpbtrs(c, b)
         if info < 0:
-            raise ValueError(f"dpbtrs: illegal value in argument {-info}")
+            raise ValueError(f"band solve: illegal value in argument {-info}")
         return x
 
 
@@ -219,7 +244,7 @@ class GalerkinSpace:
         if gu.n != tr.shape[0]:
             raise ValueError("gram_u size must match the number of trace rows")
         for band in (gh, gv, gu):
-            band.cholesky  # raises LinAlgError unless positive definite
+            band.factor  # raises LinAlgError unless positive definite
         tr.setflags(write=False)
         object.__setattr__(self, "gram_h", gh)
         object.__setattr__(self, "gram_v", gv)
@@ -288,7 +313,7 @@ class LinearOperatorA:
         shifted = np.array(k.ab)
         shifted[-1] += 1e-10 * scale
         try:
-            _cholesky(shifted)
+            _factor(shifted)
         except np.linalg.LinAlgError:
             raise ValueError("stiffness must be positive semi-definite") from None
         if not self.alpha > 0:

@@ -12,25 +12,29 @@ s = t u solves the scalar inclusion
     0 in g(s) = s - t x + F z(s),    F = c tau w gamma > 0.
 
 S depends on the stencil and tau only, so a ``StepFactorization`` of it
-(its band Cholesky factor, with y and gamma) can be built once and shared
-by every step of a run; each step is then one band back-solve plus this
-scalar problem, O(n) for the tridiagonal P1 matrices.
+(its band factor, L D L^T for the tridiagonal P1 matrices, with y and
+gamma) can be built once and shared by every step of a run; each step is
+then one band back-solve plus this scalar problem, O(n).
 
-The scalar inclusion is solved exactly.  z is convex between consecutive
-kinks (the ``ScalarPotential`` contract), so g is convex on each piece
-and has at most two roots there.  A piece on which g' >= 0 at
-its left end is monotone; otherwise it is split at the minimiser of g,
-found by bisection on the sign of g'.  Each sign-change bracket gets a
-safeguarded Newton iteration, and a kink is a root when its interval
-contains zero.  Where there are several roots the solver takes the one
-nearest the warm start's boundary value t u_warm, the smaller one on a
-tie, so a trajectory stays on its branch.  From the root,
-xi = (t x - s) / F and u = x - c tau w xi y.
+The scalar inclusion is solved exactly, in plain floats.  z is convex
+between consecutive kinks (the ``ScalarPotential`` contract), so g is
+convex on each piece and has at most two roots there.  g is evaluated
+through ``branch_value`` and g' through ``branch_slope``; the one-sided
+limits of z beside each kink and its interval at the kink come from the
+potential's ``kink_table``.  A piece on which g' >= 0 at its left end is
+monotone; otherwise it is split at the minimiser of g, found by bisection on
+the sign of g'.  Each sign-change bracket gets a safeguarded Newton
+iteration, and a kink is a root when its interval contains zero.  Where
+there are several roots the solver takes the one nearest the warm start's
+boundary value t u_warm, the smaller one on a tie, so a trajectory stays on
+its branch.  From the root, xi = (t x - s) / F and u = x - c tau w xi y.
 
-A step is accepted only when the V*-norm of its residual is at most tol
-(a NaN residual fails); otherwise NonConvergenceError is raised.  Only a
-single boundary row (dim_u = 1) is supported; other spaces raise
-ValueError.
+The residual r = S u + c tau trace^T W xi - b is recomputed from the
+solution as one band product with S plus the flux term, which is nonzero
+only at the nodes where the trace is (one node for P1).  A step is accepted
+only when the V*-norm of r is at most tol (a NaN residual fails); otherwise
+NonConvergenceError is raised.  Only a single boundary row (dim_u = 1) is
+supported; other spaces raise ValueError.
 """
 
 from __future__ import annotations
@@ -123,8 +127,9 @@ class StepProblem:
 
 
 class StepFactorization:
-    """Band Cholesky factor of S = mass + stiff_scaled together with
-    y = S^{-1} t^T and gamma = t y for the boundary row t.
+    """Band factor of S = mass + stiff_scaled together with y = S^{-1} t^T
+    and gamma = t y for the boundary row t, and the nodes where t is
+    nonzero with its entries there.
 
     S is the same at every step of one stencil and step size, so one
     factorization, which also keeps the band stiff_scaled, serves all of them."""
@@ -134,6 +139,8 @@ class StepFactorization:
         self.system = mass + stiff_scaled
         self.y = self.system.solve(trace_row)  # factors S; LinAlgError unless positive definite
         self.gamma = float(trace_row @ self.y)
+        self.nodes = np.flatnonzero(trace_row)
+        self.trace_at_nodes = trace_row[self.nodes]
 
 
 @dataclass
@@ -148,9 +155,20 @@ class VerifyResult(NamedTuple):
     membership_gap: float
 
 
+def _residual(
+    system: SymBand, u: np.ndarray, rhs: np.ndarray, nodes: np.ndarray, flux: np.ndarray
+) -> np.ndarray:
+    """S u + c tau trace^T W xi - b: one band product with S, then the flux
+    term, whose only nonzero entries ``flux`` sit at ``nodes``."""
+    r = system @ u
+    r -= rhs
+    r[nodes] += flux
+    return r
+
+
 def _finite_dual_norm(space: GalerkinSpace, r: np.ndarray) -> float:
     """V*-norm of a residual; NumericalFailureError when it is not finite."""
-    norm = space.dual_norm(r) if np.all(np.isfinite(r)) else math.nan
+    norm = space.dual_norm(r) if np.isfinite(r).all() else math.nan
     if not math.isfinite(norm):
         raise NumericalFailureError("non-finite step residual")
     return norm
@@ -178,8 +196,7 @@ class _BoundaryInclusion:
         self.iterations = 0
 
     def g(self, s: float) -> float:
-        lo, _ = self.pot.interval_arrays(s)  # a single value off the kinks
-        return s - self.target + self.factor * float(lo)
+        return s - self.target + self.factor * self.pot.branch_value(s)
 
     def dg(self, s: float) -> float:
         return 1.0 + self.factor * self.pot.branch_slope(s)
@@ -256,17 +273,15 @@ class _BoundaryInclusion:
     def roots(self) -> list[float]:
         """Every root: the kinks whose interval contains zero, the points
         beside them where g vanishes and the roots of each piece between."""
-        kinks = sorted(float(k) for k in self.pot.kinks)
-        ks = np.asarray(kinks, dtype=float)
         # one-sided limits just outside each kink and the interval at it
-        pts = np.concatenate([np.nextafter(ks, -math.inf), ks, np.nextafter(ks, math.inf)])
-        lo, hi = self.pot.interval_arrays(pts)
-        g_lo = pts - self.target + self.factor * lo
-        g_hi = pts - self.target + self.factor * hi
-        m = len(kinks)
+        pts, lo, hi = self.pot.kink_table
+        target, factor = self.target, self.factor
+        g_lo = [x - target + factor * z for x, z in zip(pts, lo)]
+        g_hi = [x - target + factor * z for x, z in zip(pts, hi)]
+        m = len(pts) // 3
         # beside a kink z is single-valued: a root there has g exactly 0
-        out = [float(x) for x, gl, gh in zip(pts, g_lo, g_hi) if gl <= 0.0 <= gh]
-        ends = [-math.inf, *kinks, math.inf]
+        out = [x for x, gl, gh in zip(pts, g_lo, g_hi) if gl <= 0.0 <= gh]
+        ends = [-math.inf, *pts[m:2 * m], math.inf]
         g_left = [-math.inf, *g_lo[2 * m:]]  # g just right of each piece's left end
         g_right = [*g_lo[:m], math.inf]  # g just left of each piece's right end
         for j in range(m + 1):
@@ -296,7 +311,7 @@ def solve_step_inclusion(
     warm = np.asarray(warm_start, dtype=float)
     if warm.shape != (p.dim,):
         raise ValueError(f"warm start has shape {warm.shape}, expected ({p.dim},)")
-    if not (np.all(np.isfinite(p.rhs)) and np.all(np.isfinite(warm))):
+    if not (np.isfinite(p.rhs).all() and np.isfinite(warm).all()):
         raise NumericalFailureError("non-finite right-hand side or warm start")
     t_row = p.trace[0]
     fac = factorization or StepFactorization(p.mass, p.stiff_scaled, t_row)
@@ -305,7 +320,7 @@ def solve_step_inclusion(
     if not factor > 0:
         raise ValueError("the boundary weight and trace row must give c tau w gamma > 0")
     x = fac.system.solve(p.rhs)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NumericalFailureError("non-finite interior solve")
     s_warm = float(t_row @ warm)
     inclusion = _BoundaryInclusion(p.potential, float(t_row @ x), factor, s_warm)
@@ -314,15 +329,15 @@ def solve_step_inclusion(
     if not roots:
         raise NonConvergenceError("no root of the boundary inclusion found", report)
     s = min(roots, key=lambda r: (abs(r - s_warm), r))
-    xi = np.array([(inclusion.target - s) / factor])
-    u = x - (lift * xi[0]) * fac.y
-    r = p.mass @ u + p.stiff_scaled @ u + p.flux_matrix @ xi - p.rhs
+    xi = (inclusion.target - s) / factor
+    u = x - (lift * xi) * fac.y
+    r = _residual(fac.system, u, p.rhs, fac.nodes, (lift * xi) * fac.trace_at_nodes)
     report.residual = _finite_dual_norm(p.space, r)
     if not report.residual <= tol:
         raise NonConvergenceError(
             f"step residual {report.residual:.3e} above tol {tol:g}", report
         )
-    return u, xi, report
+    return u, np.array([xi]), report
 
 
 def verify_inclusion(p: StepProblem, u: np.ndarray, xi: np.ndarray, tol: float) -> VerifyResult:
@@ -332,7 +347,8 @@ def verify_inclusion(p: StepProblem, u: np.ndarray, xi: np.ndarray, tol: float) 
     xi = np.asarray(xi, dtype=float)
     if u.shape != (p.dim,) or xi.shape != (p.dim_u,):
         raise ValueError("u or xi has inconsistent dimensions")
-    resid = p.space.dual_norm(p.system @ u + p.flux_matrix @ xi - p.rhs)
+    nodes = np.flatnonzero(p.trace.any(axis=0))
+    resid = p.space.dual_norm(_residual(p.system, u, p.rhs, nodes, p.flux_matrix[nodes] @ xi))
     lo, hi = _membership_bounds(p, p.trace @ u)
     gap = float(np.max(np.maximum(lo - xi, xi - hi), initial=0.0))
     gap = max(gap, 0.0)

@@ -2,14 +2,17 @@
 derivatives.
 
 Each potential exposes its value j(s), the generalized-derivative interval
-[lo, hi] (a single point wherever j is differentiable) and the slope of its
-derivative between jump points.
+[lo, hi] (a single point wherever j is differentiable), and, for the step
+solver's scalar loops, the derivative and its slope between jump points as
+plain floats (``branch_value``, ``branch_slope``) together with a table of
+the intervals at and beside the jump points (``kink_table``), built once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -31,10 +34,13 @@ class ScalarPotential:
 
     Contract relied on by the step solver: the derivative z is convex on
     each open interval between consecutive kinks (and on the unbounded
-    intervals beyond the first and last kink), and ``branch_slope`` is its
-    slope there.  Then s + F z(s) is convex on every such piece for F > 0,
-    so each piece holds at most two roots of the step's boundary inclusion.
-    The interval at a kink is the hull of the one-sided limits there.
+    intervals beyond the first and last kink), ``branch_value`` is z and
+    ``branch_slope`` its slope there.  Then s + F z(s) is convex on every
+    such piece for F > 0, so each piece holds at most two roots of the
+    step's boundary inclusion.  The interval at a kink is the hull of the
+    one-sided limits there.  ``branch_value(s)`` equals
+    ``interval_arrays(s)[0]`` up to the rounding of ``math`` against numpy,
+    at kinks too, but takes and returns a float.
 
     Attributes
     ----------
@@ -55,12 +61,28 @@ class ScalarPotential:
         """Vectorized [lo, hi] endpoints of the derivative interval."""
         raise NotImplementedError
 
+    def branch_value(self, s: float) -> float:
+        """Lower end of the derivative interval at s: the derivative itself
+        between jump points."""
+        raise NotImplementedError
+
     def branch_slope(self, s: float) -> float:
         """Slope of the derivative between jump points (the right-hand
         slope at a jump point)."""
         raise NotImplementedError
 
     # --- derived conveniences -------------------------------------------
+
+    @cached_property
+    def kink_table(self) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
+        """(s, lo, hi) at the points one float left of every kink, then at
+        the kinks, then one float right of them, kinks ascending: the
+        one-sided limits of the derivative beside each kink and its interval
+        at it.  Built on first use."""
+        ks = np.sort(np.asarray(self.kinks, dtype=float))
+        pts = np.concatenate([np.nextafter(ks, -math.inf), ks, np.nextafter(ks, math.inf)])
+        lo, hi = self.interval_arrays(pts)
+        return tuple(pts.tolist()), tuple(lo.tolist()), tuple(hi.tolist())
 
     def clarke_interval(self, s: float) -> tuple[float, float]:
         lo, hi = self.interval_arrays(np.asarray([float(s)]))
@@ -119,6 +141,13 @@ class PaperExponential(ScalarPotential):
         hi = np.where(s < 0.0, 0.0, np.where(s == 0.0, self.d, g))
         return lo, hi
 
+    def branch_value(self, s: float) -> float:
+        if s <= 0.0:
+            return 0.0
+        if self.literal_branch:
+            return self.d * math.exp(-s) + s
+        return self.d * (math.exp(-s) + s)
+
     def branch_slope(self, s: float) -> float:
         if s < 0.0:
             return 0.0
@@ -146,6 +175,9 @@ class LinearRobin(ScalarPotential):
         g = self.k * s
         return g, g.copy()
 
+    def branch_value(self, s: float) -> float:
+        return self.k * s
+
     def branch_slope(self, s: float) -> float:
         return self.k
 
@@ -162,6 +194,9 @@ class ZeroPotential(ScalarPotential):
         s = np.asarray(s, dtype=float)
         z = np.zeros_like(s)
         return z, z.copy()
+
+    def branch_value(self, s: float) -> float:
+        return 0.0
 
     def branch_slope(self, s: float) -> float:
         return 0.0
@@ -223,6 +258,13 @@ class NonconvexPiecewise(ScalarPotential):
         lo = np.where(s < 0.0, 0.0, np.where(s == 0.0, 0.0, g))
         hi = np.where(s < 0.0, 0.0, np.where(s == 0.0, self.jump, g))
         return lo, hi
+
+    def branch_value(self, s: float) -> float:
+        if s <= 0.0:
+            return 0.0
+        if s <= self.drop_width:
+            return self.jump - self.drop_slope * s
+        return self._v1 + self.tail_slope * (s - self.drop_width)
 
     def branch_slope(self, s: float) -> float:
         if s < 0.0:

@@ -128,13 +128,10 @@ class RotheTrajectory:
 
 
 def _window_integral(forcing: Callable[[float], np.ndarray], a: float, b: float) -> np.ndarray:
+    """int_a^b f by the 5-point Gauss rule: one weighted sum of the loads."""
     pts, wts = _GAUSS5
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    acc = None
-    for x, w in zip(pts, wts):
-        val = np.asarray(forcing(mid + half * x), dtype=float) * (w * half)
-        acc = val if acc is None else acc + val
-    return acc
+    return (half * wts) @ np.array([forcing(mid + half * x) for x in pts], dtype=float)
 
 
 def average_forcing(

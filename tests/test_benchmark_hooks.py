@@ -1,12 +1,16 @@
 """The benchmark's tracer (perfbench/tracer.py) wraps program functions it
 looks up by module and attribute path; every one of them must exist, or
-``--trace 1`` fails with a KeyError."""
+``--trace 1`` fails with a KeyError.  The benchmark's self-test also pins
+how often a run calls the step solver and the forcing assembler; those
+counts are checked here too, so that a change to them shows in this suite."""
 
 from __future__ import annotations
 
 import importlib
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -27,3 +31,46 @@ def test_every_traced_name_resolves_in_the_package():
         if owner is None or attr not in vars(owner):
             missing.append(f"{module}.{path}")
     assert not missing, f"traced names missing from the package: {missing}"
+
+
+def _counting(monkeypatch, module, name: str) -> list:
+    """Replace ``module.name`` with a wrapper that records each call."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def _steps_and_forcing_calls(n_steps: int) -> tuple[int, int]:
+    """One solve per step; the forcing of every window is assembled at its 5
+    Gauss times, and every window but the last is integrated twice, as the
+    current window of one step and the previous window of the next."""
+    return n_steps, 5 * (2 * n_steps - 1)
+
+
+@pytest.mark.parametrize("scheme", ["bdf2", "backward_euler"])
+@pytest.mark.parametrize("n_steps", [2, 3, 8])
+def test_run_rothe_makes_the_call_counts_the_benchmark_pins(monkeypatch, scheme, n_steps):
+    cli = importlib.import_module("rothe_hvi.cli")
+    stepper = importlib.import_module("rothe_hvi.stepper")
+    problem = cli.build_problem(cli.parse_config("[problem]\nn_el = 4\nforcing = smooth\n"))
+    # the tracer counts the functions where the package looks them up
+    solves = _counting(monkeypatch, stepper, "solve_step_inclusion")
+    forcing = _counting(monkeypatch, cli, "assemble_forcing")
+    stepper.run_rothe(problem, stepper.TimeGrid(1.0, n_steps), scheme)
+    assert (len(solves), len(forcing)) == _steps_and_forcing_calls(n_steps)
+
+
+def test_the_counts_add_up_to_the_seed0_ladder_smooth_pin():
+    # perfbench/selftest.py pins 3,240 solves and 32,340 forcing calls per
+    # ladder-smooth pass: study (reference, 3 ladder runs) and compare (two
+    # references, 2 x 3 ladder runs), reference 1,024 steps, ladder 8, 16, 32
+    ladder = [8, 16, 32]
+    runs = [1024, *ladder] + [1024, 1024, *ladder, *ladder]
+    totals = [sum(c) for c in zip(*map(_steps_and_forcing_calls, runs))]
+    assert totals == [3240, 32340]

@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rothe_hvi.cli import ExperimentConfig, _fmt, _write_csv, main, parse_config, render_config
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 NCVX = """[problem]
 n_el = 64
@@ -173,11 +179,66 @@ def test_check_is_reproducible_for_a_seed(tmp_path):
     rc_a, out_a = run_cli(tmp_path, "check", SMOOTH_TINY, "--seed", "7", out_name="a")
     rc_b, out_b = run_cli(tmp_path, "check", SMOOTH_TINY, "--seed", "7", out_name="b")
     assert rc_a == rc_b == 0
-    checks = (out_a / "checks.csv").read_bytes()
-    assert checks == (out_b / "checks.csv").read_bytes()
-    header, rows = read_csv(out_a / "checks.csv")
+    checks = (out_a / "summary.csv").read_bytes()
+    assert checks == (out_b / "summary.csv").read_bytes()
+    header, rows = read_csv(out_a / "summary.csv")
     assert header == ["name", "status", "detail"]
     assert all(r[1] == "PASS" for r in rows)
+    assert sorted(p.name for p in out_a.iterdir()) == ["summary.csv"]
+
+
+def _fresh_process(argv, cwd):
+    proc = subprocess.run(
+        [sys.executable, "-m", "rothe_hvi.cli", *argv], cwd=cwd, capture_output=True,
+        text=True, timeout=120, env={**os.environ, "PYTHONPATH": SRC},
+    )
+    return proc.returncode, proc.stderr
+
+
+def _this_process(argv, capsys):
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse rejects a bad flag this way
+        rc = exc.code
+    return rc, capsys.readouterr().err
+
+
+def test_one_process_serves_calls_as_fresh_processes_do(tmp_path, monkeypatch, capsys):
+    # the argument parser is built once per process and shared by every call
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.ini").write_text(SMOOTH_TINY, encoding="utf-8")
+    calls = [
+        ["check", "config.ini", "--seed", "3", "--quiet"],
+        ["run", "config.ini", "--quiet"],
+        ["run", "config.ini", "--quiet", "--seed", "3"],  # --seed belongs to check
+    ]
+    outputs = {
+        "shared": [_this_process([*argv, "--out", f"shared{i}"], capsys)
+                   for i, argv in enumerate(calls)],
+        "fresh": [_fresh_process([*argv, "--out", f"fresh{i}"], tmp_path)
+                  for i, argv in enumerate(calls)],
+    }
+    assert outputs["shared"] == outputs["fresh"]
+    assert [rc for rc, _ in outputs["shared"]] == [0, 0, 2]
+    for i, name in ((0, "summary.csv"), (1, "trajectory.csv"), (1, "estimates.csv")):
+        shared = (tmp_path / f"shared{i}" / name).read_bytes()
+        assert shared == (tmp_path / f"fresh{i}" / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["run", "study", "compare"])
+@pytest.mark.parametrize(
+    "problem, ladder",
+    [("t_final = 1e300", ""), ("t_final = 1e-323", "taus = 5e-324")],
+    ids=["huge-t_final", "reference-tau-underflows"],
+)
+def test_a_trajectory_too_long_to_index_exits_2_naming_t_final(
+    tmp_path, capsys, command, problem, ladder
+):
+    text = f"[problem]\nn_el = 4\n{problem}\n\n[ladder]\n{ladder}\n"
+    rc, out = run_cli(tmp_path, command, text)
+    assert rc == 2
+    assert "[problem] t_final" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", [["--jobs", "2"], ["--seed", "1"], ["--config", "x.ini"]])

@@ -236,7 +236,16 @@ def test_band_kernel_matches_dense_linear_algebra(dim, width, seed):
         GalerkinSpace(gram_h=a - shift * np.eye(dim), gram_v=a, trace=np.eye(1, dim),
                       gram_u=np.eye(1))
     with pytest.raises(np.linalg.LinAlgError):
-        (band + SymBand(np.full((1, dim), -shift))).cholesky
+        (band + SymBand(np.full((1, dim), -shift))).factor
+    if u == 1:  # tridiagonal: factored as L D L^T
+        factor = band.factor
+        assert factor.shape == (2, dim) and not factor.flags.writeable
+        with pytest.raises(ValueError):
+            factor[1, 0] = 1.0
+        assert _rel_err(band.solve(stack.T), np.linalg.solve(a, stack.T)) <= 1e-12
+        indefinite = SymBand(band.ab - np.array([[0.0], [shift]]))
+        with pytest.raises(np.linalg.LinAlgError):
+            indefinite.solve(x)
     i, j = rng.integers(0, dim, size=2)
     bad = a.copy()
     bad[i, j] = bad[j, i] = np.nan

@@ -131,6 +131,23 @@ def test_value_derivative_midpoint_consistency():
             assert abs(0.5 * (lo + hi) - fd) < 1e-4
 
 
+@pytest.mark.parametrize(
+    "pot", [*ALL_POTENTIALS, PaperExponential(2.0, literal_branch=True)],
+    ids=lambda pot: type(pot).__name__,
+)
+def test_branch_value_is_the_lower_end_of_the_interval(pot):
+    rng = np.random.default_rng(17)
+    points = (rng.normal(size=200) * 10.0 ** rng.uniform(-3.0, 2.0, 200)).tolist()
+    joins = [*pot.kinks, getattr(pot, "drop_width", 1.0)]  # where a branch formula changes
+    for k in joins:
+        points += [math.nextafter(k, -math.inf), k, math.nextafter(k, math.inf)]
+    for s in points:
+        got = pot.branch_value(s)
+        want = float(pot.interval_arrays(np.array([s]))[0][0])
+        assert type(got) is float
+        assert abs(got - want) <= 1e-15 * abs(want), (s, got, want)
+
+
 def test_boundary_functional_validation():
     bf = BoundaryFunctional(LinearRobin(2.0), [[3.0]])
     assert bf.dim_u == 1

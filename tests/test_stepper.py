@@ -312,5 +312,5 @@ def test_matrices_stay_linear_in_n_el_at_scale():
     tau = traj.grid.tau
     fac = StepFactorization(sp.gram_h, (2.0 / 3.0) * tau * op.stiffness, sp.trace[0])
     held = [sp.gram_h.ab, sp.gram_v.ab, sp.gram_u.ab, sp.trace, op.stiffness.ab,
-            fac.system.ab, fac.system.cholesky, fac.stiff_scaled.ab, fac.y]
+            fac.system.ab, fac.system.factor, fac.stiff_scaled.ab, fac.y]
     assert max(a.size for a in held) <= 2 * (n_el + 1)
