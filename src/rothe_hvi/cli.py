@@ -67,6 +67,7 @@ from .stepper import (
     RotheTrajectory,
     StepFailureError,
     TimeGrid,
+    TrajectoryMemoryError,
     check_step_coercivity,
     run_rothe,
 )
@@ -323,38 +324,44 @@ def build_potential(cfg: ExperimentConfig) -> ScalarPotential:
     )
 
 
-def _poly(coeffs: Sequence[float]) -> Callable[[np.ndarray], np.ndarray]:
-    c = np.asarray(coeffs, dtype=float)
+def _poly(coeffs: Sequence[float]) -> Callable:
+    """The polynomial by Horner's rule, the operations of ``polyval``: at a
+    float t in plain floats, at an array x elementwise."""
+    c = [float(v) for v in coeffs]
 
     def p(x):
-        return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), c)
+        acc = c[-1] + 0.0 * x
+        for ck in reversed(c[:-1]):
+            acc = ck + acc * x
+        return acc
 
     return p
 
 
 def build_forcing_spec(cfg: ExperimentConfig) -> ForcingSpec:
+    # time factors are scalars, computed with math; only x is an array
     if cfg.forcing == "zero":
-        return ForcingSpec(lambda t, x: np.zeros_like(x), lambda t: 0.0)
+        return ForcingSpec(lambda t, x: np.zeros(np.shape(x)), lambda t: 0.0)
     if cfg.forcing == "constant":
         c0, cn = cfg.f0_value, cfg.fn_value
-        return ForcingSpec(lambda t, x: np.full_like(x, c0), lambda t: cn)
+        return ForcingSpec(lambda t, x: np.full(np.shape(x), c0), lambda t: cn)
     if cfg.forcing == "smooth":
         # smooth in time and space with f(0) = f'(0) = 0, so the startup is
         # compatible with a zero initial state and order measurements stay clean
         return ForcingSpec(
-            lambda t, x: (1.0 - np.cos(np.pi * t)) * 0.5 * (1.0 + x),
-            lambda t: 0.5 * t * t * np.exp(-t),
+            lambda t, x: (1.0 - math.cos(math.pi * t)) * 0.5 * (1.0 + x),
+            lambda t: 0.5 * t * t * math.exp(-t),
         )
-    pt, px, pn = _poly(cfg.f0_t_coeffs), _poly(cfg.f0_x_coeffs), _poly(cfg.fn_t_coeffs)
-    return ForcingSpec(lambda t, x: pt(t) * px(x), lambda t: float(pn(t)))
+    pt, px = _poly(cfg.f0_t_coeffs), _poly(cfg.f0_x_coeffs)
+    return ForcingSpec(lambda t, x: pt(t) * px(x), _poly(cfg.fn_t_coeffs))
 
 
 def build_u0(cfg: ExperimentConfig) -> Callable[[np.ndarray], np.ndarray]:
     if cfg.u0 == "zero":
-        return lambda x: np.zeros_like(x)
+        return lambda x: np.zeros(np.shape(x))
     if cfg.u0 == "constant":
         c = cfg.u0_value
-        return lambda x: np.full_like(x, c)
+        return lambda x: np.full(np.shape(x), c)
     return _poly(cfg.u0_coeffs)
 
 
@@ -447,6 +454,21 @@ def _failure_detail(exc: StepFailureError) -> str:
     return f"step {exc.step} failed: {exc.reason}"
 
 
+def _memory_failure(cfg: ExperimentConfig, out: Path, command: str,
+                    exc: TrajectoryMemoryError, quiet: bool) -> int:
+    """FAIL summary naming the keys that size the trajectory, one stderr
+    line; the exit code 1."""
+    detail = (
+        f"[problem] t_final = {cfg.t_final:g} at tau = {exc.tau:g} takes {exc.steps} steps "
+        f"whose trajectory at [problem] n_el = {cfg.n_el} asks for {exc.nbytes} bytes: "
+        "more than can be allocated"
+    )
+    _write_summary(out, [(command, False, detail)])
+    if not quiet:
+        print(f"{command} failed: {detail}", file=sys.stderr)
+    return 1
+
+
 _GNUPLOT_STUB = """# gnuplot script stub for the emitted two-column series
 set logscale xy
 set xlabel 'tau'
@@ -479,6 +501,8 @@ def cmd_run(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
     grid = TimeGrid(cfg.t_final, round(cfg.t_final / tau))
     try:
         traj = run_rothe(problem, grid, cfg.scheme, cfg.tol)
+    except TrajectoryMemoryError as exc:
+        return _memory_failure(cfg, out, "run", exc, quiet)
     except StepFailureError as exc:
         _write_trajectory(
             out / "trajectory.csv.partial",
@@ -503,6 +527,7 @@ def cmd_run(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
 def _ladders(
     cfg: ExperimentConfig,
     out: Path,
+    quiet: bool,
     command: str,
     schemes: Sequence[str],
     one_step_ref: bool = False,
@@ -510,7 +535,8 @@ def _ladders(
     """The problem, its fine references (the two-step run at the reference
     tau, then with ``one_step_ref`` the one-step run on the same grid) and one
     ladder per scheme, errors taken against the two-step reference.  None,
-    with the FAIL summary of ``command`` written, when a step fails."""
+    with the failure of ``command`` reported, when a step fails or a
+    trajectory cannot be allocated."""
     problem = build_problem(cfg)
     tau_ref = cfg.reference_tau()
     try:
@@ -525,11 +551,14 @@ def _ladders(
     except StepFailureError as exc:
         _write_summary(out, [(command, False, _failure_detail(exc))])
         return None
+    except TrajectoryMemoryError as exc:
+        _memory_failure(cfg, out, command, exc, quiet)
+        return None
     return problem, refs, studies
 
 
 def cmd_study(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
-    runs = _ladders(cfg, out, "study", (cfg.scheme,))
+    runs = _ladders(cfg, out, quiet, "study", (cfg.scheme,))
     if runs is None:
         return 1
     _, _, (study,) = runs
@@ -555,7 +584,7 @@ def cmd_study(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
 
 
 def cmd_compare(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
-    runs = _ladders(cfg, out, "compare", (BDF2, BACKWARD_EULER), one_step_ref=True)
+    runs = _ladders(cfg, out, quiet, "compare", (BDF2, BACKWARD_EULER), one_step_ref=True)
     if runs is None:
         return 1
     problem, (_, ref_one), studies = runs

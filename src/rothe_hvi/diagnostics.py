@@ -116,6 +116,12 @@ def _dual_sq_rows(space: GalerkinSpace, rows: np.ndarray) -> np.ndarray:
     return np.maximum(np.einsum("ij,ji->i", w, space.solve_v(w.T)), 0.0)
 
 
+def _dual_u_sq_rows(space: GalerkinSpace, actions: np.ndarray) -> np.ndarray:
+    """Squared U*-norms of the boundary functionals given by the rows'
+    action vectors, from one multi-right-hand-side gram_u solve."""
+    return np.maximum(np.einsum("ij,ji->i", actions, space.gram_u.solve(actions.T)), 0.0)
+
+
 def estimate_report(
     traj: RotheTrajectory,
     space: GalerkinSpace,
@@ -146,7 +152,7 @@ def estimate_report(
     stencil_sq = _dual_sq_rows(space, stencils)
     second_sq = _dual_sq_rows(space, seconds)
 
-    q5 = tau * sum(space.dual_u_norm(w * xi_n) ** 2 for xi_n in traj.xi)
+    q5 = tau * float(_dual_u_sq_rows(space, traj.xi * w).sum())
     gap = tau / 12.0 * (diff_sq[0] + stencil_sq.sum()) + tau / 16.0 * second_sq.sum()
     return EstimateReport(
         q3=tau * float(_quad_rows(u, space.gram_v).sum()),

@@ -8,7 +8,11 @@ mass + stiffness, matching the norm
 ||u||_V^2 = |u|_H^2 + integral of |u'|^2.
 Load vectors use Gauss quadrature per element: the 3- and 5-point rules on
 the reference element are built once per process, the tables of points and
-weight-times-hat values once per mesh; all are read-only.
+weight-times-hat values once per mesh; all are read-only.  A load vector is
+one product of the integrand's values with that table, written straight
+into a buffer, padded with a zero at each end, that interleaves each
+element's shares of its two nodes, then one sum of the buffer's even and
+odd entries.
 """
 
 from __future__ import annotations
@@ -115,12 +119,13 @@ def _load(vals, x: np.ndarray, w_phi: np.ndarray) -> np.ndarray:
     vals = np.asarray(vals, dtype=float)
     if vals.shape != x.shape:  # broadcast_to is slow next to the rest; skip it when the shape fits
         vals = np.broadcast_to(vals, x.shape)
-    contrib = vals @ w_phi  # (n_el, 2): each element's share of its two nodes
-    load = np.empty(len(contrib) + 1)
-    load[0] = contrib[0, 0]
-    np.add(contrib[1:, 0], contrib[:-1, 1], out=load[1:-1])
-    load[-1] = contrib[-1, 1]
-    return load
+    # element e's shares of its nodes e and e + 1 land at 2e + 1 and 2e + 2,
+    # so node i sums the pair (2i, 2i + 1); each end node pairs with a zero
+    n_el = len(x)
+    shares = np.empty(2 * n_el + 2)
+    shares[0] = shares[-1] = 0.0
+    np.dot(vals, w_phi, out=shares[1:-1].reshape(n_el, 2))
+    return np.add(shares[0::2], shares[1::2])
 
 
 def assemble_forcing(mesh: Mesh1D, spec: ForcingSpec, t: float) -> np.ndarray:

@@ -11,20 +11,24 @@ inverse.
 Every symmetric matrix is held as a ``SymBand``, its LAPACK upper band, and
 factored once, on first use.  A tridiagonal band (bandwidth 1) is factored
 as L D L^T (dpttrf, then dpttrs per solve); any other band by the band
-Cholesky (dpbtrf, then dpbtrs).  For 1-D P1 elements every band is
+Cholesky (dpbtrf, then dpbtrs).  The product with a vector of up to 512
+entries is one BLAS dsbmv call on the band; a longer vector, where dsbmv's
+cost per column outweighs its low fixed cost, and a stack of vectors are
+multiplied one diagonal at a time.  For 1-D P1 elements every band is
 tridiagonal, so storage, matrix-vector products and solves all cost O(n); a
 dense matrix is the band of full width.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 __all__ = [
     "GalerkinSpace",
@@ -36,6 +40,11 @@ __all__ = [
 ]
 
 _SYM_RTOL = 1e-12
+# largest n whose band-vector product goes through BLAS dsbmv: its fixed cost
+# is about 1 us against about 6 us for the diagonal loop, but it spends about
+# 14 ns a column of a tridiagonal band against about 4 ns, so past some 600
+# columns the loop is faster (OpenBLAS, one core)
+_DSBMV_MAX_N = 512
 
 
 def _as_matrix(m, name: str) -> np.ndarray:
@@ -115,17 +124,30 @@ class SymBand:
         return a
 
     def matvec(self, x) -> np.ndarray:
-        """A x along the last axis of x: a vector, or row by row of a stack."""
+        """A x along the last axis of x: a vector of n <= _DSBMV_MAX_N by one
+        BLAS dsbmv call, anything else one diagonal at a time, all rows of a
+        stack at once.  x is not modified."""
         x = np.asarray(x, dtype=float)
-        if x.shape[-1:] != (self.n,):
+        if x.shape[-1:] != (self.n,):  # dsbmv would read the first n entries of a longer x
             raise ValueError(f"operand has shape {x.shape}, expected last axis {self.n}")
         u = self.bandwidth
+        if x.ndim == 1 and self.n <= _DSBMV_MAX_N:
+            return blas.dsbmv(u, 1.0, self._fortran_band, x)
         y = self.ab[u] * x
         for k in range(1, u + 1):
             d = self.ab[u - k, k:]
             y[..., :-k] += d * x[..., k:]
             y[..., k:] += d * x[..., :-k]
         return y
+
+    @cached_property
+    def _fortran_band(self) -> np.ndarray:
+        """Read-only copy of ``ab`` in Fortran order, which dsbmv reads
+        without copying it again; ``ab`` keeps its rows contiguous for the
+        diagonal loop."""
+        ab = np.asfortranarray(self.ab)
+        ab.setflags(write=False)
+        return ab
 
     def __matmul__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -162,8 +184,13 @@ class SymBand:
     def solve(self, b) -> np.ndarray:
         """A^{-1} b for a vector or the columns of an (n, k) array; scans only
         b for NaN/Inf (ValueError), the matrix was checked when built."""
-        b = np.asarray_chkfinite(b, dtype=float)
-        if b.ndim not in (1, 2) or b.shape[0] != self.n:
+        return self._solve(np.asarray_chkfinite(b, dtype=float))
+
+    def _solve(self, b: np.ndarray) -> np.ndarray:
+        """``solve`` without the scan of b, for a caller that checks the
+        result instead: a NaN or Inf in b makes A^{-1} b non-finite, as the
+        back-substitution carries it along."""
+        if b.ndim not in (1, 2) or b.shape[0] != self.n:  # LAPACK would solve a prefix
             raise ValueError(f"right-hand side has shape {b.shape}, expected ({self.n}, ...)")
         c = self.factor
         if _tridiagonal(c):
@@ -275,9 +302,16 @@ class GalerkinSpace:
         return float(np.sqrt(max(v @ self.gram_v @ v, 0.0)))
 
     def dual_norm(self, w) -> float:
-        """Discrete V*-norm sup_{v != 0} (w^T v) / ||v||_V."""
+        """Discrete V*-norm sup_{v != 0} (w^T v) / ||v||_V, from w^T gram_v^{-1} w.
+
+        A NaN or Inf in w makes that square non-finite, as the solve carries
+        it along, so w is scanned (ValueError) only when the square is not
+        finite; a finite w whose square overflows gives inf."""
         w = _require_vector(w, self.dim, "w")
-        return float(np.sqrt(max(w @ self.solve_v(w), 0.0)))
+        sq = float(w @ self.gram_v._solve(w))
+        if not math.isfinite(sq) and not np.isfinite(w).all():
+            raise ValueError("w must not contain infs or NaNs")
+        return math.sqrt(max(sq, 0.0))
 
     def dual_u_norm(self, action) -> float:
         """U*-norm of a boundary functional given by its action vector."""

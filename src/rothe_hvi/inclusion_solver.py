@@ -35,13 +35,22 @@ only at the nodes where the trace is (one node for P1).  A step is accepted
 only when the V*-norm of r is at most tol (a NaN residual fails); otherwise
 NonConvergenceError is raised.  Only a single boundary row (dim_u = 1) is
 supported; other spaces raise ValueError.
+
+Each vector of a step is scanned for NaN/Inf at most once, and a non-finite
+one raises NumericalFailureError: the warm start directly; the right-hand
+side b through x = S^{-1} b, which the back-substitution makes non-finite
+whenever b is (b itself is scanned only then, to name the culprit); u
+through r; and r through its own squared norm r^T gram_v^{-1} r in
+GalerkinSpace.dual_norm, which is not finite when r is not, or when it
+overflows.  The boundary values t x
+and t u_warm are read at the trace's nonzero nodes only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -62,6 +71,7 @@ __all__ = [
 # safety cap on each scalar loop; exact brackets converge in far fewer steps
 _MAX_SCALAR_ITER = 400
 _EPS = float(np.finfo(float).eps)
+_NON_FINITE_DATA = "non-finite right-hand side or warm start"
 
 
 class NonConvergenceError(RuntimeError):
@@ -129,7 +139,7 @@ class StepProblem:
 class StepFactorization:
     """Band factor of S = mass + stiff_scaled together with y = S^{-1} t^T
     and gamma = t y for the boundary row t, and the nodes where t is
-    nonzero with its entries there.
+    nonzero with its entries there, as plain ints and floats.
 
     S is the same at every step of one stencil and step size, so one
     factorization, which also keeps the band stiff_scaled, serves all of them."""
@@ -139,8 +149,16 @@ class StepFactorization:
         self.system = mass + stiff_scaled
         self.y = self.system.solve(trace_row)  # factors S; LinAlgError unless positive definite
         self.gamma = float(trace_row @ self.y)
-        self.nodes = np.flatnonzero(trace_row)
-        self.trace_at_nodes = trace_row[self.nodes]
+        nodes = np.flatnonzero(trace_row)
+        self.nodes = tuple(nodes.tolist())
+        self.trace_at_nodes = tuple(trace_row[nodes].tolist())
+
+    def boundary_value(self, v: np.ndarray) -> float:
+        """t v, summed over the nodes where t is nonzero only."""
+        s = 0.0
+        for k, t in zip(self.nodes, self.trace_at_nodes):
+            s += t * v[k]
+        return float(s)
 
 
 @dataclass
@@ -156,19 +174,24 @@ class VerifyResult(NamedTuple):
 
 
 def _residual(
-    system: SymBand, u: np.ndarray, rhs: np.ndarray, nodes: np.ndarray, flux: np.ndarray
+    system: SymBand, u: np.ndarray, rhs: np.ndarray, nodes: Sequence[int], flux: Sequence[float]
 ) -> np.ndarray:
     """S u + c tau trace^T W xi - b: one band product with S, then the flux
     term, whose only nonzero entries ``flux`` sit at ``nodes``."""
     r = system @ u
     r -= rhs
-    r[nodes] += flux
+    for k, f in zip(nodes, flux):
+        r[k] += f
     return r
 
 
 def _finite_dual_norm(space: GalerkinSpace, r: np.ndarray) -> float:
-    """V*-norm of a residual; NumericalFailureError when it is not finite."""
-    norm = space.dual_norm(r) if np.isfinite(r).all() else math.nan
+    """V*-norm of a residual; NumericalFailureError when it is not finite.
+    ``dual_norm`` scans r only when its square is not finite."""
+    try:
+        norm = space.dual_norm(r)
+    except ValueError:  # a NaN or Inf in r
+        norm = math.nan
     if not math.isfinite(norm):
         raise NumericalFailureError("non-finite step residual")
     return norm
@@ -311,19 +334,20 @@ def solve_step_inclusion(
     warm = np.asarray(warm_start, dtype=float)
     if warm.shape != (p.dim,):
         raise ValueError(f"warm start has shape {warm.shape}, expected ({p.dim},)")
-    if not (np.isfinite(p.rhs).all() and np.isfinite(warm).all()):
-        raise NumericalFailureError("non-finite right-hand side or warm start")
-    t_row = p.trace[0]
-    fac = factorization or StepFactorization(p.mass, p.stiff_scaled, t_row)
+    if not np.isfinite(warm).all():
+        raise NumericalFailureError(_NON_FINITE_DATA)
+    fac = factorization or StepFactorization(p.mass, p.stiff_scaled, p.trace[0])
     lift = p.flux_coef * float(p.weights[0])
     factor = lift * fac.gamma
     if not factor > 0:
         raise ValueError("the boundary weight and trace row must give c tau w gamma > 0")
-    x = fac.system.solve(p.rhs)
+    rhs = np.asarray(p.rhs, dtype=float)
+    x = fac.system._solve(rhs)  # non-finite when rhs is
     if not np.isfinite(x).all():
-        raise NumericalFailureError("non-finite interior solve")
-    s_warm = float(t_row @ warm)
-    inclusion = _BoundaryInclusion(p.potential, float(t_row @ x), factor, s_warm)
+        bad_rhs = not np.isfinite(rhs).all()
+        raise NumericalFailureError(_NON_FINITE_DATA if bad_rhs else "non-finite interior solve")
+    s_warm = fac.boundary_value(warm)
+    inclusion = _BoundaryInclusion(p.potential, fac.boundary_value(x), factor, s_warm)
     roots = inclusion.roots()
     report = SolveReport(iterations=inclusion.iterations)
     if not roots:
@@ -331,8 +355,8 @@ def solve_step_inclusion(
     s = min(roots, key=lambda r: (abs(r - s_warm), r))
     xi = (inclusion.target - s) / factor
     u = x - (lift * xi) * fac.y
-    r = _residual(fac.system, u, p.rhs, fac.nodes, (lift * xi) * fac.trace_at_nodes)
-    report.residual = _finite_dual_norm(p.space, r)
+    flux = [lift * xi * t for t in fac.trace_at_nodes]
+    report.residual = _finite_dual_norm(p.space, _residual(fac.system, u, rhs, fac.nodes, flux))
     if not report.residual <= tol:
         raise NonConvergenceError(
             f"step residual {report.residual:.3e} above tol {tol:g}", report

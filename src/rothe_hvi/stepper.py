@@ -75,6 +75,20 @@ class StepFailureError(RuntimeError):
         self.partial_residuals = partial_residuals
 
 
+class TrajectoryMemoryError(MemoryError):
+    """The arrays that hold a run's trajectory cannot be allocated; carries
+    the step count, the step size and the bytes they ask for."""
+
+    def __init__(self, steps: int, tau: float, nbytes: int):
+        super().__init__(
+            f"{steps} steps of tau = {tau:g} ask for {nbytes} bytes of trajectory: "
+            "too many to allocate"
+        )
+        self.steps = steps
+        self.tau = tau
+        self.nbytes = nbytes
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid of [0, T_final] with N steps of length tau = T_final/N."""
@@ -218,17 +232,22 @@ def run_rothe(
     """Run the full scheme on the grid, each step solved to ``tol``.
     Deterministic: fixed iteration order, no randomness anywhere, so
     identical inputs give bit-identical trajectories.  A failing step
-    raises StepFailureError with the completed prefix."""
+    raises StepFailureError with the completed prefix; trajectory arrays
+    that cannot be allocated raise TrajectoryMemoryError."""
     if scheme not in (BDF2, BACKWARD_EULER):
         raise ValueError(f"unknown scheme {scheme!r}")
     if scheme == BDF2 and grid.N < 2:
         raise ValueError("the two-step scheme needs N >= 2")
     tau = grid.tau
     sp = problem.space
-    u = np.zeros((grid.N + 1, sp.dim))
-    xi = np.zeros((grid.N, sp.dim_u))
-    f_avg = np.zeros((grid.N, sp.dim))
-    residuals = np.zeros(grid.N)
+    try:
+        u = np.zeros((grid.N + 1, sp.dim))
+        xi = np.zeros((grid.N, sp.dim_u))
+        f_avg = np.zeros((grid.N, sp.dim))
+        residuals = np.zeros(grid.N)
+    except MemoryError:
+        nbytes = 8 * ((grid.N + 1) * sp.dim + grid.N * (sp.dim_u + sp.dim + 1))
+        raise TrajectoryMemoryError(grid.N, tau, nbytes) from None
     u[0] = problem.u0
     for n in range(1, grid.N + 1):
         f_avg[n - 1] = average_forcing(problem.forcing, n, grid)

@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rothe_hvi.cli import ExperimentConfig, _fmt, _write_csv, main, parse_config, render_config
+from rothe_hvi.cli import (
+    ExperimentConfig, _fmt, _poly, _write_csv, main, parse_config, render_config,
+)
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -239,6 +241,39 @@ def test_a_trajectory_too_long_to_index_exits_2_naming_t_final(
     assert rc == 2
     assert "[problem] t_final" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "study", "compare"])
+def test_a_trajectory_too_large_to_allocate_exits_1_naming_t_final(tmp_path, capsys, command):
+    # every array these runs ask for is over 3 PiB, more than a plain mmap
+    # can return on 64-bit Linux, so it is refused at once whatever the
+    # overcommit setting; never test a size that could be granted
+    cfg = tmp_path / "config.ini"
+    cfg.write_text("[problem]\nt_final = 1e12\n", encoding="utf-8")
+    out = tmp_path / "out"
+    rc = main([command, str(cfg), "--out", str(out)])
+    # run: 8e12 steps of tau = 0.125; study and compare fail on their first
+    # reference run, 1.024e15 steps of tau = 0.03125 / 32
+    steps, tau = (8 * 10**12, "0.125") if command == "run" else (1024 * 10**12, "0.000976562")
+    nbytes = 8 * ((steps + 1) * 65 + steps * (1 + 65 + 1))
+    detail = (f"[problem] t_final = 1e+12 at tau = {tau} takes {steps} steps whose trajectory "
+              f"at [problem] n_el = 64 asks for {nbytes} bytes: more than can be allocated")
+    assert rc == 1
+    assert capsys.readouterr().err == f"{command} failed: {detail}\n"
+    _, summary = read_csv(out / "summary.csv")
+    assert summary == [[command, "FAIL", detail]]
+    assert sorted(p.name for p in out.iterdir()) == ["summary.csv"]
+
+
+def test_poly_presets_equal_polyval_bit_for_bit():
+    # one Horner loop serves the time factors (floats) and x and u0 (arrays)
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        c = tuple(rng.normal(size=rng.integers(1, 6)) * 10.0 ** rng.integers(-3, 4))
+        x, t = rng.normal(size=9) * 3.0, float(rng.normal() * 5.0)
+        p = _poly(c)
+        assert np.array_equal(p(x), np.polynomial.polynomial.polyval(x, c))
+        assert type(p(t)) is float and p(t) == np.polynomial.polynomial.polyval(t, c)
 
 
 @pytest.mark.parametrize("flag", [["--jobs", "2"], ["--seed", "1"], ["--config", "x.ini"]])

@@ -12,6 +12,7 @@ from rothe_hvi import (
     GalerkinSpace,
     LinearRobin,
     Mesh1D,
+    NonconvexPiecewise,
     PaperExponential,
     RotheProblem,
     RotheTrajectory,
@@ -272,6 +273,41 @@ def test_gap_closed_form_matches_quadrature_on_real_run():
     traj = run_rothe(problem, TimeGrid(1.0, 16), "bdf2", 1e-12)
     rep = estimate_report(traj, problem.space, problem.boundary.weights)
     assert rep.gap_closed_form == pytest.approx(gap_quadrature(problem.space, traj), rel=1e-12)
+
+
+def _q5_step_by_step(space, traj, weights):
+    """tau * sum_n ||w xi^n||_{U*}^2, one dual norm per step."""
+    return traj.grid.tau * sum(space.dual_u_norm(weights * xi_n) ** 2 for xi_n in traj.xi)
+
+
+def test_q5_equals_the_sum_of_its_steps_on_a_real_run():
+    problem = fem_problem(16, NonconvexPiecewise(), lambda t, x: np.full(x.shape, 3.0),
+                          lambda t: 0.0, lambda x: np.zeros_like(x))
+    traj = run_rothe(problem, TimeGrid(1.0, 32), "bdf2")
+    weights = problem.boundary.weights
+    rep = estimate_report(traj, problem.space, weights)
+    assert np.abs(traj.xi).max() > 0.1  # the flux term is active
+    assert rep.q5 == pytest.approx(_q5_step_by_step(problem.space, traj, weights), rel=1e-14)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_q5_equals_the_sum_of_its_steps_with_two_boundary_rows(seed):
+    rng = np.random.default_rng(seed)
+    dim, n_steps = 6, 7
+    gram_h = random_spd(rng, dim)
+    space = GalerkinSpace(gram_h=gram_h, gram_v=gram_h + np.eye(dim),
+                          trace=rng.normal(size=(2, dim)), gram_u=random_spd(rng, 2))
+    traj = RotheTrajectory(
+        grid=TimeGrid(1.0, n_steps),
+        u=rng.normal(size=(n_steps + 1, dim)),
+        xi=rng.normal(size=(n_steps, 2)),
+        f_avg=np.zeros((n_steps, dim)),
+        scheme="bdf2",
+        per_step_residuals=np.zeros(n_steps),
+    )
+    weights = rng.uniform(0.5, 2.0, size=2)
+    rep = estimate_report(traj, space, weights)
+    assert rep.q5 == pytest.approx(_q5_step_by_step(space, traj, weights), rel=1e-14)
 
 
 def test_gap_with_small_trace_norm_and_zero_stencil():

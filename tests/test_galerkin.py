@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import make_space, random_spd
@@ -15,6 +15,7 @@ from rothe_hvi import (
     assemble_space,
     check_hypotheses_A,
 )
+from rothe_hvi.galerkin import _DSBMV_MAX_N
 
 
 def test_norms_1x1_gram():
@@ -213,6 +214,8 @@ def _rel_err(got: np.ndarray, want: np.ndarray) -> float:
 
 
 @given(st.integers(1, 12), st.sampled_from(["0", "1", "2", "full"]), st.integers(0, 2**32 - 1))
+@example(1, "0", 0)
+@example(1, "full", 1)
 def test_band_kernel_matches_dense_linear_algebra(dim, width, seed):
     rng = np.random.default_rng(seed)
     u = dim - 1 if width == "full" else min(int(width), dim - 1)
@@ -227,6 +230,17 @@ def test_band_kernel_matches_dense_linear_algebra(dim, width, seed):
     assert _rel_err(x @ band, x @ a) <= 1e-12
     assert _rel_err(band.matvec(stack), stack @ a) <= 1e-12
     assert _rel_err(stack @ band, stack @ a) <= 1e-12
+    # the product with a vector is one BLAS call; it reads strided views and
+    # integers through a copy, and leaves every operand as it was
+    for operand in (x, x[::-1], stack[1], rng.integers(-5, 6, size=dim)):
+        before = operand.copy()
+        assert _rel_err(band @ operand, a @ operand) <= 1e-12
+        assert _rel_err(operand @ band, operand @ a) <= 1e-12
+        assert np.array_equal(operand, before) and operand.dtype == before.dtype
+    with pytest.raises(ValueError):
+        band @ np.ones(dim + 1)  # BLAS alone would read the first dim entries
+    with pytest.raises(ValueError):
+        band.solve(np.ones(dim + 1))  # LAPACK alone would solve for the first dim
     assert _rel_err(space.solve_h(x), np.linalg.solve(a, x)) <= 1e-12
     assert _rel_err(space.solve_v(stack.T), sla.cho_solve(sla.cho_factor(a), stack.T)) <= 1e-12
     assert _rel_err((band + 2.0 * band).toarray(), 3.0 * a) <= 1e-15
@@ -256,3 +270,17 @@ def test_band_kernel_matches_dense_linear_algebra(dim, width, seed):
     with pytest.raises(ValueError, match="finite"):
         GalerkinSpace(gram_h=a, gram_v=SymBand(bad_band), trace=np.eye(1, dim),
                       gram_u=np.eye(1))
+
+
+@pytest.mark.parametrize("offset", [0, 1, 1000])
+def test_vector_product_agrees_on_both_sides_of_the_blas_size_limit(offset):
+    # vectors up to _DSBMV_MAX_N entries go through BLAS, longer ones through
+    # the diagonal loop that stacks use
+    n = _DSBMV_MAX_N + offset
+    rng = np.random.default_rng(n)
+    ab = np.vstack([rng.uniform(-1.0, 1.0, n), rng.uniform(3.0, 4.0, n)])
+    band = SymBand(ab)
+    x = rng.normal(size=n)
+    want = band.toarray() @ x
+    assert _rel_err(band @ x, want) <= 1e-12
+    assert _rel_err(band.matvec(x[None, :])[0], want) <= 1e-12

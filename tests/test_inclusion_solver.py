@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,14 +10,18 @@ from hypothesis import strategies as st
 
 from conftest import random_spd
 from rothe_hvi import (
+    ForcingSpec,
     GalerkinSpace,
     LinearRobin,
+    Mesh1D,
     NonConvergenceError,
     NonconvexPiecewise,
     NumericalFailureError,
     PaperExponential,
     StepProblem,
     ZeroPotential,
+    assemble_forcing,
+    assemble_space,
     minimize_energy_convex,
     scan_roots_1d,
     scan_roots_reduced,
@@ -260,3 +265,49 @@ def test_minimizer_matches_solver_on_toy():
     p = scalar_problem(PaperExponential(1.0), b=3.0 + math.exp(-1.0))
     u = minimize_energy_convex(p, tol=1e-9)
     assert u[0] == pytest.approx(1.0, abs=1e-7)
+
+
+def fem_step(n_el: int, potential) -> tuple[StepProblem, np.ndarray]:
+    """A two-step-stencil step of the P1 problem and its warm start."""
+    mesh = Mesh1D(n_el)
+    space, op = assemble_space(mesh)
+    c, tau = 2.0 / 3.0, 0.1
+    u_prev = np.linspace(0.0, 1.0, n_el + 1)
+    load = assemble_forcing(mesh, ForcingSpec(lambda t, x: 1.0 + x, lambda t: 0.5), 0.3)
+    p = StepProblem(
+        space=space, mass=space.gram_h, stiff_scaled=c * tau * op.stiffness,
+        trace=space.trace, weights=np.ones(1), potential=potential,
+        rhs=c * tau * load + space.gram_h @ u_prev, c_coef=c, tau=tau,
+    )
+    return p, u_prev
+
+
+@pytest.mark.parametrize("n_el", [4, 64])
+@pytest.mark.parametrize(
+    "case, reason",
+    [
+        ("nan in the rhs at an interior node", "non-finite right-hand side or warm start"),
+        ("inf in the rhs at the boundary node", "non-finite right-hand side or warm start"),
+        ("nan in the warm start at an interior node", "non-finite right-hand side or warm start"),
+        ("finite rhs whose residual overflows", "non-finite step residual"),
+    ],
+)
+def test_each_vector_scanned_once_still_rejects_bad_data(n_el, case, reason):
+    # the rhs is scanned only through x = S^-1 b and the residual only
+    # through its own squared norm; both must still catch what the data holds
+    potential = ZeroPotential() if "overflows" in case else PaperExponential(1.0)
+    p, warm = fem_step(n_el, potential)
+    u, _, report = solve_step_inclusion(p, warm)
+    assert np.all(np.isfinite(u)) and report.residual <= 1e-10
+    rhs, warm = p.rhs.copy(), warm.copy()
+    if case.startswith("nan in the rhs"):
+        rhs[n_el // 2] = np.nan
+    elif case.startswith("inf in the rhs"):
+        rhs[n_el] = np.inf
+    elif case.startswith("nan in the warm"):
+        warm[n_el // 2] = np.nan
+    else:
+        rhs *= 1e200  # x stays finite; r^T G_v^-1 r, about 1e368, does not
+    with np.errstate(all="ignore"), pytest.raises(NumericalFailureError) as info:
+        solve_step_inclusion(replace(p, rhs=rhs), warm)
+    assert str(info.value) == reason
