@@ -9,7 +9,20 @@ study    : full tau ladder with a fine reference run; writes the ladder
 compare  : both schemes on the same ladder against both a two-step and a
            one-step fine reference; writes side-by-side order tables.
 check    : hypothesis certificates (operator bounds, flux growth, step
-           coercivity, discrete identities); nonzero exit on violation.
+           coercivity, discrete identities).
+
+Each command computes and writes its data files and returns its summary
+rows, ``(name, ok, detail)``; `main` alone reports them.  It writes
+``summary.csv`` in every case that gets past the config, with columns
+name, status (PASS or FAIL) and detail: one row per command, or one per
+certificate for `check`.  A failed time step (``step N failed: <reason>``)
+or a trajectory too large to allocate becomes the one FAIL row of its
+command, and `run` then leaves the completed steps in
+``trajectory.csv.partial``.  Unless ``--quiet``, each row is printed as
+``<name> ok: <detail>`` on stdout or ``<name> failed: <detail>`` on
+stderr.  The exit code is 0 when every row passed, 1 when a run or a
+certificate failed, and 2 for a usage or config error, which is printed
+on stderr and writes no output.
 
 Configs are flat INI files whose schema is derived from `ExperimentConfig`:
 its fields, in order, are the keys, their types drive parsing, and field
@@ -272,8 +285,9 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         )
     if not cfg.tol > 0:
         raise ConfigError("[solver] tol: must be > 0")
-    if cfg.n_samples < 1:
-        raise ConfigError("[check] n_samples: must be >= 1")
+    for key in ("n_samples", "n_fuzz"):  # a check of no samples would pass vacuously
+        if getattr(cfg, key) < 1:
+            raise ConfigError(f"[check] {key}: must be >= 1")
     # the ranges of what the commands build from the config, so that a config
     # that parses also runs; check builds the paper and nonconvex laws
     # whatever the configured potential is
@@ -288,6 +302,8 @@ def _validate_config(cfg: ExperimentConfig) -> None:
     _require_two_steps(cfg, "tau_ref", cfg.reference_tau())  # the reference is a two-step run
     if cfg.scheme == BDF2:
         _require_two_steps(cfg, "taus", cfg.taus[0])
+    if not cfg.coercivity_taus:
+        raise ConfigError("[check] coercivity_taus: must be non-empty")
     if not all(0 < tau < math.inf for tau in cfg.coercivity_taus):
         raise ConfigError("[check] coercivity_taus: each must be > 0 and finite")
 
@@ -396,7 +412,6 @@ def _fmt(x) -> str:
 def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence] | np.ndarray) -> None:
     """Schema line, header and rows; ``rows`` is a list of cell lists, each
     cell formatted by ``_fmt``, or a float array, each row formatted whole."""
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# schema_version={SCHEMA_VERSION}\n")
         fh.write(",".join(header) + "\n")
@@ -442,33 +457,6 @@ def _estimate_row(tau: float, rep) -> list:
     return [tau] + [getattr(rep, name) for name in _ESTIMATE_COLS[1:]]
 
 
-def _write_summary(out: Path, rows: list[tuple[str, bool, str]]) -> None:
-    _write_csv(
-        out / "summary.csv",
-        ["name", "status", "detail"],
-        [[name, "PASS" if ok else "FAIL", detail] for name, ok, detail in rows],
-    )
-
-
-def _failure_detail(exc: StepFailureError) -> str:
-    return f"step {exc.step} failed: {exc.reason}"
-
-
-def _memory_failure(cfg: ExperimentConfig, out: Path, command: str,
-                    exc: TrajectoryMemoryError, quiet: bool) -> int:
-    """FAIL summary naming the keys that size the trajectory, one stderr
-    line; the exit code 1."""
-    detail = (
-        f"[problem] t_final = {cfg.t_final:g} at tau = {exc.tau:g} takes {exc.steps} steps "
-        f"whose trajectory at [problem] n_el = {cfg.n_el} asks for {exc.nbytes} bytes: "
-        "more than can be allocated"
-    )
-    _write_summary(out, [(command, False, detail)])
-    if not quiet:
-        print(f"{command} failed: {detail}", file=sys.stderr)
-    return 1
-
-
 _GNUPLOT_STUB = """# gnuplot script stub for the emitted two-column series
 set logscale xy
 set xlabel 'tau'
@@ -480,7 +468,6 @@ plot \\
 def _write_plots(out: Path, taus: np.ndarray, series: dict[str, np.ndarray]) -> None:
     """One two-column file ``series_<name>.dat`` per series and a gnuplot
     script plotting them all."""
-    out.mkdir(parents=True, exist_ok=True)
     for name, values in series.items():
         with open(out / f"series_{name}.dat", "w", encoding="utf-8") as fh:
             fh.write(f"# schema_version={SCHEMA_VERSION}\n# tau {name}\n")
@@ -492,76 +479,54 @@ def _write_plots(out: Path, taus: np.ndarray, series: dict[str, np.ndarray]) -> 
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each writes its data files and returns its summary rows
 
 
-def cmd_run(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
+_Rows = list[tuple[str, bool, str]]  # (name, passed, detail)
+
+
+def cmd_run(cfg: ExperimentConfig, out: Path) -> _Rows:
     problem = build_problem(cfg)
     tau = cfg.taus[0]
     grid = TimeGrid(cfg.t_final, round(cfg.t_final / tau))
     try:
         traj = run_rothe(problem, grid, cfg.scheme, cfg.tol)
-    except TrajectoryMemoryError as exc:
-        return _memory_failure(cfg, out, "run", exc, quiet)
     except StepFailureError as exc:
         _write_trajectory(
             out / "trajectory.csv.partial",
             grid.times(), exc.partial_u, exc.partial_xi, exc.partial_residuals,
         )
-        _write_summary(out, [("run", False, _failure_detail(exc))])
-        if not quiet:
-            print(f"run failed: {exc}", file=sys.stderr)
-        return 1
+        raise
     _write_trajectory(
         out / "trajectory.csv", grid.times(), traj.u, traj.xi, traj.per_step_residuals
     )
     rep = estimate_report(traj, problem.space, problem.boundary.weights)
     _write_csv(out / "estimates.csv", list(_ESTIMATE_COLS), [_estimate_row(tau, rep)])
     worst = float(np.max(traj.per_step_residuals, initial=0.0))
-    _write_summary(out, [("run", True, f"worst step residual {worst:.3e}")])
-    if not quiet:
-        print(f"run ok: {grid.N} steps, worst residual {worst:.3e}, output in {out}")
-    return 0
+    return [("run", True, f"worst step residual {worst:.3e}")]
 
 
 def _ladders(
-    cfg: ExperimentConfig,
-    out: Path,
-    quiet: bool,
-    command: str,
-    schemes: Sequence[str],
-    one_step_ref: bool = False,
-) -> Optional[tuple[RotheProblem, list[RotheTrajectory], list[LadderStudy]]]:
+    cfg: ExperimentConfig, schemes: Sequence[str], one_step_ref: bool = False
+) -> tuple[RotheProblem, list[RotheTrajectory], list[LadderStudy]]:
     """The problem, its fine references (the two-step run at the reference
     tau, then with ``one_step_ref`` the one-step run on the same grid) and one
-    ladder per scheme, errors taken against the two-step reference.  None,
-    with the failure of ``command`` reported, when a step fails or a
-    trajectory cannot be allocated."""
+    ladder per scheme, errors taken against the two-step reference."""
     problem = build_problem(cfg)
     tau_ref = cfg.reference_tau()
-    try:
-        refs = [reference_solution(problem, cfg.t_final, tau_ref)]
-        if one_step_ref:
-            grid = TimeGrid(cfg.t_final, round(cfg.t_final / tau_ref))
-            refs.append(run_rothe(problem, grid, BACKWARD_EULER, 1e-12))
-        studies = [
-            tau_ladder_study(problem, cfg.t_final, cfg.taus, scheme, cfg.tol, refs[0])
-            for scheme in schemes
-        ]
-    except StepFailureError as exc:
-        _write_summary(out, [(command, False, _failure_detail(exc))])
-        return None
-    except TrajectoryMemoryError as exc:
-        _memory_failure(cfg, out, command, exc, quiet)
-        return None
+    refs = [reference_solution(problem, cfg.t_final, tau_ref)]
+    if one_step_ref:
+        grid = TimeGrid(cfg.t_final, round(cfg.t_final / tau_ref))
+        refs.append(run_rothe(problem, grid, BACKWARD_EULER, 1e-12))
+    studies = [
+        tau_ladder_study(problem, cfg.t_final, cfg.taus, scheme, cfg.tol, refs[0])
+        for scheme in schemes
+    ]
     return problem, refs, studies
 
 
-def cmd_study(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
-    runs = _ladders(cfg, out, quiet, "study", (cfg.scheme,))
-    if runs is None:
-        return 1
-    _, _, (study,) = runs
+def cmd_study(cfg: ExperimentConfig, out: Path) -> _Rows:
+    _, _, (study,) = _ladders(cfg, (cfg.scheme,))
     taus = study.taus()
     _write_csv(
         out / "ladder.csv",
@@ -577,17 +542,11 @@ def cmd_study(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
     _write_csv(out / "orders.csv", ["scheme", "fitted_order"], [[cfg.scheme, order]])
     series = ["error_at_T", "u1_u0_gap", "gap_closed_form", *QUANTITY_FIELDS]
     _write_plots(out, taus, {name: study.series(name) for name in series})
-    _write_summary(out, [("study", True, f"fitted order {order:.3f}")])
-    if not quiet:
-        print(f"study ok: fitted order {order:.3f}, output in {out}")
-    return 0
+    return [("study", True, f"fitted order {order:.3f}")]
 
 
-def cmd_compare(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
-    runs = _ladders(cfg, out, quiet, "compare", (BDF2, BACKWARD_EULER), one_step_ref=True)
-    if runs is None:
-        return 1
-    problem, (_, ref_one), studies = runs
+def cmd_compare(cfg: ExperimentConfig, out: Path) -> _Rows:
+    problem, (_, ref_one), studies = _ladders(cfg, (BDF2, BACKWARD_EULER), one_step_ref=True)
     taus = studies[0].taus()
     err_rows = []
     order_rows = []
@@ -612,11 +571,7 @@ def cmd_compare(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
         order_rows,
     )
     _write_plots(out, taus, {f"error_{s.scheme}": s.series("error_at_T") for s in studies})
-    detail = "; ".join(f"{r[0]}: {r[1]:.2f}" for r in order_rows)
-    _write_summary(out, [("compare", True, detail)])
-    if not quiet:
-        print(f"compare ok: {detail}; output in {out}")
-    return 0
+    return [("compare", True, "; ".join(f"{r[0]}: {r[1]:.2f}" for r in order_rows))]
 
 
 def _fuzz_identities(rng: np.random.Generator, n_fuzz: int) -> tuple[float, float]:
@@ -641,11 +596,11 @@ def _fuzz_identities(rng: np.random.Generator, n_fuzz: int) -> tuple[float, floa
     return worst_gap, worst_slack
 
 
-def cmd_check(cfg: ExperimentConfig, out: Path, quiet: bool, seed: int = 0) -> int:
+def cmd_check(cfg: ExperimentConfig, seed: int = 0) -> _Rows:
     rng = np.random.default_rng(seed)
     problem = build_problem(cfg)
     space, op = problem.space, problem.operator
-    rows: list[tuple[str, bool, str]] = []
+    rows: _Rows = []
 
     scales = 10.0 ** rng.uniform(-1, 2, cfg.n_samples)
     samples = [rng.normal(size=space.dim) * s for s in scales]
@@ -688,19 +643,10 @@ def cmd_check(cfg: ExperimentConfig, out: Path, quiet: bool, seed: int = 0) -> i
     gap, slack = _fuzz_identities(rng, cfg.n_fuzz)
     rows.append(("identity_fuzz", gap <= 1e-12, f"worst relative gap {gap:.3e}"))
     rows.append(("inequality_fuzz", slack >= -1e-12, f"worst relative slack {slack:.3e}"))
-
-    _write_summary(out, rows)
-    ok = all(r[1] for r in rows)
-    if not quiet:
-        for name, good, detail in rows:
-            print(f"{'PASS' if good else 'FAIL'}  {name}: {detail}")
-    return 0 if ok else 1
+    return rows
 
 
 # ---------------------------------------------------------------------------
-
-
-_COMMANDS = {"run": cmd_run, "study": cmd_study, "compare": cmd_compare, "check": cmd_check}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -709,7 +655,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="two-step implicit time stepping with set-valued boundary flux laws",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name in ("run", "study", "compare", "check"):
         sp = sub.add_parser(name)
         sp.add_argument("config_path", help="config file")
         sp.add_argument("--out", default=None, help="output directory")
@@ -736,9 +682,29 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     out = Path(args.out or cfg.output_dir or "rothe_out")
     out.mkdir(parents=True, exist_ok=True)
-    if args.command == "check":
-        return cmd_check(cfg, out, args.quiet, args.seed)
-    return _COMMANDS[args.command](cfg, out, args.quiet)
+    try:
+        if args.command == "check":
+            rows = cmd_check(cfg, args.seed)
+        else:  # looked up when called, so a wrapper installed on the module sees it
+            rows = globals()[f"cmd_{args.command}"](cfg, out)
+    except StepFailureError as exc:
+        rows = [(args.command, False, f"step {exc.step} failed: {exc.reason}")]
+    except TrajectoryMemoryError as exc:  # name the keys that size the trajectory
+        detail = (
+            f"[problem] t_final = {cfg.t_final:g} at tau = {exc.tau:g} takes {exc.steps} steps "
+            f"whose trajectory at [problem] n_el = {cfg.n_el} asks for {exc.nbytes} bytes: "
+            "more than can be allocated"
+        )
+        rows = [(args.command, False, detail)]
+    cells = [[name, "PASS" if ok else "FAIL", detail] for name, ok, detail in rows]
+    _write_csv(out / "summary.csv", ["name", "status", "detail"], cells)
+    if not args.quiet:
+        for name, ok, detail in rows:
+            if ok:
+                print(f"{name} ok: {detail}")
+            else:
+                print(f"{name} failed: {detail}", file=sys.stderr)
+    return 0 if all(ok for _, ok, _ in rows) else 1
 
 
 if __name__ == "__main__":

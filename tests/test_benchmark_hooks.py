@@ -15,12 +15,17 @@ import pytest
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
-def test_every_traced_name_resolves_in_the_package():
+def _load_tracer():
     # loading the module defines its tables; nothing is wrapped until a
     # Tracer is installed
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_traced_name_resolves_in_the_package():
+    tracer = _load_tracer()
     missing = []
     for module, path, _ in tracer.TIMED:
         owner = importlib.import_module(f"{tracer.PACKAGE}.{module}")
@@ -31,6 +36,22 @@ def test_every_traced_name_resolves_in_the_package():
         if owner is None or attr not in vars(owner):
             missing.append(f"{module}.{path}")
     assert not missing, f"traced names missing from the package: {missing}"
+
+
+def test_main_calls_the_command_the_tracer_wraps(tmp_path):
+    # main must look the command up on the module when it is called; a
+    # reference taken at import time would bypass the wrapper
+    cli = importlib.import_module("rothe_hvi.cli")
+    cfg = tmp_path / "config.ini"
+    cfg.write_text("[problem]\nn_el = 4\n\n[ladder]\ntaus = 0.5\n", encoding="utf-8")
+    tracer = _load_tracer().Tracer()
+    with tracer.installed():
+        rc = cli.main(["run", str(cfg), "--out", str(tmp_path / "out"), "--quiet"])
+    assert rc == 0
+    names = [name for name, _, _, _ in tracer.spans]
+    assert names.count("cli.cmd_run") == 1
+    (main_span,) = [i for i, name in enumerate(names) if name == "cli.main"]
+    assert tracer.spans[names.index("cli.cmd_run")][3] == main_span
 
 
 def _counting(monkeypatch, module, name: str) -> list:

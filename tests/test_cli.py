@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -12,6 +13,7 @@ import pytest
 from rothe_hvi.cli import (
     ExperimentConfig, _fmt, _poly, _write_csv, main, parse_config, render_config,
 )
+from rothe_hvi.diagnostics import QUANTITY_FIELDS
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -78,8 +80,7 @@ def test_compare_on_the_nonconvex_reference_config(tmp_path):
     assert [r[0] for r in rows] == ["bdf2", "backward_euler"]
 
 
-def test_run_with_non_finite_forcing_reports_the_failure(tmp_path):
-    text = """[problem]
+NON_FINITE_FORCING = """[problem]
 n_el = 8
 forcing = poly
 f0_t_coeffs = 0.0,1e308,1e308
@@ -88,16 +89,56 @@ potential = paper_exponential
 [ladder]
 taus = 0.25
 """
+
+
+@pytest.mark.parametrize("command", ["run", "study", "compare"])
+def test_run_with_non_finite_forcing_reports_the_failure(tmp_path, capsys, command):
+    cfg = tmp_path / "config.ini"
+    cfg.write_text(NON_FINITE_FORCING, encoding="utf-8")
+    out = tmp_path / "out"
     with np.errstate(all="ignore"):
-        rc, out = run_cli(tmp_path, "run", text)
+        rc = main([command, str(cfg), "--out", str(out)])
     assert rc == 1
     _, summary = read_csv(out / "summary.csv")
-    assert summary[0][:2] == ["run", "FAIL"]
-    assert "non-finite" in summary[0][2]
-    header, rows = read_csv(out / "trajectory.csv.partial")
-    assert header[0] == "t" and header[-1] == "residual"
-    assert len(rows) >= 1  # at least the initial state
-    assert not (out / "trajectory.csv").exists()
+    assert len(summary) == 1 and summary[0][:2] == [command, "FAIL"]
+    detail = summary[0][2]
+    assert re.fullmatch(r"step \d+ failed: .*non-finite.*", detail)
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"{command} failed: {detail}\n")
+    partial = {"trajectory.csv.partial"} if command == "run" else set()
+    assert {p.name for p in out.iterdir()} == {"summary.csv", *partial}
+    if command == "run":
+        header, rows = read_csv(out / "trajectory.csv.partial")
+        assert header[0] == "t" and header[-1] == "residual"
+        assert len(rows) >= 1  # at least the initial state
+
+
+STUDY_SERIES = ["error_at_T", "u1_u0_gap", "gap_closed_form", *QUANTITY_FIELDS]
+WRITTEN = {
+    "run": ["trajectory.csv", "estimates.csv"],
+    "study": ["ladder.csv", "errors.csv", "orders.csv", "plots.gp",
+              *(f"series_{name}.dat" for name in STUDY_SERIES)],
+    "compare": ["errors.csv", "orders.csv", "plots.gp",
+                "series_error_bdf2.dat", "series_error_backward_euler.dat"],
+    "check": [],  # its summary has one row per certificate
+}
+
+
+@pytest.mark.parametrize("command", sorted(WRITTEN))
+def test_each_command_writes_its_files_and_prints_its_summary(tmp_path, capsys, command):
+    cfg = tmp_path / "config.ini"
+    cfg.write_text(SMOOTH_TINY, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, str(cfg), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted([*WRITTEN[command], "summary.csv"])
+    _, summary = read_csv(out / "summary.csv")
+    assert [status for _, status, _ in summary] == ["PASS"] * len(summary)
+    if command != "check":
+        assert [name for name, _, _ in summary] == [command]
+    captured = capsys.readouterr()
+    expected = "".join(f"{name} ok: {detail}\n" for name, _, detail in summary)
+    # a summary cell holds its text with each comma written as ";"
+    assert (captured.out.replace(",", ";"), captured.err) == (expected, "")
 
 
 def test_removed_solver_keys_are_rejected(tmp_path, capsys):
@@ -359,6 +400,8 @@ OUT_OF_RANGE = [
         ]
     ),
     pytest.param(tiny(coercivity_taus="nan"), "[check] coercivity_taus", id="coercivity_taus"),
+    pytest.param(tiny(coercivity_taus=""), "[check] coercivity_taus", id="coercivity_taus empty"),
+    pytest.param(tiny().replace("n_fuzz = 50", "n_fuzz = -5"), "[check] n_fuzz", id="n_fuzz = -5"),
     pytest.param(tiny(taus="0.25,0.125\ntau_ref = 1"), "[ladder] tau_ref", id="tau_ref = 1"),
     pytest.param(tiny(taus="1.0,0.5"), "[ladder] taus", id="taus = 1.0,0.5"),
 ]
