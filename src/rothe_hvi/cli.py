@@ -318,10 +318,11 @@ def _require_two_steps(cfg: ExperimentConfig, key: str, tau: float) -> None:
 
 def _divides(tau: float, t_final: float) -> bool:
     """True when tau > 0 splits [0, t_final] into a whole number of steps."""
-    if not (tau > 0 and math.isfinite(t_final / tau)):
+    try:
+        TimeGrid.of_step(t_final, tau)
+    except ValueError:
         return False
-    n = round(t_final / tau)
-    return n >= 1 and abs(n * tau - t_final) <= 4.0 * np.finfo(float).eps * t_final
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +489,7 @@ _Rows = list[tuple[str, bool, str]]  # (name, passed, detail)
 def cmd_run(cfg: ExperimentConfig, out: Path) -> _Rows:
     problem = build_problem(cfg)
     tau = cfg.taus[0]
-    grid = TimeGrid(cfg.t_final, round(cfg.t_final / tau))
+    grid = TimeGrid.of_step(cfg.t_final, tau)
     try:
         traj = run_rothe(problem, grid, cfg.scheme, cfg.tol)
     except StepFailureError as exc:
@@ -516,7 +517,7 @@ def _ladders(
     tau_ref = cfg.reference_tau()
     refs = [reference_solution(problem, cfg.t_final, tau_ref)]
     if one_step_ref:
-        grid = TimeGrid(cfg.t_final, round(cfg.t_final / tau_ref))
+        grid = TimeGrid.of_step(cfg.t_final, tau_ref)
         refs.append(run_rothe(problem, grid, BACKWARD_EULER, 1e-12))
     studies = [
         tau_ladder_study(problem, cfg.t_final, cfg.taus, scheme, cfg.tol, refs[0])

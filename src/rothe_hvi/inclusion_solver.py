@@ -11,10 +11,11 @@ s = t u solves the scalar inclusion
 
     0 in g(s) = s - t x + F z(s),    F = c tau w gamma > 0.
 
-S depends on the stencil and tau only, so a ``StepFactorization`` of it
-(its band factor, L D L^T for the tridiagonal P1 matrices, with y and
-gamma) can be built once and shared by every step of a run; each step is
-then one band back-solve plus this scalar problem, O(n).
+S depends on the stencil and tau only, so a ``StepProblem`` is the step
+operator of one stencil and step size, built once per run: its constructor
+checks the data and factors S (its band factor, L D L^T for the tridiagonal
+P1 matrices) together with y and gamma.  A step passes only its right-hand
+side b, and is one band back-solve for x plus this scalar problem, O(n).
 
 The scalar inclusion is solved exactly, in plain floats.  z is convex
 between consecutive kinks (the ``ScalarPotential`` contract), so g is
@@ -34,7 +35,7 @@ solution as one band product with S plus the flux term, which is nonzero
 only at the nodes where the trace is (one node for P1).  A step is accepted
 only when the V*-norm of r is at most tol (a NaN residual fails); otherwise
 NonConvergenceError is raised.  Only a single boundary row (dim_u = 1) is
-supported; other spaces raise ValueError.
+supported; a StepProblem on any other space raises ValueError.
 
 Each vector of a step is scanned for NaN/Inf at most once, and a non-finite
 one raises NumericalFailureError: the warm start directly; the right-hand
@@ -50,7 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -59,7 +60,6 @@ from .potentials import ScalarPotential
 
 __all__ = [
     "StepProblem",
-    "StepFactorization",
     "SolveReport",
     "VerifyResult",
     "NonConvergenceError",
@@ -88,21 +88,29 @@ class NumericalFailureError(RuntimeError):
 
 @dataclass(frozen=True)
 class StepProblem:
-    """One implicit step in assembled form.
+    """The step operator of one stencil and step size, for any right-hand
+    side b of
 
-    ``stiff_scaled`` already contains the factor c_coef * tau; the flux
-    term carries the same factor.  ``mass`` and ``stiff_scaled`` are
-    SymBand or dense symmetric arrays, converted to bands.  The Galerkin
-    space provides the metric for the dual-norm residual.
+        M u + c tau K u + c tau trace^T W xi = b,   xi in z(trace u),
+
+    with M = space.gram_h and the single boundary row t = space.trace[0];
+    the space also provides the metric of the dual-norm residual.
+    ``stiff_scaled`` is c_coef * tau * K, a SymBand or a dense symmetric
+    array, converted to a band; the flux term carries the same factor.
+
+    Construction checks once what holds for every step and factors
+    S = M + c tau K: it holds ``system`` (S, factored), ``y`` = S^{-1} t^T,
+    ``gamma`` = t y, the ``nodes`` where t is nonzero with its entries there
+    (``trace_at_nodes``) as plain ints and floats, and the ``lift`` c tau w.
+    ValueError unless c_coef is 1 (first step) or 2/3 (two-step stencil),
+    tau > 0, dim_u = 1 and c tau w gamma > 0; LinAlgError unless S is
+    positive definite.
     """
 
     space: GalerkinSpace
-    mass: SymBand
     stiff_scaled: SymBand
-    trace: np.ndarray
     weights: np.ndarray
     potential: ScalarPotential
-    rhs: np.ndarray
     c_coef: float
     tau: float
 
@@ -111,47 +119,33 @@ class StepProblem:
             raise ValueError("c_coef must be 1 (first step) or 2/3 (two-step stencil)")
         if not self.tau > 0:
             raise ValueError("tau must be > 0")
-        object.__setattr__(self, "mass", as_band(self.mass, "mass"))
-        object.__setattr__(self, "stiff_scaled", as_band(self.stiff_scaled, "stiff_scaled"))
+        sp = self.space
+        if sp.dim_u != 1:
+            raise ValueError(
+                f"the step solver supports a single boundary row (dim_u = 1), got dim_u = {sp.dim_u}"
+            )
+        stiff_scaled = as_band(self.stiff_scaled, "stiff_scaled")
+        system = sp.gram_h + stiff_scaled
+        row = sp.trace[0]
+        y = system.solve(row)  # factors S; LinAlgError unless positive definite
+        nodes = np.flatnonzero(row)
+        object.__setattr__(self, "stiff_scaled", stiff_scaled)
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "gamma", float(row @ y))
+        object.__setattr__(self, "nodes", tuple(nodes.tolist()))
+        object.__setattr__(self, "trace_at_nodes", tuple(row[nodes].tolist()))
+        object.__setattr__(self, "lift", self.flux_coef * float(self.weights[0]))
+        if not self.lift * self.gamma > 0:
+            raise ValueError("the boundary weight and trace row must give c tau w gamma > 0")
 
     @property
     def dim(self) -> int:
-        return self.mass.n
-
-    @property
-    def dim_u(self) -> int:
-        return self.trace.shape[0]
-
-    @property
-    def system(self) -> SymBand:
-        return self.mass + self.stiff_scaled
+        return self.system.n
 
     @property
     def flux_coef(self) -> float:
         return self.c_coef * self.tau
-
-    @property
-    def flux_matrix(self) -> np.ndarray:
-        """dim x dim_u matrix mapping nodal multipliers to their load."""
-        return self.flux_coef * (self.trace.T * self.weights)
-
-
-class StepFactorization:
-    """Band factor of S = mass + stiff_scaled together with y = S^{-1} t^T
-    and gamma = t y for the boundary row t, and the nodes where t is
-    nonzero with its entries there, as plain ints and floats.
-
-    S is the same at every step of one stencil and step size, so one
-    factorization, which also keeps the band stiff_scaled, serves all of them."""
-
-    def __init__(self, mass: SymBand, stiff_scaled: SymBand, trace_row: np.ndarray):
-        self.stiff_scaled = stiff_scaled
-        self.system = mass + stiff_scaled
-        self.y = self.system.solve(trace_row)  # factors S; LinAlgError unless positive definite
-        self.gamma = float(trace_row @ self.y)
-        nodes = np.flatnonzero(trace_row)
-        self.nodes = tuple(nodes.tolist())
-        self.trace_at_nodes = tuple(trace_row[nodes].tolist())
 
     def boundary_value(self, v: np.ndarray) -> float:
         """t v, summed over the nodes where t is nonzero only."""
@@ -195,16 +189,6 @@ def _finite_dual_norm(space: GalerkinSpace, r: np.ndarray) -> float:
     if not math.isfinite(norm):
         raise NumericalFailureError("non-finite step residual")
     return norm
-
-
-def _membership_bounds(p: StepProblem, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nodewise admissible intervals with a roundoff-sized closure in s."""
-    lo = np.empty(s.shape)
-    hi = np.empty(s.shape)
-    for i, si in enumerate(s):
-        atol = 1e-12 * (1.0 + abs(float(si)))
-        lo[i], hi[i] = p.potential.membership_interval(float(si), atol)
-    return lo, hi
 
 
 class _BoundaryInclusion:
@@ -313,50 +297,40 @@ class _BoundaryInclusion:
 
 
 def solve_step_inclusion(
-    p: StepProblem,
-    warm_start: np.ndarray,
-    tol: float = 1e-10,
-    factorization: Optional[StepFactorization] = None,
+    p: StepProblem, rhs: np.ndarray, warm_start: np.ndarray, tol: float = 1e-10
 ) -> tuple[np.ndarray, np.ndarray, SolveReport]:
-    """Solve the step inclusion exactly on the boundary and certify the
-    V*-norm residual against ``tol``.
+    """Solve the step inclusion with right-hand side ``rhs`` exactly on the
+    boundary and certify the V*-norm residual against ``tol``.
 
-    ``factorization`` is a StepFactorization of p.mass + p.stiff_scaled
-    to reuse; without one it is computed here.  Raises NonConvergenceError
-    with its report when no root is found or the residual exceeds tol, and
-    NumericalFailureError on non-finite data or solutions."""
+    Raises NonConvergenceError with its report when no root is found or the
+    residual exceeds tol, and NumericalFailureError on non-finite data or
+    solutions."""
     if not tol > 0:
         raise ValueError("tol must be > 0")
-    if p.dim_u != 1:
-        raise ValueError(
-            f"the step solver supports a single boundary row (dim_u = 1), got dim_u = {p.dim_u}"
-        )
     warm = np.asarray(warm_start, dtype=float)
     if warm.shape != (p.dim,):
         raise ValueError(f"warm start has shape {warm.shape}, expected ({p.dim},)")
+    rhs = np.asarray(rhs, dtype=float)
+    if rhs.shape != (p.dim,):
+        raise ValueError(f"right-hand side has shape {rhs.shape}, expected ({p.dim},)")
     if not np.isfinite(warm).all():
         raise NumericalFailureError(_NON_FINITE_DATA)
-    fac = factorization or StepFactorization(p.mass, p.stiff_scaled, p.trace[0])
-    lift = p.flux_coef * float(p.weights[0])
-    factor = lift * fac.gamma
-    if not factor > 0:
-        raise ValueError("the boundary weight and trace row must give c tau w gamma > 0")
-    rhs = np.asarray(p.rhs, dtype=float)
-    x = fac.system._solve(rhs)  # non-finite when rhs is
+    x = p.system._solve(rhs)  # non-finite when rhs is
     if not np.isfinite(x).all():
         bad_rhs = not np.isfinite(rhs).all()
         raise NumericalFailureError(_NON_FINITE_DATA if bad_rhs else "non-finite interior solve")
-    s_warm = fac.boundary_value(warm)
-    inclusion = _BoundaryInclusion(p.potential, fac.boundary_value(x), factor, s_warm)
+    s_warm = p.boundary_value(warm)
+    factor = p.lift * p.gamma
+    inclusion = _BoundaryInclusion(p.potential, p.boundary_value(x), factor, s_warm)
     roots = inclusion.roots()
     report = SolveReport(iterations=inclusion.iterations)
     if not roots:
         raise NonConvergenceError("no root of the boundary inclusion found", report)
     s = min(roots, key=lambda r: (abs(r - s_warm), r))
     xi = (inclusion.target - s) / factor
-    u = x - (lift * xi) * fac.y
-    flux = [lift * xi * t for t in fac.trace_at_nodes]
-    report.residual = _finite_dual_norm(p.space, _residual(fac.system, u, rhs, fac.nodes, flux))
+    u = x - (p.lift * xi) * p.y
+    flux = [p.lift * xi * t for t in p.trace_at_nodes]
+    report.residual = _finite_dual_norm(p.space, _residual(p.system, u, rhs, p.nodes, flux))
     if not report.residual <= tol:
         raise NonConvergenceError(
             f"step residual {report.residual:.3e} above tol {tol:g}", report
@@ -364,16 +338,20 @@ def solve_step_inclusion(
     return u, np.array([xi]), report
 
 
-def verify_inclusion(p: StepProblem, u: np.ndarray, xi: np.ndarray, tol: float) -> VerifyResult:
-    """Residual of the assembled step equation for a given pair, plus the
-    worst distance of xi to its admissible interval."""
+def verify_inclusion(
+    p: StepProblem, rhs: np.ndarray, u: np.ndarray, xi: np.ndarray, tol: float
+) -> VerifyResult:
+    """Residual of the step equation with right-hand side ``rhs`` for a
+    given pair, plus the distance of xi to its admissible interval, closed
+    by a roundoff-sized margin in the boundary value."""
+    rhs = np.asarray(rhs, dtype=float)
     u = np.asarray(u, dtype=float)
     xi = np.asarray(xi, dtype=float)
-    if u.shape != (p.dim,) or xi.shape != (p.dim_u,):
-        raise ValueError("u or xi has inconsistent dimensions")
-    nodes = np.flatnonzero(p.trace.any(axis=0))
-    resid = p.space.dual_norm(_residual(p.system, u, p.rhs, nodes, p.flux_matrix[nodes] @ xi))
-    lo, hi = _membership_bounds(p, p.trace @ u)
-    gap = float(np.max(np.maximum(lo - xi, xi - hi), initial=0.0))
-    gap = max(gap, 0.0)
+    if rhs.shape != (p.dim,) or u.shape != (p.dim,) or xi.shape != (1,):
+        raise ValueError("rhs, u or xi has inconsistent dimensions")
+    flux = [p.lift * float(xi[0]) * t for t in p.trace_at_nodes]
+    resid = p.space.dual_norm(_residual(p.system, u, rhs, p.nodes, flux))
+    s = p.boundary_value(u)
+    lo, hi = p.potential.membership_interval(s, 1e-12 * (1.0 + abs(s)))
+    gap = max(lo - float(xi[0]), float(xi[0]) - hi, 0.0)
     return VerifyResult(resid, gap <= tol, gap)

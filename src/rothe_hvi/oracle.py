@@ -28,13 +28,15 @@ __all__ = [
 _XTOL = 1e-10
 
 
-def step_energy(p: StepProblem, u) -> float:
-    """E(u) = 0.5 u^T (M + c tau K) u + c tau sum_i w_i j((trace u)_i) - b^T u.
+def step_energy(p: StepProblem, rhs, u) -> float:
+    """E(u) = 0.5 u^T (M + c tau K) u + c tau sum_i w_i j((trace u)_i) - b^T u
+    of the step operator p with right-hand side b = ``rhs``, S taken dense.
     Stationary points of E are exactly the inclusion's solutions."""
     u = np.asarray(u, dtype=float)
-    s = p.trace @ u
+    s = p.space.trace @ u
     jsum = float(p.weights @ np.atleast_1d(p.potential.value(s)))
-    return 0.5 * float(u @ p.system.toarray() @ u) + p.flux_coef * jsum - float(p.rhs @ u)
+    b = np.asarray(rhs, dtype=float)
+    return 0.5 * float(u @ p.system.toarray() @ u) + p.flux_coef * jsum - float(b @ u)
 
 
 def _scan_scalar_inclusion(
@@ -93,8 +95,11 @@ def _scan_scalar_inclusion(
     return merged
 
 
-def scan_roots_1d(p: StepProblem, lo: float, hi: float, grid_n: int = 2000) -> list[float]:
-    """All solutions of a one-dimensional step inclusion on [lo, hi].
+def scan_roots_1d(
+    p: StepProblem, rhs, lo: float, hi: float, grid_n: int = 2000
+) -> list[float]:
+    """All solutions on [lo, hi] of a one-dimensional step inclusion, the
+    step operator p with right-hand side ``rhs``.
 
     The scalar residual (m + c tau k) u + c tau g w z(g u) - b becomes an
     interval at jump points of z; a root exists there exactly when the
@@ -103,9 +108,9 @@ def scan_roots_1d(p: StepProblem, lo: float, hi: float, grid_n: int = 2000) -> l
     if p.dim != 1:
         raise ValueError("scan_roots_1d needs a one-dimensional problem")
     m_lin = float(p.system.toarray()[0, 0])
-    g = float(p.trace[0, 0])
+    g = float(p.space.trace[0, 0])
     w = float(p.weights[0])
-    b = float(p.rhs[0])
+    b = float(rhs[0])
     factor = p.flux_coef * g * w
 
     def interval_fun(us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -120,11 +125,13 @@ def scan_roots_1d(p: StepProblem, lo: float, hi: float, grid_n: int = 2000) -> l
 
 def scan_roots_reduced(
     p: StepProblem,
+    rhs,
     s_lo: float,
     s_hi: float,
     grid_n: int = 2000,
 ) -> list[np.ndarray]:
-    """Roots of a step inclusion with a single boundary row, any dimension.
+    """Roots of a step inclusion of any dimension, the step operator p (one
+    boundary row) with right-hand side ``rhs``.
 
     Eliminating u through the linear system reduces the inclusion to a
     scalar one in the boundary value s = trace u:
@@ -132,15 +139,14 @@ def scan_roots_reduced(
         s + c tau w (trace S^{-1} trace^T) z(s)  =  trace S^{-1} b,
 
     which is scanned exactly like the 1-d case; every scalar root is mapped
-    back to the full coefficient vector."""
-    if p.dim_u != 1:
-        raise ValueError("reduction needs exactly one boundary row")
+    back to the full coefficient vector.  S is taken dense and factored
+    here."""
     cho = sla.cho_factor(p.system.toarray())  # dense on purpose: no shared solver code
-    t_row = p.trace[0]
+    t_row = p.space.trace[0]
     w = float(p.weights[0])
     s_inv_t = sla.cho_solve(cho, t_row)
     gamma = float(t_row @ s_inv_t)
-    s_inv_b = sla.cho_solve(cho, p.rhs)
+    s_inv_b = sla.cho_solve(cho, np.asarray(rhs, dtype=float))
     s_b = float(t_row @ s_inv_b)
     factor = p.flux_coef * w * gamma
 
@@ -177,11 +183,13 @@ def _golden_section(f: Callable[[float], float], a: float, b: float, xtol: float
 
 def minimize_energy_convex(
     p: StepProblem,
+    rhs,
     tol: float = 1e-9,
     max_sweeps: int = 400,
 ) -> np.ndarray:
-    """Coordinate-wise golden-section descent on the step energy; valid
-    only for monotone flux laws (convex energy), which is checked."""
+    """Coordinate-wise golden-section descent on the step energy of the step
+    operator p with right-hand side ``rhs``; valid only for monotone flux
+    laws (convex energy), which is checked."""
     if not p.potential.is_monotone:
         raise ValueError("energy minimization requires a monotone flux law")
     u = np.zeros(p.dim)
@@ -192,7 +200,7 @@ def minimize_energy_convex(
             def along(alpha: float, k=k) -> float:
                 probe = u.copy()
                 probe[k] += alpha
-                return step_energy(p, probe)
+                return step_energy(p, rhs, probe)
 
             radius = 1.0 + abs(u[k])
             lo, hi = -radius, radius
@@ -217,8 +225,6 @@ def reference_solution(
     tol: float = 1e-12,
 ) -> RotheTrajectory:
     """Fine-step two-step run with tightened tolerance, used as the
-    reference when measuring temporal errors at shared grid points."""
-    n = round(t_final / tau_fine)
-    if abs(n * tau_fine - t_final) > 4.0 * np.finfo(float).eps * t_final:
-        raise ValueError(f"tau_fine={tau_fine} does not divide T={t_final}")
-    return run_rothe(problem, TimeGrid(t_final, n), BDF2, tol)
+    reference when measuring temporal errors at shared grid points.
+    ValueError unless tau_fine divides t_final (``TimeGrid.of_step``)."""
+    return run_rothe(problem, TimeGrid.of_step(t_final, tau_fine), BDF2, tol)

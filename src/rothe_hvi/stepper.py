@@ -15,6 +15,7 @@ time-derivative stencil, so comparisons isolate the stencil's contribution.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -25,7 +26,6 @@ from .inclusion_solver import (
     NonConvergenceError,
     NumericalFailureError,
     SolveReport,
-    StepFactorization,
     StepProblem,
     solve_step_inclusion,
 )
@@ -50,6 +50,7 @@ BDF2 = "bdf2"
 BACKWARD_EULER = "backward_euler"
 
 _GAUSS5 = np.polynomial.legendre.leggauss(5)
+_EPS = float(np.finfo(float).eps)
 
 
 class StepFailureError(RuntimeError):
@@ -102,6 +103,16 @@ class TimeGrid:
         if self.N < 1:
             raise ValueError("N must be >= 1")
 
+    @classmethod
+    def of_step(cls, T_final: float, tau: float) -> "TimeGrid":
+        """The grid of steps tau on [0, T_final]; ValueError unless tau > 0
+        splits it into N >= 1 steps, to within 4 ulps of T_final."""
+        ratio = T_final / tau if tau > 0 else math.nan
+        n = round(ratio) if math.isfinite(ratio) else 0
+        if not (n >= 1 and abs(n * tau - T_final) <= 4.0 * _EPS * T_final):
+            raise ValueError(f"tau={tau} does not divide T={T_final}")
+        return cls(T_final, n)
+
     @property
     def tau(self) -> float:
         return self.T_final / self.N
@@ -129,6 +140,19 @@ class RotheProblem:
         if self.boundary.dim_u != self.space.dim_u:
             raise ValueError("boundary weights do not match the trace rows")
         object.__setattr__(self, "u0", u0)
+
+    def step_problem(self, c: float, tau: float) -> StepProblem:
+        """The step operator of the stencil with factor c (1 for the one-step
+        stencil, 2/3 for the two-step one) and step size tau, which factors
+        S = M + c tau K once for every step that uses it."""
+        return StepProblem(
+            space=self.space,
+            stiff_scaled=c * tau * self.operator.stiffness,
+            weights=self.boundary.weights,
+            potential=self.boundary.potential,
+            c_coef=c,
+            tau=tau,
+        )
 
 
 @dataclass(frozen=True)
@@ -163,64 +187,42 @@ def average_forcing(
     return (1.5 * cur - 0.5 * prev) / tau
 
 
-def _factorization(problem: RotheProblem, c: float, tau: float) -> StepFactorization:
-    """The stencil's S = M + c tau K, band-factored, with its band c tau K."""
-    sp = problem.space
-    return StepFactorization(sp.gram_h, c * tau * problem.operator.stiffness, sp.trace[0])
-
-
-def _solve_step(
-    problem: RotheProblem, c: float, hist: np.ndarray, f_n: np.ndarray, tau: float,
-    warm: np.ndarray, tol: float, factorization: Optional[StepFactorization],
-) -> tuple[np.ndarray, np.ndarray, SolveReport]:
-    """Build and solve the step with stencil factor c and history vector hist,
-    M u + c tau K u + c tau trace^T W xi = c tau f_n + M hist; c tau K and
-    the factor of S come from ``factorization``, built here when None."""
-    sp = problem.space
-    fac = factorization or _factorization(problem, c, tau)
-    p = StepProblem(
-        space=sp,
-        mass=sp.gram_h,
-        stiff_scaled=fac.stiff_scaled,
-        trace=sp.trace,
-        weights=problem.boundary.weights,
-        potential=problem.boundary.potential,
-        rhs=c * tau * f_n + sp.gram_h @ hist,
-        c_coef=c,
-        tau=tau,
-    )
-    return solve_step_inclusion(p, warm, tol, fac)
+def _check_stencil(step: StepProblem, c: float, name: str) -> None:
+    if not abs(step.c_coef - c) < 1e-12:
+        raise ValueError(f"{name} needs the operator with c_coef = {c:.4g}, got {step.c_coef:.4g}")
 
 
 def initial_step(
-    problem: RotheProblem,
-    u0_vec: np.ndarray,
-    f1: np.ndarray,
-    tau: float,
-    tol: float = 1e-10,
-    factorization: Optional[StepFactorization] = None,
+    step: StepProblem, u_prev: np.ndarray, f1: np.ndarray, tol: float = 1e-10
 ) -> tuple[np.ndarray, np.ndarray, SolveReport]:
-    """One-step implicit solve: M u + tau K u + tau trace^T W xi = tau f1 + M u0."""
-    u0_vec = np.asarray(u0_vec, dtype=float)
-    return _solve_step(problem, 1.0, u0_vec, f1, tau, u0_vec, tol, factorization)
+    """One-step implicit solve with the one-step operator ``step`` (c_coef 1,
+    from ``RotheProblem.step_problem``), warm-started from u_prev:
+    M u + tau K u + tau trace^T W xi = tau f1 + M u_prev.  ValueError when
+    ``step`` is the two-step operator."""
+    _check_stencil(step, 1.0, "initial_step")
+    u_prev = np.asarray(u_prev, dtype=float)
+    rhs = step.c_coef * step.tau * f1 + step.space.gram_h @ u_prev
+    return solve_step_inclusion(step, rhs, u_prev, tol)
 
 
 def bdf2_step(
-    problem: RotheProblem,
+    step: StepProblem,
     u_nm1: np.ndarray,
     u_nm2: np.ndarray,
     f_n: np.ndarray,
-    tau: float,
     tol: float = 1e-10,
-    factorization: Optional[StepFactorization] = None,
 ) -> tuple[np.ndarray, np.ndarray, SolveReport]:
-    """Two-step stencil solve, warm-started from the extrapolant 2u^{n-1} - u^{n-2}."""
+    """Two-step stencil solve with the two-step operator ``step`` (c_coef
+    2/3, from ``RotheProblem.step_problem``), warm-started from the
+    extrapolant 2u^{n-1} - u^{n-2}: with c = 2/3,
+    M u + c tau K u + c tau trace^T W xi = c tau f_n + M (4/3 u^{n-1} - 1/3 u^{n-2}).
+    ValueError when ``step`` is the one-step operator."""
+    _check_stencil(step, 2.0 / 3.0, "bdf2_step")
     u_nm1 = np.asarray(u_nm1, dtype=float)
     u_nm2 = np.asarray(u_nm2, dtype=float)
     hist = (4.0 / 3.0) * u_nm1 - (1.0 / 3.0) * u_nm2
-    return _solve_step(
-        problem, 2.0 / 3.0, hist, f_n, tau, 2.0 * u_nm1 - u_nm2, tol, factorization
-    )
+    rhs = step.c_coef * step.tau * f_n + step.space.gram_h @ hist
+    return solve_step_inclusion(step, rhs, 2.0 * u_nm1 - u_nm2, tol)
 
 
 def run_rothe(
@@ -251,22 +253,20 @@ def run_rothe(
     u[0] = problem.u0
     for n in range(1, grid.N + 1):
         f_avg[n - 1] = average_forcing(problem.forcing, n, grid)
-    factorization = None
+    step = None
     for n in range(1, grid.N + 1):
         f_n = f_avg[n - 1]
         two_step = scheme == BDF2 and n >= 2
         c = 2.0 / 3.0 if two_step else 1.0
         if n == 1 or (two_step and n == 2):
-            # one factorization per stencil, at most one alive at a time
-            factorization = None
-            factorization = _factorization(problem, c, tau)
+            # one operator per stencil, at most one alive at a time
+            step = None
+            step = problem.step_problem(c, tau)
         try:
             if two_step:
-                u_n, xi_n, report = bdf2_step(
-                    problem, u[n - 1], u[n - 2], f_n, tau, tol, factorization
-                )
+                u_n, xi_n, report = bdf2_step(step, u[n - 1], u[n - 2], f_n, tol)
             else:
-                u_n, xi_n, report = initial_step(problem, u[n - 1], f_n, tau, tol, factorization)
+                u_n, xi_n, report = initial_step(step, u[n - 1], f_n, tol)
         except (NonConvergenceError, NumericalFailureError) as exc:
             raise StepFailureError(
                 n,

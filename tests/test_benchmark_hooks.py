@@ -74,17 +74,40 @@ def _steps_and_forcing_calls(n_steps: int) -> tuple[int, int]:
     return n_steps, 5 * (2 * n_steps - 1)
 
 
+def _smooth_problem():
+    cli = importlib.import_module("rothe_hvi.cli")
+    return cli.build_problem(cli.parse_config("[problem]\nn_el = 4\nforcing = smooth\n"))
+
+
 @pytest.mark.parametrize("scheme", ["bdf2", "backward_euler"])
 @pytest.mark.parametrize("n_steps", [2, 3, 8])
 def test_run_rothe_makes_the_call_counts_the_benchmark_pins(monkeypatch, scheme, n_steps):
     cli = importlib.import_module("rothe_hvi.cli")
     stepper = importlib.import_module("rothe_hvi.stepper")
-    problem = cli.build_problem(cli.parse_config("[problem]\nn_el = 4\nforcing = smooth\n"))
+    problem = _smooth_problem()
     # the tracer counts the functions where the package looks them up
     solves = _counting(monkeypatch, stepper, "solve_step_inclusion")
     forcing = _counting(monkeypatch, cli, "assemble_forcing")
+    # one step operator per stencil, factored once, whatever the step count
+    operators = _counting(monkeypatch, stepper, "StepProblem")
     stepper.run_rothe(problem, stepper.TimeGrid(1.0, n_steps), scheme)
     assert (len(solves), len(forcing)) == _steps_and_forcing_calls(n_steps)
+    assert len(operators) == (2 if scheme == "bdf2" else 1)
+
+
+def test_the_tracer_measures_every_step_of_a_run():
+    # the tracer reads the solver's report from the third item of its
+    # result and times both step functions by name
+    stepper = importlib.import_module("rothe_hvi.stepper")
+    problem = _smooth_problem()
+    tracer = _load_tracer().Tracer()
+    with tracer.installed():
+        stepper.run_rothe(problem, stepper.TimeGrid(1.0, 8), "bdf2")
+    names = [name for name, _, _, _ in tracer.spans]
+    assert names.count("inclusion_solver.solve") == 8
+    assert names.count("stepper.step") == 8
+    assert len(tracer.newton_iters) == 8
+    assert tracer.nonconvergence == 0
 
 
 def test_the_counts_add_up_to_the_seed0_ladder_smooth_pin():

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -376,6 +379,10 @@ def test_ladder_study_validation():
         tau_ladder_study(problem, 1.0, [0.3], "bdf2")
     with pytest.raises(ValueError):
         tau_ladder_study(problem, 1.0, [], "bdf2")
+    # a step that splits [0, 1] into no whole number of steps is named
+    for tau in (0.0, -0.25, math.nan, math.inf, 5e-324):
+        with pytest.raises(ValueError, match=f"tau={re.escape(str(tau))} "):
+            tau_ladder_study(problem, 1.0, [tau], "bdf2")
 
 
 def test_peak_h_norm_stable_across_ladder():

@@ -22,6 +22,8 @@ from rothe_hvi import (
     ZeroPotential,
     assemble_forcing,
     assemble_space,
+    bdf2_step,
+    initial_step,
     minimize_energy_convex,
     scan_roots_1d,
     scan_roots_reduced,
@@ -39,20 +41,19 @@ POTENTIAL_FACTORIES = {
 
 
 def scalar_problem(potential, b, tau=1.0, c=1.0, m=1.0, k=1.0, w=1.0):
+    """A one-dimensional step operator and the right-hand side [b]."""
     space = GalerkinSpace(
         gram_h=[[m]], gram_v=[[m + k]], trace=[[1.0]], gram_u=[[1.0]]
     )
-    return StepProblem(
+    p = StepProblem(
         space=space,
-        mass=np.array([[m]]),
         stiff_scaled=np.array([[c * tau * k]]),
-        trace=np.array([[1.0]]),
         weights=np.array([w]),
         potential=potential,
-        rhs=np.array([float(b)]),
         c_coef=c,
         tau=tau,
     )
+    return p, np.array([float(b)])
 
 
 def random_problem(rng, dim, potential, scale=1.0):
@@ -63,23 +64,21 @@ def random_problem(rng, dim, potential, scale=1.0):
     trace = (rng.uniform(0.3, 1.5, size=(1, dim)) * rng.choice([-1.0, 1.0])).reshape(1, dim)
     space = GalerkinSpace(gram_h=mass, gram_v=mass + stiff + 0.1 * np.eye(dim),
                           trace=trace, gram_u=np.eye(1))
-    return StepProblem(
+    p = StepProblem(
         space=space,
-        mass=mass,
         stiff_scaled=c * tau * stiff,
-        trace=trace,
         weights=rng.uniform(0.5, 2.0, size=1),
         potential=potential,
-        rhs=rng.normal(size=dim) * scale,
         c_coef=c,
         tau=tau,
     )
+    return p, rng.normal(size=dim) * scale
 
 
-def oracle_roots(p, widen_from=8.0):
+def oracle_roots(p, rhs, widen_from=8.0):
     radius = widen_from
     for _ in range(8):
-        roots = scan_roots_reduced(p, -radius, radius, 4000)
+        roots = scan_roots_reduced(p, rhs, -radius, radius, 4000)
         if roots:
             return roots
         radius *= 4.0
@@ -87,28 +86,28 @@ def oracle_roots(p, widen_from=8.0):
 
 
 def test_zero_potential_single_linear_solve():
-    p = scalar_problem(ZeroPotential(), b=3.0)
-    u, xi, report = solve_step_inclusion(p, np.array([10.0]))
+    p, rhs = scalar_problem(ZeroPotential(), b=3.0)
+    u, xi, report = solve_step_inclusion(p, rhs, np.array([10.0]))
     assert u == pytest.approx([1.5])
     assert xi == pytest.approx([0.0])
     assert report.iterations == 1
-    assert verify_inclusion(p, u, xi, 1e-12).residual <= 1e-12
+    assert verify_inclusion(p, rhs, u, xi, 1e-12).residual <= 1e-12
 
 
 def test_scalar_toy_constructed_root():
     # 2u + (e^{-1} + 1) = b at u = 1
     b = 3.0 + math.exp(-1.0)
-    p = scalar_problem(PaperExponential(1.0), b=b)
-    u, xi, _ = solve_step_inclusion(p, np.zeros(1))
+    p, rhs = scalar_problem(PaperExponential(1.0), b=b)
+    u, xi, _ = solve_step_inclusion(p, rhs, np.zeros(1))
     assert u[0] == pytest.approx(1.0, abs=1e-9)
     assert xi[0] == pytest.approx(math.exp(-1.0) + 1.0, abs=1e-9)
-    roots = scan_roots_1d(p, -5.0, 5.0)
+    roots = scan_roots_1d(p, rhs, -5.0, 5.0)
     assert min(abs(u[0] - r) for r in roots) < 1e-9
 
 
 def test_scalar_toy_zero_rhs_from_far_start():
-    p = scalar_problem(PaperExponential(1.0), b=0.0, tau=0.5)
-    u, xi, _ = solve_step_inclusion(p, np.array([-5.0]))
+    p, rhs = scalar_problem(PaperExponential(1.0), b=0.0, tau=0.5)
+    u, xi, _ = solve_step_inclusion(p, rhs, np.array([-5.0]))
     assert u[0] == pytest.approx(0.0, abs=1e-10)
     assert 0.0 <= xi[0] <= 1.0
 
@@ -118,24 +117,24 @@ def test_root_one_ulp_left_of_the_kink_is_found(name):
     # t S^-1 b is the subnormal just below the kink at 0, so the root s = b
     # is the very point where the solver reads the left limit of z
     b = math.nextafter(0.0, -math.inf)
-    p = scalar_problem(POTENTIAL_FACTORIES[name](), b=b, k=0.0)
-    u, xi, _ = solve_step_inclusion(p, np.zeros(1))
+    p, rhs = scalar_problem(POTENTIAL_FACTORIES[name](), b=b, k=0.0)
+    u, xi, _ = solve_step_inclusion(p, rhs, np.zeros(1))
     assert u[0] == b and xi[0] == 0.0
 
 
 def test_verify_round_trip_and_negative_control():
-    p = scalar_problem(PaperExponential(1.0), b=3.0 + math.exp(-1.0))
-    u, xi, _ = solve_step_inclusion(p, np.zeros(1), tol=1e-11)
-    res = verify_inclusion(p, u, xi, 1e-10)
+    p, rhs = scalar_problem(PaperExponential(1.0), b=3.0 + math.exp(-1.0))
+    u, xi, _ = solve_step_inclusion(p, rhs, np.zeros(1), tol=1e-11)
+    res = verify_inclusion(p, rhs, u, xi, 1e-10)
     assert res.residual <= 1e-10
     assert res.membership_ok
-    bad = verify_inclusion(p, u, xi + 2e-10 + (xi * 0.1 + 1e-3), 1e-10)
+    bad = verify_inclusion(p, rhs, u, xi + 2e-10 + (xi * 0.1 + 1e-3), 1e-10)
     assert not bad.membership_ok
 
 
 def test_hand_solution_exact_residual():
-    p = scalar_problem(PaperExponential(1.0), b=3.0 + math.exp(-1.0))
-    res = verify_inclusion(p, np.array([1.0]), np.array([math.exp(-1.0) + 1.0]), 1e-12)
+    p, rhs = scalar_problem(PaperExponential(1.0), b=3.0 + math.exp(-1.0))
+    res = verify_inclusion(p, rhs, np.array([1.0]), np.array([math.exp(-1.0) + 1.0]), 1e-12)
     assert res.residual <= 1e-12
     assert res.membership_ok
 
@@ -145,9 +144,9 @@ def test_oracle_equivalence_small(name):
     rng = np.random.default_rng(hash(name) % 2**32)
     for trial in range(40):
         dim = int(rng.integers(1, 3))
-        p = random_problem(rng, dim, POTENTIAL_FACTORIES[name](), scale=rng.uniform(0.5, 3.0))
-        u, xi, _ = solve_step_inclusion(p, np.zeros(dim), tol=1e-11)
-        roots = oracle_roots(p)
+        p, rhs = random_problem(rng, dim, POTENTIAL_FACTORIES[name](), scale=rng.uniform(0.5, 3.0))
+        u, xi, _ = solve_step_inclusion(p, rhs, np.zeros(dim), tol=1e-11)
+        roots = oracle_roots(p, rhs)
         dist = min(np.max(np.abs(u - r)) for r in roots)
         assert dist < 1e-7, f"{name} trial {trial}: dist={dist}"
 
@@ -180,20 +179,20 @@ def test_solver_picks_the_oracle_root_nearest_the_warm_start(
     space = GalerkinSpace(gram_h=mass, gram_v=mass + stiff + 0.1 * np.eye(dim),
                           trace=trace, gram_u=np.eye(1))
     pot = ORACLE_POTENTIALS[name]()
-    p = StepProblem(space=space, mass=mass, stiff_scaled=c * tau * stiff, trace=trace,
-                    weights=np.array([weight]), potential=pot,
-                    rhs=rng.normal(size=dim) * rhs_scale, c_coef=c, tau=tau)
+    p = StepProblem(space=space, stiff_scaled=c * tau * stiff, weights=np.array([weight]),
+                    potential=pot, c_coef=c, tau=tau)
+    rhs = rng.normal(size=dim) * rhs_scale
     warm = rng.normal(size=dim) * warm_scale
     tol = 1e-10
-    u, xi, _ = solve_step_inclusion(p, warm, tol=tol)
-    check = verify_inclusion(p, u, xi, tol)
+    u, xi, _ = solve_step_inclusion(p, rhs, warm, tol=tol)
+    check = verify_inclusion(p, rhs, u, xi, tol)
     assert check.residual <= tol and check.membership_ok
 
     # every root lies within |s| <= |t S^-1 b| + F d_j (F = c tau w t S^-1 t^T)
     s_inv = np.linalg.inv(p.system.toarray())
     factor = c * tau * weight * float(trace[0] @ s_inv @ trace[0])
-    radius = abs(float(trace[0] @ s_inv @ p.rhs)) + factor * pot.d_j + 1.0
-    roots = scan_roots_reduced(p, -radius, radius, 20000)
+    radius = abs(float(trace[0] @ s_inv @ rhs)) + factor * pot.d_j + 1.0
+    roots = scan_roots_reduced(p, rhs, -radius, radius, 20000)
     assert min(np.max(np.abs(u - r)) for r in roots) < 1e-7
     s, s_warm = float(trace[0] @ u), float(trace[0] @ warm)
     nearest = min(abs(float(trace[0] @ r) - s_warm) for r in roots)
@@ -205,81 +204,92 @@ def test_convex_energy_optimality():
     for _ in range(25):
         dim = int(rng.integers(1, 3))
         pot = PaperExponential(rng.uniform(0.5, 2.0)) if rng.uniform() < 0.5 else LinearRobin(rng.uniform(0.2, 2.0))
-        p = random_problem(rng, dim, pot)
-        u, xi, _ = solve_step_inclusion(p, np.zeros(dim), tol=1e-11)
-        e0 = step_energy(p, u)
+        p, rhs = random_problem(rng, dim, pot)
+        u, xi, _ = solve_step_inclusion(p, rhs, np.zeros(dim), tol=1e-11)
+        e0 = step_energy(p, rhs, u)
         for k in range(dim):
             for delta in (1e-4, -1e-4):
                 probe = u.copy()
                 probe[k] += delta
-                assert step_energy(p, probe) >= e0 - 1e-12
-        s = p.trace @ u
+                assert step_energy(p, rhs, probe) >= e0 - 1e-12
+        s = p.space.trace @ u
         if all(min(abs(float(si) - kk) for kk in pot.kinks) > 1e-5 for si in np.atleast_1d(s)) if pot.kinks else True:
             grad = np.empty(dim)
             for k in range(dim):
                 ep = u.copy(); ep[k] += 1e-7
                 em = u.copy(); em[k] -= 1e-7
-                grad[k] = (step_energy(p, ep) - step_energy(p, em)) / 2e-7
+                grad[k] = (step_energy(p, rhs, ep) - step_energy(p, rhs, em)) / 2e-7
             assert np.linalg.norm(grad) <= 1e-6
 
 
 def test_scaling_covariance():
-    base = scalar_problem(PaperExponential(1.0), b=2.0, tau=0.7)
-    u_ref, _, _ = solve_step_inclusion(base, np.zeros(1), tol=1e-13)
+    base, rhs = scalar_problem(PaperExponential(1.0), b=2.0, tau=0.7)
+    u_ref, _, _ = solve_step_inclusion(base, rhs, np.zeros(1), tol=1e-13)
     for s in (0.5, 2.0, 10.0):
         scaled = StepProblem(
-            space=base.space,
-            mass=s * base.mass,
+            space=replace(base.space, gram_h=s * base.space.gram_h),
             stiff_scaled=s * base.stiff_scaled,
-            trace=base.trace,
             weights=s * base.weights,
             potential=base.potential,
-            rhs=s * base.rhs,
             c_coef=base.c_coef,
             tau=base.tau,
         )
-        u, _, _ = solve_step_inclusion(scaled, np.zeros(1), tol=1e-13)
+        u, _, _ = solve_step_inclusion(scaled, s * rhs, np.zeros(1), tol=1e-13)
         assert np.max(np.abs(u - u_ref)) < 1e-10
 
 
 def test_invalid_inputs():
-    p = scalar_problem(ZeroPotential(), b=1.0)
+    p, rhs = scalar_problem(ZeroPotential(), b=1.0)
     with pytest.raises(ValueError):
-        solve_step_inclusion(p, np.zeros(1), tol=0.0)
+        solve_step_inclusion(p, rhs, np.zeros(1), tol=0.0)
     with pytest.raises(ValueError):
-        solve_step_inclusion(p, np.zeros(2))
+        solve_step_inclusion(p, rhs, np.zeros(2))
+    with pytest.raises(ValueError, match="right-hand side"):
+        solve_step_inclusion(p, np.ones(2), np.zeros(1))
     with pytest.raises(ValueError):
-        StepProblem(
-            space=p.space, mass=p.mass, stiff_scaled=p.stiff_scaled, trace=p.trace,
-            weights=p.weights, potential=p.potential, rhs=p.rhs, c_coef=0.5, tau=1.0,
-        )
+        replace(p, c_coef=0.5)
+    # what holds for every step is checked when the operator is built
+    two_rows = GalerkinSpace(gram_h=np.eye(2), gram_v=2.0 * np.eye(2), trace=np.eye(2),
+                             gram_u=np.eye(2))
+    with pytest.raises(ValueError, match="dim_u = 2"):
+        StepProblem(space=two_rows, stiff_scaled=np.eye(2), weights=np.ones(2),
+                    potential=ZeroPotential(), c_coef=1.0, tau=1.0)
+    zero_row = GalerkinSpace(gram_h=[[1.0]], gram_v=[[2.0]], trace=[[0.0]], gram_u=[[1.0]])
+    with pytest.raises(ValueError, match="gamma > 0"):
+        replace(p, space=zero_row)
+    # each step function takes the operator of its own stencil only
+    two_step, _ = scalar_problem(ZeroPotential(), b=1.0, c=2.0 / 3.0)
+    with pytest.raises(ValueError, match="initial_step"):
+        initial_step(two_step, np.zeros(1), np.zeros(1))
+    with pytest.raises(ValueError, match="bdf2_step"):
+        bdf2_step(p, np.zeros(1), np.zeros(1), np.zeros(1))
 
 
 def test_non_finite_rhs_raises():
-    p = scalar_problem(LinearRobin(1.0), b=np.inf)
+    p, rhs = scalar_problem(LinearRobin(1.0), b=np.inf)
     with pytest.raises((NumericalFailureError, NonConvergenceError)):
-        solve_step_inclusion(p, np.zeros(1))
+        solve_step_inclusion(p, rhs, np.zeros(1))
 
 
 def test_minimizer_matches_solver_on_toy():
-    p = scalar_problem(PaperExponential(1.0), b=3.0 + math.exp(-1.0))
-    u = minimize_energy_convex(p, tol=1e-9)
+    p, rhs = scalar_problem(PaperExponential(1.0), b=3.0 + math.exp(-1.0))
+    u = minimize_energy_convex(p, rhs, tol=1e-9)
     assert u[0] == pytest.approx(1.0, abs=1e-7)
 
 
-def fem_step(n_el: int, potential) -> tuple[StepProblem, np.ndarray]:
-    """A two-step-stencil step of the P1 problem and its warm start."""
+def fem_step(n_el: int, potential) -> tuple[StepProblem, np.ndarray, np.ndarray]:
+    """A two-step-stencil operator of the P1 problem, a right-hand side and
+    a warm start."""
     mesh = Mesh1D(n_el)
     space, op = assemble_space(mesh)
     c, tau = 2.0 / 3.0, 0.1
     u_prev = np.linspace(0.0, 1.0, n_el + 1)
     load = assemble_forcing(mesh, ForcingSpec(lambda t, x: 1.0 + x, lambda t: 0.5), 0.3)
     p = StepProblem(
-        space=space, mass=space.gram_h, stiff_scaled=c * tau * op.stiffness,
-        trace=space.trace, weights=np.ones(1), potential=potential,
-        rhs=c * tau * load + space.gram_h @ u_prev, c_coef=c, tau=tau,
+        space=space, stiff_scaled=c * tau * op.stiffness, weights=np.ones(1),
+        potential=potential, c_coef=c, tau=tau,
     )
-    return p, u_prev
+    return p, c * tau * load + space.gram_h @ u_prev, u_prev
 
 
 @pytest.mark.parametrize("n_el", [4, 64])
@@ -296,10 +306,10 @@ def test_each_vector_scanned_once_still_rejects_bad_data(n_el, case, reason):
     # the rhs is scanned only through x = S^-1 b and the residual only
     # through its own squared norm; both must still catch what the data holds
     potential = ZeroPotential() if "overflows" in case else PaperExponential(1.0)
-    p, warm = fem_step(n_el, potential)
-    u, _, report = solve_step_inclusion(p, warm)
+    p, rhs, warm = fem_step(n_el, potential)
+    u, _, report = solve_step_inclusion(p, rhs, warm)
     assert np.all(np.isfinite(u)) and report.residual <= 1e-10
-    rhs, warm = p.rhs.copy(), warm.copy()
+    rhs, warm = rhs.copy(), warm.copy()
     if case.startswith("nan in the rhs"):
         rhs[n_el // 2] = np.nan
     elif case.startswith("inf in the rhs"):
@@ -309,5 +319,5 @@ def test_each_vector_scanned_once_still_rejects_bad_data(n_el, case, reason):
     else:
         rhs *= 1e200  # x stays finite; r^T G_v^-1 r, about 1e368, does not
     with np.errstate(all="ignore"), pytest.raises(NumericalFailureError) as info:
-        solve_step_inclusion(replace(p, rhs=rhs), warm)
+        solve_step_inclusion(p, rhs, warm)
     assert str(info.value) == reason

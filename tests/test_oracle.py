@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -33,46 +34,47 @@ from rothe_hvi import (
 
 
 def scalar_problem(potential, b, tau=1.0, c=1.0, m=1.0, k=1.0, w=1.0):
+    """A one-dimensional step operator and the right-hand side [b]."""
     space = GalerkinSpace(gram_h=[[m]], gram_v=[[m + k]], trace=[[1.0]], gram_u=[[1.0]])
-    return StepProblem(
-        space=space, mass=np.array([[m]]), stiff_scaled=np.array([[c * tau * k]]),
-        trace=np.array([[1.0]]), weights=np.array([w]), potential=potential,
-        rhs=np.array([float(b)]), c_coef=c, tau=tau,
+    p = StepProblem(
+        space=space, stiff_scaled=np.array([[c * tau * k]]), weights=np.array([w]),
+        potential=potential, c_coef=c, tau=tau,
     )
+    return p, np.array([float(b)])
 
 
 def test_scan_linear_flux_single_root():
     k = 2.0
     tau, c, m, kk, w, b = 0.5, 1.0, 1.0, 1.0, 1.0, 3.0
-    p = scalar_problem(LinearRobin(k), b, tau=tau, c=c, m=m, k=kk, w=w)
-    roots = scan_roots_1d(p, -10.0, 10.0)
+    p, rhs = scalar_problem(LinearRobin(k), b, tau=tau, c=c, m=m, k=kk, w=w)
+    roots = scan_roots_1d(p, rhs, -10.0, 10.0)
     expected = b / (m + c * tau * kk + c * tau * w * k)
     assert len(roots) == 1
     assert roots[0] == pytest.approx(expected, abs=1e-9)
 
 
 def test_scan_flux_at_kink_zero_rhs():
-    p = scalar_problem(PaperExponential(1.0), 0.0, tau=0.5)
-    assert scan_roots_1d(p, -5.0, 5.0) == pytest.approx([0.0], abs=1e-9)
+    p, rhs = scalar_problem(PaperExponential(1.0), 0.0, tau=0.5)
+    assert scan_roots_1d(p, rhs, -5.0, 5.0) == pytest.approx([0.0], abs=1e-9)
 
 
 def test_scan_nonconvex_multiple_roots():
     # total map 2u + z(u) descends on (0, 1): three roots at b = 0.5
-    p = scalar_problem(NonconvexPiecewise(), 0.5)
-    roots = scan_roots_1d(p, -5.0, 5.0)
+    p, rhs = scalar_problem(NonconvexPiecewise(), 0.5)
+    roots = scan_roots_1d(p, rhs, -5.0, 5.0)
     assert len(roots) == 3
     assert roots == pytest.approx([0.0, 0.25, 1.5], abs=1e-9)
 
 
 def test_scan_empty_when_range_misses_root():
-    p = scalar_problem(LinearRobin(1.0), 100.0)
-    assert scan_roots_1d(p, -1.0, 1.0) == []
+    p, rhs = scalar_problem(LinearRobin(1.0), 100.0)
+    assert scan_roots_1d(p, rhs, -1.0, 1.0) == []
 
 
 def test_scan_validation():
-    p = scalar_problem(LinearRobin(1.0), 1.0)
+    p, rhs = scalar_problem(LinearRobin(1.0), 1.0)
     with pytest.raises(ValueError):
-        scan_roots_1d(p, -1.0, 1.0, grid_n=100)
+        scan_roots_1d(p, rhs, -1.0, 1.0, grid_n=100)
 
 
 def test_scan_reduced_matches_full_solution_dim2():
@@ -83,19 +85,20 @@ def test_scan_reduced_matches_full_solution_dim2():
         tau = 0.3
         trace = rng.uniform(0.5, 1.5, size=(1, 2))
         space = GalerkinSpace(gram_h=mass, gram_v=mass + stiff, trace=trace, gram_u=np.eye(1))
-        p = StepProblem(space=space, mass=mass, stiff_scaled=tau * stiff, trace=trace,
-                        weights=np.array([1.3]), potential=PaperExponential(1.0),
-                        rhs=rng.normal(size=2) * 2.0, c_coef=1.0, tau=tau)
-        roots = scan_roots_reduced(p, -20.0, 20.0, 4000)
+        p = StepProblem(space=space, stiff_scaled=tau * stiff, weights=np.array([1.3]),
+                        potential=PaperExponential(1.0), c_coef=1.0, tau=tau)
+        rhs = rng.normal(size=2) * 2.0
+        flux_matrix = tau * (trace.T * 1.3)  # maps the multiplier to its load
+        roots = scan_roots_reduced(p, rhs, -20.0, 20.0, 4000)
         assert roots
         for u in roots:
             # the implied flux must close the equation and be admissible
-            r = p.rhs - p.system @ u
-            xi = float(np.linalg.lstsq(p.flux_matrix, r, rcond=None)[0][0])
-            s = float((p.trace @ u)[0])
+            r = rhs - p.system @ u
+            xi = float(np.linalg.lstsq(flux_matrix, r, rcond=None)[0][0])
+            s = float((trace @ u)[0])
             lo, hi = p.potential.membership_interval(s, 1e-9 * (1 + abs(s)))
             assert lo - 1e-7 <= xi <= hi + 1e-7
-            closed = p.system @ u + p.flux_matrix @ np.array([xi]) - p.rhs
+            closed = p.system @ u + flux_matrix @ np.array([xi]) - rhs
             assert np.max(np.abs(closed)) < 1e-7
 
 
@@ -105,37 +108,37 @@ def test_minimize_energy_smooth_case_equals_linear_solve():
     stiff = random_spd(rng, 2, shift=0.1)
     trace = np.array([[1.0, 0.0]])
     space = GalerkinSpace(gram_h=mass, gram_v=mass + stiff, trace=trace, gram_u=np.eye(1))
-    p = StepProblem(space=space, mass=mass, stiff_scaled=0.2 * stiff, trace=trace,
-                    weights=np.ones(1), potential=ZeroPotential(),
-                    rhs=np.array([1.0, -0.5]), c_coef=1.0, tau=0.2)
-    u = minimize_energy_convex(p, tol=1e-10)
-    direct = np.linalg.solve(p.system.toarray(), p.rhs)
+    p = StepProblem(space=space, stiff_scaled=0.2 * stiff, weights=np.ones(1),
+                    potential=ZeroPotential(), c_coef=1.0, tau=0.2)
+    rhs = np.array([1.0, -0.5])
+    u = minimize_energy_convex(p, rhs, tol=1e-10)
+    direct = np.linalg.solve(p.system.toarray(), rhs)
     assert u == pytest.approx(direct, abs=1e-7)
 
 
 def test_minimize_energy_scalar_toy():
-    p = scalar_problem(PaperExponential(1.0), 3.0 + math.exp(-1.0))
-    u = minimize_energy_convex(p)
+    p, rhs = scalar_problem(PaperExponential(1.0), 3.0 + math.exp(-1.0))
+    u = minimize_energy_convex(p, rhs)
     assert u[0] == pytest.approx(1.0, abs=1e-7)
 
 
 def test_minimize_energy_zero_rhs():
-    p = scalar_problem(PaperExponential(1.0), 0.0)
-    u = minimize_energy_convex(p)
+    p, rhs = scalar_problem(PaperExponential(1.0), 0.0)
+    u = minimize_energy_convex(p, rhs)
     assert u[0] == pytest.approx(0.0, abs=1e-7)
 
 
 def test_minimize_energy_rejects_nonmonotone():
-    p = scalar_problem(NonconvexPiecewise(), 0.5)
+    p, rhs = scalar_problem(NonconvexPiecewise(), 0.5)
     with pytest.raises(ValueError):
-        minimize_energy_convex(p)
+        minimize_energy_convex(p, rhs)
 
 
 def test_step_energy_definition():
-    p = scalar_problem(LinearRobin(2.0), 1.0, tau=0.5)
+    p, rhs = scalar_problem(LinearRobin(2.0), 1.0, tau=0.5)
     u = np.array([0.7])
     expected = 0.5 * 0.7**2 * (1 + 0.5) + 0.5 * (0.5 * 2.0 * 0.7**2) - 0.7
-    assert step_energy(p, u) == pytest.approx(expected)
+    assert step_energy(p, rhs, u) == pytest.approx(expected)
 
 
 def fem_problem(n_el, potential, f0, f_N, u0_fun):
@@ -192,12 +195,13 @@ def test_reference_self_consistency_under_halving():
     assert problem.space.h_norm(a.u[-1] - b.u[-1]) < 1e-6
 
 
-def test_reference_validates_step():
+@pytest.mark.parametrize("tau", [0.3, 0.0, -0.25, math.nan, math.inf, 5e-324])
+def test_reference_validates_step(tau):
     problem = fem_problem(2, ZeroPotential(),
                           lambda t, x: np.zeros_like(x), lambda t: 0.0,
                           lambda x: np.zeros_like(x))
-    with pytest.raises(ValueError):
-        reference_solution(problem, 1.0, 0.3)
+    with pytest.raises(ValueError, match=f"tau={re.escape(str(tau))} "):
+        reference_solution(problem, 1.0, tau)
 
 
 def test_reference_completes_on_smooth_problem_near_unit_flux_scale():

@@ -30,7 +30,6 @@ from rothe_hvi import (
     make_initial,
     run_rothe,
 )
-from rothe_hvi.inclusion_solver import StepFactorization
 
 
 def scalar_problem(potential, forcing, u0=0.0, stiffness=0.0):
@@ -85,7 +84,7 @@ def test_initial_step_linear_matches_direct_solve():
                           lambda x: x * (1 - x))
     tau = 0.125
     f1 = average_forcing(problem.forcing, 1, TimeGrid(1.0, 8))
-    u1, xi1, _ = initial_step(problem, problem.u0, f1, tau)
+    u1, xi1, _ = initial_step(problem.step_problem(1.0, tau), problem.u0, f1)
     M = problem.space.gram_h.toarray()
     K = problem.operator.stiffness.toarray()
     direct = np.linalg.solve(M + tau * K, tau * f1 + M @ problem.u0)
@@ -95,7 +94,7 @@ def test_initial_step_linear_matches_direct_solve():
 
 def test_initial_step_scalar_toy_stays_at_kink():
     problem = scalar_problem(PaperExponential(1.0), lambda t: np.zeros(1), stiffness=1.0)
-    u1, xi1, _ = initial_step(problem, np.zeros(1), np.zeros(1), 0.5)
+    u1, xi1, _ = initial_step(problem.step_problem(1.0, 0.5), np.zeros(1), np.zeros(1))
     assert u1 == pytest.approx([0.0], abs=1e-12)
     assert 0.0 <= xi1[0] <= 1.0
 
@@ -104,7 +103,7 @@ def test_initial_step_scalar_toy_constructed_unit_root():
     tau = 0.5
     f1 = (1.0 + tau) / tau + (math.exp(-1.0) + 1.0)
     problem = scalar_problem(PaperExponential(1.0), lambda t: np.array([f1]), stiffness=1.0)
-    u1, xi1, _ = initial_step(problem, np.zeros(1), np.array([f1]), tau)
+    u1, xi1, _ = initial_step(problem.step_problem(1.0, tau), np.zeros(1), np.array([f1]))
     assert u1[0] == pytest.approx(1.0, abs=1e-8)
     assert xi1[0] == pytest.approx(math.exp(-1.0) + 1.0, abs=1e-8)
 
@@ -132,7 +131,7 @@ def test_bdf2_step_fixed_point_at_steady_state():
     G = K + 2.0 * e.T @ e
     F = problem.forcing(0.0)
     u_star = np.linalg.solve(G, F)
-    u_next, _, _ = bdf2_step(problem, u_star, u_star, F, 0.25)
+    u_next, _, _ = bdf2_step(problem.step_problem(2.0 / 3.0, 0.25), u_star, u_star, F)
     assert u_next == pytest.approx(u_star, abs=1e-10)
 
 
@@ -164,9 +163,9 @@ def test_run_rothe_deterministic_bit_identical():
 
 
 @pytest.mark.parametrize("potential", [PaperExponential(1.0), NonconvexPiecewise()])
-def test_steps_without_a_factorization_repeat_the_run_bit_for_bit(potential):
-    # run_rothe shares one factorization per stencil; a step called without
-    # one builds its own and must give the same bits
+def test_steps_given_fresh_operators_repeat_the_run_bit_for_bit(potential):
+    # run_rothe shares one operator per stencil; a step given an operator
+    # built for it alone must give the same bits
     problem = fem_problem(16, potential, lambda t, x: np.full_like(x, 3.0),
                           lambda t: 0.0, lambda x: np.zeros_like(x))
     grid = TimeGrid(1.0, 8)
@@ -174,10 +173,11 @@ def test_steps_without_a_factorization_repeat_the_run_bit_for_bit(potential):
         traj = run_rothe(problem, grid, scheme)
         for n in range(1, grid.N + 1):
             if scheme == "bdf2" and n >= 2:
-                u, xi, _ = bdf2_step(problem, traj.u[n - 1], traj.u[n - 2],
-                                     traj.f_avg[n - 1], grid.tau)
+                u, xi, _ = bdf2_step(problem.step_problem(2.0 / 3.0, grid.tau), traj.u[n - 1],
+                                     traj.u[n - 2], traj.f_avg[n - 1])
             else:
-                u, xi, _ = initial_step(problem, traj.u[n - 1], traj.f_avg[n - 1], grid.tau)
+                u, xi, _ = initial_step(problem.step_problem(1.0, grid.tau), traj.u[n - 1],
+                                        traj.f_avg[n - 1])
             assert np.array_equal(u, traj.u[n])
             assert np.array_equal(xi, traj.xi[n - 1])
 
@@ -310,7 +310,7 @@ def test_matrices_stay_linear_in_n_el_at_scale():
     assert np.all(np.isfinite(traj.u)) and report.q4 > 0.0
     sp, op = problem.space, problem.operator
     tau = traj.grid.tau
-    fac = StepFactorization(sp.gram_h, (2.0 / 3.0) * tau * op.stiffness, sp.trace[0])
+    step = problem.step_problem(2.0 / 3.0, tau)
     held = [sp.gram_h.ab, sp.gram_v.ab, sp.gram_u.ab, sp.trace, op.stiffness.ab,
-            fac.system.ab, fac.system.factor, fac.stiff_scaled.ab, fac.y]
+            step.system.ab, step.system.factor, step.stiff_scaled.ab, step.y]
     assert max(a.size for a in held) <= 2 * (n_el + 1)
