@@ -32,6 +32,7 @@ from .stepper import (
     BDF2,
     RotheProblem,
     RotheTrajectory,
+    SeparableLoad,
     StepFailureError,
     TimeGrid,
     average_forcing,

@@ -78,6 +78,7 @@ from .stepper import (
     BDF2,
     RotheProblem,
     RotheTrajectory,
+    SeparableLoad,
     StepFailureError,
     TimeGrid,
     TrajectoryMemoryError,
@@ -299,6 +300,10 @@ def _validate_config(cfg: ExperimentConfig) -> None:
     for name in ("f0_t_coeffs", "f0_x_coeffs", "fn_t_coeffs", "u0_coeffs"):
         if not getattr(cfg, name):
             raise ConfigError(f"[problem] {name}: must be non-empty")
+    # the spatial factor's load is assembled once and must be finite; on [0, 1]
+    # Horner's partial sums are bounded by the coefficients' absolute sum
+    if cfg.forcing == "poly" and not math.isfinite(sum(abs(c) for c in cfg.f0_x_coeffs)):
+        raise ConfigError("[problem] f0_x_coeffs: the absolute values must have a finite sum")
     _require_two_steps(cfg, "tau_ref", cfg.reference_tau())  # the reference is a two-step run
     if cfg.scheme == BDF2:
         _require_two_steps(cfg, "taus", cfg.taus[0])
@@ -343,7 +348,7 @@ def build_potential(cfg: ExperimentConfig) -> ScalarPotential:
 
 def _poly(coeffs: Sequence[float]) -> Callable:
     """The polynomial by Horner's rule, the operations of ``polyval``: at a
-    float t in plain floats, at an array x elementwise."""
+    float in plain floats, at an array elementwise."""
     c = [float(v) for v in coeffs]
 
     def p(x):
@@ -355,31 +360,26 @@ def _poly(coeffs: Sequence[float]) -> Callable:
     return p
 
 
-def build_forcing_spec(cfg: ExperimentConfig) -> ForcingSpec:
-    # time factors are scalars, computed with math; only x is an array
+def _forcing_factors(cfg: ExperimentConfig) -> tuple[Callable, Callable, Callable]:
+    """The preset's load as (a, b, f_N): volume source a(t) b(x) and Neumann
+    datum f_N(t) at x = 0, each vectorized."""
     if cfg.forcing == "zero":
-        return ForcingSpec(lambda t, x: np.zeros(np.shape(x)), lambda t: 0.0)
+        return _poly((0.0,)), _poly((0.0,)), _poly((0.0,))
     if cfg.forcing == "constant":
-        c0, cn = cfg.f0_value, cfg.fn_value
-        return ForcingSpec(lambda t, x: np.full(np.shape(x), c0), lambda t: cn)
+        return _poly((cfg.f0_value,)), _poly((1.0,)), _poly((cfg.fn_value,))
     if cfg.forcing == "smooth":
         # smooth in time and space with f(0) = f'(0) = 0, so the startup is
         # compatible with a zero initial state and order measurements stay clean
-        return ForcingSpec(
-            lambda t, x: (1.0 - math.cos(math.pi * t)) * 0.5 * (1.0 + x),
-            lambda t: 0.5 * t * t * math.exp(-t),
+        return (
+            lambda t: 1.0 - np.cos(np.pi * t),
+            lambda x: 0.5 * (1.0 + x),
+            lambda t: 0.5 * t * t * np.exp(-t),
         )
-    pt, px = _poly(cfg.f0_t_coeffs), _poly(cfg.f0_x_coeffs)
-    return ForcingSpec(lambda t, x: pt(t) * px(x), _poly(cfg.fn_t_coeffs))
+    return _poly(cfg.f0_t_coeffs), _poly(cfg.f0_x_coeffs), _poly(cfg.fn_t_coeffs)
 
 
 def build_u0(cfg: ExperimentConfig) -> Callable[[np.ndarray], np.ndarray]:
-    if cfg.u0 == "zero":
-        return lambda x: np.zeros(np.shape(x))
-    if cfg.u0 == "constant":
-        c = cfg.u0_value
-        return lambda x: np.full(np.shape(x), c)
-    return _poly(cfg.u0_coeffs)
+    return _poly({"zero": (0.0,), "constant": (cfg.u0_value,)}.get(cfg.u0, cfg.u0_coeffs))
 
 
 def build_problem(cfg: ExperimentConfig) -> RotheProblem:
@@ -389,12 +389,15 @@ def build_problem(cfg: ExperimentConfig) -> RotheProblem:
     overrides = {name: getattr(cfg, name) for name in names if getattr(cfg, name) is not None}
     if overrides:
         op = replace(op, **overrides)  # re-certified by __post_init__
-    spec = build_forcing_spec(cfg)
+    # l(t) = f_N(t) e_0 + a(t) l_b, with l_b the load of b assembled once
+    a, b, f_n = _forcing_factors(cfg)
+    loads = np.eye(2, space.dim)  # e_0, then l_b in place of e_1
+    loads[1] = assemble_forcing(mesh, ForcingSpec(lambda t, x: b(x), lambda t: 0.0), 0.0)
     return RotheProblem(
         space=space,
         operator=op,
         boundary=BoundaryFunctional(build_potential(cfg), np.ones(1)),
-        forcing=lambda t: assemble_forcing(mesh, spec, t),
+        forcing=SeparableLoad(lambda t: np.column_stack([f_n(t), a(t)]), loads),
         u0=make_initial(mesh, space, build_u0(cfg)),
     )
 

@@ -9,10 +9,12 @@ mass + stiffness, matching the norm
 Load vectors use Gauss quadrature per element: the 3- and 5-point rules on
 the reference element are built once per process, the tables of points and
 weight-times-hat values once per mesh; all are read-only.  A load vector is
-one product of the integrand's values with that table, written straight
-into a buffer, padded with a zero at each end, that interleaves each
-element's shares of its two nodes, then one sum of the buffer's even and
-odd entries.
+one product of the integrand's values with that table, written into a
+buffer, padded with a zero at each end, that interleaves each element's
+shares of its two nodes, then one sum of the buffer's even and odd entries.
+Load vectors are off the time-stepping path: the command line presets are
+separable in t and x, so each problem assembles its spatial load vector
+once, and a run weights it by scalar time factors (`stepper.SeparableLoad`).
 """
 
 from __future__ import annotations

@@ -2,11 +2,19 @@
 
 The first step uses the one-step implicit stencil, later steps the two-step
 backward differentiation stencil (3/2, -2, 1/2)/tau.  The forcing sequence
-combines window integrals with weights matched to the stencils:
+combines the window integrals W_n = int_{(n-1)tau}^{n tau} f with weights
+matched to the stencils:
 
-    F_1 = (1/tau) * int_0^tau f,
-    F_n = (3/(2 tau)) * int_{(n-1)tau}^{n tau} f
-        - (1/(2 tau)) * int_{(n-2)tau}^{(n-1)tau} f,   n >= 2.
+    F_1 = W_1 / tau,
+    F_n = (1.5 W_n - 0.5 W_{n-1}) / tau,   n >= 2.
+
+A run builds the whole sequence once, before its first step, as one (N, dim)
+table; a step reads its row and evaluates no forcing.  Each window integral
+is a 5-point Gauss sum, so the forcing is evaluated at the 5N Gauss times,
+each once.  The forcing is a plain callable f(t) -> (dim,), called at each
+of those times, or a `SeparableLoad`, l(t) = sum_j a_j(t) l_j: its time
+factors a_j come from one vectorized call for all 5N times, and its load
+vectors l_j, assembled once, enter the table through one product.
 
 A one-step (backward Euler) baseline is provided for scheme comparisons;
 it consumes the same averaged forcing sequence and differs only in the
@@ -17,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -38,6 +46,7 @@ __all__ = [
     "RotheProblem",
     "RotheTrajectory",
     "StepFailureError",
+    "SeparableLoad",
     "average_forcing",
     "initial_step",
     "bdf2_step",
@@ -49,7 +58,7 @@ __all__ = [
 BDF2 = "bdf2"
 BACKWARD_EULER = "backward_euler"
 
-_GAUSS5 = np.polynomial.legendre.leggauss(5)
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(5)  # the 5-point Gauss rule on [-1, 1]
 _EPS = float(np.finfo(float).eps)
 
 
@@ -122,15 +131,26 @@ class TimeGrid:
 
 
 @dataclass(frozen=True)
+class SeparableLoad:
+    """The load l(t) = factors([t])[0] @ loads: ``factors`` maps a 1-D array
+    of M times to their (M, k) time factors, and ``loads`` holds the k load
+    vectors, (k, dim), assembled once."""
+
+    factors: Callable[[np.ndarray], np.ndarray]
+    loads: np.ndarray
+
+
+@dataclass(frozen=True)
 class RotheProblem:
     """Problem instance: space, elliptic operator, boundary flux law,
-    time-dependent load f(t) (returned as an assembled action vector) and
-    the initial coefficient vector."""
+    time-dependent load (its assembled action vector: a SeparableLoad, or a
+    callable f(t) -> (dim,)) and the initial coefficient vector.  ValueError
+    unless a SeparableLoad's loads are finite with shape (k, dim)."""
 
     space: GalerkinSpace
     operator: LinearOperatorA
     boundary: BoundaryFunctional
-    forcing: Callable[[float], np.ndarray]
+    forcing: Union[SeparableLoad, Callable[[float], np.ndarray]]
     u0: np.ndarray
 
     def __post_init__(self) -> None:
@@ -139,6 +159,10 @@ class RotheProblem:
             raise ValueError("u0 has wrong length")
         if self.boundary.dim_u != self.space.dim_u:
             raise ValueError("boundary weights do not match the trace rows")
+        if isinstance(self.forcing, SeparableLoad):
+            loads = np.asarray(self.forcing.loads, dtype=float)
+            if loads.ndim != 2 or loads.shape[1] != self.space.dim or not np.isfinite(loads).all():
+                raise ValueError(f"forcing loads must be a finite (k, {self.space.dim}) array")
         object.__setattr__(self, "u0", u0)
 
     def step_problem(self, c: float, tau: float) -> StepProblem:
@@ -165,26 +189,30 @@ class RotheTrajectory:
     per_step_residuals: np.ndarray  # (N,) V*-norms of the unscaled step residual
 
 
-def _window_integral(forcing: Callable[[float], np.ndarray], a: float, b: float) -> np.ndarray:
-    """int_a^b f by the 5-point Gauss rule: one weighted sum of the loads."""
-    pts, wts = _GAUSS5
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return (half * wts) @ np.array([forcing(mid + half * x) for x in pts], dtype=float)
-
-
 def average_forcing(
-    forcing: Callable[[float], np.ndarray], n: int, grid: TimeGrid
+    forcing: Union[SeparableLoad, Callable[[float], np.ndarray]], grid: TimeGrid
 ) -> np.ndarray:
-    """Stencil-weighted forcing average for step n (5-point Gauss per
-    window, exact for polynomial-in-t loads up to degree 9)."""
-    if not 1 <= n <= grid.N:
-        raise ValueError(f"step index {n} out of range 1..{grid.N}")
+    """The (N, dim) table of stencil-weighted forcing averages, row n - 1 for
+    step n.  Each window integral is a 5-point Gauss sum, exact for loads
+    polynomial in t up to degree 9, so the forcing is evaluated at the 5N
+    Gauss times, each once: a SeparableLoad's factors in one call, a callable
+    once per time, one window at a time.  Overflow and invalid operations
+    raise no warning; they leave non-finite rows."""
     tau = grid.tau
-    if n == 1:
-        return _window_integral(forcing, 0.0, tau) / tau
-    cur = _window_integral(forcing, (n - 1) * tau, n * tau)
-    prev = _window_integral(forcing, (n - 2) * tau, (n - 1) * tau)
-    return (1.5 * cur - 0.5 * prev) / tau
+    times = (np.arange(grid.N)[:, None] + 0.5 * (1.0 + _NODES)) * tau  # (N, 5)
+    gauss = 0.5 * tau * _WEIGHTS  # the Gauss weights of every window
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(forcing, SeparableLoad):
+            w = gauss @ forcing.factors(times.ravel()).reshape(grid.N, len(_NODES), -1)  # (N, k)
+            w[1:] = 1.5 * w[1:] - 0.5 * w[:-1]
+            return (w / tau) @ forcing.loads
+        for n, ts in enumerate(times):
+            w = gauss @ np.array([forcing(t) for t in ts], dtype=float)
+            if n == 0:
+                table = np.empty((grid.N, w.size))
+            table[n] = (w if n == 0 else 1.5 * w - 0.5 * prev) / tau
+            prev = w
+        return table
 
 
 def _check_stencil(step: StepProblem, c: float, name: str) -> None:
@@ -233,9 +261,11 @@ def run_rothe(
 ) -> RotheTrajectory:
     """Run the full scheme on the grid, each step solved to ``tol``.
     Deterministic: fixed iteration order, no randomness anywhere, so
-    identical inputs give bit-identical trajectories.  A failing step
-    raises StepFailureError with the completed prefix; trajectory arrays
-    that cannot be allocated raise TrajectoryMemoryError."""
+    identical inputs give bit-identical trajectories.  The forcing table is
+    built once, after the trajectory arrays; arrays that cannot be allocated
+    raise TrajectoryMemoryError before any forcing is evaluated.  A failing
+    step, or the first step whose forcing average is not finite, raises
+    StepFailureError with the completed prefix."""
     if scheme not in (BDF2, BACKWARD_EULER):
         raise ValueError(f"unknown scheme {scheme!r}")
     if scheme == BDF2 and grid.N < 2:
@@ -245,41 +275,38 @@ def run_rothe(
     try:
         u = np.zeros((grid.N + 1, sp.dim))
         xi = np.zeros((grid.N, sp.dim_u))
-        f_avg = np.zeros((grid.N, sp.dim))
         residuals = np.zeros(grid.N)
+        f_avg = average_forcing(problem.forcing, grid)
     except MemoryError:
         nbytes = 8 * ((grid.N + 1) * sp.dim + grid.N * (sp.dim_u + sp.dim + 1))
         raise TrajectoryMemoryError(grid.N, tau, nbytes) from None
     u[0] = problem.u0
-    for n in range(1, grid.N + 1):
-        f_avg[n - 1] = average_forcing(problem.forcing, n, grid)
-    step = None
-    for n in range(1, grid.N + 1):
-        f_n = f_avg[n - 1]
-        two_step = scheme == BDF2 and n >= 2
-        c = 2.0 / 3.0 if two_step else 1.0
-        if n == 1 or (two_step and n == 2):
-            # one operator per stencil, at most one alive at a time
-            step = None
-            step = problem.step_problem(c, tau)
-        try:
-            if two_step:
-                u_n, xi_n, report = bdf2_step(step, u[n - 1], u[n - 2], f_n, tol)
-            else:
-                u_n, xi_n, report = initial_step(step, u[n - 1], f_n, tol)
-        except (NonConvergenceError, NumericalFailureError) as exc:
-            raise StepFailureError(
-                n,
-                str(exc),
-                getattr(exc, "report", None),
-                u[:n].copy(),
-                xi[: n - 1].copy(),
-                residuals[: n - 1].copy(),
-            ) from exc
-        u[n] = u_n
-        xi[n - 1] = xi_n
-        # the step equation is the unscaled one multiplied by c tau
-        residuals[n - 1] = report.residual / (c * tau)
+    finite = np.isfinite(f_avg).all(axis=1)
+    stop = grid.N + 1 if finite.all() else int(np.argmin(finite)) + 1  # the first bad row
+    # every non-finite value of a step is caught by the solver's own scans
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, grid.N + 1):
+            two_step = scheme == BDF2 and n >= 2
+            c = 2.0 / 3.0 if two_step else 1.0
+            if n == 1 or (two_step and n == 2):
+                # one operator per stencil, at most one alive at a time
+                step = None
+                step = problem.step_problem(c, tau)
+            try:
+                if n == stop:
+                    raise NumericalFailureError("non-finite forcing average")
+                if two_step:
+                    u_n, xi_n, report = bdf2_step(step, u[n - 1], u[n - 2], f_avg[n - 1], tol)
+                else:
+                    u_n, xi_n, report = initial_step(step, u[n - 1], f_avg[n - 1], tol)
+            except (NonConvergenceError, NumericalFailureError) as exc:
+                prefix = (u[:n].copy(), xi[: n - 1].copy(), residuals[: n - 1].copy())
+                report = getattr(exc, "report", None)
+                raise StepFailureError(n, str(exc), report, *prefix) from exc
+            u[n] = u_n
+            xi[n - 1] = xi_n
+            # the step equation is the unscaled one multiplied by c tau
+            residuals[n - 1] = report.residual / (c * tau)
     return RotheTrajectory(grid, u, xi, f_avg, scheme, residuals)
 
 

@@ -2,17 +2,25 @@
 looks up by module and attribute path; every one of them must exist, or
 ``--trace 1`` fails with a KeyError.  The benchmark's self-test also pins
 how often a run calls the step solver and the forcing assembler; those
-counts are checked here too, so that a change to them shows in this suite."""
+counts are checked here too, so that a change to them shows in this suite.
+perfbench/selftest.py still pins the 32,340 forcing assemblies per
+ladder-smooth pass made when every step assembled its own loads; the
+program now makes 2, one per problem built, and that self-test fails until
+the benchmark's next refresh re-pins it."""
 
 from __future__ import annotations
 
 import importlib
 import importlib.util
+import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+WORKLOADS = TRACER.with_name("workloads.py")
 
 
 def _load_tracer():
@@ -67,13 +75,6 @@ def _counting(monkeypatch, module, name: str) -> list:
     return calls
 
 
-def _steps_and_forcing_calls(n_steps: int) -> tuple[int, int]:
-    """One solve per step; the forcing of every window is assembled at its 5
-    Gauss times, and every window but the last is integrated twice, as the
-    current window of one step and the previous window of the next."""
-    return n_steps, 5 * (2 * n_steps - 1)
-
-
 def _smooth_problem():
     cli = importlib.import_module("rothe_hvi.cli")
     return cli.build_problem(cli.parse_config("[problem]\nn_el = 4\nforcing = smooth\n"))
@@ -84,15 +85,43 @@ def _smooth_problem():
 def test_run_rothe_makes_the_call_counts_the_benchmark_pins(monkeypatch, scheme, n_steps):
     cli = importlib.import_module("rothe_hvi.cli")
     stepper = importlib.import_module("rothe_hvi.stepper")
-    problem = _smooth_problem()
     # the tracer counts the functions where the package looks them up
-    solves = _counting(monkeypatch, stepper, "solve_step_inclusion")
     forcing = _counting(monkeypatch, cli, "assemble_forcing")
+    problem = _smooth_problem()
+    assert len(forcing) == 1
+    solves = _counting(monkeypatch, stepper, "solve_step_inclusion")
     # one step operator per stencil, factored once, whatever the step count
     operators = _counting(monkeypatch, stepper, "StepProblem")
     stepper.run_rothe(problem, stepper.TimeGrid(1.0, n_steps), scheme)
-    assert (len(solves), len(forcing)) == _steps_and_forcing_calls(n_steps)
+    assert (len(solves), len(forcing)) == (n_steps, 1)
     assert len(operators) == (2 if scheme == "bdf2" else 1)
+
+
+@pytest.mark.parametrize("scheme", ["bdf2", "backward_euler"])
+@pytest.mark.parametrize("n_steps", [2, 3, 8])
+def test_a_plain_callable_forcing_is_called_once_per_gauss_time(scheme, n_steps):
+    stepper = importlib.import_module("rothe_hvi.stepper")
+    problem = _smooth_problem()
+    times = []
+
+    def forcing(t):
+        times.append(t)
+        return np.zeros(5)
+
+    stepper.run_rothe(replace(problem, forcing=forcing), stepper.TimeGrid(1.0, n_steps), scheme)
+    # the 5 Gauss times of each window, each evaluated once
+    assert len(times) == len(set(times)) == 5 * n_steps
+
+
+def test_one_traced_run_builds_one_forcing_table():
+    stepper = importlib.import_module("rothe_hvi.stepper")
+    problem = _smooth_problem()
+    tracer = _load_tracer().Tracer()
+    with tracer.installed():
+        stepper.run_rothe(problem, stepper.TimeGrid(1.0, 8), "bdf2")
+    names = [name for name, _, _, _ in tracer.spans]
+    assert names.count("stepper.average_forcing") == 1
+    assert names.count("fem1d.assemble_forcing") == 0
 
 
 def test_the_tracer_measures_every_step_of_a_run():
@@ -110,11 +139,22 @@ def test_the_tracer_measures_every_step_of_a_run():
     assert tracer.nonconvergence == 0
 
 
-def test_the_counts_add_up_to_the_seed0_ladder_smooth_pin():
-    # perfbench/selftest.py pins 3,240 solves and 32,340 forcing calls per
-    # ladder-smooth pass: study (reference, 3 ladder runs) and compare (two
-    # references, 2 x 3 ladder runs), reference 1,024 steps, ladder 8, 16, 32
-    ladder = [8, 16, 32]
-    runs = [1024, *ladder] + [1024, 1024, *ladder, *ladder]
-    totals = [sum(c) for c in zip(*map(_steps_and_forcing_calls, runs))]
-    assert totals == [3240, 32340]
+def test_a_seed0_ladder_smooth_pass_makes_3240_solves_and_2_load_assemblies(
+    tmp_path, monkeypatch
+):
+    # the pass is study (reference, 3 ladder runs) and compare (two
+    # references, 2 x 3 ladder runs), reference 1,024 steps, ladder 8, 16,
+    # 32; each command builds its problem, and so assembles its load, once
+    cli = importlib.import_module("rothe_hvi.cli")
+    stepper = importlib.import_module("rothe_hvi.stepper")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks it up
+    spec.loader.exec_module(workloads)
+    solves = _counting(monkeypatch, stepper, "solve_step_inclusion")
+    forcing = _counting(monkeypatch, cli, "assemble_forcing")
+    for i, op in enumerate(workloads.make_ops("ladder-smooth", 0)):
+        path = tmp_path / f"{i}.ini"
+        path.write_text(op.config, encoding="utf-8")
+        assert cli.main([op.command, str(path), "--out", str(tmp_path / str(i)), "--quiet"]) == 0
+    assert [len(solves), len(forcing)] == [3240, 2]

@@ -96,7 +96,8 @@ def test_run_with_non_finite_forcing_reports_the_failure(tmp_path, capsys, comma
     cfg = tmp_path / "config.ini"
     cfg.write_text(NON_FINITE_FORCING, encoding="utf-8")
     out = tmp_path / "out"
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning on the way
         rc = main([command, str(cfg), "--out", str(out)])
     assert rc == 1
     _, summary = read_csv(out / "summary.csv")
@@ -396,6 +397,8 @@ OUT_OF_RANGE = [
             ("potential = nonconvex_piecewise\nncvx_jump = 0", "ncvx_jump"),
             ("potential = zero\nncvx_jump = 0", "ncvx_jump"),
             ("forcing = poly\nf0_t_coeffs = ,", "f0_t_coeffs"),
+            ("forcing = poly\nf0_x_coeffs = 1e308,1e308", "f0_x_coeffs"),
+            ("forcing = poly\nf0_x_coeffs = 1,nan", "f0_x_coeffs"),
             ("u0 = poly\nu0_coeffs = ,", "u0_coeffs"),
         ]
     ),

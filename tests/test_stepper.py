@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from rothe_hvi import (
     NonconvexPiecewise,
     PaperExponential,
     RotheProblem,
+    SeparableLoad,
     StepFailureError,
     TimeGrid,
     ZeroPotential,
@@ -30,6 +32,8 @@ from rothe_hvi import (
     make_initial,
     run_rothe,
 )
+from rothe_hvi.cli import build_problem, parse_config
+from rothe_hvi.stepper import TrajectoryMemoryError
 
 
 def scalar_problem(potential, forcing, u0=0.0, stiffness=0.0):
@@ -51,31 +55,88 @@ def fem_problem(n_el, potential, f0, f_N, u0_fun):
 
 def test_average_forcing_constant_reproduced():
     grid = TimeGrid(1.0, 10)
-    f = lambda t: np.array([4.0])
+    table = average_forcing(lambda t: np.array([4.0]), grid)
     for n in (1, 2, 7, 10):
-        assert average_forcing(f, n, grid) == pytest.approx([4.0])
+        assert table[n - 1] == pytest.approx([4.0])
 
 
 def test_average_forcing_linear_in_time():
     grid = TimeGrid(1.0, 10)  # tau = 0.1
-    f = lambda t: np.array([t])
-    assert average_forcing(f, 1, grid) == pytest.approx([0.05])
-    assert average_forcing(f, 3, grid) == pytest.approx([0.3])
+    table = average_forcing(lambda t: np.array([t]), grid)
+    assert table[0] == pytest.approx([0.05])
+    assert table[2] == pytest.approx([0.3])
 
 
 def test_average_forcing_quadratic_window_values():
     grid = TimeGrid(2.0, 2)  # tau = 1
-    f = lambda t: np.array([t * t])
+    table = average_forcing(lambda t: np.array([t * t]), grid)
     # 1.5 * int_1^2 t^2 - 0.5 * int_0^1 t^2 = 1.5 * 7/3 - 0.5 * 1/3 = 10/3
-    assert average_forcing(f, 2, grid) == pytest.approx([10.0 / 3.0])
+    assert table[1] == pytest.approx([10.0 / 3.0])
 
 
-def test_average_forcing_index_range():
+def test_average_forcing_table_has_one_row_per_step():
     grid = TimeGrid(1.0, 4)
-    with pytest.raises(ValueError):
-        average_forcing(lambda t: np.array([1.0]), 0, grid)
-    with pytest.raises(ValueError):
-        average_forcing(lambda t: np.array([1.0]), 5, grid)
+    assert average_forcing(lambda t: np.array([1.0, 2.0, 3.0]), grid).shape == (4, 3)
+    load = SeparableLoad(lambda t: np.ones((len(t), 2)), np.ones((2, 3)))
+    assert average_forcing(load, grid).shape == (4, 3)
+
+
+# each preset's load written out pointwise, as (f0(t, x), f_N(t)), for the
+# config text below; the CLI builds the same load as a SeparableLoad
+PRESETS = {
+    "zero": ("", lambda t, x: np.zeros_like(x), lambda t: 0.0),
+    "constant": ("f0_value = 3.0\nfn_value = -0.5\n",
+                 lambda t, x: np.full_like(x, 3.0), lambda t: -0.5),
+    "smooth": ("", lambda t, x: (1.0 - np.cos(np.pi * t)) * 0.5 * (1.0 + x),
+               lambda t: 0.5 * t * t * np.exp(-t)),
+    "poly": ("f0_t_coeffs = 1,2,-1\nf0_x_coeffs = 0.5,-1,2\nfn_t_coeffs = 0,1\n",
+             lambda t, x: (1.0 + 2.0 * t - t * t) * (0.5 - x + 2.0 * x * x),
+             lambda t: t),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+@pytest.mark.parametrize("n_el", [1, 8, 64])
+def test_preset_window_table_matches_the_pointwise_load(preset, n_el):
+    extra, f0, f_N = PRESETS[preset]
+    problem = build_problem(parse_config(f"[problem]\nn_el = {n_el}\nforcing = {preset}\n{extra}"))
+    assert isinstance(problem.forcing, SeparableLoad)
+    mesh = Mesh1D(n_el)
+    pointwise = lambda t: assemble_forcing(mesh, ForcingSpec(f0, f_N), t)
+    for n_steps in (2, 8, 1024):
+        grid = TimeGrid(1.0, n_steps)
+        table, reference = average_forcing(problem.forcing, grid), average_forcing(pointwise, grid)
+        assert table.shape == reference.shape == (n_steps, n_el + 1)
+        assert np.max(np.abs(table - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+
+def test_window_averages_are_exact_for_degree_nine_loads():
+    # int_a^b t^k = (b^(k+1) - a^(k+1)) / (k + 1) for the factors t^9 and
+    # 1 - 2t + t^4, each weighting one of two load vectors
+    loads = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, -1.0]])
+    factors = lambda t: np.column_stack([t**9, 1.0 - 2.0 * t + t**4])
+    antiderivative = lambda t: np.array([t**10 / 10.0, t - t * t + t**5 / 5.0])
+    grid = TimeGrid(1.5, 6)
+    tau, edges = grid.tau, grid.times()
+    w = np.array([antiderivative(b) - antiderivative(a) for a, b in zip(edges, edges[1:])])
+    exact = np.vstack([w[:1], 1.5 * w[1:] - 0.5 * w[:-1]]) / tau @ loads
+    separable = average_forcing(SeparableLoad(factors, loads), grid)
+    pointwise = average_forcing(lambda t: factors(np.array([t]))[0] @ loads, grid)
+    for table in (separable, pointwise):
+        assert np.max(np.abs(table - exact)) <= 1e-13 * np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize(
+    "loads", [np.ones((2, 4)), np.ones(5), np.ones((2, 5, 1)), np.array([[1.0] * 4 + [np.nan]])]
+)
+def test_separable_loads_must_be_finite_with_one_column_per_unknown(loads):
+    mesh = Mesh1D(4)
+    space, op = assemble_space(mesh)
+    bnd = BoundaryFunctional(ZeroPotential(), np.ones(1))
+    factors = lambda t: np.ones((len(t), 1))
+    with pytest.raises(ValueError, match="forcing loads"):
+        RotheProblem(space, op, bnd, SeparableLoad(factors, loads), np.zeros(5))
+    RotheProblem(space, op, bnd, SeparableLoad(factors, np.ones((1, 5))), np.zeros(5))
 
 
 def test_initial_step_linear_matches_direct_solve():
@@ -83,7 +144,7 @@ def test_initial_step_linear_matches_direct_solve():
                           lambda t, x: np.sin(np.pi * x), lambda t: 0.25,
                           lambda x: x * (1 - x))
     tau = 0.125
-    f1 = average_forcing(problem.forcing, 1, TimeGrid(1.0, 8))
+    f1 = average_forcing(problem.forcing, TimeGrid(1.0, 8))[0]
     u1, xi1, _ = initial_step(problem.step_problem(1.0, tau), problem.u0, f1)
     M = problem.space.gram_h.toarray()
     K = problem.operator.stiffness.toarray()
@@ -281,14 +342,53 @@ def test_step_failure_carries_index_and_partial_data():
 
     problem = RotheProblem(space, op, BoundaryFunctional(LinearRobin(1.0), np.ones(1)),
                            forcing, np.zeros(5))
-    with pytest.raises(StepFailureError) as info, np.errstate(invalid="ignore"):
+    with pytest.raises(StepFailureError) as info, warnings.catch_warnings():
+        warnings.simplefilter("error")
         run_rothe(problem, TimeGrid(1.0, 4), "bdf2")
     assert info.value.step == 3
     assert info.value.partial_u.shape == (3, 5)
     assert info.value.partial_xi.shape == (2, 1)
     assert np.all(np.isfinite(info.value.partial_u))
-    assert "non-finite right-hand side" in info.value.reason
+    assert info.value.reason == "non-finite forcing average"
     assert info.value.report is None
+
+
+@pytest.mark.parametrize("scheme", ["bdf2", "backward_euler"])
+def test_the_first_non_finite_forcing_average_stops_the_run_there(scheme):
+    # windows of tau = 1/8: the fifth, [0.5, 0.625], is the first whose Gauss
+    # times all lie past t = 0.5; the steps before it run
+    problem = scalar_problem(LinearRobin(1.0), lambda t: np.array([1.0 if t < 0.5 else np.inf]))
+    with pytest.raises(StepFailureError) as info, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run_rothe(problem, TimeGrid(1.0, 8), scheme)
+    assert (info.value.step, info.value.reason) == (5, "non-finite forcing average")
+    assert info.value.partial_u.shape == (5, 1)
+    assert info.value.partial_xi.shape == (4, 1)
+    assert info.value.partial_residuals.shape == (4,)
+    assert np.all(np.isfinite(info.value.partial_u))
+
+
+def test_a_run_too_long_to_allocate_evaluates_no_forcing():
+    # (10^13 + 1) x 9 float64 values are over 700 TB, more than a plain mmap
+    # can return on 64-bit Linux; never test a size that could be granted
+    mesh = Mesh1D(8)
+    space, op = assemble_space(mesh)
+    bnd = BoundaryFunctional(ZeroPotential(), np.ones(1))
+    calls = []
+
+    def pointwise(t):
+        calls.append(t)
+        return np.zeros(9)
+
+    def factors(t):
+        calls.append(t)
+        return np.zeros((len(t), 1))
+
+    for forcing in (pointwise, SeparableLoad(factors, np.ones((1, 9)))):
+        problem = RotheProblem(space, op, bnd, forcing, np.zeros(9))
+        with pytest.raises(TrajectoryMemoryError):
+            run_rothe(problem, TimeGrid(1.0, 10**13))
+    assert calls == []
 
 
 def test_matrices_stay_linear_in_n_el_at_scale():
