@@ -33,10 +33,15 @@ argument; the output directory is `--out`, else `[output] dir`, else
 `rothe_out`.  `render_config` emits the canonical form whose
 serialize/parse round trip is byte-identical.
 
-All CSV output starts with a `# schema_version=2` comment line and uses
-17-significant-digit floats.  Estimate tables carry one interpolant-gap
-column, `gap_closed_form`, the exact squared L2(0,T;V*) gap.  Only `check`
-draws random samples, seeded by `--seed`.
+All CSV output starts with a `# schema_version=2` comment line and writes
+every float exactly as ``'%.17g' % x``.  A float table, such as
+``trajectory.csv``, goes through `floatfmt.g17_lines`: numpy formats it
+4,096 cells at a time and hands to ``'%.17g'`` only the non-finite cells and
+those whose 17th digit its extended-precision scaling cannot round for
+certain; a table of under 256 cells is formatted by ``'%.17g'`` throughout,
+which is faster there.  Estimate tables carry one interpolant-gap column,
+`gap_closed_form`, the exact squared L2(0,T;V*) gap.  Only `check` draws
+random samples, seeded by `--seed`.
 """
 
 from __future__ import annotations
@@ -62,6 +67,7 @@ from .diagnostics import (
     tau_ladder_study,
 )
 from .fem1d import ForcingSpec, Mesh1D, assemble_forcing, assemble_space, make_initial
+from .floatfmt import g17_lines
 from .galerkin import GalerkinSpace, check_hypotheses_A
 from .oracle import reference_solution
 from .potentials import (
@@ -415,13 +421,15 @@ def _fmt(x) -> str:
 
 def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence] | np.ndarray) -> None:
     """Schema line, header and rows; ``rows`` is a list of cell lists, each
-    cell formatted by ``_fmt``, or a float array, each row formatted whole."""
+    cell formatted by ``_fmt``, or a 2-d float array, whose cells
+    `floatfmt.g17_lines` writes with the bytes of ``'%.17g'``, as ``_fmt``
+    does: in blocks of ``BLOCK_CELLS``, through ``'%.17g'`` itself for the
+    cells it cannot decide and for a table under its crossover size."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# schema_version={SCHEMA_VERSION}\n")
         fh.write(",".join(header) + "\n")
         if isinstance(rows, np.ndarray):
-            line = ",".join(["%.17g"] * rows.shape[1]) + "\n"  # what _fmt gives a float
-            fh.writelines(line % tuple(row) for row in rows.tolist())
+            fh.writelines(g17_lines(rows))
             return
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")

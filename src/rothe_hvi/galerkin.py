@@ -306,12 +306,19 @@ class GalerkinSpace:
 
         A NaN or Inf in w makes that square non-finite, as the solve carries
         it along, so w is scanned (ValueError) only when the square is not
-        finite; a finite w whose square overflows gives inf."""
+        finite.  A finite w whose square overflows is scaled by 1 / max|w|
+        first.  The product is BLAS ddot, which raises no floating-point
+        warning on overflow."""
         w = _require_vector(w, self.dim, "w")
-        sq = float(w @ self.gram_v._solve(w))
-        if not math.isfinite(sq) and not np.isfinite(w).all():
-            raise ValueError("w must not contain infs or NaNs")
-        return math.sqrt(max(sq, 0.0))
+        scale = 1.0
+        sq = float(blas.ddot(w, self.gram_v._solve(w)))
+        if not math.isfinite(sq):
+            if not np.isfinite(w).all():
+                raise ValueError("w must not contain infs or NaNs")
+            scale = float(np.abs(w).max())
+            w = w / scale
+            sq = float(blas.ddot(w, self.gram_v._solve(w)))
+        return scale * math.sqrt(max(sq, 0.0))
 
     def dual_u_norm(self, action) -> float:
         """U*-norm of a boundary functional given by its action vector."""

@@ -42,8 +42,8 @@ one raises NumericalFailureError: the warm start directly; the right-hand
 side b through x = S^{-1} b, which the back-substitution makes non-finite
 whenever b is (b itself is scanned only then, to name the culprit); u
 through r; and r through its own squared norm r^T gram_v^{-1} r in
-GalerkinSpace.dual_norm, which is not finite when r is not, or when it
-overflows.  The boundary values t x
+GalerkinSpace.dual_norm, which is not finite when r is not (a finite r
+whose square overflows is rescaled there).  The boundary values t x
 and t u_warm are read at the trace's nonzero nodes only.
 """
 

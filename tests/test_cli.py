@@ -1,15 +1,18 @@
 from __future__ import annotations
 
+import math
 import os
 import re
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from rothe_hvi import floatfmt
 from rothe_hvi.cli import (
     ExperimentConfig, _fmt, _poly, _write_csv, main, parse_config, render_config,
 )
@@ -103,7 +106,9 @@ def test_run_with_non_finite_forcing_reports_the_failure(tmp_path, capsys, comma
     _, summary = read_csv(out / "summary.csv")
     assert len(summary) == 1 and summary[0][:2] == [command, "FAIL"]
     detail = summary[0][2]
-    assert re.fullmatch(r"step \d+ failed: .*non-finite.*", detail)
+    # step 1's forcing average is finite, and so is its residual norm, far
+    # above tol
+    assert re.fullmatch(r"step 1 failed: step residual \S+e\+2\d\d above tol \S+", detail)
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"{command} failed: {detail}\n")
     partial = {"trajectory.csv.partial"} if command == "run" else set()
@@ -339,30 +344,65 @@ def test_invalid_values_exit_2_naming_the_key(tmp_path, capsys, command, old, ne
     assert key in capsys.readouterr().err
 
 
-def test_float_rows_are_written_byte_for_byte_as_the_cell_formatter_writes_them(tmp_path):
+def hard_floats() -> np.ndarray:
+    """Cells whose 17 digits are hard to get right: 17-digit ties (x 10^(16-e)
+    a half-integer, rounded to even), both neighbours of every power of
+    ten, and subnormals."""
+    rng = np.random.default_rng(11)
+    ties = []
+    for j in range(1, 23):  # x = odd / 2^(j+1) in [10^(16-j), 10^(17-j))
+        lo = math.ceil(Fraction(10) ** (16 - j) * 2 ** (j + 1))
+        hi = min(2**53, math.floor(Fraction(10) ** (17 - j) * 2 ** (j + 1)))
+        odd = rng.integers(lo // 2, (hi - 1) // 2, size=8) * 2 + 1
+        ties += [float(o) / 2.0 ** (j + 1) for o in odd.tolist()]
+    ties = [x for x in ties if (Fraction(x) * 10 ** (16 - math.floor(math.log10(x)))).denominator == 2]
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    subnormals = rng.integers(1, 2**52, size=200, dtype=np.uint64).view(np.float64)
+    cells = np.concatenate([
+        [2251799813685247.75, 0.5, 2.5, 5e-324, 2.2250738585072009e-308], ties,
+        powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf), subnormals,
+    ])
+    assert len(ties) > 100
+    signs = np.where(rng.random(cells.size) < 0.5, -1.0, 1.0)
+    return cells * signs
+
+
+def test_float_rows_are_written_byte_for_byte_as_the_cell_formatter_writes_them(
+    tmp_path, monkeypatch
+):
     specials = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e308, 1.0 / 3.0, -2.5e-17]
     rng = np.random.default_rng(3)
     magnitudes = 10.0 ** rng.integers(-300, 300, size=(4, len(specials)))
     rows = np.vstack([specials, rng.normal(size=(4, len(specials))) * magnitudes])
+    hard = hard_floats()
+    several_blocks = np.resize(hard, (-(-3 * floatfmt.BLOCK_CELLS // 7) + 1, 7))
+    tables = [rows, hard[:1].reshape(1, 1), hard[:300].reshape(1, -1),
+              hard[:300].reshape(-1, 1), several_blocks, np.resize(rows, (40, 9))]
     text_rows = [
         ["a,b", np.float64(0.1), -0.0, 3, "x"],
         ["plain", np.nan, np.float64(-np.inf), True, "y,z"],
     ]
     header = [f"c{i}" for i in range(len(specials))]
-    _write_csv(tmp_path / "floats.csv", header, rows)
     _write_csv(tmp_path / "mixed.csv", header[:5], text_rows)
-    for name, hdr, cells in (
-        ("floats.csv", header, list(rows)),  # np.float64 cells, one at a time
-        ("mixed.csv", header[:5], text_rows),
-    ):
+    files = [("mixed.csv", header[:5], text_rows)]
+    # the small tables as written, and every table through the vectorized path
+    for vector_min in (floatfmt._VECTOR_MIN_CELLS, 0):
+        monkeypatch.setattr(floatfmt, "_VECTOR_MIN_CELLS", vector_min)
+        for i, table in enumerate(tables):
+            name = f"floats{i}_{vector_min}.csv"
+            cols = [f"c{j}" for j in range(table.shape[1])]
+            _write_csv(tmp_path / name, cols, table)
+            files.append((name, cols, list(table)))  # np.float64 cells, one at a time
+    for name, hdr, cells in files:
         expected = "# schema_version=2\n" + ",".join(hdr) + "\n" + "".join(
             ",".join(_fmt(v) for v in row) + "\n" for row in cells
         )
-        assert (tmp_path / name).read_bytes() == expected.encode("utf-8")
+        assert (tmp_path / name).read_bytes() == expected.encode("utf-8"), name
     assert [_fmt(v) for v in rows[0]] == [
         "0", "-0", "nan", "inf", "-inf", "4.9406564584124654e-324",
         "1e+308", "0.33333333333333331", "-2.4999999999999999e-17",
     ]
+    assert _fmt(2251799813685247.75) == "2251799813685247.8"
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -54,6 +57,23 @@ def test_dual_norm_closed_form():
     # w^T K^{-1} w = 2 * (1/4) * 2 = 1
     space = GalerkinSpace(gram_h=[[1.0]], gram_v=[[4.0]], trace=[[1.0]], gram_u=[[1.0]])
     assert space.dual_norm([2.0]) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("scale", [1e100, 1e200, 1e300])
+def test_dual_norm_of_a_large_finite_vector_is_finite(scale):
+    # w^T gram_v^{-1} w overflows from about 1e154 on; the norm does not
+    space = GalerkinSpace(
+        gram_h=np.eye(3), gram_v=2.0 * np.eye(3), trace=[[1.0, 0.0, 0.0]], gram_u=[[1.0]]
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norm = space.dual_norm(scale * np.ones(3))
+    assert norm == pytest.approx(scale * math.sqrt(1.5), rel=1e-15)
+    for bad in (np.nan, np.inf):
+        w = scale * np.ones(3)
+        w[1] = bad
+        with pytest.raises(ValueError):
+            space.dual_norm(w)
 
 
 def test_non_finite_arguments_raise():

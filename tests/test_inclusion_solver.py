@@ -299,14 +299,12 @@ def fem_step(n_el: int, potential) -> tuple[StepProblem, np.ndarray, np.ndarray]
         ("nan in the rhs at an interior node", "non-finite right-hand side or warm start"),
         ("inf in the rhs at the boundary node", "non-finite right-hand side or warm start"),
         ("nan in the warm start at an interior node", "non-finite right-hand side or warm start"),
-        ("finite rhs whose residual overflows", "non-finite step residual"),
     ],
 )
 def test_each_vector_scanned_once_still_rejects_bad_data(n_el, case, reason):
     # the rhs is scanned only through x = S^-1 b and the residual only
     # through its own squared norm; both must still catch what the data holds
-    potential = ZeroPotential() if "overflows" in case else PaperExponential(1.0)
-    p, rhs, warm = fem_step(n_el, potential)
+    p, rhs, warm = fem_step(n_el, PaperExponential(1.0))
     u, _, report = solve_step_inclusion(p, rhs, warm)
     assert np.all(np.isfinite(u)) and report.residual <= 1e-10
     rhs, warm = rhs.copy(), warm.copy()
@@ -314,10 +312,21 @@ def test_each_vector_scanned_once_still_rejects_bad_data(n_el, case, reason):
         rhs[n_el // 2] = np.nan
     elif case.startswith("inf in the rhs"):
         rhs[n_el] = np.inf
-    elif case.startswith("nan in the warm"):
-        warm[n_el // 2] = np.nan
     else:
-        rhs *= 1e200  # x stays finite; r^T G_v^-1 r, about 1e368, does not
+        warm[n_el // 2] = np.nan
     with np.errstate(all="ignore"), pytest.raises(NumericalFailureError) as info:
         solve_step_inclusion(p, rhs, warm)
     assert str(info.value) == reason
+
+
+@pytest.mark.parametrize("n_el", [4, 64])
+def test_a_finite_residual_whose_square_overflows_is_rejected_by_size(n_el):
+    # x = S^-1 b stays finite, and so does r, at rounding level of b; only
+    # r^T G_v^-1 r, about 1e368, overflows, and the norm must not
+    p, rhs, warm = fem_step(n_el, ZeroPotential())
+    rhs *= 1e200
+    with pytest.raises(NonConvergenceError) as info:
+        solve_step_inclusion(p, rhs, warm)
+    residual = info.value.report.residual
+    assert 0.0 < residual <= 1e-12 * p.space.dual_norm(rhs)
+    assert str(info.value) == f"step residual {residual:.3e} above tol 1e-10"
