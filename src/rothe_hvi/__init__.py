@@ -52,7 +52,6 @@ from .diagnostics import (
 from .oracle import (
     minimize_energy_convex,
     reference_solution,
-    scan_roots_1d,
     scan_roots_reduced,
     step_energy,
 )

@@ -1,10 +1,12 @@
 """Independent brute-force references for the step solver and the scheme.
 
 Nothing here shares code with the production step solver: matrices are
-taken dense (``toarray``) and factored densely, roots come
-from interval-aware grid scans with bisection, convex solutions from
-coordinate-wise golden-section descent on the step energy, and trajectory
-references from a much finer run of the scheme itself.
+taken dense (``toarray``) and factored densely, and every root of a step
+inclusion comes from one scalar scan, an interval-aware grid scan with
+bisection in the boundary value s = trace u after u has been eliminated.
+Convex solutions come from coordinate-wise golden-section descent on the
+step energy, and trajectory references from a much finer run of the scheme
+itself.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from .inclusion_solver import StepProblem
 from .stepper import BDF2, RotheProblem, RotheTrajectory, TimeGrid, run_rothe
 
 __all__ = [
-    "scan_roots_1d",
     "scan_roots_reduced",
     "step_energy",
     "minimize_energy_convex",
@@ -40,7 +41,7 @@ def step_energy(p: StepProblem, rhs, u) -> float:
 
 
 def _scan_scalar_inclusion(
-    interval_fun: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    interval_at: Callable[[float], tuple[float, float]],
     kink_points: tuple[float, ...],
     lo: float,
     hi: float,
@@ -51,37 +52,31 @@ def _scan_scalar_inclusion(
     have strictly opposite signs are bisected."""
     if grid_n < 1000:
         raise ValueError("grid_n must be >= 1000")
-    xs = np.linspace(lo, hi, grid_n + 1)
-    f_lo, f_hi = interval_fun(xs)
-    roots: list[float] = []
+    xs = np.linspace(lo, hi, grid_n + 1).tolist()
 
-    def contains_zero(a: float, b: float) -> bool:
-        return a <= 0.0 <= b
+    def contains_zero(iv: tuple[float, float]) -> bool:
+        return iv[0] <= 0.0 <= iv[1]
+
+    def sign(iv: tuple[float, float]) -> float:
+        return 1.0 if iv[0] > 0.0 else (-1.0 if iv[1] < 0.0 else 0.0)
 
     # exact jump locations first: the interval there may contain 0 even when
     # no grid point hits it
-    for k in kink_points:
-        if lo <= k <= hi:
-            a, b = interval_fun(np.asarray([k]))
-            if contains_zero(float(a[0]), float(b[0])):
-                roots.append(float(k))
-    for j, x in enumerate(xs):
-        if contains_zero(f_lo[j], f_hi[j]):
-            roots.append(float(x))
+    roots = [k for k in kink_points if lo <= k <= hi and contains_zero(interval_at(k))]
+    ivs = [interval_at(x) for x in xs]
+    roots += [x for x, iv in zip(xs, ivs) if contains_zero(iv)]
     for j in range(grid_n):
-        sa = 1.0 if f_lo[j] > 0.0 else (-1.0 if f_hi[j] < 0.0 else 0.0)
-        sb = 1.0 if f_lo[j + 1] > 0.0 else (-1.0 if f_hi[j + 1] < 0.0 else 0.0)
+        sa, sb = sign(ivs[j]), sign(ivs[j + 1])
         if sa == 0.0 or sb == 0.0 or sa == sb:
             continue
-        a, b = float(xs[j]), float(xs[j + 1])
+        a, b = xs[j], xs[j + 1]
         while b - a > _XTOL:
             m = 0.5 * (a + b)
-            m_lo, m_hi = interval_fun(np.asarray([m]))
-            if contains_zero(float(m_lo[0]), float(m_hi[0])):
+            iv = interval_at(m)
+            if contains_zero(iv):
                 roots.append(m)
                 break
-            sm = 1.0 if m_lo[0] > 0.0 else -1.0
-            if sm == sa:
+            if (1.0 if iv[0] > 0.0 else -1.0) == sa:
                 a = m
             else:
                 b = m
@@ -93,34 +88,6 @@ def _scan_scalar_inclusion(
         if not merged or r - merged[-1] > 1e-9:
             merged.append(r)
     return merged
-
-
-def scan_roots_1d(
-    p: StepProblem, rhs, lo: float, hi: float, grid_n: int = 2000
-) -> list[float]:
-    """All solutions on [lo, hi] of a one-dimensional step inclusion, the
-    step operator p with right-hand side ``rhs``.
-
-    The scalar residual (m + c tau k) u + c tau g w z(g u) - b becomes an
-    interval at jump points of z; a root exists there exactly when the
-    interval contains zero.  Returns an empty list when nothing is found
-    (the caller widens the range)."""
-    if p.dim != 1:
-        raise ValueError("scan_roots_1d needs a one-dimensional problem")
-    m_lin = float(p.system.toarray()[0, 0])
-    g = float(p.space.trace[0, 0])
-    w = float(p.weights[0])
-    b = float(rhs[0])
-    factor = p.flux_coef * g * w
-
-    def interval_fun(us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        z_lo, z_hi = p.potential.interval_arrays(g * us)
-        lin = m_lin * us - b
-        t1, t2 = factor * z_lo, factor * z_hi
-        return lin + np.minimum(t1, t2), lin + np.maximum(t1, t2)
-
-    kinks = tuple(k / g for k in p.potential.kinks) if g != 0.0 else ()
-    return _scan_scalar_inclusion(interval_fun, kinks, lo, hi, grid_n)
 
 
 def scan_roots_reduced(
@@ -138,9 +105,10 @@ def scan_roots_reduced(
 
         s + c tau w (trace S^{-1} trace^T) z(s)  =  trace S^{-1} b,
 
-    which is scanned exactly like the 1-d case; every scalar root is mapped
+    whose roots are scanned on [s_lo, s_hi]; every scalar root is mapped
     back to the full coefficient vector.  S is taken dense and factored
-    here."""
+    here.  Returns an empty list when nothing is found (the caller widens
+    the range)."""
     cho = sla.cho_factor(p.system.toarray())  # dense on purpose: no shared solver code
     t_row = p.space.trace[0]
     w = float(p.weights[0])
@@ -148,19 +116,17 @@ def scan_roots_reduced(
     gamma = float(t_row @ s_inv_t)
     s_inv_b = sla.cho_solve(cho, np.asarray(rhs, dtype=float))
     s_b = float(t_row @ s_inv_b)
-    factor = p.flux_coef * w * gamma
+    factor = p.flux_coef * w * gamma  # >= 0, so the interval keeps its order
 
-    def interval_fun(ss: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        z_lo, z_hi = p.potential.interval_arrays(ss)
-        lin = ss - s_b
-        t1, t2 = factor * z_lo, factor * z_hi
-        return lin + np.minimum(t1, t2), lin + np.maximum(t1, t2)
+    def interval_at(s: float) -> tuple[float, float]:
+        z_lo, z_hi = p.potential.clarke_interval(s)
+        return s - s_b + factor * z_lo, s - s_b + factor * z_hi
 
-    s_roots = _scan_scalar_inclusion(interval_fun, p.potential.kinks, s_lo, s_hi, grid_n)
+    s_roots = _scan_scalar_inclusion(interval_at, p.potential.kinks, s_lo, s_hi, grid_n)
     out = []
     for s in s_roots:
         z = 0.0 if factor == 0.0 else (s_b - s) / factor
-        out.append(s_inv_b - sla.cho_solve(cho, t_row) * (p.flux_coef * w * z))
+        out.append(s_inv_b - s_inv_t * (p.flux_coef * w * z))
     return out
 
 

@@ -1,11 +1,15 @@
 """Scalar locally Lipschitz boundary potentials and their generalized
 derivatives.
 
-Each potential exposes its value j(s), the generalized-derivative interval
-[lo, hi] (a single point wherever j is differentiable), and, for the step
-solver's scalar loops, the derivative and its slope between jump points as
-plain floats (``branch_value``, ``branch_slope``) together with a table of
-the intervals at and beside the jump points (``kink_table``), built once.
+A flux law states its potential j (``value``), the derivative z of j as a
+plain float (``branch_value``, its lower end at a kink), the slope of z
+(``branch_slope``) and the points where z jumps (``kinks``).  Everything
+else derives from these: the Clarke interval at s is the single point z(s)
+off the kinks and, at a kink, the hull of the values of z at its two
+neighbouring floats, the one-sided limits there (Clarke, *Optimization and
+Nonsmooth Analysis*, 1983, Thm 2.5.1).  ``interval_arrays`` applies that map
+elementwise, and ``kink_table`` holds it at and beside the kinks, built once
+for the step solver's scalar loops.
 """
 
 from __future__ import annotations
@@ -30,17 +34,16 @@ __all__ = [
 
 
 class ScalarPotential:
-    """Base class; subclasses fill in the branch formulas.
+    """Base class; a subclass states ``value``, ``branch_value``,
+    ``branch_slope`` and ``kinks``, and the interval maps derive from them.
 
     Contract relied on by the step solver: the derivative z is convex on
     each open interval between consecutive kinks (and on the unbounded
     intervals beyond the first and last kink), ``branch_value`` is z and
     ``branch_slope`` its slope there.  Then s + F z(s) is convex on every
     such piece for F > 0, so each piece holds at most two roots of the
-    step's boundary inclusion.  The interval at a kink is the hull of the
-    one-sided limits there.  ``branch_value(s)`` equals
-    ``interval_arrays(s)[0]`` up to the rounding of ``math`` against numpy,
-    at kinks too, but takes and returns a float.
+    step's boundary inclusion.  At a kink ``branch_value`` is the lower end
+    of the interval and ``branch_slope`` the right-hand slope.
 
     Attributes
     ----------
@@ -57,13 +60,9 @@ class ScalarPotential:
     def value(self, s):
         raise NotImplementedError
 
-    def interval_arrays(self, s) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized [lo, hi] endpoints of the derivative interval."""
-        raise NotImplementedError
-
     def branch_value(self, s: float) -> float:
-        """Lower end of the derivative interval at s: the derivative itself
-        between jump points."""
+        """The derivative z at s between jump points, the lower end of its
+        interval at a jump point."""
         raise NotImplementedError
 
     def branch_slope(self, s: float) -> float:
@@ -85,8 +84,22 @@ class ScalarPotential:
         return tuple(pts.tolist()), tuple(lo.tolist()), tuple(hi.tolist())
 
     def clarke_interval(self, s: float) -> tuple[float, float]:
-        lo, hi = self.interval_arrays(np.asarray([float(s)]))
-        return float(lo[0]), float(hi[0])
+        """[lo, hi] of the derivative at s: (z, z) off the kinks, the hull of
+        z at the two neighbouring floats at a kink."""
+        s = float(s)
+        if s in self.kinks:
+            left = self.branch_value(math.nextafter(s, -math.inf))
+            right = self.branch_value(math.nextafter(s, math.inf))
+            return min(left, right), max(left, right)
+        z = self.branch_value(s)
+        return z, z
+
+    def interval_arrays(self, s) -> tuple[np.ndarray, np.ndarray]:
+        """``clarke_interval`` elementwise, as two arrays of the shape of s."""
+        s = np.asarray(s, dtype=float)
+        pairs = np.array([self.clarke_interval(x) for x in s.ravel().tolist()], dtype=float)
+        pairs = pairs.reshape(s.shape + (2,))
+        return pairs[..., 0], pairs[..., 1]
 
     def membership_interval(self, s: float, s_atol: float = 0.0) -> tuple[float, float]:
         """Closed-graph interval: hull of the derivative intervals over
@@ -109,8 +122,9 @@ class PaperExponential(ScalarPotential):
 
     whose derivative jumps from 0 to d at s = 0 (interval [0, d] there).
     The smooth branch slope is d (e^{-s} + s); with ``literal_branch`` the
-    positive branch is d e^{-s} + s instead, which agrees only for d = 1
-    and is kept for side-by-side comparisons.
+    positive branch is d e^{-s} + s instead, the derivative of
+    j(s) = -d e^{-s} + s^2 / 2 + d, which agrees only for d = 1 and is kept
+    for side-by-side comparisons.
     """
 
     def __init__(self, d: float = 1.0, literal_branch: bool = False):
@@ -123,23 +137,11 @@ class PaperExponential(ScalarPotential):
         # the literal positive branch dips below its value at 0 when d > 1
         self.is_monotone = (not literal_branch) or self.d <= 1.0
 
-    def _g(self, s):
-        if self.literal_branch:
-            return self.d * np.exp(-s) + s
-        return self.d * (np.exp(-s) + s)
-
     def value(self, s):
         s = np.asarray(s, dtype=float)
-        pos = -self.d * np.exp(-s) + 0.5 * self.d * s * s + self.d
-        out = np.where(s < 0.0, 0.0, pos)
+        quad = 0.5 * s * s if self.literal_branch else 0.5 * self.d * s * s
+        out = np.where(s < 0.0, 0.0, -self.d * np.exp(-s) + quad + self.d)
         return out if out.ndim else float(out)
-
-    def interval_arrays(self, s):
-        s = np.asarray(s, dtype=float)
-        g = self._g(np.maximum(s, 0.0))
-        lo = np.where(s < 0.0, 0.0, np.where(s == 0.0, 0.0, g))
-        hi = np.where(s < 0.0, 0.0, np.where(s == 0.0, self.d, g))
-        return lo, hi
 
     def branch_value(self, s: float) -> float:
         if s <= 0.0:
@@ -170,11 +172,6 @@ class LinearRobin(ScalarPotential):
         out = 0.5 * self.k * s * s
         return out if out.ndim else float(out)
 
-    def interval_arrays(self, s):
-        s = np.asarray(s, dtype=float)
-        g = self.k * s
-        return g, g.copy()
-
     def branch_value(self, s: float) -> float:
         return self.k * s
 
@@ -189,11 +186,6 @@ class ZeroPotential(ScalarPotential):
         s = np.asarray(s, dtype=float)
         out = np.zeros_like(s)
         return out if out.ndim else 0.0
-
-    def interval_arrays(self, s):
-        s = np.asarray(s, dtype=float)
-        z = np.zeros_like(s)
-        return z, z.copy()
 
     def branch_value(self, s: float) -> float:
         return 0.0
@@ -248,16 +240,6 @@ class NonconvexPiecewise(ScalarPotential):
         tail = self._j_at_width() + self._v1 * (s - w) + 0.5 * self.tail_slope * (s - w) ** 2
         out = np.where(s <= 0.0, 0.0, np.where(s <= w, mid, tail))
         return out if out.ndim else float(out)
-
-    def interval_arrays(self, s):
-        s = np.asarray(s, dtype=float)
-        w = self.drop_width
-        mid = self.jump - self.drop_slope * s
-        tail = self._v1 + self.tail_slope * (s - w)
-        g = np.where(s <= w, mid, tail)
-        lo = np.where(s < 0.0, 0.0, np.where(s == 0.0, 0.0, g))
-        hi = np.where(s < 0.0, 0.0, np.where(s == 0.0, self.jump, g))
-        return lo, hi
 
     def branch_value(self, s: float) -> float:
         if s <= 0.0:

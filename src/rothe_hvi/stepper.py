@@ -184,8 +184,6 @@ class RotheTrajectory:
     grid: TimeGrid
     u: np.ndarray          # (N+1, dim) including the initial vector
     xi: np.ndarray         # (N, dim_u) multipliers for steps 1..N
-    f_avg: np.ndarray      # (N, dim) averaged forcing actions
-    scheme: str
     per_step_residuals: np.ndarray  # (N,) V*-norms of the unscaled step residual
 
 
@@ -307,7 +305,7 @@ def run_rothe(
             xi[n - 1] = xi_n
             # the step equation is the unscaled one multiplied by c tau
             residuals[n - 1] = report.residual / (c * tau)
-    return RotheTrajectory(grid, u, xi, f_avg, scheme, residuals)
+    return RotheTrajectory(grid, u, xi, residuals)
 
 
 class _FitLine(NamedTuple):

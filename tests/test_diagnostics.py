@@ -102,8 +102,6 @@ def hand_traj(u, T=1.0):
         grid=TimeGrid(T, N),
         u=u,
         xi=np.zeros((N, 1)),
-        f_avg=np.zeros((N, u.shape[1])),
-        scheme="bdf2",
         per_step_residuals=np.zeros(N),
     )
 
@@ -304,8 +302,6 @@ def test_q5_equals_the_sum_of_its_steps_with_two_boundary_rows(seed):
         grid=TimeGrid(1.0, n_steps),
         u=rng.normal(size=(n_steps + 1, dim)),
         xi=rng.normal(size=(n_steps, 2)),
-        f_avg=np.zeros((n_steps, dim)),
-        scheme="bdf2",
         per_step_residuals=np.zeros(n_steps),
     )
     weights = rng.uniform(0.5, 2.0, size=2)

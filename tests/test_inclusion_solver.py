@@ -25,7 +25,6 @@ from rothe_hvi import (
     bdf2_step,
     initial_step,
     minimize_energy_convex,
-    scan_roots_1d,
     scan_roots_reduced,
     solve_step_inclusion,
     step_energy,
@@ -101,8 +100,8 @@ def test_scalar_toy_constructed_root():
     u, xi, _ = solve_step_inclusion(p, rhs, np.zeros(1))
     assert u[0] == pytest.approx(1.0, abs=1e-9)
     assert xi[0] == pytest.approx(math.exp(-1.0) + 1.0, abs=1e-9)
-    roots = scan_roots_1d(p, rhs, -5.0, 5.0)
-    assert min(abs(u[0] - r) for r in roots) < 1e-9
+    roots = scan_roots_reduced(p, rhs, -5.0, 5.0)
+    assert min(abs(u[0] - r[0]) for r in roots) < 1e-9
 
 
 def test_scalar_toy_zero_rhs_from_far_start():

@@ -27,7 +27,6 @@ from rothe_hvi import (
     minimize_energy_convex,
     reference_solution,
     run_rothe,
-    scan_roots_1d,
     scan_roots_reduced,
     step_energy,
 )
@@ -43,11 +42,17 @@ def scalar_problem(potential, b, tau=1.0, c=1.0, m=1.0, k=1.0, w=1.0):
     return p, np.array([float(b)])
 
 
+def scan_scalar(p, rhs, lo, hi, **kwargs):
+    """The roots u of a one-dimensional step inclusion; its trace is 1, so
+    the reduced scan's boundary values s are the roots themselves."""
+    return [float(u[0]) for u in scan_roots_reduced(p, rhs, lo, hi, **kwargs)]
+
+
 def test_scan_linear_flux_single_root():
     k = 2.0
     tau, c, m, kk, w, b = 0.5, 1.0, 1.0, 1.0, 1.0, 3.0
     p, rhs = scalar_problem(LinearRobin(k), b, tau=tau, c=c, m=m, k=kk, w=w)
-    roots = scan_roots_1d(p, rhs, -10.0, 10.0)
+    roots = scan_scalar(p, rhs, -10.0, 10.0)
     expected = b / (m + c * tau * kk + c * tau * w * k)
     assert len(roots) == 1
     assert roots[0] == pytest.approx(expected, abs=1e-9)
@@ -55,26 +60,26 @@ def test_scan_linear_flux_single_root():
 
 def test_scan_flux_at_kink_zero_rhs():
     p, rhs = scalar_problem(PaperExponential(1.0), 0.0, tau=0.5)
-    assert scan_roots_1d(p, rhs, -5.0, 5.0) == pytest.approx([0.0], abs=1e-9)
+    assert scan_scalar(p, rhs, -5.0, 5.0) == pytest.approx([0.0], abs=1e-9)
 
 
 def test_scan_nonconvex_multiple_roots():
     # total map 2u + z(u) descends on (0, 1): three roots at b = 0.5
     p, rhs = scalar_problem(NonconvexPiecewise(), 0.5)
-    roots = scan_roots_1d(p, rhs, -5.0, 5.0)
+    roots = scan_scalar(p, rhs, -5.0, 5.0)
     assert len(roots) == 3
     assert roots == pytest.approx([0.0, 0.25, 1.5], abs=1e-9)
 
 
 def test_scan_empty_when_range_misses_root():
     p, rhs = scalar_problem(LinearRobin(1.0), 100.0)
-    assert scan_roots_1d(p, rhs, -1.0, 1.0) == []
+    assert scan_scalar(p, rhs, -1.0, 1.0) == []
 
 
 def test_scan_validation():
     p, rhs = scalar_problem(LinearRobin(1.0), 1.0)
     with pytest.raises(ValueError):
-        scan_roots_1d(p, rhs, -1.0, 1.0, grid_n=100)
+        scan_scalar(p, rhs, -1.0, 1.0, grid_n=100)
 
 
 def test_scan_reduced_matches_full_solution_dim2():

@@ -10,6 +10,7 @@ from rothe_hvi import (
     LinearRobin,
     NonconvexPiecewise,
     PaperExponential,
+    ScalarPotential,
     ZeroPotential,
     check_growth,
 )
@@ -21,7 +22,19 @@ ALL_POTENTIALS = [
     LinearRobin(0.0),
     NonconvexPiecewise(),
     ZeroPotential(),
+    PaperExponential(2.0, literal_branch=True),
+    PaperExponential(0.5, literal_branch=True),
 ]
+
+
+def potential_id(pot):
+    return type(pot).__name__
+
+
+def joins_of(pot):
+    """Where a branch formula changes: the kinks, and the end of the
+    descending segment of the nonconvex law."""
+    return [*pot.kinks, *([pot.drop_width] if hasattr(pot, "drop_width") else [])]
 
 
 def test_value_negative_branch():
@@ -131,21 +144,87 @@ def test_value_derivative_midpoint_consistency():
             assert abs(0.5 * (lo + hi) - fd) < 1e-4
 
 
-@pytest.mark.parametrize(
-    "pot", [*ALL_POTENTIALS, PaperExponential(2.0, literal_branch=True)],
-    ids=lambda pot: type(pot).__name__,
-)
+@pytest.mark.parametrize("pot", ALL_POTENTIALS, ids=potential_id)
 def test_branch_value_is_the_lower_end_of_the_interval(pot):
     rng = np.random.default_rng(17)
     points = (rng.normal(size=200) * 10.0 ** rng.uniform(-3.0, 2.0, 200)).tolist()
-    joins = [*pot.kinks, getattr(pot, "drop_width", 1.0)]  # where a branch formula changes
-    for k in joins:
+    for k in joins_of(pot):
         points += [math.nextafter(k, -math.inf), k, math.nextafter(k, math.inf)]
     for s in points:
         got = pot.branch_value(s)
         want = float(pot.interval_arrays(np.array([s]))[0][0])
         assert type(got) is float
         assert abs(got - want) <= 1e-15 * abs(want), (s, got, want)
+
+
+@pytest.mark.parametrize("pot", ALL_POTENTIALS, ids=potential_id)
+def test_branch_slope_is_the_slope_of_branch_value(pot):
+    rng = np.random.default_rng(23)
+    h = 1e-6
+    points = []
+    while len(points) < 200:
+        s = float(rng.uniform(-8.0, 8.0))
+        if all(abs(s - k) >= 1e-3 for k in joins_of(pot)):
+            points.append(s)
+    for s in points:
+        fd = (pot.branch_value(s + h) - pot.branch_value(s - h)) / (2.0 * h)
+        slope = pot.branch_slope(s)
+        assert type(slope) is float
+        assert abs(fd - slope) <= 1e-6 * (1.0 + abs(slope)), (s, fd, slope)
+    # at a kink: the right-hand slope, taken from the right limit of z
+    for k in pot.kinks:
+        fd = (pot.branch_value(k + h) - pot.branch_value(math.nextafter(k, math.inf))) / h
+        slope = pot.branch_slope(k)
+        assert abs(fd - slope) <= 1e-5 * (1.0 + abs(slope)), (k, fd, slope)
+
+
+@pytest.mark.parametrize(
+    "pot, interval",
+    [
+        (PaperExponential(2.5), (0.0, 2.5)),
+        (PaperExponential(2.0, literal_branch=True), (0.0, 2.0)),
+        (PaperExponential(0.5, literal_branch=True), (0.0, 0.5)),
+        (NonconvexPiecewise(), (0.0, 1.0)),
+        (NonconvexPiecewise(jump=3.0, drop_slope=2.0, drop_width=0.5), (0.0, 3.0)),
+    ],
+    ids=lambda v: type(v).__name__ if isinstance(v, ScalarPotential) else str(v[1]),
+)
+def test_clarke_interval_at_the_kink_is_the_closed_form(pot, interval):
+    # the hull of the one-sided limits: (0, d) for the exponential law,
+    # (0, jump) for the nonconvex one; -0.0 is the same point
+    assert pot.clarke_interval(0.0) == interval
+    assert pot.clarke_interval(-0.0) == interval
+    assert pot.kink_table[1][1:2] + pot.kink_table[2][1:2] == interval
+
+
+@pytest.mark.parametrize("pot", ALL_POTENTIALS, ids=potential_id)
+@pytest.mark.parametrize(
+    "s",
+    [
+        np.array(0.0),
+        np.array([-1.0, -0.0, 0.0, 0.5, 1.0, 3.0, math.inf, -math.inf, math.nan]),
+        np.array([[0.0, 2.0, -4.0], [1.0, 1e-300, -7.5]]),
+        np.array([]),
+        np.zeros((0, 3)),
+    ],
+    ids=["0-d", "1-d", "2-d", "empty", "empty-2-d"],
+)
+def test_interval_arrays_is_clarke_interval_elementwise(pot, s):
+    lo, hi = pot.interval_arrays(s)
+    assert lo.shape == hi.shape == s.shape
+    want = [pot.clarke_interval(x) for x in s.ravel().tolist()]
+    # NaN where z is: at NaN, and at inf for a zero Robin coefficient (0 * inf)
+    np.testing.assert_array_equal(lo.ravel(), [w[0] for w in want])
+    np.testing.assert_array_equal(hi.ravel(), [w[1] for w in want])
+
+
+def test_interval_at_nan_is_nan_except_for_the_zero_law():
+    for pot in ALL_POTENTIALS:
+        lo, hi = pot.clarke_interval(math.nan)
+        if isinstance(pot, ZeroPotential):
+            assert (lo, hi) == (0.0, 0.0)
+        else:
+            assert math.isnan(lo) and math.isnan(hi), type(pot).__name__
 
 
 def test_boundary_functional_validation():

@@ -232,13 +232,14 @@ def test_steps_given_fresh_operators_repeat_the_run_bit_for_bit(potential):
     grid = TimeGrid(1.0, 8)
     for scheme in ("bdf2", "backward_euler"):
         traj = run_rothe(problem, grid, scheme)
+        f_avg = average_forcing(problem.forcing, grid)
         for n in range(1, grid.N + 1):
             if scheme == "bdf2" and n >= 2:
                 u, xi, _ = bdf2_step(problem.step_problem(2.0 / 3.0, grid.tau), traj.u[n - 1],
-                                     traj.u[n - 2], traj.f_avg[n - 1])
+                                     traj.u[n - 2], f_avg[n - 1])
             else:
                 u, xi, _ = initial_step(problem.step_problem(1.0, grid.tau), traj.u[n - 1],
-                                        traj.f_avg[n - 1])
+                                        f_avg[n - 1])
             assert np.array_equal(u, traj.u[n])
             assert np.array_equal(xi, traj.xi[n - 1])
 
@@ -274,14 +275,14 @@ def test_recorded_residual_bounds_the_unscaled_step_residual(potential):
     sp, tol, grid = problem.space, 1e-10, TimeGrid(1.0, 16)
     for scheme in ("bdf2", "backward_euler"):
         traj = run_rothe(problem, grid, scheme, tol)
-        u = traj.u
+        u, f_avg = traj.u, average_forcing(problem.forcing, grid)
         for n in range(1, grid.N + 1):
             if scheme == "bdf2" and n >= 2:
                 quotient = (1.5 * u[n] - 2.0 * u[n - 1] + 0.5 * u[n - 2]) / grid.tau
             else:
                 quotient = (u[n] - u[n - 1]) / grid.tau
             r = (sp.gram_h @ quotient + problem.operator.stiffness @ u[n]
-                 + sp.trace.T @ (problem.boundary.weights * traj.xi[n - 1]) - traj.f_avg[n - 1])
+                 + sp.trace.T @ (problem.boundary.weights * traj.xi[n - 1]) - f_avg[n - 1])
             assert sp.dual_norm(r) <= 1.5 * tol / grid.tau
             assert traj.per_step_residuals[n - 1] <= 1.5 * tol / grid.tau
 
