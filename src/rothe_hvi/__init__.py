@@ -18,7 +18,7 @@ from .potentials import (
     ZeroPotential,
     check_growth,
 )
-from .fem1d import ForcingSpec, Mesh1D, assemble_forcing, assemble_space, make_initial
+from .fem1d import Mesh1D, assemble_forcing, assemble_space, make_initial, separable_load
 from .inclusion_solver import (
     NonConvergenceError,
     NumericalFailureError,

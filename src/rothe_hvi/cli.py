@@ -21,8 +21,9 @@ command, and `run` then leaves the completed steps in
 ``trajectory.csv.partial``.  Unless ``--quiet``, each row is printed as
 ``<name> ok: <detail>`` on stdout or ``<name> failed: <detail>`` on
 stderr.  The exit code is 0 when every row passed, 1 when a run or a
-certificate failed, and 2 for a usage or config error, which is printed
-on stderr and writes no output.
+certificate failed, and 2 for a usage or config error, such as a config
+that cannot be read or an output directory that cannot be made; it is
+printed on stderr and writes no output.
 
 Configs are flat INI files whose schema is derived from `ExperimentConfig`:
 its fields, in order, are the keys, their types drive parsing, and field
@@ -66,7 +67,7 @@ from .diagnostics import (
     fitted_order,
     tau_ladder_study,
 )
-from .fem1d import ForcingSpec, Mesh1D, assemble_forcing, assemble_space, make_initial
+from .fem1d import Mesh1D, assemble_space, make_initial, separable_load
 from .floatfmt import g17_lines
 from .galerkin import GalerkinSpace, check_hypotheses_A
 from .oracle import reference_solution
@@ -84,7 +85,6 @@ from .stepper import (
     BDF2,
     RotheProblem,
     RotheTrajectory,
-    SeparableLoad,
     StepFailureError,
     TimeGrid,
     TrajectoryMemoryError,
@@ -225,12 +225,14 @@ def _parse_typed(name: str, hint, raw: str):
 
 
 def parse_config(source) -> ExperimentConfig:
-    """Parse a config file path or string into an ExperimentConfig.
+    """Parse a config file (a Path, or a str naming an existing file) or a
+    config string into an ExperimentConfig.
 
-    Unknown sections or keys are rejected so typos fail loudly."""
+    Unknown sections or keys are rejected so typos fail loudly, and a file
+    that cannot be read is a ConfigError too."""
     cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
     try:
-        if isinstance(source, (str, Path)) and os.path.exists(str(source)):
+        if isinstance(source, Path) or (isinstance(source, str) and os.path.exists(source)):
             with open(source, "r", encoding="utf-8") as fh:
                 cp.read_file(fh)
         else:
@@ -239,6 +241,8 @@ def parse_config(source) -> ExperimentConfig:
         lineno = getattr(exc, "lineno", None)
         loc = f" (line {lineno})" if lineno else ""
         raise ConfigError(f"cannot parse config{loc}: {exc.message}") from None
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, unreadable, not UTF-8
+        raise ConfigError(f"cannot read config: {exc}") from None
     if cp.defaults():  # configparser would copy these keys into every section
         raise ConfigError("unknown section [DEFAULT]")
     values = {}
@@ -395,15 +399,11 @@ def build_problem(cfg: ExperimentConfig) -> RotheProblem:
     overrides = {name: getattr(cfg, name) for name in names if getattr(cfg, name) is not None}
     if overrides:
         op = replace(op, **overrides)  # re-certified by __post_init__
-    # l(t) = f_N(t) e_0 + a(t) l_b, with l_b the load of b assembled once
-    a, b, f_n = _forcing_factors(cfg)
-    loads = np.eye(2, space.dim)  # e_0, then l_b in place of e_1
-    loads[1] = assemble_forcing(mesh, ForcingSpec(lambda t, x: b(x), lambda t: 0.0), 0.0)
     return RotheProblem(
         space=space,
         operator=op,
         boundary=BoundaryFunctional(build_potential(cfg), np.ones(1)),
-        forcing=SeparableLoad(lambda t: np.column_stack([f_n(t), a(t)]), loads),
+        forcing=separable_load(mesh, *_forcing_factors(cfg)),
         u0=make_initial(mesh, space, build_u0(cfg)),
     )
 
@@ -682,18 +682,18 @@ _PARSER = _build_parser()  # parsing keeps no state, so one parser serves every 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _PARSER.parse_args(argv)
-    if not os.path.exists(args.config_path):
-        print(f"error: config file not found: {args.config_path}", file=sys.stderr)
-        return 2
     try:
-        cfg = parse_config(args.config_path)
+        cfg = parse_config(Path(args.config_path))
         if args.command == "compare":  # runs the two-step scheme whatever [scheme] kind is
             _require_two_steps(cfg, "taus", cfg.taus[0])
+        out = Path(args.out or cfg.output_dir or "rothe_out")
+        out.mkdir(parents=True, exist_ok=True)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    out = Path(args.out or cfg.output_dir or "rothe_out")
-    out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # from mkdir: the output path is a file, or lies under one
+        print(f"error: cannot create output directory: {exc}", file=sys.stderr)
+        return 2
     try:
         if args.command == "check":
             rows = cmd_check(cfg, args.seed)

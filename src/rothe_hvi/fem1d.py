@@ -12,28 +12,32 @@ weight-times-hat values once per mesh; all are read-only.  A load vector is
 one product of the integrand's values with that table, written into a
 buffer, padded with a zero at each end, that interleaves each element's
 shares of its two nodes, then one sum of the buffer's even and odd entries.
-Load vectors are off the time-stepping path: the command line presets are
-separable in t and x, so each problem assembles its spatial load vector
-once, and a run weights it by scalar time factors (`stepper.SeparableLoad`).
+Load vectors are off the time-stepping path: a problem's load is
+l(t) = f_N(t) e_0 + a(t) l_b (`separable_load`), a `stepper.SeparableLoad`
+whose spatial load vector l_b is assembled once and weighted by scalar time
+factors during a run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
 from .galerkin import GalerkinSpace, LinearOperatorA, SymBand
+from .stepper import SeparableLoad
 
 __all__ = [
     "Mesh1D",
-    "ForcingSpec",
     "assemble_space",
     "assemble_forcing",
+    "separable_load",
     "make_initial",
 ]
+
+Vectorized = Callable[[np.ndarray], np.ndarray]  # a function of x, or of t, applied elementwise
 
 
 def _reference_rule(nq: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -79,15 +83,6 @@ class Mesh1D:
         return out
 
 
-@dataclass(frozen=True)
-class ForcingSpec:
-    """Volume source f0(t, x) (vectorized in x) and Neumann datum f_N(t)
-    acting at x = 0."""
-
-    f0: Callable[[float, np.ndarray], np.ndarray]
-    f_N: Callable[[float], float]
-
-
 def assemble_space(mesh: Mesh1D) -> tuple[GalerkinSpace, LinearOperatorA]:
     """Mass, stiffness, V-Gram (tridiagonal bands), boundary trace and the
     elliptic operator.
@@ -130,33 +125,25 @@ def _load(vals, x: np.ndarray, w_phi: np.ndarray) -> np.ndarray:
     return np.add(shares[0::2], shares[1::2])
 
 
-def assemble_forcing(mesh: Mesh1D, spec: ForcingSpec, t: float) -> np.ndarray:
-    """Load vector l_i = int f0(t,x) phi_i dx + f_N(t) phi_i(0).
-
-    The volume term uses 3-point Gauss per element, exact for the
-    polynomial forcings used in the tests.
-    """
+def assemble_forcing(mesh: Mesh1D, b: Vectorized) -> np.ndarray:
+    """Load vector l_i = int b(x) phi_i dx of the volume source b, by 3-point
+    Gauss per element, exact for b of degree up to 4."""
     x, w_phi = mesh._quadrature[3]
-    load = _load(spec.f0(t, x), x, w_phi)
-    load[0] += float(spec.f_N(t))
-    return load
+    return _load(b(x), x, w_phi)
 
 
-def make_initial(
-    mesh: Mesh1D,
-    space: GalerkinSpace,
-    u0: Union[Callable[[np.ndarray], np.ndarray], np.ndarray],
-) -> np.ndarray:
-    """H-orthogonal projection of the initial datum onto the P1 space.
+def separable_load(mesh: Mesh1D, a: Vectorized, b: Vectorized, f_n: Vectorized) -> SeparableLoad:
+    """The load l(t) = f_N(t) e_0 + a(t) l_b of the volume source a(t) b(x)
+    and the Neumann datum f_N(t) at x = 0, with l_b the load vector of b,
+    assembled once.  The one place that knows where the Neumann node is."""
+    loads = np.eye(2, mesh.n_el + 1)  # e_0, then l_b in place of e_1
+    loads[1] = assemble_forcing(mesh, b)
+    return SeparableLoad(lambda t: np.column_stack([f_n(t), a(t)]), loads)
 
-    A coefficient vector is returned unchanged (the projection is the
-    identity on the space); a callable is projected by solving the mass
-    system against its load vector (5-point Gauss per element).
-    """
-    if callable(u0):
-        x, w_phi = mesh._quadrature[5]
-        return space.solve_h(_load(u0(x), x, w_phi))
-    coeffs = np.array(u0, dtype=float)
-    if coeffs.shape != (space.dim,):
-        raise ValueError(f"u0 vector has shape {coeffs.shape}, expected ({space.dim},)")
-    return coeffs
+
+def make_initial(mesh: Mesh1D, space: GalerkinSpace, u0: Vectorized) -> np.ndarray:
+    """H-orthogonal projection of the initial datum u0(x) onto the P1 space:
+    the mass system solved against its load vector (5-point Gauss per
+    element)."""
+    x, w_phi = mesh._quadrature[5]
+    return space.solve_h(_load(u0(x), x, w_phi))

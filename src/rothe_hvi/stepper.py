@@ -9,12 +9,11 @@ matched to the stencils:
     F_n = (1.5 W_n - 0.5 W_{n-1}) / tau,   n >= 2.
 
 A run builds the whole sequence once, before its first step, as one (N, dim)
-table; a step reads its row and evaluates no forcing.  Each window integral
-is a 5-point Gauss sum, so the forcing is evaluated at the 5N Gauss times,
-each once.  The forcing is a plain callable f(t) -> (dim,), called at each
-of those times, or a `SeparableLoad`, l(t) = sum_j a_j(t) l_j: its time
-factors a_j come from one vectorized call for all 5N times, and its load
-vectors l_j, assembled once, enter the table through one product.
+table; a step reads its row and evaluates no forcing.  The load is a
+`SeparableLoad`, l(t) = sum_j a_j(t) l_j, which on a Galerkin space is every
+load: its time factors a_j come from one vectorized call at the 5N Gauss
+times of the window integrals (5-point Gauss sums), and its load vectors
+l_j, assembled once, enter the table through one product.
 
 A one-step (backward Euler) baseline is provided for scheme comparisons;
 it consumes the same averaged forcing sequence and differs only in the
@@ -25,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -143,14 +142,14 @@ class SeparableLoad:
 @dataclass(frozen=True)
 class RotheProblem:
     """Problem instance: space, elliptic operator, boundary flux law,
-    time-dependent load (its assembled action vector: a SeparableLoad, or a
-    callable f(t) -> (dim,)) and the initial coefficient vector.  ValueError
-    unless a SeparableLoad's loads are finite with shape (k, dim)."""
+    time-dependent load (its assembled action vector, as a SeparableLoad)
+    and the initial coefficient vector.  ValueError unless the forcing has
+    finite loads of shape (k, dim), which a bare callable f(t) does not."""
 
     space: GalerkinSpace
     operator: LinearOperatorA
     boundary: BoundaryFunctional
-    forcing: Union[SeparableLoad, Callable[[float], np.ndarray]]
+    forcing: SeparableLoad
     u0: np.ndarray
 
     def __post_init__(self) -> None:
@@ -159,10 +158,9 @@ class RotheProblem:
             raise ValueError("u0 has wrong length")
         if self.boundary.dim_u != self.space.dim_u:
             raise ValueError("boundary weights do not match the trace rows")
-        if isinstance(self.forcing, SeparableLoad):
-            loads = np.asarray(self.forcing.loads, dtype=float)
-            if loads.ndim != 2 or loads.shape[1] != self.space.dim or not np.isfinite(loads).all():
-                raise ValueError(f"forcing loads must be a finite (k, {self.space.dim}) array")
+        loads = np.asarray(getattr(self.forcing, "loads", None), dtype=float)
+        if loads.ndim != 2 or loads.shape[1] != self.space.dim or not np.isfinite(loads).all():
+            raise ValueError(f"forcing loads must be a finite (k, {self.space.dim}) array")
         object.__setattr__(self, "u0", u0)
 
     def step_problem(self, c: float, tau: float) -> StepProblem:
@@ -187,30 +185,19 @@ class RotheTrajectory:
     per_step_residuals: np.ndarray  # (N,) V*-norms of the unscaled step residual
 
 
-def average_forcing(
-    forcing: Union[SeparableLoad, Callable[[float], np.ndarray]], grid: TimeGrid
-) -> np.ndarray:
-    """The (N, dim) table of stencil-weighted forcing averages, row n - 1 for
-    step n.  Each window integral is a 5-point Gauss sum, exact for loads
-    polynomial in t up to degree 9, so the forcing is evaluated at the 5N
-    Gauss times, each once: a SeparableLoad's factors in one call, a callable
-    once per time, one window at a time.  Overflow and invalid operations
+def average_forcing(load: SeparableLoad, grid: TimeGrid) -> np.ndarray:
+    """The (N, dim) table of stencil-weighted averages of the load, row n - 1
+    for step n.  Each window integral is a 5-point Gauss sum, exact for
+    factors polynomial in t up to degree 9; the factors are evaluated in one
+    call at the 5N Gauss times, each once.  Overflow and invalid operations
     raise no warning; they leave non-finite rows."""
     tau = grid.tau
     times = (np.arange(grid.N)[:, None] + 0.5 * (1.0 + _NODES)) * tau  # (N, 5)
     gauss = 0.5 * tau * _WEIGHTS  # the Gauss weights of every window
     with np.errstate(over="ignore", invalid="ignore"):
-        if isinstance(forcing, SeparableLoad):
-            w = gauss @ forcing.factors(times.ravel()).reshape(grid.N, len(_NODES), -1)  # (N, k)
-            w[1:] = 1.5 * w[1:] - 0.5 * w[:-1]
-            return (w / tau) @ forcing.loads
-        for n, ts in enumerate(times):
-            w = gauss @ np.array([forcing(t) for t in ts], dtype=float)
-            if n == 0:
-                table = np.empty((grid.N, w.size))
-            table[n] = (w if n == 0 else 1.5 * w - 0.5 * prev) / tau
-            prev = w
-        return table
+        w = gauss @ load.factors(times.ravel()).reshape(grid.N, len(_NODES), -1)  # (N, k)
+        w[1:] = 1.5 * w[1:] - 0.5 * w[:-1]
+        return (w / tau) @ load.loads
 
 
 def _check_stencil(step: StepProblem, c: float, name: str) -> None:

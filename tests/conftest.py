@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from rothe_hvi import GalerkinSpace
+from rothe_hvi import (
+    BoundaryFunctional,
+    GalerkinSpace,
+    Mesh1D,
+    RotheProblem,
+    assemble_space,
+    make_initial,
+    separable_load,
+)
 
 settings.register_profile(
     "suite",
@@ -32,3 +40,21 @@ def make_space(gram_h: np.ndarray, gram_v: np.ndarray | None = None) -> Galerkin
 @pytest.fixture
 def scalar_space() -> GalerkinSpace:
     return GalerkinSpace(gram_h=[[1.0]], gram_v=[[1.0]], trace=[[1.0]], gram_u=[[1.0]])
+
+
+def zero(s: np.ndarray) -> np.ndarray:
+    return np.zeros_like(s)
+
+
+def one(s: np.ndarray) -> np.ndarray:
+    return np.ones_like(s)
+
+
+def fem_problem(n_el, potential, a, b, f_N, u0) -> RotheProblem:
+    """The P1 problem on Mesh1D(n_el): flux law ``potential`` at x = 1, load
+    a(t) b(x) with Neumann datum f_N(t) at x = 0, and initial datum u0(x);
+    each function is vectorized."""
+    mesh = Mesh1D(n_el)
+    space, op = assemble_space(mesh)
+    return RotheProblem(space, op, BoundaryFunctional(potential, np.ones(1)),
+                        separable_load(mesh, a, b, f_N), make_initial(mesh, space, u0))

@@ -3,6 +3,8 @@ looks up by module and attribute path; every one of them must exist, or
 ``--trace 1`` fails with a KeyError.  The benchmark's self-test also pins
 how often a run calls the step solver and the forcing assembler; those
 counts are checked here too, so that a change to them shows in this suite.
+The assembler is counted as ``fem1d.assemble_forcing``, the name through
+which ``fem1d.separable_load`` calls it and the tracer wraps it.
 perfbench/selftest.py still pins the 32,340 forcing assemblies per
 ladder-smooth pass made when every step assembled its own loads; the
 program now makes 2, one per problem built, and that self-test fails until
@@ -83,10 +85,10 @@ def _smooth_problem():
 @pytest.mark.parametrize("scheme", ["bdf2", "backward_euler"])
 @pytest.mark.parametrize("n_steps", [2, 3, 8])
 def test_run_rothe_makes_the_call_counts_the_benchmark_pins(monkeypatch, scheme, n_steps):
-    cli = importlib.import_module("rothe_hvi.cli")
+    fem1d = importlib.import_module("rothe_hvi.fem1d")
     stepper = importlib.import_module("rothe_hvi.stepper")
     # the tracer counts the functions where the package looks them up
-    forcing = _counting(monkeypatch, cli, "assemble_forcing")
+    forcing = _counting(monkeypatch, fem1d, "assemble_forcing")
     problem = _smooth_problem()
     assert len(forcing) == 1
     solves = _counting(monkeypatch, stepper, "solve_step_inclusion")
@@ -99,18 +101,20 @@ def test_run_rothe_makes_the_call_counts_the_benchmark_pins(monkeypatch, scheme,
 
 @pytest.mark.parametrize("scheme", ["bdf2", "backward_euler"])
 @pytest.mark.parametrize("n_steps", [2, 3, 8])
-def test_a_plain_callable_forcing_is_called_once_per_gauss_time(scheme, n_steps):
+def test_a_run_calls_the_load_factors_once_at_every_gauss_time(scheme, n_steps):
     stepper = importlib.import_module("rothe_hvi.stepper")
     problem = _smooth_problem()
-    times = []
+    calls = []
 
-    def forcing(t):
-        times.append(t)
-        return np.zeros(5)
+    def factors(t):
+        calls.append(np.array(t))
+        return problem.forcing.factors(t)
 
-    stepper.run_rothe(replace(problem, forcing=forcing), stepper.TimeGrid(1.0, n_steps), scheme)
-    # the 5 Gauss times of each window, each evaluated once
-    assert len(times) == len(set(times)) == 5 * n_steps
+    load = stepper.SeparableLoad(factors, problem.forcing.loads)
+    stepper.run_rothe(replace(problem, forcing=load), stepper.TimeGrid(1.0, n_steps), scheme)
+    # one call, at the 5 Gauss times of each window, each once
+    assert len(calls) == 1
+    assert calls[0].shape == (5 * n_steps,) and len(set(calls[0].tolist())) == 5 * n_steps
 
 
 def test_one_traced_run_builds_one_forcing_table():
@@ -146,13 +150,14 @@ def test_a_seed0_ladder_smooth_pass_makes_3240_solves_and_2_load_assemblies(
     # references, 2 x 3 ladder runs), reference 1,024 steps, ladder 8, 16,
     # 32; each command builds its problem, and so assembles its load, once
     cli = importlib.import_module("rothe_hvi.cli")
+    fem1d = importlib.import_module("rothe_hvi.fem1d")
     stepper = importlib.import_module("rothe_hvi.stepper")
     spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks it up
     spec.loader.exec_module(workloads)
     solves = _counting(monkeypatch, stepper, "solve_step_inclusion")
-    forcing = _counting(monkeypatch, cli, "assemble_forcing")
+    forcing = _counting(monkeypatch, fem1d, "assemble_forcing")
     for i, op in enumerate(workloads.make_ops("ladder-smooth", 0)):
         path = tmp_path / f"{i}.ini"
         path.write_text(op.config, encoding="utf-8")

@@ -491,3 +491,26 @@ def test_output_dir_is_the_flag_then_the_config_key_then_rothe_out(tmp_path, mon
     for name in ("from_flag", "from_config", "rothe_out"):
         assert (tmp_path / name / "trajectory.csv").is_file()
     assert not (tmp_path / "env").exists()
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+def test_a_config_that_cannot_be_read_exits_2_and_writes_nothing(tmp_path, capsys, kind):
+    cfg = tmp_path / "config.ini"
+    if kind == "directory":
+        cfg.mkdir()
+    elif kind == "not_utf8":
+        cfg.write_bytes("[problem]\n# caf\xe9\nn_el = 4\n".encode("latin-1"))
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("config error: cannot read config: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("out_name", ["blocker", "blocker/out"], ids=["a_file", "under_a_file"])
+def test_an_output_directory_that_cannot_be_made_exits_2(tmp_path, capsys, out_name):
+    (tmp_path / "blocker").write_text("not a directory\n", encoding="utf-8")
+    rc, _ = run_cli(tmp_path, "run", SMOOTH_TINY, out_name=out_name)
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: cannot create output directory: ")
+    assert (tmp_path / "blocker").read_text(encoding="utf-8") == "not a directory\n"
+    assert not list(tmp_path.rglob("summary.csv"))

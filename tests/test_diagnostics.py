@@ -8,25 +8,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import make_space, random_spd
+from conftest import fem_problem, make_space, one, random_spd, zero
 from rothe_hvi import (
-    BoundaryFunctional,
-    ForcingSpec,
     GalerkinSpace,
     LinearRobin,
-    Mesh1D,
     NonconvexPiecewise,
     PaperExponential,
-    RotheProblem,
     RotheTrajectory,
     TimeGrid,
     ZeroPotential,
-    assemble_forcing,
-    assemble_space,
     bdf2_identity_gap,
     bdf2_inequality_slack,
     estimate_report,
-    make_initial,
     run_rothe,
     tau_ladder_study,
 )
@@ -123,15 +116,6 @@ def gap_quadrature(space, traj):
             gap = interp.gap((n - 0.5 + 0.5 * x) * tau)
             total += 0.5 * tau * w * space.dual_norm(space.gram_h @ gap) ** 2
     return total
-
-
-def fem_problem(n_el, potential, f0, f_N, u0_fun):
-    mesh = Mesh1D(n_el)
-    space, op = assemble_space(mesh)
-    spec = ForcingSpec(f0, f_N)
-    u0 = make_initial(mesh, space, u0_fun)
-    return RotheProblem(space, op, BoundaryFunctional(potential, np.ones(1)),
-                        lambda t: assemble_forcing(mesh, spec, t), u0)
 
 
 def test_identity_scalar_examples(scalar_space):
@@ -268,9 +252,7 @@ def test_estimate_report_linear_in_time_second_differences_vanish():
 
 
 def test_gap_closed_form_matches_quadrature_on_real_run():
-    problem = fem_problem(16, PaperExponential(1.0),
-                          lambda t, x: np.ones_like(x), lambda t: 0.0,
-                          lambda x: np.zeros_like(x))
+    problem = fem_problem(16, PaperExponential(1.0), one, one, zero, zero)
     traj = run_rothe(problem, TimeGrid(1.0, 16), "bdf2", 1e-12)
     rep = estimate_report(traj, problem.space, problem.boundary.weights)
     assert rep.gap_closed_form == pytest.approx(gap_quadrature(problem.space, traj), rel=1e-12)
@@ -282,8 +264,8 @@ def _q5_step_by_step(space, traj, weights):
 
 
 def test_q5_equals_the_sum_of_its_steps_on_a_real_run():
-    problem = fem_problem(16, NonconvexPiecewise(), lambda t, x: np.full(x.shape, 3.0),
-                          lambda t: 0.0, lambda x: np.zeros_like(x))
+    problem = fem_problem(16, NonconvexPiecewise(), one, lambda x: np.full(x.shape, 3.0),
+                          zero, zero)
     traj = run_rothe(problem, TimeGrid(1.0, 32), "bdf2")
     weights = problem.boundary.weights
     rep = estimate_report(traj, problem.space, weights)
@@ -343,9 +325,7 @@ def test_gap_closed_form_is_the_exact_gap_integral(seed, dim, n_steps, log_trace
 
 
 def test_ladder_study_smooth_problem_gaps_shrink():
-    problem = fem_problem(8, LinearRobin(1.0),
-                          lambda t, x: np.ones_like(x) * np.sin(np.pi * t),
-                          lambda t: 0.0, lambda x: np.zeros_like(x))
+    problem = fem_problem(8, LinearRobin(1.0), lambda t: np.sin(np.pi * t), one, zero, zero)
     taus = [1.0 / n for n in (8, 16, 32, 64)]
     study = tau_ladder_study(problem, 1.0, taus, "bdf2", 1e-12)
     u1 = study.series("u1_u0_gap")
@@ -356,9 +336,7 @@ def test_ladder_study_smooth_problem_gaps_shrink():
 
 
 def test_ladder_study_zero_data_all_rows_zero():
-    problem = fem_problem(4, ZeroPotential(),
-                          lambda t, x: np.zeros_like(x), lambda t: 0.0,
-                          lambda x: np.zeros_like(x))
+    problem = fem_problem(4, ZeroPotential(), zero, zero, zero, zero)
     study = tau_ladder_study(problem, 1.0, [0.25, 0.125], "bdf2")
     for row in study.rows:
         assert row.report.q3 == 0.0
@@ -366,9 +344,7 @@ def test_ladder_study_zero_data_all_rows_zero():
 
 
 def test_ladder_study_validation():
-    problem = fem_problem(4, ZeroPotential(),
-                          lambda t, x: np.zeros_like(x), lambda t: 0.0,
-                          lambda x: np.zeros_like(x))
+    problem = fem_problem(4, ZeroPotential(), zero, zero, zero, zero)
     with pytest.raises(ValueError):
         tau_ladder_study(problem, 1.0, [0.125, 0.25], "bdf2")
     with pytest.raises(ValueError):
@@ -382,9 +358,7 @@ def test_ladder_study_validation():
 
 
 def test_peak_h_norm_stable_across_ladder():
-    problem = fem_problem(16, PaperExponential(1.0),
-                          lambda t, x: np.ones_like(x), lambda t: 0.0,
-                          lambda x: np.zeros_like(x))
+    problem = fem_problem(16, PaperExponential(1.0), one, one, zero, zero)
     taus = [1.0 / n for n in (8, 16, 32)]
     study = tau_ladder_study(problem, 1.0, taus, "bdf2", 1e-12)
     q4 = study.series("q4")

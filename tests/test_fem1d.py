@@ -3,17 +3,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import fem_problem, zero
 from rothe_hvi import (
-    BoundaryFunctional,
-    ForcingSpec,
     Mesh1D,
-    RotheProblem,
     TimeGrid,
     ZeroPotential,
     assemble_forcing,
     assemble_space,
     make_initial,
     run_rothe,
+    separable_load,
 )
 
 
@@ -60,7 +59,7 @@ def test_loads_match_the_per_element_sum(n_el):
     space, _ = assemble_space(mesh)
     f0 = lambda t, x: np.sin(3.0 * x + t) * np.exp(x)
     for nq, got in (
-        (3, assemble_forcing(mesh, ForcingSpec(f0, lambda t: 0.0), 0.7)),
+        (3, assemble_forcing(mesh, lambda x: f0(0.7, x))),
         (5, space.gram_h @ make_initial(mesh, space, lambda x: f0(0.7, x))),
     ):
         pts, wts = np.polynomial.legendre.leggauss(nq)
@@ -93,36 +92,23 @@ def test_invalid_mesh():
 
 
 def test_forcing_constant_one_element():
-    mesh = Mesh1D(1)
-    spec = ForcingSpec(lambda t, x: np.ones_like(x), lambda t: 0.0)
-    assert assemble_forcing(mesh, spec, 0.3) == pytest.approx([0.5, 0.5])
+    assert assemble_forcing(Mesh1D(1), np.ones_like) == pytest.approx([0.5, 0.5])
 
 
 def test_forcing_point_load_at_left_end():
-    mesh = Mesh1D(4)
-    spec = ForcingSpec(lambda t, x: np.zeros_like(x), lambda t: 2.5)
-    load = assemble_forcing(mesh, spec, 0.0)
-    assert load == pytest.approx([2.5, 0, 0, 0, 0])
+    load = separable_load(Mesh1D(4), zero, zero, lambda t: np.full_like(t, 2.5))
+    at = load.factors(np.array([0.0, 0.7]))
+    assert at @ load.loads == pytest.approx(np.array([[2.5, 0, 0, 0, 0]] * 2))
 
 
 def test_forcing_zero():
-    mesh = Mesh1D(3)
-    spec = ForcingSpec(lambda t, x: np.zeros_like(x), lambda t: 0.0)
-    assert np.all(assemble_forcing(mesh, spec, 1.0) == 0.0)
+    assert np.all(assemble_forcing(Mesh1D(3), np.zeros_like) == 0.0)
 
 
 def test_forcing_quadratic_exact():
     # int_0^1 x^2 (1-x) dx = 1/12 and int_0^1 x^3 dx = 1/4
-    mesh = Mesh1D(1)
-    spec = ForcingSpec(lambda t, x: x**2, lambda t: 0.0)
-    assert assemble_forcing(mesh, spec, 0.0) == pytest.approx([1.0 / 12.0, 0.25], rel=1e-14)
-
-
-def test_initial_vector_passthrough():
-    mesh = Mesh1D(3)
-    space, _ = assemble_space(mesh)
-    vec = np.array([0.0, 1.0, -1.0, 2.0])
-    assert make_initial(mesh, space, vec) == pytest.approx(vec)
+    load = assemble_forcing(Mesh1D(1), lambda x: x**2)
+    assert load == pytest.approx([1.0 / 12.0, 0.25], rel=1e-14)
 
 
 def test_initial_constant_function():
@@ -155,13 +141,6 @@ def test_discrete_poincare_stable_for_tied_end():
 
 @pytest.mark.parametrize("scheme", ["bdf2", "backward_euler"])
 def test_steady_state_preserved_without_forcing(scheme):
-    mesh = Mesh1D(8)
-    space, op = assemble_space(mesh)
-    spec = ForcingSpec(lambda t, x: np.zeros_like(x), lambda t: 0.0)
-    u0 = make_initial(mesh, space, lambda x: np.full_like(x, 3.0))
-    problem = RotheProblem(
-        space, op, BoundaryFunctional(ZeroPotential(), np.ones(1)),
-        lambda t: assemble_forcing(mesh, spec, t), u0,
-    )
+    problem = fem_problem(8, ZeroPotential(), zero, zero, zero, lambda x: np.full_like(x, 3.0))
     traj = run_rothe(problem, TimeGrid(1.0, 8), scheme)
     assert np.abs(traj.u - 3.0).max() < 1e-10

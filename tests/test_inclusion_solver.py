@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from conftest import random_spd
 from rothe_hvi import (
-    ForcingSpec,
     GalerkinSpace,
     LinearRobin,
     Mesh1D,
@@ -283,7 +282,8 @@ def fem_step(n_el: int, potential) -> tuple[StepProblem, np.ndarray, np.ndarray]
     space, op = assemble_space(mesh)
     c, tau = 2.0 / 3.0, 0.1
     u_prev = np.linspace(0.0, 1.0, n_el + 1)
-    load = assemble_forcing(mesh, ForcingSpec(lambda t, x: 1.0 + x, lambda t: 0.5), 0.3)
+    load = assemble_forcing(mesh, lambda x: 1.0 + x)
+    load[0] += 0.5  # a Neumann datum at x = 0
     p = StepProblem(
         space=space, stiff_scaled=c * tau * op.stiffness, weights=np.ones(1),
         potential=potential, c_coef=c, tau=tau,

@@ -7,23 +7,19 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from conftest import random_spd
+from conftest import fem_problem, one, random_spd, zero
 from rothe_hvi import (
     BoundaryFunctional,
-    ForcingSpec,
     GalerkinSpace,
     LinearOperatorA,
     LinearRobin,
-    Mesh1D,
     NonconvexPiecewise,
     PaperExponential,
     RotheProblem,
+    SeparableLoad,
     StepProblem,
     TimeGrid,
     ZeroPotential,
-    assemble_forcing,
-    assemble_space,
-    make_initial,
     minimize_energy_convex,
     reference_solution,
     run_rothe,
@@ -146,22 +142,14 @@ def test_step_energy_definition():
     assert step_energy(p, rhs, u) == pytest.approx(expected)
 
 
-def fem_problem(n_el, potential, f0, f_N, u0_fun):
-    mesh = Mesh1D(n_el)
-    space, op = assemble_space(mesh)
-    spec = ForcingSpec(f0, f_N)
-    u0 = make_initial(mesh, space, u0_fun)
-    return RotheProblem(space, op, BoundaryFunctional(potential, np.ones(1)),
-                        lambda t: assemble_forcing(mesh, spec, t), u0)
-
-
 def test_reference_matches_scalar_closed_form():
     # m u' + g u = f with constant f: u(t) = f/g + (u0 - f/g) e^{-g t / m}
     g_coef = 1.0
     space = GalerkinSpace(gram_h=[[1.0]], gram_v=[[2.0]], trace=[[1.0]], gram_u=[[1.0]])
     op = LinearOperatorA([[g_coef]], alpha=0.5, beta=1.0, a_growth=0.0, b_growth=1.0)
     problem = RotheProblem(space, op, BoundaryFunctional(ZeroPotential(), np.ones(1)),
-                           lambda t: np.array([1.0]), np.array([1.2]))
+                           SeparableLoad(lambda t: np.ones((len(t), 1)), np.ones((1, 1))),
+                           np.array([1.2]))
     ref = reference_solution(problem, 1.0, 1.0 / 4096)
     exact = 1.0 + (1.2 - 1.0) * math.exp(-1.0)
     assert abs(ref.u[-1, 0] - exact) < 1e-8
@@ -170,12 +158,10 @@ def test_reference_matches_scalar_closed_form():
 def test_reference_matches_fem_closed_form():
     # linear flux problem: M u' + (K + k e e^T) u = F, propagated exactly
     # through the matrix exponential
-    problem = fem_problem(4, LinearRobin(1.0),
-                          lambda t, x: np.ones_like(x), lambda t: 0.0,
-                          lambda x: 0.1 * np.cos(np.pi * x))
+    problem = fem_problem(4, LinearRobin(1.0), one, one, zero, lambda x: 0.1 * np.cos(np.pi * x))
     M = problem.space.gram_h.toarray()
     G = problem.operator.stiffness.toarray() + problem.space.trace.T @ problem.space.trace
-    F = problem.forcing(0.0)
+    F = problem.forcing.factors(np.array([0.0]))[0] @ problem.forcing.loads
     u_inf = np.linalg.solve(G, F)
     propagator = sla.expm(-np.linalg.solve(M, G))
     exact = u_inf + propagator @ (problem.u0 - u_inf)
@@ -184,17 +170,13 @@ def test_reference_matches_fem_closed_form():
 
 
 def test_reference_zero_data():
-    problem = fem_problem(4, ZeroPotential(),
-                          lambda t, x: np.zeros_like(x), lambda t: 0.0,
-                          lambda x: np.zeros_like(x))
+    problem = fem_problem(4, ZeroPotential(), zero, zero, zero, zero)
     ref = reference_solution(problem, 1.0, 1.0 / 64)
     assert np.all(ref.u == 0.0)
 
 
 def test_reference_self_consistency_under_halving():
-    problem = fem_problem(16, PaperExponential(1.0),
-                          lambda t, x: np.ones_like(x), lambda t: 0.0,
-                          lambda x: np.zeros_like(x))
+    problem = fem_problem(16, PaperExponential(1.0), one, one, zero, zero)
     a = reference_solution(problem, 1.0, 1.0 / 1024)
     b = reference_solution(problem, 1.0, 1.0 / 2048)
     assert problem.space.h_norm(a.u[-1] - b.u[-1]) < 1e-6
@@ -202,9 +184,7 @@ def test_reference_self_consistency_under_halving():
 
 @pytest.mark.parametrize("tau", [0.3, 0.0, -0.25, math.nan, math.inf, 5e-324])
 def test_reference_validates_step(tau):
-    problem = fem_problem(2, ZeroPotential(),
-                          lambda t, x: np.zeros_like(x), lambda t: 0.0,
-                          lambda x: np.zeros_like(x))
+    problem = fem_problem(2, ZeroPotential(), zero, zero, zero, zero)
     with pytest.raises(ValueError, match=f"tau={re.escape(str(tau))} "):
         reference_solution(problem, 1.0, tau)
 
@@ -214,9 +194,8 @@ def test_reference_completes_on_smooth_problem_near_unit_flux_scale():
     # start) with potential_d = 0.9926; an earlier solver stalled at step 904
     tau_fine = 1.0 / 1024
     problem = fem_problem(64, PaperExponential(0.9926),
-                          lambda t, x: (1.0 - np.cos(np.pi * t)) * 0.5 * (1.0 + x),
-                          lambda t: 0.5 * t * t * np.exp(-t),
-                          lambda x: np.zeros_like(x))
+                          lambda t: 1.0 - np.cos(np.pi * t), lambda x: 0.5 * (1.0 + x),
+                          lambda t: 0.5 * t * t * np.exp(-t), zero)
     tol = 1e-12
     ref = reference_solution(problem, 1.0, tau_fine, tol)
     assert ref.grid.N == 1024
