@@ -40,9 +40,11 @@ every float exactly as ``'%.17g' % x``.  A float table, such as
 4,096 cells at a time and hands to ``'%.17g'`` only the non-finite cells and
 those whose 17th digit its extended-precision scaling cannot round for
 certain; a table of under 256 cells is formatted by ``'%.17g'`` throughout,
-which is faster there.  Estimate tables carry one interpolant-gap column,
-`gap_closed_form`, the exact squared L2(0,T;V*) gap.  Only `check` draws
-random samples, seeded by `--seed`.
+which is faster there.  ``trajectory.csv`` is built from the trajectory
+and written a row block of at most 16 x 4,096 cells at a time.  Estimate
+tables carry one interpolant-gap column, `gap_closed_form`, the exact
+squared L2(0,T;V*) gap.  Only `check` draws random samples, seeded by
+`--seed`.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ import configparser
 import math
 import os
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence, get_args, get_origin, get_type_hints
@@ -68,7 +71,7 @@ from .diagnostics import (
     tau_ladder_study,
 )
 from .fem1d import Mesh1D, assemble_space, make_initial, separable_load
-from .floatfmt import g17_lines
+from .floatfmt import BLOCK_CELLS, g17_lines
 from .galerkin import GalerkinSpace, check_hypotheses_A
 from .oracle import reference_solution
 from .potentials import (
@@ -106,6 +109,7 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 2
+_TRAJECTORY_BLOCK_CELLS = 16 * BLOCK_CELLS  # a row block of trajectory.csv
 
 
 class ConfigError(ValueError):
@@ -225,14 +229,16 @@ def _parse_typed(name: str, hint, raw: str):
 
 
 def parse_config(source) -> ExperimentConfig:
-    """Parse a config file (a Path, or a str naming an existing file) or a
-    config string into an ExperimentConfig.
+    """Parse a config file (a Path, or a str naming an existing file or
+    holding no ``[``, which config text cannot lack) or a config string
+    into an ExperimentConfig.
 
     Unknown sections or keys are rejected so typos fail loudly, and a file
     that cannot be read is a ConfigError too."""
     cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
+    is_path = isinstance(source, str) and ("[" not in source or os.path.exists(source))
     try:
-        if isinstance(source, Path) or (isinstance(source, str) and os.path.exists(source)):
+        if isinstance(source, Path) or is_path:
             with open(source, "r", encoding="utf-8") as fh:
                 cp.read_file(fh)
         else:
@@ -419,17 +425,23 @@ def _fmt(x) -> str:
     return str(x).replace(",", ";")
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence] | np.ndarray) -> None:
+def _write_csv(
+    path: Path, header: Sequence[str], rows: Sequence[Sequence] | np.ndarray | Iterator[np.ndarray]
+) -> None:
     """Schema line, header and rows; ``rows`` is a list of cell lists, each
-    cell formatted by ``_fmt``, or a 2-d float array, whose cells
-    `floatfmt.g17_lines` writes with the bytes of ``'%.17g'``, as ``_fmt``
-    does: in blocks of ``BLOCK_CELLS``, through ``'%.17g'`` itself for the
-    cells it cannot decide and for a table under its crossover size."""
+    cell formatted by ``_fmt``, a 2-d float array, or an iterator of 2-d
+    float arrays written one after the other.  `floatfmt.g17_lines` writes
+    the cells of an array with the bytes of ``'%.17g'``, as ``_fmt`` does:
+    in blocks of ``BLOCK_CELLS``, through ``'%.17g'`` itself for the cells
+    it cannot decide and for a table under its crossover size."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# schema_version={SCHEMA_VERSION}\n")
         fh.write(",".join(header) + "\n")
         if isinstance(rows, np.ndarray):
-            fh.writelines(g17_lines(rows))
+            rows = iter([rows])
+        if isinstance(rows, Iterator):
+            for block in rows:
+                fh.writelines(g17_lines(block))
             return
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
@@ -439,7 +451,9 @@ def _write_trajectory(
     path: Path, times: np.ndarray, u: np.ndarray, xi: np.ndarray, residuals: np.ndarray
 ) -> None:
     """Rows of u^0..u^k with the multipliers and residuals of steps 1..k
-    (zeros on the row of u^0)."""
+    (zeros on the row of u^0), built and written a block of at most
+    ``_TRAJECTORY_BLOCK_CELLS`` cells at a time, so the writer holds one
+    block beside the trajectory, not a copy of it."""
     k, dim = u.shape
     dim_u = xi.shape[1]
     header = (
@@ -448,12 +462,21 @@ def _write_trajectory(
         + [f"xi{i}" for i in range(dim_u)]
         + ["residual"]
     )
-    rows = np.zeros((k, dim + dim_u + 2))
-    rows[:, 0] = times[:k]
-    rows[:, 1 : dim + 1] = u
-    rows[1:, dim + 1 : -1] = xi
-    rows[1:, -1] = residuals
-    _write_csv(path, header, rows)
+    width = dim + dim_u + 2
+    per_block = max(1, _TRAJECTORY_BLOCK_CELLS // width)
+
+    def blocks() -> Iterator[np.ndarray]:
+        for start in range(0, k, per_block):
+            stop = min(start + per_block, k)
+            rows = np.zeros((stop - start, width))
+            rows[:, 0] = times[start:stop]
+            rows[:, 1 : dim + 1] = u[start:stop]
+            first = max(start, 1)  # the row of u^0 has no step
+            rows[first - start :, dim + 1 : -1] = xi[first - 1 : stop - 1]
+            rows[first - start :, -1] = residuals[first - 1 : stop - 1]
+            yield rows
+
+    _write_csv(path, header, blocks())
 
 
 _ESTIMATE_COLS = (

@@ -128,10 +128,11 @@ class SymBand:
         BLAS dsbmv call, anything else one diagonal at a time, all rows of a
         stack at once.  x is not modified."""
         x = np.asarray(x, dtype=float)
-        if x.shape[-1:] != (self.n,):  # dsbmv would read the first n entries of a longer x
-            raise ValueError(f"operand has shape {x.shape}, expected last axis {self.n}")
-        u = self.bandwidth
-        if x.ndim == 1 and self.n <= _DSBMV_MAX_N:
+        rows, n = self.ab.shape
+        if x.shape[-1:] != (n,):  # dsbmv would read the first n entries of a longer x
+            raise ValueError(f"operand has shape {x.shape}, expected last axis {n}")
+        u = rows - 1
+        if x.ndim == 1 and n <= _DSBMV_MAX_N:
             return blas.dsbmv(u, 1.0, self._fortran_band, x)
         y = self.ab[u] * x
         for k in range(1, u + 1):
@@ -181,6 +182,13 @@ class SymBand:
         c.setflags(write=False)
         return c
 
+    @cached_property
+    def _tridiagonal_factor(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The diagonal D and the subdiagonal of L that dpttrs reads, as
+        views of ``factor``; None for a band Cholesky factor."""
+        c = self.factor
+        return (c[1], c[0, 1:]) if _tridiagonal(c) else None
+
     def solve(self, b) -> np.ndarray:
         """A^{-1} b for a vector or the columns of an (n, k) array; scans only
         b for NaN/Inf (ValueError), the matrix was checked when built."""
@@ -192,11 +200,11 @@ class SymBand:
         back-substitution carries it along."""
         if b.ndim not in (1, 2) or b.shape[0] != self.n:  # LAPACK would solve a prefix
             raise ValueError(f"right-hand side has shape {b.shape}, expected ({self.n}, ...)")
-        c = self.factor
-        if _tridiagonal(c):
-            x, info = lapack.dpttrs(c[1], c[0, 1:], b)
+        de = self._tridiagonal_factor
+        if de is not None:
+            x, info = lapack.dpttrs(*de, b)
         else:
-            x, info = lapack.dpbtrs(c, b)
+            x, info = lapack.dpbtrs(self.factor, b)
         if info < 0:
             raise ValueError(f"band solve: illegal value in argument {-info}")
         return x

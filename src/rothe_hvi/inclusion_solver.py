@@ -19,16 +19,23 @@ side b, and is one band back-solve for x plus this scalar problem, O(n).
 
 The scalar inclusion is solved exactly, in plain floats.  z is convex
 between consecutive kinks (the ``ScalarPotential`` contract), so g is
-convex on each piece and has at most two roots there.  g is evaluated
-through ``branch_value`` and g' through ``branch_slope``; the one-sided
-limits of z beside each kink and its interval at the kink come from the
-potential's ``kink_table``.  A piece on which g' >= 0 at its left end is
-monotone; otherwise it is split at the minimiser of g, found by bisection on
-the sign of g'.  Each sign-change bracket gets a safeguarded Newton
-iteration, and a kink is a root when its interval contains zero.  Where
-there are several roots the solver takes the one nearest the warm start's
-boundary value t u_warm, the smaller one on a tie, so a trajectory stays on
-its branch.  From the root, xi = (t x - s) / F and u = x - c tau w xi y.
+convex on each piece and has at most two roots there.  Everything about g
+that does not depend on b is tabulated once per operator, in
+``StepProblem``'s constructor: F z at the points of the potential's
+``kink_table`` (the one-sided limits of z beside each kink and its interval
+at the kink), each piece's ends just inside the kinks, and whether g' >= 0
+at a piece's left end, which makes g nondecreasing there.  A piece where it
+does not is split at the minimiser m of g, found then by bisection on the
+sign of g', and the table keeps m and F z(m).  A step reads the table: a
+kink is a root when its interval contains zero, and each sign-change
+bracket of a piece gets a safeguarded Newton iteration, with g evaluated
+through ``branch_value`` and g' through ``branch_slope``.  Where there are
+several roots the solver takes the one nearest the warm start's boundary
+value t u_warm, the smaller one on a tie, so a trajectory stays on its
+branch.  From the root, xi = (t x - s) / F and u = x - c tau w xi y.
+``SolveReport.iterations`` counts the Newton and bisection steps of the
+step's brackets; the minimiser search belongs to the operator and is not
+counted there.
 
 The residual r = S u + c tau trace^T W xi - b is recomputed from the
 solution as one band product with S plus the flux term, which is nonzero
@@ -37,14 +44,18 @@ only when the V*-norm of r is at most tol (a NaN residual fails); otherwise
 NonConvergenceError is raised.  Only a single boundary row (dim_u = 1) is
 supported; a StepProblem on any other space raises ValueError.
 
-Each vector of a step is scanned for NaN/Inf at most once, and a non-finite
+Each vector of a step is checked for NaN/Inf at most once, and a non-finite
 one raises NumericalFailureError: the warm start directly; the right-hand
 side b through x = S^{-1} b, which the back-substitution makes non-finite
-whenever b is (b itself is scanned only then, to name the culprit); u
+whenever b is (b itself is checked only then, to name the culprit); u
 through r; and r through its own squared norm r^T gram_v^{-1} r in
 GalerkinSpace.dual_norm, which is not finite when r is not (a finite r
-whose square overflows is rescaled there).  The boundary values t x
-and t u_warm are read at the trace's nonzero nodes only.
+whose square overflows is rescaled there).  The warm start and x are
+checked by their sum of squares, one BLAS ddot, and scanned entry by entry
+only when that sum is not finite: a NaN or Inf makes it so, and so does a
+finite vector large enough to overflow it, which the scan then passes.  The
+boundary values t x and t u_warm are read at the trace's nonzero nodes
+only.
 """
 
 from __future__ import annotations
@@ -54,6 +65,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from scipy.linalg import blas
 
 from .galerkin import GalerkinSpace, SymBand, as_band
 from .potentials import ScalarPotential
@@ -101,7 +113,8 @@ class StepProblem:
     Construction checks once what holds for every step and factors
     S = M + c tau K: it holds ``system`` (S, factored), ``y`` = S^{-1} t^T,
     ``gamma`` = t y, the ``nodes`` where t is nonzero with its entries there
-    (``trace_at_nodes``) as plain ints and floats, and the ``lift`` c tau w.
+    (``trace_at_nodes``) as plain ints and floats, the ``lift`` c tau w and
+    the ``inclusion``, the boundary inclusion's table for F = c tau w gamma.
     ValueError unless c_coef is 1 (first step) or 2/3 (two-step stencil),
     tau > 0, dim_u = 1 and c tau w gamma > 0; LinAlgError unless S is
     positive definite.
@@ -135,13 +148,13 @@ class StepProblem:
         object.__setattr__(self, "gamma", float(row @ y))
         object.__setattr__(self, "nodes", tuple(nodes.tolist()))
         object.__setattr__(self, "trace_at_nodes", tuple(row[nodes].tolist()))
+        object.__setattr__(self, "dim", system.n)
         object.__setattr__(self, "lift", self.flux_coef * float(self.weights[0]))
         if not self.lift * self.gamma > 0:
             raise ValueError("the boundary weight and trace row must give c tau w gamma > 0")
-
-    @property
-    def dim(self) -> int:
-        return self.system.n
+        object.__setattr__(
+            self, "inclusion", _BoundaryInclusion(self.potential, self.lift * self.gamma)
+        )
 
     @property
     def flux_coef(self) -> float:
@@ -172,7 +185,7 @@ def _residual(
 ) -> np.ndarray:
     """S u + c tau trace^T W xi - b: one band product with S, then the flux
     term, whose only nonzero entries ``flux`` sit at ``nodes``."""
-    r = system @ u
+    r = system.matvec(u)
     r -= rhs
     for k, f in zip(nodes, flux):
         r[k] += f
@@ -191,67 +204,60 @@ def _finite_dual_norm(space: GalerkinSpace, r: np.ndarray) -> float:
     return norm
 
 
+def _finite(v: np.ndarray) -> bool:
+    """Whether v holds no NaN or Inf: true when its sum of squares, one BLAS
+    ddot, is finite; otherwise (a NaN, an Inf, or a finite v large enough to
+    overflow the sum) v is scanned entry by entry."""
+    return math.isfinite(blas.ddot(v, v)) or bool(np.isfinite(v).all())
+
+
 class _BoundaryInclusion:
-    """0 in g(s) = s - target + factor z(s); counts the scalar iterations
-    spent on it."""
+    """0 in g(s) = s - target + factor z(s) for one factor F and any target.
 
-    def __init__(self, pot: ScalarPotential, target: float, factor: float, warm: float):
+    The constructor tabulates what does not depend on the target: F z at
+    the points of the potential's ``kink_table``, and per piece between
+    consecutive kinks its ends just inside the kinks, the indices of g's
+    one-sided limits at them, and, where g' < 0 at the left end, the
+    minimiser m of g with F z(m) (None, None where g is nondecreasing)."""
+
+    def __init__(self, pot: ScalarPotential, factor: float):
         self.pot = pot
-        self.target = target
         self.factor = factor
-        self.warm = warm
-        self.iterations = 0
-
-    def g(self, s: float) -> float:
-        return s - self.target + self.factor * self.pot.branch_value(s)
+        pts, lo, hi = pot.kink_table
+        self.pts = pts
+        self.fz_lo = tuple(factor * z for z in lo)
+        self.fz_hi = tuple(factor * z for z in hi)
+        m = len(pts) // 3
+        ends = [-math.inf, *pts[m:2 * m], math.inf]
+        pieces = []
+        for j in range(m + 1):
+            a, b = ends[j], ends[j + 1]
+            # just inside the finite ends, where z takes its one-sided limits
+            a_in = math.nextafter(a, math.inf) if math.isfinite(a) else a
+            b_in = math.nextafter(b, -math.inf) if math.isfinite(b) else b
+            # g just right of the left end (-inf at -inf), just left of the
+            # right end (+inf at +inf), as indices into [*g_lo, +inf, -inf]
+            left, right = (2 * m + j - 1 if j else 3 * m + 1), (j if j < m else 3 * m)
+            if math.isinf(a) or self.dg(a_in) >= 0.0:
+                # convex with g' >= 0 at the left end (or g -> -inf there): nondecreasing
+                pieces.append((a_in, b_in, left, right, None, None))
+            else:
+                s_min = self.minimiser(a_in, b_in)
+                pieces.append((a_in, b_in, left, right, s_min, factor * pot.branch_value(s_min)))
+        self.pieces = tuple(pieces)
 
     def dg(self, s: float) -> float:
         return 1.0 + self.factor * self.pot.branch_slope(s)
-
-    def refine(self, neg: float, pos: float) -> list[float]:
-        """The root between ``neg`` (g < 0) and ``pos`` (g > 0), either of
-        which may be infinite: Newton from the warm start when it lies
-        between them (else from the finite end where g > 0), with bisection
-        or doubling towards an infinite end whenever a step leaves the
-        bracket.  Empty if the iteration cap is reached."""
-        x = self.warm if min(neg, pos) < self.warm < max(neg, pos) else pos
-        x = x if math.isfinite(x) else neg
-        width = 1.0
-        for _ in range(_MAX_SCALAR_ITER):
-            gx = self.g(x)
-            # zero up to the rounding of its own terms
-            if abs(gx) <= 4.0 * _EPS * (abs(x) + abs(self.target) + abs(gx - x + self.target)):
-                return [x]
-            if gx < 0.0:
-                neg = x
-            else:
-                pos = x
-            lo, hi = min(neg, pos), max(neg, pos)
-            self.iterations += 1
-            dgx = self.dg(x)
-            x_new = x - gx / dgx if dgx != 0.0 else math.nan
-            if abs(x_new - x) <= 4.0 * _EPS * max(1.0, abs(x)):
-                return [x_new]
-            if not lo < x_new < hi:  # also catches a NaN step
-                if math.isinf(lo) or math.isinf(hi):
-                    width = max(2.0 * width, abs(x))
-                    x_new = x + (width if math.isinf(hi) else -width)
-                else:
-                    x_new = 0.5 * (lo + hi)
-            x = x_new
-        return []
 
     def minimiser(self, a: float, b: float) -> float:
         """Where g' changes sign on (a, b), given g'(a) < 0; b may be +inf."""
         width = max(1.0, abs(a))
         while math.isinf(b) and math.isfinite(a):
-            self.iterations += 1
             if self.dg(a + width) >= 0.0:
                 b = a + width
             else:
                 a, width = a + width, 2.0 * width
         while b - a > 4.0 * _EPS * max(1.0, abs(a), abs(b)):
-            self.iterations += 1
             mid = 0.5 * (a + b)
             if self.dg(mid) < 0.0:
                 a = mid
@@ -259,41 +265,64 @@ class _BoundaryInclusion:
                 b = mid
         return b
 
-    def piece_roots(self, a: float, b: float, ga: float, gb: float) -> list[float]:
-        """Roots on the open piece (a, b) between consecutive kinks, where g
-        is convex; ga, gb are its one-sided limits at the ends (-inf / +inf
-        at infinite ends)."""
-        # just inside the finite ends, where z takes its one-sided limits
-        a_in = math.nextafter(a, math.inf) if math.isfinite(a) else a
-        b_in = math.nextafter(b, -math.inf) if math.isfinite(b) else b
-        if math.isinf(a) or self.dg(a_in) >= 0.0:
-            # convex with g' >= 0 at the left end (or g -> -inf there): nondecreasing
-            return self.refine(a_in, b_in) if ga < 0.0 < gb else []
-        m = self.minimiser(a_in, b_in)
-        gm = self.g(m)
-        if gm >= 0.0:
-            return [m] if gm == 0.0 else []
-        return (self.refine(m, a_in) if ga > 0.0 else []) + (
-            self.refine(m, b_in) if gb > 0.0 else []
-        )
+    def refine(self, target: float, warm: float, neg: float, pos: float) -> tuple[list[float], int]:
+        """The root between ``neg`` (g < 0) and ``pos`` (g > 0), either of
+        which may be infinite, and the iterations spent: Newton from the
+        warm start when it lies between them (else from the finite end where
+        g > 0), with bisection or doubling towards an infinite end whenever
+        a step leaves the bracket.  No root if the iteration cap is reached."""
+        value, slope, factor = self.pot.branch_value, self.pot.branch_slope, self.factor
+        x = warm if min(neg, pos) < warm < max(neg, pos) else pos
+        x = x if math.isfinite(x) else neg
+        width = 1.0
+        for k in range(_MAX_SCALAR_ITER):
+            gx = x - target + factor * value(x)
+            # zero up to the rounding of its own terms
+            if abs(gx) <= 4.0 * _EPS * (abs(x) + abs(target) + abs(gx - x + target)):
+                return [x], k
+            if gx < 0.0:
+                neg = x
+            else:
+                pos = x
+            lo, hi = min(neg, pos), max(neg, pos)
+            dgx = 1.0 + factor * slope(x)
+            x_new = x - gx / dgx if dgx != 0.0 else math.nan
+            if abs(x_new - x) <= 4.0 * _EPS * max(1.0, abs(x)):
+                return [x_new], k + 1
+            if not lo < x_new < hi:  # also catches a NaN step
+                if math.isinf(lo) or math.isinf(hi):
+                    width = max(2.0 * width, abs(x))
+                    x_new = x + (width if math.isinf(hi) else -width)
+                else:
+                    x_new = 0.5 * (lo + hi)
+            x = x_new
+        return [], _MAX_SCALAR_ITER
 
-    def roots(self) -> list[float]:
-        """Every root: the kinks whose interval contains zero, the points
-        beside them where g vanishes and the roots of each piece between."""
-        # one-sided limits just outside each kink and the interval at it
-        pts, lo, hi = self.pot.kink_table
-        target, factor = self.target, self.factor
-        g_lo = [x - target + factor * z for x, z in zip(pts, lo)]
-        g_hi = [x - target + factor * z for x, z in zip(pts, hi)]
-        m = len(pts) // 3
+    def roots(self, target: float, warm: float) -> tuple[list[float], int]:
+        """Every root for ``target`` and the iterations spent on them: the
+        kinks whose interval contains zero, the points beside them where g
+        vanishes and the roots of each piece between, each piece read from
+        the table."""
+        pts = self.pts
+        g = [x - target + fz for x, fz in zip(pts, self.fz_lo)] + [math.inf, -math.inf]
         # beside a kink z is single-valued: a root there has g exactly 0
-        out = [x for x, gl, gh in zip(pts, g_lo, g_hi) if gl <= 0.0 <= gh]
-        ends = [-math.inf, *pts[m:2 * m], math.inf]
-        g_left = [-math.inf, *g_lo[2 * m:]]  # g just right of each piece's left end
-        g_right = [*g_lo[:m], math.inf]  # g just left of each piece's right end
-        for j in range(m + 1):
-            out += self.piece_roots(ends[j], ends[j + 1], g_left[j], g_right[j])
-        return out
+        out = [x for x, gl, fz in zip(pts, g, self.fz_hi) if gl <= 0.0 <= x - target + fz]
+        iterations = 0
+        for a_in, b_in, left, right, s_min, fz_min in self.pieces:
+            ga, gb = g[left], g[right]
+            if s_min is None:
+                brackets = [(a_in, b_in)] if ga < 0.0 < gb else []
+            else:
+                gm = s_min - target + fz_min
+                if gm >= 0.0:
+                    out += [s_min] if gm == 0.0 else []
+                    continue
+                brackets = [(s_min, end) for end, g_end in ((a_in, ga), (b_in, gb)) if g_end > 0.0]
+            for neg, pos in brackets:
+                found, k = self.refine(target, warm, neg, pos)
+                out += found
+                iterations += k
+        return out, iterations
 
 
 def solve_step_inclusion(
@@ -313,23 +342,24 @@ def solve_step_inclusion(
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (p.dim,):
         raise ValueError(f"right-hand side has shape {rhs.shape}, expected ({p.dim},)")
-    if not np.isfinite(warm).all():
+    if not _finite(warm):
         raise NumericalFailureError(_NON_FINITE_DATA)
     x = p.system._solve(rhs)  # non-finite when rhs is
-    if not np.isfinite(x).all():
-        bad_rhs = not np.isfinite(rhs).all()
-        raise NumericalFailureError(_NON_FINITE_DATA if bad_rhs else "non-finite interior solve")
+    if not _finite(x):
+        raise NumericalFailureError(
+            "non-finite interior solve" if _finite(rhs) else _NON_FINITE_DATA
+        )
     s_warm = p.boundary_value(warm)
-    factor = p.lift * p.gamma
-    inclusion = _BoundaryInclusion(p.potential, p.boundary_value(x), factor, s_warm)
-    roots = inclusion.roots()
-    report = SolveReport(iterations=inclusion.iterations)
+    target = p.boundary_value(x)
+    roots, iterations = p.inclusion.roots(target, s_warm)
+    report = SolveReport(iterations=iterations)
     if not roots:
         raise NonConvergenceError("no root of the boundary inclusion found", report)
-    s = min(roots, key=lambda r: (abs(r - s_warm), r))
-    xi = (inclusion.target - s) / factor
-    u = x - (p.lift * xi) * p.y
-    flux = [p.lift * xi * t for t in p.trace_at_nodes]
+    s = roots[0] if len(roots) == 1 else min(roots, key=lambda r: (abs(r - s_warm), r))
+    xi = (target - s) / p.inclusion.factor
+    lift_xi = p.lift * xi
+    u = x - lift_xi * p.y
+    flux = [lift_xi * t for t in p.trace_at_nodes]
     report.residual = _finite_dual_norm(p.space, _residual(p.system, u, rhs, p.nodes, flux))
     if not report.residual <= tol:
         raise NonConvergenceError(

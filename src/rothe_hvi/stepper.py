@@ -214,7 +214,7 @@ def initial_step(
     ``step`` is the two-step operator."""
     _check_stencil(step, 1.0, "initial_step")
     u_prev = np.asarray(u_prev, dtype=float)
-    rhs = step.c_coef * step.tau * f1 + step.space.gram_h @ u_prev
+    rhs = step.c_coef * step.tau * f1 + step.space.gram_h.matvec(u_prev)
     return solve_step_inclusion(step, rhs, u_prev, tol)
 
 
@@ -234,7 +234,7 @@ def bdf2_step(
     u_nm1 = np.asarray(u_nm1, dtype=float)
     u_nm2 = np.asarray(u_nm2, dtype=float)
     hist = (4.0 / 3.0) * u_nm1 - (1.0 / 3.0) * u_nm2
-    rhs = step.c_coef * step.tau * f_n + step.space.gram_h @ hist
+    rhs = step.c_coef * step.tau * f_n + step.space.gram_h.matvec(hist)
     return solve_step_inclusion(step, rhs, 2.0 * u_nm1 - u_nm2, tol)
 
 
@@ -289,7 +289,7 @@ def run_rothe(
                 report = getattr(exc, "report", None)
                 raise StepFailureError(n, str(exc), report, *prefix) from exc
             u[n] = u_n
-            xi[n - 1] = xi_n
+            xi[n - 1, 0] = xi_n[0]  # one boundary row: StepProblem checks dim_u = 1
             # the step equation is the unscaled one multiplied by c tau
             residuals[n - 1] = report.residual / (c * tau)
     return RotheTrajectory(grid, u, xi, residuals)

@@ -14,7 +14,8 @@ import pytest
 
 from rothe_hvi import floatfmt
 from rothe_hvi.cli import (
-    ExperimentConfig, _fmt, _poly, _write_csv, main, parse_config, render_config,
+    ConfigError, ExperimentConfig, _fmt, _poly, _write_csv, _write_trajectory, main, parse_config,
+    render_config,
 )
 from rothe_hvi.diagnostics import QUANTITY_FIELDS
 
@@ -504,6 +505,39 @@ def test_a_config_that_cannot_be_read_exits_2_and_writes_nothing(tmp_path, capsy
     assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 2
     assert capsys.readouterr().err.startswith("config error: cannot read config: ")
     assert not out.exists()
+
+
+def test_a_str_naming_a_missing_file_is_reported_as_unreadable(tmp_path, monkeypatch):
+    # config text has a section header, so a str without "[" is a path
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ConfigError, match=r"^cannot read config: .*no_such_config\.ini"):
+        parse_config("no_such_config.ini")
+    Path("real.ini").write_text("[problem]\nn_el = 5\n", encoding="utf-8")
+    assert parse_config("real.ini").n_el == 5
+    assert parse_config("[problem]\nn_el = 6\n").n_el == 6
+
+
+@pytest.mark.parametrize("name, rows", [("trajectory.csv", 150), ("trajectory.csv.partial", 97)])
+def test_a_trajectory_spanning_several_row_blocks_keeps_its_bytes(tmp_path, name, rows):
+    # 1,003 columns: a row block holds 65 rows, so 150 rows take three blocks;
+    # a failed run writes the completed prefix, 97 of the 151 times
+    rng = np.random.default_rng(5)
+    dim, n_steps = 1000, 150
+    times = np.linspace(0.0, 1.0, n_steps + 1)
+    u = rng.normal(size=(rows, dim)) * 10.0 ** rng.integers(-20, 20, size=(rows, 1))
+    xi = rng.normal(size=(rows - 1, 1))
+    residuals = rng.uniform(0.0, 1e-10, size=rows - 1)
+    _write_trajectory(tmp_path / name, times, u, xi, residuals)
+    full = np.zeros((rows, dim + 3))
+    full[:, 0] = times[:rows]
+    full[:, 1:-2] = u
+    full[1:, -2:-1] = xi
+    full[1:, -1] = residuals
+    header = ["t", *(f"u{i}" for i in range(dim)), "xi0", "residual"]
+    expected = "# schema_version=2\n" + ",".join(header) + "\n" + "".join(
+        ",".join(_fmt(v) for v in row) + "\n" for row in full.tolist()
+    )
+    assert (tmp_path / name).read_bytes() == expected.encode("utf-8")
 
 
 @pytest.mark.parametrize("out_name", ["blocker", "blocker/out"], ids=["a_file", "under_a_file"])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import math
 from dataclasses import replace
 
@@ -7,9 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.linalg import blas
 
 from conftest import random_spd
 from rothe_hvi import (
+    BDF2,
     GalerkinSpace,
     LinearRobin,
     Mesh1D,
@@ -18,17 +21,20 @@ from rothe_hvi import (
     NumericalFailureError,
     PaperExponential,
     StepProblem,
+    TimeGrid,
     ZeroPotential,
     assemble_forcing,
     assemble_space,
     bdf2_step,
     initial_step,
     minimize_energy_convex,
+    run_rothe,
     scan_roots_reduced,
     solve_step_inclusion,
     step_energy,
     verify_inclusion,
 )
+from rothe_hvi.cli import build_problem, parse_config
 
 POTENTIAL_FACTORIES = {
     "paper": lambda: PaperExponential(1.0),
@@ -329,3 +335,79 @@ def test_a_finite_residual_whose_square_overflows_is_rejected_by_size(n_el):
     residual = info.value.report.residual
     assert 0.0 < residual <= 1e-12 * p.space.dual_norm(rhs)
     assert str(info.value) == f"step residual {residual:.3e} above tol 1e-10"
+
+
+@pytest.mark.parametrize("n_el", [4, 64])
+def test_a_finite_warm_start_whose_sum_of_squares_overflows_is_not_rejected(n_el):
+    # the warm start is checked by one ddot; only a sum that is not finite
+    # sends it to the entry-by-entry scan, which passes finite entries.  The
+    # solve reads the warm start at the boundary node only, so entries of
+    # 1e200 elsewhere leave the step as it was
+    p, rhs, warm = fem_step(n_el, PaperExponential(1.0))
+    reference = _outcome(p, rhs, warm)
+    assert len(reference) == 4
+    huge = np.full(p.dim, 1e200)
+    huge[list(p.nodes)] = warm[list(p.nodes)]
+    assert math.isinf(blas.ddot(huge, huge))
+    assert _outcome(p, rhs, huge) == reference
+    for bad in (np.nan, np.inf, -np.inf):
+        warm_bad = huge.copy()
+        warm_bad[n_el // 2] = bad
+        with np.errstate(all="ignore"), pytest.raises(NumericalFailureError) as info:
+            solve_step_inclusion(p, rhs, warm_bad)
+        assert str(info.value) == "non-finite right-hand side or warm start"
+
+
+def _outcome(p, rhs, warm):
+    """What a solve returns, byte for byte, or the failure it raises."""
+    try:
+        u, xi, report = solve_step_inclusion(p, rhs, warm)
+    except (NonConvergenceError, NumericalFailureError) as exc:
+        return type(exc).__name__, str(exc)
+    return u.tobytes(), xi.tobytes(), report.iterations, report.residual
+
+
+@pytest.mark.parametrize("factor", [0.1, 2.0], ids=["F_slope_below_1", "F_slope_above_1"])
+@pytest.mark.parametrize("name", sorted(ORACLE_POTENTIALS))
+def test_one_operator_solves_many_right_hand_sides_as_fresh_operators_do(name, factor):
+    # the boundary table is built once per operator; no solve may leave in
+    # it anything that changes the next.  F = c tau w gamma is set through
+    # w: the drop slopes are 4 (nonconvex) and 1 (paper_literal_d2 at 0+),
+    # so F = 2 makes g' < 0 beside the kink and F = 0.1 does not
+    base, _, _ = fem_step(8, ORACLE_POTENTIALS[name]())
+    p = replace(base, weights=np.array([factor / (base.c_coef * base.tau * base.gamma)]))
+    assert p.inclusion.factor == pytest.approx(factor)
+    rng = np.random.default_rng(sorted(ORACLE_POTENTIALS).index(name))
+    solved = 0
+    for _ in range(50):
+        rhs = rng.normal(size=p.dim) * 10.0 ** rng.uniform(-2.0, 1.0)
+        warm = rng.normal(size=p.dim) * 2.0
+        reused = _outcome(p, rhs, warm)
+        assert reused == _outcome(replace(p), rhs, warm)
+        solved += len(reused) == 4
+    assert solved >= 45
+
+
+def test_the_minimiser_search_runs_once_per_operator(monkeypatch):
+    # F * drop_slope > 1 for both stencils at N = 8 and at N = 64, so g is
+    # split at its minimiser on the drop window; that search belongs to the
+    # operator, not to the step, and a longer run makes no more of them
+    problem = build_problem(parse_config(
+        "[problem]\nn_el = 8\nforcing = constant\nf0_value = 1.0\n"
+        "potential = nonconvex_piecewise\nncvx_drop_slope = 16.0\n"
+    ))
+    inclusion_solver = importlib.import_module("rothe_hvi.inclusion_solver")
+    for n in (8, 64):
+        for c in (1.0, 2.0 / 3.0):
+            assert problem.step_problem(c, 1.0 / n).inclusion.factor * 16.0 > 1.0
+    calls = []
+    original = inclusion_solver._BoundaryInclusion.minimiser
+
+    def counting(self, a, b):
+        calls.append(n)
+        return original(self, a, b)
+
+    monkeypatch.setattr(inclusion_solver._BoundaryInclusion, "minimiser", counting)
+    for n in (8, 64):
+        run_rothe(problem, TimeGrid(1.0, n), BDF2)
+    assert calls.count(8) == calls.count(64) > 0
