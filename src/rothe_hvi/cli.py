@@ -15,8 +15,9 @@ Each command computes and writes its data files and returns its summary
 rows, ``(name, ok, detail)``; `main` alone reports them.  It writes
 ``summary.csv`` in every case that gets past the config, with columns
 name, status (PASS or FAIL) and detail: one row per command, or one per
-certificate for `check`.  A failed time step (``step N failed: <reason>``)
-or a trajectory too large to allocate becomes the one FAIL row of its
+certificate for `check`.  A failed time step (``step N failed: <reason>``),
+a trajectory too large to allocate or any other allocation that fails,
+such as a space too large to assemble, becomes the one FAIL row of its
 command, and `run` then leaves the completed steps in
 ``trajectory.csv.partial``.  Unless ``--quiet``, each row is printed as
 ``<name> ok: <detail>`` on stdout or ``<name> failed: <detail>`` on
@@ -730,6 +731,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             f"whose trajectory at [problem] n_el = {cfg.n_el} asks for {exc.nbytes} bytes: "
             "more than can be allocated"
         )
+        rows = [(args.command, False, detail)]
+    except MemoryError:  # a space or operator too large to assemble
+        detail = f"[problem] n_el = {cfg.n_el} asks for more memory than can be allocated"
         rows = [(args.command, False, detail)]
     cells = [[name, "PASS" if ok else "FAIL", detail] for name, ok, detail in rows]
     _write_csv(out / "summary.csv", ["name", "status", "detail"], cells)

@@ -23,19 +23,30 @@ convex on each piece and has at most two roots there.  Everything about g
 that does not depend on b is tabulated once per operator, in
 ``StepProblem``'s constructor: F z at the points of the potential's
 ``kink_table`` (the one-sided limits of z beside each kink and its interval
-at the kink), each piece's ends just inside the kinks, and whether g' >= 0
-at a piece's left end, which makes g nondecreasing there.  A piece where it
-does not is split at the minimiser m of g, found then by bisection on the
-sign of g', and the table keeps m and F z(m).  A step reads the table: a
-kink is a root when its interval contains zero, and each sign-change
-bracket of a piece gets a safeguarded Newton iteration, with g evaluated
-through ``branch_value`` and g' through ``branch_slope``.  Where there are
-several roots the solver takes the one nearest the warm start's boundary
-value t u_warm, the smaller one on a tie, so a trajectory stays on its
-branch.  From the root, xi = (t x - s) / F and u = x - c tau w xi y.
-``SolveReport.iterations`` counts the Newton and bisection steps of the
-step's brackets; the minimiser search belongs to the operator and is not
-counted there.
+at the kink), each piece's ends just inside the kinks with F z there, and
+whether g' >= 0 at a piece's left end, which makes g nondecreasing there.
+A piece where it does not is split at the minimiser m of g, the exact
+float where g' changes sign, and the table keeps m and F z(m).  A step
+reads the table: a kink is a root when its interval contains zero, and
+each sign-change bracket of a piece gets a safeguarded Newton iteration,
+with g evaluated through ``branch_value`` and g' through ``branch_slope``.
+
+The one search primitive is bisection in the order of the floats: the
+midpoint of two floats is the float whose key, the bit pattern read as an
+integer and reflected through zero for negative floats, is the mean of
+theirs (as Roots.jl's ``Bisection`` does for Float64).  An infinite end is
+an ordinary key, any two floats are less than 2^64 keys apart, and each
+bisection halves the floats left in the bracket, so 64 of them close any
+bracket.  The minimiser search is this bisection on the sign of g'.  Newton
+falls back to it whenever a step leaves the bracket, and after
+``_NEWTON_STEPS`` steps a bracket is only bisected, so a bracket takes at
+most _NEWTON_STEPS + 64 steps whatever its ends and the warm start, and
+every bracket yields its root.  Where there are several roots the solver
+takes the one nearest the warm start's boundary value t u_warm, the smaller
+one on a tie, so a trajectory stays on its branch.  From the root,
+xi = (t x - s) / F and u = x - c tau w xi y.  ``SolveReport.iterations``
+counts the Newton and bisection steps of the step's brackets; the minimiser
+search belongs to the operator and is not counted there.
 
 The residual r = S u + c tau trace^T W xi - b is recomputed from the
 solution as one band product with S plus the flux term, which is nonzero
@@ -61,6 +72,7 @@ only.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -80,9 +92,13 @@ __all__ = [
     "verify_inclusion",
 ]
 
-# safety cap on each scalar loop; exact brackets converge in far fewer steps
-_MAX_SCALAR_ITER = 400
+# Newton steps per bracket before ``refine`` only bisects.  A bracket spans
+# fewer than 2^64 keys, so 64 key bisections then close it, and one more
+# evaluation of g finds it closed: a bound by construction, not a cap
+_NEWTON_STEPS = 64
+_MAX_SCALAR_ITER = _NEWTON_STEPS + 64 + 1  # evaluations of g per bracket
 _EPS = float(np.finfo(float).eps)
+_SIGN = 1 << 63  # the sign bit of a float's bit pattern
 _NON_FINITE_DATA = "non-finite right-hand side or warm start"
 
 
@@ -204,6 +220,21 @@ def _finite_dual_norm(space: GalerkinSpace, r: np.ndarray) -> float:
     return norm
 
 
+def _key(x: float) -> int:
+    """x's rank in the order of the floats: its bit pattern as an unsigned
+    integer, reflected through zero for a negative x (both zeros get 0), so
+    +-inf are ordinary keys and any two floats are less than 2^64 apart."""
+    k = int.from_bytes(struct.pack("<d", x), "little")
+    return k if k < _SIGN else _SIGN - k
+
+
+def _key_midpoint(lo: float, hi: float) -> float:
+    """The float halfway between lo <= hi in key order; lo when no float
+    lies strictly between them (as Roots.jl's ``Bisection`` for Float64)."""
+    k = (_key(lo) + _key(hi)) >> 1
+    return struct.unpack("<d", (k if k >= 0 else _SIGN - k).to_bytes(8, "little"))[0]
+
+
 def _finite(v: np.ndarray) -> bool:
     """Whether v holds no NaN or Inf: true when its sum of squares, one BLAS
     ddot, is finite; otherwise (a NaN, an Inf, or a finite v large enough to
@@ -216,9 +247,10 @@ class _BoundaryInclusion:
 
     The constructor tabulates what does not depend on the target: F z at
     the points of the potential's ``kink_table``, and per piece between
-    consecutive kinks its ends just inside the kinks, the indices of g's
-    one-sided limits at them, and, where g' < 0 at the left end, the
-    minimiser m of g with F z(m) (None, None where g is nondecreasing)."""
+    consecutive kinks its ends just inside the kinks with F z there (stored
+    as 0 at an infinite end, where g is then -inf or +inf by plain
+    arithmetic) and, where g' < 0 at the left end, the minimiser m of g with
+    F z(m) (None, None where g is nondecreasing)."""
 
     def __init__(self, pot: ScalarPotential, factor: float):
         self.pot = pot
@@ -228,53 +260,52 @@ class _BoundaryInclusion:
         self.fz_lo = tuple(factor * z for z in lo)
         self.fz_hi = tuple(factor * z for z in hi)
         m = len(pts) // 3
-        ends = [-math.inf, *pts[m:2 * m], math.inf]
+        # a piece runs from one float right of a kink (or -inf) to one float
+        # left of the next kink (or +inf); z there is its one-sided limit
+        lefts = [(-math.inf, 0.0), *zip(pts[2 * m:], self.fz_lo[2 * m:])]
+        rights = [*zip(pts[:m], self.fz_lo[:m]), (math.inf, 0.0)]
         pieces = []
-        for j in range(m + 1):
-            a, b = ends[j], ends[j + 1]
-            # just inside the finite ends, where z takes its one-sided limits
-            a_in = math.nextafter(a, math.inf) if math.isfinite(a) else a
-            b_in = math.nextafter(b, -math.inf) if math.isfinite(b) else b
-            # g just right of the left end (-inf at -inf), just left of the
-            # right end (+inf at +inf), as indices into [*g_lo, +inf, -inf]
-            left, right = (2 * m + j - 1 if j else 3 * m + 1), (j if j < m else 3 * m)
-            if math.isinf(a) or self.dg(a_in) >= 0.0:
+        for (a_in, fz_a), (b_in, fz_b) in zip(lefts, rights):
+            if math.isinf(a_in) or self.dg(a_in) >= 0.0:
                 # convex with g' >= 0 at the left end (or g -> -inf there): nondecreasing
-                pieces.append((a_in, b_in, left, right, None, None))
+                pieces.append((a_in, b_in, fz_a, fz_b, None, None))
             else:
                 s_min = self.minimiser(a_in, b_in)
-                pieces.append((a_in, b_in, left, right, s_min, factor * pot.branch_value(s_min)))
+                pieces.append((a_in, b_in, fz_a, fz_b, s_min, factor * pot.branch_value(s_min)))
         self.pieces = tuple(pieces)
 
     def dg(self, s: float) -> float:
         return 1.0 + self.factor * self.pot.branch_slope(s)
 
     def minimiser(self, a: float, b: float) -> float:
-        """Where g' changes sign on (a, b), given g'(a) < 0; b may be +inf."""
-        width = max(1.0, abs(a))
-        while math.isinf(b) and math.isfinite(a):
-            if self.dg(a + width) >= 0.0:
-                b = a + width
-            else:
-                a, width = a + width, 2.0 * width
-        while b - a > 4.0 * _EPS * max(1.0, abs(a), abs(b)):
-            mid = 0.5 * (a + b)
+        """The first float of (a, b) where g' >= 0, or b if there is none,
+        given g'(a) < 0; b may be +inf.  g is convex on the piece, so g'
+        changes sign once and this float is the exact minimiser of g in
+        floats; key bisection on the sign of g' finds it in at most 64
+        halvings."""
+        while True:
+            mid = _key_midpoint(a, b)
+            if mid == a:  # a and b are neighbouring floats
+                return b
             if self.dg(mid) < 0.0:
                 a = mid
             else:
                 b = mid
-        return b
 
     def refine(self, target: float, warm: float, neg: float, pos: float) -> tuple[list[float], int]:
         """The root between ``neg`` (g < 0) and ``pos`` (g > 0), either of
-        which may be infinite, and the iterations spent: Newton from the
-        warm start when it lies between them (else from the finite end where
-        g > 0), with bisection or doubling towards an infinite end whenever
-        a step leaves the bracket.  No root if the iteration cap is reached."""
+        which may be infinite, and the iterations spent.  Newton runs from
+        the warm start when it lies between them (else from the finite end
+        where g > 0); a step that leaves the bracket, and every step after
+        the first ``_NEWTON_STEPS``, is a key bisection.  It stops at a zero
+        of g to the rounding of its terms, at a Newton step below rounding,
+        or when no float lies strictly inside the bracket, where g changes
+        sign beside the last point evaluated.  A key span is below 2^64, so
+        this takes at most _NEWTON_STEPS + 64 steps and always finds the
+        root."""
         value, slope, factor = self.pot.branch_value, self.pot.branch_slope, self.factor
         x = warm if min(neg, pos) < warm < max(neg, pos) else pos
         x = x if math.isfinite(x) else neg
-        width = 1.0
         for k in range(_MAX_SCALAR_ITER):
             gx = x - target + factor * value(x)
             # zero up to the rounding of its own terms
@@ -285,31 +316,31 @@ class _BoundaryInclusion:
             else:
                 pos = x
             lo, hi = min(neg, pos), max(neg, pos)
-            dgx = 1.0 + factor * slope(x)
-            x_new = x - gx / dgx if dgx != 0.0 else math.nan
-            if abs(x_new - x) <= 4.0 * _EPS * max(1.0, abs(x)):
-                return [x_new], k + 1
-            if not lo < x_new < hi:  # also catches a NaN step
-                if math.isinf(lo) or math.isinf(hi):
-                    width = max(2.0 * width, abs(x))
-                    x_new = x + (width if math.isinf(hi) else -width)
-                else:
-                    x_new = 0.5 * (lo + hi)
-            x = x_new
-        return [], _MAX_SCALAR_ITER
+            if k < _NEWTON_STEPS:
+                dgx = 1.0 + factor * slope(x)
+                x_new = x - gx / dgx if dgx != 0.0 else math.nan
+                if abs(x_new - x) <= 4.0 * _EPS * max(1.0, abs(x)):
+                    return [x_new], k + 1
+                if lo < x_new < hi:  # false for a NaN step
+                    x = x_new
+                    continue
+            mid = _key_midpoint(lo, hi)
+            if mid == lo:  # lo and hi are neighbouring floats, and x is one of them
+                return [x], k
+            x = mid
+        raise AssertionError("unreachable: key bisection closes every bracket within the bound")
 
     def roots(self, target: float, warm: float) -> tuple[list[float], int]:
         """Every root for ``target`` and the iterations spent on them: the
         kinks whose interval contains zero, the points beside them where g
         vanishes and the roots of each piece between, each piece read from
         the table."""
-        pts = self.pts
-        g = [x - target + fz for x, fz in zip(pts, self.fz_lo)] + [math.inf, -math.inf]
         # beside a kink z is single-valued: a root there has g exactly 0
-        out = [x for x, gl, fz in zip(pts, g, self.fz_hi) if gl <= 0.0 <= x - target + fz]
+        out = [x for x, fz_lo, fz_hi in zip(self.pts, self.fz_lo, self.fz_hi)
+               if x - target + fz_lo <= 0.0 <= x - target + fz_hi]
         iterations = 0
-        for a_in, b_in, left, right, s_min, fz_min in self.pieces:
-            ga, gb = g[left], g[right]
+        for a_in, b_in, fz_a, fz_b, s_min, fz_min in self.pieces:
+            ga, gb = a_in - target + fz_a, b_in - target + fz_b
             if s_min is None:
                 brackets = [(a_in, b_in)] if ga < 0.0 < gb else []
             else:

@@ -18,6 +18,7 @@ settings.register_profile(
     "suite",
     deadline=None,
     max_examples=60,
+    derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")

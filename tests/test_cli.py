@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rothe_hvi import floatfmt
+from rothe_hvi import cli, floatfmt
 from rothe_hvi.cli import (
     ConfigError, ExperimentConfig, _fmt, _poly, _write_csv, _write_trajectory, main, parse_config,
     render_config,
@@ -308,6 +308,23 @@ def test_a_trajectory_too_large_to_allocate_exits_1_naming_t_final(tmp_path, cap
               f"at [problem] n_el = 64 asks for {nbytes} bytes: more than can be allocated")
     assert rc == 1
     assert capsys.readouterr().err == f"{command} failed: {detail}\n"
+    _, summary = read_csv(out / "summary.csv")
+    assert summary == [[command, "FAIL", detail]]
+    assert sorted(p.name for p in out.iterdir()) == ["summary.csv"]
+
+
+@pytest.mark.parametrize("command", ["run", "study", "compare", "check"])
+def test_a_space_too_large_to_allocate_exits_1_naming_n_el(tmp_path, capsys, monkeypatch, command):
+    # assembly is made to fail as numpy's allocator would, so no test
+    # allocates; n_el = 1e11 passes the config checks and then fails so
+    def refuse(mesh):
+        raise MemoryError(f"Unable to allocate the space of {mesh.n_el} elements")
+
+    monkeypatch.setattr(cli, "assemble_space", refuse)
+    rc, out = run_cli(tmp_path, command, "[problem]\nn_el = 100000000000\n")
+    detail = "[problem] n_el = 100000000000 asks for more memory than can be allocated"
+    assert rc == 1
+    assert capsys.readouterr().err == ""
     _, summary = read_csv(out / "summary.csv")
     assert summary == [[command, "FAIL", detail]]
     assert sorted(p.name for p in out.iterdir()) == ["summary.csv"]

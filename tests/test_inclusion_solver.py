@@ -1,12 +1,11 @@
 from __future__ import annotations
 
-import importlib
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.linalg import blas
 
@@ -34,7 +33,9 @@ from rothe_hvi import (
     step_energy,
     verify_inclusion,
 )
+from rothe_hvi import inclusion_solver
 from rothe_hvi.cli import build_problem, parse_config
+from rothe_hvi.inclusion_solver import _MAX_SCALAR_ITER, _BoundaryInclusion
 
 POTENTIAL_FACTORIES = {
     "paper": lambda: PaperExponential(1.0),
@@ -169,11 +170,11 @@ ORACLE_POTENTIALS = {
     c=st.sampled_from([1.0, 2.0 / 3.0]),
     weight=st.floats(0.1, 4.0),
     rhs_scale=st.floats(0.0, 5.0),
-    warm_scale=st.floats(0.0, 5.0),
+    log_warm=st.floats(-300.0, 300.0),
     name=st.sampled_from(sorted(ORACLE_POTENTIALS)),
 )
 def test_solver_picks_the_oracle_root_nearest_the_warm_start(
-    seed, dim, log_tau, c, weight, rhs_scale, warm_scale, name
+    seed, dim, log_tau, c, weight, rhs_scale, log_warm, name
 ):
     rng = np.random.default_rng(seed)
     mass = random_spd(rng, dim, shift=0.5)
@@ -186,7 +187,7 @@ def test_solver_picks_the_oracle_root_nearest_the_warm_start(
     p = StepProblem(space=space, stiff_scaled=c * tau * stiff, weights=np.array([weight]),
                     potential=pot, c_coef=c, tau=tau)
     rhs = rng.normal(size=dim) * rhs_scale
-    warm = rng.normal(size=dim) * warm_scale
+    warm = rng.normal(size=dim) * 10.0 ** log_warm
     tol = 1e-10
     u, xi, _ = solve_step_inclusion(p, rhs, warm, tol=tol)
     check = verify_inclusion(p, rhs, u, xi, tol)
@@ -396,7 +397,6 @@ def test_the_minimiser_search_runs_once_per_operator(monkeypatch):
         "[problem]\nn_el = 8\nforcing = constant\nf0_value = 1.0\n"
         "potential = nonconvex_piecewise\nncvx_drop_slope = 16.0\n"
     ))
-    inclusion_solver = importlib.import_module("rothe_hvi.inclusion_solver")
     for n in (8, 64):
         for c in (1.0, 2.0 / 3.0):
             assert problem.step_problem(c, 1.0 / n).inclusion.factor * 16.0 > 1.0
@@ -411,3 +411,90 @@ def test_the_minimiser_search_runs_once_per_operator(monkeypatch):
     for n in (8, 64):
         run_rothe(problem, TimeGrid(1.0, n), BDF2)
     assert calls.count(8) == calls.count(64) > 0
+
+
+@pytest.mark.parametrize("warm", [1e100, -1e100, 1e200, -1e200, 1e300, -1e300])
+@pytest.mark.parametrize("name", ["paper", "nonconvex"])
+@pytest.mark.parametrize("n_el", [4, 64])
+def test_a_far_warm_start_still_finds_the_root_nearest_it(n_el, name, warm):
+    # a finite warm start of any size lies inside the unbounded bracket;
+    # Newton steps from it that leave the bracket are key bisections, which
+    # cross the float range in a few halvings instead of one per octave
+    p, rhs, _ = fem_step(n_el, POTENTIAL_FACTORIES[name]())
+    u, xi, report = solve_step_inclusion(p, rhs, np.full(p.dim, warm))
+    assert report.iterations <= 2 * len(p.inclusion.pieces) * (_MAX_SCALAR_ITER - 1)
+    assert verify_inclusion(p, rhs, u, xi, 1e-10).membership_ok
+    row = p.space.trace[0]
+    ends = sorted(float(row @ r) for r in oracle_roots(p, rhs))
+    assert float(row @ u) == pytest.approx(ends[-1] if warm > 0 else ends[0], abs=1e-7)
+
+
+def _positive_power(lo: float, hi: float):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+FLUX_LAWS = st.one_of(
+    st.builds(PaperExponential, _positive_power(-2.0, 2.0)),
+    # d > 1: the literal positive branch dips, so g needs its minimiser
+    st.builds(lambda d: PaperExponential(d, literal_branch=True), _positive_power(0.0, 2.0)),
+    st.builds(LinearRobin, st.one_of(st.just(0.0), _positive_power(-3.0, 3.0))),
+    st.just(ZeroPotential()),
+    st.builds(NonconvexPiecewise, _positive_power(-2.0, 2.0), _positive_power(-2.0, 2.0),
+              _positive_power(-2.0, 2.0), st.one_of(st.just(0.0), _positive_power(-2.0, 2.0))),
+)
+# integer exponents, so the ends of the range (warm 1e300 against target
+# 1e-300) are drawn often
+SIGNED_MAGNITUDES = st.builds(lambda sign, m, e: sign * m * 10.0 ** e,
+                              st.sampled_from([-1.0, 1.0]), st.floats(1.0, 9.99),
+                              st.integers(-300, 300))
+_EPS = float(np.finfo(float).eps)
+
+
+def _is_root(pot, factor: float, target: float, r: float) -> bool:
+    """Whether 0 is in g(r) = r - target + F z(r) to rounding: a kink whose
+    interval holds 0, a zero of g to the rounding of its terms, or a point
+    within reach of Newton's stopping test, 4 eps max(1, |r|) (twice that
+    here), of a sign change of g."""
+    if r in pot.kinks:
+        lo, hi = pot.clarke_interval(r)
+        if r - target + factor * lo <= 0.0 <= r - target + factor * hi:
+            return True
+    z = pot.branch_value(r)
+    if abs(r - target + factor * z) <= 8.0 * _EPS * (abs(r) + abs(target) + abs(factor * z)):
+        return True
+    delta = 8.0 * _EPS * max(1.0, abs(r))
+    g_left, g_right = (s - target + factor * pot.branch_value(s) for s in (r - delta, r + delta))
+    return min(g_left, g_right) <= 0.0 <= max(g_left, g_right)
+
+
+@given(pot=FLUX_LAWS, log_factor=st.floats(-4.0, 3.0), target=SIGNED_MAGNITUDES,
+       warm=SIGNED_MAGNITUDES)
+@example(pot=PaperExponential(2.65), log_factor=math.log10(2.12), target=-5.5e-17, warm=-1.6e214)
+def test_the_boundary_inclusion_finds_its_roots_within_the_stated_bound(
+    pot, log_factor, target, warm
+):
+    # every law meets g -> -inf at -inf and +inf at +inf, so each draw has a
+    # root; each bracket takes at most _MAX_SCALAR_ITER - 1 steps, and a
+    # piece has at most two brackets
+    factor = 10.0 ** log_factor
+    inclusion = _BoundaryInclusion(pot, factor)
+    roots, iterations = inclusion.roots(target, warm)
+    assert roots
+    assert iterations <= 2 * len(inclusion.pieces) * (_MAX_SCALAR_ITER - 1)
+    for r in roots:
+        assert _is_root(pot, factor, target, r), r
+
+
+@pytest.mark.parametrize("target", [-1e300, -1e-300, 0.0, 1.0, 1e300])
+@pytest.mark.parametrize("name", sorted(ORACLE_POTENTIALS))
+def test_key_bisection_alone_closes_each_bracket_within_64_steps(monkeypatch, name, target):
+    # with no Newton steps refine is the second half of the bound alone,
+    # the path a far warm start or a stalling Newton iteration falls back to
+    monkeypatch.setattr(inclusion_solver, "_NEWTON_STEPS", 0)
+    pot = ORACLE_POTENTIALS[name]()
+    for factor in (0.1, 2.0):
+        inclusion = _BoundaryInclusion(pot, factor)
+        for warm in (-1e300, 1e300):
+            roots, iterations = inclusion.roots(target, warm)
+            assert roots and iterations <= 2 * len(inclusion.pieces) * 64
+            assert all(_is_root(pot, factor, target, r) for r in roots)
