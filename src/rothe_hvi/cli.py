@@ -638,8 +638,12 @@ def cmd_check(cfg: ExperimentConfig, seed: int = 0) -> _Rows:
     space, op = problem.space, problem.operator
     rows: _Rows = []
 
-    scales = 10.0 ** rng.uniform(-1, 2, cfg.n_samples)
-    samples = [rng.normal(size=space.dim) * s for s in scales]
+    try:  # the one draw that [check] n_samples sizes
+        scales = 10.0 ** rng.uniform(-1, 2, cfg.n_samples)
+        samples = [rng.normal(size=space.dim) * s for s in scales]
+    except MemoryError:
+        detail = f"[check] n_samples = {cfg.n_samples} asks for more memory than can be allocated"
+        return [("check", False, detail)]
     rep_a = check_hypotheses_A(space, op, samples)
     rows.append(
         (

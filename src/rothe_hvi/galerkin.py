@@ -17,13 +17,19 @@ cost per column outweighs its low fixed cost, and a stack of vectors are
 multiplied one diagonal at a time.  For 1-D P1 elements every band is
 tridiagonal, so storage, matrix-vector products and solves all cost O(n); a
 dense matrix is the band of full width.
+
+Each band decides its layout once: it binds the kernel of its product with
+one vector when it is built and that of its solve when it is factored.  The
+public ``matvec`` and ``solve`` check their operand and call the bound
+kernel, and so does ``GalerkinSpace.dual_norm``; a caller that has checked
+its shapes already, such as the step solver, calls the kernels directly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Sequence
 
 import numpy as np
@@ -91,28 +97,39 @@ class SymBand:
     max(0, j - u) <= i <= j: row u is the diagonal and row u - k the k-th
     superdiagonal, whose first k entries are unused.  A dense matrix is the
     band with u = n - 1.  ``ab`` is copied, checked finite and frozen on
-    construction.  The factor (``factor``) is computed once, on first use,
-    and serves every solve.
+    construction, in Fortran order up to _DSBMV_MAX_N columns.  The factor
+    (``factor``) is computed once, on first use, and serves every solve.
+
+    The kernels are bound once, so a call pays only for its arithmetic:
+    ``product`` (A x for one vector of n entries) when the band is built,
+    and ``back_solve`` (A^{-1} b and LAPACK's info, for b of n rows) when
+    it is factored.  Neither checks its operand; ``matvec`` and ``solve``
+    check theirs and then call them.
     """
 
     __array_ufunc__ = None  # ndarray @ band defers to __rmatmul__
 
     def __init__(self, ab) -> None:
-        ab = np.array(ab, dtype=float)
+        ab = np.asarray(ab, dtype=float)
         if ab.ndim != 2 or ab.shape[0] < 1:
             raise ValueError(f"band storage must be 2-d with at least one row, not {ab.shape}")
+        # the one copy: in Fortran order when dsbmv multiplies by it, which
+        # it then reads as it is, else in C order, whose contiguous rows
+        # the diagonal loop reads
+        by_dsbmv = ab.shape[1] <= _DSBMV_MAX_N
+        ab = np.array(ab, order="F" if by_dsbmv else "C")
         if not np.isfinite(ab).all():
             raise ValueError("band has a non-finite entry")
         ab.setflags(write=False)
         self.ab = ab
+        self.bandwidth, self.n = ab.shape[0] - 1, ab.shape[1]
+        if by_dsbmv:
+            self.product = partial(blas.dsbmv, self.bandwidth, 1.0, ab)
+        else:
+            self.product = partial(_diagonal_product, ab)
 
-    @property
-    def n(self) -> int:
-        return self.ab.shape[1]
-
-    @property
-    def bandwidth(self) -> int:
-        return self.ab.shape[0] - 1
+    def __reduce__(self):
+        return SymBand, (self.ab,)  # the kernels are bound anew, not pickled
 
     def toarray(self) -> np.ndarray:
         u, n = self.bandwidth, self.n
@@ -124,31 +141,12 @@ class SymBand:
         return a
 
     def matvec(self, x) -> np.ndarray:
-        """A x along the last axis of x: a vector of n <= _DSBMV_MAX_N by one
-        BLAS dsbmv call, anything else one diagonal at a time, all rows of a
-        stack at once.  x is not modified."""
+        """A x along the last axis of x: a vector by ``product``, a stack
+        one diagonal at a time, all rows at once.  x is not modified."""
         x = np.asarray(x, dtype=float)
-        rows, n = self.ab.shape
-        if x.shape[-1:] != (n,):  # dsbmv would read the first n entries of a longer x
-            raise ValueError(f"operand has shape {x.shape}, expected last axis {n}")
-        u = rows - 1
-        if x.ndim == 1 and n <= _DSBMV_MAX_N:
-            return blas.dsbmv(u, 1.0, self._fortran_band, x)
-        y = self.ab[u] * x
-        for k in range(1, u + 1):
-            d = self.ab[u - k, k:]
-            y[..., :-k] += d * x[..., k:]
-            y[..., k:] += d * x[..., :-k]
-        return y
-
-    @cached_property
-    def _fortran_band(self) -> np.ndarray:
-        """Read-only copy of ``ab`` in Fortran order, which dsbmv reads
-        without copying it again; ``ab`` keeps its rows contiguous for the
-        diagonal loop."""
-        ab = np.asfortranarray(self.ab)
-        ab.setflags(write=False)
-        return ab
+        if x.shape[-1:] != (self.n,):  # dsbmv would read the first n entries of a longer x
+            raise ValueError(f"operand has shape {x.shape}, expected last axis {self.n}")
+        return self.product(x) if x.ndim == 1 else _diagonal_product(self.ab, x)
 
     def __matmul__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -183,31 +181,41 @@ class SymBand:
         return c
 
     @cached_property
-    def _tridiagonal_factor(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """The diagonal D and the subdiagonal of L that dpttrs reads, as
-        views of ``factor``; None for a band Cholesky factor."""
+    def back_solve(self):
+        """The kernel b -> (A^{-1} b, LAPACK info) of the factor, for a vector
+        or an (n, k) array b of n rows, unchecked: dpttrs on the diagonal D
+        and the subdiagonal of L (views of ``factor``) when tridiagonal,
+        dpbtrs on the Cholesky factor otherwise.  The factor is positive
+        definite, so info flags only an argument error (info < 0), which a
+        b of n rows rules out."""
         c = self.factor
-        return (c[1], c[0, 1:]) if _tridiagonal(c) else None
+        if _tridiagonal(c):
+            return partial(lapack.dpttrs, c[1], c[0, 1:])
+        return partial(lapack.dpbtrs, c)
 
     def solve(self, b) -> np.ndarray:
         """A^{-1} b for a vector or the columns of an (n, k) array; scans only
         b for NaN/Inf (ValueError), the matrix was checked when built."""
-        return self._solve(np.asarray_chkfinite(b, dtype=float))
-
-    def _solve(self, b: np.ndarray) -> np.ndarray:
-        """``solve`` without the scan of b, for a caller that checks the
-        result instead: a NaN or Inf in b makes A^{-1} b non-finite, as the
-        back-substitution carries it along."""
+        b = np.asarray_chkfinite(b, dtype=float)
         if b.ndim not in (1, 2) or b.shape[0] != self.n:  # LAPACK would solve a prefix
             raise ValueError(f"right-hand side has shape {b.shape}, expected ({self.n}, ...)")
-        de = self._tridiagonal_factor
-        if de is not None:
-            x, info = lapack.dpttrs(*de, b)
-        else:
-            x, info = lapack.dpbtrs(self.factor, b)
+        x, info = self.back_solve(b)
         if info < 0:
             raise ValueError(f"band solve: illegal value in argument {-info}")
         return x
+
+
+def _diagonal_product(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A x along the last axis of x for the band ``ab``, one diagonal at a
+    time: past _DSBMV_MAX_N entries faster than dsbmv, and it serves
+    stacks."""
+    u = ab.shape[0] - 1
+    y = ab[u] * x
+    for k in range(1, u + 1):
+        d = ab[u - k, k:]
+        y[..., :-k] += d * x[..., k:]
+        y[..., k:] += d * x[..., :-k]
+    return y
 
 
 def as_band(m, name: str) -> SymBand:
@@ -314,19 +322,18 @@ class GalerkinSpace:
 
         A NaN or Inf in w makes that square non-finite, as the solve carries
         it along, so w is scanned (ValueError) only when the square is not
-        finite.  A finite w whose square overflows is scaled by 1 / max|w|
-        first.  The product is BLAS ddot, which raises no floating-point
-        warning on overflow."""
+        finite; a finite square is the whole evaluation.  A finite w whose
+        square overflows is scaled by 1 / max|w| first.  The product is BLAS
+        ddot, which raises no floating-point warning on overflow."""
         w = _require_vector(w, self.dim, "w")
-        scale = 1.0
-        sq = float(blas.ddot(w, self.gram_v._solve(w)))
-        if not math.isfinite(sq):
-            if not np.isfinite(w).all():
-                raise ValueError("w must not contain infs or NaNs")
-            scale = float(np.abs(w).max())
-            w = w / scale
-            sq = float(blas.ddot(w, self.gram_v._solve(w)))
-        return scale * math.sqrt(max(sq, 0.0))
+        sq = blas.ddot(w, self.gram_v.back_solve(w)[0])
+        if math.isfinite(sq):
+            return math.sqrt(max(sq, 0.0))
+        if not np.isfinite(w).all():
+            raise ValueError("w must not contain infs or NaNs")
+        scale = float(np.abs(w).max())
+        w = w / scale
+        return scale * math.sqrt(max(blas.ddot(w, self.gram_v.back_solve(w)[0]), 0.0))
 
     def dual_u_norm(self, action) -> float:
         """U*-norm of a boundary functional given by its action vector."""

@@ -67,14 +67,24 @@ only when that sum is not finite: a NaN or Inf makes it so, and so does a
 finite vector large enough to overflow it, which the scan then passes.  The
 boundary values t x and t u_warm are read at the trace's nonzero nodes
 only.
+
+So a step, ``solve_step_inclusion``, checks in this order: tol > 0, the
+shapes of the warm start and of b against the operator's ``shape``, the
+warm start's ddot, x's ddot, r's square in ``GalerkinSpace.dual_norm`` and
+the residual against tol.  Between these checks it does only arithmetic,
+through the kernels the operator bound when it was built (``back_solve``
+for x, ``product`` for S u), with no layout or shape decided again.  Its
+calls are one ``back_solve``, two reads of the boundary table, one
+``product`` and one ``GalerkinSpace.dual_norm``, whose solve is gram_v's
+bound kernel.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import blas
@@ -128,9 +138,12 @@ class StepProblem:
 
     Construction checks once what holds for every step and factors
     S = M + c tau K: it holds ``system`` (S, factored), ``y`` = S^{-1} t^T,
-    ``gamma`` = t y, the ``nodes`` where t is nonzero with its entries there
-    (``trace_at_nodes``) as plain ints and floats, the ``lift`` c tau w and
-    the ``inclusion``, the boundary inclusion's table for F = c tau w gamma.
+    ``gamma`` = t y, the (node, entry) pairs of t where it is nonzero
+    (``trace_pairs``) as plain ints and floats, the step's vector ``shape``,
+    ``flux_coef`` c tau, the ``lift`` c tau w and the ``inclusion``, the
+    boundary inclusion's table for F = c tau w gamma.  It also holds the
+    band kernels a step calls on vectors of that shape: S's ``product`` and
+    ``back_solve``, and M's ``mass_product`` for the right-hand sides.
     ValueError unless c_coef is 1 (first step) or 2/3 (two-step stencil),
     tau > 0, dim_u = 1 and c tau w gamma > 0; LinAlgError unless S is
     positive definite.
@@ -158,30 +171,31 @@ class StepProblem:
         row = sp.trace[0]
         y = system.solve(row)  # factors S; LinAlgError unless positive definite
         nodes = np.flatnonzero(row)
-        object.__setattr__(self, "stiff_scaled", stiff_scaled)
-        object.__setattr__(self, "system", system)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "gamma", float(row @ y))
-        object.__setattr__(self, "nodes", tuple(nodes.tolist()))
-        object.__setattr__(self, "trace_at_nodes", tuple(row[nodes].tolist()))
-        object.__setattr__(self, "dim", system.n)
-        object.__setattr__(self, "lift", self.flux_coef * float(self.weights[0]))
+        flux_coef = self.c_coef * self.tau
+        # the instance is frozen, so the derived attributes go to its dict
+        vars(self).update(
+            stiff_scaled=stiff_scaled, system=system, y=y, gamma=float(row @ y),
+            trace_pairs=tuple(zip(nodes.tolist(), row[nodes].tolist())),
+            dim=system.n, shape=(system.n,), flux_coef=flux_coef,
+            lift=flux_coef * float(self.weights[0]),
+            # the kernels a step calls once it has checked its shapes
+            product=system.product, back_solve=system.back_solve,
+            mass_product=sp.gram_h.product,
+        )
         if not self.lift * self.gamma > 0:
             raise ValueError("the boundary weight and trace row must give c tau w gamma > 0")
-        object.__setattr__(
-            self, "inclusion", _BoundaryInclusion(self.potential, self.lift * self.gamma)
-        )
+        vars(self)["inclusion"] = _BoundaryInclusion(self.potential, self.lift * self.gamma)
 
-    @property
-    def flux_coef(self) -> float:
-        return self.c_coef * self.tau
+    def __reduce__(self):
+        # built anew from the fields: the bound kernels cannot be pickled
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     def boundary_value(self, v: np.ndarray) -> float:
-        """t v, summed over the nodes where t is nonzero only."""
+        """t v of an array v, summed over the nodes where t is nonzero only."""
         s = 0.0
-        for k, t in zip(self.nodes, self.trace_at_nodes):
-            s += t * v[k]
-        return float(s)
+        for k, t in self.trace_pairs:
+            s += t * v.item(k)
+        return s
 
 
 @dataclass
@@ -196,28 +210,15 @@ class VerifyResult(NamedTuple):
     membership_gap: float
 
 
-def _residual(
-    system: SymBand, u: np.ndarray, rhs: np.ndarray, nodes: Sequence[int], flux: Sequence[float]
-) -> np.ndarray:
-    """S u + c tau trace^T W xi - b: one band product with S, then the flux
-    term, whose only nonzero entries ``flux`` sit at ``nodes``."""
-    r = system.matvec(u)
+def _residual(p: StepProblem, u: np.ndarray, rhs: np.ndarray, lift_xi: float) -> np.ndarray:
+    """S u + c tau trace^T W xi - b for u and b of shape ``p.shape``, with
+    lift_xi = c tau w xi: one band product with S, then the flux term, which
+    is nonzero only at the trace's nodes."""
+    r = p.product(u)
     r -= rhs
-    for k, f in zip(nodes, flux):
-        r[k] += f
+    for k, t in p.trace_pairs:
+        r[k] += lift_xi * t
     return r
-
-
-def _finite_dual_norm(space: GalerkinSpace, r: np.ndarray) -> float:
-    """V*-norm of a residual; NumericalFailureError when it is not finite.
-    ``dual_norm`` scans r only when its square is not finite."""
-    try:
-        norm = space.dual_norm(r)
-    except ValueError:  # a NaN or Inf in r
-        norm = math.nan
-    if not math.isfinite(norm):
-        raise NumericalFailureError("non-finite step residual")
-    return norm
 
 
 def _key(x: float) -> int:
@@ -368,14 +369,14 @@ def solve_step_inclusion(
     if not tol > 0:
         raise ValueError("tol must be > 0")
     warm = np.asarray(warm_start, dtype=float)
-    if warm.shape != (p.dim,):
-        raise ValueError(f"warm start has shape {warm.shape}, expected ({p.dim},)")
+    if warm.shape != p.shape:
+        raise ValueError(f"warm start has shape {warm.shape}, expected {p.shape}")
     rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape != (p.dim,):
-        raise ValueError(f"right-hand side has shape {rhs.shape}, expected ({p.dim},)")
+    if rhs.shape != p.shape:
+        raise ValueError(f"right-hand side has shape {rhs.shape}, expected {p.shape}")
     if not _finite(warm):
         raise NumericalFailureError(_NON_FINITE_DATA)
-    x = p.system._solve(rhs)  # non-finite when rhs is
+    x = p.back_solve(rhs)[0]  # non-finite when rhs is
     if not _finite(x):
         raise NumericalFailureError(
             "non-finite interior solve" if _finite(rhs) else _NON_FINITE_DATA
@@ -390,8 +391,13 @@ def solve_step_inclusion(
     xi = (target - s) / p.inclusion.factor
     lift_xi = p.lift * xi
     u = x - lift_xi * p.y
-    flux = [lift_xi * t for t in p.trace_at_nodes]
-    report.residual = _finite_dual_norm(p.space, _residual(p.system, u, rhs, p.nodes, flux))
+    r = _residual(p, u, rhs, lift_xi)
+    try:  # dual_norm scans r only when its square is not finite
+        report.residual = p.space.dual_norm(r)
+    except ValueError:  # a NaN or Inf in r
+        report.residual = math.nan
+    if not math.isfinite(report.residual):
+        raise NumericalFailureError("non-finite step residual")
     if not report.residual <= tol:
         raise NonConvergenceError(
             f"step residual {report.residual:.3e} above tol {tol:g}", report
@@ -408,10 +414,9 @@ def verify_inclusion(
     rhs = np.asarray(rhs, dtype=float)
     u = np.asarray(u, dtype=float)
     xi = np.asarray(xi, dtype=float)
-    if rhs.shape != (p.dim,) or u.shape != (p.dim,) or xi.shape != (1,):
+    if rhs.shape != p.shape or u.shape != p.shape or xi.shape != (1,):
         raise ValueError("rhs, u or xi has inconsistent dimensions")
-    flux = [p.lift * float(xi[0]) * t for t in p.trace_at_nodes]
-    resid = p.space.dual_norm(_residual(p.system, u, rhs, p.nodes, flux))
+    resid = p.space.dual_norm(_residual(p, u, rhs, p.lift * float(xi[0])))
     s = p.boundary_value(u)
     lo, hi = p.potential.membership_interval(s, 1e-12 * (1.0 + abs(s)))
     gap = max(lo - float(xi[0]), float(xi[0]) - hi, 0.0)

@@ -205,6 +205,12 @@ def _check_stencil(step: StepProblem, c: float, name: str) -> None:
         raise ValueError(f"{name} needs the operator with c_coef = {c:.4g}, got {step.c_coef:.4g}")
 
 
+def _mass_product(step: StepProblem, v: np.ndarray) -> np.ndarray:
+    """M v by the operator's bound kernel; a v of another shape goes through
+    the public ``matvec``, which checks it."""
+    return step.mass_product(v) if v.shape == step.shape else step.space.gram_h.matvec(v)
+
+
 def initial_step(
     step: StepProblem, u_prev: np.ndarray, f1: np.ndarray, tol: float = 1e-10
 ) -> tuple[np.ndarray, np.ndarray, SolveReport]:
@@ -214,7 +220,7 @@ def initial_step(
     ``step`` is the two-step operator."""
     _check_stencil(step, 1.0, "initial_step")
     u_prev = np.asarray(u_prev, dtype=float)
-    rhs = step.c_coef * step.tau * f1 + step.space.gram_h.matvec(u_prev)
+    rhs = step.flux_coef * f1 + _mass_product(step, u_prev)
     return solve_step_inclusion(step, rhs, u_prev, tol)
 
 
@@ -234,7 +240,7 @@ def bdf2_step(
     u_nm1 = np.asarray(u_nm1, dtype=float)
     u_nm2 = np.asarray(u_nm2, dtype=float)
     hist = (4.0 / 3.0) * u_nm1 - (1.0 / 3.0) * u_nm2
-    rhs = step.c_coef * step.tau * f_n + step.space.gram_h.matvec(hist)
+    rhs = step.flux_coef * f_n + _mass_product(step, hist)
     return solve_step_inclusion(step, rhs, 2.0 * u_nm1 - u_nm2, tol)
 
 
@@ -271,12 +277,13 @@ def run_rothe(
     # every non-finite value of a step is caught by the solver's own scans
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, grid.N + 1):
-            two_step = scheme == BDF2 and n >= 2
-            c = 2.0 / 3.0 if two_step else 1.0
-            if n == 1 or (two_step and n == 2):
-                # one operator per stencil, at most one alive at a time
+            if n == 1 or (n == 2 and scheme == BDF2):
+                # one operator per stencil, at most one alive at a time;
+                # from step 2 on the operator and c tau stay as they are
+                two_step = n == 2
                 step = None
-                step = problem.step_problem(c, tau)
+                step = problem.step_problem(2.0 / 3.0 if two_step else 1.0, tau)
+                ctau = step.flux_coef
             try:
                 if n == stop:
                     raise NumericalFailureError("non-finite forcing average")
@@ -291,7 +298,7 @@ def run_rothe(
             u[n] = u_n
             xi[n - 1, 0] = xi_n[0]  # one boundary row: StepProblem checks dim_u = 1
             # the step equation is the unscaled one multiplied by c tau
-            residuals[n - 1] = report.residual / (c * tau)
+            residuals[n - 1] = report.residual / ctau
     return RotheTrajectory(grid, u, xi, residuals)
 
 

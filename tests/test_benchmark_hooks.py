@@ -139,6 +139,7 @@ def test_the_tracer_measures_every_step_of_a_run():
     names = [name for name, _, _, _ in tracer.spans]
     assert names.count("inclusion_solver.solve") == 8
     assert names.count("stepper.step") == 8
+    assert names.count("galerkin.dual_norm") == 8
     assert len(tracer.newton_iters) == 8
     assert tracer.nonconvergence == 0
 

@@ -330,6 +330,37 @@ def test_a_space_too_large_to_allocate_exits_1_naming_n_el(tmp_path, capsys, mon
     assert sorted(p.name for p in out.iterdir()) == ["summary.csv"]
 
 
+def test_a_sample_draw_too_large_to_allocate_exits_1_naming_n_samples(
+    tmp_path, capsys, monkeypatch
+):
+    # the draw is made to fail as numpy's allocator would, so no test
+    # allocates; the space of 4 elements is built, and only the draw that
+    # n_samples sizes is refused
+    make_rng = np.random.default_rng
+
+    class RefusingGenerator:
+        def __init__(self, seed):
+            self._rng = make_rng(seed)
+
+        def __getattr__(self, name):
+            return getattr(self._rng, name)
+
+        def uniform(self, low, high, size=None):
+            if size == 10**12:
+                raise MemoryError(f"Unable to allocate {8 * size} bytes")
+            return self._rng.uniform(low, high, size)
+
+    monkeypatch.setattr(np.random, "default_rng", RefusingGenerator)
+    config = "[problem]\nn_el = 4\n\n[check]\nn_samples = 1000000000000\n"
+    rc, out = run_cli(tmp_path, "check", config)
+    detail = "[check] n_samples = 1000000000000 asks for more memory than can be allocated"
+    assert rc == 1
+    assert capsys.readouterr().err == ""
+    _, summary = read_csv(out / "summary.csv")
+    assert summary == [["check", "FAIL", detail]]
+    assert sorted(p.name for p in out.iterdir()) == ["summary.csv"]
+
+
 def test_poly_presets_equal_polyval_bit_for_bit():
     # one Horner loop serves the time factors (floats) and x and u0 (arrays)
     rng = np.random.default_rng(7)

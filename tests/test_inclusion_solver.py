@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -348,7 +350,8 @@ def test_a_finite_warm_start_whose_sum_of_squares_overflows_is_not_rejected(n_el
     reference = _outcome(p, rhs, warm)
     assert len(reference) == 4
     huge = np.full(p.dim, 1e200)
-    huge[list(p.nodes)] = warm[list(p.nodes)]
+    nodes = [k for k, _ in p.trace_pairs]
+    huge[nodes] = warm[nodes]
     assert math.isinf(blas.ddot(huge, huge))
     assert _outcome(p, rhs, huge) == reference
     for bad in (np.nan, np.inf, -np.inf):
@@ -357,6 +360,18 @@ def test_a_finite_warm_start_whose_sum_of_squares_overflows_is_not_rejected(n_el
         with np.errstate(all="ignore"), pytest.raises(NumericalFailureError) as info:
             solve_step_inclusion(p, rhs, warm_bad)
         assert str(info.value) == "non-finite right-hand side or warm start"
+
+
+@pytest.mark.parametrize("n_el", [4, 1024])
+def test_an_operator_copied_or_pickled_solves_as_the_original(n_el):
+    # bands and operators hold bound BLAS/LAPACK kernels, which cannot be
+    # pickled; a copy is built anew from the band data and fields
+    p, rhs, warm = fem_step(n_el, PaperExponential(1.0))
+    for copied in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+        assert copied is not p and copied.system is not p.system
+        assert np.array_equal(copied.system.ab, p.system.ab)
+        assert _outcome(copied, rhs, warm) == _outcome(p, rhs, warm)
+        assert copied.space.dual_norm(rhs) == p.space.dual_norm(rhs)
 
 
 def _outcome(p, rhs, warm):

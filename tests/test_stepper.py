@@ -6,8 +6,9 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import blas, lapack
 
-from conftest import fem_problem, one, zero
+from conftest import fem_problem, one, random_spd, zero
 from rothe_hvi import (
     BDF2,
     BoundaryFunctional,
@@ -20,6 +21,7 @@ from rothe_hvi import (
     RotheProblem,
     SeparableLoad,
     StepFailureError,
+    StepProblem,
     TimeGrid,
     ZeroPotential,
     assemble_forcing,
@@ -31,6 +33,7 @@ from rothe_hvi import (
     initial_step,
     run_rothe,
 )
+from rothe_hvi import galerkin
 from rothe_hvi.cli import build_problem, parse_config
 from rothe_hvi.stepper import TrajectoryMemoryError
 
@@ -396,3 +399,66 @@ def test_matrices_stay_linear_in_n_el_at_scale():
     held = [sp.gram_h.ab, sp.gram_v.ab, sp.gram_u.ab, sp.trace, op.stiffness.ab,
             step.system.ab, step.system.factor, step.stiff_scaled.ab, step.y]
     assert max(a.size for a in held) <= 2 * (n_el + 1)
+
+
+def _operators_of_layout(layout: str) -> list[StepProblem]:
+    """The one-step and two-step operators on a space whose bands have the
+    given layout."""
+    if layout == "dense":
+        rng = np.random.default_rng(11)
+        gram_h, stiffness = random_spd(rng, 12), random_spd(rng, 12)
+        space = GalerkinSpace(gram_h=gram_h, gram_v=gram_h + stiffness,
+                              trace=np.eye(1, 12), gram_u=np.eye(1))
+    else:
+        space, op = assemble_space(Mesh1D(int(layout.removeprefix("p1-"))))
+        stiffness = op.stiffness
+    tau = 0.05
+    return [StepProblem(space, c * tau * stiffness, np.ones(1), LinearRobin(1.5), c, tau)
+            for c in (1.0, 2.0 / 3.0)]
+
+
+def _step_through_the_public_api(p: StepProblem, rhs: np.ndarray, warm: np.ndarray):
+    """u, xi and the residual of a step, each band operation spelled through
+    SymBand.solve, SymBand.matvec and GalerkinSpace.dual_norm."""
+    t = p.space.trace[0]
+    nodes = np.flatnonzero(t)
+
+    def boundary_value(v):
+        s = 0.0
+        for k in nodes:
+            s += t[k] * v[k]
+        return float(s)
+
+    x = p.system.solve(rhs)
+    s_warm, target = boundary_value(warm), boundary_value(x)
+    roots, _ = p.inclusion.roots(target, s_warm)
+    s = min(roots, key=lambda r: (abs(r - s_warm), r))
+    xi = (target - s) / p.inclusion.factor
+    u = x - p.lift * xi * p.y
+    r = p.system.matvec(u) - rhs
+    r[nodes] += p.lift * xi * t[nodes]
+    return u, xi, p.space.dual_norm(r)
+
+
+@pytest.mark.parametrize("layout", ["p1-64", "p1-1024", "dense"])
+def test_a_step_through_the_bound_kernels_equals_the_public_band_api(layout):
+    # P1 at 64 elements multiplies by dsbmv, at 1024 one diagonal at a time;
+    # the dense band is factored by dpbtrf and solved by dpbtrs
+    one_step, two_step = _operators_of_layout(layout)
+    product = galerkin._diagonal_product if layout == "p1-1024" else blas.dsbmv
+    solve = lapack.dpbtrs if layout == "dense" else lapack.dpttrs
+    for p in (one_step, two_step):
+        assert p.product.func is product and p.mass_product.func is product
+        assert p.back_solve.func is solve
+    mass = one_step.space.gram_h
+    u0, f1, f2 = np.random.default_rng(5).normal(size=(3, one_step.dim))
+    u1, xi1, report1 = initial_step(one_step, u0, f1)
+    rhs1 = one_step.c_coef * one_step.tau * f1 + mass.matvec(u0)
+    u, xi, residual = _step_through_the_public_api(one_step, rhs1, u0)
+    assert (u1.tobytes(), xi1.tolist(), report1.residual) == (u.tobytes(), [xi], residual)
+    assert xi != 0.0  # the flux term is part of the step
+    u2, xi2, report2 = bdf2_step(two_step, u1, u0, f2)
+    hist = (4.0 / 3.0) * u1 - (1.0 / 3.0) * u0
+    rhs2 = two_step.c_coef * two_step.tau * f2 + mass.matvec(hist)
+    u, xi, residual = _step_through_the_public_api(two_step, rhs2, 2.0 * u1 - u0)
+    assert (u2.tobytes(), xi2.tolist(), report2.residual) == (u.tobytes(), [xi], residual)
