@@ -28,19 +28,26 @@ printed on stderr and writes no output.
 
 Configs are flat INI files whose schema is derived from `ExperimentConfig`:
 its fields, in order, are the keys, their types drive parsing, and field
-metadata marks where each section starts.  Unknown sections (`[DEFAULT]`
-included) and keys are rejected, and so are values outside what the
-commands can build or run.  The config file is the one positional
-argument; the output directory is `--out`, else `[output] dir`, else
-`rothe_out`.  `render_config` emits the canonical form whose
-serialize/parse round trip is byte-identical.
+metadata marks where each section starts.  Each field's converter (the
+words for None, the bool words, a comma-separated tuple or the plain type)
+is picked from its type once, when the module loads.  A config in the
+plain form that `render_config` writes (headers and ``key = value`` lines,
+no comments or continuation lines) is read line by line to the sections
+and raw values configparser would give; any other text goes through
+configparser.  Unknown sections (`[DEFAULT]` included) and keys are
+rejected, and so are values outside what the commands can build or run.
+The config file is the one positional argument; the output directory is
+`--out`, else `[output] dir`, else `rothe_out`.  The plain command line,
+options spelled out, is read to the namespace argparse would build; any
+other goes through argparse.  `render_config` emits the canonical form
+whose serialize/parse round trip is byte-identical.
 
 All CSV output starts with a `# schema_version=2` comment line and writes
 every float exactly as ``'%.17g' % x``.  A float table, such as
 ``trajectory.csv``, goes through `floatfmt.g17_lines`: numpy formats it
 4,096 cells at a time and hands to ``'%.17g'`` only the non-finite cells and
 those whose 17th digit its extended-precision scaling cannot round for
-certain; a table of under 256 cells is formatted by ``'%.17g'`` throughout,
+certain; a table of under 192 cells is formatted by ``'%.17g'`` throughout,
 which is faster there.  ``trajectory.csv`` is built from the trajectory
 and written a row block of at most 16 x 4,096 cells at a time.  Estimate
 tables carry one interpolant-gap column, `gap_closed_form`, the exact
@@ -52,8 +59,10 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import io
 import math
 import os
+import re
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, field, fields, replace
@@ -174,14 +183,39 @@ _KEYS = {"scheme": "kind", "output_dir": "dir"}
 _NONE_WORDS = {"tau_ref": ("auto", "none")}  # every other Optional field: "default"
 
 
-def _layout() -> dict[str, dict[str, tuple[str, type]]]:
-    """section -> key -> (field name, field type), in field order."""
+def _parse_bool(raw: str) -> bool:
+    if raw.lower() in ("true", "1", "yes", "on"):
+        return True
+    if raw.lower() in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {raw!r}")
+
+
+def _converter(name: str, hint) -> Callable[[str], object]:
+    """The parser of a raw value of the field ``name`` of type ``hint``:
+    ``raw`` -> value, ValueError if it is none."""
+    if type(None) in get_args(hint):  # Optional[X]
+        words = _NONE_WORDS.get(name, ("default",))
+        convert = _converter(name, get_args(hint)[0])
+        return lambda raw: None if raw.lower() in words else convert(raw)
+    if hint is bool:
+        return _parse_bool
+    if get_origin(hint) is tuple:
+        item = get_args(hint)[0]
+        return lambda raw: tuple(item(x) for x in raw.split(",") if x.strip())
+    return hint
+
+
+def _layout() -> dict[str, dict[str, tuple[str, Callable[[str], object]]]]:
+    """section -> key -> (field name, converter of its raw value), in field
+    order; each converter is picked once, from the field's type."""
     hints = get_type_hints(ExperimentConfig)
-    layout: dict[str, dict[str, tuple[str, type]]] = {}
+    layout: dict[str, dict[str, tuple[str, Callable[[str], object]]]] = {}
     section = ""
     for f in fields(ExperimentConfig):
         section = f.metadata.get("section", section)
-        layout.setdefault(section, {})[_KEYS.get(f.name, f.name)] = (f.name, hints[f.name])
+        entry = (f.name, _converter(f.name, hints[f.name]))
+        layout.setdefault(section, {})[_KEYS.get(f.name, f.name)] = entry
     return layout
 
 
@@ -211,22 +245,40 @@ def render_config(cfg: ExperimentConfig) -> str:
     return "\n".join(lines)
 
 
-def _parse_typed(name: str, hint, raw: str):
-    """``raw`` as a value of the field type ``hint``; ValueError if it is none."""
-    if type(None) in get_args(hint):  # Optional[X]
-        if raw.lower() in _NONE_WORDS.get(name, ("default",)):
+# an option line of the plain form: a word key, spaces or tabs, = or :, a value
+_PLAIN_OPTION = re.compile(r"([A-Za-z0-9_]+)[ \t]*[=:](.*)")
+
+
+def _plain_sections(lines: Sequence[str]) -> Optional[dict[str, dict[str, str]]]:
+    """section -> key -> raw value of a config in the plain form, exactly
+    as configparser reads it (keys lower-cased, values stripped), or None
+    for any other text, which configparser then reads.  Plain: no comment
+    character, carriage return or indented line; every other line blank,
+    a ``[name]`` header not seen before (and not DEFAULT), or ``key = value``
+    with a word key not seen before in its section, under a header.  This
+    is the form ``render_config`` writes, read without configparser's
+    set-up, which costs more than the rest of the parse."""
+    sections: dict[str, dict[str, str]] = {}
+    current = None
+    for line in lines:
+        line = line.rstrip("\n")
+        if not line or line.isspace():
+            continue
+        if line[0].isspace() or "#" in line or ";" in line or "\r" in line:
             return None
-        hint = get_args(hint)[0]
-    if hint is bool:
-        if raw.lower() in ("true", "1", "yes", "on"):
-            return True
-        if raw.lower() in ("false", "0", "no", "off"):
-            return False
-        raise ValueError(f"not a boolean: {raw!r}")
-    if get_origin(hint) is tuple:
-        item = get_args(hint)[0]
-        return tuple(item(x) for x in raw.split(",") if x.strip())
-    return hint(raw)
+        if line[0] == "[":
+            name = line.rstrip()[1:-1]
+            if not (line.rstrip()[-1] == "]" and name and "[" not in name and "]" not in name):
+                return None
+            if name in sections or name == "DEFAULT":
+                return None
+            current = sections[name] = {}
+            continue
+        match = _PLAIN_OPTION.fullmatch(line)
+        if match is None or current is None or match[1].lower() in current:
+            return None
+        current[match[1].lower()] = match[2].strip()
+    return sections
 
 
 def parse_config(source) -> ExperimentConfig:
@@ -234,34 +286,41 @@ def parse_config(source) -> ExperimentConfig:
     holding no ``[``, which config text cannot lack) or a config string
     into an ExperimentConfig.
 
+    The text is read by ``_plain_sections`` when it has the plain form and
+    by configparser otherwise, to the same sections and raw values.
     Unknown sections or keys are rejected so typos fail loudly, and a file
     that cannot be read is a ConfigError too."""
-    cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
     is_path = isinstance(source, str) and ("[" not in source or os.path.exists(source))
     try:
         if isinstance(source, Path) or is_path:
             with open(source, "r", encoding="utf-8") as fh:
-                cp.read_file(fh)
+                lines, origin = list(fh), fh.name
         else:
-            cp.read_string(str(source))
+            lines, origin = list(io.StringIO(str(source))), "<string>"
+        sections = _plain_sections(lines)
+        if sections is None:
+            cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
+            cp.read_file(lines, source=origin)
+            if cp.defaults():  # configparser would copy these keys into every section
+                raise ConfigError("unknown section [DEFAULT]")
+            sections = {section: dict(cp.items(section, raw=True)) for section in cp.sections()}
     except configparser.Error as exc:
         lineno = getattr(exc, "lineno", None)
         loc = f" (line {lineno})" if lineno else ""
         raise ConfigError(f"cannot parse config{loc}: {exc.message}") from None
     except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, unreadable, not UTF-8
         raise ConfigError(f"cannot read config: {exc}") from None
-    if cp.defaults():  # configparser would copy these keys into every section
-        raise ConfigError("unknown section [DEFAULT]")
     values = {}
-    for section in cp.sections():
-        if section not in _SCHEMA:
+    for section, pairs in sections.items():
+        keys = _SCHEMA.get(section)
+        if keys is None:
             raise ConfigError(f"unknown section [{section}]")
-        for key, raw in cp[section].items():
-            if key not in _SCHEMA[section]:
+        for key, raw in pairs.items():
+            if key not in keys:
                 raise ConfigError(f"unknown key [{section}] {key}")
-            name, hint = _SCHEMA[section][key]
+            name, convert = keys[key]
             try:
-                values[name] = _parse_typed(name, hint, raw.strip())
+                values[name] = convert(raw.strip())
             except ValueError as exc:
                 raise ConfigError(f"[{section}] {key}: {exc}") from None
     cfg = ExperimentConfig(**values)
@@ -689,13 +748,16 @@ def cmd_check(cfg: ExperimentConfig, seed: int = 0) -> _Rows:
 # ---------------------------------------------------------------------------
 
 
+_COMMANDS = ("run", "study", "compare", "check")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rothe-hvi",
         description="two-step implicit time stepping with set-valued boundary flux laws",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("run", "study", "compare", "check"):
+    for name in _COMMANDS:
         sp = sub.add_parser(name)
         sp.add_argument("config_path", help="config file")
         sp.add_argument("--out", default=None, help="output directory")
@@ -708,8 +770,42 @@ def _build_parser() -> argparse.ArgumentParser:
 _PARSER = _build_parser()  # parsing keeps no state, so one parser serves every call
 
 
+def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
+    """The command line as ``_PARSER`` reads it.  The plain form
+    ``<command> <config> [--out DIR] [--quiet] [--seed N]`` (``--seed`` for
+    check only), each option spelled out and no value starting with ``-``,
+    is read here, to the namespace argparse would build: argparse's own
+    parse costs about as much as two steps of a short run.  Every other
+    command line, usage errors and help included, goes to ``_PARSER``."""
+    args = sys.argv[1:] if argv is None else list(argv)
+    plain = len(args) >= 2 and args[0] in _COMMANDS and all(isinstance(a, str) for a in args)
+    if plain and not args[1].startswith("-"):
+        ns = argparse.Namespace(command=args[0], config_path=args[1], out=None, quiet=False)
+        if args[0] == "check":
+            ns.seed = 0
+        i = 2
+        while i < len(args):
+            if args[i] == "--quiet":
+                ns.quiet = True
+                i += 1
+                continue
+            value = args[i + 1] if i + 1 < len(args) else "-"
+            if value.startswith("-"):
+                break
+            if args[i] == "--out":
+                ns.out = value
+            elif args[i] == "--seed" and ns.command == "check" and value.strip().isdecimal():
+                ns.seed = int(value)
+            else:
+                break
+            i += 2
+        else:
+            return ns
+    return _PARSER.parse_args(argv)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _PARSER.parse_args(argv)
+    args = _parse_args(argv)
     try:
         cfg = parse_config(Path(args.config_path))
         if args.command == "compare":  # runs the two-step scheme whatever [scheme] kind is

@@ -104,16 +104,15 @@ def bdf2_inequality_slack(a, b, c, space: GalerkinSpace) -> float:
     return lhs - rhs
 
 
-def _quad_rows(rows: np.ndarray, gram: np.ndarray) -> np.ndarray:
-    """r^T gram r for each row r, clipped at zero against roundoff."""
-    return np.maximum(np.einsum("ij,ij->i", rows @ gram, rows), 0.0)
-
-
-def _dual_sq_rows(space: GalerkinSpace, rows: np.ndarray) -> np.ndarray:
-    """Squared V*-norms of the H-embeddings of the rows, from one
-    multi-right-hand-side Riesz solve."""
-    w = rows @ space.gram_h
-    return np.maximum(np.einsum("ij,ji->i", w, space.solve_v(w.T)), 0.0)
+# cells of a trajectory row block in ``estimate_report``: a block's stacked
+# rows and their products stay small next to the trajectory
+BLOCK_CELLS = 8192
+# fewest rows of u in a block.  einsum sums a lone row of more than 8192
+# entries (its buffer) in another order than a row of a stack, so each
+# family's rows in a block must be a stack of two or more, as in the whole
+# family, unless the family has one row; four rows of u give the first
+# block two rows of each
+_MIN_BLOCK_ROWS = 4
 
 
 def _dual_u_sq_rows(space: GalerkinSpace, actions: np.ndarray) -> np.ndarray:
@@ -128,11 +127,24 @@ def estimate_report(
     weights: Optional[np.ndarray] = None,
 ) -> EstimateReport:
     """Compute every estimate quantity of the trajectory by direct
-    summation over the stacked first differences d_n = u^n - u^{n-1},
-    stencils s_n = 1.5u^n - 2u^{n-1} + 0.5u^{n-2} and second differences
+    summation over the first differences d_n = u^n - u^{n-1}, stencils
+    s_n = 1.5u^n - 2u^{n-1} + 0.5u^{n-2} and second differences
     e_n = u^n - 2u^{n-1} + u^{n-2}.  ``weights`` are the boundary quadrature
     weights used to lift nodal multipliers to boundary functionals (all
     ones by default).
+
+    The trajectory is read a row block of at most ``BLOCK_CELLS`` cells at a
+    time, so no stack of trajectory size is built.  A block of rows u^n
+    stacks its d_n, s_n, e_n and u^n and takes one product with gram_h: the
+    H-embeddings of d_n, s_n and e_n go through one multi-right-hand-side
+    Riesz solve for their squared V*-norms, and the products of e_n and
+    u^n give their squared H-norms; one product with gram_v gives the
+    squared V-norms of the u^n.  Each family's row values are reduced by
+    one einsum per block, over a stack of two or more rows unless the
+    family has a single row, which is how the whole family reduces, so a
+    row's value does not depend on the block it lies in; the sums run over
+    the full per-row arrays.  V*-norms of H-elements are taken through
+    their H-embedding.
 
     On window 1 the interpolant gap is d_1 theta, on window n >= 2 it is
     s_n theta - e_n/4, with theta = (t - midpoint)/tau odd about the window
@@ -145,24 +157,58 @@ def estimate_report(
         weights = np.ones(space.dim_u)
     w = np.asarray(weights, dtype=float)
 
-    diffs = u[1:] - u[:-1]
-    stencils = 1.5 * u[2:] - 2.0 * u[1:-1] + 0.5 * u[:-2]
-    seconds = u[2:] - 2.0 * u[1:-1] + u[:-2]
-    diff_sq = _dual_sq_rows(space, diffs)
-    stencil_sq = _dual_sq_rows(space, stencils)
-    second_sq = _dual_sq_rows(space, seconds)
+    k, dim = u.shape
+    v_sq, h_sq = np.empty(k), np.empty(k)  # ||u^n||_V^2 and |u^n|_H^2, n = 0..N
+    diff_sq = np.empty(k - 1)  # ||d_n||_*^2, n = 1..N
+    # ||s_n||_*^2, ||e_n||_*^2 and |e_n|_H^2, n = 2..N
+    stencil_sq, second_sq, second_h = (np.empty(max(k - 2, 0)) for _ in range(3))
+    rows = max(_MIN_BLOCK_ROWS, BLOCK_CELLS // dim)
+    a = 0
+    while a < k:
+        b = min(a + rows, k)
+        if k - b == 1:  # the last row joins this block: no block of one row
+            b = k
+        # the first n of the block with d_n, and with s_n and e_n (b when none)
+        a1, a2 = min(max(a, 1), b), min(max(a, 2), b)
+        nd, ns = b - a1, b - a2
+        stack = np.empty((nd + 2 * ns + b - a, dim))  # d_n, s_n, e_n, then u^n
+        d, s, e = stack[:nd], stack[nd : nd + ns], stack[nd + ns : nd + 2 * ns]
+        # each row by the operations, in the order, of its formula
+        np.subtract(u[a1:b], u[a1 - 1 : b - 1], out=d)
+        twice = 2.0 * u[a2 - 1 : b - 1]
+        np.multiply(u[a2:b], 1.5, out=s)
+        s -= twice
+        s += 0.5 * u[a2 - 2 : b - 2]
+        np.subtract(u[a2:b], twice, out=e)
+        e += u[a2 - 2 : b - 2]
+        stack[nd + 2 * ns :] = u[a:b]
+        hw = stack @ space.gram_h
+        x = space.solve_v(hw[: nd + 2 * ns].T)
+        # one einsum per family, each a stack of its rows as the family's own
+        for rows_of, sums in (
+            (slice(0, nd), diff_sq[a1 - 1 : b - 1]),
+            (slice(nd, nd + ns), stencil_sq[a2 - 2 : b - 2]),
+            (slice(nd + ns, nd + 2 * ns), second_sq[a2 - 2 : b - 2]),
+        ):
+            np.einsum("ij,ji->i", hw[rows_of], x[:, rows_of], out=sums)
+        np.einsum("ij,ij->i", hw[nd + ns : nd + 2 * ns], e, out=second_h[a2 - 2 : b - 2])
+        np.einsum("ij,ij->i", hw[nd + 2 * ns :], u[a:b], out=h_sq[a:b])
+        np.einsum("ij,ij->i", u[a:b] @ space.gram_v, u[a:b], out=v_sq[a:b])
+        a = b
+    for sums in (v_sq, h_sq, diff_sq, stencil_sq, second_sq, second_h):
+        np.maximum(sums, 0.0, out=sums)  # clipped at zero against roundoff
 
     q5 = tau * float(_dual_u_sq_rows(space, traj.xi * w).sum())
     gap = tau / 12.0 * (diff_sq[0] + stencil_sq.sum()) + tau / 16.0 * second_sq.sum()
     return EstimateReport(
-        q3=tau * float(_quad_rows(u, space.gram_v).sum()),
-        q4=float(np.sqrt(_quad_rows(u, space.gram_h).max())),
+        q3=tau * float(v_sq.sum()),
+        q4=float(np.sqrt(h_sq.max())),
         q5=q5,
         q6=float(diff_sq[0]) / tau,
         q7=float(stencil_sq.sum()) / tau,
-        q75=float(_quad_rows(seconds, space.gram_h).sum()),
+        q75=float(second_h.sum()),
         gap_closed_form=float(gap),
-        u1_u0_gap=space.h_norm(diffs[0]),
+        u1_u0_gap=space.h_norm(u[1] - u[0]),
         bv_bound=float(diff_sq.sum()) / tau,
     )
 

@@ -74,8 +74,9 @@ class Mesh1D:
         """nq -> (points (n_el, nq), weight * local hat values (nq, 2)) of
         the nq-point Gauss rule on every element, nq in {3, 5}; read-only."""
         out = {}
+        lefts = self.nodes[:-1, None]  # each element's left node
         for nq, (xi, wts, hats) in _RULES.items():
-            x = self.nodes[:-1, None] + self.h * xi[None, :]
+            x = lefts + self.h * xi[None, :]
             w_phi = (0.5 * self.h * wts)[:, None] * hats
             x.setflags(write=False)
             w_phi.setflags(write=False)
@@ -105,7 +106,8 @@ def assemble_space(mesh: Mesh1D) -> tuple[GalerkinSpace, LinearOperatorA]:
     mass, stiff = bands
     trace = np.zeros((1, n + 1))
     trace[0, n] = 1.0
-    space = GalerkinSpace(gram_h=mass, gram_v=mass + stiff, trace=trace, gram_u=np.eye(1))
+    gram_u = SymBand(np.ones((1, 1)))  # the point evaluation at x = 1, unit weight
+    space = GalerkinSpace(gram_h=mass, gram_v=mass + stiff, trace=trace, gram_u=gram_u)
     op = LinearOperatorA(stiffness=stiff, alpha=1.0, beta=1.0, a_growth=0.0, b_growth=1.0)
     return space, op
 
@@ -136,7 +138,9 @@ def separable_load(mesh: Mesh1D, a: Vectorized, b: Vectorized, f_n: Vectorized) 
     """The load l(t) = f_N(t) e_0 + a(t) l_b of the volume source a(t) b(x)
     and the Neumann datum f_N(t) at x = 0, with l_b the load vector of b,
     assembled once.  The one place that knows where the Neumann node is."""
-    loads = np.eye(2, mesh.n_el + 1)  # e_0, then l_b in place of e_1
+    loads = np.empty((2, mesh.n_el + 1))
+    loads[0] = 0.0
+    loads[0, 0] = 1.0  # e_0, then l_b
     loads[1] = assemble_forcing(mesh, b)
     return SeparableLoad(lambda t: np.column_stack([f_n(t), a(t)]), loads)
 

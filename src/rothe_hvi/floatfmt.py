@@ -14,7 +14,11 @@ so ``128 s`` is off by at most 1.19, or by 0.5 where ``10^k`` is exact
 of 64, so that its rounding is undecided, and every non-finite cell goes
 through Python's ``'%.17g'``.  numpy lays out every other cell: the ``%f``
 or ``%e`` form that ``%g`` picks, trailing zeros stripped, ``e±XX``.  So
-the output is byte-identical to ``'%.17g'`` by construction.  Where
+the output is byte-identical to ``'%.17g'`` by construction.  A block costs
+a fixed number of numpy calls: every per-exponent and per-digit table is
+indexed by one ``take``, the point is set by the masks of the digit words
+rather than by a scatter, and the row ends flip their separator words in
+one strided update.  Where
 longdouble is narrower, and for tables under ``_VECTOR_MIN_CELLS`` cells,
 where the vectorized path's fixed cost exceeds the whole Python loop, every
 cell goes through ``'%.17g'``.
@@ -31,17 +35,18 @@ __all__ = ["BLOCK_CELLS", "g17_lines"]
 BLOCK_CELLS = 4096
 
 # tables under this many cells take the Python loop, which is faster there;
-# measured on ncvx-sweep's table shapes (12 or 68 columns), one core
-_VECTOR_MIN_CELLS = 256
+# measured on ncvx-sweep's table shapes (12 or 68 columns), one core: the
+# two paths cross at 160-200 cells
+_VECTOR_MIN_CELLS = 192
 
 _LD = np.finfo(np.longdouble)
 # a 64-bit significand, and an exponent range that holds 128 * 10^340, the
 # largest scale a subnormal needs
 _EXTENDED = bool(_LD.nmant >= 63 and _LD.maxexp > 1140)
 
-# k = 16 - e over every decimal exponent e of a float64, -324 to 308
+# k = 16 - e over every decimal exponent e of a float64, -324 to 308; the
+# per-exponent tables are indexed by k - _K_MIN, the row of k in _POW128
 _K_MIN, _K_MAX = -292, 340
-_OFFSET = 324  # row e + _OFFSET of a per-exponent table is exponent e
 
 # A cell's text is laid out in a record of six little-endian 64-bit words,
 # every piece at a fixed byte and every unused byte NUL; deleting the NULs
@@ -51,8 +56,10 @@ _OFFSET = 324  # row e + _OFFSET of a per-exponent table is exponent e
 # goes there.  40-44 hold "e+XXX", 45 the separator, 46-47 stay NUL.
 _WORD = np.dtype("<u8")
 _RECORD = 48
-_SPARE = 47
 _FALLBACK_WIDTH = 45  # a verbatim cell's text, NUL-padded, over bytes 0-44
+# the place of the point, the count of digits before it, is at most 17
+# where the point shows; place 0 stands for no point
+_PLACES = 18
 
 
 def _word(text: bytes, at: int = 0) -> int:
@@ -61,12 +68,12 @@ def _word(text: bytes, at: int = 0) -> int:
 
 
 def _exponent_tables() -> tuple[np.ndarray, ...]:
-    """Per decimal exponent e of the rounded value: word 0 without its
-    digit, for a positive and a negative cell (rows 2(e + _OFFSET) and
-    2(e + _OFFSET) + 1); word 5 without its separator; the digits that %f
-    shows whatever their value (X + 1 for exponent X >= 0); and the digits
-    before the point (beyond 17: none)."""
-    span = range(-_OFFSET, 309)
+    """Per row k - _K_MIN, for the decimal exponent e = 16 - k of the
+    rounded value: word 0 without its digit, for a positive and a negative
+    cell (rows 2 (k - _K_MIN) and 2 (k - _K_MIN) + 1); word 5 with a comma
+    for separator; the digits that %f shows whatever their value (X + 1 for
+    exponent X >= 0); and the place of the point (beyond 17: none)."""
+    span = [16 - k for k in range(_K_MIN, _K_MAX + 1)]
     head = np.zeros(2 * len(span), _WORD)
     exp_word = np.zeros(len(span), _WORD)
     whole = np.zeros(len(span), np.intp)
@@ -75,48 +82,61 @@ def _exponent_tables() -> tuple[np.ndarray, ...]:
         prefix = 0
         if -4 <= e < 0:
             prefix = _word(b"0." + b"0" * (-e - 1), 1)
-            point[i] = 18
+            point[i] = _PLACES
         elif 0 <= e <= 16:
             whole[i] = point[i] = e + 1
         else:
             exp_word[i] = _word(b"e%+03d" % e)
             point[i] = 1
+        exp_word[i] |= _word(b",", 5)
         head[2 * i] = prefix
         head[2 * i + 1] = prefix | _word(b"-")
     return head, exp_word, whole, point
 
 
 def _digit_tables() -> tuple[np.ndarray, ...]:
-    """For q < 10^4: its four digits at bytes 0, 2, 4, 6 of a word, and per
-    group g of four digits, the count of significant digits that the group
-    ends (0 for q = 0); per word 1-4 and digit count, the mask that keeps
-    that many leading digits; the first digit at byte 6."""
+    """For q < 10^4: its four digits at bytes 0, 2, 4, 6 of a word with a
+    point at bytes 1, 3, 5 and 7, and per group g of four digits, the count
+    of significant digits that the group ends (0 for q = 0); per word 1-4,
+    at index _PLACES * kept + place, the mask that keeps that many leading
+    digits and the point at that place; at index _PLACES * digit + place,
+    the first digit at byte 6, with the point at byte 7 for place 1."""
     q = np.arange(10_000)
-    four = np.zeros(q.size, _WORD)
+    four = np.full(q.size, _word(b"." * 8) & 0xFF00FF00FF00FF00, _WORD)
     last = np.zeros(q.size, np.intp)
     for j in range(4):
         digit = q // 10 ** (3 - j) % 10
         four |= (digit + 48).astype(_WORD) << np.uint64(16 * j)
         last[digit != 0] = j + 1
-    ends = np.array([np.where(q == 0, 0, 1 + 4 * g + last) for g in range(4)])
-    keep = np.zeros((4, 18), _WORD)
-    for kept in range(18):
+    ends = np.array([np.where(q == 0, 0, 1 + 4 * g + last) for g in range(4)], np.uint8)
+    keep = np.zeros((4, _PLACES, _PLACES), _WORD)
+    for kept in range(_PLACES):
         for j in range(1, kept):  # digit j sits at byte 2((j - 1) % 4) of word 1 + (j - 1) // 4
             keep[(j - 1) // 4, kept] |= np.uint64(0xFF << (16 * ((j - 1) % 4)))
-    first = np.array([_word(b"%d" % d, 6) for d in range(10)], _WORD)
-    return four, ends, keep, first
+    for place in range(2, _PLACES):  # the point after digit j = place - 1
+        keep[(place - 2) // 4, :, place] |= np.uint64(0xFF00 << (16 * ((place - 2) % 4)))
+    first = np.zeros((10, _PLACES), _WORD)
+    for d in range(10):
+        first[d] = _word(b"%d" % d, 6)
+        first[d, 1] |= _word(b".", 7)
+    return four, ends, keep.reshape(4, -1), first.reshape(-1)
 
 
 if _EXTENDED:
     _POW128 = 128 * np.array([f"1e{k}" for k in range(_K_MIN, _K_MAX + 1)], np.longdouble)
-    # (128 frac(s) + shift) % 128 < 2 shift - 128 marks an undecided cell:
-    # 128 frac(s) in 63..64 for an exact 10^k, 62..65 otherwise
+    # (128 frac(s) + shift) % 128 < width = 2 shift - 128 marks an undecided
+    # cell: 128 frac(s) in 63..64 for an exact 10^k, 62..65 otherwise
     _UNDECIDED_SHIFT = np.array(
         [65 if 0 <= k <= 27 else 66 for k in range(_K_MIN, _K_MAX + 1)], np.uint64
     )
+    _UNDECIDED_WIDTH = 2 * _UNDECIDED_SHIFT - 128
     _HEAD, _EXP_WORD, _WHOLE, _POINT = _exponent_tables()
     _FOUR, _GROUP_END, _KEEP, _FIRST = _digit_tables()
-_COMMA, _NEWLINE = np.uint64(_word(b",", 5)), np.uint64(_word(b"\n", 5))
+# 128 s in [128 * 10^16, 128 * 10^17 - 64) rounds to 17 digits: v - _V_LOW
+# below _V_SPAN, in wrapping unsigned arithmetic
+_V_LOW = np.uint64(128 * 10**16)
+_V_SPAN = np.uint64(128 * 10**17 - 64 - 128 * 10**16)
+_COMMA_TO_NEWLINE = np.uint64(_word(b",", 5) ^ _word(b"\n", 5))
 _FALLBACK_FORMAT = f"%-{_FALLBACK_WIDTH}.17g"
 _SPACE_TO_NUL = bytes.maketrans(b" ", b"\0")
 
@@ -125,29 +145,30 @@ def _fallback(cells: np.ndarray) -> bytes:
     """``'%.17g'`` of each cell, NUL-padded to ``_FALLBACK_WIDTH`` bytes: the
     cells the vectorized path cannot decide.  A seam of its own, so that the
     share of cells that take it can be counted."""
-    text = "".join([_FALLBACK_FORMAT % x for x in cells.tolist()])
+    text = (_FALLBACK_FORMAT * cells.size) % tuple(cells.tolist())
     return text.encode("ascii").translate(_SPACE_TO_NUL)
 
 
-def _block(cells: np.ndarray, sep: np.ndarray) -> bytes:
-    """Text of a block of float64 cells, cell i followed by the separator
-    word ``sep[i]``."""
+def _block(cells: np.ndarray, first_end: int, n_cols: int) -> bytes:
+    """Text of a block of float64 cells, each followed by a comma, except
+    cells first_end, first_end + n_cols, ..., which end a row and are
+    followed by a newline.  Every table lookup is one ``take``, and the
+    point is folded into the digit words by their masks, so the block costs
+    a fixed number of numpy calls whatever its size."""
     m = cells.size
     a = np.abs(cells)
     zero = a == 0
     special = ~(a < np.inf)
-    a = np.where(zero | special, 1.0, a)
-    e = np.floor(np.log10(a)).astype(np.intp)
-    # v = floor(128 s), s = |x| 10^(16-e), where log10 may put e one off
-    # next to a power of ten; 128 s < 2^64 even then
-    k = 16 - _K_MIN - e
-    v = (a.astype(np.longdouble) * _POW128.take(k)).astype(np.uint64)
-    n = ((v + 64) >> 7).view(np.int64)
-    shift = _UNDECIDED_SHIFT.take(k)
-    verbatim = ((v + shift) & 127) < 2 * shift - 128
+    a[zero | special] = 1.0
+    # the row k - _K_MIN of k = 16 - e, where log10 may put e one off next
+    # to a power of ten; v = floor(128 s), s = |x| 10^k; 128 s < 2^64 even then
+    row = 16 - _K_MIN - np.floor(np.log10(a)).astype(np.intp)
+    v = np.multiply(a, _POW128.take(row), dtype=np.longdouble).astype(np.uint64)
+    verbatim = ((v + _UNDECIDED_SHIFT.take(row)) & 127) < _UNDECIDED_WIDTH.take(row)
     # floor(s) below 10^16 or s rounding to 10^17: e is one off, which only
     # a cell next to a power of ten can make
-    verbatim |= special | (v < 128 * 10**16) | (n >= 10**17)
+    verbatim |= special | ((v - _V_LOW) >= _V_SPAN)
+    n = ((v + 64) >> 7).view(np.int64)
     n[verbatim | zero] = 0
 
     first = n // 10**16
@@ -162,25 +183,26 @@ def _block(cells: np.ndarray, sep: np.ndarray) -> bytes:
     significant = np.maximum(_GROUP_END[0].take(groups[0]), 1)
     for g in (1, 2, 3):
         np.maximum(significant, _GROUP_END[g].take(groups[g]), out=significant)
-    eo = e + _OFFSET
-    kept = np.maximum(significant, _WHOLE.take(eo))
-    point = _POINT.take(eo)
-    has_point = significant > point
+    kept = np.maximum(significant, _WHOLE.take(row))
+    point = _POINT.take(row)
+    place = point * (significant > point)  # 0 where the point does not show
 
     rec = np.empty((m, 6), _WORD)
-    rec[:, 0] = _HEAD.take(2 * eo + np.signbit(cells)) | _FIRST.take(first)
+    np.bitwise_or(
+        _HEAD.take(2 * row + np.signbit(cells)), _FIRST.take(_PLACES * first + place),
+        out=rec[:, 0],
+    )
+    mask = _PLACES * kept + place
     for g in range(4):
-        rec[:, g + 1] = _FOUR.take(groups[g]) & _KEEP[g].take(kept)
-    rec[:, 5] = _EXP_WORD.take(eo) | sep
-    raw = rec.view(np.uint8).reshape(-1)
-    at = np.arange(0, m * _RECORD, _RECORD)
-    raw[at + np.where(has_point, 5 + 2 * point, _SPARE)] = has_point * np.uint8(ord("."))
+        np.bitwise_and(_FOUR.take(groups[g]), _KEEP[g].take(mask), out=rec[:, g + 1])
+    _EXP_WORD.take(row, out=rec[:, 5])
+    rec[first_end::n_cols, 5] ^= _COMMA_TO_NEWLINE
     if verbatim.any():
         (where,) = np.nonzero(verbatim)
-        raw.reshape(m, _RECORD)[where, :_FALLBACK_WIDTH] = np.frombuffer(
+        rec.view(np.uint8).reshape(m, _RECORD)[where, :_FALLBACK_WIDTH] = np.frombuffer(
             _fallback(cells[where]), np.uint8
         ).reshape(-1, _FALLBACK_WIDTH)
-    return raw.tobytes().translate(None, b"\0")
+    return rec.tobytes().translate(None, b"\0")
 
 
 def g17_lines(rows: np.ndarray) -> Iterator[str]:
@@ -196,5 +218,4 @@ def g17_lines(rows: np.ndarray) -> Iterator[str]:
         return
     for start in range(0, cells.size, BLOCK_CELLS):
         block = cells[start : start + BLOCK_CELLS]
-        ends = np.arange(start + 1, start + block.size + 1) % n_cols == 0
-        yield _block(block, np.where(ends, _NEWLINE, _COMMA)).decode("ascii")
+        yield _block(block, (n_cols - 1 - start) % n_cols, n_cols).decode("ascii")

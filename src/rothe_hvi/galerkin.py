@@ -84,7 +84,11 @@ def _factor(ab: np.ndarray) -> np.ndarray:
     if _tridiagonal(ab):
         d, e, info = lapack.dpttrf(ab[1], ab[0, 1:])
         _check_info("dpttrf", info)
-        return np.vstack([np.concatenate([[0.0], e]), d])
+        c = np.empty(ab.shape)
+        c[0, 0] = 0.0
+        c[0, 1:] = e
+        c[1] = d
+        return c
     c, info = lapack.dpbtrf(ab)
     _check_info("dpbtrf", info)
     return c

@@ -37,7 +37,10 @@ integer and reflected through zero for negative floats, is the mean of
 theirs (as Roots.jl's ``Bisection`` does for Float64).  An infinite end is
 an ordinary key, any two floats are less than 2^64 keys apart, and each
 bisection halves the floats left in the bracket, so 64 of them close any
-bracket.  The minimiser search is this bisection on the sign of g'.  Newton
+bracket.  The minimiser search is this bisection on the sign of g', run on
+the ends' integer keys: a halving averages two keys and converts only the
+midpoint to a float (one ``struct`` pack and unpack), which gives the float
+``_key_midpoint`` gives, and it stops when the keys are neighbours.  Newton
 falls back to it whenever a step leaves the bracket, and after
 ``_NEWTON_STEPS`` steps a bracket is only bisected, so a bracket takes at
 most _NEWTON_STEPS + 64 steps whatever its ends and the warm start, and
@@ -108,7 +111,7 @@ __all__ = [
 _NEWTON_STEPS = 64
 _MAX_SCALAR_ITER = _NEWTON_STEPS + 64 + 1  # evaluations of g per bracket
 _EPS = float(np.finfo(float).eps)
-_SIGN = 1 << 63  # the sign bit of a float's bit pattern
+_NEG_SIGN = -(1 << 63)  # minus the sign bit of a float's bit pattern
 _NON_FINITE_DATA = "non-finite right-hand side or warm start"
 
 
@@ -221,19 +224,30 @@ def _residual(p: StepProblem, u: np.ndarray, rhs: np.ndarray, lift_xi: float) ->
     return r
 
 
+# the float <-> key codec: a float's bit pattern read as a signed 64-bit
+# integer is its key for x >= +0; for a negative x (pattern below zero) the
+# key is -2^63 minus the pattern, so -0 maps to 0 and the order is kept
+_F64 = struct.Struct("<d")
+_I64 = struct.Struct("<q")
+
+
 def _key(x: float) -> int:
     """x's rank in the order of the floats: its bit pattern as an unsigned
     integer, reflected through zero for a negative x (both zeros get 0), so
     +-inf are ordinary keys and any two floats are less than 2^64 apart."""
-    k = int.from_bytes(struct.pack("<d", x), "little")
-    return k if k < _SIGN else _SIGN - k
+    (k,) = _I64.unpack(_F64.pack(x))
+    return k if k >= 0 else _NEG_SIGN - k
+
+
+def _float(k: int) -> float:
+    """The float whose key is k; +0 for key 0."""
+    return _F64.unpack(_I64.pack(k if k >= 0 else _NEG_SIGN - k))[0]
 
 
 def _key_midpoint(lo: float, hi: float) -> float:
     """The float halfway between lo <= hi in key order; lo when no float
     lies strictly between them (as Roots.jl's ``Bisection`` for Float64)."""
-    k = (_key(lo) + _key(hi)) >> 1
-    return struct.unpack("<d", (k if k >= 0 else _SIGN - k).to_bytes(8, "little"))[0]
+    return _float((_key(lo) + _key(hi)) >> 1)
 
 
 def _finite(v: np.ndarray) -> bool:
@@ -282,16 +296,21 @@ class _BoundaryInclusion:
         """The first float of (a, b) where g' >= 0, or b if there is none,
         given g'(a) < 0; b may be +inf.  g is convex on the piece, so g'
         changes sign once and this float is the exact minimiser of g in
-        floats; key bisection on the sign of g' finds it in at most 64
-        halvings."""
+        floats.  The bisection on the sign of g' runs on the ends' keys, so
+        each of its at most 64 halvings converts one key, the midpoint's,
+        to a float: the float ``_key_midpoint`` would give."""
+        slope, factor = self.pot.branch_slope, self.factor
+        pack, unpack = _I64.pack, _F64.unpack  # ``_float``, inlined
+        lo, hi = _key(a), _key(b)
         while True:
-            mid = _key_midpoint(a, b)
-            if mid == a:  # a and b are neighbouring floats
+            mid = (lo + hi) >> 1
+            if mid == lo:  # the ends are neighbouring floats
                 return b
-            if self.dg(mid) < 0.0:
-                a = mid
+            (s,) = unpack(pack(mid if mid >= 0 else _NEG_SIGN - mid))
+            if 1.0 + factor * slope(s) < 0.0:  # g'(s) < 0, as ``dg``
+                lo = mid
             else:
-                b = mid
+                hi, b = mid, s
 
     def refine(self, target: float, warm: float, neg: float, pos: float) -> tuple[list[float], int]:
         """The root between ``neg`` (g < 0) and ``pos`` (g > 0), either of

@@ -77,11 +77,12 @@ class ScalarPotential:
         """(s, lo, hi) at the points one float left of every kink, then at
         the kinks, then one float right of them, kinks ascending: the
         one-sided limits of the derivative beside each kink and its interval
-        at it.  Built on first use."""
-        ks = np.sort(np.asarray(self.kinks, dtype=float))
-        pts = np.concatenate([np.nextafter(ks, -math.inf), ks, np.nextafter(ks, math.inf)])
+        at it.  Built on first use; the points in plain floats."""
+        ks = sorted(float(k) for k in self.kinks)
+        pts = [math.nextafter(k, -math.inf) for k in ks] + ks
+        pts += [math.nextafter(k, math.inf) for k in ks]
         lo, hi = self.interval_arrays(pts)
-        return tuple(pts.tolist()), tuple(lo.tolist()), tuple(hi.tolist())
+        return tuple(pts), tuple(lo.tolist()), tuple(hi.tolist())
 
     def clarke_interval(self, s: float) -> tuple[float, float]:
         """[lo, hi] of the derivative at s: (z, z) off the kinks, the hull of
@@ -266,7 +267,7 @@ class BoundaryFunctional:
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=float).reshape(-1)
-        if w.size == 0 or not np.all(w > 0):
+        if w.size == 0 or not (w > 0).all():
             raise ValueError("weights must be positive")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)

@@ -58,6 +58,7 @@ BDF2 = "bdf2"
 BACKWARD_EULER = "backward_euler"
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(5)  # the 5-point Gauss rule on [-1, 1]
+_OFFSETS = 0.5 * (1.0 + _NODES)  # its points on [0, 1], in steps from a window's start
 _EPS = float(np.finfo(float).eps)
 
 
@@ -192,7 +193,7 @@ def average_forcing(load: SeparableLoad, grid: TimeGrid) -> np.ndarray:
     call at the 5N Gauss times, each once.  Overflow and invalid operations
     raise no warning; they leave non-finite rows."""
     tau = grid.tau
-    times = (np.arange(grid.N)[:, None] + 0.5 * (1.0 + _NODES)) * tau  # (N, 5)
+    times = (np.arange(grid.N)[:, None] + _OFFSETS) * tau  # (N, 5)
     gauss = 0.5 * tau * _WEIGHTS  # the Gauss weights of every window
     with np.errstate(over="ignore", invalid="ignore"):
         w = gauss @ load.factors(times.ravel()).reshape(grid.N, len(_NODES), -1)  # (N, k)

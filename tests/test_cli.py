@@ -1,16 +1,23 @@
 from __future__ import annotations
 
+import configparser
+import contextlib
+import io
 import math
 import os
 import re
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from rothe_hvi import cli, floatfmt
 from rothe_hvi.cli import (
@@ -596,3 +603,185 @@ def test_an_output_directory_that_cannot_be_made_exits_2(tmp_path, capsys, out_n
     assert capsys.readouterr().err.startswith("error: cannot create output directory: ")
     assert (tmp_path / "blocker").read_text(encoding="utf-8") == "not a directory\n"
     assert not list(tmp_path.rglob("summary.csv"))
+
+
+def _section_of(key: str) -> str:
+    return next(section for section, keys in cli._SCHEMA.items() if key in keys)
+
+
+def test_the_converter_table_covers_every_field():
+    # one converter per field, picked once from its type when the module loads
+    entries = [entry for keys in cli._SCHEMA.values() for entry in keys.values()]
+    assert sorted(name for name, _ in entries) == sorted(f.name for f in fields(ExperimentConfig))
+    for cfg in (ExperimentConfig(), EVERY_FIELD_CHANGED):
+        for name, convert in entries:
+            value = getattr(cfg, name)
+            assert convert(cli._fmt_value(name, value)) == value, name
+
+
+# a value unlike the default in every field, valid together
+EVERY_FIELD_CHANGED = ExperimentConfig(
+    n_el=32, t_final=2.0, forcing="poly", f0_value=2.5, fn_value=0.5,
+    f0_t_coeffs=(1.0, 2.0), f0_x_coeffs=(0.5, -1.0, 3.0), fn_t_coeffs=(0.25,),
+    potential="nonconvex_piecewise", potential_d=2.0, potential_k=3.0,
+    paper_literal_subdiff=True, ncvx_jump=1.5, ncvx_drop_slope=8.0, ncvx_drop_width=0.5,
+    ncvx_tail_slope=2.0, u0="poly", u0_value=1.5, u0_coeffs=(0.0, 1.0),
+    alpha=0.5, beta=2.0, a_growth=0.1, b_growth=3.0, scheme="backward_euler",
+    taus=(0.5, 0.25), tau_ref=0.0625, tol=1e-9, n_samples=10, n_fuzz=20,
+    coercivity_taus=(0.2, 0.1), output_dir="somewhere",
+)
+
+
+def test_a_config_unlike_the_defaults_in_every_field_round_trips():
+    defaults = ExperimentConfig()
+    for f in fields(ExperimentConfig):
+        assert getattr(EVERY_FIELD_CHANGED, f.name) != getattr(defaults, f.name), f.name
+    text = render_config(EVERY_FIELD_CHANGED)
+    assert parse_config(text) == EVERY_FIELD_CHANGED
+    assert render_config(parse_config(text)) == text
+
+
+@pytest.mark.parametrize("key, raw, value", [
+    ("alpha", "default", None), ("b_growth", "DEFAULT", None), ("beta", "Default", None),
+    ("tau_ref", "auto", None), ("tau_ref", "none", None), ("tau_ref", "AUTO", None),
+    ("paper_literal_subdiff", "true", True), ("paper_literal_subdiff", "Yes", True),
+    ("paper_literal_subdiff", "ON", True), ("paper_literal_subdiff", "1", True),
+    ("paper_literal_subdiff", "false", False), ("paper_literal_subdiff", "NO", False),
+    ("paper_literal_subdiff", "off", False), ("paper_literal_subdiff", "0", False),
+    ("taus", "0.5, 0.25,", (0.5, 0.25)), ("u0_coeffs", " 2 ", (2.0,)),
+    ("n_samples", "12", 12), ("tol", "1e-8", 1e-8), ("kind", "backward_euler", "backward_euler"),
+])
+def test_each_word_parses_to_its_value_and_renders_back(key, raw, value):
+    cfg = parse_config(f"[{_section_of(key)}]\n{key} = {raw}\n")
+    name = cli._SCHEMA[_section_of(key)][key][0]
+    assert getattr(cfg, name) == value
+    assert parse_config(render_config(cfg)) == cfg
+
+
+@pytest.mark.parametrize("key, raw, message", [
+    ("alpha", "auto", "[problem] alpha: could not convert string to float: 'auto'"),
+    ("tau_ref", "default", "[ladder] tau_ref: could not convert string to float: 'default'"),
+    ("paper_literal_subdiff", "maybe", "[problem] paper_literal_subdiff: not a boolean: 'maybe'"),
+    ("n_el", "8.0", "[problem] n_el: invalid literal for int() with base 10: '8.0'"),
+    ("taus", "0.5,x", "[ladder] taus: could not convert string to float: 'x'"),
+])
+def test_each_converter_names_the_key_of_a_value_it_cannot_read(key, raw, message):
+    with pytest.raises(ConfigError) as info:
+        parse_config(f"[{_section_of(key)}]\n{key} = {raw}\n")
+    assert str(info.value) == message
+
+
+def _parse_outcome(parse, argv):
+    """vars() of the namespace, or the exit code and the text printed."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return vars(parse(argv))
+    except SystemExit as exc:
+        return ("exit", exc.code, out.getvalue(), err.getvalue())
+
+
+_OPTION_PAIRS = [["--out", "o"], ["--out", ""], ["--out", " -o"], ["--out", "-o"], ["--quiet"],
+                 ["--seed", "7"], ["--seed", " 8 "], ["--seed", "+5"], ["--seed", "-3"],
+                 ["--seed", "1_0"], ["--seed", "x"], ["--ou", "o"], ["--out=o"], ["--out"]]
+PLAIN_COMMAND_LINES = st.builds(
+    lambda command, config, options: [command, config, *(w for pair in options for w in pair)],
+    st.sampled_from(["run", "study", "compare", "check"]),
+    st.sampled_from(["cfg.ini", "", "a b", " -x", "-x", "run"]),
+    st.lists(st.sampled_from(_OPTION_PAIRS), max_size=4),
+)
+ANY_COMMAND_LINES = st.lists(st.sampled_from(
+    ["run", "check", "runn", "cfg.ini", "", "-", "--out", "--quiet", "--seed", "7", "-3", "--",
+     "-h", "--help", "o"]), max_size=6)
+
+
+@given(st.one_of(PLAIN_COMMAND_LINES, ANY_COMMAND_LINES))
+@example(["run", "cfg.ini", "--out", "o", "--quiet"])
+@example(["check", "cfg.ini", "--seed", "3", "--out", "o", "--quiet", "--out", "p"])
+def test_the_command_line_reads_as_argparse_reads_it(argv):
+    assert _parse_outcome(cli._parse_args, argv) == _parse_outcome(cli._PARSER.parse_args, argv)
+
+
+def test_the_plain_command_line_is_read_without_argparse(monkeypatch):
+    def refuse(argv):
+        raise AssertionError(f"argparse read {argv}")
+
+    monkeypatch.setattr(cli._PARSER, "parse_args", refuse)
+    for argv in (["run", "c.ini", "--out", "o", "--quiet"], ["study", "c.ini"],
+                 ["check", "c.ini", "--seed", "4", "--quiet"]):
+        assert vars(cli._parse_args(argv))["config_path"] == "c.ini"
+    monkeypatch.setattr(sys, "argv", ["rothe-hvi", "compare", "c.ini", "--quiet"])
+    assert vars(cli._parse_args(None)) == {
+        "command": "compare", "config_path": "c.ini", "out": None, "quiet": True,
+    }
+
+
+_CONFIG_LINES = [
+    "[problem]", "[ladder]", "[scheme]", "[DEFAULT]", "[problem]  ", " [ladder]", "[pro]blem]",
+    "[]", "[ a ]", "[ladder] x", "n_el = 8", "N_EL=9", "n_el: 7", "taus = 0.5,0.25",
+    "tol=1e-9 ", "kind = bdf2", "t_final\t=\t2.0", "dir =", "dir = ", "x = 1 # c", "x = 1;c",
+    "= 3", "n_el", "n el = 3", "  n_el = 4", "\tmore", "# comment", "; comment", "", "   ",
+    "n_el = 3\r", "u0_coeffs = 1,\x0c2", "potential_d = 1e-3:2", "f0_value\x0b= 2",
+]
+# lines of the plain form, in any order after a first header; a second
+# line declaring the same header or key takes configparser's path
+_PLAIN_LINES = [
+    "[ladder]", "[scheme]", "[check]", "[ a ]", "[ladder]  ", "n_el = 8", "N_EL=9", "n_el: 7",
+    "taus = 0.5,0.25", "tol=1e-9 ", "kind = bdf2", "t_final\t=\t2.0", "dir =", "dir = ",
+    "n_samples = 12", "potential_d = 1e-3:2", "u0_coeffs = 1,\x0c2", "", "   ",
+]
+
+
+def _plain_key(line: str) -> str:
+    """What a line declares: its header, its lower-cased key, or itself."""
+    return line.strip() if line.startswith("[") else re.split("[=:]", line)[0].strip().lower()
+
+
+_ENDS = st.sampled_from(["", "\n"])
+CONFIG_TEXTS = st.one_of(
+    st.builds(lambda lines, end: "\n".join(["[problem]", *lines]) + end,
+              st.lists(st.sampled_from(_PLAIN_LINES), max_size=8, unique_by=_plain_key), _ENDS),
+    st.builds(lambda lines, end: "\n".join(lines) + end,
+              st.lists(st.sampled_from(_CONFIG_LINES), max_size=10), _ENDS),
+)
+
+
+def _configparser_sections(lines):
+    cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
+    try:
+        cp.read_file(lines, source="<lines>")
+    except configparser.Error as exc:
+        return type(exc).__name__
+    return cp.defaults(), {section: dict(cp.items(section, raw=True)) for section in cp.sections()}
+
+
+@given(CONFIG_TEXTS)
+@example("[problem]\nn_el = 8\n\n[ladder]\ntaus = 0.5\n")
+def test_the_plain_reader_reads_what_configparser_reads(text):
+    lines = list(io.StringIO(text))
+    plain = cli._plain_sections(lines)
+    if plain is not None:
+        assert _configparser_sections(lines) == ({}, plain)
+
+
+def _config_outcome(text):
+    try:
+        return parse_config(text)
+    except ConfigError as exc:
+        return str(exc)
+
+
+@given(CONFIG_TEXTS)
+def test_a_config_parses_alike_with_and_without_the_plain_reader(text):
+    text = "[problem]\n" + text  # config text, not a path
+    with mock.patch.object(cli, "_plain_sections", lambda lines: None):
+        through_configparser = _config_outcome(text)
+    assert _config_outcome(text) == through_configparser
+
+
+def test_canonical_and_benchmark_configs_take_the_plain_reader():
+    texts = [render_config(ExperimentConfig()), render_config(EVERY_FIELD_CHANGED),
+             "[problem]\nn_el = 64\nforcing = constant\nf0_value = 3.0\n\n[scheme]\n"
+             "kind = bdf2\n\n[ladder]\ntaus = 0.25\n"]
+    for text in texts:
+        assert cli._plain_sections(list(io.StringIO(text))) is not None

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +12,8 @@ from hypothesis import strategies as st
 
 from conftest import fem_problem, make_space, one, random_spd, zero
 from rothe_hvi import (
+    BACKWARD_EULER,
+    BDF2,
     GalerkinSpace,
     LinearRobin,
     NonconvexPiecewise,
@@ -23,6 +27,7 @@ from rothe_hvi import (
     run_rothe,
     tau_ladder_study,
 )
+from rothe_hvi import diagnostics
 
 
 class Interpolants:
@@ -363,3 +368,120 @@ def test_peak_h_norm_stable_across_ladder():
     study = tau_ladder_study(problem, 1.0, taus, "bdf2", 1e-12)
     q4 = study.series("q4")
     assert q4.max() / q4.min() < 1.001
+
+
+# --- the row-block estimate layer ---------------------------------------
+
+
+def _three_stack_report(traj, space, weights):
+    """The estimate quantities by the three full-trajectory stacks of first
+    differences, stencils and second differences, each through its own
+    H-product, Riesz solve and einsum: the formulas the row-block layer
+    must reproduce bit for bit."""
+
+    def quad_rows(rows, gram):
+        return np.maximum(np.einsum("ij,ij->i", rows @ gram, rows), 0.0)
+
+    def dual_sq_rows(rows):
+        w = rows @ space.gram_h
+        return np.maximum(np.einsum("ij,ji->i", w, space.solve_v(w.T)), 0.0)
+
+    u, tau = traj.u, traj.grid.tau
+    actions = traj.xi * np.asarray(weights, dtype=float)
+    diffs = u[1:] - u[:-1]
+    stencils = 1.5 * u[2:] - 2.0 * u[1:-1] + 0.5 * u[:-2]
+    seconds = u[2:] - 2.0 * u[1:-1] + u[:-2]
+    diff_sq, stencil_sq, second_sq = (dual_sq_rows(r) for r in (diffs, stencils, seconds))
+    q5_rows = np.maximum(np.einsum("ij,ji->i", actions, space.gram_u.solve(actions.T)), 0.0)
+    gap = tau / 12.0 * (diff_sq[0] + stencil_sq.sum()) + tau / 16.0 * second_sq.sum()
+    return (
+        tau * float(quad_rows(u, space.gram_v).sum()),
+        float(np.sqrt(quad_rows(u, space.gram_h).max())),
+        tau * float(q5_rows.sum()),
+        float(diff_sq[0]) / tau,
+        float(stencil_sq.sum()) / tau,
+        float(quad_rows(seconds, space.gram_h).sum()),
+        float(gap),
+        space.h_norm(diffs[0]),
+        float(diff_sq.sum()) / tau,
+    )
+
+
+def _bits(values) -> bytes:
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+def _report_bits(report) -> bytes:
+    return _bits([getattr(report, f.name) for f in dataclasses.fields(report)])
+
+
+def _ncvx_problem(n_el):
+    # the benchmark's sweep law and forcing: constant f0 = 3 on the
+    # default nonconvex law, several roots per step
+    return fem_problem(n_el, NonconvexPiecewise(), lambda t: 3.0 + 0.0 * t, one, zero, zero)
+
+
+@pytest.mark.parametrize("n_el", [8, 64])
+@pytest.mark.parametrize("scheme, n_steps", [
+    (BACKWARD_EULER, 1), (BACKWARD_EULER, 2), (BACKWARD_EULER, 4), (BACKWARD_EULER, 64),
+    (BDF2, 2), (BDF2, 4), (BDF2, 64),
+])
+def test_row_blocks_reproduce_the_three_stack_report_bit_for_bit(n_el, scheme, n_steps):
+    problem = _ncvx_problem(n_el)
+    traj = run_rothe(problem, TimeGrid(1.0, n_steps), scheme)
+    report = estimate_report(traj, problem.space, problem.boundary.weights)
+    oracle = _three_stack_report(traj, problem.space, problem.boundary.weights)
+    assert _report_bits(report) == _bits(oracle)
+
+
+@pytest.mark.parametrize("block_cells", [None, 1, 5 * 65, 6 * 65 + 7])
+def test_a_report_over_several_row_blocks_keeps_its_bits(monkeypatch, block_cells):
+    # 513 rows of 65 cells: five blocks at the module's BLOCK_CELLS, and
+    # blocks of four, five and six rows (513 = 4 * 127 + 5: the last block
+    # takes the row that would be left alone), so block edges split d_n
+    # from s_n and e_n everywhere
+    if block_cells is not None:
+        monkeypatch.setattr(diagnostics, "BLOCK_CELLS", block_cells)
+    problem = fem_problem(64, PaperExponential(1.0), lambda t: 1.0 - np.cos(np.pi * t),
+                          lambda x: 0.5 * (1.0 + x), lambda t: 0.5 * t * t * np.exp(-t), zero)
+    traj = run_rothe(problem, TimeGrid(1.0, 512), BDF2)
+    assert traj.u.size > 3 * diagnostics.BLOCK_CELLS
+    report = estimate_report(traj, problem.space, problem.boundary.weights)
+    oracle = _three_stack_report(traj, problem.space, problem.boundary.weights)
+    assert _report_bits(report) == _bits(oracle)
+
+
+@pytest.mark.parametrize("scheme, n_steps", [
+    (BACKWARD_EULER, 1), (BACKWARD_EULER, 2), (BDF2, 2), (BDF2, 3), (BDF2, 4), (BDF2, 5),
+    (BACKWARD_EULER, 9),
+])
+def test_rows_longer_than_the_einsum_buffer_keep_their_bits(scheme, n_steps):
+    # 16385 entries a row: einsum reduces a lone row of more than 8192
+    # entries in another order than a row of a stack, so each family is
+    # reduced as a stack in every block of four or more rows (N = 4 folds
+    # its last row into the block before; N = 9 has three blocks), and alone
+    # where the family has one row (d_1 at N = 1, s_2 and e_2 at N = 2).
+    # At this size the absolute step tolerance 1e-10 lies below the
+    # rounding of the step residual, so the steps are accepted at 1e-6
+    problem = _ncvx_problem(16384)
+    traj = run_rothe(problem, TimeGrid(1.0, n_steps), scheme, tol=1e-6)
+    report = estimate_report(traj, problem.space, problem.boundary.weights)
+    oracle = _three_stack_report(traj, problem.space, problem.boundary.weights)
+    assert _report_bits(report) == _bits(oracle)
+
+
+def test_the_report_holds_no_stack_of_trajectory_size():
+    # BDF2 on the smooth problem at n_el = 1024, tau = 1/256: u is 2.1 MB;
+    # three full-size stacks and their products peaked at about 5 times that
+    problem = fem_problem(1024, PaperExponential(1.0), lambda t: 1.0 - np.cos(np.pi * t),
+                          lambda x: 0.5 * (1.0 + x), lambda t: 0.5 * t * t * np.exp(-t), zero)
+    traj = run_rothe(problem, TimeGrid(1.0, 256), BDF2)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        estimate_report(traj, problem.space, problem.boundary.weights)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert traj.u.nbytes > 2e6
+    assert peak <= 1.5 * traj.u.nbytes

@@ -3,6 +3,8 @@ from __future__ import annotations
 import copy
 import math
 import pickle
+import struct
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -37,7 +39,13 @@ from rothe_hvi import (
 )
 from rothe_hvi import inclusion_solver
 from rothe_hvi.cli import build_problem, parse_config
-from rothe_hvi.inclusion_solver import _MAX_SCALAR_ITER, _BoundaryInclusion
+from rothe_hvi.inclusion_solver import (
+    _MAX_SCALAR_ITER,
+    _BoundaryInclusion,
+    _float,
+    _key,
+    _key_midpoint,
+)
 
 POTENTIAL_FACTORIES = {
     "paper": lambda: PaperExponential(1.0),
@@ -513,3 +521,70 @@ def test_key_bisection_alone_closes_each_bracket_within_64_steps(monkeypatch, na
             roots, iterations = inclusion.roots(target, warm)
             assert roots and iterations <= 2 * len(inclusion.pieces) * 64
             assert all(_is_root(pot, factor, target, r) for r in roots)
+
+
+_SIGN_BIT = 1 << 63
+_DBL_MAX = sys.float_info.max
+CODEC_POINTS = [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, _DBL_MAX, -_DBL_MAX]
+
+
+def _pattern(x: float) -> int:
+    """The bit pattern of x as an unsigned integer."""
+    return int.from_bytes(struct.pack("<d", x), "little")
+
+
+@pytest.mark.parametrize("x", CODEC_POINTS)
+def test_the_struct_key_codec_is_the_reflected_bit_pattern(x):
+    # the key is the bit pattern, reflected through zero for a negative
+    # float; decoding gives the float back, +0 for the key both zeros share
+    bits = _pattern(x)
+    key = bits if bits < _SIGN_BIT else _SIGN_BIT - bits
+    assert _key(x) == key
+    assert _pattern(_float(key)) == (0 if x == 0.0 else bits)
+
+
+def test_the_codec_keeps_the_order_of_the_floats_at_its_ends():
+    keys = [_key(x) for x in sorted(CODEC_POINTS)]
+    assert keys == sorted(keys)
+    assert _key(0.0) == _key(-0.0) == 0
+    assert _key(5e-324) == 1 and _key(-5e-324) == -1
+    assert _key(math.inf) == _key(_DBL_MAX) + 1 and _key(-math.inf) == _key(-_DBL_MAX) - 1
+
+
+def _minimiser_by_float_midpoints(inclusion: _BoundaryInclusion, a: float, b: float) -> float:
+    """The minimiser search as bisection in floats, one ``_key_midpoint``
+    per halving: the reference the key-space search must match."""
+    while True:
+        mid = _key_midpoint(a, b)
+        if mid == a:
+            return b
+        if inclusion.dg(mid) < 0.0:
+            a = mid
+        else:
+            b = mid
+
+
+@given(pot=FLUX_LAWS, log_factor=st.floats(-4.0, 3.0),
+       ends=st.lists(st.floats(allow_nan=False), min_size=2, max_size=2))
+@example(pot=PaperExponential(4.0, literal_branch=True), log_factor=0.0, ends=[-1.0, 2.0])
+@example(pot=NonconvexPiecewise(), log_factor=0.5, ends=[0.0, math.inf])
+@example(pot=ZeroPotential(), log_factor=0.0, ends=[-5e-324, -0.0])  # b itself, its sign kept
+def test_the_key_space_minimiser_returns_the_float_midpoint_bisections_float(
+    pot, log_factor, ends
+):
+    # every search of the operator's table, then one between arbitrary ends
+    inclusion = _BoundaryInclusion(pot, 10.0 ** log_factor)
+    for a_in, b_in, _, _, s_min, _ in inclusion.pieces:
+        if s_min is not None:
+            assert _pattern(s_min) == _pattern(_minimiser_by_float_midpoints(inclusion, a_in, b_in))
+    a, b = sorted(ends)
+    found = inclusion.minimiser(a, b)
+    assert _pattern(found) == _pattern(_minimiser_by_float_midpoints(inclusion, a, b))
+
+
+@pytest.mark.parametrize("pot, factor", [
+    (PaperExponential(4.0, literal_branch=True), 1.0), (NonconvexPiecewise(), 10.0 ** 0.5),
+])
+def test_the_minimiser_examples_search_the_table(pot, factor):
+    # the explicit examples above split a piece at its minimiser
+    assert any(piece[4] is not None for piece in _BoundaryInclusion(pot, factor).pieces)
