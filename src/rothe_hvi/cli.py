@@ -37,10 +37,8 @@ and raw values configparser would give; any other text goes through
 configparser.  Unknown sections (`[DEFAULT]` included) and keys are
 rejected, and so are values outside what the commands can build or run.
 The config file is the one positional argument; the output directory is
-`--out`, else `[output] dir`, else `rothe_out`.  The plain command line,
-options spelled out, is read to the namespace argparse would build; any
-other goes through argparse.  `render_config` emits the canonical form
-whose serialize/parse round trip is byte-identical.
+`--out`, else `[output] dir`, else `rothe_out`.  `render_config` emits the
+canonical form whose serialize/parse round trip is byte-identical.
 
 All CSV output starts with a `# schema_version=2` comment line and writes
 every float exactly as ``'%.17g' % x``.  A float table, such as
@@ -748,16 +746,13 @@ def cmd_check(cfg: ExperimentConfig, seed: int = 0) -> _Rows:
 # ---------------------------------------------------------------------------
 
 
-_COMMANDS = ("run", "study", "compare", "check")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rothe-hvi",
         description="two-step implicit time stepping with set-valued boundary flux laws",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name in ("run", "study", "compare", "check"):
         sp = sub.add_parser(name)
         sp.add_argument("config_path", help="config file")
         sp.add_argument("--out", default=None, help="output directory")
@@ -770,42 +765,8 @@ def _build_parser() -> argparse.ArgumentParser:
 _PARSER = _build_parser()  # parsing keeps no state, so one parser serves every call
 
 
-def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
-    """The command line as ``_PARSER`` reads it.  The plain form
-    ``<command> <config> [--out DIR] [--quiet] [--seed N]`` (``--seed`` for
-    check only), each option spelled out and no value starting with ``-``,
-    is read here, to the namespace argparse would build: argparse's own
-    parse costs about as much as two steps of a short run.  Every other
-    command line, usage errors and help included, goes to ``_PARSER``."""
-    args = sys.argv[1:] if argv is None else list(argv)
-    plain = len(args) >= 2 and args[0] in _COMMANDS and all(isinstance(a, str) for a in args)
-    if plain and not args[1].startswith("-"):
-        ns = argparse.Namespace(command=args[0], config_path=args[1], out=None, quiet=False)
-        if args[0] == "check":
-            ns.seed = 0
-        i = 2
-        while i < len(args):
-            if args[i] == "--quiet":
-                ns.quiet = True
-                i += 1
-                continue
-            value = args[i + 1] if i + 1 < len(args) else "-"
-            if value.startswith("-"):
-                break
-            if args[i] == "--out":
-                ns.out = value
-            elif args[i] == "--seed" and ns.command == "check" and value.strip().isdecimal():
-                ns.seed = int(value)
-            else:
-                break
-            i += 2
-        else:
-            return ns
-    return _PARSER.parse_args(argv)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         cfg = parse_config(Path(args.config_path))
         if args.command == "compare":  # runs the two-step scheme whatever [scheme] kind is

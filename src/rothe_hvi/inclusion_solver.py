@@ -299,15 +299,13 @@ class _BoundaryInclusion:
         floats.  The bisection on the sign of g' runs on the ends' keys, so
         each of its at most 64 halvings converts one key, the midpoint's,
         to a float: the float ``_key_midpoint`` would give."""
-        slope, factor = self.pot.branch_slope, self.factor
-        pack, unpack = _I64.pack, _F64.unpack  # ``_float``, inlined
         lo, hi = _key(a), _key(b)
         while True:
             mid = (lo + hi) >> 1
             if mid == lo:  # the ends are neighbouring floats
                 return b
-            (s,) = unpack(pack(mid if mid >= 0 else _NEG_SIGN - mid))
-            if 1.0 + factor * slope(s) < 0.0:  # g'(s) < 0, as ``dg``
+            s = _float(mid)
+            if self.dg(s) < 0.0:
                 lo = mid
             else:
                 hi, b = mid, s

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import configparser
-import contextlib
 import io
 import math
 import os
@@ -669,51 +668,6 @@ def test_each_converter_names_the_key_of_a_value_it_cannot_read(key, raw, messag
     with pytest.raises(ConfigError) as info:
         parse_config(f"[{_section_of(key)}]\n{key} = {raw}\n")
     assert str(info.value) == message
-
-
-def _parse_outcome(parse, argv):
-    """vars() of the namespace, or the exit code and the text printed."""
-    out, err = io.StringIO(), io.StringIO()
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            return vars(parse(argv))
-    except SystemExit as exc:
-        return ("exit", exc.code, out.getvalue(), err.getvalue())
-
-
-_OPTION_PAIRS = [["--out", "o"], ["--out", ""], ["--out", " -o"], ["--out", "-o"], ["--quiet"],
-                 ["--seed", "7"], ["--seed", " 8 "], ["--seed", "+5"], ["--seed", "-3"],
-                 ["--seed", "1_0"], ["--seed", "x"], ["--ou", "o"], ["--out=o"], ["--out"]]
-PLAIN_COMMAND_LINES = st.builds(
-    lambda command, config, options: [command, config, *(w for pair in options for w in pair)],
-    st.sampled_from(["run", "study", "compare", "check"]),
-    st.sampled_from(["cfg.ini", "", "a b", " -x", "-x", "run"]),
-    st.lists(st.sampled_from(_OPTION_PAIRS), max_size=4),
-)
-ANY_COMMAND_LINES = st.lists(st.sampled_from(
-    ["run", "check", "runn", "cfg.ini", "", "-", "--out", "--quiet", "--seed", "7", "-3", "--",
-     "-h", "--help", "o"]), max_size=6)
-
-
-@given(st.one_of(PLAIN_COMMAND_LINES, ANY_COMMAND_LINES))
-@example(["run", "cfg.ini", "--out", "o", "--quiet"])
-@example(["check", "cfg.ini", "--seed", "3", "--out", "o", "--quiet", "--out", "p"])
-def test_the_command_line_reads_as_argparse_reads_it(argv):
-    assert _parse_outcome(cli._parse_args, argv) == _parse_outcome(cli._PARSER.parse_args, argv)
-
-
-def test_the_plain_command_line_is_read_without_argparse(monkeypatch):
-    def refuse(argv):
-        raise AssertionError(f"argparse read {argv}")
-
-    monkeypatch.setattr(cli._PARSER, "parse_args", refuse)
-    for argv in (["run", "c.ini", "--out", "o", "--quiet"], ["study", "c.ini"],
-                 ["check", "c.ini", "--seed", "4", "--quiet"]):
-        assert vars(cli._parse_args(argv))["config_path"] == "c.ini"
-    monkeypatch.setattr(sys, "argv", ["rothe-hvi", "compare", "c.ini", "--quiet"])
-    assert vars(cli._parse_args(None)) == {
-        "command": "compare", "config_path": "c.ini", "out": None, "quiet": True,
-    }
 
 
 _CONFIG_LINES = [
