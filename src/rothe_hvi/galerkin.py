@@ -297,6 +297,7 @@ class GalerkinSpace:
         object.__setattr__(self, "gram_v", gv)
         object.__setattr__(self, "trace", tr)
         object.__setattr__(self, "gram_u", gu)
+        object.__setattr__(self, "_vector_shape", (n,))
 
     @property
     def dim(self) -> int:
@@ -328,8 +329,10 @@ class GalerkinSpace:
         it along, so w is scanned (ValueError) only when the square is not
         finite; a finite square is the whole evaluation.  A finite w whose
         square overflows is scaled by 1 / max|w| first.  The product is BLAS
-        ddot, which raises no floating-point warning on overflow."""
-        w = _require_vector(w, self.dim, "w")
+        ddot, which raises no floating-point warning on overflow.  An ndarray
+        of shape (dim,) is taken as it is, after one tuple compare."""
+        if w.__class__ is not np.ndarray or w.shape != self._vector_shape:
+            w = _require_vector(w, self.dim, "w")
         sq = blas.ddot(w, self.gram_v.back_solve(w)[0])
         if math.isfinite(sq):
             return math.sqrt(max(sq, 0.0))

@@ -58,26 +58,27 @@ only when the V*-norm of r is at most tol (a NaN residual fails); otherwise
 NonConvergenceError is raised.  Only a single boundary row (dim_u = 1) is
 supported; a StepProblem on any other space raises ValueError.
 
-Each vector of a step is checked for NaN/Inf at most once, and a non-finite
-one raises NumericalFailureError: the warm start directly; the right-hand
-side b through x = S^{-1} b, which the back-substitution makes non-finite
-whenever b is (b itself is checked only then, to name the culprit); u
-through r; and r through its own squared norm r^T gram_v^{-1} r in
-GalerkinSpace.dual_norm, which is not finite when r is not (a finite r
-whose square overflows is rescaled there).  The warm start and x are
-checked by their sum of squares, one BLAS ddot, and scanned entry by entry
-only when that sum is not finite: a NaN or Inf makes it so, and so does a
-finite vector large enough to overflow it, which the scan then passes.  The
-boundary values t x and t u_warm are read at the trace's nonzero nodes
-only.
+Each value of a step is checked for NaN/Inf at most once, and a non-finite
+one raises NumericalFailureError: the warm start's boundary value s_warm
+directly; the right-hand side b through x = S^{-1} b, which the
+back-substitution makes non-finite whenever b is (b itself is checked only
+then, to name the culprit); u through r; and r through its own squared norm
+r^T gram_v^{-1} r in GalerkinSpace.dual_norm, which is not finite when r is
+not (a finite r whose square overflows is rescaled there).  x is checked by
+its sum of squares, one BLAS ddot, and scanned entry by entry only when
+that sum is not finite: a NaN or Inf makes it so, and so does a finite
+vector large enough to overflow it, which the scan then passes.  The
+boundary value t x is read at the trace's nonzero nodes only.  The warm
+start enters as its boundary value alone, so a step forms no warm-start
+vector: its caller sums t u_warm over those nodes.
 
 So a step, ``solve_step_inclusion``, checks in this order: tol > 0, the
-shapes of the warm start and of b against the operator's ``shape``, the
-warm start's ddot, x's ddot, r's square in ``GalerkinSpace.dual_norm`` and
-the residual against tol.  Between these checks it does only arithmetic,
-through the kernels the operator bound when it was built (``back_solve``
-for x, ``product`` for S u), with no layout or shape decided again.  Its
-calls are one ``back_solve``, two reads of the boundary table, one
+shape of b against the operator's ``shape``, s_warm finite, x's ddot, r's
+square in ``GalerkinSpace.dual_norm`` and the residual against tol.
+Between these checks it does only arithmetic, through the kernels the
+operator bound when it was built (``back_solve`` for x, ``product`` for
+S u), with no layout or shape decided again; u is formed in place on x.
+Its calls are one ``back_solve``, one read of the boundary table, one
 ``product`` and one ``GalerkinSpace.dual_norm``, whose solve is gram_v's
 bound kernel.
 """
@@ -271,14 +272,14 @@ class _BoundaryInclusion:
         self.pot = pot
         self.factor = factor
         pts, lo, hi = pot.kink_table
-        self.pts = pts
-        self.fz_lo = tuple(factor * z for z in lo)
-        self.fz_hi = tuple(factor * z for z in hi)
+        fz_lo = tuple(factor * z for z in lo)
+        # (point, F z_lo, F z_hi) for each point of the kink table
+        self.kinks = tuple(zip(pts, fz_lo, (factor * z for z in hi)))
         m = len(pts) // 3
         # a piece runs from one float right of a kink (or -inf) to one float
         # left of the next kink (or +inf); z there is its one-sided limit
-        lefts = [(-math.inf, 0.0), *zip(pts[2 * m:], self.fz_lo[2 * m:])]
-        rights = [*zip(pts[:m], self.fz_lo[:m]), (math.inf, 0.0)]
+        lefts = [(-math.inf, 0.0), *zip(pts[2 * m:], fz_lo[2 * m:])]
+        rights = [*zip(pts[:m], fz_lo[:m]), (math.inf, 0.0)]
         pieces = []
         for (a_in, fz_a), (b_in, fz_b) in zip(lefts, rights):
             if math.isinf(a_in) or self.dg(a_in) >= 0.0:
@@ -310,7 +311,7 @@ class _BoundaryInclusion:
             else:
                 hi, b = mid, s
 
-    def refine(self, target: float, warm: float, neg: float, pos: float) -> tuple[list[float], int]:
+    def refine(self, target: float, warm: float, neg: float, pos: float) -> tuple[float, int]:
         """The root between ``neg`` (g < 0) and ``pos`` (g > 0), either of
         which may be infinite, and the iterations spent.  Newton runs from
         the warm start when it lies between them (else from the finite end
@@ -328,7 +329,7 @@ class _BoundaryInclusion:
             gx = x - target + factor * value(x)
             # zero up to the rounding of its own terms
             if abs(gx) <= 4.0 * _EPS * (abs(x) + abs(target) + abs(gx - x + target)):
-                return [x], k
+                return x, k
             if gx < 0.0:
                 neg = x
             else:
@@ -338,13 +339,13 @@ class _BoundaryInclusion:
                 dgx = 1.0 + factor * slope(x)
                 x_new = x - gx / dgx if dgx != 0.0 else math.nan
                 if abs(x_new - x) <= 4.0 * _EPS * max(1.0, abs(x)):
-                    return [x_new], k + 1
+                    return x_new, k + 1
                 if lo < x_new < hi:  # false for a NaN step
                     x = x_new
                     continue
             mid = _key_midpoint(lo, hi)
             if mid == lo:  # lo and hi are neighbouring floats, and x is one of them
-                return [x], k
+                return x, k
             x = mid
         raise AssertionError("unreachable: key bisection closes every bracket within the bound")
 
@@ -354,51 +355,52 @@ class _BoundaryInclusion:
         vanishes and the roots of each piece between, each piece read from
         the table."""
         # beside a kink z is single-valued: a root there has g exactly 0
-        out = [x for x, fz_lo, fz_hi in zip(self.pts, self.fz_lo, self.fz_hi)
+        out = [x for x, fz_lo, fz_hi in self.kinks
                if x - target + fz_lo <= 0.0 <= x - target + fz_hi]
         iterations = 0
         for a_in, b_in, fz_a, fz_b, s_min, fz_min in self.pieces:
             ga, gb = a_in - target + fz_a, b_in - target + fz_b
-            if s_min is None:
-                brackets = [(a_in, b_in)] if ga < 0.0 < gb else []
-            else:
-                gm = s_min - target + fz_min
-                if gm >= 0.0:
-                    out += [s_min] if gm == 0.0 else []
-                    continue
-                brackets = [(s_min, end) for end, g_end in ((a_in, ga), (b_in, gb)) if g_end > 0.0]
-            for neg, pos in brackets:
-                found, k = self.refine(target, warm, neg, pos)
-                out += found
-                iterations += k
+            if s_min is None:  # nondecreasing: a root only where g changes sign
+                if ga < 0.0 < gb:
+                    root, k = self.refine(target, warm, a_in, b_in)
+                    out.append(root)
+                    iterations += k
+                continue
+            gm = s_min - target + fz_min
+            if gm >= 0.0:
+                out += [s_min] if gm == 0.0 else []
+                continue
+            for end, g_end in ((a_in, ga), (b_in, gb)):
+                if g_end > 0.0:
+                    root, k = self.refine(target, warm, s_min, end)
+                    out.append(root)
+                    iterations += k
         return out, iterations
 
 
 def solve_step_inclusion(
-    p: StepProblem, rhs: np.ndarray, warm_start: np.ndarray, tol: float = 1e-10
+    p: StepProblem, rhs: np.ndarray, s_warm: float, tol: float = 1e-10
 ) -> tuple[np.ndarray, np.ndarray, SolveReport]:
     """Solve the step inclusion with right-hand side ``rhs`` exactly on the
-    boundary and certify the V*-norm residual against ``tol``.
+    boundary and certify the V*-norm residual against ``tol``.  ``s_warm``
+    is the warm start's boundary value t u_warm: of several roots the one
+    nearest it is taken.
 
     Raises NonConvergenceError with its report when no root is found or the
     residual exceeds tol, and NumericalFailureError on non-finite data or
     solutions."""
     if not tol > 0:
         raise ValueError("tol must be > 0")
-    warm = np.asarray(warm_start, dtype=float)
-    if warm.shape != p.shape:
-        raise ValueError(f"warm start has shape {warm.shape}, expected {p.shape}")
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != p.shape:
         raise ValueError(f"right-hand side has shape {rhs.shape}, expected {p.shape}")
-    if not _finite(warm):
+    if not math.isfinite(s_warm):
         raise NumericalFailureError(_NON_FINITE_DATA)
-    x = p.back_solve(rhs)[0]  # non-finite when rhs is
+    x = p.back_solve(rhs)[0]  # a fresh array, non-finite when rhs is
     if not _finite(x):
         raise NumericalFailureError(
             "non-finite interior solve" if _finite(rhs) else _NON_FINITE_DATA
         )
-    s_warm = p.boundary_value(warm)
     target = p.boundary_value(x)
     roots, iterations = p.inclusion.roots(target, s_warm)
     report = SolveReport(iterations=iterations)
@@ -407,7 +409,8 @@ def solve_step_inclusion(
     s = roots[0] if len(roots) == 1 else min(roots, key=lambda r: (abs(r - s_warm), r))
     xi = (target - s) / p.inclusion.factor
     lift_xi = p.lift * xi
-    u = x - lift_xi * p.y
+    u = x  # formed in place: x is the back-solve's own array, read no more
+    u -= lift_xi * p.y
     r = _residual(p, u, rhs, lift_xi)
     try:  # dual_norm scans r only when its square is not finite
         report.residual = p.space.dual_norm(r)

@@ -216,13 +216,14 @@ def initial_step(
     step: StepProblem, u_prev: np.ndarray, f1: np.ndarray, tol: float = 1e-10
 ) -> tuple[np.ndarray, np.ndarray, SolveReport]:
     """One-step implicit solve with the one-step operator ``step`` (c_coef 1,
-    from ``RotheProblem.step_problem``), warm-started from u_prev:
+    from ``RotheProblem.step_problem``), warm-started from u_prev, which
+    enters the solve as its boundary value t u_prev:
     M u + tau K u + tau trace^T W xi = tau f1 + M u_prev.  ValueError when
     ``step`` is the two-step operator."""
     _check_stencil(step, 1.0, "initial_step")
     u_prev = np.asarray(u_prev, dtype=float)
     rhs = step.flux_coef * f1 + _mass_product(step, u_prev)
-    return solve_step_inclusion(step, rhs, u_prev, tol)
+    return solve_step_inclusion(step, rhs, step.boundary_value(u_prev), tol)
 
 
 def bdf2_step(
@@ -236,13 +237,20 @@ def bdf2_step(
     2/3, from ``RotheProblem.step_problem``), warm-started from the
     extrapolant 2u^{n-1} - u^{n-2}: with c = 2/3,
     M u + c tau K u + c tau trace^T W xi = c tau f_n + M (4/3 u^{n-1} - 1/3 u^{n-2}).
-    ValueError when ``step`` is the one-step operator."""
+    The extrapolant enters the solve as its boundary value alone, summed at
+    the trace's nonzero nodes as sum_k t_k (2 u^{n-1}_k - u^{n-2}_k): the
+    float operations, in their order, of ``step.boundary_value`` of the
+    whole extrapolant, which is never formed.  ValueError when ``step`` is
+    the one-step operator."""
     _check_stencil(step, 2.0 / 3.0, "bdf2_step")
     u_nm1 = np.asarray(u_nm1, dtype=float)
     u_nm2 = np.asarray(u_nm2, dtype=float)
     hist = (4.0 / 3.0) * u_nm1 - (1.0 / 3.0) * u_nm2
     rhs = step.flux_coef * f_n + _mass_product(step, hist)
-    return solve_step_inclusion(step, rhs, 2.0 * u_nm1 - u_nm2, tol)
+    s_warm = 0.0
+    for k, t in step.trace_pairs:
+        s_warm += t * (2.0 * u_nm1.item(k) - u_nm2.item(k))
+    return solve_step_inclusion(step, rhs, s_warm, tol)
 
 
 def run_rothe(
@@ -273,6 +281,7 @@ def run_rothe(
         nbytes = 8 * ((grid.N + 1) * sp.dim + grid.N * (sp.dim_u + sp.dim + 1))
         raise TrajectoryMemoryError(grid.N, tau, nbytes) from None
     u[0] = problem.u0
+    u_nm2 = u_nm1 = u[0]  # the states the stencil reads, held between steps
     finite = np.isfinite(f_avg).all(axis=1)
     stop = grid.N + 1 if finite.all() else int(np.argmin(finite)) + 1  # the first bad row
     # every non-finite value of a step is caught by the solver's own scans
@@ -289,14 +298,15 @@ def run_rothe(
                 if n == stop:
                     raise NumericalFailureError("non-finite forcing average")
                 if two_step:
-                    u_n, xi_n, report = bdf2_step(step, u[n - 1], u[n - 2], f_avg[n - 1], tol)
+                    u_n, xi_n, report = bdf2_step(step, u_nm1, u_nm2, f_avg[n - 1], tol)
                 else:
-                    u_n, xi_n, report = initial_step(step, u[n - 1], f_avg[n - 1], tol)
+                    u_n, xi_n, report = initial_step(step, u_nm1, f_avg[n - 1], tol)
             except (NonConvergenceError, NumericalFailureError) as exc:
                 prefix = (u[:n].copy(), xi[: n - 1].copy(), residuals[: n - 1].copy())
                 report = getattr(exc, "report", None)
                 raise StepFailureError(n, str(exc), report, *prefix) from exc
             u[n] = u_n
+            u_nm2, u_nm1 = u_nm1, u_n
             xi[n - 1, 0] = xi_n[0]  # one boundary row: StepProblem checks dim_u = 1
             # the step equation is the unscaled one multiplied by c tau
             residuals[n - 1] = report.residual / ctau

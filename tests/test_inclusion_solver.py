@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from scipy.linalg import blas
 
 from conftest import random_spd
 from rothe_hvi import (
@@ -102,7 +101,7 @@ def oracle_roots(p, rhs, widen_from=8.0):
 
 def test_zero_potential_single_linear_solve():
     p, rhs = scalar_problem(ZeroPotential(), b=3.0)
-    u, xi, report = solve_step_inclusion(p, rhs, np.array([10.0]))
+    u, xi, report = solve_step_inclusion(p, rhs, p.boundary_value(np.array([10.0])))
     assert u == pytest.approx([1.5])
     assert xi == pytest.approx([0.0])
     assert report.iterations == 1
@@ -113,7 +112,7 @@ def test_scalar_toy_constructed_root():
     # 2u + (e^{-1} + 1) = b at u = 1
     b = 3.0 + math.exp(-1.0)
     p, rhs = scalar_problem(PaperExponential(1.0), b=b)
-    u, xi, _ = solve_step_inclusion(p, rhs, np.zeros(1))
+    u, xi, _ = solve_step_inclusion(p, rhs, p.boundary_value(np.zeros(1)))
     assert u[0] == pytest.approx(1.0, abs=1e-9)
     assert xi[0] == pytest.approx(math.exp(-1.0) + 1.0, abs=1e-9)
     roots = scan_roots_reduced(p, rhs, -5.0, 5.0)
@@ -122,7 +121,7 @@ def test_scalar_toy_constructed_root():
 
 def test_scalar_toy_zero_rhs_from_far_start():
     p, rhs = scalar_problem(PaperExponential(1.0), b=0.0, tau=0.5)
-    u, xi, _ = solve_step_inclusion(p, rhs, np.array([-5.0]))
+    u, xi, _ = solve_step_inclusion(p, rhs, p.boundary_value(np.array([-5.0])))
     assert u[0] == pytest.approx(0.0, abs=1e-10)
     assert 0.0 <= xi[0] <= 1.0
 
@@ -133,13 +132,13 @@ def test_root_one_ulp_left_of_the_kink_is_found(name):
     # is the very point where the solver reads the left limit of z
     b = math.nextafter(0.0, -math.inf)
     p, rhs = scalar_problem(POTENTIAL_FACTORIES[name](), b=b, k=0.0)
-    u, xi, _ = solve_step_inclusion(p, rhs, np.zeros(1))
+    u, xi, _ = solve_step_inclusion(p, rhs, p.boundary_value(np.zeros(1)))
     assert u[0] == b and xi[0] == 0.0
 
 
 def test_verify_round_trip_and_negative_control():
     p, rhs = scalar_problem(PaperExponential(1.0), b=3.0 + math.exp(-1.0))
-    u, xi, _ = solve_step_inclusion(p, rhs, np.zeros(1), tol=1e-11)
+    u, xi, _ = solve_step_inclusion(p, rhs, p.boundary_value(np.zeros(1)), tol=1e-11)
     res = verify_inclusion(p, rhs, u, xi, 1e-10)
     assert res.residual <= 1e-10
     assert res.membership_ok
@@ -160,7 +159,7 @@ def test_oracle_equivalence_small(name):
     for trial in range(40):
         dim = int(rng.integers(1, 3))
         p, rhs = random_problem(rng, dim, POTENTIAL_FACTORIES[name](), scale=rng.uniform(0.5, 3.0))
-        u, xi, _ = solve_step_inclusion(p, rhs, np.zeros(dim), tol=1e-11)
+        u, xi, _ = solve_step_inclusion(p, rhs, p.boundary_value(np.zeros(dim)), tol=1e-11)
         roots = oracle_roots(p, rhs)
         dist = min(np.max(np.abs(u - r)) for r in roots)
         assert dist < 1e-7, f"{name} trial {trial}: dist={dist}"
@@ -199,7 +198,7 @@ def test_solver_picks_the_oracle_root_nearest_the_warm_start(
     rhs = rng.normal(size=dim) * rhs_scale
     warm = rng.normal(size=dim) * 10.0 ** log_warm
     tol = 1e-10
-    u, xi, _ = solve_step_inclusion(p, rhs, warm, tol=tol)
+    u, xi, _ = solve_step_inclusion(p, rhs, p.boundary_value(warm), tol=tol)
     check = verify_inclusion(p, rhs, u, xi, tol)
     assert check.residual <= tol and check.membership_ok
 
@@ -220,7 +219,7 @@ def test_convex_energy_optimality():
         dim = int(rng.integers(1, 3))
         pot = PaperExponential(rng.uniform(0.5, 2.0)) if rng.uniform() < 0.5 else LinearRobin(rng.uniform(0.2, 2.0))
         p, rhs = random_problem(rng, dim, pot)
-        u, xi, _ = solve_step_inclusion(p, rhs, np.zeros(dim), tol=1e-11)
+        u, xi, _ = solve_step_inclusion(p, rhs, p.boundary_value(np.zeros(dim)), tol=1e-11)
         e0 = step_energy(p, rhs, u)
         for k in range(dim):
             for delta in (1e-4, -1e-4):
@@ -239,7 +238,7 @@ def test_convex_energy_optimality():
 
 def test_scaling_covariance():
     base, rhs = scalar_problem(PaperExponential(1.0), b=2.0, tau=0.7)
-    u_ref, _, _ = solve_step_inclusion(base, rhs, np.zeros(1), tol=1e-13)
+    u_ref, _, _ = solve_step_inclusion(base, rhs, base.boundary_value(np.zeros(1)), tol=1e-13)
     for s in (0.5, 2.0, 10.0):
         scaled = StepProblem(
             space=replace(base.space, gram_h=s * base.space.gram_h),
@@ -249,18 +248,22 @@ def test_scaling_covariance():
             c_coef=base.c_coef,
             tau=base.tau,
         )
-        u, _, _ = solve_step_inclusion(scaled, s * rhs, np.zeros(1), tol=1e-13)
+        u, _, _ = solve_step_inclusion(scaled, s * rhs, scaled.boundary_value(np.zeros(1)), tol=1e-13)
         assert np.max(np.abs(u - u_ref)) < 1e-10
 
 
 def test_invalid_inputs():
     p, rhs = scalar_problem(ZeroPotential(), b=1.0)
     with pytest.raises(ValueError):
-        solve_step_inclusion(p, rhs, np.zeros(1), tol=0.0)
-    with pytest.raises(ValueError):
+        solve_step_inclusion(p, rhs, p.boundary_value(np.zeros(1)), tol=0.0)
+    # the warm start enters as its boundary value, a float; a state of the
+    # wrong shape is rejected by the step function that reads it
+    with pytest.raises(TypeError):
         solve_step_inclusion(p, rhs, np.zeros(2))
+    with pytest.raises(ValueError):
+        initial_step(p, np.zeros(2), np.zeros(1))
     with pytest.raises(ValueError, match="right-hand side"):
-        solve_step_inclusion(p, np.ones(2), np.zeros(1))
+        solve_step_inclusion(p, np.ones(2), p.boundary_value(np.zeros(1)))
     with pytest.raises(ValueError):
         replace(p, c_coef=0.5)
     # what holds for every step is checked when the operator is built
@@ -283,7 +286,7 @@ def test_invalid_inputs():
 def test_non_finite_rhs_raises():
     p, rhs = scalar_problem(LinearRobin(1.0), b=np.inf)
     with pytest.raises((NumericalFailureError, NonConvergenceError)):
-        solve_step_inclusion(p, rhs, np.zeros(1))
+        solve_step_inclusion(p, rhs, p.boundary_value(np.zeros(1)))
 
 
 def test_minimizer_matches_solver_on_toy():
@@ -292,12 +295,12 @@ def test_minimizer_matches_solver_on_toy():
     assert u[0] == pytest.approx(1.0, abs=1e-7)
 
 
-def fem_step(n_el: int, potential) -> tuple[StepProblem, np.ndarray, np.ndarray]:
-    """A two-step-stencil operator of the P1 problem, a right-hand side and
-    a warm start."""
+def fem_step(n_el: int, potential, c: float = 2.0 / 3.0) -> tuple[StepProblem, np.ndarray, np.ndarray]:
+    """An operator of the P1 problem (the two-step stencil's unless c = 1),
+    a right-hand side and a warm start."""
     mesh = Mesh1D(n_el)
     space, op = assemble_space(mesh)
-    c, tau = 2.0 / 3.0, 0.1
+    tau = 0.1
     u_prev = np.linspace(0.0, 1.0, n_el + 1)
     load = assemble_forcing(mesh, lambda x: 1.0 + x)
     load[0] += 0.5  # a Neumann datum at x = 0
@@ -314,24 +317,21 @@ def fem_step(n_el: int, potential) -> tuple[StepProblem, np.ndarray, np.ndarray]
     [
         ("nan in the rhs at an interior node", "non-finite right-hand side or warm start"),
         ("inf in the rhs at the boundary node", "non-finite right-hand side or warm start"),
-        ("nan in the warm start at an interior node", "non-finite right-hand side or warm start"),
     ],
 )
 def test_each_vector_scanned_once_still_rejects_bad_data(n_el, case, reason):
     # the rhs is scanned only through x = S^-1 b and the residual only
     # through its own squared norm; both must still catch what the data holds
     p, rhs, warm = fem_step(n_el, PaperExponential(1.0))
-    u, _, report = solve_step_inclusion(p, rhs, warm)
+    u, _, report = solve_step_inclusion(p, rhs, p.boundary_value(warm))
     assert np.all(np.isfinite(u)) and report.residual <= 1e-10
-    rhs, warm = rhs.copy(), warm.copy()
+    rhs = rhs.copy()
     if case.startswith("nan in the rhs"):
         rhs[n_el // 2] = np.nan
-    elif case.startswith("inf in the rhs"):
-        rhs[n_el] = np.inf
     else:
-        warm[n_el // 2] = np.nan
+        rhs[n_el] = np.inf
     with np.errstate(all="ignore"), pytest.raises(NumericalFailureError) as info:
-        solve_step_inclusion(p, rhs, warm)
+        solve_step_inclusion(p, rhs, p.boundary_value(warm))
     assert str(info.value) == reason
 
 
@@ -342,32 +342,64 @@ def test_a_finite_residual_whose_square_overflows_is_rejected_by_size(n_el):
     p, rhs, warm = fem_step(n_el, ZeroPotential())
     rhs *= 1e200
     with pytest.raises(NonConvergenceError) as info:
-        solve_step_inclusion(p, rhs, warm)
+        solve_step_inclusion(p, rhs, p.boundary_value(warm))
     residual = info.value.report.residual
     assert 0.0 < residual <= 1e-12 * p.space.dual_norm(rhs)
     assert str(info.value) == f"step residual {residual:.3e} above tol 1e-10"
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("node", ["interior", "boundary"])
+@pytest.mark.parametrize("state", ["u_nm1", "u_nm2", "u_prev"])
 @pytest.mark.parametrize("n_el", [4, 64])
-def test_a_finite_warm_start_whose_sum_of_squares_overflows_is_not_rejected(n_el):
-    # the warm start is checked by one ddot; only a sum that is not finite
-    # sends it to the entry-by-entry scan, which passes finite entries.  The
-    # solve reads the warm start at the boundary node only, so entries of
-    # 1e200 elsewhere leave the step as it was
+def test_a_non_finite_state_fails_the_step_with_its_reason(n_el, state, node, bad):
+    # the solver reads the warm start as its boundary value only: a bad
+    # entry of a state at the boundary node is caught there, one elsewhere
+    # through the right-hand side the state enters
+    one_step = state == "u_prev"
+    p, _, warm = fem_step(n_el, PaperExponential(1.0), 1.0 if one_step else 2.0 / 3.0)
+    states = {"u_nm1": warm.copy(), "u_nm2": 0.5 * warm, "u_prev": warm.copy()}
+    f = np.ones(p.dim)
+
+    def step():
+        if one_step:
+            return initial_step(p, states["u_prev"], f)
+        return bdf2_step(p, states["u_nm1"], states["u_nm2"], f)
+
+    assert len(_outcome_of(step)) == 4
+    states[state][n_el // 2 if node == "interior" else p.trace_pairs[0][0]] = bad
+    with np.errstate(all="ignore"), pytest.raises(NumericalFailureError) as info:
+        step()
+    assert str(info.value) == "non-finite right-hand side or warm start"
+
+
+@pytest.mark.parametrize("s_warm", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("n_el", [4, 64])
+def test_a_non_finite_warm_boundary_value_fails_the_solve_with_its_reason(n_el, s_warm):
     p, rhs, warm = fem_step(n_el, PaperExponential(1.0))
-    reference = _outcome(p, rhs, warm)
-    assert len(reference) == 4
-    huge = np.full(p.dim, 1e200)
-    nodes = [k for k, _ in p.trace_pairs]
-    huge[nodes] = warm[nodes]
-    assert math.isinf(blas.ddot(huge, huge))
-    assert _outcome(p, rhs, huge) == reference
-    for bad in (np.nan, np.inf, -np.inf):
-        warm_bad = huge.copy()
-        warm_bad[n_el // 2] = bad
-        with np.errstate(all="ignore"), pytest.raises(NumericalFailureError) as info:
-            solve_step_inclusion(p, rhs, warm_bad)
-        assert str(info.value) == "non-finite right-hand side or warm start"
+    assert len(_outcome(p, rhs, warm)) == 4
+    with pytest.raises(NumericalFailureError) as info:
+        solve_step_inclusion(p, rhs, s_warm)
+    assert str(info.value) == "non-finite right-hand side or warm start"
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("n_el", [4, 64])
+def test_finite_states_whose_extrapolant_overflows_off_the_boundary_are_not_bad_data(n_el, sign):
+    # 2 u^{n-1} - u^{n-2} overflows at an interior node, which the solver
+    # never reads: bdf2_step forms the extrapolant at the trace's nodes only,
+    # so the step raises no overflow warning (every warning fails a test) and
+    # is not rejected as non-finite data.  Its right-hand side is finite, and
+    # it fails on its own residual
+    p, _, warm = fem_step(n_el, PaperExponential(1.0))
+    u_nm1 = warm.copy()
+    u_nm1[n_el // 2] = sign * 1e308
+    assert math.isinf(2.0 * float(u_nm1[n_el // 2]))
+    with pytest.raises(NonConvergenceError) as info:
+        bdf2_step(p, u_nm1, warm, np.ones(p.dim))
+    residual = info.value.report.residual
+    assert 1e200 < residual < math.inf
+    assert str(info.value) == f"step residual {residual:.3e} above tol 1e-10"
 
 
 @pytest.mark.parametrize("n_el", [4, 1024])
@@ -384,8 +416,13 @@ def test_an_operator_copied_or_pickled_solves_as_the_original(n_el):
 
 def _outcome(p, rhs, warm):
     """What a solve returns, byte for byte, or the failure it raises."""
+    return _outcome_of(lambda: solve_step_inclusion(p, rhs, p.boundary_value(warm)))
+
+
+def _outcome_of(step):
+    """What ``step()`` returns, byte for byte, or the failure it raises."""
     try:
-        u, xi, report = solve_step_inclusion(p, rhs, warm)
+        u, xi, report = step()
     except (NonConvergenceError, NumericalFailureError) as exc:
         return type(exc).__name__, str(exc)
     return u.tobytes(), xi.tobytes(), report.iterations, report.residual
@@ -444,7 +481,7 @@ def test_a_far_warm_start_still_finds_the_root_nearest_it(n_el, name, warm):
     # Newton steps from it that leave the bracket are key bisections, which
     # cross the float range in a few halvings instead of one per octave
     p, rhs, _ = fem_step(n_el, POTENTIAL_FACTORIES[name]())
-    u, xi, report = solve_step_inclusion(p, rhs, np.full(p.dim, warm))
+    u, xi, report = solve_step_inclusion(p, rhs, p.boundary_value(np.full(p.dim, warm)))
     assert report.iterations <= 2 * len(p.inclusion.pieces) * (_MAX_SCALAR_ITER - 1)
     assert verify_inclusion(p, rhs, u, xi, 1e-10).membership_ok
     row = p.space.trace[0]

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import math
+import struct
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.linalg import blas, lapack
 
 from conftest import fem_problem, one, random_spd, zero
@@ -33,7 +37,7 @@ from rothe_hvi import (
     initial_step,
     run_rothe,
 )
-from rothe_hvi import galerkin
+from rothe_hvi import galerkin, stepper
 from rothe_hvi.cli import build_problem, parse_config
 from rothe_hvi.stepper import TrajectoryMemoryError
 
@@ -401,6 +405,11 @@ def test_matrices_stay_linear_in_n_el_at_scale():
     assert max(a.size for a in held) <= 2 * (n_el + 1)
 
 
+# a trace row with several nonzero entries, and zeros between them, so that
+# the order in which a boundary value is summed shows in its bits
+DENSE_TRACE = [1.0, 1.0, 1.0, 0.0, 0.3, 0.0, 2.0, 0.25, 0.0, 1.7, 0.75, 0.1]
+
+
 def _operators_of_layout(layout: str) -> list[StepProblem]:
     """The one-step and two-step operators on a space whose bands have the
     given layout."""
@@ -408,7 +417,7 @@ def _operators_of_layout(layout: str) -> list[StepProblem]:
         rng = np.random.default_rng(11)
         gram_h, stiffness = random_spd(rng, 12), random_spd(rng, 12)
         space = GalerkinSpace(gram_h=gram_h, gram_v=gram_h + stiffness,
-                              trace=np.eye(1, 12), gram_u=np.eye(1))
+                              trace=[DENSE_TRACE], gram_u=np.eye(1))
     else:
         space, op = assemble_space(Mesh1D(int(layout.removeprefix("p1-"))))
         stiffness = op.stiffness
@@ -417,9 +426,10 @@ def _operators_of_layout(layout: str) -> list[StepProblem]:
             for c in (1.0, 2.0 / 3.0)]
 
 
-def _step_through_the_public_api(p: StepProblem, rhs: np.ndarray, warm: np.ndarray):
-    """u, xi and the residual of a step, each band operation spelled through
-    SymBand.solve, SymBand.matvec and GalerkinSpace.dual_norm."""
+def _step_through_the_public_api(p: StepProblem, rhs: np.ndarray, s_warm: float):
+    """u, xi and the residual of a step from the warm start's boundary value
+    ``s_warm``, each band operation spelled through SymBand.solve,
+    SymBand.matvec and GalerkinSpace.dual_norm."""
     t = p.space.trace[0]
     nodes = np.flatnonzero(t)
 
@@ -430,7 +440,7 @@ def _step_through_the_public_api(p: StepProblem, rhs: np.ndarray, warm: np.ndarr
         return float(s)
 
     x = p.system.solve(rhs)
-    s_warm, target = boundary_value(warm), boundary_value(x)
+    target = boundary_value(x)
     roots, _ = p.inclusion.roots(target, s_warm)
     s = min(roots, key=lambda r: (abs(r - s_warm), r))
     xi = (target - s) / p.inclusion.factor
@@ -443,7 +453,9 @@ def _step_through_the_public_api(p: StepProblem, rhs: np.ndarray, warm: np.ndarr
 @pytest.mark.parametrize("layout", ["p1-64", "p1-1024", "dense"])
 def test_a_step_through_the_bound_kernels_equals_the_public_band_api(layout):
     # P1 at 64 elements multiplies by dsbmv, at 1024 one diagonal at a time;
-    # the dense band is factored by dpbtrf and solved by dpbtrs
+    # the dense band is factored by dpbtrf and solved by dpbtrs, and its trace
+    # row has several nonzero entries.  The reference takes the warm start's
+    # boundary value of the whole state, or of the whole extrapolant
     one_step, two_step = _operators_of_layout(layout)
     product = galerkin._diagonal_product if layout == "p1-1024" else blas.dsbmv
     solve = lapack.dpbtrs if layout == "dense" else lapack.dpttrs
@@ -454,11 +466,42 @@ def test_a_step_through_the_bound_kernels_equals_the_public_band_api(layout):
     u0, f1, f2 = np.random.default_rng(5).normal(size=(3, one_step.dim))
     u1, xi1, report1 = initial_step(one_step, u0, f1)
     rhs1 = one_step.c_coef * one_step.tau * f1 + mass.matvec(u0)
-    u, xi, residual = _step_through_the_public_api(one_step, rhs1, u0)
+    u, xi, residual = _step_through_the_public_api(one_step, rhs1, one_step.boundary_value(u0))
     assert (u1.tobytes(), xi1.tolist(), report1.residual) == (u.tobytes(), [xi], residual)
     assert xi != 0.0  # the flux term is part of the step
     u2, xi2, report2 = bdf2_step(two_step, u1, u0, f2)
     hist = (4.0 / 3.0) * u1 - (1.0 / 3.0) * u0
     rhs2 = two_step.c_coef * two_step.tau * f2 + mass.matvec(hist)
-    u, xi, residual = _step_through_the_public_api(two_step, rhs2, 2.0 * u1 - u0)
+    extrapolant = 2.0 * u1 - u0
+    u, xi, residual = _step_through_the_public_api(two_step, rhs2, two_step.boundary_value(extrapolant))
     assert (u2.tobytes(), xi2.tolist(), report2.residual) == (u.tobytes(), [xi], residual)
+
+
+# the special values of a state's entries: signed zeros, the smallest and
+# largest subnormals, and magnitudes whose sums lose the small terms
+SPECIAL_ENTRIES = (0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                   -2.225073858507201e-308, 1.0, -1.0, 1e300, -1e300)
+STATE = arrays(np.float64, 12, elements=st.one_of(
+    st.sampled_from(SPECIAL_ENTRIES), st.floats(-1e300, 1e300)), fill=st.nothing())
+TWO_STEP_OPERATORS = {layout: _operators_of_layout(layout)[1] for layout in ("p1-11", "dense")}
+
+
+@given(layout=st.sampled_from(sorted(TWO_STEP_OPERATORS)), u_nm1=STATE, u_nm2=STATE)
+# in the order of the trace's nodes the sum is 2e300 - 2e300 + 2 = 2; in
+# reverse order it is 2 - 2e300 + 2e300 = 0
+@example(layout="dense", u_nm1=np.array([1e300, -1e300, 1.0] + [0.0] * 9), u_nm2=np.zeros(12))
+# generic states, where sum t (2a - b) and sum (2 t a - t b) round apart
+@example(layout="dense", u_nm1=np.random.default_rng(3).normal(size=(2, 12))[0],
+         u_nm2=np.random.default_rng(3).normal(size=(2, 12))[1])
+def test_bdf2_step_passes_the_extrapolants_boundary_value_bit_for_bit(layout, u_nm1, u_nm2):
+    # bdf2_step sums the warm start's boundary value at the trace's nodes
+    # without forming the extrapolant; it must equal, bit for bit, the
+    # boundary value of the whole extrapolant
+    p = TWO_STEP_OPERATORS[layout]
+    passed = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stepper, "solve_step_inclusion",
+                   lambda step, rhs, s_warm, tol: passed.append(s_warm))
+        bdf2_step(p, u_nm1, u_nm2, np.zeros(p.dim))
+    expected = p.boundary_value(2.0 * u_nm1 - u_nm2)
+    assert [struct.pack("<d", s) for s in passed] == [struct.pack("<d", expected)]
