@@ -46,11 +46,12 @@ every float exactly as ``'%.17g' % x``.  A float table, such as
 4,096 cells at a time and hands to ``'%.17g'`` only the non-finite cells and
 those whose 17th digit its extended-precision scaling cannot round for
 certain; a table of under 192 cells is formatted by ``'%.17g'`` throughout,
-which is faster there.  ``trajectory.csv`` is built from the trajectory
-and written a row block of at most 16 x 4,096 cells at a time.  Estimate
-tables carry one interpolant-gap column, `gap_closed_form`, the exact
-squared L2(0,T;V*) gap.  Only `check` draws random samples, seeded by
-`--seed`.
+which is faster there.  CSV files are written through a binary handle, so
+those ASCII blocks reach the file as they are.  ``trajectory.csv`` is built
+from the trajectory and written a row block of at most 4 x 4,096 cells at
+a time.  Estimate tables carry one interpolant-gap column,
+`gap_closed_form`, the exact squared L2(0,T;V*) gap.  Only `check` draws
+random samples, seeded by `--seed`.
 """
 
 from __future__ import annotations
@@ -117,7 +118,9 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 2
-_TRAJECTORY_BLOCK_CELLS = 16 * BLOCK_CELLS  # a row block of trajectory.csv
+# a row block of trajectory.csv: at most 128 KB, where glibc starts to map
+# each allocation afresh, so that a block reuses pages the process holds
+_TRAJECTORY_BLOCK_CELLS = 4 * BLOCK_CELLS
 
 
 class ConfigError(ValueError):
@@ -491,18 +494,20 @@ def _write_csv(
     float arrays written one after the other.  `floatfmt.g17_lines` writes
     the cells of an array with the bytes of ``'%.17g'``, as ``_fmt`` does:
     in blocks of ``BLOCK_CELLS``, through ``'%.17g'`` itself for the cells
-    it cannot decide and for a table under its crossover size."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# schema_version={SCHEMA_VERSION}\n")
-        fh.write(",".join(header) + "\n")
+    it cannot decide and for a table under its crossover size.  The file is
+    opened in binary mode: those blocks go to it as they are, and the
+    header and ``_fmt`` rows are encoded to UTF-8 once, as one text."""
+    head = f"# schema_version={SCHEMA_VERSION}\n" + ",".join(header) + "\n"
+    with open(path, "wb") as fh:
         if isinstance(rows, np.ndarray):
             rows = iter([rows])
         if isinstance(rows, Iterator):
+            fh.write(head.encode("utf-8"))
             for block in rows:
                 fh.writelines(g17_lines(block))
             return
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        lines = [head] + [",".join(_fmt(v) for v in row) + "\n" for row in rows]
+        fh.write("".join(lines).encode("utf-8"))
 
 
 def _write_trajectory(

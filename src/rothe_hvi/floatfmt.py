@@ -1,9 +1,10 @@
 """Exact ``'%.17g'`` text of float64 tables, a block of cells at a time.
 
-``g17_lines(rows)`` yields the text of a 2-d float array: each cell exactly
-as ``'%.17g' % x`` writes it, cells joined by ``,`` and each row ended by
-``\\n``.  It converts at most ``BLOCK_CELLS`` cells at once, so its scratch
-memory is bounded whatever the table's size.
+``g17_lines(rows)`` yields the text of a 2-d float array as ASCII
+``bytes``: each cell exactly as ``'%.17g' % x`` writes it, cells joined by
+``,`` and each row ended by ``\\n``.  It converts at most ``BLOCK_CELLS``
+cells at once, so its scratch memory is bounded whatever the table's size,
+and a caller writes the pieces to a binary file as they are.
 
 The 17 significant digits of a finite nonzero cell x are ``s`` rounded to
 an integer, where ``s = |x| 10^(16-e)`` lies in [10^16, 10^17).  numpy
@@ -14,14 +15,20 @@ so ``128 s`` is off by at most 1.19, or by 0.5 where ``10^k`` is exact
 of 64, so that its rounding is undecided, and every non-finite cell goes
 through Python's ``'%.17g'``.  numpy lays out every other cell: the ``%f``
 or ``%e`` form that ``%g`` picks, trailing zeros stripped, ``e±XX``.  So
-the output is byte-identical to ``'%.17g'`` by construction.  A block costs
-a fixed number of numpy calls: every per-exponent and per-digit table is
-indexed by one ``take``, the point is set by the masks of the digit words
-rather than by a scatter, and the row ends flip their separator words in
-one strided update.  Where
-longdouble is narrower, and for tables under ``_VECTOR_MIN_CELLS`` cells,
-where the vectorized path's fixed cost exceeds the whole Python loop, every
-cell goes through ``'%.17g'``.
+the output is byte-identical to ``'%.17g'`` by construction.
+
+Each cell is laid out in a 32-byte record of four 64-bit words, every piece
+at a fixed byte and every unused byte NUL, and deleting the NULs of a block
+of records leaves its text.  The 16 digits after the first are stored
+densely; where the point falls among them, the digits after it move one
+byte on, through an unaligned view of the record, and only blocks that
+hold such a cell pay for that shift.  A block costs a fixed number of numpy
+calls: every per-exponent and per-digit table is indexed by one ``take``,
+trailing zeros are stripped by masks of the digit words, and the row ends
+flip their separator words in one strided update.  Where longdouble is
+narrower, and for tables under ``_VECTOR_MIN_CELLS`` cells, where the
+vectorized path's fixed cost exceeds the whole Python loop, every cell goes
+through ``'%.17g'``.
 """
 
 from __future__ import annotations
@@ -48,17 +55,19 @@ _EXTENDED = bool(_LD.nmant >= 63 and _LD.maxexp > 1140)
 # per-exponent tables are indexed by k - _K_MIN, the row of k in _POW128
 _K_MIN, _K_MAX = -292, 340
 
-# A cell's text is laid out in a record of six little-endian 64-bit words,
+# A cell's text is laid out in a record of four little-endian 64-bit words,
 # every piece at a fixed byte and every unused byte NUL; deleting the NULs
 # of a block of records leaves its text.  Bytes: 0 the sign, 1-5 the "0.000"
-# of %f with a negative exponent, 6 the first digit, then the other 16
-# digits at 8, 10, ..., 38; the byte after each digit holds the point if it
-# goes there.  40-44 hold "e+XXX", 45 the separator, 46-47 stay NUL.
+# of %f with a negative exponent, 6 the first digit, 7 the point if it
+# follows the first digit, then the other 16 digits densely at 8-23.  Where
+# the point follows digit p of them, 2 <= p <= 16, it takes byte 7 + p and
+# the digits after it move one byte on, the last to byte 24; such a cell has
+# no exponent.  24-28 hold "e+XXX", 29 the separator, 30-31 stay NUL.
 _WORD = np.dtype("<u8")
-_RECORD = 48
-_FALLBACK_WIDTH = 45  # a verbatim cell's text, NUL-padded, over bytes 0-44
-# the place of the point, the count of digits before it, is at most 17
-# where the point shows; place 0 stands for no point
+_QUAD = np.dtype("<u4")  # four digits, half a word
+_FALLBACK_WIDTH = 29  # a verbatim cell's text, NUL-padded, over bytes 0-28
+# the place of the point, the count of digits before it, is at most 17;
+# place 0 stands for no point
 _PLACES = 18
 
 
@@ -69,57 +78,58 @@ def _word(text: bytes, at: int = 0) -> int:
 
 def _exponent_tables() -> tuple[np.ndarray, ...]:
     """Per row k - _K_MIN, for the decimal exponent e = 16 - k of the
-    rounded value: word 0 without its digit, for a positive and a negative
-    cell (rows 2 (k - _K_MIN) and 2 (k - _K_MIN) + 1); word 5 with a comma
-    for separator; the digits that %f shows whatever their value (X + 1 for
-    exponent X >= 0); and the place of the point (beyond 17: none)."""
+    rounded value: word 0 without its sign and digit; word 3 with a comma
+    for separator; and the place of the point, which is also the count of
+    digits that %f shows whatever their value: X + 1 for exponent X >= 0,
+    1 in the %e form and 0 in %f with a negative exponent."""
     span = [16 - k for k in range(_K_MIN, _K_MAX + 1)]
-    head = np.zeros(2 * len(span), _WORD)
+    head = np.zeros(len(span), _WORD)
     exp_word = np.zeros(len(span), _WORD)
-    whole = np.zeros(len(span), np.intp)
     point = np.zeros(len(span), np.intp)
     for i, e in enumerate(span):
-        prefix = 0
         if -4 <= e < 0:
-            prefix = _word(b"0." + b"0" * (-e - 1), 1)
-            point[i] = _PLACES
+            head[i] = _word(b"0." + b"0" * (-e - 1), 1)
         elif 0 <= e <= 16:
-            whole[i] = point[i] = e + 1
+            point[i] = e + 1
         else:
             exp_word[i] = _word(b"e%+03d" % e)
             point[i] = 1
         exp_word[i] |= _word(b",", 5)
-        head[2 * i] = prefix
-        head[2 * i + 1] = prefix | _word(b"-")
-    return head, exp_word, whole, point
+    return head, exp_word, point
 
 
 def _digit_tables() -> tuple[np.ndarray, ...]:
-    """For q < 10^4: its four digits at bytes 0, 2, 4, 6 of a word with a
-    point at bytes 1, 3, 5 and 7, and per group g of four digits, the count
-    of significant digits that the group ends (0 for q = 0); per word 1-4,
-    at index _PLACES * kept + place, the mask that keeps that many leading
-    digits and the point at that place; at index _PLACES * digit + place,
-    the first digit at byte 6, with the point at byte 7 for place 1."""
+    """For q < 10^4: its four digits at bytes 0-3 of a 32-bit word, and per
+    group g of four digits, the count of significant digits that the group
+    ends (0 for q = 0).  Per count of digits kept, the masks of words 1 and 2
+    that keep them; per place of the point, the masks of the digits that move
+    one byte on and of the point, for words 1 and 2.  At index
+    _PLACES * digit + place, the first digit at byte 6, with the point at
+    byte 7 for place 1."""
     q = np.arange(10_000)
-    four = np.full(q.size, _word(b"." * 8) & 0xFF00FF00FF00FF00, _WORD)
+    four = np.zeros(q.size, _QUAD)
     last = np.zeros(q.size, np.intp)
     for j in range(4):
         digit = q // 10 ** (3 - j) % 10
-        four |= (digit + 48).astype(_WORD) << np.uint64(16 * j)
+        four |= (digit + 48).astype(np.uint32) << np.uint32(8 * j)
         last[digit != 0] = j + 1
     ends = np.array([np.where(q == 0, 0, 1 + 4 * g + last) for g in range(4)], np.uint8)
-    keep = np.zeros((4, _PLACES, _PLACES), _WORD)
-    for kept in range(_PLACES):
-        for j in range(1, kept):  # digit j sits at byte 2((j - 1) % 4) of word 1 + (j - 1) // 4
-            keep[(j - 1) // 4, kept] |= np.uint64(0xFF << (16 * ((j - 1) % 4)))
-    for place in range(2, _PLACES):  # the point after digit j = place - 1
-        keep[(place - 2) // 4, :, place] |= np.uint64(0xFF00 << (16 * ((place - 2) % 4)))
+    # digit j, 2 <= j <= 17, at byte j - 2 of words 1-2 before it moves; a
+    # point at place p, 2 <= p <= 16, takes the byte of digit p + 1
+    kept = np.zeros((_PLACES, 16), np.uint8)
+    moved = np.zeros((_PLACES, 16), np.uint8)
+    point = np.zeros((_PLACES, 16), np.uint8)
+    for n in range(_PLACES):
+        kept[n, : max(n - 1, 0)] = 0xFF
+    for place in range(2, 17):  # place 17 never shows: at most 17 digits
+        moved[place, place - 1 :] = 0xFF
+        point[place, place - 1] = ord(".")
     first = np.zeros((10, _PLACES), _WORD)
     for d in range(10):
         first[d] = _word(b"%d" % d, 6)
         first[d, 1] |= _word(b".", 7)
-    return four, ends, keep.reshape(4, -1), first.reshape(-1)
+    kept, moved, point = (np.ascontiguousarray(t.view(_WORD).T) for t in (kept, moved, point))
+    return four, ends, kept, moved, point, first.reshape(-1)
 
 
 if _EXTENDED:
@@ -130,14 +140,14 @@ if _EXTENDED:
         [65 if 0 <= k <= 27 else 66 for k in range(_K_MIN, _K_MAX + 1)], np.uint64
     )
     _UNDECIDED_WIDTH = 2 * _UNDECIDED_SHIFT - 128
-    _HEAD, _EXP_WORD, _WHOLE, _POINT = _exponent_tables()
-    _FOUR, _GROUP_END, _KEEP, _FIRST = _digit_tables()
+    _HEAD, _EXP_WORD, _POINT = _exponent_tables()
+    _FOUR, _GROUP_END, _KEPT, _MOVED, _POINT_BYTE, _FIRST = _digit_tables()
 # 128 s in [128 * 10^16, 128 * 10^17 - 64) rounds to 17 digits: v - _V_LOW
 # below _V_SPAN, in wrapping unsigned arithmetic
 _V_LOW = np.uint64(128 * 10**16)
 _V_SPAN = np.uint64(128 * 10**17 - 64 - 128 * 10**16)
 _COMMA_TO_NEWLINE = np.uint64(_word(b",", 5) ^ _word(b"\n", 5))
-_FALLBACK_FORMAT = f"%-{_FALLBACK_WIDTH}.17g"
+_FALLBACK_FORMAT = b"%%-%d.17g" % _FALLBACK_WIDTH
 _SPACE_TO_NUL = bytes.maketrans(b" ", b"\0")
 
 
@@ -146,14 +156,15 @@ def _fallback(cells: np.ndarray) -> bytes:
     cells the vectorized path cannot decide.  A seam of its own, so that the
     share of cells that take it can be counted."""
     text = (_FALLBACK_FORMAT * cells.size) % tuple(cells.tolist())
-    return text.encode("ascii").translate(_SPACE_TO_NUL)
+    return text.translate(_SPACE_TO_NUL)
 
 
-def _block(cells: np.ndarray, first_end: int, n_cols: int) -> bytes:
+def _block(cells: np.ndarray, first_end: int, n_cols: int, rec: np.ndarray) -> bytes:
     """Text of a block of float64 cells, each followed by a comma, except
     cells first_end, first_end + n_cols, ..., which end a row and are
-    followed by a newline.  Every table lookup is one ``take``, and the
-    point is folded into the digit words by their masks, so the block costs
+    followed by a newline.  The records are laid out in ``rec``, an array
+    of at least cells.size rows of four words that the caller reuses from
+    block to block.  Every table lookup is one ``take``, so the block costs
     a fixed number of numpy calls whatever its size."""
     m = cells.size
     a = np.abs(cells)
@@ -183,39 +194,50 @@ def _block(cells: np.ndarray, first_end: int, n_cols: int) -> bytes:
     significant = np.maximum(_GROUP_END[0].take(groups[0]), 1)
     for g in (1, 2, 3):
         np.maximum(significant, _GROUP_END[g].take(groups[g]), out=significant)
-    kept = np.maximum(significant, _WHOLE.take(row))
+    significant = significant.astype(np.intp)  # as wide as the place tables
     point = _POINT.take(row)
+    kept = np.maximum(significant, point)
     place = point * (significant > point)  # 0 where the point does not show
 
-    rec = np.empty((m, 6), _WORD)
-    np.bitwise_or(
-        _HEAD.take(2 * row + np.signbit(cells)), _FIRST.take(_PLACES * first + place),
-        out=rec[:, 0],
-    )
-    mask = _PLACES * kept + place
-    for g in range(4):
-        np.bitwise_and(_FOUR.take(groups[g]), _KEEP[g].take(mask), out=rec[:, g + 1])
-    _EXP_WORD.take(row, out=rec[:, 5])
-    rec[first_end::n_cols, 5] ^= _COMMA_TO_NEWLINE
+    rec = rec[:m]
+    np.bitwise_or(_HEAD.take(row), _FIRST.take(_PLACES * first + place), out=rec[:, 0])
+    text = rec.view(np.uint8)
+    np.multiply(np.signbit(cells).view(np.uint8), ord("-"), out=text[:, 0])
+    quads = rec.view(_QUAD)
+    for g in range(4):  # mode "clip" lets take write its strided out unbuffered
+        _FOUR.take(groups[g], out=quads[:, 2 + g], mode="clip")
+    _EXP_WORD.take(row, out=rec[:, 3], mode="clip")
+    rec[first_end::n_cols, 3] ^= _COMMA_TO_NEWLINE
+    for w in (1, 2):
+        rec[:, w] &= _KEPT[w - 1].take(kept)
+    if place.max() > 1:  # a point among the 16 digits: those after it move on
+        for w in (2, 1):  # word 1 moves a digit into byte 0 of word 2
+            digits = rec[:, w]
+            moved = digits & _MOVED[w - 1].take(place)
+            digits ^= moved ^ _POINT_BYTE[w - 1].take(place)
+            # one byte on, through an unaligned view of the record
+            text[:, 8 * w + 1 : 8 * w + 9].view(_WORD)[:, 0] |= moved
     if verbatim.any():
         (where,) = np.nonzero(verbatim)
-        rec.view(np.uint8).reshape(m, _RECORD)[where, :_FALLBACK_WIDTH] = np.frombuffer(
+        text[where, :_FALLBACK_WIDTH] = np.frombuffer(
             _fallback(cells[where]), np.uint8
         ).reshape(-1, _FALLBACK_WIDTH)
     return rec.tobytes().translate(None, b"\0")
 
 
-def g17_lines(rows: np.ndarray) -> Iterator[str]:
-    """Text of a 2-d float array, ``'%.17g'`` cells joined by ``,`` and rows
-    ended by ``\\n``, in pieces of at most ``BLOCK_CELLS`` cells."""
+def g17_lines(rows: np.ndarray) -> Iterator[bytes]:
+    """ASCII text of a 2-d float array, ``'%.17g'`` cells joined by ``,`` and
+    rows ended by ``\\n``, as ``bytes`` pieces of at most ``BLOCK_CELLS``
+    cells."""
     rows = np.asarray(rows, dtype=np.float64)
     n_cols = rows.shape[1]
     cells = rows.reshape(-1)
     if not _EXTENDED or cells.size < _VECTOR_MIN_CELLS:
-        line = ",".join(["%.17g"] * n_cols) + "\n"
+        line = b",".join([b"%.17g"] * n_cols) + b"\n"
         for row in rows.tolist():
             yield line % tuple(row)
         return
+    rec = np.empty((min(cells.size, BLOCK_CELLS), 4), _WORD)
     for start in range(0, cells.size, BLOCK_CELLS):
         block = cells[start : start + BLOCK_CELLS]
-        yield _block(block, (n_cols - 1 - start) % n_cols, n_cols).decode("ascii")
+        yield _block(block, (n_cols - 1 - start) % n_cols, n_cols, rec)

@@ -195,7 +195,11 @@ class StepProblem:
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     def boundary_value(self, v: np.ndarray) -> float:
-        """t v of an array v, summed over the nodes where t is nonzero only."""
+        """t v of an array v of the step's shape, summed over the nodes where
+        t is nonzero only; ValueError, naming both shapes, for any other
+        shape."""
+        if v.shape != self.shape:
+            raise ValueError(f"vector has shape {v.shape}, expected {self.shape}")
         s = 0.0
         for k, t in self.trace_pairs:
             s += t * v.item(k)

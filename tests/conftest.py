@@ -21,6 +21,9 @@ settings.register_profile(
     derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# every output byte of every command rests on the float writer's exactness
+# property; CI draws it hard with --hypothesis-profile=exhaustive
+settings.register_profile("exhaustive", parent=settings.get_profile("suite"), max_examples=5000)
 settings.load_profile("suite")
 
 

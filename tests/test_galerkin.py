@@ -18,6 +18,7 @@ from rothe_hvi import (
     assemble_space,
     check_hypotheses_A,
 )
+from rothe_hvi import galerkin
 from rothe_hvi.galerkin import _DSBMV_MAX_N
 
 
@@ -304,3 +305,101 @@ def test_vector_product_agrees_on_both_sides_of_the_blas_size_limit(offset):
     want = band.toarray() @ x
     assert _rel_err(band @ x, want) <= 1e-12
     assert _rel_err(band.matvec(x[None, :])[0], want) <= 1e-12
+
+
+def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    """Every bit of every number, and NaN where want has NaN: IEEE 754 leaves
+    the sign and payload of a NaN result open, and numpy's loops differ in
+    them (the diagonal loop on a stack of rows of 2 against the row formula
+    row by row, for one)."""
+    nan = np.isnan(want)
+    return bool(np.array_equal(np.isnan(got), nan)
+                and np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64)))
+
+
+def _row_formula(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The tridiagonal product of one row, as the band product states it."""
+    d = ab[0, 1:]
+    y = ab[1] * x
+    y[:-1] += d * x[1:]
+    y[1:] += d * x[:-1]
+    return y
+
+
+@pytest.mark.parametrize("tile_rows", [None, 2, 5])
+@pytest.mark.parametrize("n", [2, 9, 65, 1025])
+@pytest.mark.parametrize("rows", [1, 2, 27])
+def test_a_stack_product_is_the_row_formula_bit_for_bit(monkeypatch, rows, n, tile_rows):
+    # flat passes over the stack reach across row ends, where a neighbour's
+    # +-0, +-inf or NaN would show in a sign bit or a NaN if the row-end
+    # entries were not redone from their own row; blocks of 2 and 5 rows
+    # take every stack of two rows or more that way, the last block short
+    if tile_rows is not None:
+        monkeypatch.setattr(galerkin, "_TILE_CELLS", tile_rows * n)
+    rng = np.random.default_rng(rows * n)
+    ab = np.vstack([rng.uniform(-1.0, 1.0, n), rng.uniform(3.0, 4.0, n)])
+    ab[0, rng.integers(1, n)] = 0.0  # a zero off the diagonal meets the inf too
+    band = SymBand(ab)
+    specials = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan])
+    for trial in range(4):
+        x = rng.normal(size=(rows, n))
+        x[:, 0] = rng.choice(specials, rows)
+        x[:, -1] = rng.choice(specials, rows)
+        if trial == 0:
+            x[rng.random((rows, n)) < 0.3] = -0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # 0 * inf, inf - inf
+            want = np.array([_row_formula(ab, row) for row in x])
+            got = {
+                "matvec": band.matvec(x),
+                "x @ band": x @ band,
+                "band @ x.T": (band @ x.T).T,
+            }
+        for how, y in got.items():
+            assert y.shape == x.shape, how
+            assert _same_bits(y, want), how
+
+
+def test_a_stack_taller_than_the_tile_is_multiplied_block_by_block():
+    # the tile spans _TILE_CELLS entries; taller stacks take it again and again
+    n = 65
+    pairs = 3 * (galerkin._TILE_CELLS // n) + 5
+    rng = np.random.default_rng(7)
+    ab = np.vstack([rng.uniform(-1.0, 1.0, n), rng.uniform(3.0, 4.0, n)])
+    x = rng.normal(size=(pairs, 2, n))[:, ::-1]  # a 3-d stack, not contiguous
+    x[..., -1] = -0.0
+    y = SymBand(ab).matvec(x)
+    want = np.array([_row_formula(ab, row) for row in x.reshape(-1, n)]).reshape(x.shape)
+    assert _same_bits(y, want)
+
+
+@pytest.mark.parametrize("width", [2, 3])
+def test_a_wide_band_stack_product_redoes_each_row_end_by_its_diagonals(monkeypatch, width):
+    # the entries near a row's ends sum their terms in the loop's order
+    n, rows = 40, 41
+    monkeypatch.setattr(galerkin, "_TILE_CELLS", 4 * n)
+    rng = np.random.default_rng(width)
+    ab = np.vstack([rng.uniform(-1.0, 1.0, (width, n)), rng.uniform(6.0, 7.0, n)])
+    x = rng.normal(size=(rows, n))
+    x[::4, :width] = -0.0
+    x[1::4, -1] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        want = np.array([galerkin._diagonal_product(ab, row) for row in x])
+        got = SymBand(ab).matvec(x)
+    assert _same_bits(got, want)
+
+
+def test_a_stack_warns_only_where_its_rows_would():
+    # rows ending in -inf next to rows starting with +inf: each row alone is
+    # free of invalid operations, so the flat passes must not warn either
+    n, rows = 65, 2 * galerkin._TILE_CELLS // 65 + 3
+    rng = np.random.default_rng(3)
+    ab = np.vstack([rng.uniform(0.5, 1.0, n), rng.uniform(3.0, 4.0, n)])
+    x = rng.normal(size=(rows, n))
+    x[:, 0], x[:, -1] = np.inf, -np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = np.array([_row_formula(ab, row) for row in x])
+        got = SymBand(ab).matvec(x)
+    assert _same_bits(got, want)

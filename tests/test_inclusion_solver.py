@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import math
 import pickle
+import re
 import struct
 import sys
 from dataclasses import replace
@@ -309,6 +310,26 @@ def fem_step(n_el: int, potential, c: float = 2.0 / 3.0) -> tuple[StepProblem, n
         potential=potential, c_coef=c, tau=tau,
     )
     return p, c * tau * load + space.gram_h @ u_prev, u_prev
+
+
+@pytest.mark.parametrize(
+    "n_el, vector",
+    [
+        (4, np.arange(50.0)),  # longer: its trace entry used to be read as t v
+        (4, np.zeros(3)),  # shorter than the trace node: was an IndexError
+        (4, np.zeros((1, 5))),  # the right size, not the right shape
+        (None, np.zeros(5)),  # a one-node operator and a longer vector
+    ],
+)
+def test_the_boundary_value_of_a_vector_of_another_shape_is_a_value_error(n_el, vector):
+    if n_el is None:
+        p, _ = scalar_problem(PaperExponential(1.0), 1.0)
+    else:
+        p, _, u_prev = fem_step(n_el, PaperExponential(1.0))
+        assert p.boundary_value(u_prev) == 1.0
+    message = f"vector has shape {vector.shape}, expected ({p.dim},)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        p.boundary_value(vector)
 
 
 @pytest.mark.parametrize("n_el", [4, 64])
