@@ -23,8 +23,12 @@ command, and `run` then leaves the completed steps in
 ``<name> ok: <detail>`` on stdout or ``<name> failed: <detail>`` on
 stderr.  The exit code is 0 when every row passed, 1 when a run or a
 certificate failed, and 2 for a usage or config error, such as a config
-that cannot be read or an output directory that cannot be made; it is
-printed on stderr and writes no output.
+that cannot be read, a negative ``--seed`` or an output directory that
+cannot be made; it is printed on stderr and writes no output.  An output
+file that cannot be written, such as one whose name a directory holds,
+also exits 2, with one ``error: cannot write output: <reason>`` line on
+stderr naming the file; the files written before it remain, and no
+summary row is printed.
 
 Configs are flat INI files whose schema is derived from `ExperimentConfig`:
 its fields, in order, are the keys, their types drive parsing, and field
@@ -751,6 +755,39 @@ def cmd_check(cfg: ExperimentConfig, seed: int = 0) -> _Rows:
 # ---------------------------------------------------------------------------
 
 
+def _command_rows(args: argparse.Namespace, cfg: ExperimentConfig, out: Path) -> _Rows:
+    """The summary rows of the command: its own, or one FAIL row for a failed
+    step or allocation."""
+    try:
+        if args.command == "check":
+            return cmd_check(cfg, args.seed)
+        # looked up when called, so a wrapper installed on the module sees it
+        return globals()[f"cmd_{args.command}"](cfg, out)
+    except StepFailureError as exc:
+        return [(args.command, False, f"step {exc.step} failed: {exc.reason}")]
+    except TrajectoryMemoryError as exc:  # name the keys that size the trajectory
+        detail = (
+            f"[problem] t_final = {cfg.t_final:g} at tau = {exc.tau:g} takes {exc.steps} steps "
+            f"whose trajectory at [problem] n_el = {cfg.n_el} asks for {exc.nbytes} bytes: "
+            "more than can be allocated"
+        )
+        return [(args.command, False, detail)]
+    except MemoryError:  # a space or operator too large to assemble
+        detail = f"[problem] n_el = {cfg.n_el} asks for more memory than can be allocated"
+        return [(args.command, False, detail)]
+
+
+def _seed(text: str) -> int:
+    """A sampling seed: an integer >= 0, as numpy's generator takes."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, not {text!r}")
+    return seed
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rothe-hvi",
@@ -763,7 +800,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=None, help="output directory")
         sp.add_argument("--quiet", action="store_true")
         if name == "check":
-            sp.add_argument("--seed", type=int, default=0, help="sampling seed")
+            sp.add_argument("--seed", type=_seed, default=0, help="sampling seed")
     return parser
 
 
@@ -785,24 +822,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: cannot create output directory: {exc}", file=sys.stderr)
         return 2
     try:
-        if args.command == "check":
-            rows = cmd_check(cfg, args.seed)
-        else:  # looked up when called, so a wrapper installed on the module sees it
-            rows = globals()[f"cmd_{args.command}"](cfg, out)
-    except StepFailureError as exc:
-        rows = [(args.command, False, f"step {exc.step} failed: {exc.reason}")]
-    except TrajectoryMemoryError as exc:  # name the keys that size the trajectory
-        detail = (
-            f"[problem] t_final = {cfg.t_final:g} at tau = {exc.tau:g} takes {exc.steps} steps "
-            f"whose trajectory at [problem] n_el = {cfg.n_el} asks for {exc.nbytes} bytes: "
-            "more than can be allocated"
-        )
-        rows = [(args.command, False, detail)]
-    except MemoryError:  # a space or operator too large to assemble
-        detail = f"[problem] n_el = {cfg.n_el} asks for more memory than can be allocated"
-        rows = [(args.command, False, detail)]
-    cells = [[name, "PASS" if ok else "FAIL", detail] for name, ok, detail in rows]
-    _write_csv(out / "summary.csv", ["name", "status", "detail"], cells)
+        rows = _command_rows(args, cfg, out)
+        cells = [[name, "PASS" if ok else "FAIL", detail] for name, ok, detail in rows]
+        _write_csv(out / "summary.csv", ["name", "status", "detail"], cells)
+    except OSError as exc:  # an output file is a directory or cannot be opened or written
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
     if not args.quiet:
         for name, ok, detail in rows:
             if ok:

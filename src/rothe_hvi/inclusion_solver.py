@@ -91,9 +91,8 @@ from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import blas
 
-from .galerkin import GalerkinSpace, SymBand, as_band
+from .galerkin import GalerkinSpace, SymBand, as_band, blas
 from .potentials import ScalarPotential
 
 __all__ = [

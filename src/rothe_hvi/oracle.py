@@ -7,6 +7,10 @@ bisection in the boundary value s = trace u after u has been eliminated.
 Convex solutions come from coordinate-wise golden-section descent on the
 step energy, and trajectory references from a much finer run of the scheme
 itself.
+
+The dense factor is ``scipy.linalg``'s Cholesky, which
+``scan_roots_reduced`` imports on its first call: no command calls it, so
+no command pays for importing that package.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-import scipy.linalg as sla
 
 from .inclusion_solver import StepProblem
 from .stepper import BDF2, RotheProblem, RotheTrajectory, TimeGrid, run_rothe
@@ -109,6 +112,8 @@ def scan_roots_reduced(
     back to the full coefficient vector.  S is taken dense and factored
     here.  Returns an empty list when nothing is found (the caller widens
     the range)."""
+    import scipy.linalg as sla  # on first use: see the module docstring
+
     cho = sla.cho_factor(p.system.toarray())  # dense on purpose: no shared solver code
     t_row = p.space.trace[0]
     w = float(p.weights[0])

@@ -243,6 +243,16 @@ def test_check_is_reproducible_for_a_seed(tmp_path):
     assert sorted(p.name for p in out_a.iterdir()) == ["summary.csv"]
 
 
+def test_a_negative_seed_exits_2_at_the_argument_parser(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(tmp_path, "check", SMOOTH_TINY, "--seed", "-1")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: rothe-hvi check ")
+    assert "error: argument --seed: expected a non-negative integer, not '-1'" in err
+    assert not (tmp_path / "out").exists()
+
+
 def _fresh_process(argv, cwd):
     proc = subprocess.run(
         [sys.executable, "-m", "rothe_hvi.cli", *argv], cwd=cwd, capture_output=True,
@@ -602,6 +612,42 @@ def test_an_output_directory_that_cannot_be_made_exits_2(tmp_path, capsys, out_n
     assert capsys.readouterr().err.startswith("error: cannot create output directory: ")
     assert (tmp_path / "blocker").read_text(encoding="utf-8") == "not a directory\n"
     assert not list(tmp_path.rglob("summary.csv"))
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [("run", "trajectory.csv"), ("study", "ladder.csv"), ("check", "summary.csv")],
+)
+def test_an_output_file_that_cannot_be_written_exits_2_naming_it(tmp_path, capsys, command, name):
+    # a directory holds the file's name, so opening it for writing fails
+    (tmp_path / "out" / name).mkdir(parents=True)
+    rc, out = run_cli(tmp_path, command, SMOOTH_TINY)
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write output: ")
+    assert captured.err.count("\n") == 1 and str(out / name) in captured.err
+    assert (out / name).is_dir()
+
+
+def test_no_command_imports_scipy_linalg_or_warns(tmp_path):
+    # a fresh interpreter, every warning an error: the kernels come from
+    # scipy's compiled modules, not from the scipy.linalg package
+    (tmp_path / "config.ini").write_text(SMOOTH_TINY, encoding="utf-8")
+    src = Path(cli.__file__).resolve().parents[1]
+    script = f"""
+import sys
+sys.path.insert(0, {str(src)!r})
+from rothe_hvi import cli
+for command in ("run", "study", "compare", "check"):
+    assert cli.main([command, "config.ini", "--out", command, "--quiet"]) == 0, command
+print("scipy.linalg" in sys.modules)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", script], cwd=tmp_path, capture_output=True,
+        text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 def _section_of(key: str) -> str:
