@@ -2,8 +2,8 @@
 
 Subcommands
 -----------
-run      : one trajectory at the coarsest ladder step; writes the
-           trajectory and its estimate report.
+run      : one run at the coarsest ladder step; writes its trajectory
+           and its estimate report.
 study    : full tau ladder with a fine reference run; writes the ladder
            table, terminal-time errors, fitted order and plot series.
 compare  : both schemes on the same ladder against both a two-step and a
@@ -11,15 +11,25 @@ compare  : both schemes on the same ladder against both a two-step and a
 check    : hypothesis certificates (operator bounds, flux growth, step
            coercivity, discrete identities).
 
+No command holds a trajectory.  A run is the row blocks that
+`stepper.run_blocks` yields, and each is read as it comes: `run` writes
+each block to ``trajectory.csv.partial`` and feeds it to the estimate
+reducer (`diagnostics.EstimateSums`) in the same pass, then renames the
+file to ``trajectory.csv``; `study` and `compare` keep, of each run, its
+estimate report and its last state u^N, and of each reference run its
+last state alone.  What a run holds besides one block is its (N, dim)
+forcing table and a few floats a step.
+
 Each command computes and writes its data files and returns its summary
 rows, ``(name, ok, detail)``; `main` alone reports them.  It writes
 ``summary.csv`` in every case that gets past the config, with columns
 name, status (PASS or FAIL) and detail: one row per command, or one per
 certificate for `check`.  A failed time step (``step N failed: <reason>``),
-a trajectory too large to allocate or any other allocation that fails,
-such as a space too large to assemble, becomes the one FAIL row of its
-command, and `run` then leaves the completed steps in
-``trajectory.csv.partial``.  Unless ``--quiet``, each row is printed as
+a run too long to allocate or any other allocation that fails, such as a
+space too large to assemble, becomes the one FAIL row of its command; a
+failed step of `run` leaves the completed steps in
+``trajectory.csv.partial``, and a run too long to allocate fails before
+any file is written.  Unless ``--quiet``, each row is printed as
 ``<name> ok: <detail>`` on stdout or ``<name> failed: <detail>`` on
 stderr.  The exit code is 0 when every row passed, 1 when a run or a
 certificate failed, and 2 for a usage or config error, such as a config
@@ -51,11 +61,11 @@ every float exactly as ``'%.17g' % x``.  A float table, such as
 those whose 17th digit its extended-precision scaling cannot round for
 certain; a table of under 192 cells is formatted by ``'%.17g'`` throughout,
 which is faster there.  CSV files are written through a binary handle, so
-those ASCII blocks reach the file as they are.  ``trajectory.csv`` is built
-from the trajectory and written a row block of at most 4 x 4,096 cells at
-a time.  Estimate tables carry one interpolant-gap column,
-`gap_closed_form`, the exact squared L2(0,T;V*) gap.  Only `check` draws
-random samples, seeded by `--seed`.
+those ASCII blocks reach the file as they are.  ``trajectory.csv`` is
+written a row block of the run at a time, as the run yields it.  Estimate
+tables carry one interpolant-gap column, `gap_closed_form`, the exact
+squared L2(0,T;V*) gap.  Only `check` draws random samples, seeded by
+`--seed`.
 """
 
 from __future__ import annotations
@@ -67,8 +77,9 @@ import math
 import os
 import re
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields, replace
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Optional, Sequence, get_args, get_origin, get_type_hints
 
@@ -76,15 +87,15 @@ import numpy as np
 
 from .diagnostics import (
     QUANTITY_FIELDS,
+    EstimateSums,
     LadderStudy,
     bdf2_identity_gap,
     bdf2_inequality_slack,
-    estimate_report,
     fitted_order,
     tau_ladder_study,
 )
 from .fem1d import Mesh1D, assemble_space, make_initial, separable_load
-from .floatfmt import BLOCK_CELLS, g17_lines
+from .floatfmt import g17_lines
 from .galerkin import GalerkinSpace, check_hypotheses_A
 from .oracle import reference_solution
 from .potentials import (
@@ -100,12 +111,11 @@ from .stepper import (
     BACKWARD_EULER,
     BDF2,
     RotheProblem,
-    RotheTrajectory,
     StepFailureError,
     TimeGrid,
     TrajectoryMemoryError,
     check_step_coercivity,
-    run_rothe,
+    run_blocks,
 )
 
 __all__ = [
@@ -122,9 +132,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 2
-# a row block of trajectory.csv: at most 128 KB, where glibc starts to map
-# each allocation afresh, so that a block reuses pages the process holds
-_TRAJECTORY_BLOCK_CELLS = 4 * BLOCK_CELLS
 
 
 class ConfigError(ValueError):
@@ -298,7 +305,7 @@ def parse_config(source) -> ExperimentConfig:
     is_path = isinstance(source, str) and ("[" not in source or os.path.exists(source))
     try:
         if isinstance(source, Path) or is_path:
-            with open(source, "r", encoding="utf-8") as fh:
+            with open(source, "r", encoding="utf-8-sig") as fh:  # a leading BOM is dropped
                 lines, origin = list(fh), fh.name
         else:
             lines, origin = list(io.StringIO(str(source))), "<string>"
@@ -355,8 +362,9 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("[ladder] taus: must be strictly decreasing")
     if cfg.tau_ref is not None and not _divides(cfg.tau_ref, cfg.t_final):
         raise ConfigError(f"[ladder] tau_ref: {cfg.tau_ref} must be > 0 and divide t_final")
-    # every run holds its (N+1) x (n_el+1) trajectory in one float64 array;
-    # the reference tau underflows to 0 for subnormal taus
+    # every run holds an array of trajectory size, its N x (n_el+1) forcing
+    # table, which numpy must be able to index; the reference tau underflows
+    # to 0 for subnormal taus
     tau_min = min(*cfg.taus, cfg.reference_tau())
     ratio = cfg.t_final / tau_min if tau_min > 0 else math.inf
     steps = round(ratio) if math.isfinite(ratio) else math.inf
@@ -378,13 +386,20 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         val, strict = getattr(cfg, name), name in _POSITIVE
         if val is not None and not (val > 0 if strict else val >= 0):
             raise ConfigError(f"[problem] {name}: must be {'>' if strict else '>='} 0")
+        if val is not None and math.isinf(val):
+            raise ConfigError(f"[problem] {name}: must be finite")
     for name in ("f0_t_coeffs", "f0_x_coeffs", "fn_t_coeffs", "u0_coeffs"):
         if not getattr(cfg, name):
             raise ConfigError(f"[problem] {name}: must be non-empty")
-    # the spatial factor's load is assembled once and must be finite; on [0, 1]
-    # Horner's partial sums are bounded by the coefficients' absolute sum
-    if cfg.forcing == "poly" and not math.isfinite(sum(abs(c) for c in cfg.f0_x_coeffs)):
-        raise ConfigError("[problem] f0_x_coeffs: the absolute values must have a finite sum")
+    # the spatial factor's load and the initial state are built once and must
+    # be finite; on [0, 1] Horner's partial sums are bounded by the
+    # coefficients' absolute sum
+    if cfg.u0 == "constant" and not math.isfinite(cfg.u0_value):
+        raise ConfigError("[problem] u0_value: must be finite")
+    for preset, name in (("forcing", "f0_x_coeffs"), ("u0", "u0_coeffs")):
+        coeffs = getattr(cfg, name)
+        if getattr(cfg, preset) == "poly" and not math.isfinite(sum(abs(c) for c in coeffs)):
+            raise ConfigError(f"[problem] {name}: the absolute values must have a finite sum")
     _require_two_steps(cfg, "tau_ref", cfg.reference_tau())  # the reference is a two-step run
     if cfg.scheme == BDF2:
         _require_two_steps(cfg, "taus", cfg.taus[0])
@@ -491,7 +506,7 @@ def _fmt(x) -> str:
 
 
 def _write_csv(
-    path: Path, header: Sequence[str], rows: Sequence[Sequence] | np.ndarray | Iterator[np.ndarray]
+    path: Path, header: Iterable[str], rows: Sequence[Sequence] | np.ndarray | Iterator[np.ndarray]
 ) -> None:
     """Schema line, header and rows; ``rows`` is a list of cell lists, each
     cell formatted by ``_fmt``, a 2-d float array, or an iterator of 2-d
@@ -512,38 +527,6 @@ def _write_csv(
             return
         lines = [head] + [",".join(_fmt(v) for v in row) + "\n" for row in rows]
         fh.write("".join(lines).encode("utf-8"))
-
-
-def _write_trajectory(
-    path: Path, times: np.ndarray, u: np.ndarray, xi: np.ndarray, residuals: np.ndarray
-) -> None:
-    """Rows of u^0..u^k with the multipliers and residuals of steps 1..k
-    (zeros on the row of u^0), built and written a block of at most
-    ``_TRAJECTORY_BLOCK_CELLS`` cells at a time, so the writer holds one
-    block beside the trajectory, not a copy of it."""
-    k, dim = u.shape
-    dim_u = xi.shape[1]
-    header = (
-        ["t"]
-        + [f"u{i}" for i in range(dim)]
-        + [f"xi{i}" for i in range(dim_u)]
-        + ["residual"]
-    )
-    width = dim + dim_u + 2
-    per_block = max(1, _TRAJECTORY_BLOCK_CELLS // width)
-
-    def blocks() -> Iterator[np.ndarray]:
-        for start in range(0, k, per_block):
-            stop = min(start + per_block, k)
-            rows = np.zeros((stop - start, width))
-            rows[:, 0] = times[start:stop]
-            rows[:, 1 : dim + 1] = u[start:stop]
-            first = max(start, 1)  # the row of u^0 has no step
-            rows[first - start :, dim + 1 : -1] = xi[first - 1 : stop - 1]
-            rows[first - start :, -1] = residuals[first - 1 : stop - 1]
-            yield rows
-
-    _write_csv(path, header, blocks())
 
 
 _ESTIMATE_COLS = (
@@ -589,37 +572,32 @@ _Rows = list[tuple[str, bool, str]]  # (name, passed, detail)
 
 def cmd_run(cfg: ExperimentConfig, out: Path) -> _Rows:
     problem = build_problem(cfg)
-    tau = cfg.taus[0]
+    sp, tau = problem.space, cfg.taus[0]
     grid = TimeGrid.of_step(cfg.t_final, tau)
-    try:
-        traj = run_rothe(problem, grid, cfg.scheme, cfg.tol)
-    except StepFailureError as exc:
-        _write_trajectory(
-            out / "trajectory.csv.partial",
-            grid.times(), exc.partial_u, exc.partial_xi, exc.partial_residuals,
-        )
-        raise
-    _write_trajectory(
-        out / "trajectory.csv", grid.times(), traj.u, traj.xi, traj.per_step_residuals
-    )
-    rep = estimate_report(traj, problem.space, problem.boundary.weights)
-    _write_csv(out / "estimates.csv", list(_ESTIMATE_COLS), [_estimate_row(tau, rep)])
-    worst = float(np.max(traj.per_step_residuals, initial=0.0))
-    return [("run", True, f"worst step residual {worst:.3e}")]
+    blocks = run_blocks(problem, grid, cfg.scheme, cfg.tol)  # the forcing table: before any file
+    sums = EstimateSums(sp, grid, problem.boundary.weights)
+    # names made as the header is joined, so that none is held through the run
+    names = chain(["t"], (f"u{i}" for i in range(sp.dim)), (f"xi{i}" for i in range(sp.dim_u)))
+    partial = out / "trajectory.csv.partial"
+    # each block is written and reduced as it comes; a failed step leaves the rows before it
+    _write_csv(partial, chain(names, ["residual"]), map(sums.add, blocks))
+    os.replace(partial, out / "trajectory.csv")
+    _write_csv(out / "estimates.csv", list(_ESTIMATE_COLS), [_estimate_row(tau, sums.report())])
+    return [("run", True, f"worst step residual {sums.worst_residual:.3e}")]
 
 
 def _ladders(
     cfg: ExperimentConfig, schemes: Sequence[str], one_step_ref: bool = False
-) -> tuple[RotheProblem, list[RotheTrajectory], list[LadderStudy]]:
-    """The problem, its fine references (the two-step run at the reference
-    tau, then with ``one_step_ref`` the one-step run on the same grid) and one
-    ladder per scheme, errors taken against the two-step reference."""
+) -> tuple[RotheProblem, list[np.ndarray], list[LadderStudy]]:
+    """The problem, the states at t_final of its fine references (the
+    two-step run at the reference tau, then with ``one_step_ref`` the
+    one-step run on the same grid) and one ladder per scheme, errors taken
+    against the two-step reference."""
     problem = build_problem(cfg)
     tau_ref = cfg.reference_tau()
     refs = [reference_solution(problem, cfg.t_final, tau_ref)]
     if one_step_ref:
-        grid = TimeGrid.of_step(cfg.t_final, tau_ref)
-        refs.append(run_rothe(problem, grid, BACKWARD_EULER, 1e-12))
+        refs.append(reference_solution(problem, cfg.t_final, tau_ref, scheme=BACKWARD_EULER))
     studies = [
         tau_ladder_study(problem, cfg.t_final, cfg.taus, scheme, cfg.tol, refs[0])
         for scheme in schemes
@@ -654,9 +632,7 @@ def cmd_compare(cfg: ExperimentConfig, out: Path) -> _Rows:
     order_rows = []
     for study in studies:
         errs_two = study.series("error_at_T")
-        errs_one = [
-            problem.space.h_norm(r.trajectory.u[-1] - ref_one.u[-1]) for r in study.rows
-        ]
+        errs_one = [problem.space.h_norm(r.u_final - ref_one) for r in study.rows]
         for r, e1 in zip(study.rows, errs_one):
             err_rows.append([study.scheme, r.tau, r.error_at_T, e1])
         order_rows.append(

@@ -2,21 +2,29 @@
 identities, a-priori estimate quantities (with the exact gap of the time
 interpolants), ladder studies across a family of step sizes and the
 fitted order of their errors.
+
+The estimates are sums and maxima over the steps, and a step's terms read
+only the two states before it, so one reducer, `EstimateSums`, takes them
+from a run's row blocks as the run yields them; `estimate_report` feeds
+it the blocks of a held trajectory, and a ladder run is reduced as it
+steps.  No diagnostic holds a trajectory it does not already have.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .galerkin import GalerkinSpace
-from .stepper import BDF2, RotheProblem, RotheTrajectory, TimeGrid, run_rothe
+from .stepper import BDF2, RotheProblem, RotheTrajectory, TimeGrid, block_rows, run_blocks
 
 __all__ = [
     "EstimateReport",
+    "EstimateSums",
     "LadderRow",
     "LadderStudy",
     "bdf2_identity_gap",
@@ -104,21 +112,136 @@ def bdf2_inequality_slack(a, b, c, space: GalerkinSpace) -> float:
     return lhs - rhs
 
 
-# cells of a trajectory row block in ``estimate_report``: a block's stacked
-# rows and their products stay small next to the trajectory
-BLOCK_CELLS = 8192
-# fewest rows of u in a block.  einsum sums a lone row of more than 8192
-# entries (its buffer) in another order than a row of a stack, so each
-# family's rows in a block must be a stack of two or more, as in the whole
-# family, unless the family has one row; four rows of u give the first
-# block two rows of each
-_MIN_BLOCK_ROWS = 4
-
-
 def _dual_u_sq_rows(space: GalerkinSpace, actions: np.ndarray) -> np.ndarray:
     """Squared U*-norms of the boundary functionals given by the rows'
     action vectors, from one multi-right-hand-side gram_u solve."""
     return np.maximum(np.einsum("ij,ji->i", actions, space.gram_u.solve(actions.T)), 0.0)
+
+
+def _stacked(rows: np.ndarray, total: int) -> np.ndarray:
+    """The rows of a family of ``total`` rows in the run, a lone row stacked
+    with a copy of itself unless it is the whole family: einsum sums a lone
+    row of more than 8192 entries (its buffer) in another order than a row
+    of a stack."""
+    return np.repeat(rows, 2, axis=0) if len(rows) == 1 and total > 1 else rows
+
+
+def _quad_rows(left: np.ndarray, stack: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` row-wise inner products of two stacks."""
+    return np.maximum(np.einsum("ij,ij->i", left, stack), 0.0)[:count]
+
+
+def _dual_rows(space: GalerkinSpace, stack: np.ndarray, count: int) -> tuple[np.ndarray, ...]:
+    """The H-embeddings of a stack's rows and the squared V*-norms of the
+    first ``count``, from one product with gram_h and one
+    multi-right-hand-side Riesz solve."""
+    hw = stack @ space.gram_h
+    return hw, np.maximum(np.einsum("ij,ji->i", hw, space.solve_v(hw.T)), 0.0)[:count]
+
+
+class EstimateSums:
+    """The reducer of a run to its EstimateReport: fed the run's row
+    blocks in order, in the row layout of ``stepper.run_blocks`` (``add``),
+    it keeps each row's terms, a few floats a step, the last two states
+    and the largest step residual, never the trajectory; ``report`` sums
+    the terms once every row is in.
+
+    The estimates are direct sums over the first differences
+    d_n = u^n - u^{n-1}, stencils s_n = 1.5u^n - 2u^{n-1} + 0.5u^{n-2} and
+    second differences e_n = u^n - 2u^{n-1} + u^{n-2}.  In a block, the
+    H-embeddings of each family of d_n, s_n and e_n take one product with
+    gram_h and one multi-right-hand-side Riesz solve for their squared
+    V*-norms, and the u^n one product with gram_h and one with gram_v for
+    their squared norms.  Each family's row values are reduced by one
+    einsum per block, over a stack of two or more rows unless the family
+    has a single row, which is how the whole family reduces, so a row's
+    value does not depend on the block it lies in; the sums run over the
+    full per-row arrays, and the report has the same bits for every
+    partition of the run into blocks.  ``weights`` are the boundary
+    quadrature weights used to lift nodal multipliers to boundary
+    functionals (all ones by default).  V*-norms of H-elements are taken
+    through their H-embedding.
+    """
+
+    def __init__(
+        self, space: GalerkinSpace, grid: TimeGrid, weights: Optional[np.ndarray] = None
+    ) -> None:
+        self.space, self.grid = space, grid
+        self._w = np.ones(space.dim_u) if weights is None else np.asarray(weights, dtype=float)
+        self._held: Optional[np.ndarray] = None  # the last block added, not yet reduced
+        self.worst_residual = 0.0  # of the steps reduced
+        self._last = np.empty((0, space.dim))  # the last two states reduced (fewer at first)
+        self._d1: Optional[np.ndarray] = None  # u^1 - u^0
+        self._terms: list[tuple[np.ndarray, ...]] = []  # the row terms of each reduced block
+
+    def add(self, rows: np.ndarray) -> np.ndarray:
+        """Add the next row block: t_n, u^n, xi^n and the step residual per
+        row, as ``stepper.run_blocks`` yields it; returns it, so that a run
+        passes through.  A block is reduced when the next one is added, or
+        by ``report``: a run that fails yields the completed rows of its
+        last block before it raises, and those rows, never reported, are
+        never reduced."""
+        self._reduce_held()
+        self._held = rows
+        return rows
+
+    def _reduce_held(self) -> None:
+        if self._held is not None:
+            rows, self._held = self._held, None
+            dim, first = self.space.dim, 0 if self._terms else 1  # u^0 has no step
+            self._add_states(rows[:, 1 : dim + 1], rows[first:, dim + 1 : -1])
+            self.worst_residual = max(self.worst_residual, float(rows[:, -1].max()))
+
+    def _add_states(self, u: np.ndarray, xi: np.ndarray) -> None:
+        """Reduce the next states u^n and the multipliers of their steps."""
+        space, n = self.space, self.grid.N
+        win = np.concatenate([self._last, u])
+        # the first rows of the window with a d_n, and with s_n and e_n
+        i1, i2 = max(len(self._last), 1), max(len(self._last), 2)
+        # each row by the operations, in the order, of its formula
+        d = win[i1:] - win[i1 - 1 : -1]
+        twice = 2.0 * win[i2 - 1 : -1]
+        s = 1.5 * win[i2:] - twice + 0.5 * win[i2 - 2 : -2]
+        e = win[i2:] - twice + win[i2 - 2 : -2]
+        # each family of a block as a stack, with its count of rows
+        (d, nd), (s, ns), (e, ne), (u, nu) = (
+            (_stacked(rows, total), len(rows))
+            for rows, total in ((d, n), (s, n - 1), (e, n - 1), (win[len(self._last) :], n + 1))
+        )
+        hw_e, e_sq = _dual_rows(space, e, ne)
+        self._terms.append((
+            _quad_rows(u @ space.gram_v, u, nu),  # ||u^n||_V^2
+            _quad_rows(u @ space.gram_h, u, nu),  # |u^n|_H^2
+            _dual_rows(space, d, nd)[1],  # ||d_n||_*^2
+            _dual_rows(space, s, ns)[1],  # ||s_n||_*^2
+            e_sq,  # ||e_n||_*^2
+            _quad_rows(hw_e, e, ne),  # |e_n|_H^2
+            xi * self._w,  # the boundary functionals of xi^n
+        ))
+        if self._d1 is None and nd:
+            self._d1 = d[0].copy()
+        self._last = win[-2:].copy()
+
+    def report(self) -> EstimateReport:
+        """The estimates of the run; ValueError until every row is added."""
+        tau, n = self.grid.tau, self.grid.N
+        self._reduce_held()
+        terms = [np.concatenate(values) for values in zip(*self._terms)]
+        if not terms or len(terms[0]) != n + 1:
+            raise ValueError(f"the {n + 1} rows of the run were not all added")
+        v_sq, h_sq, diff_sq, stencil_sq, second_sq, second_h, actions = terms
+        gap = tau / 12.0 * (diff_sq[0] + stencil_sq.sum()) + tau / 16.0 * second_sq.sum()
+        return EstimateReport(
+            q3=tau * float(v_sq.sum()),
+            q4=float(np.sqrt(h_sq.max())),
+            q5=tau * float(_dual_u_sq_rows(self.space, actions).sum()),
+            q6=float(diff_sq[0]) / tau,
+            q7=float(stencil_sq.sum()) / tau,
+            q75=float(second_h.sum()),
+            gap_closed_form=float(gap),
+            u1_u0_gap=self.space.h_norm(self._d1),
+            bv_bound=float(diff_sq.sum()) / tau,
+        )
 
 
 def estimate_report(
@@ -126,91 +249,20 @@ def estimate_report(
     space: GalerkinSpace,
     weights: Optional[np.ndarray] = None,
 ) -> EstimateReport:
-    """Compute every estimate quantity of the trajectory by direct
-    summation over the first differences d_n = u^n - u^{n-1}, stencils
-    s_n = 1.5u^n - 2u^{n-1} + 0.5u^{n-2} and second differences
-    e_n = u^n - 2u^{n-1} + u^{n-2}.  ``weights`` are the boundary quadrature
-    weights used to lift nodal multipliers to boundary functionals (all
-    ones by default).
-
-    The trajectory is read a row block of at most ``BLOCK_CELLS`` cells at a
-    time, so no stack of trajectory size is built.  A block of rows u^n
-    stacks its d_n, s_n, e_n and u^n and takes one product with gram_h: the
-    H-embeddings of d_n, s_n and e_n go through one multi-right-hand-side
-    Riesz solve for their squared V*-norms, and the products of e_n and
-    u^n give their squared H-norms; one product with gram_v gives the
-    squared V-norms of the u^n.  Each family's row values are reduced by
-    one einsum per block, over a stack of two or more rows unless the
-    family has a single row, which is how the whole family reduces, so a
-    row's value does not depend on the block it lies in; the sums run over
-    the full per-row arrays.  V*-norms of H-elements are taken through
-    their H-embedding.
+    """Every estimate quantity of a held trajectory, from ``EstimateSums``
+    fed its rows a block of ``stepper.block_rows`` at a time, so no stack
+    of trajectory size is built.
 
     On window 1 the interpolant gap is d_1 theta, on window n >= 2 it is
     s_n theta - e_n/4, with theta = (t - midpoint)/tau odd about the window
     midpoint; the cross term integrates to zero, so the squared gap norm is
     tau/12 ||d_1||_*^2 + sum_{n>=2} (tau/12 ||s_n||_*^2 + tau/16 ||e_n||_*^2).
     """
-    u = traj.u
-    tau = traj.grid.tau
-    if weights is None:
-        weights = np.ones(space.dim_u)
-    w = np.asarray(weights, dtype=float)
-
-    k, dim = u.shape
-    v_sq, h_sq = np.empty(k), np.empty(k)  # ||u^n||_V^2 and |u^n|_H^2, n = 0..N
-    diff_sq = np.empty(k - 1)  # ||d_n||_*^2, n = 1..N
-    # ||s_n||_*^2, ||e_n||_*^2 and |e_n|_H^2, n = 2..N
-    stencil_sq, second_sq, second_h = (np.empty(max(k - 2, 0)) for _ in range(3))
-    rows = max(_MIN_BLOCK_ROWS, BLOCK_CELLS // dim)
-    a = 0
-    while a < k:
-        b = min(a + rows, k)
-        if k - b == 1:  # the last row joins this block: no block of one row
-            b = k
-        # the first n of the block with d_n, and with s_n and e_n (b when none)
-        a1, a2 = min(max(a, 1), b), min(max(a, 2), b)
-        nd, ns = b - a1, b - a2
-        stack = np.empty((nd + 2 * ns + b - a, dim))  # d_n, s_n, e_n, then u^n
-        d, s, e = stack[:nd], stack[nd : nd + ns], stack[nd + ns : nd + 2 * ns]
-        # each row by the operations, in the order, of its formula
-        np.subtract(u[a1:b], u[a1 - 1 : b - 1], out=d)
-        twice = 2.0 * u[a2 - 1 : b - 1]
-        np.multiply(u[a2:b], 1.5, out=s)
-        s -= twice
-        s += 0.5 * u[a2 - 2 : b - 2]
-        np.subtract(u[a2:b], twice, out=e)
-        e += u[a2 - 2 : b - 2]
-        stack[nd + 2 * ns :] = u[a:b]
-        hw = stack @ space.gram_h
-        x = space.solve_v(hw[: nd + 2 * ns].T)
-        # one einsum per family, each a stack of its rows as the family's own
-        for rows_of, sums in (
-            (slice(0, nd), diff_sq[a1 - 1 : b - 1]),
-            (slice(nd, nd + ns), stencil_sq[a2 - 2 : b - 2]),
-            (slice(nd + ns, nd + 2 * ns), second_sq[a2 - 2 : b - 2]),
-        ):
-            np.einsum("ij,ji->i", hw[rows_of], x[:, rows_of], out=sums)
-        np.einsum("ij,ij->i", hw[nd + ns : nd + 2 * ns], e, out=second_h[a2 - 2 : b - 2])
-        np.einsum("ij,ij->i", hw[nd + 2 * ns :], u[a:b], out=h_sq[a:b])
-        np.einsum("ij,ij->i", u[a:b] @ space.gram_v, u[a:b], out=v_sq[a:b])
-        a = b
-    for sums in (v_sq, h_sq, diff_sq, stencil_sq, second_sq, second_h):
-        np.maximum(sums, 0.0, out=sums)  # clipped at zero against roundoff
-
-    q5 = tau * float(_dual_u_sq_rows(space, traj.xi * w).sum())
-    gap = tau / 12.0 * (diff_sq[0] + stencil_sq.sum()) + tau / 16.0 * second_sq.sum()
-    return EstimateReport(
-        q3=tau * float(v_sq.sum()),
-        q4=float(np.sqrt(h_sq.max())),
-        q5=q5,
-        q6=float(diff_sq[0]) / tau,
-        q7=float(stencil_sq.sum()) / tau,
-        q75=float(second_h.sum()),
-        gap_closed_form=float(gap),
-        u1_u0_gap=space.h_norm(u[1] - u[0]),
-        bv_bound=float(diff_sq.sum()) / tau,
-    )
+    sums = EstimateSums(space, traj.grid, weights)
+    rows = block_rows(space.dim + space.dim_u + 2)
+    for a in range(0, len(traj.u), rows):
+        sums._add_states(traj.u[a : a + rows], traj.xi[max(a, 1) - 1 : a + rows - 1])
+    return sums.report()
 
 
 @dataclass(frozen=True)
@@ -218,7 +270,7 @@ class LadderRow:
     tau: float
     report: EstimateReport
     error_at_T: float  # H-norm error vs the reference at t = T (nan if none)
-    trajectory: RotheTrajectory
+    u_final: np.ndarray  # u^N
 
 
 @dataclass(frozen=True)
@@ -252,11 +304,12 @@ def tau_ladder_study(
     taus: Sequence[float],
     scheme: str = BDF2,
     tol: float = 1e-10,
-    reference: Optional[RotheTrajectory] = None,
+    reference: Optional[np.ndarray] = None,
 ) -> LadderStudy:
     """Run the scheme once per step size (decreasing, each dividing the
-    horizon) and collect per-run estimate reports, plus the terminal-time
-    error against a reference trajectory when one is supplied."""
+    horizon) and collect per-run estimate reports and last states, plus the
+    terminal-time error against a reference's state at t = T when one is
+    supplied.  Each run is reduced as it steps; none is held."""
     taus = [float(t) for t in taus]
     if not taus:
         raise ValueError("tau ladder must be non-empty")
@@ -265,10 +318,12 @@ def tau_ladder_study(
     rows = []
     weights = problem.boundary.weights
     for tau in taus:
-        traj = run_rothe(problem, TimeGrid.of_step(t_final, tau), scheme, tol)
-        rep = estimate_report(traj, problem.space, weights)
+        grid = TimeGrid.of_step(t_final, tau)
+        sums = EstimateSums(problem.space, grid, weights)
+        (last,) = deque(map(sums.add, run_blocks(problem, grid, scheme, tol)), maxlen=1)
+        u_final = last[-1, 1 : problem.space.dim + 1].copy()
         err = float("nan")
         if reference is not None:
-            err = problem.space.h_norm(traj.u[-1] - reference.u[-1])
-        rows.append(LadderRow(tau, rep, err, traj))
+            err = problem.space.h_norm(u_final - reference)
+        rows.append(LadderRow(tau, sums.report(), err, u_final))
     return LadderStudy(scheme, tuple(rows))

@@ -6,7 +6,7 @@ inclusion comes from one scalar scan, an interval-aware grid scan with
 bisection in the boundary value s = trace u after u has been eliminated.
 Convex solutions come from coordinate-wise golden-section descent on the
 step energy, and trajectory references from a much finer run of the scheme
-itself.
+itself, of which only the last state is kept.
 
 The dense factor is ``scipy.linalg``'s Cholesky, which
 ``scan_roots_reduced`` imports on its first call: no command calls it, so
@@ -15,12 +15,13 @@ no command pays for importing that package.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Callable
 
 import numpy as np
 
 from .inclusion_solver import StepProblem
-from .stepper import BDF2, RotheProblem, RotheTrajectory, TimeGrid, run_rothe
+from .stepper import BDF2, RotheProblem, TimeGrid, run_blocks
 
 __all__ = [
     "scan_roots_reduced",
@@ -194,8 +195,12 @@ def reference_solution(
     t_final: float,
     tau_fine: float,
     tol: float = 1e-12,
-) -> RotheTrajectory:
-    """Fine-step two-step run with tightened tolerance, used as the
-    reference when measuring temporal errors at shared grid points.
-    ValueError unless tau_fine divides t_final (``TimeGrid.of_step``)."""
-    return run_rothe(problem, TimeGrid.of_step(t_final, tau_fine), BDF2, tol)
+    scheme: str = BDF2,
+) -> np.ndarray:
+    """The state at t = t_final of a fine-step run of the scheme (the
+    two-step one by default) with tightened tolerance, used as the
+    reference when measuring temporal errors there; no other state is
+    kept.  ValueError unless tau_fine divides t_final (``TimeGrid.of_step``)."""
+    grid = TimeGrid.of_step(t_final, tau_fine)
+    (last,) = deque(run_blocks(problem, grid, scheme, tol), maxlen=1)  # the last block alone
+    return last[-1, 1 : problem.space.dim + 1].copy()

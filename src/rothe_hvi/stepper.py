@@ -13,7 +13,15 @@ table; a step reads its row and evaluates no forcing.  The load is a
 `SeparableLoad`, l(t) = sum_j a_j(t) l_j, which on a Galerkin space is every
 load: its time factors a_j come from one vectorized call at the 5N Gauss
 times of the window integrals (5-point Gauss sums), and its load vectors
-l_j, assembled once, enter the table through one product.
+l_j, assembled once, enter the table through one product.  A row computed
+alone would differ in its last bits from the row of that product, so a run
+holds the table rather than one row at a time.
+
+`run_blocks` holds the only step loop.  It yields the run a row block at a
+time, in the row layout of ``trajectory.csv`` (t_n, u^n, xi^n and the
+residual of step n), and holds only the two states the stencil reads: a
+writer, the estimate reducer and `run_rothe`, which records a
+`RotheTrajectory`, each read the same blocks.
 
 A one-step (backward Euler) baseline is provided for scheme comparisons;
 it consumes the same averaged forcing sequence and differs only in the
@@ -24,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -49,6 +57,7 @@ __all__ = [
     "average_forcing",
     "initial_step",
     "bdf2_step",
+    "run_blocks",
     "run_rothe",
     "CoercivityReport",
     "check_step_coercivity",
@@ -60,21 +69,26 @@ BACKWARD_EULER = "backward_euler"
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(5)  # the 5-point Gauss rule on [-1, 1]
 _OFFSETS = 0.5 * (1.0 + _NODES)  # its points on [0, 1], in steps from a window's start
 _EPS = float(np.finfo(float).eps)
+# cells of a row block of a run (unless two rows take more): 128 KB, where
+# glibc starts to map each allocation afresh, so that a block reuses pages
+# the process holds
+BLOCK_CELLS = 16384
 
 
 class StepFailureError(RuntimeError):
     """A time step failed; carries the step index, the reason, the solver
-    report (None for non-finite data or solutions) and the completed
-    prefix of the trajectory."""
+    report (None for non-finite data or solutions, and for a step operator
+    that cannot be factored) and, raised by ``run_rothe``, the completed
+    prefix of the trajectory (None from ``run_blocks``, which holds none)."""
 
     def __init__(
         self,
         step: int,
         reason: str,
         report: Optional[SolveReport],
-        partial_u: np.ndarray,
-        partial_xi: np.ndarray,
-        partial_residuals: np.ndarray,
+        partial_u: Optional[np.ndarray] = None,
+        partial_xi: Optional[np.ndarray] = None,
+        partial_residuals: Optional[np.ndarray] = None,
     ):
         super().__init__(f"time step {step} failed: {reason}")
         self.step = step
@@ -86,8 +100,9 @@ class StepFailureError(RuntimeError):
 
 
 class TrajectoryMemoryError(MemoryError):
-    """The arrays that hold a run's trajectory cannot be allocated; carries
-    the step count, the step size and the bytes they ask for."""
+    """The arrays of trajectory size that a run holds cannot be allocated:
+    the (N, dim) forcing table, and with ``run_rothe`` the trajectory too;
+    carries the step count, the step size and the bytes they ask for."""
 
     def __init__(self, steps: int, tau: float, nbytes: int):
         super().__init__(
@@ -253,64 +268,126 @@ def bdf2_step(
     return solve_step_inclusion(step, rhs, s_warm, tol)
 
 
-def run_rothe(
-    problem: RotheProblem,
-    grid: TimeGrid,
-    scheme: str = BDF2,
-    tol: float = 1e-10,
-) -> RotheTrajectory:
-    """Run the full scheme on the grid, each step solved to ``tol``.
+def _block_steps(
+    problem: RotheProblem, grid: TimeGrid, scheme: str, tol: float, f_avg: np.ndarray
+) -> Iterator[np.ndarray]:
+    """The step loop of ``run_blocks``, on its forcing table ``f_avg``."""
+    tau, dim, width = grid.tau, problem.space.dim, problem.space.dim + problem.space.dim_u + 2
+    times = grid.times()
+    u_nm2 = u_nm1 = problem.u0  # the states the stencil reads, held between steps
+    for start in range(0, grid.N + 1, block_rows(width)):
+        rows = np.zeros((min(block_rows(width), grid.N + 1 - start), width))
+        rows[:, 0] = times[start : start + len(rows)]
+        if start == 0:
+            rows[0, 1 : dim + 1] = problem.u0
+        steps = range(max(start, 1), start + len(rows))
+        finite = np.isfinite(f_avg[steps.start - 1 : steps.stop - 1]).all(axis=1)
+        stop = steps.start + int(np.argmin(finite)) if not finite.all() else None  # a bad step
+        try:
+            # every non-finite value of a step is caught by the solver's own scans
+            with np.errstate(over="ignore", invalid="ignore"):
+                for n in steps:
+                    if n == 1 or (n == 2 and scheme == BDF2):
+                        # one operator per stencil, at most one alive at a time;
+                        # from step 2 on the operator stays as it is
+                        two_step = n == 2
+                        step = None
+                        step = _step_operator(problem, 2.0 / 3.0 if two_step else 1.0, tau)
+                    if n == stop:
+                        raise NumericalFailureError("non-finite forcing average")
+                    if two_step:
+                        u_n, xi_n, report = bdf2_step(step, u_nm1, u_nm2, f_avg[n - 1], tol)
+                    else:
+                        u_n, xi_n, report = initial_step(step, u_nm1, f_avg[n - 1], tol)
+                    rows[n - start, 1 : dim + 1] = u_n
+                    # one boundary row: StepProblem checks dim_u = 1
+                    rows[n - start, dim + 1] = xi_n[0]
+                    # the step equation is the unscaled one multiplied by c tau
+                    rows[n - start, -1] = report.residual / step.flux_coef
+                    u_nm2, u_nm1 = u_nm1, u_n
+        except (NonConvergenceError, NumericalFailureError) as exc:
+            if n > start:  # the completed rows of this block
+                yield rows[: n - start]
+            raise StepFailureError(n, str(exc), getattr(exc, "report", None)) from exc
+        yield rows
+
+
+def _step_operator(problem: RotheProblem, c: float, tau: float) -> StepProblem:
+    """``problem.step_problem(c, tau)``; NumericalFailureError, naming tau,
+    when float64 cannot factor its S = M + c tau K."""
+    try:
+        return problem.step_problem(c, tau)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(
+            f"the step operator at tau = {tau:g} cannot be factored in float64: {exc}"
+        ) from None
+
+
+def block_rows(width: int) -> int:
+    """Rows of a row block of ``width`` cells a row: at most ``BLOCK_CELLS``
+    cells, and at least two rows."""
+    return max(2, BLOCK_CELLS // width)
+
+
+def run_blocks(
+    problem: RotheProblem, grid: TimeGrid, scheme: str = BDF2, tol: float = 1e-10
+) -> Iterator[np.ndarray]:
+    """The run of the scheme on the grid, each step solved to ``tol``, as
+    an iterator of row blocks: the only step loop.  Row n of the run is
+    t_n, u^n, xi^n and the residual of step n, zeros on the row of u^0, the
+    row layout of ``trajectory.csv``; a block holds ``block_rows`` rows,
+    the last block what is left.  A block is new, and its consumers only
+    read it.
+
     Deterministic: fixed iteration order, no randomness anywhere, so
-    identical inputs give bit-identical trajectories.  The forcing table is
-    built once, after the trajectory arrays; arrays that cannot be allocated
-    raise TrajectoryMemoryError before any forcing is evaluated.  A failing
-    step, or the first step whose forcing average is not finite, raises
-    StepFailureError with the completed prefix."""
+    identical inputs give bit-identical blocks.  The forcing table is built
+    when this is called, and a table that cannot be allocated raises
+    TrajectoryMemoryError there; so do an unknown scheme and a two-step run
+    of one step, as ValueError.  The blocks are stepped when they are asked
+    for, in floating-point state entered once per block and left before it
+    is yielded.  A failing step, the first step whose forcing average is
+    not finite, or a step operator that float64 cannot factor, yields the
+    completed rows of its block (if any) and then raises StepFailureError,
+    which carries no prefix."""
     if scheme not in (BDF2, BACKWARD_EULER):
         raise ValueError(f"unknown scheme {scheme!r}")
     if scheme == BDF2 and grid.N < 2:
         raise ValueError("the two-step scheme needs N >= 2")
-    tau = grid.tau
-    sp = problem.space
     try:
-        u = np.zeros((grid.N + 1, sp.dim))
-        xi = np.zeros((grid.N, sp.dim_u))
-        residuals = np.zeros(grid.N)
         f_avg = average_forcing(problem.forcing, grid)
     except MemoryError:
-        nbytes = 8 * ((grid.N + 1) * sp.dim + grid.N * (sp.dim_u + sp.dim + 1))
-        raise TrajectoryMemoryError(grid.N, tau, nbytes) from None
-    u[0] = problem.u0
-    u_nm2 = u_nm1 = u[0]  # the states the stencil reads, held between steps
-    finite = np.isfinite(f_avg).all(axis=1)
-    stop = grid.N + 1 if finite.all() else int(np.argmin(finite)) + 1  # the first bad row
-    # every non-finite value of a step is caught by the solver's own scans
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, grid.N + 1):
-            if n == 1 or (n == 2 and scheme == BDF2):
-                # one operator per stencil, at most one alive at a time;
-                # from step 2 on the operator and c tau stay as they are
-                two_step = n == 2
-                step = None
-                step = problem.step_problem(2.0 / 3.0 if two_step else 1.0, tau)
-                ctau = step.flux_coef
-            try:
-                if n == stop:
-                    raise NumericalFailureError("non-finite forcing average")
-                if two_step:
-                    u_n, xi_n, report = bdf2_step(step, u_nm1, u_nm2, f_avg[n - 1], tol)
-                else:
-                    u_n, xi_n, report = initial_step(step, u_nm1, f_avg[n - 1], tol)
-            except (NonConvergenceError, NumericalFailureError) as exc:
-                prefix = (u[:n].copy(), xi[: n - 1].copy(), residuals[: n - 1].copy())
-                report = getattr(exc, "report", None)
-                raise StepFailureError(n, str(exc), report, *prefix) from exc
-            u[n] = u_n
-            u_nm2, u_nm1 = u_nm1, u_n
-            xi[n - 1, 0] = xi_n[0]  # one boundary row: StepProblem checks dim_u = 1
-            # the step equation is the unscaled one multiplied by c tau
-            residuals[n - 1] = report.residual / ctau
-    return RotheTrajectory(grid, u, xi, residuals)
+        raise TrajectoryMemoryError(grid.N, grid.tau, 8 * grid.N * problem.space.dim) from None
+    return _block_steps(problem, grid, scheme, tol, f_avg)
+
+
+def run_rothe(
+    problem: RotheProblem, grid: TimeGrid, scheme: str = BDF2, tol: float = 1e-10
+) -> RotheTrajectory:
+    """The run of ``run_blocks``, its rows recorded in one table whose
+    columns the trajectory views.  The table is allocated before the
+    forcing table is built; a table that cannot be allocated raises
+    TrajectoryMemoryError before any forcing is evaluated.  A failing step
+    raises StepFailureError with copies of the completed prefix."""
+    dim, width = problem.space.dim, problem.space.dim + problem.space.dim_u + 2
+    try:
+        table = np.empty((grid.N + 1, width))
+    except MemoryError:
+        nbytes = 8 * (grid.N + 1) * width + 8 * grid.N * dim  # the table, then the forcing
+        raise TrajectoryMemoryError(grid.N, grid.tau, nbytes) from None
+    done = 0  # rows recorded
+    try:
+        for rows in run_blocks(problem, grid, scheme, tol):
+            table[done : done + len(rows)] = rows
+            done += len(rows)
+    except StepFailureError as exc:
+        exc.partial_u, exc.partial_xi, exc.partial_residuals = _columns(table[:done].copy(), dim)
+        raise
+    return RotheTrajectory(grid, *_columns(table, dim))
+
+
+def _columns(rows: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """u, xi and the step residuals of the rows u^0.. of a run."""
+    return rows[:, 1 : dim + 1], rows[1:, dim + 1 : -1], rows[1:, -1]
 
 
 class _FitLine(NamedTuple):

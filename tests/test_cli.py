@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import fields
 from fractions import Fraction
@@ -18,10 +19,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from rothe_hvi import cli, floatfmt
+from rothe_hvi import cli, floatfmt, stepper
 from rothe_hvi.cli import (
-    ConfigError, ExperimentConfig, _fmt, _poly, _write_csv, _write_trajectory, main, parse_config,
-    render_config,
+    ConfigError, ExperimentConfig, _fmt, _poly, _write_csv, main, parse_config, render_config,
 )
 from rothe_hvi.diagnostics import QUANTITY_FIELDS
 
@@ -317,9 +317,11 @@ def test_a_trajectory_too_large_to_allocate_exits_1_naming_t_final(tmp_path, cap
     out = tmp_path / "out"
     rc = main([command, str(cfg), "--out", str(out)])
     # run: 8e12 steps of tau = 0.125; study and compare fail on their first
-    # reference run, 1.024e15 steps of tau = 0.03125 / 32
+    # reference run, 1.024e15 steps of tau = 0.03125 / 32.  A run holds no
+    # trajectory: the array of trajectory size it asks for is its (N, 65)
+    # forcing table
     steps, tau = (8 * 10**12, "0.125") if command == "run" else (1024 * 10**12, "0.000976562")
-    nbytes = 8 * ((steps + 1) * 65 + steps * (1 + 65 + 1))
+    nbytes = 8 * steps * 65
     detail = (f"[problem] t_final = 1e+12 at tau = {tau} takes {steps} steps whose trajectory "
               f"at [problem] n_el = 64 asks for {nbytes} bytes: more than can be allocated")
     assert rc == 1
@@ -505,6 +507,14 @@ OUT_OF_RANGE = [
             ("forcing = poly\nf0_x_coeffs = 1e308,1e308", "f0_x_coeffs"),
             ("forcing = poly\nf0_x_coeffs = 1,nan", "f0_x_coeffs"),
             ("u0 = poly\nu0_coeffs = ,", "u0_coeffs"),
+            # non-finite constants: a traceback from make_initial, or a
+            # growth certificate that passes on a nan margin
+            ("u0 = constant\nu0_value = inf", "u0_value"),
+            ("u0 = poly\nu0_coeffs = 1e308,1e308", "u0_coeffs"),
+            ("potential_d = inf", "potential_d"),
+            ("ncvx_tail_slope = inf", "ncvx_tail_slope"),
+            ("potential = linear_robin\npotential_k = inf", "potential_k"),
+            ("b_growth = inf", "b_growth"),
         ]
     ),
     pytest.param(tiny(coercivity_taus="nan"), "[check] coercivity_taus", id="coercivity_taus"),
@@ -583,25 +593,109 @@ def test_a_str_naming_a_missing_file_is_reported_as_unreadable(tmp_path, monkeyp
 
 @pytest.mark.parametrize("name, rows", [("trajectory.csv", 150), ("trajectory.csv.partial", 97)])
 def test_a_trajectory_spanning_several_row_blocks_keeps_its_bytes(tmp_path, name, rows):
-    # 1,003 columns: a row block holds 65 rows, so 150 rows take three blocks;
-    # a failed run writes the completed prefix, 97 of the 151 times
+    # 1,003 columns: a row block of the run holds 16 rows, so 150 rows take
+    # ten blocks; a failed run writes the completed prefix, 97 of the 151
+    # times, and then raises
     rng = np.random.default_rng(5)
     dim, n_steps = 1000, 150
-    times = np.linspace(0.0, 1.0, n_steps + 1)
-    u = rng.normal(size=(rows, dim)) * 10.0 ** rng.integers(-20, 20, size=(rows, 1))
-    xi = rng.normal(size=(rows - 1, 1))
-    residuals = rng.uniform(0.0, 1e-10, size=rows - 1)
-    _write_trajectory(tmp_path / name, times, u, xi, residuals)
     full = np.zeros((rows, dim + 3))
-    full[:, 0] = times[:rows]
-    full[:, 1:-2] = u
-    full[1:, -2:-1] = xi
-    full[1:, -1] = residuals
+    full[:, 0] = np.linspace(0.0, 1.0, n_steps + 1)[:rows]
+    full[:, 1:-2] = rng.normal(size=(rows, dim)) * 10.0 ** rng.integers(-20, 20, size=(rows, 1))
+    full[1:, -2] = rng.normal(size=rows - 1)
+    full[1:, -1] = rng.uniform(0.0, 1e-10, size=rows - 1)
+    per_block = stepper.block_rows(dim + 3)
+    assert per_block == 16
+
+    def blocks():
+        for start in range(0, rows, per_block):
+            yield full[start : start + per_block].copy()
+        if rows <= n_steps:
+            raise stepper.StepFailureError(rows, "non-finite forcing average", None)
+
     header = ["t", *(f"u{i}" for i in range(dim)), "xi0", "residual"]
+    if rows <= n_steps:
+        with pytest.raises(stepper.StepFailureError):
+            _write_csv(tmp_path / name, header, blocks())
+    else:
+        _write_csv(tmp_path / name, header, blocks())
     expected = "# schema_version=2\n" + ",".join(header) + "\n" + "".join(
         ",".join(_fmt(v) for v in row) + "\n" for row in full.tolist()
     )
     assert (tmp_path / name).read_bytes() == expected.encode("utf-8")
+
+
+def _prefix_bytes(exc: stepper.StepFailureError, grid: stepper.TimeGrid) -> bytes:
+    """trajectory.csv.partial of a failed run's prefix, cell by cell."""
+    rows = np.zeros((len(exc.partial_u), exc.partial_u.shape[1] + 3))
+    rows[:, 0] = grid.times()[: len(rows)]
+    rows[:, 1:-2] = exc.partial_u
+    rows[1:, -2:-1] = exc.partial_xi
+    rows[1:, -1] = exc.partial_residuals
+    header = ["t", *(f"u{i}" for i in range(rows.shape[1] - 3)), "xi0", "residual"]
+    text = "# schema_version=2\n" + ",".join(header) + "\n"
+    return (text + "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows.tolist())).encode()
+
+
+@pytest.mark.parametrize("step", [240, 300], ids=["at_a_block_boundary", "in_a_block"])
+def test_a_run_that_fails_leaves_the_completed_rows_of_every_block(tmp_path, monkeypatch, step):
+    # n_el = 64: a row of the run is 68 cells, a block 240 rows.  The load
+    # turns infinite at t = (step - 1) tau, so the forcing average of
+    # ``step`` is the first non-finite one: at 240 the first step of the
+    # second block fails, at 300 a step inside it
+    from conftest import fem_problem, one, zero
+
+    from rothe_hvi import LinearRobin
+
+    n_steps = 512
+    load = lambda t: np.where(t < (step - 1) / n_steps, 1.0, np.inf)  # noqa: E731
+    problem = fem_problem(64, LinearRobin(1.0), load, one, zero, zero)
+    assert stepper.block_rows(68) == 240
+    grid = stepper.TimeGrid(1.0, n_steps)
+    with pytest.raises(stepper.StepFailureError) as info:
+        stepper.run_rothe(problem, grid)
+    assert info.value.step == step
+    monkeypatch.setattr(cli, "build_problem", lambda cfg: problem)
+    rc, out = run_cli(tmp_path, "run", f"[ladder]\ntaus = {1 / n_steps!r}\n")
+    assert rc == 1
+    assert sorted(p.name for p in out.iterdir()) == ["summary.csv", "trajectory.csv.partial"]
+    assert read_csv(out / "summary.csv")[1] == [
+        ["run", "FAIL", f"step {step} failed: non-finite forcing average"]
+    ]
+    assert (out / "trajectory.csv.partial").read_bytes() == _prefix_bytes(info.value, grid)
+
+
+@pytest.mark.parametrize("command, text, tau, minor", [
+    ("run", "n_el = 64\nt_final = 1e14\n\n[ladder]\ntaus = 5e13", "5e+13", 65),
+    ("study", "n_el = 4\nt_final = 1e16\n\n[ladder]\ntaus = 5e15", "5e+15", 5),
+], ids=["run", "study"])
+def test_a_step_operator_float64_cannot_factor_fails_its_step(tmp_path, command, text, tau, minor):
+    # tau K swamps M in M + c tau K, which then rounds to a singular matrix
+    rc, out = run_cli(tmp_path, command, f"[problem]\n{text}\n")
+    detail = (f"step 1 failed: the step operator at tau = {tau} cannot be factored in float64: "
+              f"{minor}-th leading minor of the matrix is not positive definite")
+    assert rc == 1
+    assert read_csv(out / "summary.csv")[1] == [[command, "FAIL", detail]]
+    written = {"run": ["summary.csv", "trajectory.csv.partial"], "study": ["summary.csv"]}
+    assert sorted(p.name for p in out.iterdir()) == written[command]
+    if command == "run":  # the initial state alone
+        assert len(read_csv(out / "trajectory.csv.partial")[1]) == 1
+
+
+def test_a_run_holds_its_forcing_table_and_no_trajectory(tmp_path):
+    # n_el = 8192 and 256 steps: the trajectory and the forcing table are
+    # 16 MiB each; a run that held the trajectory peaked at 2.2 tables
+    cfg = parse_config("[problem]\nn_el = 8192\nforcing = smooth\npotential = paper_exponential"
+                       "\n\n[ladder]\ntaus = 0.00390625\n")
+    table = 8 * 256 * 8193
+    tracemalloc.start()
+    try:
+        rows = cli.cmd_run(cfg, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows[0][:2] == ("run", True)
+    assert len(read_csv(tmp_path / "trajectory.csv")[1]) == 257
+    assert peak < 1.25 * table
 
 
 @pytest.mark.parametrize("out_name", ["blocker", "blocker/out"], ids=["a_file", "under_a_file"])
@@ -675,6 +769,17 @@ EVERY_FIELD_CHANGED = ExperimentConfig(
     taus=(0.5, 0.25), tau_ref=0.0625, tol=1e-9, n_samples=10, n_fuzz=20,
     coercivity_taus=(0.2, 0.1), output_dir="somewhere",
 )
+
+
+@pytest.mark.parametrize("text", [
+    render_config(EVERY_FIELD_CHANGED),
+    "# a comment\n[problem]\nn_el = 5  ; inline\n\n[ladder]\ntaus = 0.5\n",
+], ids=["plain", "commented"])
+def test_a_config_file_that_starts_with_a_bom_parses_as_without_it(tmp_path, text):
+    plain, bom = tmp_path / "plain.ini", tmp_path / "bom.ini"
+    plain.write_text(text, encoding="utf-8")
+    bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert parse_config(bom) == parse_config(plain) == parse_config(text)
 
 
 def test_a_config_unlike_the_defaults_in_every_field_round_trips():

@@ -27,7 +27,7 @@ from rothe_hvi import (
     run_rothe,
     tau_ladder_study,
 )
-from rothe_hvi import diagnostics
+from rothe_hvi import diagnostics, stepper
 
 
 class Interpolants:
@@ -434,18 +434,18 @@ def test_row_blocks_reproduce_the_three_stack_report_bit_for_bit(n_el, scheme, n
     assert _report_bits(report) == _bits(oracle)
 
 
-@pytest.mark.parametrize("block_cells", [None, 1, 5 * 65, 6 * 65 + 7])
+@pytest.mark.parametrize("block_cells", [None, 1, 5 * 68, 6 * 68 + 7])
 def test_a_report_over_several_row_blocks_keeps_its_bits(monkeypatch, block_cells):
-    # 513 rows of 65 cells: five blocks at the module's BLOCK_CELLS, and
-    # blocks of four, five and six rows (513 = 4 * 127 + 5: the last block
-    # takes the row that would be left alone), so block edges split d_n
+    # 513 rows of 65 states (68 cells a row of the run): three blocks at the
+    # stepper's BLOCK_CELLS, and blocks of two, five and six rows (513 =
+    # 2 * 256 + 1: the last block is one row), so block edges split d_n
     # from s_n and e_n everywhere
     if block_cells is not None:
-        monkeypatch.setattr(diagnostics, "BLOCK_CELLS", block_cells)
+        monkeypatch.setattr(stepper, "BLOCK_CELLS", block_cells)
     problem = fem_problem(64, PaperExponential(1.0), lambda t: 1.0 - np.cos(np.pi * t),
                           lambda x: 0.5 * (1.0 + x), lambda t: 0.5 * t * t * np.exp(-t), zero)
     traj = run_rothe(problem, TimeGrid(1.0, 512), BDF2)
-    assert traj.u.size > 3 * diagnostics.BLOCK_CELLS
+    assert len(traj.u) > 2 * stepper.block_rows(68)
     report = estimate_report(traj, problem.space, problem.boundary.weights)
     oracle = _three_stack_report(traj, problem.space, problem.boundary.weights)
     assert _report_bits(report) == _bits(oracle)
@@ -468,6 +468,49 @@ def test_rows_longer_than_the_einsum_buffer_keep_their_bits(scheme, n_steps):
     report = estimate_report(traj, problem.space, problem.boundary.weights)
     oracle = _three_stack_report(traj, problem.space, problem.boundary.weights)
     assert _report_bits(report) == _bits(oracle)
+
+
+def _run_rows(traj) -> np.ndarray:
+    """The rows of a run as ``run_blocks`` yields them: t, u, xi, residual."""
+    n, dim = traj.u.shape
+    rows = np.zeros((n, dim + traj.xi.shape[1] + 2))
+    rows[:, 0] = traj.grid.times()
+    rows[:, 1 : dim + 1] = traj.u
+    rows[1:, dim + 1 : -1] = traj.xi
+    rows[1:, -1] = traj.per_step_residuals
+    return rows
+
+
+@pytest.mark.parametrize("n_el, n_steps, sizes", [
+    (64, 64, [1, 2, 3, 4, 5, 7, 16, 32, 63, 64, 65]),
+    (16384, 9, range(1, 11)),
+])
+def test_the_reducer_gives_the_same_bits_for_every_partition_of_a_run(n_el, n_steps, sizes):
+    # blocks of one row up to the whole run, a last block of one row among
+    # them (64 steps in blocks of 3 or 7; 9 steps in blocks of 3 or 9); at
+    # n_el = 16384 a row is longer than einsum's buffer, and the steps are
+    # accepted at 1e-6 (see above)
+    problem = _ncvx_problem(n_el)
+    traj = run_rothe(problem, TimeGrid(1.0, n_steps), BDF2, tol=1e-6)
+    oracle = _bits(_three_stack_report(traj, problem.space, problem.boundary.weights))
+    rows = _run_rows(traj)
+    for size in sizes:
+        sums = diagnostics.EstimateSums(problem.space, traj.grid, problem.boundary.weights)
+        for start in range(0, len(rows), size):
+            sums.add(rows[start : start + size])
+        assert _report_bits(sums.report()) == oracle, size
+
+
+def test_a_run_streamed_through_the_reducer_reports_as_its_trajectory():
+    problem = _ncvx_problem(64)
+    grid = TimeGrid(1.0, 64)
+    sums = diagnostics.EstimateSums(problem.space, grid, problem.boundary.weights)
+    for block in stepper.run_blocks(problem, grid):
+        sums.add(block)
+    traj = run_rothe(problem, grid)
+    assert sums.report() == estimate_report(traj, problem.space, problem.boundary.weights)
+    with pytest.raises(ValueError, match="the 65 rows of the run were not all added"):
+        diagnostics.EstimateSums(problem.space, grid).report()
 
 
 def test_the_report_holds_no_stack_of_trajectory_size():

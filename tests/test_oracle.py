@@ -9,6 +9,7 @@ import scipy.linalg as sla
 
 from conftest import fem_problem, one, random_spd, zero
 from rothe_hvi import (
+    BDF2,
     BoundaryFunctional,
     GalerkinSpace,
     LinearOperatorA,
@@ -152,7 +153,7 @@ def test_reference_matches_scalar_closed_form():
                            np.array([1.2]))
     ref = reference_solution(problem, 1.0, 1.0 / 4096)
     exact = 1.0 + (1.2 - 1.0) * math.exp(-1.0)
-    assert abs(ref.u[-1, 0] - exact) < 1e-8
+    assert abs(ref[0] - exact) < 1e-8
 
 
 def test_reference_matches_fem_closed_form():
@@ -166,20 +167,23 @@ def test_reference_matches_fem_closed_form():
     propagator = sla.expm(-np.linalg.solve(M, G))
     exact = u_inf + propagator @ (problem.u0 - u_inf)
     ref = reference_solution(problem, 1.0, 1.0 / 8192)
-    assert problem.space.h_norm(ref.u[-1] - exact) < 1e-8
+    assert problem.space.h_norm(ref - exact) < 1e-8
 
 
 def test_reference_zero_data():
     problem = fem_problem(4, ZeroPotential(), zero, zero, zero, zero)
     ref = reference_solution(problem, 1.0, 1.0 / 64)
-    assert np.all(ref.u == 0.0)
+    assert np.all(ref == 0.0)
+    # the reference keeps its last state only; every state of the same run
+    traj = run_rothe(problem, TimeGrid.of_step(1.0, 1.0 / 64), BDF2, 1e-12)
+    assert np.all(traj.u == 0.0)
 
 
 def test_reference_self_consistency_under_halving():
     problem = fem_problem(16, PaperExponential(1.0), one, one, zero, zero)
     a = reference_solution(problem, 1.0, 1.0 / 1024)
     b = reference_solution(problem, 1.0, 1.0 / 2048)
-    assert problem.space.h_norm(a.u[-1] - b.u[-1]) < 1e-6
+    assert problem.space.h_norm(a - b) < 1e-6
 
 
 @pytest.mark.parametrize("tau", [0.3, 0.0, -0.25, math.nan, math.inf, 5e-324])
@@ -198,6 +202,9 @@ def test_reference_completes_on_smooth_problem_near_unit_flux_scale():
                           lambda t: 0.5 * t * t * np.exp(-t), zero)
     tol = 1e-12
     ref = reference_solution(problem, 1.0, tau_fine, tol)
-    assert ref.grid.N == 1024
-    # a certified step leaves an unscaled residual of at most tol / (c tau)
-    assert np.all(ref.per_step_residuals <= 1.5 * tol / tau_fine)
+    assert ref.shape == (65,) and np.all(np.isfinite(ref))
+    # a certified step leaves an unscaled residual of at most tol / (c tau);
+    # the reference keeps its last state only, so the same run's residuals
+    traj = run_rothe(problem, TimeGrid.of_step(1.0, tau_fine), BDF2, tol)
+    assert traj.grid.N == 1024 and np.array_equal(traj.u[-1], ref)
+    assert np.all(traj.per_step_residuals <= 1.5 * tol / tau_fine)

@@ -110,6 +110,16 @@ def test_growth_zero_potential_full_slack():
     assert rep.worst_margin == pytest.approx(1.0)  # d_j * (1 + 0) at s = 0
 
 
+@pytest.mark.parametrize("pot", [PaperExponential(math.inf),
+                                 NonconvexPiecewise(1.0, 4.0, 1.0, math.inf)])
+def test_a_nan_growth_margin_is_a_violation(pot):
+    # an infinite growth constant against an infinite slope: the margin
+    # inf - inf is nan, which fails the certificate, without a warning
+    rep = check_growth(pot, np.linspace(-50.0, 50.0, 101))
+    assert math.isnan(rep.worst_margin)
+    assert rep.violations > 0 and not rep.passed
+
+
 def test_lifted_growth_constant_unit_boundary():
     rep = check_growth(PaperExponential(1.0), [0.0], weights=[1.0])
     assert rep.lifted_d == pytest.approx(math.sqrt(2.0))
