@@ -201,8 +201,11 @@ class EstimateSums:
         # each row by the operations, in the order, of its formula
         d = win[i1:] - win[i1 - 1 : -1]
         twice = 2.0 * win[i2 - 1 : -1]
-        s = 1.5 * win[i2:] - twice + 0.5 * win[i2 - 2 : -2]
-        e = win[i2:] - twice + win[i2 - 2 : -2]
+        s = 1.5 * win[i2:]
+        s -= twice
+        s += 0.5 * win[i2 - 2 : -2]
+        e = win[i2:] - twice
+        e += win[i2 - 2 : -2]
         # each family of a block as a stack, with its count of rows
         (d, nd), (s, ns), (e, ne), (u, nu) = (
             (_stacked(rows, total), len(rows))

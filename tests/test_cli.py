@@ -19,7 +19,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from rothe_hvi import cli, floatfmt, stepper
+from conftest import fem_problem, one, zero
+from rothe_hvi import LinearRobin, cli, floatfmt, stepper
 from rothe_hvi.cli import (
     ConfigError, ExperimentConfig, _fmt, _poly, _write_csv, main, parse_config, render_config,
 )
@@ -642,13 +643,11 @@ def test_a_run_that_fails_leaves_the_completed_rows_of_every_block(tmp_path, mon
     # turns infinite at t = (step - 1) tau, so the forcing average of
     # ``step`` is the first non-finite one: at 240 the first step of the
     # second block fails, at 300 a step inside it
-    from conftest import fem_problem, one, zero
-
-    from rothe_hvi import LinearRobin
-
     n_steps = 512
-    load = lambda t: np.where(t < (step - 1) / n_steps, 1.0, np.inf)  # noqa: E731
-    problem = fem_problem(64, LinearRobin(1.0), load, one, zero, zero)
+    problem = fem_problem(
+        64, LinearRobin(1.0), lambda t: np.where(t < (step - 1) / n_steps, 1.0, np.inf),
+        one, zero, zero,
+    )
     assert stepper.block_rows(68) == 240
     grid = stepper.TimeGrid(1.0, n_steps)
     with pytest.raises(stepper.StepFailureError) as info:
@@ -683,7 +682,8 @@ def test_a_step_operator_float64_cannot_factor_fails_its_step(tmp_path, command,
 
 def test_a_run_holds_its_forcing_table_and_no_trajectory(tmp_path):
     # n_el = 8192 and 256 steps: the trajectory and the forcing table are
-    # 16 MiB each; a run that held the trajectory peaked at 2.2 tables
+    # 16 MiB each, so a run that also held the trajectory would peak above
+    # two tables
     cfg = parse_config("[problem]\nn_el = 8192\nforcing = smooth\npotential = paper_exponential"
                        "\n\n[ladder]\ntaus = 0.00390625\n")
     table = 8 * 256 * 8193
