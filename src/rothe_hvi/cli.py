@@ -375,6 +375,8 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         )
     if not cfg.tol > 0:
         raise ConfigError("[solver] tol: must be > 0")
+    if math.isinf(cfg.tol):  # every residual would pass
+        raise ConfigError("[solver] tol: must be finite")
     for key in ("n_samples", "n_fuzz"):  # a check of no samples would pass vacuously
         if getattr(cfg, key) < 1:
             raise ConfigError(f"[check] {key}: must be >= 1")

@@ -14,14 +14,11 @@ as L D L^T (dpttrf, then dpttrs per solve); any other band by the band
 Cholesky (dpbtrf, then dpbtrs).  The product with a vector of up to 512
 entries is one BLAS dsbmv call on the band; a longer vector, where dsbmv's
 cost per column outweighs its low fixed cost, is multiplied one diagonal at
-a time.  A stack of vectors of at least 8,000 entries is multiplied flat,
-a block at a time, in contiguous passes against the band's superdiagonals
-tiled over the block's rows, so short rows cost no more per entry than
-long ones; the entries at each end of a row, whose flat products reached
-into the next row, are then redone from their own row, and the result is
-bit for bit that of the diagonal loop row by row.  For 1-D P1 elements
-every band is tridiagonal, so storage, matrix-vector products and solves
-all cost O(n); a dense matrix is the band of full width.
+a time.  A stack of vectors takes that loop too, along its last axis, so
+each row goes through the same operations, in the same order, as it would
+alone.  For 1-D P1 elements every band is tridiagonal, so storage,
+matrix-vector products and solves all cost O(n); a dense matrix is the
+band of full width.
 
 Each band decides its layout once: it binds the kernel of its product with
 one vector when it is built and that of its solve when it is factored.  The
@@ -72,11 +69,6 @@ _SYM_RTOL = 1e-12
 # 14 ns a column of a tridiagonal band against about 4 ns, so past some 600
 # columns the loop is faster (OpenBLAS, one core)
 _DSBMV_MAX_N = 512
-# a stack is multiplied this many entries at a time, against each
-# superdiagonal tiled over as many; a stack with fewer takes the loop (one
-# core: the flat passes ran at 0.93x the loop on 7 x 1,025 entries and at
-# 1.02x on 63 x 65, at 1.34x on 14 x 1,025 and 1.6x on 27 x 1,025)
-_TILE_CELLS = 8000
 
 
 def _load_extensions(directory: str, *names: str) -> list:
@@ -192,12 +184,12 @@ class SymBand:
 
     def matvec(self, x) -> np.ndarray:
         """A x along the last axis of x: a vector by ``product``, a stack by
-        ``_stack_product``, bit for bit the loop's product row by row.  x is
-        not modified."""
+        ``_diagonal_product``, each row as the loop multiplies it alone.  x
+        is not modified."""
         x = np.asarray(x, dtype=float)
         if x.shape[-1:] != (self.n,):  # dsbmv would read the first n entries of a longer x
             raise ValueError(f"operand has shape {x.shape}, expected last axis {self.n}")
-        return self.product(x) if x.ndim == 1 else _stack_product(self.ab, x)
+        return self.product(x) if x.ndim == 1 else _diagonal_product(self.ab, x)
 
     def __matmul__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -258,8 +250,8 @@ class SymBand:
 
 def _diagonal_product(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
     """A x along the last axis of x for the band ``ab``, one diagonal at a
-    time: past _DSBMV_MAX_N entries faster than dsbmv, and the row formula
-    that a stack's product keeps bit for bit."""
+    time: past _DSBMV_MAX_N entries faster than dsbmv, and the product of
+    every stack."""
     u = ab.shape[0] - 1
     y = ab[u] * x
     for k in range(1, u + 1):
@@ -267,59 +259,6 @@ def _diagonal_product(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
         y[..., :-k] += d * x[..., k:]
         y[..., k:] += d * x[..., :-k]
     return y
-
-
-def _stack_product(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A x for each row of a stack x (..., n), bit for bit the diagonal
-    loop's.  A stack of at least _TILE_CELLS entries is multiplied flat, a
-    block of as many rows as fit in _TILE_CELLS entries at a time: the
-    diagonal row by row, then each superdiagonal in contiguous passes over
-    the flat block against a tile that holds, per row, the superdiagonal
-    and then k zeros.  Those passes run with invalid-operation warnings off,
-    because at a row's end they multiply the next row's entries by the
-    tile's zeros; the u entries at each end of every row are then redone a
-    column at a time.  A smaller stack, where building the tile costs what
-    the passes save, and a band too wide for its rows take the loop."""
-    u, n = ab.shape[0] - 1, ab.shape[1]
-    per = _TILE_CELLS // n
-    if x.size < _TILE_CELLS or per < 2 or 2 * u >= n:
-        return _diagonal_product(ab, x)
-    rows = np.ascontiguousarray(x).reshape(-1, n)
-    tile = np.empty((u, per, n))
-    for k in range(1, u + 1):
-        tile[k - 1, :, : n - k] = ab[u - k, k:]
-        tile[k - 1, :, n - k :] = 0.0
-    tile = tile.reshape(u, -1)
-    y = np.empty(rows.shape)
-    t = np.empty(per * n)
-    with np.errstate(invalid="ignore"):
-        for a in range(0, rows.shape[0], per):
-            xb, yb = rows[a : a + per], y[a : a + per]
-            np.multiply(ab[u], xb, out=yb)
-            xf, yf = xb.reshape(-1), yb.reshape(-1)
-            m = xf.size
-            for k in range(1, u + 1):
-                c, s = tile[k - 1, : m - k], t[: m - k]
-                np.multiply(c, xf[k:], out=s)
-                yf[:-k] += s
-                np.multiply(c, xf[:-k], out=s)
-                yf[k:] += s
-    for j in (*range(u), *range(n - u, n)):
-        _redo_column(ab, rows, y, j)
-    return y.reshape(x.shape)
-
-
-def _redo_column(ab: np.ndarray, x: np.ndarray, y: np.ndarray, j: int) -> None:
-    """Entry j of each row of the stack's product y, by the diagonal loop's
-    operations in its order, from the columns of x it reads."""
-    u, n = ab.shape[0] - 1, ab.shape[1]
-    out = y[:, j]
-    np.multiply(ab[u, j], x[:, j], out=out)
-    for k in range(1, u + 1):
-        if j + k < n:
-            out += ab[u - k, j + k] * x[:, j + k]
-        if j >= k:
-            out += ab[u - k, j] * x[:, j - k]
 
 
 def as_band(m, name: str) -> SymBand:

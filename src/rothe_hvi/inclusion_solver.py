@@ -25,11 +25,14 @@ that does not depend on b is tabulated once per operator, in
 ``kink_table`` (the one-sided limits of z beside each kink and its interval
 at the kink), each piece's ends just inside the kinks with F z there, and
 whether g' >= 0 at a piece's left end, which makes g nondecreasing there.
-A piece where it does not is split at the minimiser m of g, the exact
-float where g' changes sign, and the table keeps m and F z(m).  A step
-reads the table: a kink is a root when its interval contains zero, and
-each sign-change bracket of a piece gets a safeguarded Newton iteration,
-with g evaluated through ``branch_value`` and g' through ``branch_slope``.
+A piece where it does not is split at m, the first float where g' >= 0,
+and the table keeps m and F z(m).  g is least in floats at m or at its
+left neighbour: a jump in z's slope between the two can leave g negative
+at the neighbour and positive at m, so a step evaluates g at the
+neighbour whenever g(m) >= 0.  A step reads the table: a kink is a root
+when its interval contains zero, and each sign-change bracket of a piece
+gets a safeguarded Newton iteration, with g evaluated through
+``branch_value`` and g' through ``branch_slope``.
 
 The one search primitive is bisection in the order of the floats: the
 midpoint of two floats is the float whose key, the bit pattern read as an
@@ -268,8 +271,8 @@ class _BoundaryInclusion:
     the points of the potential's ``kink_table``, and per piece between
     consecutive kinks its ends just inside the kinks with F z there (stored
     as 0 at an infinite end, where g is then -inf or +inf by plain
-    arithmetic) and, where g' < 0 at the left end, the minimiser m of g with
-    F z(m) (None, None where g is nondecreasing)."""
+    arithmetic) and, where g' < 0 at the left end, the first float m where
+    g' >= 0 with F z(m) (None, None where g is nondecreasing)."""
 
     def __init__(self, pot: ScalarPotential, factor: float):
         self.pot = pot
@@ -299,10 +302,11 @@ class _BoundaryInclusion:
     def minimiser(self, a: float, b: float) -> float:
         """The first float of (a, b) where g' >= 0, or b if there is none,
         given g'(a) < 0; b may be +inf.  g is convex on the piece, so g'
-        changes sign once and this float is the exact minimiser of g in
-        floats.  The bisection on the sign of g' runs on the ends' keys, so
-        each of its at most 64 halvings converts one key, the midpoint's,
-        to a float: the float ``_key_midpoint`` would give."""
+        changes sign once, between this float and its left neighbour, and g
+        is least in floats at one of the two.  The bisection on the sign of
+        g' runs on the ends' keys, so each of its at most 64 halvings
+        converts one key, the midpoint's, to a float: the float
+        ``_key_midpoint`` would give."""
         lo, hi = _key(a), _key(b)
         while True:
             mid = (lo + hi) >> 1
@@ -372,10 +376,17 @@ class _BoundaryInclusion:
             gm = s_min - target + fz_min
             if gm >= 0.0:
                 out += [s_min] if gm == 0.0 else []
-                continue
-            for end, g_end in ((a_in, ga), (b_in, gb)):
+                # where z's slope jumps between m's left neighbour and m, g
+                # may be negative there: then g changes sign between them
+                neg = math.nextafter(s_min, -math.inf)
+                if not neg - target + self.factor * self.pot.branch_value(neg) < 0.0:
+                    continue
+                ends = ((a_in, ga), (s_min, gm))
+            else:
+                neg, ends = s_min, ((a_in, ga), (b_in, gb))
+            for end, g_end in ends:
                 if g_end > 0.0:
-                    root, k = self.refine(target, warm, s_min, end)
+                    root, k = self.refine(target, warm, neg, end)
                     out.append(root)
                     iterations += k
         return out, iterations

@@ -308,9 +308,10 @@ def check_growth(
     if s.size == 0:
         raise ValueError("sample list must be non-empty")
     lo, hi = pot.interval_arrays(s)
-    bound = pot.d_j * (1.0 + np.abs(s))
-    with np.errstate(invalid="ignore"):  # inf - inf: a nan margin, counted below
-        margin = bound - np.maximum(np.abs(lo), np.abs(hi))
+    # a bound that overflows, or inf - inf, is no margin: NaN, counted below
+    with np.errstate(over="ignore", invalid="ignore"):
+        margin = pot.d_j * (1.0 + np.abs(s)) - np.maximum(np.abs(lo), np.abs(hi))
+    margin[~np.isfinite(margin)] = np.nan
     violations = int(np.sum(~(margin >= -1e-12 * (1.0 + np.abs(s)))))  # nan violates
     lifted = BoundaryFunctional(pot, np.asarray(weights, dtype=float)).lifted_growth_constant
     return GrowthReport(int(s.size), float(margin.min()), violations, pot.d_j, lifted)

@@ -403,7 +403,8 @@ class CoercivityReport:
     For each stencil factor c the pairing <T v, v> is evaluated with the
     worst-case flux selection (the interval endpoint minimizing the
     pairing) and fitted against tau ||v||_V^2 as c1 * x - c2; a fitted
-    slope c1 <= 0 is flagged.
+    slope c1 that is not a finite positive number is flagged, and so is a
+    sample set whose pairings or norms overflow or are NaN (c1 = c2 = NaN).
     """
 
     tau: float
@@ -414,9 +415,9 @@ class CoercivityReport:
     def flags(self) -> list[str]:
         out = []
         if self.t1.flagged:
-            out.append("one-step operator: fitted coercivity slope <= 0")
+            out.append("one-step operator: fitted coercivity slope not a finite positive number")
         if self.t2.flagged:
-            out.append("two-step operator: fitted coercivity slope <= 0")
+            out.append("two-step operator: fitted coercivity slope not a finite positive number")
         return out
 
     @property
@@ -425,12 +426,14 @@ class CoercivityReport:
 
 
 def _fit_lower_line(xs: np.ndarray, ys: np.ndarray) -> _FitLine:
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        return _FitLine(math.nan, math.nan, True)  # no line fits what overflowed
     a = np.vstack([xs, -np.ones_like(xs)]).T
     sol, *_ = np.linalg.lstsq(a, ys, rcond=None)
     c1, c2 = float(sol[0]), float(sol[1])
     # lift c2 so the fitted line is a valid lower bound on the samples
     c2 = max(c2, float(np.max(c1 * xs - ys, initial=c2)))
-    return _FitLine(c1, c2, c1 <= 0.0)
+    return _FitLine(c1, c2, not 0.0 < c1 < math.inf)
 
 
 def check_step_coercivity(
@@ -444,19 +447,22 @@ def check_step_coercivity(
     if not samples:
         raise ValueError("sample list must be non-empty")
     fits = []
-    for c in (1.0, 2.0 / 3.0):
-        xs = np.empty(len(samples))
-        ys = np.empty(len(samples))
-        for k, v in enumerate(samples):
-            s = space.trace @ v
-            lo, hi = boundary.potential.interval_arrays(s)
-            worst = np.minimum(lo * s, hi * s)  # endpoint minimizing the pairing
-            pair = (
-                space.h_norm(v) ** 2
-                + c * tau * float(v @ operator.stiffness @ v)
-                + c * tau * float(boundary.weights @ worst)
-            )
-            xs[k] = tau * space.v_norm(v) ** 2
-            ys[k] = pair
-        fits.append(_fit_lower_line(xs, ys))
+    # a flux law of huge constants overflows the pairing: an inf or NaN
+    # sample, which the fit flags, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in (1.0, 2.0 / 3.0):
+            xs = np.empty(len(samples))
+            ys = np.empty(len(samples))
+            for k, v in enumerate(samples):
+                s = space.trace @ v
+                lo, hi = boundary.potential.interval_arrays(s)
+                worst = np.minimum(lo * s, hi * s)  # endpoint minimizing the pairing
+                pair = (
+                    space.h_norm(v) ** 2
+                    + c * tau * float(v @ operator.stiffness @ v)
+                    + c * tau * float(boundary.weights @ worst)
+                )
+                xs[k] = tau * space.v_norm(v) ** 2
+                ys[k] = pair
+            fits.append(_fit_lower_line(xs, ys))
     return CoercivityReport(tau, fits[0], fits[1])

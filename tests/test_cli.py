@@ -83,6 +83,20 @@ def test_run_on_a_nonconvex_step_with_a_root_past_the_drop_window(tmp_path):
     assert summary[0][:2] == ["run", "PASS"]
 
 
+@pytest.mark.parametrize("f0_value", ["3", "10"])
+def test_run_finds_a_root_where_the_slope_of_z_jumps(tmp_path, f0_value):
+    # the tail slope 1e18 puts the boundary root between 1.0 and the next
+    # float, beside the first float where g' >= 0
+    text = (
+        "[problem]\nn_el = 4\npotential = nonconvex_piecewise\nncvx_tail_slope = 1e18\n"
+        f"forcing = constant\nf0_value = {f0_value}\n\n[ladder]\ntaus = 0.25\n"
+    )
+    rc, out = run_cli(tmp_path, "run", text)
+    assert rc == 0
+    _, summary = read_csv(out / "summary.csv")
+    assert summary[0][:2] == ["run", "PASS"]
+
+
 def test_compare_on_the_nonconvex_reference_config(tmp_path):
     rc, out = run_cli(tmp_path, "compare", NCVX)
     assert rc == 0
@@ -242,6 +256,25 @@ def test_check_is_reproducible_for_a_seed(tmp_path):
     assert header == ["name", "status", "detail"]
     assert all(r[1] == "PASS" for r in rows)
     assert sorted(p.name for p in out_a.iterdir()) == ["summary.csv"]
+
+
+@pytest.mark.parametrize("lines, failing", [
+    ("potential = nonconvex_piecewise\nncvx_jump = 1e308", {
+        "growth_configured", "growth_nonconvex_piecewise", "coercivity_tau_0.1",
+    }),
+    ("potential_d = 1e308", {"growth_paper_exponential"}),
+    ("potential = linear_robin\npotential_k = 1e308", {
+        "growth_configured", "coercivity_tau_0.1",
+    }),
+])
+def test_check_fails_each_certificate_whose_values_overflow(tmp_path, lines, failing):
+    # a growth bound or a coercivity pairing past the float range is a
+    # failed certificate, not a NaN slope that passes; every warning is an
+    # error under pytest, so the certificates must not warn on the way
+    rc, out = run_cli(tmp_path, "check", tiny(lines))
+    assert rc == 1
+    _, rows = read_csv(out / "summary.csv")
+    assert {r[0] for r in rows if r[1] == "FAIL"} == failing
 
 
 def test_a_negative_seed_exits_2_at_the_argument_parser(tmp_path, capsys):
@@ -523,6 +556,8 @@ OUT_OF_RANGE = [
     pytest.param(tiny().replace("n_fuzz = 50", "n_fuzz = -5"), "[check] n_fuzz", id="n_fuzz = -5"),
     pytest.param(tiny(taus="0.25,0.125\ntau_ref = 1"), "[ladder] tau_ref", id="tau_ref = 1"),
     pytest.param(tiny(taus="1.0,0.5"), "[ladder] taus", id="taus = 1.0,0.5"),
+    # every step residual would pass an infinite tolerance
+    pytest.param(tiny() + "\n[solver]\ntol = inf\n", "[solver] tol", id="tol = inf"),
 ]
 
 

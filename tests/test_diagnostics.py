@@ -483,13 +483,15 @@ def _run_rows(traj) -> np.ndarray:
 
 @pytest.mark.parametrize("n_el, n_steps, sizes", [
     (64, 64, [1, 2, 3, 4, 5, 7, 16, 32, 63, 64, 65]),
+    (1024, 32, [1, 2, 8, 15, 16, 32, 33]),
     (16384, 9, range(1, 11)),
 ])
 def test_the_reducer_gives_the_same_bits_for_every_partition_of_a_run(n_el, n_steps, sizes):
     # blocks of one row up to the whole run, a last block of one row among
     # them (64 steps in blocks of 3 or 7; 9 steps in blocks of 3 or 9); at
-    # n_el = 16384 a row is longer than einsum's buffer, and the steps are
-    # accepted at 1e-6 (see above)
+    # n_el = 1024 and 32 steps, wide-smooth's shape, a run block holds 15
+    # rows of 1,028 entries; at n_el = 16384 a row is longer than einsum's
+    # buffer, and the steps are accepted at 1e-6 (see above)
     problem = _ncvx_problem(n_el)
     traj = run_rothe(problem, TimeGrid(1.0, n_steps), BDF2, tol=1e-6)
     oracle = _bits(_three_stack_report(traj, problem.space, problem.boundary.weights))

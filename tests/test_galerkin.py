@@ -326,16 +326,11 @@ def _row_formula(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
     return y
 
 
-@pytest.mark.parametrize("tile_rows", [None, 2, 5])
 @pytest.mark.parametrize("n", [2, 9, 65, 1025])
 @pytest.mark.parametrize("rows", [1, 2, 27])
-def test_a_stack_product_is_the_row_formula_bit_for_bit(monkeypatch, rows, n, tile_rows):
-    # flat passes over the stack reach across row ends, where a neighbour's
-    # +-0, +-inf or NaN would show in a sign bit or a NaN if the row-end
-    # entries were not redone from their own row; blocks of 2 and 5 rows
-    # take every stack of two rows or more that way, the last block short
-    if tile_rows is not None:
-        monkeypatch.setattr(galerkin, "_TILE_CELLS", tile_rows * n)
+def test_a_stack_product_is_the_row_formula_bit_for_bit(rows, n):
+    # a product that reached across row ends would show a neighbour's +-0,
+    # +-inf or NaN in a sign bit or a NaN at the ends of a row
     rng = np.random.default_rng(rows * n)
     ab = np.vstack([rng.uniform(-1.0, 1.0, n), rng.uniform(3.0, 4.0, n)])
     ab[0, rng.integers(1, n)] = 0.0  # a zero off the diagonal meets the inf too
@@ -361,9 +356,10 @@ def test_a_stack_product_is_the_row_formula_bit_for_bit(monkeypatch, rows, n, ti
 
 
 def test_a_stack_taller_than_the_tile_is_multiplied_block_by_block():
-    # the tile spans _TILE_CELLS entries; taller stacks take it again and again
+    # a tall, 3-d and non-contiguous stack of some 24,000 entries: each row
+    # keeps the row formula
     n = 65
-    pairs = 3 * (galerkin._TILE_CELLS // n) + 5
+    pairs = 3 * (8000 // n) + 5
     rng = np.random.default_rng(7)
     ab = np.vstack([rng.uniform(-1.0, 1.0, n), rng.uniform(3.0, 4.0, n)])
     x = rng.normal(size=(pairs, 2, n))[:, ::-1]  # a 3-d stack, not contiguous
@@ -374,10 +370,9 @@ def test_a_stack_taller_than_the_tile_is_multiplied_block_by_block():
 
 
 @pytest.mark.parametrize("width", [2, 3])
-def test_a_wide_band_stack_product_redoes_each_row_end_by_its_diagonals(monkeypatch, width):
+def test_a_wide_band_stack_product_redoes_each_row_end_by_its_diagonals(width):
     # the entries near a row's ends sum their terms in the loop's order
     n, rows = 40, 41
-    monkeypatch.setattr(galerkin, "_TILE_CELLS", 4 * n)
     rng = np.random.default_rng(width)
     ab = np.vstack([rng.uniform(-1.0, 1.0, (width, n)), rng.uniform(6.0, 7.0, n)])
     x = rng.normal(size=(rows, n))
@@ -392,8 +387,8 @@ def test_a_wide_band_stack_product_redoes_each_row_end_by_its_diagonals(monkeypa
 
 def test_a_stack_warns_only_where_its_rows_would():
     # rows ending in -inf next to rows starting with +inf: each row alone is
-    # free of invalid operations, so the flat passes must not warn either
-    n, rows = 65, 2 * galerkin._TILE_CELLS // 65 + 3
+    # free of invalid operations, so the stack's product must not warn either
+    n, rows = 65, 2 * 8000 // 65 + 3
     rng = np.random.default_rng(3)
     ab = np.vstack([rng.uniform(0.5, 1.0, n), rng.uniform(3.0, 4.0, n)])
     x = rng.normal(size=(rows, n))

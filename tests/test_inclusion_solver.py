@@ -566,6 +566,23 @@ def test_the_boundary_inclusion_finds_its_roots_within_the_stated_bound(
         assert _is_root(pot, factor, target, r), r
 
 
+@pytest.mark.parametrize("tail_slope, target, want", [
+    (1e18, 3.0, [1.0]), (1e18, 10.0, [1.0]), (1e18, 0.3, [0.0, 0.2, 1.0]),
+    (2.0**52 - 2, 0.0, [0.0, 0.5, 1.0 + 2.0**-52]),
+])
+def test_a_root_where_the_slope_of_z_jumps_is_found(tail_slope, target, want):
+    # z's slope jumps from -4 to the tail slope at s = 1, so g' changes sign
+    # between 1.0 and the next float m, and g jumps there from below zero
+    # (g(1) = -3.5 for target 3) to 107.5 at m, or to exactly 0 for the
+    # slope 2^52 - 2 and target 0: the first float where g' >= 0 is not
+    # where g is least.  At targets 0.3 and 0, g > 0 at the piece's left end
+    # too, and a root lies between it and the minimum
+    pot = NonconvexPiecewise(1.0, 4.0, 1.0, tail_slope)
+    roots, _ = _BoundaryInclusion(pot, 0.5).roots(target, 0.0)
+    assert sorted(roots) == pytest.approx(want, rel=0.0, abs=1e-15)
+    assert all(_is_root(pot, 0.5, target, r) for r in roots)
+
+
 @pytest.mark.parametrize("target", [-1e300, -1e-300, 0.0, 1.0, 1e300])
 @pytest.mark.parametrize("name", sorted(ORACLE_POTENTIALS))
 def test_key_bisection_alone_closes_each_bracket_within_64_steps(monkeypatch, name, target):

@@ -111,10 +111,12 @@ def test_growth_zero_potential_full_slack():
 
 
 @pytest.mark.parametrize("pot", [PaperExponential(math.inf),
-                                 NonconvexPiecewise(1.0, 4.0, 1.0, math.inf)])
+                                 NonconvexPiecewise(1.0, 4.0, 1.0, math.inf),
+                                 PaperExponential(1e308), LinearRobin(1e308)])
 def test_a_nan_growth_margin_is_a_violation(pot):
     # an infinite growth constant against an infinite slope: the margin
-    # inf - inf is nan, which fails the certificate, without a warning
+    # inf - inf is nan, which fails the certificate, without a warning; so
+    # does a bound d_j (1 + |s|) that overflows
     rep = check_growth(pot, np.linspace(-50.0, 50.0, 101))
     assert math.isnan(rep.worst_margin)
     assert rep.violations > 0 and not rep.passed

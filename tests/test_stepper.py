@@ -326,6 +326,18 @@ def test_coercivity_certificate_nonsmooth_case():
     assert rep.flags == []
 
 
+def test_a_coercivity_pairing_that_overflows_is_flagged():
+    # k s^2 past the float range: no slope can be fitted, and the NaN that
+    # stands for it fails the certificate, without a warning
+    rng = np.random.default_rng(4)
+    problem = fem_problem(8, LinearRobin(1e308), zero, zero, zero, zero)
+    samples = [rng.normal(size=9) * s for s in 10.0 ** rng.uniform(-1, 1.5, 100)]
+    rep = check_step_coercivity(problem.space, problem.operator,
+                                problem.boundary, 0.01, samples)
+    assert math.isnan(rep.t1.c1) and math.isnan(rep.t2.c1)
+    assert len(rep.flags) == 2 and not rep.passed
+
+
 def test_coercivity_empty_samples_rejected():
     problem = scalar_problem(ZeroPotential(), zero)
     with pytest.raises(ValueError):
