@@ -326,11 +326,23 @@ def _row_formula(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
     return y
 
 
+def _laid_out(x: np.ndarray, layout: str) -> np.ndarray:
+    """The values of x in a C-ordered copy, a Fortran-ordered copy, or a view
+    whose rows and columns both run backwards in memory."""
+    if layout == "C":
+        return np.ascontiguousarray(x)
+    if layout == "F":
+        return np.asfortranarray(x)
+    return np.ascontiguousarray(x[::-1, ::-1])[::-1, ::-1]
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "reversed"])
 @pytest.mark.parametrize("n", [2, 9, 65, 1025])
 @pytest.mark.parametrize("rows", [1, 2, 27])
-def test_a_stack_product_is_the_row_formula_bit_for_bit(rows, n):
+def test_a_stack_product_is_the_row_formula_bit_for_bit(rows, n, layout):
     # a product that reached across row ends would show a neighbour's +-0,
-    # +-inf or NaN in a sign bit or a NaN at the ends of a row
+    # +-inf or NaN in a sign bit or a NaN at the ends of a row; the stack's
+    # memory layout changes neither the bits nor the operand
     rng = np.random.default_rng(rows * n)
     ab = np.vstack([rng.uniform(-1.0, 1.0, n), rng.uniform(3.0, 4.0, n)])
     ab[0, rng.integers(1, n)] = 0.0  # a zero off the diagonal meets the inf too
@@ -342,6 +354,8 @@ def test_a_stack_product_is_the_row_formula_bit_for_bit(rows, n):
         x[:, -1] = rng.choice(specials, rows)
         if trial == 0:
             x[rng.random((rows, n)) < 0.3] = -0.0
+        x = _laid_out(x, layout)
+        x0 = x.copy()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # 0 * inf, inf - inf
             want = np.array([_row_formula(ab, row) for row in x])
@@ -353,6 +367,7 @@ def test_a_stack_product_is_the_row_formula_bit_for_bit(rows, n):
         for how, y in got.items():
             assert y.shape == x.shape, how
             assert _same_bits(y, want), how
+        assert _same_bits(x, x0)
 
 
 def test_a_stack_taller_than_the_tile_is_multiplied_block_by_block():
