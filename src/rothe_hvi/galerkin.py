@@ -23,8 +23,12 @@ band of full width.
 Each band decides its layout once: it binds the kernel of its product with
 one vector when it is built and that of its solve when it is factored.  The
 public ``matvec`` and ``solve`` check their operand and call the bound
-kernel, and so does ``GalerkinSpace.dual_norm``; a caller that has checked
-its shapes already, such as the step solver, calls the kernels directly.
+kernel, and so does ``GalerkinSpace.dual_norm``.  A caller that has checked
+its shapes already calls the kernels directly: a Rothe step calls S's
+solve and M's vector product, and the certificate of a segment of steps
+calls gram_v's solve on the stack of their residuals.  That certificate
+multiplies the stack by S with ``_diagonal_product``, the loop every stack
+takes, not with the bound vector kernel.
 
 The kernels, BLAS dsbmv and ddot and LAPACK dpttrf, dpttrs, dpbtrf and
 dpbtrs, are scipy's f2py wrappers, the very functions that

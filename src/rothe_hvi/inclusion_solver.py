@@ -54,36 +54,50 @@ xi = (t x - s) / F and u = x - c tau w xi y.  ``SolveReport.iterations``
 counts the Newton and bisection steps of the step's brackets; the minimiser
 search belongs to the operator and is not counted there.
 
-The residual r = S u + c tau trace^T W xi - b is recomputed from the
-solution as one band product with S plus the flux term, which is nonzero
-only at the nodes where the trace is (one node for P1).  A step is accepted
-only when the V*-norm of r is at most tol (a NaN residual fails); otherwise
-NonConvergenceError is raised.  Only a single boundary row (dim_u = 1) is
-supported; a StepProblem on any other space raises ValueError.
+A step is solved in two calls.  ``solve_boundary`` returns u, xi and the
+iterations, uncertified.  ``step_residuals`` certifies a stack of k solved
+steps of one operator: it recomputes each residual
+r = S u + c tau trace^T W xi - b from the solution, by one stack product
+with S for all k, then the flux term, which is nonzero only at the nodes
+where the trace is (one node for P1), and returns the V*-norm of each.
+Those norms take one back-solve of the k residuals by gram_v and one BLAS
+ddot a residual, and each row goes through the operations, in their order,
+that it would take alone, so a step's residual has the same bits whatever
+the stack it is certified in.  A step is accepted only when its residual
+is at most tol; ``residual_failure`` gives the error of one that is not:
+NumericalFailureError for a non-finite residual, NonConvergenceError for
+one above tol.  ``solve_step_inclusion`` is the
+three calls on one step; the step loop of ``stepper.run_blocks`` solves
+each step and certifies a segment of them at once.  Only a single boundary
+row (dim_u = 1) is supported; a StepProblem on any other space raises
+ValueError.
 
 Each value of a step is checked for NaN/Inf at most once, and a non-finite
 one raises NumericalFailureError: the warm start's boundary value s_warm
 directly; the right-hand side b through x = S^{-1} b, which the
 back-substitution makes non-finite whenever b is (b itself is checked only
 then, to name the culprit); u through r; and r through its own squared norm
-r^T gram_v^{-1} r in GalerkinSpace.dual_norm, which is not finite when r is
-not (a finite r whose square overflows is rescaled there).  x is checked by
-its sum of squares, one BLAS ddot, and scanned entry by entry only when
-that sum is not finite: a NaN or Inf makes it so, and so does a finite
-vector large enough to overflow it, which the scan then passes.  The
-boundary value t x is read at the trace's nonzero nodes only.  The warm
-start enters as its boundary value alone, so a step forms no warm-start
-vector: its caller sums t u_warm over those nodes.
+r^T gram_v^{-1} r, which is not finite when r is not.  A residual whose
+square is not finite goes through GalerkinSpace.dual_norm, which scans it
+and rescales a finite one whose square overflows.  x is checked by its sum
+of squares, one BLAS ddot, and scanned entry by entry only when that sum is
+not finite: a NaN or Inf makes it so, and so does a finite vector large
+enough to overflow it, which the scan then passes.  The boundary value t x
+is read at the trace's nonzero nodes only.  The warm start enters as its
+boundary value alone, so a step forms no warm-start vector: its caller sums
+t u_warm over those nodes.
 
-So a step, ``solve_step_inclusion``, checks in this order: tol > 0, the
-shape of b against the operator's ``shape``, s_warm finite, x's ddot, r's
-square in ``GalerkinSpace.dual_norm`` and the residual against tol.
-Between these checks it does only arithmetic, through the kernels the
-operator bound when it was built (``back_solve`` for x, ``product`` for
-S u), with no layout or shape decided again; u is formed in place on x.
-Its calls are one ``back_solve``, one read of the boundary table, one
-``product`` and one ``GalerkinSpace.dual_norm``, whose solve is gram_v's
-bound kernel.
+So a step checks in this order: the shape of b against the operator's
+``shape``, s_warm finite and x's ddot in ``solve_boundary``; then the
+square of its residual in ``step_residuals`` and the residual against tol
+in ``residual_failure``; ``solve_step_inclusion`` checks tol > 0 first.  Between
+these checks it does only arithmetic, through the kernels the operator
+bound when it was built (``back_solve`` for x), with no layout or shape
+decided again; u is formed in place on x.  ``solve_boundary`` makes one
+``back_solve`` and one read of the boundary table.  ``step_residuals``
+makes, for its whole stack, one stack product with S
+(``galerkin._diagonal_product``) and one solve by gram_v's bound kernel,
+then one ddot a step.
 """
 
 from __future__ import annotations
@@ -95,7 +109,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .galerkin import GalerkinSpace, SymBand, as_band, blas
+from .galerkin import GalerkinSpace, SymBand, _diagonal_product, as_band, blas
 from .potentials import ScalarPotential
 
 __all__ = [
@@ -104,6 +118,9 @@ __all__ = [
     "VerifyResult",
     "NonConvergenceError",
     "NumericalFailureError",
+    "solve_boundary",
+    "step_residuals",
+    "residual_failure",
     "solve_step_inclusion",
     "verify_inclusion",
 ]
@@ -148,8 +165,8 @@ class StepProblem:
     (``trace_pairs``) as plain ints and floats, the step's vector ``shape``,
     ``flux_coef`` c tau, the ``lift`` c tau w and the ``inclusion``, the
     boundary inclusion's table for F = c tau w gamma.  It also holds the
-    band kernels a step calls on vectors of that shape: S's ``product`` and
-    ``back_solve``, and M's ``mass_product`` for the right-hand sides.
+    band kernels a step calls on vectors of that shape: S's ``back_solve``,
+    and M's ``mass_product`` for the right-hand sides.
     ValueError unless c_coef is 1 (first step) or 2/3 (two-step stencil),
     tau > 0, dim_u = 1 and c tau w gamma > 0; LinAlgError unless S is
     positive definite.
@@ -185,8 +202,7 @@ class StepProblem:
             dim=system.n, shape=(system.n,), flux_coef=flux_coef,
             lift=flux_coef * float(self.weights[0]),
             # the kernels a step calls once it has checked its shapes
-            product=system.product, back_solve=system.back_solve,
-            mass_product=sp.gram_h.product,
+            back_solve=system.back_solve, mass_product=sp.gram_h.product,
         )
         if not self.lift * self.gamma > 0:
             raise ValueError("the boundary weight and trace row must give c tau w gamma > 0")
@@ -218,17 +234,6 @@ class VerifyResult(NamedTuple):
     residual: float
     membership_ok: bool
     membership_gap: float
-
-
-def _residual(p: StepProblem, u: np.ndarray, rhs: np.ndarray, lift_xi: float) -> np.ndarray:
-    """S u + c tau trace^T W xi - b for u and b of shape ``p.shape``, with
-    lift_xi = c tau w xi: one band product with S, then the flux term, which
-    is nonzero only at the trace's nodes."""
-    r = p.product(u)
-    r -= rhs
-    for k, t in p.trace_pairs:
-        r[k] += lift_xi * t
-    return r
 
 
 # the float <-> key codec: a float's bit pattern read as a signed 64-bit
@@ -392,19 +397,16 @@ class _BoundaryInclusion:
         return out, iterations
 
 
-def solve_step_inclusion(
-    p: StepProblem, rhs: np.ndarray, s_warm: float, tol: float = 1e-10
-) -> tuple[np.ndarray, np.ndarray, SolveReport]:
+def solve_boundary(p: StepProblem, rhs: np.ndarray, s_warm: float) -> tuple[np.ndarray, float, int]:
     """Solve the step inclusion with right-hand side ``rhs`` exactly on the
-    boundary and certify the V*-norm residual against ``tol``.  ``s_warm``
-    is the warm start's boundary value t u_warm: of several roots the one
-    nearest it is taken.
+    boundary, uncertified: u, xi and the iterations of the boundary solve.
+    ``s_warm`` is the warm start's boundary value t u_warm: of several roots
+    the one nearest it is taken.
 
-    Raises NonConvergenceError with its report when no root is found or the
-    residual exceeds tol, and NumericalFailureError on non-finite data or
-    solutions."""
-    if not tol > 0:
-        raise ValueError("tol must be > 0")
+    Raises ValueError for a right-hand side of another shape than the
+    operator's, NumericalFailureError on non-finite data or interior solve
+    and NonConvergenceError, whose report holds the iterations, when no root
+    is found."""
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != p.shape:
         raise ValueError(f"right-hand side has shape {rhs.shape}, expected {p.shape}")
@@ -417,40 +419,96 @@ def solve_step_inclusion(
         )
     target = p.boundary_value(x)
     roots, iterations = p.inclusion.roots(target, s_warm)
-    report = SolveReport(iterations=iterations)
     if not roots:
-        raise NonConvergenceError("no root of the boundary inclusion found", report)
+        raise NonConvergenceError(
+            "no root of the boundary inclusion found", SolveReport(iterations=iterations)
+        )
     s = roots[0] if len(roots) == 1 else min(roots, key=lambda r: (abs(r - s_warm), r))
     xi = (target - s) / p.inclusion.factor
     lift_xi = p.lift * xi
     u = x  # formed in place: x is the back-solve's own array, read no more
     u -= lift_xi * p.y
-    r = _residual(p, u, rhs, lift_xi)
-    try:  # dual_norm scans r only when its square is not finite
-        report.residual = p.space.dual_norm(r)
-    except ValueError:  # a NaN or Inf in r
-        report.residual = math.nan
-    if not math.isfinite(report.residual):
-        raise NumericalFailureError("non-finite step residual")
-    if not report.residual <= tol:
-        raise NonConvergenceError(
-            f"step residual {report.residual:.3e} above tol {tol:g}", report
+    return u, xi, iterations
+
+
+def step_residuals(p: StepProblem, u: np.ndarray, rhs: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """The V*-norms of the residuals S u_i + c tau trace^T W xi_i - b_i of k
+    steps of the operator p, for (k, n) stacks u and b = ``rhs`` and k
+    multipliers xi, unchecked; NaN where a residual is not finite.
+
+    One stack product with S, the flux term at the trace's nodes, one
+    back-solve of the k residuals by gram_v's bound kernel and one BLAS ddot
+    a residual: each row takes the operations, in their order, that it
+    would take alone.  A residual whose square is not finite goes through
+    ``GalerkinSpace.dual_norm``, which scans it and rescales a finite one.
+    Overflow and invalid operations raise no warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = _diagonal_product(p.system.ab, u)
+        r -= rhs
+        lift_xi = p.lift * xi
+        for k, t in p.trace_pairs:
+            r[:, k] += lift_xi * t
+        z = p.space.gram_v.back_solve(r.T)[0]  # (n, k), a column a residual
+        sq = np.array([blas.ddot(r_i, z[:, i]) for i, r_i in enumerate(r)])
+        out = np.sqrt(np.maximum(sq, 0.0))
+    for i in np.flatnonzero(~np.isfinite(sq)).tolist():
+        try:
+            out[i] = p.space.dual_norm(r[i])
+        except ValueError:  # a NaN or Inf in the residual
+            out[i] = math.nan
+    return out
+
+
+def residual_failure(iterations: int, residual: float, tol: float) -> RuntimeError | None:
+    """The error of a step whose residual fails tol, None for one at most
+    tol: NumericalFailureError for a non-finite residual, NonConvergenceError
+    with the step's report for one above tol."""
+    if not math.isfinite(residual):
+        return NumericalFailureError("non-finite step residual")
+    if not residual <= tol:
+        return NonConvergenceError(
+            f"step residual {residual:.3e} above tol {tol:g}", SolveReport(iterations, residual)
         )
-    return u, np.array([xi]), report
+    return None
+
+
+def solve_step_inclusion(
+    p: StepProblem, rhs: np.ndarray, s_warm: float, tol: float = 1e-10
+) -> tuple[np.ndarray, np.ndarray, SolveReport]:
+    """Solve the step inclusion with right-hand side ``rhs`` exactly on the
+    boundary (``solve_boundary``) and certify the V*-norm residual against
+    ``tol`` (``step_residuals`` of the one step, then ``residual_failure``).
+    ``s_warm`` is the warm start's boundary value t u_warm: of several roots
+    the one nearest it is taken.
+
+    Raises NonConvergenceError with its report when no root is found or the
+    residual exceeds tol, and NumericalFailureError on non-finite data or
+    solutions."""
+    if not tol > 0:
+        raise ValueError("tol must be > 0")
+    rhs = np.asarray(rhs, dtype=float)
+    u, xi, iterations = solve_boundary(p, rhs, s_warm)
+    xi = np.array([xi])
+    residual = step_residuals(p, u[None], rhs[None], xi).item(0)
+    failure = residual_failure(iterations, residual, tol)
+    if failure is not None:
+        raise failure
+    return u, xi, SolveReport(iterations, residual)
 
 
 def verify_inclusion(
     p: StepProblem, rhs: np.ndarray, u: np.ndarray, xi: np.ndarray, tol: float
 ) -> VerifyResult:
     """Residual of the step equation with right-hand side ``rhs`` for a
-    given pair, plus the distance of xi to its admissible interval, closed
-    by a roundoff-sized margin in the boundary value."""
+    given pair (NaN when it is not finite), plus the distance of xi to its
+    admissible interval, closed by a roundoff-sized margin in the boundary
+    value."""
     rhs = np.asarray(rhs, dtype=float)
     u = np.asarray(u, dtype=float)
     xi = np.asarray(xi, dtype=float)
     if rhs.shape != p.shape or u.shape != p.shape or xi.shape != (1,):
         raise ValueError("rhs, u or xi has inconsistent dimensions")
-    resid = p.space.dual_norm(_residual(p, u, rhs, p.lift * float(xi[0])))
+    resid = step_residuals(p, u[None], rhs[None], xi).item(0)
     s = p.boundary_value(u)
     lo, hi = p.potential.membership_interval(s, 1e-12 * (1.0 + abs(s)))
     gap = max(lo - float(xi[0]), float(xi[0]) - hi, 0.0)

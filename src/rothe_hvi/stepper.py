@@ -21,7 +21,18 @@ holds the table rather than one row at a time.
 time, in the row layout of ``trajectory.csv`` (t_n, u^n, xi^n and the
 residual of step n), and holds only the two states the stencil reads: a
 writer, the estimate reducer and `run_rothe`, which records a
-`RotheTrajectory`, each read the same blocks.
+`RotheTrajectory`, each read the same blocks.  A step solves; a segment
+certifies.  Each step writes its right-hand side into a buffer the run
+reuses, solves its inclusion on the boundary and writes u and xi into the
+block; the steps of a segment, the steps of one block that share one step
+operator, are certified together by one residual check at the segment's
+end.  So a run may step past a failing step to its segment's end, but it
+yields and reports the same rows and the same failing step as a loop that
+certified each step before the next: the segment is certified before the
+switch to the two-step operator, at the block's end, and before an error of
+a later step is reported, and its first failing step is the one reported.
+`initial_step` and `bdf2_step` solve and certify one step, with the
+right-hand side the loop forms.
 
 A one-step (backward Euler) baseline is provided for scheme comparisons;
 it consumes the same averaged forcing sequence and differs only in the
@@ -42,7 +53,10 @@ from .inclusion_solver import (
     NumericalFailureError,
     SolveReport,
     StepProblem,
+    solve_boundary,
+    residual_failure,
     solve_step_inclusion,
+    step_residuals,
 )
 from .potentials import BoundaryFunctional
 
@@ -227,6 +241,28 @@ def _mass_product(step: StepProblem, v: np.ndarray) -> np.ndarray:
     return step.mass_product(v) if v.shape == step.shape else step.space.gram_h.matvec(v)
 
 
+def _add_history(
+    step: StepProblem, rhs: np.ndarray, u_nm1: np.ndarray, u_nm2: Optional[np.ndarray] = None
+) -> float:
+    """Add M times the stencil's history to ``rhs``, which holds c tau F_n,
+    in place, and return the warm start's boundary value.  The one-step
+    stencil (no u_nm2) adds M u^{n-1} and starts from t u^{n-1}; the
+    two-step stencil adds M (4/3 u^{n-1} - 1/3 u^{n-2}) and starts from the
+    extrapolant 2u^{n-1} - u^{n-2}, whose boundary value is summed at the
+    trace's nonzero nodes as sum_k t_k (2 u^{n-1}_k - u^{n-2}_k): the float
+    operations, in their order, of ``step.boundary_value`` of the whole
+    extrapolant, which is never formed."""
+    if u_nm2 is None:
+        rhs += _mass_product(step, u_nm1)
+        return step.boundary_value(u_nm1)
+    hist = (4.0 / 3.0) * u_nm1 - (1.0 / 3.0) * u_nm2
+    rhs += _mass_product(step, hist)
+    s_warm = 0.0
+    for k, t in step.trace_pairs:
+        s_warm += t * (2.0 * u_nm1.item(k) - u_nm2.item(k))
+    return s_warm
+
+
 def initial_step(
     step: StepProblem, u_prev: np.ndarray, f1: np.ndarray, tol: float = 1e-10
 ) -> tuple[np.ndarray, np.ndarray, SolveReport]:
@@ -236,9 +272,9 @@ def initial_step(
     M u + tau K u + tau trace^T W xi = tau f1 + M u_prev.  ValueError when
     ``step`` is the two-step operator."""
     _check_stencil(step, 1.0, "initial_step")
-    u_prev = np.asarray(u_prev, dtype=float)
-    rhs = step.flux_coef * f1 + _mass_product(step, u_prev)
-    return solve_step_inclusion(step, rhs, step.boundary_value(u_prev), tol)
+    rhs = step.flux_coef * np.asarray(f1, dtype=float)
+    s_warm = _add_history(step, rhs, np.asarray(u_prev, dtype=float))
+    return solve_step_inclusion(step, rhs, s_warm, tol)
 
 
 def bdf2_step(
@@ -250,66 +286,100 @@ def bdf2_step(
 ) -> tuple[np.ndarray, np.ndarray, SolveReport]:
     """Two-step stencil solve with the two-step operator ``step`` (c_coef
     2/3, from ``RotheProblem.step_problem``), warm-started from the
-    extrapolant 2u^{n-1} - u^{n-2}: with c = 2/3,
+    extrapolant 2u^{n-1} - u^{n-2}, which enters the solve as its boundary
+    value alone: with c = 2/3,
     M u + c tau K u + c tau trace^T W xi = c tau f_n + M (4/3 u^{n-1} - 1/3 u^{n-2}).
-    The extrapolant enters the solve as its boundary value alone, summed at
-    the trace's nonzero nodes as sum_k t_k (2 u^{n-1}_k - u^{n-2}_k): the
-    float operations, in their order, of ``step.boundary_value`` of the
-    whole extrapolant, which is never formed.  ValueError when ``step`` is
-    the one-step operator."""
+    ValueError when ``step`` is the one-step operator."""
     _check_stencil(step, 2.0 / 3.0, "bdf2_step")
-    u_nm1 = np.asarray(u_nm1, dtype=float)
-    u_nm2 = np.asarray(u_nm2, dtype=float)
-    hist = (4.0 / 3.0) * u_nm1 - (1.0 / 3.0) * u_nm2
-    rhs = step.flux_coef * f_n + _mass_product(step, hist)
-    s_warm = 0.0
-    for k, t in step.trace_pairs:
-        s_warm += t * (2.0 * u_nm1.item(k) - u_nm2.item(k))
+    rhs = step.flux_coef * np.asarray(f_n, dtype=float)
+    s_warm = _add_history(
+        step, rhs, np.asarray(u_nm1, dtype=float), np.asarray(u_nm2, dtype=float)
+    )
     return solve_step_inclusion(step, rhs, s_warm, tol)
 
 
 def _block_steps(
     problem: RotheProblem, grid: TimeGrid, scheme: str, tol: float, f_avg: np.ndarray
 ) -> Iterator[np.ndarray]:
-    """The step loop of ``run_blocks``, on its forcing table ``f_avg``."""
+    """The step loop of ``run_blocks``, on its forcing table ``f_avg``.
+
+    A segment is the steps of one block that share one step operator: each
+    step of it solves (``solve_boundary``) and writes u and xi into the
+    block, and the segment is certified at its end by one
+    ``step_residuals`` call, before the switch to the two-step operator, at
+    the block's end, and before an error of a later step is reported."""
     tau, dim, width = grid.tau, problem.space.dim, problem.space.dim + problem.space.dim_u + 2
+    size = block_rows(width)
     times = grid.times()
+    rhs = np.empty((min(size, grid.N), dim))  # c tau F_n + M history of a segment's steps
     u_nm2 = u_nm1 = problem.u0  # the states the stencil reads, held between steps
-    for start in range(0, grid.N + 1, block_rows(width)):
-        rows = np.zeros((min(block_rows(width), grid.N + 1 - start), width))
+    two_step = False
+    for start in range(0, grid.N + 1, size):
+        rows = np.zeros((min(size, grid.N + 1 - start), width))
         rows[:, 0] = times[start : start + len(rows)]
         if start == 0:
             rows[0, 1 : dim + 1] = problem.u0
-        steps = range(max(start, 1), start + len(rows))
-        finite = np.isfinite(f_avg[steps.start - 1 : steps.stop - 1]).all(axis=1)
-        stop = steps.start + int(np.argmin(finite)) if not finite.all() else None  # a bad step
-        try:
-            # every non-finite value of a step is caught by the solver's own scans
-            with np.errstate(over="ignore", invalid="ignore"):
-                for n in steps:
+        n, end = max(start, 1), start + len(rows)
+        finite = np.isfinite(f_avg[n - 1 : end - 1]).all(axis=1)
+        stop = n + int(np.argmin(finite)) if not finite.all() else None  # a bad step
+        failure = None  # (step, error) of the first failing step
+        # every non-finite value of a step is caught by the solver's own scans
+        with np.errstate(over="ignore", invalid="ignore"):
+            while n < end and failure is None:
+                seg, iterations = n, []
+                try:
                     if n == 1 or (n == 2 and scheme == BDF2):
-                        # one operator per stencil, at most one alive at a time;
-                        # from step 2 on the operator stays as it is
+                        # one operator per stencil, at most one alive at a
+                        # time; from step 2 on the operator stays as it is
                         two_step = n == 2
                         step = None
                         step = _step_operator(problem, 2.0 / 3.0 if two_step else 1.0, tau)
-                    if n == stop:
-                        raise NumericalFailureError("non-finite forcing average")
-                    if two_step:
-                        u_n, xi_n, report = bdf2_step(step, u_nm1, u_nm2, f_avg[n - 1], tol)
-                    else:
-                        u_n, xi_n, report = initial_step(step, u_nm1, f_avg[n - 1], tol)
-                    rows[n - start, 1 : dim + 1] = u_n
-                    # one boundary row: StepProblem checks dim_u = 1
-                    rows[n - start, dim + 1] = xi_n[0]
-                    # the step equation is the unscaled one multiplied by c tau
-                    rows[n - start, -1] = report.residual / step.flux_coef
-                    u_nm2, u_nm1 = u_nm1, u_n
-        except (NonConvergenceError, NumericalFailureError) as exc:
+                    last = 2 if n == 1 and scheme == BDF2 else end
+                    b = np.multiply(step.flux_coef, f_avg[seg - 1 : last - 1], out=rhs[: last - seg])
+                    for n in range(seg, last):
+                        if n == stop:
+                            raise NumericalFailureError("non-finite forcing average")
+                        s_warm = _add_history(step, b[n - seg], u_nm1, u_nm2 if two_step else None)
+                        u_n, xi_n, its = solve_boundary(step, b[n - seg], s_warm)
+                        row = rows[n - start]
+                        row[1 : dim + 1] = u_n
+                        row[dim + 1] = xi_n  # one boundary row: StepProblem checks dim_u = 1
+                        iterations.append(its)
+                        u_nm2, u_nm1 = u_nm1, u_n
+                    n = last
+                except Exception as exc:
+                    # any error of step n waits for the certificate of the
+                    # steps before it: a failing one among them is reported
+                    failure = n, exc
+                if n > seg:  # the segment's solved steps, certified before any later error
+                    failed = _certify(step, rows[seg - start : n - start], b, iterations, tol)
+                    if failed is not None:
+                        failure = seg + failed[0], failed[1]
+        if failure is not None:
+            n, exc = failure
+            if not isinstance(exc, (NonConvergenceError, NumericalFailureError)):
+                raise exc
             if n > start:  # the completed rows of this block
                 yield rows[: n - start]
             raise StepFailureError(n, str(exc), getattr(exc, "report", None)) from exc
         yield rows
+
+
+def _certify(
+    step: StepProblem, rows: np.ndarray, rhs: np.ndarray, iterations: list, tol: float
+) -> Optional[tuple[int, RuntimeError]]:
+    """Write the residuals of a segment's steps, solved into ``rows`` from
+    the right-hand sides ``rhs`` with ``iterations`` each, and return the
+    index and error of the first step whose residual fails tol, or None."""
+    dim = step.dim
+    residuals = step_residuals(step, rows[:, 1 : dim + 1], rhs[: len(rows)], rows[:, dim + 1])
+    # the step equation is the unscaled one multiplied by c tau
+    rows[:, -1] = residuals / step.flux_coef
+    failing = np.flatnonzero(~(residuals <= tol))  # NaN fails too
+    if not len(failing):
+        return None
+    i = int(failing[0])
+    return i, residual_failure(iterations[i], residuals.item(i), tol)
 
 
 def _step_operator(problem: RotheProblem, c: float, tau: float) -> StepProblem:
@@ -342,17 +412,24 @@ def run_blocks(
     Deterministic: fixed iteration order, no randomness anywhere, so
     identical inputs give bit-identical blocks.  The forcing table is built
     when this is called, and a table that cannot be allocated raises
-    TrajectoryMemoryError there; so do an unknown scheme and a two-step run
-    of one step, as ValueError.  The blocks are stepped when they are asked
-    for, in floating-point state entered once per block and left before it
-    is yielded.  A failing step, the first step whose forcing average is
-    not finite, or a step operator that float64 cannot factor, yields the
-    completed rows of its block (if any) and then raises StepFailureError,
-    which carries no prefix."""
+    TrajectoryMemoryError there; so do an unknown scheme, a two-step run of
+    one step and a tol that is not > 0, as ValueError.  The blocks are
+    stepped when they are asked for, in floating-point state entered once
+    per block and left before it is yielded.  A block's steps are certified
+    a segment at a time (see the module docstring), so the loop may step
+    past a failing step to its segment's end; what it yields and raises is
+    the same as if each step were certified before the next.  The first
+    failing step, one whose residual is above tol or not finite, whose
+    boundary solve fails, whose forcing average is not finite, or whose
+    step operator float64 cannot factor, yields the completed rows of its
+    block (if any) and then raises StepFailureError, which carries no
+    prefix."""
     if scheme not in (BDF2, BACKWARD_EULER):
         raise ValueError(f"unknown scheme {scheme!r}")
     if scheme == BDF2 and grid.N < 2:
         raise ValueError("the two-step scheme needs N >= 2")
+    if not tol > 0:
+        raise ValueError("tol must be > 0")
     try:
         f_avg = average_forcing(problem.forcing, grid)
     except MemoryError:

@@ -4,10 +4,16 @@ looks up by module and attribute path; every one of them must exist, or
 how often a run calls the step solver and the forcing assembler; those
 counts are checked here too, so that a change to them shows in this suite.
 The assembler is counted as ``fem1d.assemble_forcing``, the name through
-which ``fem1d.separable_load`` calls it and the tracer wraps it.
+which ``fem1d.separable_load`` calls it and the tracer wraps it.  A run's
+step loop solves each step by ``solve_boundary`` and certifies the steps
+of each segment (the steps of a row block that share one operator) by one
+``step_residuals`` call; both are counted where ``stepper`` looks them up.
 perfbench/selftest.py still pins the 32,340 forcing assemblies per
 ladder-smooth pass made when every step assembled its own loads; the
-program now makes 2, one per problem built, and that self-test fails until
+program now makes 2, one per problem built.  It also pins 3,240
+``inclusion_solver.solve`` spans a pass, and the tracer, which wraps
+``solve_step_inclusion``, ``initial_step`` and ``bdf2_step``, now reads 0
+there, since the step loop calls none of them.  That self-test fails until
 the benchmark's next refresh re-pins it."""
 
 from __future__ import annotations
@@ -64,13 +70,14 @@ def test_main_calls_the_command_the_tracer_wraps(tmp_path):
     assert tracer.spans[names.index("cli.cmd_run")][3] == main_span
 
 
-def _counting(monkeypatch, module, name: str) -> list:
-    """Replace ``module.name`` with a wrapper that records each call."""
+def _counting(monkeypatch, module, name: str, record=lambda *args: None) -> list:
+    """Replace ``module.name`` with a wrapper that records each call, as
+    ``record`` of its positional arguments."""
     calls = []
     original = getattr(module, name)
 
     def wrapper(*args, **kwargs):
-        calls.append(None)
+        calls.append(record(*args))
         return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, wrapper)
@@ -91,12 +98,16 @@ def test_run_rothe_makes_the_call_counts_the_benchmark_pins(monkeypatch, scheme,
     forcing = _counting(monkeypatch, fem1d, "assemble_forcing")
     problem = _smooth_problem()
     assert len(forcing) == 1
-    solves = _counting(monkeypatch, stepper, "solve_step_inclusion")
+    solves = _counting(monkeypatch, stepper, "solve_boundary")
+    # the rows of each segment's certificate
+    certified = _counting(monkeypatch, stepper, "step_residuals", lambda p, u, *_: len(u))
     # one step operator per stencil, factored once, whatever the step count
     operators = _counting(monkeypatch, stepper, "StepProblem")
     stepper.run_rothe(problem, stepper.TimeGrid(1.0, n_steps), scheme)
     assert (len(solves), len(forcing)) == (n_steps, 1)
     assert len(operators) == (2 if scheme == "bdf2" else 1)
+    # one block: step 1 alone, then steps 2.. under the two-step operator
+    assert certified == ([1, n_steps - 1] if scheme == "bdf2" else [n_steps])
 
 
 @pytest.mark.parametrize("scheme", ["bdf2", "backward_euler"])
@@ -130,18 +141,35 @@ def test_one_traced_run_builds_one_forcing_table():
 
 def test_the_tracer_measures_every_step_of_a_run():
     # the tracer reads the solver's report from the third item of its
-    # result and times both step functions by name
+    # result and times both step functions by name.  Driven through the
+    # single-step API, each step is one span of each; its certificate is a
+    # one-row step_residuals, which calls GalerkinSpace.dual_norm only for a
+    # residual whose square is not finite, so there is no dual_norm span
     stepper = importlib.import_module("rothe_hvi.stepper")
     problem = _smooth_problem()
+    grid = stepper.TimeGrid(1.0, 8)
+    f_avg = stepper.average_forcing(problem.forcing, grid)
+    one_step = problem.step_problem(1.0, grid.tau)
+    two_step = problem.step_problem(2.0 / 3.0, grid.tau)
     tracer = _load_tracer().Tracer()
     with tracer.installed():
-        stepper.run_rothe(problem, stepper.TimeGrid(1.0, 8), "bdf2")
+        states = [problem.u0, stepper.initial_step(one_step, problem.u0, f_avg[0])[0]]
+        for n in range(2, grid.N + 1):
+            states.append(stepper.bdf2_step(two_step, states[-1], states[-2], f_avg[n - 1])[0])
     names = [name for name, _, _, _ in tracer.spans]
-    assert names.count("inclusion_solver.solve") == 8
-    assert names.count("stepper.step") == 8
-    assert names.count("galerkin.dual_norm") == 8
+    assert [names.count(name) for name in
+            ("inclusion_solver.solve", "stepper.step", "galerkin.dual_norm")] == [8, 8, 0]
     assert len(tracer.newton_iters) == 8
     assert tracer.nonconvergence == 0
+    # a run's step loop calls solve_boundary and step_residuals, which the
+    # tracer does not wrap, so a traced run records no span of the step layer
+    tracer = _load_tracer().Tracer()
+    with tracer.installed():
+        stepper.run_rothe(problem, grid, "bdf2")
+    names = [name for name, _, _, _ in tracer.spans]
+    assert [names.count(name) for name in
+            ("inclusion_solver.solve", "stepper.step", "galerkin.dual_norm")] == [0, 0, 0]
+    assert len(tracer.newton_iters) == 0
 
 
 def test_a_seed0_ladder_smooth_pass_makes_3240_solves_and_2_load_assemblies(
@@ -157,7 +185,7 @@ def test_a_seed0_ladder_smooth_pass_makes_3240_solves_and_2_load_assemblies(
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks it up
     spec.loader.exec_module(workloads)
-    solves = _counting(monkeypatch, stepper, "solve_step_inclusion")
+    solves = _counting(monkeypatch, stepper, "solve_boundary")
     forcing = _counting(monkeypatch, fem1d, "assemble_forcing")
     for i, op in enumerate(workloads.make_ops("ladder-smooth", 0)):
         path = tmp_path / f"{i}.ini"

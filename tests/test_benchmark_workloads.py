@@ -1,8 +1,10 @@
 """The benchmark's invocations (perfbench/workloads.py) must stay valid
 configs that do the work the benchmark credits them with: every config
 parses, and each invocation completes exactly ``Op.steps`` time steps, which
-the benchmark divides by the time a pass takes.  A config-layer change that
-would make an invocation exit 2, or change its work, fails here first."""
+the benchmark divides by the time a pass takes.  Each step is solved once
+(``solve_boundary``) and certified once (a row of ``step_residuals``).  A
+config-layer change that would make an invocation exit 2, or change its
+work, fails here first."""
 
 from __future__ import annotations
 
@@ -32,14 +34,19 @@ workloads = _load_workloads()
 def test_every_invocation_parses_and_runs_the_steps_it_is_credited_with(
     tmp_path, monkeypatch, workload
 ):
-    solves = []
-    original = stepper.solve_step_inclusion
+    solves, certified = [], []
+    solve, certify = stepper.solve_boundary, stepper.step_residuals
 
-    def counting(*args, **kwargs):
+    def counting_solve(*args, **kwargs):
         solves.append(None)
-        return original(*args, **kwargs)
+        return solve(*args, **kwargs)
 
-    monkeypatch.setattr(stepper, "solve_step_inclusion", counting)
+    def counting_certify(p, u, *args, **kwargs):
+        certified.append(len(u))
+        return certify(p, u, *args, **kwargs)
+
+    monkeypatch.setattr(stepper, "solve_boundary", counting_solve)
+    monkeypatch.setattr(stepper, "step_residuals", counting_certify)
     for i, op in enumerate(workloads.make_ops(workload, 0)):
         cfg = cli.parse_config(op.config)
         # run takes the coarsest tau; study runs the reference and the
@@ -53,5 +60,7 @@ def test_every_invocation_parses_and_runs_the_steps_it_is_credited_with(
         path = tmp_path / f"{i}.ini"
         path.write_text(op.config, encoding="utf-8")
         solves.clear()
+        certified.clear()
         rc = cli.main([op.command, str(path), "--out", str(tmp_path / str(i)), "--quiet"])
-        assert (rc, len(solves)) == (0, op.steps), op.key
+        # each step solved once and certified once
+        assert (rc, len(solves), sum(certified)) == (0, op.steps, op.steps), op.key

@@ -441,7 +441,8 @@ def _operators_of_layout(layout: str) -> list[StepProblem]:
 def _step_through_the_public_api(p: StepProblem, rhs: np.ndarray, s_warm: float):
     """u, xi and the residual of a step from the warm start's boundary value
     ``s_warm``, each band operation spelled through SymBand.solve,
-    SymBand.matvec and GalerkinSpace.dual_norm."""
+    SymBand.matvec and GalerkinSpace.dual_norm.  The residual's product is
+    that of a one-row stack, which every step's certificate takes."""
     t = p.space.trace[0]
     nodes = np.flatnonzero(t)
 
@@ -457,22 +458,23 @@ def _step_through_the_public_api(p: StepProblem, rhs: np.ndarray, s_warm: float)
     s = min(roots, key=lambda r: (abs(r - s_warm), r))
     xi = (target - s) / p.inclusion.factor
     u = x - p.lift * xi * p.y
-    r = p.system.matvec(u) - rhs
+    r = p.system.matvec(u[None])[0] - rhs
     r[nodes] += p.lift * xi * t[nodes]
     return u, xi, p.space.dual_norm(r)
 
 
 @pytest.mark.parametrize("layout", ["p1-64", "p1-1024", "dense"])
 def test_a_step_through_the_bound_kernels_equals_the_public_band_api(layout):
-    # P1 at 64 elements multiplies by dsbmv, at 1024 one diagonal at a time;
-    # the dense band is factored by dpbtrf and solved by dpbtrs, and its trace
-    # row has several nonzero entries.  The reference takes the warm start's
-    # boundary value of the whole state, or of the whole extrapolant
+    # P1 at 64 elements multiplies a right-hand side's history by dsbmv, at
+    # 1024 one diagonal at a time; the dense band is factored by dpbtrf and
+    # solved by dpbtrs, and its trace row has several nonzero entries.  The
+    # reference takes the warm start's boundary value of the whole state, or
+    # of the whole extrapolant
     one_step, two_step = _operators_of_layout(layout)
     product = galerkin._diagonal_product if layout == "p1-1024" else blas.dsbmv
     solve = lapack.dpbtrs if layout == "dense" else lapack.dpttrs
     for p in (one_step, two_step):
-        assert p.product.func is product and p.mass_product.func is product
+        assert p.mass_product.func is product
         assert p.back_solve.func is solve
     mass = one_step.space.gram_h
     u0, f1, f2 = np.random.default_rng(5).normal(size=(3, one_step.dim))
@@ -517,3 +519,160 @@ def test_bdf2_step_passes_the_extrapolants_boundary_value_bit_for_bit(layout, u_
         bdf2_step(p, u_nm1, u_nm2, np.zeros(p.dim))
     expected = p.boundary_value(2.0 * u_nm1 - u_nm2)
     assert [struct.pack("<d", s) for s in passed] == [struct.pack("<d", expected)]
+
+
+# -- the deferred certificate: a step solves, its segment certifies ---------
+
+# 8 rows a block at n_el = 4 (8 cells a row): block 0 is u^0 and steps 1-7,
+# block 1 steps 8-15, block 2 steps 16-20
+SMALL_BLOCK_CELLS = 64
+SPIKED_GRID = TimeGrid(1.0, 20)
+
+
+def _spiked_problem(spike: int, bad: int | None = None) -> RotheProblem:
+    """A P1 problem on 4 elements whose load is 10^4 times larger in the
+    window of step ``spike``, so that step's residual stands above every
+    earlier one, and infinite in the window of step ``bad``, if given."""
+    tau = SPIKED_GRID.tau
+
+    def a(t):
+        out = np.where(((spike - 1) * tau < t) & (t < spike * tau), 1e4, 1.0)
+        if bad is not None:
+            out[((bad - 1) * tau < t) & (t < bad * tau)] = np.inf
+        return out
+
+    return fem_problem(4, LinearRobin(1.5), a, one, zero, zero)
+
+
+def _reports_through_the_single_step_api(problem: RotheProblem, traj) -> list:
+    """The solver report of each step of the passing run ``traj``, stepped
+    again from its states through initial_step and bdf2_step."""
+    grid = traj.grid
+    f_avg = average_forcing(problem.forcing, grid)
+    one_step = problem.step_problem(1.0, grid.tau)
+    two_step = problem.step_problem(2.0 / 3.0, grid.tau)
+    reports = [initial_step(one_step, traj.u[0], f_avg[0])[2]]
+    for n in range(2, grid.N + 1):
+        reports.append(bdf2_step(two_step, traj.u[n - 1], traj.u[n - 2], f_avg[n - 1])[2])
+    return reports
+
+
+def _blocks_until_failure(problem: RotheProblem, tol: float):
+    """The rows run_blocks yields, stacked, and the StepFailureError after them."""
+    blocks = []
+    with pytest.raises(StepFailureError) as info:
+        for rows in stepper.run_blocks(problem, SPIKED_GRID, BDF2, tol):
+            blocks.append(rows.copy())
+    return np.concatenate(blocks) if blocks else np.empty((0, 8)), info.value
+
+
+# step 1 is block 0's first step and step 2 the switch to the two-step
+# operator; 5 is mid-block, 7 a block's last row, 8 and 16 a block's first
+# row, 18 mid-block in a later block
+@pytest.mark.parametrize("spike", [1, 2, 5, 7, 8, 16, 18])
+def test_the_first_step_above_tol_fails_with_the_passing_runs_prefix(monkeypatch, spike):
+    monkeypatch.setattr(stepper, "BLOCK_CELLS", SMALL_BLOCK_CELLS)
+    problem = _spiked_problem(spike)
+    passing = run_rothe(problem, SPIKED_GRID)
+    reports = _reports_through_the_single_step_api(problem, passing)
+    raw = [report.residual for report in reports]
+    before = max(raw[: spike - 1], default=raw[spike - 1] / 100.0)
+    assert raw[spike - 1] > 4.0 * before  # the spike's step stands above the others
+    tol = math.sqrt(before * raw[spike - 1])
+    table = np.concatenate(list(stepper.run_blocks(problem, SPIKED_GRID)))
+
+    with pytest.raises(StepFailureError) as info:
+        run_rothe(problem, SPIKED_GRID, BDF2, tol)
+    exc = info.value
+    assert exc.step == spike
+    assert exc.report == reports[spike - 1]
+    assert exc.reason == f"step residual {raw[spike - 1]:.3e} above tol {tol:g}"
+    assert exc.partial_u.tobytes() == passing.u[:spike].tobytes()
+    assert exc.partial_xi.tobytes() == passing.xi[: spike - 1].tobytes()
+    assert exc.partial_residuals.tobytes() == passing.per_step_residuals[: spike - 1].tobytes()
+    rows, exc = _blocks_until_failure(problem, tol)
+    assert (exc.step, exc.report) == (spike, reports[spike - 1])
+    assert rows.tobytes() == table[:spike].tobytes()
+
+
+@pytest.mark.parametrize("spike, bad", [(3, 6), (9, 13)])
+def test_a_residual_failure_is_reported_before_a_later_bad_forcing_row(monkeypatch, spike, bad):
+    # the non-finite forcing row comes later in the same block: the step
+    # loop meets it before the block is certified, and still reports the
+    # earlier step whose residual fails
+    monkeypatch.setattr(stepper, "BLOCK_CELLS", SMALL_BLOCK_CELLS)
+    problem = _spiked_problem(spike, bad)
+    rows, exc = _blocks_until_failure(problem, 1e-10)
+    assert (exc.step, exc.reason, exc.report) == (bad, "non-finite forcing average", None)
+    clean = _spiked_problem(spike)  # the same steps before the bad row
+    raw = [r.residual for r in _reports_through_the_single_step_api(
+        clean, run_rothe(clean, SPIKED_GRID))]
+    tol = math.sqrt(max(raw[: spike - 1]) * raw[spike - 1])
+    failed_rows, exc = _blocks_until_failure(problem, tol)
+    assert exc.step == spike
+    assert exc.reason.startswith("step residual ")
+    assert failed_rows.tobytes() == rows[:spike].tobytes()
+
+
+def test_an_error_of_a_later_step_is_raised_once_the_earlier_steps_are_certified(monkeypatch):
+    # an error the step loop does not turn into a StepFailureError passes
+    # through, with no rows of its block, unless an earlier step of the
+    # block fails its residual: then that step is reported
+    monkeypatch.setattr(stepper, "BLOCK_CELLS", SMALL_BLOCK_CELLS)
+    solve, calls = stepper.solve_boundary, []
+
+    def failing_at_step_6(*args):
+        calls.append(None)
+        if len(calls) == 6:
+            raise ZeroDivisionError("step 6")
+        return solve(*args)
+
+    problem = _spiked_problem(3)
+    raw = [r.residual for r in _reports_through_the_single_step_api(
+        problem, run_rothe(problem, SPIKED_GRID))]
+    monkeypatch.setattr(stepper, "solve_boundary", failing_at_step_6)
+    blocks = stepper.run_blocks(problem, SPIKED_GRID)
+    with pytest.raises(ZeroDivisionError):
+        next(blocks)
+    calls.clear()
+    rows, exc = _blocks_until_failure(problem, math.sqrt(max(raw[:2]) * raw[2]))
+    assert (exc.step, len(rows)) == (3, 3)
+    assert isinstance(exc.__cause__, stepper.NonConvergenceError)
+
+
+def _problem_of_layout(layout: str) -> RotheProblem:
+    """A problem on a space whose bands have the given layout, with a load
+    of two time factors."""
+    rng = np.random.default_rng(17)
+    if layout == "dense":
+        gram_h, stiffness = random_spd(rng, 12), random_spd(rng, 12)
+        space = GalerkinSpace(gram_h=gram_h, gram_v=gram_h + stiffness,
+                              trace=[DENSE_TRACE], gram_u=np.eye(1))
+        op = LinearOperatorA(stiffness)
+    else:
+        space, op = assemble_space(Mesh1D(int(layout.removeprefix("p1-"))))
+    load = SeparableLoad(lambda t: np.column_stack([np.ones_like(t), np.sin(3.0 * t)]),
+                         rng.normal(size=(2, space.dim)))
+    return RotheProblem(space, op, BoundaryFunctional(LinearRobin(1.5), np.ones(1)),
+                        load, rng.normal(size=space.dim))
+
+
+@pytest.mark.parametrize("layout", ["p1-11", "p1-1024", "dense"])
+@pytest.mark.parametrize("scheme", ["bdf2", "backward_euler"])
+def test_a_single_step_reports_the_residual_the_run_records(layout, scheme):
+    # at p1-1024 a block holds 15 rows, so the 20 steps span two blocks
+    problem = _problem_of_layout(layout)
+    grid = TimeGrid(1.0, 20)
+    traj = run_rothe(problem, grid, scheme)
+    f_avg = average_forcing(problem.forcing, grid)
+    one_step = problem.step_problem(1.0, grid.tau)
+    two_step = problem.step_problem(2.0 / 3.0, grid.tau)
+    for n in range(1, grid.N + 1):
+        if scheme == "bdf2" and n >= 2:
+            u, xi, report = bdf2_step(two_step, traj.u[n - 1], traj.u[n - 2], f_avg[n - 1])
+            step = two_step
+        else:
+            u, xi, report = initial_step(one_step, traj.u[n - 1], f_avg[n - 1])
+            step = one_step
+        assert (u.tobytes(), xi.tobytes()) == (traj.u[n].tobytes(), traj.xi[n - 1].tobytes())
+        assert report.residual / step.flux_coef == traj.per_step_residuals[n - 1]
