@@ -55,8 +55,15 @@ counts the Newton and bisection steps of the step's brackets; the minimiser
 search belongs to the operator and is not counted there.
 
 A step is solved in two calls.  ``solve_boundary`` returns u, xi and the
-iterations, uncertified.  ``step_residuals`` certifies a stack of k solved
-steps of one operator: it recomputes each residual
+iterations, uncertified; its arithmetic is the boundary half of the step
+kernel.  ``step_kernel`` is a step's float operations, unchecked and in one
+place: ``history_kernel`` adds M times the stencil's history to the
+right-hand side in place and returns the warm start's boundary value, and
+``boundary_kernel`` solves and writes u into an array its caller owns.  The
+step loop calls ``step_kernel`` with the row of its block and the run's
+work buffers; ``solve_boundary`` and the single-step API check their
+operands and call the halves.  ``step_residuals`` certifies a stack of k
+solved steps of one operator: it recomputes each residual
 r = S u + c tau trace^T W xi - b from the solution, by one stack product
 with S for all k, then the flux term, which is nonzero only at the nodes
 where the trace is (one node for P1), and returns the V*-norm of each.
@@ -93,9 +100,13 @@ square of its residual in ``step_residuals`` and the residual against tol
 in ``residual_failure``; ``solve_step_inclusion`` checks tol > 0 first.  Between
 these checks it does only arithmetic, through the kernels the operator
 bound when it was built (``back_solve`` for x), with no layout or shape
-decided again; u is formed in place on x.  ``solve_boundary`` makes one
-``back_solve`` and one read of the boundary table.  ``step_residuals``
-makes, for its whole stack, one stack product with S
+decided again.  A step of the loop makes the array calls its arithmetic
+needs and no more: three ufuncs for the two-step history, M's product and
+its sum, S's ``back_solve``, x's ddot, and two ufuncs that write u into the
+row.  When g increases everywhere, which the table shows when g' > 0 at
+every piece's finite left end and z's one-sided limits do not fall at any
+kink, the boundary inclusion has at most one root and its scan stops at the
+first.  ``step_residuals`` makes, for its whole stack, one stack product with S
 (``galerkin._diagonal_product``) and one solve by gram_v's bound kernel,
 then one ddot a step.
 """
@@ -133,6 +144,9 @@ _MAX_SCALAR_ITER = _NEWTON_STEPS + 64 + 1  # evaluations of g per bracket
 _EPS = float(np.finfo(float).eps)
 _NEG_SIGN = -(1 << 63)  # minus the sign bit of a float's bit pattern
 _NON_FINITE_DATA = "non-finite right-hand side or warm start"
+# the two-step history's weights, as numpy scalars: a ufunc takes them with
+# less overhead than Python floats, and they round the same
+_4_3, _1_3 = np.float64(4.0 / 3.0), np.float64(1.0 / 3.0)
 
 
 class NonConvergenceError(RuntimeError):
@@ -277,7 +291,9 @@ class _BoundaryInclusion:
     consecutive kinks its ends just inside the kinks with F z there (stored
     as 0 at an infinite end, where g is then -inf or +inf by plain
     arithmetic) and, where g' < 0 at the left end, the first float m where
-    g' >= 0 with F z(m) (None, None where g is nondecreasing)."""
+    g' >= 0 with F z(m) (None, None where g is nondecreasing).  It also
+    records whether g increases everywhere (``increasing``): g' > 0 at every
+    finite left end, and z's one-sided limits do not fall at any kink."""
 
     def __init__(self, pot: ScalarPotential, factor: float):
         self.pot = pot
@@ -292,8 +308,13 @@ class _BoundaryInclusion:
         lefts = [(-math.inf, 0.0), *zip(pts[2 * m:], fz_lo[2 * m:])]
         rights = [*zip(pts[:m], fz_lo[:m]), (math.inf, 0.0)]
         pieces = []
+        # g increases everywhere when it does on each piece and z's one-sided
+        # limits do not fall at any kink: then it has at most one root
+        self.increasing = all(a <= b for a, b in zip(fz_lo[:m], fz_lo[2 * m:]))
         for (a_in, fz_a), (b_in, fz_b) in zip(lefts, rights):
-            if math.isinf(a_in) or self.dg(a_in) >= 0.0:
+            dg_a = math.inf if math.isinf(a_in) else self.dg(a_in)
+            self.increasing &= dg_a > 0.0
+            if dg_a >= 0.0:
                 # convex with g' >= 0 at the left end (or g -> -inf there): nondecreasing
                 pieces.append((a_in, b_in, fz_a, fz_b, None, None))
             else:
@@ -369,12 +390,16 @@ class _BoundaryInclusion:
         # beside a kink z is single-valued: a root there has g exactly 0
         out = [x for x, fz_lo, fz_hi in self.kinks
                if x - target + fz_lo <= 0.0 <= x - target + fz_hi]
+        if out and self.increasing:  # the only root
+            return out, 0
         iterations = 0
         for a_in, b_in, fz_a, fz_b, s_min, fz_min in self.pieces:
             ga, gb = a_in - target + fz_a, b_in - target + fz_b
             if s_min is None:  # nondecreasing: a root only where g changes sign
                 if ga < 0.0 < gb:
                     root, k = self.refine(target, warm, a_in, b_in)
+                    if self.increasing:  # the only root
+                        return [root], k
                     out.append(root)
                     iterations += k
                 continue
@@ -401,7 +426,8 @@ def solve_boundary(p: StepProblem, rhs: np.ndarray, s_warm: float) -> tuple[np.n
     """Solve the step inclusion with right-hand side ``rhs`` exactly on the
     boundary, uncertified: u, xi and the iterations of the boundary solve.
     ``s_warm`` is the warm start's boundary value t u_warm: of several roots
-    the one nearest it is taken.
+    the one nearest it is taken.  The boundary half of ``step_kernel``,
+    after the check of rhs's shape.
 
     Raises ValueError for a right-hand side of another shape than the
     operator's, NumericalFailureError on non-finite data or interior solve
@@ -410,6 +436,53 @@ def solve_boundary(p: StepProblem, rhs: np.ndarray, s_warm: float) -> tuple[np.n
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != p.shape:
         raise ValueError(f"right-hand side has shape {rhs.shape}, expected {p.shape}")
+    u = np.empty(p.dim)
+    return (u, *boundary_kernel(p, rhs, s_warm, u))
+
+
+def step_kernel(
+    p: StepProblem, rhs: np.ndarray, u_nm1: np.ndarray, u_nm2, u: np.ndarray, work: tuple
+) -> tuple[float, int]:
+    """One step of the operator p, unchecked, on operands of its ``shape``:
+    ``history_kernel`` and ``boundary_kernel`` in ``work``, a pair of
+    vectors, u written into ``u``; returns xi and the iterations."""
+    return boundary_kernel(p, rhs, history_kernel(p, rhs, u_nm1, u_nm2, work), u, work[1])
+
+
+def history_kernel(
+    p: StepProblem, rhs: np.ndarray, u_nm1: np.ndarray, u_nm2, work: tuple
+) -> float:
+    """Add M times the stencil's history to ``rhs``, which holds c tau F_n,
+    in place, and return the warm start's boundary value, unchecked.  The
+    one-step stencil (``u_nm2`` None) adds M u^{n-1} and starts from
+    t u^{n-1}; the two-step stencil adds M (4/3 u^{n-1} - 1/3 u^{n-2}),
+    formed in the pair of vectors ``work``, and starts from the extrapolant
+    2u^{n-1} - u^{n-2}, whose boundary value is summed at the trace's
+    nonzero nodes as sum_k t_k (2 u^{n-1}_k - u^{n-2}_k): the float
+    operations, in their order, of ``StepProblem.boundary_value`` of the
+    whole extrapolant, which is never formed."""
+    s_warm = 0.0
+    if u_nm2 is None:
+        np.add(rhs, p.mass_product(u_nm1), rhs)
+        for k, t in p.trace_pairs:
+            s_warm += t * u_nm1.item(k)
+        return s_warm
+    np.subtract(np.multiply(_4_3, u_nm1, work[0]), np.multiply(_1_3, u_nm2, work[1]), work[0])
+    np.add(rhs, p.mass_product(work[0]), rhs)
+    for k, t in p.trace_pairs:
+        s_warm += t * (2.0 * u_nm1.item(k) - u_nm2.item(k))
+    return s_warm
+
+
+def boundary_kernel(
+    p: StepProblem, rhs: np.ndarray, s_warm: float, u: np.ndarray, work=None
+) -> tuple[float, int]:
+    """The boundary half of ``step_kernel``, unchecked: x = S^{-1} b by S's
+    bound ``back_solve``, t x summed at the trace's nonzero nodes, the root
+    nearest ``s_warm`` (the smaller one on a tie), and u = x - (c tau w
+    xi) y written into ``u``, the product formed in ``work`` (a new array
+    when None); returns xi and the iterations.  NumericalFailureError for a
+    non-finite s_warm or x, NonConvergenceError when no root is found."""
     if not math.isfinite(s_warm):
         raise NumericalFailureError(_NON_FINITE_DATA)
     x = p.back_solve(rhs)[0]  # a fresh array, non-finite when rhs is
@@ -417,7 +490,9 @@ def solve_boundary(p: StepProblem, rhs: np.ndarray, s_warm: float) -> tuple[np.n
         raise NumericalFailureError(
             "non-finite interior solve" if _finite(rhs) else _NON_FINITE_DATA
         )
-    target = p.boundary_value(x)
+    target = 0.0
+    for k, t in p.trace_pairs:
+        target += t * x.item(k)
     roots, iterations = p.inclusion.roots(target, s_warm)
     if not roots:
         raise NonConvergenceError(
@@ -425,10 +500,8 @@ def solve_boundary(p: StepProblem, rhs: np.ndarray, s_warm: float) -> tuple[np.n
         )
     s = roots[0] if len(roots) == 1 else min(roots, key=lambda r: (abs(r - s_warm), r))
     xi = (target - s) / p.inclusion.factor
-    lift_xi = p.lift * xi
-    u = x  # formed in place: x is the back-solve's own array, read no more
-    u -= lift_xi * p.y
-    return u, xi, iterations
+    np.subtract(x, np.multiply(p.lift * xi, p.y, work), u)
+    return xi, iterations
 
 
 def step_residuals(p: StepProblem, u: np.ndarray, rhs: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -449,7 +522,7 @@ def step_residuals(p: StepProblem, u: np.ndarray, rhs: np.ndarray, xi: np.ndarra
         for k, t in p.trace_pairs:
             r[:, k] += lift_xi * t
         z = p.space.gram_v.back_solve(r.T)[0]  # (n, k), a column a residual
-        sq = np.array([blas.ddot(r_i, z[:, i]) for i, r_i in enumerate(r)])
+        sq = np.array([blas.ddot(r_i, z_i) for r_i, z_i in zip(r, z.T)])
         out = np.sqrt(np.maximum(sq, 0.0))
     for i in np.flatnonzero(~np.isfinite(sq)).tolist():
         try:

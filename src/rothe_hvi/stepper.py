@@ -22,17 +22,22 @@ time, in the row layout of ``trajectory.csv`` (t_n, u^n, xi^n and the
 residual of step n), and holds only the two states the stencil reads: a
 writer, the estimate reducer and `run_rothe`, which records a
 `RotheTrajectory`, each read the same blocks.  A step solves; a segment
-certifies.  Each step writes its right-hand side into a buffer the run
-reuses, solves its inclusion on the boundary and writes u and xi into the
-block; the steps of a segment, the steps of one block that share one step
-operator, are certified together by one residual check at the segment's
-end.  So a run may step past a failing step to its segment's end, but it
-yields and reports the same rows and the same failing step as a loop that
-certified each step before the next: the segment is certified before the
-switch to the two-step operator, at the block's end, and before an error of
-a later step is reported, and its first failing step is the one reported.
-`initial_step` and `bdf2_step` solve and certify one step, with the
-right-hand side the loop forms.
+certifies.  Each step is one call of the step kernel
+(``inclusion_solver.step_kernel``), which adds the stencil's history to
+the step's right-hand side in a buffer the run reuses, solves its inclusion
+on the boundary and writes u straight into the block's row, in two work
+buffers the run owns; the loop writes xi.  The steps of a segment, the
+steps of one block that share one step operator, are certified together by
+one residual check at the segment's end.  So a run may step past a failing
+step to its segment's end, but it yields and reports the same rows and the
+same failing step as a loop that certified each step before the next: the
+segment is certified before the switch to the two-step operator, at the
+block's end, and before an error of a later step is reported, and its
+first failing step is the one reported.  At a block's end the loop copies
+the two states the stencil reads next, so it holds no view of a block it
+has yielded.  `initial_step` and `bdf2_step` check their operands, form the
+right-hand side by the kernel's history half and solve and certify one
+step (``solve_step_inclusion``, whose solve is the kernel's boundary half).
 
 A one-step (backward Euler) baseline is provided for scheme comparisons;
 it consumes the same averaged forcing sequence and differs only in the
@@ -53,9 +58,10 @@ from .inclusion_solver import (
     NumericalFailureError,
     SolveReport,
     StepProblem,
-    solve_boundary,
+    history_kernel,
     residual_failure,
     solve_step_inclusion,
+    step_kernel,
     step_residuals,
 )
 from .potentials import BoundaryFunctional
@@ -235,34 +241,6 @@ def _check_stencil(step: StepProblem, c: float, name: str) -> None:
         raise ValueError(f"{name} needs the operator with c_coef = {c:.4g}, got {step.c_coef:.4g}")
 
 
-def _mass_product(step: StepProblem, v: np.ndarray) -> np.ndarray:
-    """M v by the operator's bound kernel; a v of another shape goes through
-    the public ``matvec``, which checks it."""
-    return step.mass_product(v) if v.shape == step.shape else step.space.gram_h.matvec(v)
-
-
-def _add_history(
-    step: StepProblem, rhs: np.ndarray, u_nm1: np.ndarray, u_nm2: Optional[np.ndarray] = None
-) -> float:
-    """Add M times the stencil's history to ``rhs``, which holds c tau F_n,
-    in place, and return the warm start's boundary value.  The one-step
-    stencil (no u_nm2) adds M u^{n-1} and starts from t u^{n-1}; the
-    two-step stencil adds M (4/3 u^{n-1} - 1/3 u^{n-2}) and starts from the
-    extrapolant 2u^{n-1} - u^{n-2}, whose boundary value is summed at the
-    trace's nonzero nodes as sum_k t_k (2 u^{n-1}_k - u^{n-2}_k): the float
-    operations, in their order, of ``step.boundary_value`` of the whole
-    extrapolant, which is never formed."""
-    if u_nm2 is None:
-        rhs += _mass_product(step, u_nm1)
-        return step.boundary_value(u_nm1)
-    hist = (4.0 / 3.0) * u_nm1 - (1.0 / 3.0) * u_nm2
-    rhs += _mass_product(step, hist)
-    s_warm = 0.0
-    for k, t in step.trace_pairs:
-        s_warm += t * (2.0 * u_nm1.item(k) - u_nm2.item(k))
-    return s_warm
-
-
 def initial_step(
     step: StepProblem, u_prev: np.ndarray, f1: np.ndarray, tol: float = 1e-10
 ) -> tuple[np.ndarray, np.ndarray, SolveReport]:
@@ -270,11 +248,10 @@ def initial_step(
     from ``RotheProblem.step_problem``), warm-started from u_prev, which
     enters the solve as its boundary value t u_prev:
     M u + tau K u + tau trace^T W xi = tau f1 + M u_prev.  ValueError when
-    ``step`` is the two-step operator."""
+    ``step`` is the two-step operator or an operand has another shape than
+    the operator's."""
     _check_stencil(step, 1.0, "initial_step")
-    rhs = step.flux_coef * np.asarray(f1, dtype=float)
-    s_warm = _add_history(step, rhs, np.asarray(u_prev, dtype=float))
-    return solve_step_inclusion(step, rhs, s_warm, tol)
+    return _single_step(step, tol, f1, u_prev)
 
 
 def bdf2_step(
@@ -289,12 +266,22 @@ def bdf2_step(
     extrapolant 2u^{n-1} - u^{n-2}, which enters the solve as its boundary
     value alone: with c = 2/3,
     M u + c tau K u + c tau trace^T W xi = c tau f_n + M (4/3 u^{n-1} - 1/3 u^{n-2}).
-    ValueError when ``step`` is the one-step operator."""
+    ValueError when ``step`` is the one-step operator or an operand has
+    another shape than the operator's."""
     _check_stencil(step, 2.0 / 3.0, "bdf2_step")
-    rhs = step.flux_coef * np.asarray(f_n, dtype=float)
-    s_warm = _add_history(
-        step, rhs, np.asarray(u_nm1, dtype=float), np.asarray(u_nm2, dtype=float)
-    )
+    return _single_step(step, tol, f_n, u_nm1, u_nm2)
+
+
+def _single_step(step: StepProblem, tol: float, f, u_nm1, u_nm2=None):
+    """The step of ``initial_step`` (no u_nm2) or ``bdf2_step`` once its
+    operands are checked: ``history_kernel`` on new arrays, then
+    ``solve_step_inclusion``."""
+    f, u_nm1, u_nm2 = (None if v is None else np.asarray(v, dtype=float) for v in (f, u_nm1, u_nm2))
+    for v in (f, u_nm1, u_nm2):
+        if v is not None and v.shape != step.shape:
+            raise ValueError(f"operand has shape {v.shape}, expected {step.shape}")
+    rhs = step.flux_coef * f
+    s_warm = history_kernel(step, rhs, u_nm1, u_nm2, (np.empty(step.dim), np.empty(step.dim)))
     return solve_step_inclusion(step, rhs, s_warm, tol)
 
 
@@ -304,14 +291,17 @@ def _block_steps(
     """The step loop of ``run_blocks``, on its forcing table ``f_avg``.
 
     A segment is the steps of one block that share one step operator: each
-    step of it solves (``solve_boundary``) and writes u and xi into the
-    block, and the segment is certified at its end by one
+    step of it is one ``step_kernel`` call, which writes u into the block's
+    row (the loop writes xi), and the segment is certified at its end by one
     ``step_residuals`` call, before the switch to the two-step operator, at
-    the block's end, and before an error of a later step is reported."""
+    the block's end, and before an error of a later step is reported.  The
+    kernel's work buffers belong to the run, and the states the stencil
+    reads across a block's end are copies."""
     tau, dim, width = grid.tau, problem.space.dim, problem.space.dim + problem.space.dim_u + 2
     size = block_rows(width)
     times = grid.times()
     rhs = np.empty((min(size, grid.N), dim))  # c tau F_n + M history of a segment's steps
+    work = np.empty(dim), np.empty(dim)  # the step kernel's
     u_nm2 = u_nm1 = problem.u0  # the states the stencil reads, held between steps
     two_step = False
     for start in range(0, grid.N + 1, size):
@@ -336,14 +326,13 @@ def _block_steps(
                         step = _step_operator(problem, 2.0 / 3.0 if two_step else 1.0, tau)
                     last = 2 if n == 1 and scheme == BDF2 else end
                     b = np.multiply(step.flux_coef, f_avg[seg - 1 : last - 1], out=rhs[: last - seg])
-                    for n in range(seg, last):
+                    for n, b_n, u_n in zip(range(seg, last), b, rows[seg - start :, 1 : dim + 1]):
                         if n == stop:
                             raise NumericalFailureError("non-finite forcing average")
-                        s_warm = _add_history(step, b[n - seg], u_nm1, u_nm2 if two_step else None)
-                        u_n, xi_n, its = solve_boundary(step, b[n - seg], s_warm)
-                        row = rows[n - start]
-                        row[1 : dim + 1] = u_n
-                        row[dim + 1] = xi_n  # one boundary row: StepProblem checks dim_u = 1
+                        # one boundary row: StepProblem checks dim_u = 1
+                        rows[n - start, dim + 1], its = step_kernel(
+                            step, b_n, u_nm1, u_nm2 if two_step else None, u_n, work
+                        )
                         iterations.append(its)
                         u_nm2, u_nm1 = u_nm1, u_n
                     n = last
@@ -355,6 +344,8 @@ def _block_steps(
                     failed = _certify(step, rows[seg - start : n - start], b, iterations, tol)
                     if failed is not None:
                         failure = seg + failed[0], failed[1]
+        # the loop keeps no view of a block it yields
+        u_nm2, u_nm1 = u_nm2.copy(), u_nm1.copy()
         if failure is not None:
             n, exc = failure
             if not isinstance(exc, (NonConvergenceError, NumericalFailureError)):

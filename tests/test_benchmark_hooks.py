@@ -5,8 +5,9 @@ how often a run calls the step solver and the forcing assembler; those
 counts are checked here too, so that a change to them shows in this suite.
 The assembler is counted as ``fem1d.assemble_forcing``, the name through
 which ``fem1d.separable_load`` calls it and the tracer wraps it.  A run's
-step loop solves each step by ``solve_boundary`` and certifies the steps
-of each segment (the steps of a row block that share one operator) by one
+step loop solves each step by one call of the step kernel
+(``inclusion_solver.step_kernel``) and certifies the steps of each segment
+(the steps of a row block that share one operator) by one
 ``step_residuals`` call; both are counted where ``stepper`` looks them up.
 perfbench/selftest.py still pins the 32,340 forcing assemblies per
 ladder-smooth pass made when every step assembled its own loads; the
@@ -98,7 +99,7 @@ def test_run_rothe_makes_the_call_counts_the_benchmark_pins(monkeypatch, scheme,
     forcing = _counting(monkeypatch, fem1d, "assemble_forcing")
     problem = _smooth_problem()
     assert len(forcing) == 1
-    solves = _counting(monkeypatch, stepper, "solve_boundary")
+    solves = _counting(monkeypatch, stepper, "step_kernel")
     # the rows of each segment's certificate
     certified = _counting(monkeypatch, stepper, "step_residuals", lambda p, u, *_: len(u))
     # one step operator per stencil, factored once, whatever the step count
@@ -161,7 +162,7 @@ def test_the_tracer_measures_every_step_of_a_run():
             ("inclusion_solver.solve", "stepper.step", "galerkin.dual_norm")] == [8, 8, 0]
     assert len(tracer.newton_iters) == 8
     assert tracer.nonconvergence == 0
-    # a run's step loop calls solve_boundary and step_residuals, which the
+    # a run's step loop calls step_kernel and step_residuals, which the
     # tracer does not wrap, so a traced run records no span of the step layer
     tracer = _load_tracer().Tracer()
     with tracer.installed():
@@ -185,7 +186,7 @@ def test_a_seed0_ladder_smooth_pass_makes_3240_solves_and_2_load_assemblies(
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks it up
     spec.loader.exec_module(workloads)
-    solves = _counting(monkeypatch, stepper, "solve_boundary")
+    solves = _counting(monkeypatch, stepper, "step_kernel")
     forcing = _counting(monkeypatch, fem1d, "assemble_forcing")
     for i, op in enumerate(workloads.make_ops("ladder-smooth", 0)):
         path = tmp_path / f"{i}.ini"

@@ -2,9 +2,9 @@
 configs that do the work the benchmark credits them with: every config
 parses, and each invocation completes exactly ``Op.steps`` time steps, which
 the benchmark divides by the time a pass takes.  Each step is solved once
-(``solve_boundary``) and certified once (a row of ``step_residuals``).  A
-config-layer change that would make an invocation exit 2, or change its
-work, fails here first."""
+(a call of the step kernel, ``step_kernel``) and certified once (a row of
+``step_residuals``).  A config-layer change that would make an invocation
+exit 2, or change its work, fails here first."""
 
 from __future__ import annotations
 
@@ -35,7 +35,7 @@ def test_every_invocation_parses_and_runs_the_steps_it_is_credited_with(
     tmp_path, monkeypatch, workload
 ):
     solves, certified = [], []
-    solve, certify = stepper.solve_boundary, stepper.step_residuals
+    solve, certify = stepper.step_kernel, stepper.step_residuals
 
     def counting_solve(*args, **kwargs):
         solves.append(None)
@@ -45,7 +45,7 @@ def test_every_invocation_parses_and_runs_the_steps_it_is_credited_with(
         certified.append(len(u))
         return certify(p, u, *args, **kwargs)
 
-    monkeypatch.setattr(stepper, "solve_boundary", counting_solve)
+    monkeypatch.setattr(stepper, "step_kernel", counting_solve)
     monkeypatch.setattr(stepper, "step_residuals", counting_certify)
     for i, op in enumerate(workloads.make_ops(workload, 0)):
         cfg = cli.parse_config(op.config)

@@ -38,6 +38,7 @@ from rothe_hvi import (
     verify_inclusion,
 )
 from rothe_hvi import inclusion_solver
+from rothe_hvi.potentials import ScalarPotential
 from rothe_hvi.cli import build_problem, parse_config
 from rothe_hvi.inclusion_solver import (
     _MAX_SCALAR_ITER,
@@ -663,3 +664,84 @@ def test_the_key_space_minimiser_returns_the_float_midpoint_bisections_float(
 def test_the_minimiser_examples_search_the_table(pot, factor):
     # the explicit examples above split a piece at its minimiser
     assert any(piece[4] is not None for piece in _BoundaryInclusion(pot, factor).pieces)
+
+
+# -- the early exit of a boundary inclusion that increases everywhere -------
+
+EARLY_EXIT_POTENTIALS = {
+    "zero": ZeroPotential,
+    "robin": lambda: LinearRobin(1.5),
+    "paper_d_le_1": lambda: PaperExponential(0.5),
+    "paper_d_gt_1": lambda: PaperExponential(3.0),
+    "paper_literal_d_le_1": lambda: PaperExponential(0.5, literal_branch=True),
+    "paper_literal_d_gt_1": lambda: PaperExponential(3.0, literal_branch=True),
+    "nonconvex": NonconvexPiecewise,
+}
+
+
+def _full_scan(inclusion: _BoundaryInclusion, target: float, warm: float):
+    """``roots`` of the same table without the early exit."""
+    scan = copy.copy(inclusion)
+    scan.increasing = False
+    return scan.roots(target, warm)
+
+
+@st.composite
+def _targets_near_kink_edges(draw, inclusion: _BoundaryInclusion) -> float:
+    """A target within a few floats of one where g is exactly zero at an end
+    of a kink's interval, or at +-1e300, or any finite float."""
+    edges = [x + fz for x, fz_lo, fz_hi in inclusion.kinks for fz in (fz_lo, fz_hi)]
+    kind = draw(st.sampled_from(["edge", "huge", "any"] if edges else ["huge", "any"]))
+    if kind == "huge":
+        return draw(st.sampled_from([-1e300, 1e300]))
+    if kind == "any":
+        return draw(st.floats(-1e6, 1e6, allow_nan=False))
+    target = draw(st.sampled_from(edges))
+    for _ in range(draw(st.integers(0, 3))):
+        target = math.nextafter(target, draw(st.sampled_from([-math.inf, math.inf])))
+    return target
+
+
+@pytest.mark.parametrize("name", sorted(EARLY_EXIT_POTENTIALS))
+@given(data=st.data())
+def test_the_early_exit_returns_exactly_the_full_scans_roots(name, data):
+    factor = data.draw(st.sampled_from([0.1, 0.5, 1.0, 2.0, 13.56]), label="factor")
+    inclusion = _BoundaryInclusion(EARLY_EXIT_POTENTIALS[name](), factor)
+    target = data.draw(_targets_near_kink_edges(inclusion), label="target")
+    warm = data.draw(st.floats(-10.0, 10.0), label="warm")
+    assert inclusion.roots(target, warm) == _full_scan(inclusion, target, warm)
+
+
+@pytest.mark.parametrize("name", sorted(EARLY_EXIT_POTENTIALS))
+def test_the_early_exit_is_taken_exactly_where_g_increases(name):
+    # z nondecreasing gives g' >= 1 everywhere; the literal branch with
+    # d > 1 dips below its value at the kink, and so does the nonconvex law
+    pot = EARLY_EXIT_POTENTIALS[name]()
+    dips = name in ("paper_literal_d_gt_1", "nonconvex")
+    assert _BoundaryInclusion(pot, 2.0).increasing is not dips
+    assert pot.is_monotone is not dips
+
+
+class _DescendingPiece(ScalarPotential):
+    """z = 0 left of the kink at 0, 1 - 4s on (0, 1], then s - 4: a descending
+    piece, with ``is_monotone`` left at its default, True."""
+
+    kinks = (0.0,)
+
+    def branch_value(self, s: float) -> float:
+        return 0.0 if s <= 0.0 else (1.0 - 4.0 * s if s <= 1.0 else s - 4.0)
+
+    def branch_slope(self, s: float) -> float:
+        return 0.0 if s < 0.0 else (-4.0 if s <= 1.0 else 1.0)
+
+
+def test_a_descending_piece_gets_the_full_scan_whatever_is_monotone_says():
+    pot = _DescendingPiece()
+    assert pot.is_monotone
+    inclusion = _BoundaryInclusion(pot, 1.0)
+    assert not inclusion.increasing
+    # g = s - 0.5 + z(s): a root at the kink, at 1/6 on the descending piece
+    # and at 2.25 on the last
+    roots, _ = inclusion.roots(0.5, 0.0)
+    assert roots == _full_scan(inclusion, 0.5, 0.0)[0]
+    assert sorted(roots) == pytest.approx([0.0, 1.0 / 6.0, 2.25], rel=0.0, abs=1e-15)

@@ -619,7 +619,7 @@ def test_an_error_of_a_later_step_is_raised_once_the_earlier_steps_are_certified
     # through, with no rows of its block, unless an earlier step of the
     # block fails its residual: then that step is reported
     monkeypatch.setattr(stepper, "BLOCK_CELLS", SMALL_BLOCK_CELLS)
-    solve, calls = stepper.solve_boundary, []
+    solve, calls = stepper.step_kernel, []
 
     def failing_at_step_6(*args):
         calls.append(None)
@@ -630,7 +630,7 @@ def test_an_error_of_a_later_step_is_raised_once_the_earlier_steps_are_certified
     problem = _spiked_problem(3)
     raw = [r.residual for r in _reports_through_the_single_step_api(
         problem, run_rothe(problem, SPIKED_GRID))]
-    monkeypatch.setattr(stepper, "solve_boundary", failing_at_step_6)
+    monkeypatch.setattr(stepper, "step_kernel", failing_at_step_6)
     blocks = stepper.run_blocks(problem, SPIKED_GRID)
     with pytest.raises(ZeroDivisionError):
         next(blocks)
@@ -638,6 +638,44 @@ def test_an_error_of_a_later_step_is_raised_once_the_earlier_steps_are_certified
     rows, exc = _blocks_until_failure(problem, math.sqrt(max(raw[:2]) * raw[2]))
     assert (exc.step, len(rows)) == (3, 3)
     assert isinstance(exc.__cause__, stepper.NonConvergenceError)
+
+
+@pytest.mark.parametrize("scheme", ["bdf2", "backward_euler"])
+def test_a_consumer_writing_into_a_block_leaves_every_later_block_as_it_was(monkeypatch, scheme):
+    # the loop reads the last two states of a block after it is yielded
+    # only through its own copies: NaN written into every block a run
+    # yields changes no byte of the blocks after it
+    monkeypatch.setattr(stepper, "BLOCK_CELLS", SMALL_BLOCK_CELLS)
+    problem = _spiked_problem(3)
+    clean = [rows.copy() for rows in stepper.run_blocks(problem, SPIKED_GRID, scheme)]
+    assert len(clean) >= 3
+    seen = []
+    for rows in stepper.run_blocks(problem, SPIKED_GRID, scheme):
+        seen.append(rows.copy())
+        rows.fill(np.nan)
+    assert [rows.tobytes() for rows in seen] == [rows.tobytes() for rows in clean]
+
+
+@pytest.mark.parametrize("scheme", ["bdf2", "backward_euler"])
+def test_a_run_whose_new_arrays_start_as_nan_gives_the_same_bytes(monkeypatch, scheme):
+    # the loop's work buffers and right-hand sides are reused np.empty
+    # arrays: a run that read one before writing it would depend on what the
+    # allocator hands back, so every np.empty of the run starts NaN-filled
+    monkeypatch.setattr(stepper, "BLOCK_CELLS", SMALL_BLOCK_CELLS)
+    problem = _spiked_problem(3)
+    clean = np.concatenate(list(stepper.run_blocks(problem, SPIKED_GRID, scheme)))
+    empty = np.empty
+
+    def nan_filled(*args, **kwargs):
+        out = empty(*args, **kwargs)
+        out.fill(np.nan)
+        return out
+
+    monkeypatch.setattr(np, "empty", nan_filled)
+    blocks = list(stepper.run_blocks(problem, SPIKED_GRID, scheme))
+    monkeypatch.undo()
+    assert len(blocks) >= 3
+    assert np.concatenate(blocks).tobytes() == clean.tobytes()
 
 
 def _problem_of_layout(layout: str) -> RotheProblem:
