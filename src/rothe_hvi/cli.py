@@ -66,12 +66,26 @@ written a row block of the run at a time, as the run yields it.  Estimate
 tables carry one interpolant-gap column, `gap_closed_form`, the exact
 squared L2(0,T;V*) gap.  Only `check` draws random samples, seeded by
 `--seed`.
+
+The first `main` call of a process sets glibc's allocator policy, where the
+C library has ``mallopt``: the mmap threshold at 32 MiB and the trim
+threshold at 64 MiB, the ceiling of glibc's own dynamic rule and twice it.
+A row block's scratch, up to about a megabyte freed at the block's end,
+then stays in the heap for the next block, where glibc's default trims it
+and the next block faults its pages back in; larger arrays are still mapped
+and returned.  Setting the trim threshold or ``M_TOP_PAD`` alone would
+freeze glibc's mmap threshold at 128 KiB, and every larger array would be
+mapped afresh, so the trim threshold is set only once the mmap threshold
+took.  The policy is process-wide, and a later call leaves it as it is, so
+a process that calls `main` many times pays for it once.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import ctypes
+import functools
 import io
 import math
 import os
@@ -785,7 +799,19 @@ def _build_parser() -> argparse.ArgumentParser:
 _PARSER = _build_parser()  # parsing keeps no state, so one parser serves every call
 
 
+@functools.cache
+def _keep_freed_scratch() -> None:
+    """Set the allocator policy of the module docstring, once a process."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # no C library handle, or no mallopt
+        return
+    if mallopt(-3, 32 << 20):  # M_MMAP_THRESHOLD; 0 where glibc refuses it
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    _keep_freed_scratch()
     args = _PARSER.parse_args(argv)
     try:
         cfg = parse_config(Path(args.config_path))

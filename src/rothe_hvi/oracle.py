@@ -15,12 +15,14 @@ no command pays for importing that package.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Callable
 
 import numpy as np
 
 from .inclusion_solver import StepProblem
+from .potentials import ScalarPotential
 from .stepper import BDF2, RotheProblem, TimeGrid, run_blocks
 
 __all__ = [
@@ -153,6 +155,19 @@ def _golden_section(f: Callable[[float], float], a: float, b: float, xtol: float
     return 0.5 * (a + b)
 
 
+def _convex(pot: ScalarPotential) -> bool:
+    """Whether j is convex, read from the potential's own data: z is convex
+    on each piece between kinks, so it is nondecreasing everywhere when its
+    slope is >= 0 at every piece's left end and its one-sided limits do not
+    fall at any kink."""
+    pts, lo, _ = pot.kink_table
+    m = len(pts) // 3
+    lefts = (-math.inf, *pts[2 * m:])  # one float right of each kink
+    return all(pot.branch_slope(a) >= 0.0 for a in lefts) and all(
+        a <= b for a, b in zip(lo[:m], lo[2 * m:])
+    )
+
+
 def minimize_energy_convex(
     p: StepProblem,
     rhs,
@@ -161,8 +176,8 @@ def minimize_energy_convex(
 ) -> np.ndarray:
     """Coordinate-wise golden-section descent on the step energy of the step
     operator p with right-hand side ``rhs``; valid only for monotone flux
-    laws (convex energy), which is checked."""
-    if not p.potential.is_monotone:
+    laws (convex energy), which is checked (``_convex``)."""
+    if not _convex(p.potential):
         raise ValueError("energy minimization requires a monotone flux law")
     u = np.zeros(p.dim)
     xtol = min(tol * 1e-2, 1e-11)

@@ -49,13 +49,10 @@ class ScalarPotential:
     ----------
     d_j : growth constant, |z| <= d_j (1 + |s|) for every z in the interval.
     kinks : jump points of the derivative (finite, stored explicitly).
-    is_monotone : whether the interval map is nondecreasing (equivalently,
-        whether j is convex); used as the convexity certificate by oracles.
     """
 
     d_j: float = 1.0
     kinks: tuple[float, ...] = ()
-    is_monotone: bool = True
 
     def value(self, s):
         raise NotImplementedError
@@ -125,7 +122,8 @@ class PaperExponential(ScalarPotential):
     The smooth branch slope is d (e^{-s} + s); with ``literal_branch`` the
     positive branch is d e^{-s} + s instead, the derivative of
     j(s) = -d e^{-s} + s^2 / 2 + d, which agrees only for d = 1 and is kept
-    for side-by-side comparisons.
+    for side-by-side comparisons; for d > 1 it dips below its value at 0,
+    so that j is not convex.
     """
 
     def __init__(self, d: float = 1.0, literal_branch: bool = False):
@@ -135,8 +133,6 @@ class PaperExponential(ScalarPotential):
         self.literal_branch = bool(literal_branch)
         self.kinks = (0.0,)
         self.d_j = max(self.d, 1.0) if literal_branch else self.d
-        # the literal positive branch dips below its value at 0 when d > 1
-        self.is_monotone = (not literal_branch) or self.d <= 1.0
 
     def value(self, s):
         s = np.asarray(s, dtype=float)
@@ -210,8 +206,6 @@ class NonconvexPiecewise(ScalarPotential):
     With a steep enough drop the per-step inclusion acquires multiple roots,
     which is exactly what this fixture is for.
     """
-
-    is_monotone = False
 
     def __init__(
         self,

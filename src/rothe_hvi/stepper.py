@@ -89,9 +89,11 @@ BACKWARD_EULER = "backward_euler"
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(5)  # the 5-point Gauss rule on [-1, 1]
 _OFFSETS = 0.5 * (1.0 + _NODES)  # its points on [0, 1], in steps from a window's start
 _EPS = float(np.finfo(float).eps)
-# cells of a row block of a run (unless two rows take more): 128 KB, where
-# glibc starts to map each allocation afresh, so that a block reuses pages
-# the process holds
+# cells of a row block of a run (unless two rows take more): 128 KB.  What
+# a block's step segment, certificate and consumers derive from it, up to
+# about a megabyte at n_el = 1024, is freed at the block's end; glibc's
+# default policy trims it off the heap, and the next block faults it back
+# in, unless the policy that `cli.main` sets keeps it (cli's docstring)
 BLOCK_CELLS = 16384
 
 

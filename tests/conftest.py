@@ -13,6 +13,7 @@ from rothe_hvi import (
     make_initial,
     separable_load,
 )
+from rothe_hvi.potentials import ScalarPotential
 
 settings.register_profile(
     "suite",
@@ -44,6 +45,19 @@ def make_space(gram_h: np.ndarray, gram_v: np.ndarray | None = None) -> Galerkin
 @pytest.fixture
 def scalar_space() -> GalerkinSpace:
     return GalerkinSpace(gram_h=[[1.0]], gram_v=[[1.0]], trace=[[1.0]], gram_u=[[1.0]])
+
+
+class DescendingPiece(ScalarPotential):
+    """z = 0 left of the kink at 0, 1 - 4s on (0, 1], then s - 4: a law
+    with a descending piece that states only what the step solver reads."""
+
+    kinks = (0.0,)
+
+    def branch_value(self, s: float) -> float:
+        return 0.0 if s <= 0.0 else (1.0 - 4.0 * s if s <= 1.0 else s - 4.0)
+
+    def branch_slope(self, s: float) -> float:
+        return 0.0 if s < 0.0 else (-4.0 if s <= 1.0 else 1.0)
 
 
 def zero(s: np.ndarray) -> np.ndarray:

@@ -4,6 +4,7 @@ import configparser
 import io
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -323,6 +324,104 @@ def test_one_process_serves_calls_as_fresh_processes_do(tmp_path, monkeypatch, c
     for i, name in ((0, "summary.csv"), (1, "trajectory.csv"), (1, "estimates.csv")):
         shared = (tmp_path / f"shared{i}" / name).read_bytes()
         assert shared == (tmp_path / f"fresh{i}" / name).read_bytes()
+
+
+WIDE_SMOOTH = """[problem]
+n_el = 1024
+forcing = smooth
+potential = paper_exponential
+u0 = zero
+
+[scheme]
+kind = bdf2
+
+[ladder]
+taus = 0.03125
+"""
+
+# four runs through main, the output directory removed before each; prints
+# the minor page faults of the last three
+REPEATED_RUNS = """
+import resource, shutil, sys
+from rothe_hvi.cli import main
+config, out = sys.argv[1:]
+faults = []
+for _ in range(4):
+    shutil.rmtree(out, ignore_errors=True)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert main(["run", config, "--out", out, "--quiet"]) == 0
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(*faults[1:])
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the policy is glibc's mallopt")
+def test_a_repeated_wide_run_faults_no_pages_back_in(tmp_path):
+    # each row block frees up to about a megabyte of scratch; kept in the
+    # heap, the next block and the next run reuse it.  glibc's default trims
+    # it, and every run faulted 300-1,100 pages back in
+    (tmp_path / "wide.ini").write_text(WIDE_SMOOTH, encoding="utf-8")
+    blas_one_thread = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"), "1")
+    proc = subprocess.run(
+        [sys.executable, "-c", REPEATED_RUNS, "wide.ini", "out"], cwd=tmp_path,
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, **blas_one_thread, "PYTHONPATH": SRC},
+    )
+    assert proc.returncode == 0, proc.stderr
+    faults = [int(word) for word in proc.stdout.split()]
+    assert len(faults) == 3 and max(faults) < 100, faults
+
+
+@pytest.fixture
+def first_main_call():
+    """Each main call of the test sets the allocator policy as a process's
+    first call does, until one has set it."""
+    cli._keep_freed_scratch.cache_clear()
+    yield
+    cli._keep_freed_scratch.cache_clear()
+
+
+class _Libc:
+    """A C library whose mallopt records its calls and returns ``answer``."""
+
+    def __init__(self, answer):
+        self.answer = answer
+        self.calls = []
+
+    def mallopt(self, param, value):
+        self.calls.append((param, value))
+        return self.answer
+
+
+def _no_c_library(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("cdll", [_no_c_library, lambda name: object()],
+                         ids=["no-c-library", "no-mallopt"])
+def test_a_run_without_mallopt_writes_the_same_bytes(tmp_path, monkeypatch, first_main_call, cdll):
+    rc, with_policy = run_cli(tmp_path, "run", SMOOTH_TINY, out_name="with-policy")
+    cli._keep_freed_scratch.cache_clear()
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    rc_without, without = run_cli(tmp_path, "run", SMOOTH_TINY, out_name="without")
+    assert rc_without == rc == 0
+    assert sorted(p.name for p in without.iterdir()) == sorted(p.name for p in with_policy.iterdir())
+    for path in with_policy.iterdir():
+        assert (without / path.name).read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("answer, calls", [
+    (1, [(-3, 32 << 20), (-1, 64 << 20)]),
+    (0, [(-3, 32 << 20)]),  # a refused mmap threshold: the trim threshold alone would freeze it
+], ids=["accepted", "refused"])
+def test_the_policy_is_set_on_the_first_main_call_alone(
+    tmp_path, monkeypatch, first_main_call, answer, calls
+):
+    libc = _Libc(answer)
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+    for i in range(2):
+        assert run_cli(tmp_path, "run", SMOOTH_TINY, out_name=f"out{i}")[0] == 0
+    assert libc.calls == calls
 
 
 @pytest.mark.parametrize("command", ["run", "study", "compare"])

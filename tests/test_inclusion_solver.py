@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import random_spd
+from conftest import DescendingPiece, random_spd
 from rothe_hvi import (
     BDF2,
     GalerkinSpace,
@@ -38,7 +38,6 @@ from rothe_hvi import (
     verify_inclusion,
 )
 from rothe_hvi import inclusion_solver
-from rothe_hvi.potentials import ScalarPotential
 from rothe_hvi.cli import build_problem, parse_config
 from rothe_hvi.inclusion_solver import (
     _MAX_SCALAR_ITER,
@@ -719,25 +718,10 @@ def test_the_early_exit_is_taken_exactly_where_g_increases(name):
     pot = EARLY_EXIT_POTENTIALS[name]()
     dips = name in ("paper_literal_d_gt_1", "nonconvex")
     assert _BoundaryInclusion(pot, 2.0).increasing is not dips
-    assert pot.is_monotone is not dips
 
 
-class _DescendingPiece(ScalarPotential):
-    """z = 0 left of the kink at 0, 1 - 4s on (0, 1], then s - 4: a descending
-    piece, with ``is_monotone`` left at its default, True."""
-
-    kinks = (0.0,)
-
-    def branch_value(self, s: float) -> float:
-        return 0.0 if s <= 0.0 else (1.0 - 4.0 * s if s <= 1.0 else s - 4.0)
-
-    def branch_slope(self, s: float) -> float:
-        return 0.0 if s < 0.0 else (-4.0 if s <= 1.0 else 1.0)
-
-
-def test_a_descending_piece_gets_the_full_scan_whatever_is_monotone_says():
-    pot = _DescendingPiece()
-    assert pot.is_monotone
+def test_a_descending_piece_gets_the_full_scan():
+    pot = DescendingPiece()
     inclusion = _BoundaryInclusion(pot, 1.0)
     assert not inclusion.increasing
     # g = s - 0.5 + z(s): a root at the kink, at 1/6 on the descending piece

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from conftest import fem_problem, one, random_spd, zero
+from conftest import DescendingPiece, fem_problem, one, random_spd, zero
 from rothe_hvi import (
     BDF2,
     BoundaryFunctional,
@@ -130,10 +130,28 @@ def test_minimize_energy_zero_rhs():
     assert u[0] == pytest.approx(0.0, abs=1e-7)
 
 
-def test_minimize_energy_rejects_nonmonotone():
-    p, rhs = scalar_problem(NonconvexPiecewise(), 0.5)
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize(
+    "potential",
+    [NonconvexPiecewise(), DescendingPiece(), PaperExponential(2.0, literal_branch=True)],
+    ids=["nonconvex", "descending-piece", "literal-d2"],
+)
+def test_minimize_energy_rejects_nonmonotone(potential):
+    # convexity is read from the law's slopes and one-sided limits at its kinks
+    p, rhs = scalar_problem(potential, 0.5)
+    with pytest.raises(ValueError, match="requires a monotone flux law"):
         minimize_energy_convex(p, rhs)
+
+
+@pytest.mark.parametrize(
+    "potential",
+    [ZeroPotential(), LinearRobin(2.0), PaperExponential(1.0), PaperExponential(3.0),
+     PaperExponential(0.5, literal_branch=True)],
+    ids=["zero", "robin", "paper-d1", "paper-d3", "literal-d0.5"],
+)
+def test_minimize_energy_accepts_each_monotone_law(potential):
+    p, rhs = scalar_problem(potential, 1.5)
+    (root,) = scan_scalar(p, rhs, -10.0, 10.0)
+    assert minimize_energy_convex(p, rhs)[0] == pytest.approx(root, abs=1e-7)
 
 
 def test_step_energy_definition():

@@ -135,12 +135,10 @@ def test_monotone_certificates():
     lo, hi = pot.interval_arrays(grid)
     assert np.all(np.diff(lo) >= -1e-14)
     assert np.all(np.diff(hi) >= -1e-14)
-    assert pot.is_monotone
 
     ncv = NonconvexPiecewise()
     lo_n, hi_n = ncv.interval_arrays(grid)
     assert np.any(np.diff(hi_n) < -1e-10)  # the descending segment
-    assert not ncv.is_monotone
 
 
 def test_value_derivative_midpoint_consistency():
