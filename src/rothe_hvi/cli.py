@@ -15,9 +15,10 @@ No command holds a trajectory.  A run is the row blocks that
 `stepper.run_blocks` yields, and each is read as it comes: `run` writes
 each block to ``trajectory.csv.partial`` and feeds it to the estimate
 reducer (`diagnostics.EstimateSums`) in the same pass, then renames the
-file to ``trajectory.csv``; `study` and `compare` keep, of each run, its
-estimate report and its last state u^N, and of each reference run its
-last state alone.  What a run holds besides one block is its (N, dim)
+file to ``trajectory.csv``; `study` keeps, of each ladder run, its
+estimate report and its last state u^N, and `compare`, which writes no
+estimates, keeps of each run its last state alone, as both commands do of
+each reference run.  What a run holds besides one block is its (N, dim)
 forcing table and a few floats a step.
 
 Each command computes and writes its data files and returns its summary
@@ -102,7 +103,6 @@ import numpy as np
 from .diagnostics import (
     QUANTITY_FIELDS,
     EstimateSums,
-    LadderStudy,
     bdf2_identity_gap,
     bdf2_inequality_slack,
     fitted_order,
@@ -129,6 +129,7 @@ from .stepper import (
     TimeGrid,
     TrajectoryMemoryError,
     check_step_coercivity,
+    final_state,
     run_blocks,
 )
 
@@ -602,27 +603,10 @@ def cmd_run(cfg: ExperimentConfig, out: Path) -> _Rows:
     return [("run", True, f"worst step residual {sums.worst_residual:.3e}")]
 
 
-def _ladders(
-    cfg: ExperimentConfig, schemes: Sequence[str], one_step_ref: bool = False
-) -> tuple[RotheProblem, list[np.ndarray], list[LadderStudy]]:
-    """The problem, the states at t_final of its fine references (the
-    two-step run at the reference tau, then with ``one_step_ref`` the
-    one-step run on the same grid) and one ladder per scheme, errors taken
-    against the two-step reference."""
-    problem = build_problem(cfg)
-    tau_ref = cfg.reference_tau()
-    refs = [reference_solution(problem, cfg.t_final, tau_ref)]
-    if one_step_ref:
-        refs.append(reference_solution(problem, cfg.t_final, tau_ref, scheme=BACKWARD_EULER))
-    studies = [
-        tau_ladder_study(problem, cfg.t_final, cfg.taus, scheme, cfg.tol, refs[0])
-        for scheme in schemes
-    ]
-    return problem, refs, studies
-
-
 def cmd_study(cfg: ExperimentConfig, out: Path) -> _Rows:
-    _, _, (study,) = _ladders(cfg, (cfg.scheme,))
+    problem = build_problem(cfg)
+    ref = reference_solution(problem, cfg.t_final, cfg.reference_tau())
+    study = tau_ladder_study(problem, cfg.t_final, cfg.taus, cfg.scheme, cfg.tol, ref)
     taus = study.taus()
     _write_csv(
         out / "ladder.csv",
@@ -642,18 +626,20 @@ def cmd_study(cfg: ExperimentConfig, out: Path) -> _Rows:
 
 
 def cmd_compare(cfg: ExperimentConfig, out: Path) -> _Rows:
-    problem, (_, ref_one), studies = _ladders(cfg, (BDF2, BACKWARD_EULER), one_step_ref=True)
-    taus = studies[0].taus()
-    err_rows = []
-    order_rows = []
-    for study in studies:
-        errs_two = study.series("error_at_T")
-        errs_one = [problem.space.h_norm(r.u_final - ref_one) for r in study.rows]
-        for r, e1 in zip(study.rows, errs_one):
-            err_rows.append([study.scheme, r.tau, r.error_at_T, e1])
-        order_rows.append(
-            [study.scheme, fitted_order(taus, errs_two), fitted_order(taus, errs_one)]
-        )
+    """Both schemes' ladders against the two-step and the one-step fine
+    references; of each run only u^N is kept, so no estimate is reduced."""
+    problem = build_problem(cfg)
+    refs = [reference_solution(problem, cfg.t_final, cfg.reference_tau(), scheme=scheme)
+            for scheme in (BDF2, BACKWARD_EULER)]
+    taus = np.array(cfg.taus)
+    err_rows, order_rows, plots = [], [], {}
+    for scheme in (BDF2, BACKWARD_EULER):
+        finals = [final_state(problem, TimeGrid.of_step(cfg.t_final, tau), scheme, cfg.tol)
+                  for tau in cfg.taus]
+        errs = [[problem.space.h_norm(u - ref) for u in finals] for ref in refs]
+        err_rows += [[scheme, tau, e2, e1] for tau, e2, e1 in zip(cfg.taus, *errs)]
+        order_rows.append([scheme, *(fitted_order(taus, e) for e in errs)])
+        plots[f"error_{scheme}"] = np.array(errs[0])
     _write_csv(
         out / "errors.csv",
         ["scheme", "tau", "error_vs_two_step_ref", "error_vs_one_step_ref"],
@@ -664,7 +650,7 @@ def cmd_compare(cfg: ExperimentConfig, out: Path) -> _Rows:
         ["scheme", "order_vs_two_step_ref", "order_vs_one_step_ref"],
         order_rows,
     )
-    _write_plots(out, taus, {f"error_{s.scheme}": s.series("error_at_T") for s in studies})
+    _write_plots(out, taus, plots)
     return [("compare", True, "; ".join(f"{r[0]}: {r[1]:.2f}" for r in order_rows))]
 
 

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .galerkin import GalerkinSpace
+from .galerkin import GalerkinSpace, _diagonal_product
 from .stepper import BDF2, RotheProblem, RotheTrajectory, TimeGrid, block_rows, run_blocks
 
 __all__ = [
@@ -134,9 +134,10 @@ def _quad_rows(left: np.ndarray, stack: np.ndarray, count: int) -> np.ndarray:
 def _dual_rows(space: GalerkinSpace, stack: np.ndarray, count: int) -> tuple[np.ndarray, ...]:
     """The H-embeddings of a stack's rows and the squared V*-norms of the
     first ``count``, from one product with gram_h and one
-    multi-right-hand-side Riesz solve."""
-    hw = stack @ space.gram_h
-    return hw, np.maximum(np.einsum("ij,ji->i", hw, space.solve_v(hw.T)), 0.0)[:count]
+    multi-right-hand-side Riesz solve, both by the unchecked kernels."""
+    hw = _diagonal_product(space.gram_h.ab, stack)
+    z = space.gram_v.back_solve(hw.T)[0]
+    return hw, np.maximum(np.einsum("ij,ji->i", hw, z), 0.0)[:count]
 
 
 class EstimateSums:
@@ -157,10 +158,12 @@ class EstimateSums:
     has a single row, which is how the whole family reduces, so a row's
     value does not depend on the block it lies in; the sums run over the
     full per-row arrays, and the report has the same bits for every
-    partition of the run into blocks.  ``weights`` are the boundary
-    quadrature weights used to lift nodal multipliers to boundary
-    functionals (all ones by default).  V*-norms of H-elements are taken
-    through their H-embedding.
+    partition of the run into blocks.  The products and solves are the
+    bands' unchecked kernels: a run's rows are finite, each step certified,
+    and ``estimate_report`` checks a held trajectory once.  ``weights`` are
+    the boundary quadrature weights used to lift nodal multipliers to
+    boundary functionals (all ones by default).  V*-norms of H-elements are
+    taken through their H-embedding.
     """
 
     def __init__(
@@ -213,8 +216,8 @@ class EstimateSums:
         )
         hw_e, e_sq = _dual_rows(space, e, ne)
         self._terms.append((
-            _quad_rows(u @ space.gram_v, u, nu),  # ||u^n||_V^2
-            _quad_rows(u @ space.gram_h, u, nu),  # |u^n|_H^2
+            _quad_rows(_diagonal_product(space.gram_v.ab, u), u, nu),  # ||u^n||_V^2
+            _quad_rows(_diagonal_product(space.gram_h.ab, u), u, nu),  # |u^n|_H^2
             _dual_rows(space, d, nd)[1],  # ||d_n||_*^2
             _dual_rows(space, s, ns)[1],  # ||s_n||_*^2
             e_sq,  # ||e_n||_*^2
@@ -260,7 +263,12 @@ def estimate_report(
     s_n theta - e_n/4, with theta = (t - midpoint)/tau odd about the window
     midpoint; the cross term integrates to zero, so the squared gap norm is
     tau/12 ||d_1||_*^2 + sum_{n>=2} (tau/12 ||s_n||_*^2 + tau/16 ||e_n||_*^2).
+    ValueError unless the trajectory is finite and its states have the
+    space's dimension: the reducer's kernels check neither.
     """
+    u, xi = traj.u, traj.xi
+    if u.shape[1:] != (space.dim,) or not (np.isfinite(u).all() and np.isfinite(xi).all()):
+        raise ValueError(f"the trajectory must be finite, with states of {space.dim} entries")
     sums = EstimateSums(space, traj.grid, weights)
     rows = block_rows(space.dim + space.dim_u + 2)
     for a in range(0, len(traj.u), rows):

@@ -54,30 +54,32 @@ xi = (t x - s) / F and u = x - c tau w xi y.  ``SolveReport.iterations``
 counts the Newton and bisection steps of the step's brackets; the minimiser
 search belongs to the operator and is not counted there.
 
-A step is solved in two calls.  ``solve_boundary`` returns u, xi and the
-iterations, uncertified; its arithmetic is the boundary half of the step
-kernel.  ``step_kernel`` is a step's float operations, unchecked and in one
-place: ``history_kernel`` adds M times the stencil's history to the
-right-hand side in place and returns the warm start's boundary value, and
-``boundary_kernel`` solves and writes u into an array its caller owns.  The
-step loop calls ``step_kernel`` with the row of its block and the run's
-work buffers; ``solve_boundary`` and the single-step API check their
-operands and call the halves.  ``step_residuals`` certifies a stack of k
-solved steps of one operator: it recomputes each residual
-r = S u + c tau trace^T W xi - b from the solution, by one stack product
-with S for all k, then the flux term, which is nonzero only at the nodes
-where the trace is (one node for P1), and returns the V*-norm of each.
-Those norms take one back-solve of the k residuals by gram_v and one BLAS
-ddot a residual, and each row goes through the operations, in their order,
-that it would take alone, so a step's residual has the same bits whatever
-the stack it is certified in.  A step is accepted only when its residual
-is at most tol; ``residual_failure`` gives the error of one that is not:
+A step is solved, then certified.  ``segment_kernel`` holds a step's float
+operations, unchecked and in one place, and solves the k steps of a
+segment, steps of one operator, in one call: for each row it adds M times
+the stencil's history to the right-hand side in place, solves the boundary
+inclusion, writes u and xi into arrays its caller owns and appends the
+step's iterations.  It reads the operator's bound kernels, trace pairs,
+root table, lift and y once a call.  The step loop calls it once a segment
+with the rows of its block and the run's work buffers.  ``solve_boundary``
+checks its operands and runs it on one row, entered at its boundary half
+with a given warm start's boundary value: u, xi and the iterations,
+uncertified; the single-step API forms its right-hand side by the kernel's
+history half.  ``step_residuals`` certifies a stack of k solved steps of
+one operator: it recomputes each residual r = S u + c tau trace^T W xi - b
+from the solution, by one stack product with S for all k, then the flux
+term, which is nonzero only at the nodes where the trace is (one node for
+P1), and returns the V*-norm of each.  Those norms take one back-solve of
+the k residuals by gram_v and one BLAS ddot a residual, and each row goes
+through the operations, in their order, that it would take alone, so a
+step's residual has the same bits whatever the stack it is certified in.  A
+step is accepted only when its residual is at most tol;
+``residual_failure`` gives the error of one that is not:
 NumericalFailureError for a non-finite residual, NonConvergenceError for
-one above tol.  ``solve_step_inclusion`` is the
-three calls on one step; the step loop of ``stepper.run_blocks`` solves
-each step and certifies a segment of them at once.  Only a single boundary
-row (dim_u = 1) is supported; a StepProblem on any other space raises
-ValueError.
+one above tol.  ``solve_step_inclusion`` is the three calls on one step;
+the step loop of ``stepper.run_blocks`` solves a segment of steps and
+certifies them at once.  Only a single boundary row (dim_u = 1) is
+supported; a StepProblem on any other space raises ValueError.
 
 Each value of a step is checked for NaN/Inf at most once, and a non-finite
 one raises NumericalFailureError: the warm start's boundary value s_warm
@@ -91,22 +93,25 @@ of squares, one BLAS ddot, and scanned entry by entry only when that sum is
 not finite: a NaN or Inf makes it so, and so does a finite vector large
 enough to overflow it, which the scan then passes.  The boundary value t x
 is read at the trace's nonzero nodes only.  The warm start enters as its
-boundary value alone, so a step forms no warm-start vector: its caller sums
-t u_warm over those nodes.
+boundary value alone, so a step forms no warm-start vector: the kernel's
+history half, or the caller of ``solve_boundary``, sums t u_warm over
+those nodes.
 
 So a step checks in this order: the shape of b against the operator's
-``shape``, s_warm finite and x's ddot in ``solve_boundary``; then the
-square of its residual in ``step_residuals`` and the residual against tol
-in ``residual_failure``; ``solve_step_inclusion`` checks tol > 0 first.  Between
-these checks it does only arithmetic, through the kernels the operator
-bound when it was built (``back_solve`` for x), with no layout or shape
-decided again.  A step of the loop makes the array calls its arithmetic
-needs and no more: three ufuncs for the two-step history, M's product and
-its sum, S's ``back_solve``, x's ddot, and two ufuncs that write u into the
-row.  When g increases everywhere, which the table shows when g' > 0 at
-every piece's finite left end and z's one-sided limits do not fall at any
-kink, the boundary inclusion has at most one root and its scan stops at the
-first.  ``step_residuals`` makes, for its whole stack, one stack product with S
+``shape`` in ``solve_boundary`` (the step loop's shapes are its own), then
+s_warm finite and x's ddot in ``segment_kernel``; then the square of its
+residual in ``step_residuals`` and the residual against tol in
+``residual_failure``; ``solve_step_inclusion`` checks tol > 0 first.
+Between these checks it does only arithmetic, through the kernels the
+operator bound when it was built (``back_solve`` for x), with no layout or
+shape decided again.  A step of a segment makes the array calls its
+arithmetic needs and no more, and no Python function but the root scan:
+three ufuncs for the two-step history, M's product and its sum, S's
+``back_solve``, x's ddot, and two ufuncs that write u into the row.  When g
+increases everywhere, which the table shows when g' > 0 at every piece's
+finite left end and z's one-sided limits do not fall at any kink, the
+boundary inclusion has at most one root and its scan stops at the first.
+``step_residuals`` makes, for its whole stack, one stack product with S
 (``galerkin._diagonal_product``) and one solve by gram_v's bound kernel,
 then one ddot a step.
 """
@@ -426,8 +431,8 @@ def solve_boundary(p: StepProblem, rhs: np.ndarray, s_warm: float) -> tuple[np.n
     """Solve the step inclusion with right-hand side ``rhs`` exactly on the
     boundary, uncertified: u, xi and the iterations of the boundary solve.
     ``s_warm`` is the warm start's boundary value t u_warm: of several roots
-    the one nearest it is taken.  The boundary half of ``step_kernel``,
-    after the check of rhs's shape.
+    the one nearest it is taken.  A one-row ``segment_kernel`` entered at
+    its boundary half, after the check of rhs's shape.
 
     Raises ValueError for a right-hand side of another shape than the
     operator's, NumericalFailureError on non-finite data or interior solve
@@ -436,72 +441,80 @@ def solve_boundary(p: StepProblem, rhs: np.ndarray, s_warm: float) -> tuple[np.n
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != p.shape:
         raise ValueError(f"right-hand side has shape {rhs.shape}, expected {p.shape}")
-    u = np.empty(p.dim)
-    return (u, *boundary_kernel(p, rhs, s_warm, u))
+    u, xi, iterations = np.empty(p.dim), np.empty(1), []
+    segment_kernel(p, rhs[None], u[None], xi, iterations, (None, None), None, s_warm=s_warm)
+    return u, xi.item(0), iterations[0]
 
 
-def step_kernel(
-    p: StepProblem, rhs: np.ndarray, u_nm1: np.ndarray, u_nm2, u: np.ndarray, work: tuple
-) -> tuple[float, int]:
-    """One step of the operator p, unchecked, on operands of its ``shape``:
-    ``history_kernel`` and ``boundary_kernel`` in ``work``, a pair of
-    vectors, u written into ``u``; returns xi and the iterations."""
-    return boundary_kernel(p, rhs, history_kernel(p, rhs, u_nm1, u_nm2, work), u, work[1])
+def segment_kernel(
+    p: StepProblem, rhs: np.ndarray, u, xi, iterations: list, work: tuple, u_nm1, u_nm2=None,
+    s_warm: float = math.nan,
+) -> float | None:
+    """The steps of the operator p whose right-hand sides c tau F_n are the
+    rows of the (k, n) array ``rhs``, unchecked: for each row in turn, M
+    times the stencil's history is added to the row in place, the boundary
+    inclusion is solved and u is written into the row of ``u`` and xi into
+    ``xi``, and the step's iterations are appended to ``iterations``; so
+    the steps solved before an error are as many as the counts appended.
 
-
-def history_kernel(
-    p: StepProblem, rhs: np.ndarray, u_nm1: np.ndarray, u_nm2, work: tuple
-) -> float:
-    """Add M times the stencil's history to ``rhs``, which holds c tau F_n,
-    in place, and return the warm start's boundary value, unchecked.  The
-    one-step stencil (``u_nm2`` None) adds M u^{n-1} and starts from
+    The one-step stencil (``u_nm2`` None) adds M u^{n-1} and starts from
     t u^{n-1}; the two-step stencil adds M (4/3 u^{n-1} - 1/3 u^{n-2}),
     formed in the pair of vectors ``work``, and starts from the extrapolant
     2u^{n-1} - u^{n-2}, whose boundary value is summed at the trace's
     nonzero nodes as sum_k t_k (2 u^{n-1}_k - u^{n-2}_k): the float
     operations, in their order, of ``StepProblem.boundary_value`` of the
-    whole extrapolant, which is never formed."""
-    s_warm = 0.0
-    if u_nm2 is None:
-        np.add(rhs, p.mass_product(u_nm1), rhs)
-        for k, t in p.trace_pairs:
-            s_warm += t * u_nm1.item(k)
-        return s_warm
-    np.subtract(np.multiply(_4_3, u_nm1, work[0]), np.multiply(_1_3, u_nm2, work[1]), work[0])
-    np.add(rhs, p.mass_product(work[0]), rhs)
-    for k, t in p.trace_pairs:
-        s_warm += t * (2.0 * u_nm1.item(k) - u_nm2.item(k))
-    return s_warm
+    whole extrapolant, which is never formed.  Each step's u is the
+    history of the next.  The boundary half is x = S^{-1} b by S's bound
+    ``back_solve``, t x summed at the trace's nonzero nodes, the root
+    nearest the warm start's boundary value (the smaller one on a tie) and
+    u = x - (c tau w xi) y, the product formed in ``work[1]`` (a new array
+    when None).  The operator's kernels and tables are read once a call.
 
-
-def boundary_kernel(
-    p: StepProblem, rhs: np.ndarray, s_warm: float, u: np.ndarray, work=None
-) -> tuple[float, int]:
-    """The boundary half of ``step_kernel``, unchecked: x = S^{-1} b by S's
-    bound ``back_solve``, t x summed at the trace's nonzero nodes, the root
-    nearest ``s_warm`` (the smaller one on a tie), and u = x - (c tau w
-    xi) y written into ``u``, the product formed in ``work`` (a new array
-    when None); returns xi and the iterations.  NumericalFailureError for a
-    non-finite s_warm or x, NonConvergenceError when no root is found."""
-    if not math.isfinite(s_warm):
-        raise NumericalFailureError(_NON_FINITE_DATA)
-    x = p.back_solve(rhs)[0]  # a fresh array, non-finite when rhs is
-    if not _finite(x):
-        raise NumericalFailureError(
-            "non-finite interior solve" if _finite(rhs) else _NON_FINITE_DATA
-        )
-    target = 0.0
-    for k, t in p.trace_pairs:
-        target += t * x.item(k)
-    roots, iterations = p.inclusion.roots(target, s_warm)
-    if not roots:
-        raise NonConvergenceError(
-            "no root of the boundary inclusion found", SolveReport(iterations=iterations)
-        )
-    s = roots[0] if len(roots) == 1 else min(roots, key=lambda r: (abs(r - s_warm), r))
-    xi = (target - s) / p.inclusion.factor
-    np.subtract(x, np.multiply(p.lift * xi, p.y, work), u)
-    return xi, iterations
+    Two entries serve the single-step API, on one row: with ``u_nm1`` None
+    the row is the whole right-hand side and ``s_warm`` its warm start's
+    boundary value (the boundary half alone), and with ``u`` None the
+    history is added and the warm start's boundary value returned (the
+    history half alone).  NumericalFailureError for a non-finite warm start
+    or x, NonConvergenceError when no root is found."""
+    back_solve, mass_product, pairs, y = p.back_solve, p.mass_product, p.trace_pairs, p.y
+    roots, factor, lift, isfinite = p.inclusion.roots, p.inclusion.factor, p.lift, math.isfinite
+    add, subtract, multiply, ddot, w0, w1 = np.add, np.subtract, np.multiply, blas.ddot, *work
+    for i, b in enumerate(rhs):
+        if u_nm2 is not None:
+            subtract(multiply(_4_3, u_nm1, w0), multiply(_1_3, u_nm2, w1), w0)
+            add(b, mass_product(w0), b)
+            s_warm = 0.0
+            for k, t in pairs:
+                s_warm += t * (2.0 * u_nm1.item(k) - u_nm2.item(k))
+        elif u_nm1 is not None:
+            add(b, mass_product(u_nm1), b)
+            s_warm = 0.0
+            for k, t in pairs:
+                s_warm += t * u_nm1.item(k)
+        if u is None:
+            return s_warm
+        if not isfinite(s_warm):
+            raise NumericalFailureError(_NON_FINITE_DATA)
+        x = back_solve(b)[0]  # a fresh array, non-finite when b is
+        if not (isfinite(ddot(x, x)) or _finite(x)):  # _finite, its ddot inline
+            raise NumericalFailureError("non-finite interior solve" if _finite(b) else _NON_FINITE_DATA)
+        target = 0.0
+        for k, t in pairs:
+            target += t * x.item(k)
+        found, its = roots(target, s_warm)
+        if not found:
+            raise NonConvergenceError(
+                "no root of the boundary inclusion found", SolveReport(iterations=its)
+            )
+        s = found[0] if len(found) == 1 else min(found, key=lambda r: (abs(r - s_warm), r))
+        xi[i] = xi_n = (target - s) / factor
+        u_n = u[i]
+        subtract(x, multiply(lift * xi_n, y, w1), u_n)
+        iterations.append(its)
+        if u_nm2 is not None:
+            u_nm2 = u_nm1
+        u_nm1 = u_n
+    return None  # the steps are in u, xi and iterations
 
 
 def step_residuals(p: StepProblem, u: np.ndarray, rhs: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -522,7 +535,7 @@ def step_residuals(p: StepProblem, u: np.ndarray, rhs: np.ndarray, xi: np.ndarra
         for k, t in p.trace_pairs:
             r[:, k] += lift_xi * t
         z = p.space.gram_v.back_solve(r.T)[0]  # (n, k), a column a residual
-        sq = np.array([blas.ddot(r_i, z_i) for r_i, z_i in zip(r, z.T)])
+        sq = np.fromiter(map(blas.ddot, r, z.T), float, len(r))
         out = np.sqrt(np.maximum(sq, 0.0))
     for i in np.flatnonzero(~np.isfinite(sq)).tolist():
         try:

@@ -16,14 +16,13 @@ no command pays for importing that package.
 from __future__ import annotations
 
 import math
-from collections import deque
 from typing import Callable
 
 import numpy as np
 
 from .inclusion_solver import StepProblem
 from .potentials import ScalarPotential
-from .stepper import BDF2, RotheProblem, TimeGrid, run_blocks
+from .stepper import BDF2, RotheProblem, TimeGrid, final_state
 
 __all__ = [
     "scan_roots_reduced",
@@ -216,6 +215,4 @@ def reference_solution(
     two-step one by default) with tightened tolerance, used as the
     reference when measuring temporal errors there; no other state is
     kept.  ValueError unless tau_fine divides t_final (``TimeGrid.of_step``)."""
-    grid = TimeGrid.of_step(t_final, tau_fine)
-    (last,) = deque(run_blocks(problem, grid, scheme, tol), maxlen=1)  # the last block alone
-    return last[-1, 1 : problem.space.dim + 1].copy()
+    return final_state(problem, TimeGrid.of_step(t_final, tau_fine), scheme, tol)

@@ -21,23 +21,27 @@ holds the table rather than one row at a time.
 time, in the row layout of ``trajectory.csv`` (t_n, u^n, xi^n and the
 residual of step n), and holds only the two states the stencil reads: a
 writer, the estimate reducer and `run_rothe`, which records a
-`RotheTrajectory`, each read the same blocks.  A step solves; a segment
-certifies.  Each step is one call of the step kernel
-(``inclusion_solver.step_kernel``), which adds the stencil's history to
-the step's right-hand side in a buffer the run reuses, solves its inclusion
-on the boundary and writes u straight into the block's row, in two work
-buffers the run owns; the loop writes xi.  The steps of a segment, the
-steps of one block that share one step operator, are certified together by
-one residual check at the segment's end.  So a run may step past a failing
-step to its segment's end, but it yields and reports the same rows and the
-same failing step as a loop that certified each step before the next: the
-segment is certified before the switch to the two-step operator, at the
-block's end, and before an error of a later step is reported, and its
-first failing step is the one reported.  At a block's end the loop copies
-the two states the stencil reads next, so it holds no view of a block it
-has yielded.  `initial_step` and `bdf2_step` check their operands, form the
-right-hand side by the kernel's history half and solve and certify one
-step (``solve_step_inclusion``, whose solve is the kernel's boundary half).
+`RotheTrajectory`, each read the same blocks.  A segment is the steps of
+one block that share one step operator, cut before a step whose forcing
+average is not finite.  It is solved by one call of the segment kernel
+(``inclusion_solver.segment_kernel``), which for each step adds the
+stencil's history to the step's right-hand side in a buffer the run
+reuses, solves its inclusion on the boundary and writes u and xi straight
+into the block's row, in two work buffers the run owns, and appends the
+step's iterations.  The segment is then certified by one residual check.
+So a run may step past a failing step to its segment's end, but it
+yields and reports the same rows and the same failing step as a loop that
+certified each step before the next: the segment is certified before the
+switch to the two-step operator, at the block's end, and before an error
+of a later step is reported, the steps solved before it counted by the
+iterations the kernel appended, and its first failing step is the one
+reported.  At a block's end the loop copies the two states the stencil
+reads next, so it holds no view of a block it has yielded.
+`initial_step` and `bdf2_step` check their operands, form the right-hand
+side by the kernel's history half and solve and certify one step
+(``solve_step_inclusion``, whose solve is a one-row segment of the kernel
+entered at its boundary half).  `final_state` runs the scheme and keeps
+only u^N, for the references and the rungs of a comparison.
 
 A one-step (backward Euler) baseline is provided for scheme comparisons;
 it consumes the same averaged forcing sequence and differs only in the
@@ -47,6 +51,7 @@ time-derivative stencil, so comparisons isolate the stencil's contribution.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
@@ -58,10 +63,9 @@ from .inclusion_solver import (
     NumericalFailureError,
     SolveReport,
     StepProblem,
-    history_kernel,
     residual_failure,
+    segment_kernel,
     solve_step_inclusion,
-    step_kernel,
     step_residuals,
 )
 from .potentials import BoundaryFunctional
@@ -78,6 +82,7 @@ __all__ = [
     "initial_step",
     "bdf2_step",
     "run_blocks",
+    "final_state",
     "run_rothe",
     "CoercivityReport",
     "check_step_coercivity",
@@ -276,14 +281,15 @@ def bdf2_step(
 
 def _single_step(step: StepProblem, tol: float, f, u_nm1, u_nm2=None):
     """The step of ``initial_step`` (no u_nm2) or ``bdf2_step`` once its
-    operands are checked: ``history_kernel`` on new arrays, then
-    ``solve_step_inclusion``."""
+    operands are checked: the history half of a one-row
+    ``segment_kernel`` on new arrays, then ``solve_step_inclusion``."""
     f, u_nm1, u_nm2 = (None if v is None else np.asarray(v, dtype=float) for v in (f, u_nm1, u_nm2))
     for v in (f, u_nm1, u_nm2):
         if v is not None and v.shape != step.shape:
             raise ValueError(f"operand has shape {v.shape}, expected {step.shape}")
     rhs = step.flux_coef * f
-    s_warm = history_kernel(step, rhs, u_nm1, u_nm2, (np.empty(step.dim), np.empty(step.dim)))
+    work = np.empty(step.dim), np.empty(step.dim)
+    s_warm = segment_kernel(step, rhs[None], None, None, [], work, u_nm1, u_nm2)
     return solve_step_inclusion(step, rhs, s_warm, tol)
 
 
@@ -292,19 +298,19 @@ def _block_steps(
 ) -> Iterator[np.ndarray]:
     """The step loop of ``run_blocks``, on its forcing table ``f_avg``.
 
-    A segment is the steps of one block that share one step operator: each
-    step of it is one ``step_kernel`` call, which writes u into the block's
-    row (the loop writes xi), and the segment is certified at its end by one
-    ``step_residuals`` call, before the switch to the two-step operator, at
-    the block's end, and before an error of a later step is reported.  The
-    kernel's work buffers belong to the run, and the states the stencil
-    reads across a block's end are copies."""
+    A segment is the steps of one block that share one step operator, cut
+    before a non-finite forcing row: it is solved by one ``segment_kernel``
+    call, which writes u and xi into the block's rows, and certified at its
+    end by one ``step_residuals`` call, before the switch to the two-step
+    operator, at the block's end, and before an error of a later step is
+    reported.  The kernel's work buffers belong to the run, and the states
+    the stencil reads across a block's end are copies."""
     tau, dim, width = grid.tau, problem.space.dim, problem.space.dim + problem.space.dim_u + 2
     size = block_rows(width)
     times = grid.times()
     rhs = np.empty((min(size, grid.N), dim))  # c tau F_n + M history of a segment's steps
-    work = np.empty(dim), np.empty(dim)  # the step kernel's
-    u_nm2 = u_nm1 = problem.u0  # the states the stencil reads, held between steps
+    work = np.empty(dim), np.empty(dim)  # the segment kernel's
+    u_nm2 = u_nm1 = problem.u0  # the states the stencil reads, held between segments
     two_step = False
     for start in range(0, grid.N + 1, size):
         rows = np.zeros((min(size, grid.N + 1 - start), width))
@@ -313,12 +319,12 @@ def _block_steps(
             rows[0, 1 : dim + 1] = problem.u0
         n, end = max(start, 1), start + len(rows)
         finite = np.isfinite(f_avg[n - 1 : end - 1]).all(axis=1)
-        stop = n + int(np.argmin(finite)) if not finite.all() else None  # a bad step
+        stop = n + int(np.argmin(finite)) if not finite.all() else end + 1  # a bad step, if any
         failure = None  # (step, error) of the first failing step
         # every non-finite value of a step is caught by the solver's own scans
         with np.errstate(over="ignore", invalid="ignore"):
             while n < end and failure is None:
-                seg, iterations = n, []
+                seg, iterations = n, []  # a count appended for each step solved
                 try:
                     if n == 1 or (n == 2 and scheme == BDF2):
                         # one operator per stencil, at most one alive at a
@@ -326,22 +332,20 @@ def _block_steps(
                         two_step = n == 2
                         step = None
                         step = _step_operator(problem, 2.0 / 3.0 if two_step else 1.0, tau)
-                    last = 2 if n == 1 and scheme == BDF2 else end
+                    last = min(2 if n == 1 and scheme == BDF2 else end, stop)
                     b = np.multiply(step.flux_coef, f_avg[seg - 1 : last - 1], out=rhs[: last - seg])
-                    for n, b_n, u_n in zip(range(seg, last), b, rows[seg - start :, 1 : dim + 1]):
-                        if n == stop:
-                            raise NumericalFailureError("non-finite forcing average")
-                        # one boundary row: StepProblem checks dim_u = 1
-                        rows[n - start, dim + 1], its = step_kernel(
-                            step, b_n, u_nm1, u_nm2 if two_step else None, u_n, work
-                        )
-                        iterations.append(its)
-                        u_nm2, u_nm1 = u_nm1, u_n
-                    n = last
+                    u = rows[seg - start : last - start, 1 : dim + 1]
+                    # one boundary row: StepProblem checks dim_u = 1
+                    segment_kernel(step, b, u, rows[seg - start : last - start, dim + 1],
+                                   iterations, work, u_nm1, u_nm2 if two_step else None)
+                    if last == stop:
+                        raise NumericalFailureError("non-finite forcing average")
+                    u_nm2, u_nm1 = u[-2] if len(u) > 1 else u_nm1, u[-1]
                 except Exception as exc:
                     # any error of step n waits for the certificate of the
                     # steps before it: a failing one among them is reported
-                    failure = n, exc
+                    failure = seg + len(iterations), exc
+                n = seg + len(iterations)
                 if n > seg:  # the segment's solved steps, certified before any later error
                     failed = _certify(step, rows[seg - start : n - start], b, iterations, tol)
                     if failed is not None:
@@ -428,6 +432,14 @@ def run_blocks(
     except MemoryError:
         raise TrajectoryMemoryError(grid.N, grid.tau, 8 * grid.N * problem.space.dim) from None
     return _block_steps(problem, grid, scheme, tol, f_avg)
+
+
+def final_state(
+    problem: RotheProblem, grid: TimeGrid, scheme: str = BDF2, tol: float = 1e-10
+) -> np.ndarray:
+    """u^N of the run of ``run_blocks``, a copy; no other state is kept."""
+    (last,) = deque(run_blocks(problem, grid, scheme, tol), maxlen=1)  # the last block alone
+    return last[-1, 1 : problem.space.dim + 1].copy()
 
 
 def run_rothe(

@@ -5,10 +5,12 @@ how often a run calls the step solver and the forcing assembler; those
 counts are checked here too, so that a change to them shows in this suite.
 The assembler is counted as ``fem1d.assemble_forcing``, the name through
 which ``fem1d.separable_load`` calls it and the tracer wraps it.  A run's
-step loop solves each step by one call of the step kernel
-(``inclusion_solver.step_kernel``) and certifies the steps of each segment
-(the steps of a row block that share one operator) by one
-``step_residuals`` call; both are counted where ``stepper`` looks them up.
+step loop solves the steps of each segment (the steps of a row block that
+share one operator) by one call of the segment kernel
+(``inclusion_solver.segment_kernel``), which appends an iteration count
+for each step it solves, and certifies them by one ``step_residuals``
+call; both are counted where ``stepper`` looks them up, the kernel by the
+counts it appends.
 perfbench/selftest.py still pins the 32,340 forcing assemblies per
 ladder-smooth pass made when every step assembled its own loads; the
 program now makes 2, one per problem built.  It also pins 3,240
@@ -85,6 +87,24 @@ def _counting(monkeypatch, module, name: str, record=lambda *args: None) -> list
     return calls
 
 
+def _counting_steps(monkeypatch, stepper) -> list:
+    """Replace the step loop's segment kernel, ``stepper.segment_kernel``,
+    with a wrapper that records a None for each step it solves: each
+    appends its iteration count, also in a segment that fails."""
+    steps = []
+    kernel = stepper.segment_kernel
+
+    def wrapper(p, rhs, u, xi, iterations, *args, **kwargs):
+        before = len(iterations)
+        try:
+            return kernel(p, rhs, u, xi, iterations, *args, **kwargs)
+        finally:
+            steps.extend([None] * (len(iterations) - before))
+
+    monkeypatch.setattr(stepper, "segment_kernel", wrapper)
+    return steps
+
+
 def _smooth_problem():
     cli = importlib.import_module("rothe_hvi.cli")
     return cli.build_problem(cli.parse_config("[problem]\nn_el = 4\nforcing = smooth\n"))
@@ -99,7 +119,7 @@ def test_run_rothe_makes_the_call_counts_the_benchmark_pins(monkeypatch, scheme,
     forcing = _counting(monkeypatch, fem1d, "assemble_forcing")
     problem = _smooth_problem()
     assert len(forcing) == 1
-    solves = _counting(monkeypatch, stepper, "step_kernel")
+    solves = _counting_steps(monkeypatch, stepper)
     # the rows of each segment's certificate
     certified = _counting(monkeypatch, stepper, "step_residuals", lambda p, u, *_: len(u))
     # one step operator per stencil, factored once, whatever the step count
@@ -162,7 +182,7 @@ def test_the_tracer_measures_every_step_of_a_run():
             ("inclusion_solver.solve", "stepper.step", "galerkin.dual_norm")] == [8, 8, 0]
     assert len(tracer.newton_iters) == 8
     assert tracer.nonconvergence == 0
-    # a run's step loop calls step_kernel and step_residuals, which the
+    # a run's step loop calls segment_kernel and step_residuals, which the
     # tracer does not wrap, so a traced run records no span of the step layer
     tracer = _load_tracer().Tracer()
     with tracer.installed():
@@ -186,7 +206,7 @@ def test_a_seed0_ladder_smooth_pass_makes_3240_solves_and_2_load_assemblies(
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks it up
     spec.loader.exec_module(workloads)
-    solves = _counting(monkeypatch, stepper, "step_kernel")
+    solves = _counting_steps(monkeypatch, stepper)
     forcing = _counting(monkeypatch, fem1d, "assemble_forcing")
     for i, op in enumerate(workloads.make_ops("ladder-smooth", 0)):
         path = tmp_path / f"{i}.ini"

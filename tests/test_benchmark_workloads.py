@@ -2,8 +2,8 @@
 configs that do the work the benchmark credits them with: every config
 parses, and each invocation completes exactly ``Op.steps`` time steps, which
 the benchmark divides by the time a pass takes.  Each step is solved once
-(a call of the step kernel, ``step_kernel``) and certified once (a row of
-``step_residuals``).  A config-layer change that would make an invocation
+(an iteration count that the segment kernel, ``segment_kernel``, appends)
+and certified once (a row of ``step_residuals``).  A config-layer change that would make an invocation
 exit 2, or change its work, fails here first."""
 
 from __future__ import annotations
@@ -35,17 +35,21 @@ def test_every_invocation_parses_and_runs_the_steps_it_is_credited_with(
     tmp_path, monkeypatch, workload
 ):
     solves, certified = [], []
-    solve, certify = stepper.step_kernel, stepper.step_residuals
+    solve, certify = stepper.segment_kernel, stepper.step_residuals
 
-    def counting_solve(*args, **kwargs):
-        solves.append(None)
-        return solve(*args, **kwargs)
+    def counting_solve(p, rhs, u, xi, iterations, *args, **kwargs):
+        # a count appended for each step the segment solves
+        before = len(iterations)
+        try:
+            return solve(p, rhs, u, xi, iterations, *args, **kwargs)
+        finally:
+            solves.extend([None] * (len(iterations) - before))
 
     def counting_certify(p, u, *args, **kwargs):
         certified.append(len(u))
         return certify(p, u, *args, **kwargs)
 
-    monkeypatch.setattr(stepper, "step_kernel", counting_solve)
+    monkeypatch.setattr(stepper, "segment_kernel", counting_solve)
     monkeypatch.setattr(stepper, "step_residuals", counting_certify)
     for i, op in enumerate(workloads.make_ops(workload, 0)):
         cfg = cli.parse_config(op.config)

@@ -21,7 +21,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import fem_problem, one, zero
-from rothe_hvi import LinearRobin, cli, floatfmt, stepper
+from rothe_hvi import LinearRobin, cli, diagnostics, floatfmt, inclusion_solver, stepper
 from rothe_hvi.cli import (
     ConfigError, ExperimentConfig, _fmt, _poly, _write_csv, main, parse_config, render_config,
 )
@@ -795,6 +795,69 @@ def test_a_run_that_fails_leaves_the_completed_rows_of_every_block(tmp_path, mon
         ["run", "FAIL", f"step {step} failed: non-finite forcing average"]
     ]
     assert (out / "trajectory.csv.partial").read_bytes() == _prefix_bytes(info.value, grid)
+
+
+# n_el = 4 at 64 cells a block: a row is 8 cells and a block 8 rows, so
+# block 0 holds u^0, step 1 and the segment of steps 2-7, block 1 the
+# segment of steps 8-15 and block 2 that of steps 16-20
+@pytest.mark.parametrize("step", [2, 4, 7, 8, 20], ids=[
+    "a_segments_first_row", "mid_segment", "a_segments_last_row", "a_blocks_first_row",
+    "the_runs_last_row",
+])
+def test_a_step_that_fails_in_its_segment_leaves_the_single_step_apis_prefix(
+    tmp_path, monkeypatch, step
+):
+    # the boundary solve of the step-th step finds no root, in the run's
+    # segment kernel and through the single-step API alike
+    monkeypatch.setattr(stepper, "BLOCK_CELLS", 64)
+    roots, calls = inclusion_solver._BoundaryInclusion.roots, []
+
+    def failing(self, target, warm):
+        calls.append(None)
+        return ([], 7) if len(calls) == step else roots(self, target, warm)
+
+    monkeypatch.setattr(inclusion_solver._BoundaryInclusion, "roots", failing)
+    text = "[problem]\nn_el = 4\nforcing = smooth\n\n[ladder]\ntaus = 0.05\n"
+    rc, out = run_cli(tmp_path, "run", text)
+    calls.clear()
+    problem, grid = cli.build_problem(parse_config(text)), stepper.TimeGrid(1.0, 20)
+    f_avg = stepper.average_forcing(problem.forcing, grid)
+    one_step = problem.step_problem(1.0, grid.tau)
+    two_step = problem.step_problem(2.0 / 3.0, grid.tau)
+    u, xi, residuals = [problem.u0], [], []
+    with pytest.raises(stepper.NonConvergenceError) as info:
+        for n in range(1, grid.N + 1):
+            if n == 1:
+                u_n, xi_n, report = stepper.initial_step(one_step, u[0], f_avg[0])
+            else:
+                u_n, xi_n, report = stepper.bdf2_step(two_step, u[-1], u[-2], f_avg[n - 1])
+            u.append(u_n)
+            xi.append(xi_n)
+            residuals.append(report.residual / (one_step if n == 1 else two_step).flux_coef)
+    assert len(u) == step
+    prefix = stepper.StepFailureError(step, str(info.value), info.value.report,
+                                      np.array(u), np.array(xi), np.array(residuals))
+    assert rc == 1
+    assert read_csv(out / "summary.csv")[1] == [["run", "FAIL", f"step {step} failed: {info.value}"]]
+    assert (out / "trajectory.csv.partial").read_bytes() == _prefix_bytes(prefix, grid)
+
+
+def test_compare_reduces_no_estimates_and_study_one_a_rung(tmp_path, monkeypatch):
+    # compare writes no ladder table, so it keeps only the last state of
+    # each run; study reduces each of its two rungs' estimates
+    built, sums = [], diagnostics.EstimateSums
+
+    class Counting(sums):
+        def __init__(self, *args, **kwargs):
+            built.append(None)
+            super().__init__(*args, **kwargs)
+
+    for module in (diagnostics, cli):
+        monkeypatch.setattr(module, "EstimateSums", Counting)
+    for command, count in (("compare", 0), ("study", 2)):
+        built.clear()
+        assert run_cli(tmp_path, command, SMOOTH_TINY, out_name=command)[0] == 0
+        assert len(built) == count, command
 
 
 @pytest.mark.parametrize("command, text, tau, minor", [

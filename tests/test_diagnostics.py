@@ -530,3 +530,23 @@ def test_the_report_holds_no_stack_of_trajectory_size():
         tracemalloc.stop()
     assert traj.u.nbytes > 2e6
     assert peak <= 1.5 * traj.u.nbytes
+
+
+@pytest.mark.parametrize("where", ["u", "xi"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_a_non_finite_held_trajectory_raises_before_it_is_reduced(where, value):
+    # the reducer multiplies and solves by the bands' unchecked kernels, so
+    # a held trajectory is checked once, where it enters
+    problem = _ncvx_problem(8)
+    traj = run_rothe(problem, TimeGrid(1.0, 8), BDF2)
+    getattr(traj, where)[3, 0] = value
+    with pytest.raises(ValueError, match="the trajectory must be finite"):
+        estimate_report(traj, problem.space, problem.boundary.weights)
+
+
+def test_a_held_trajectory_of_another_dimension_raises():
+    problem = _ncvx_problem(8)
+    traj = run_rothe(problem, TimeGrid(1.0, 8), BDF2)
+    short = dataclasses.replace(traj, u=traj.u[:, :-1])
+    with pytest.raises(ValueError, match=f"with states of {problem.space.dim} entries"):
+        estimate_report(short, problem.space, problem.boundary.weights)

@@ -619,18 +619,21 @@ def test_an_error_of_a_later_step_is_raised_once_the_earlier_steps_are_certified
     # through, with no rows of its block, unless an earlier step of the
     # block fails its residual: then that step is reported
     monkeypatch.setattr(stepper, "BLOCK_CELLS", SMALL_BLOCK_CELLS)
-    solve, calls = stepper.step_kernel, []
+    solve, calls = stepper.segment_kernel, []
 
-    def failing_at_step_6(*args):
-        calls.append(None)
-        if len(calls) == 6:
+    def failing_at_step_6(p, rhs, u, xi, iterations, *args):
+        # the segment that holds step 6 solves the steps before it, then raises
+        before = 5 - len(calls)
+        if before < len(rhs):
+            solve(p, rhs[:before], u[:before], xi[:before], iterations, *args)
             raise ZeroDivisionError("step 6")
-        return solve(*args)
+        solve(p, rhs, u, xi, iterations, *args)
+        calls.extend(iterations)
 
     problem = _spiked_problem(3)
     raw = [r.residual for r in _reports_through_the_single_step_api(
         problem, run_rothe(problem, SPIKED_GRID))]
-    monkeypatch.setattr(stepper, "step_kernel", failing_at_step_6)
+    monkeypatch.setattr(stepper, "segment_kernel", failing_at_step_6)
     blocks = stepper.run_blocks(problem, SPIKED_GRID)
     with pytest.raises(ZeroDivisionError):
         next(blocks)
