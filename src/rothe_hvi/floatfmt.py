@@ -2,20 +2,29 @@
 
 ``g17_lines(rows)`` yields the text of a 2-d float array as ASCII
 ``bytes``: each cell exactly as ``'%.17g' % x`` writes it, cells joined by
-``,`` and each row ended by ``\\n``.  It converts at most ``BLOCK_CELLS``
-cells at once, so its scratch memory is bounded whatever the table's size,
-and a caller writes the pieces to a binary file as they are.
+``,`` and each row ended by ``\\n``; any other shape raises ``ValueError``.
+It converts at most ``BLOCK_CELLS`` cells at once, so its scratch memory is
+bounded whatever the table's size, and a caller writes the pieces to a
+binary file as they are.
 
 The 17 significant digits of a finite nonzero cell x are ``s`` rounded to
-an integer, where ``s = |x| 10^(16-e)`` lies in [10^16, 10^17).  numpy
-computes ``128 s`` in ``np.longdouble``, from a table of ``128 * 10^k``:
-with a 64-bit significand the table entry and the product round once each,
-so ``128 s`` is off by at most 1.19, or by 0.5 where ``10^k`` is exact
-(0 <= k <= 27).  A cell whose ``128 s`` lies that close to an odd multiple
-of 64, so that its rounding is undecided, and every non-finite cell goes
-through Python's ``'%.17g'``.  numpy lays out every other cell: the ``%f``
-or ``%e`` form that ``%g`` picks, trailing zeros stripped, ``e±XX``.  So
-the output is byte-identical to ``'%.17g'`` by construction.
+an integer, ties to even, where ``s = |x| 10^k``, k = 16 - e, lies in
+[10^16, 10^17).  numpy computes ``128 s`` in ``np.longdouble``, from a
+table of ``128 * 10^k``: with a 64-bit significand the table entry and the
+product round once each, so ``128 s`` is off by at most 1.19, or by 0.5
+where ``10^k`` is exact (0 <= k <= 27).  A cell whose ``128 s`` lies that
+close to an odd multiple of 64 leaves its rounding undecided there.  For
+0 <= k <= 41, where 5^k fits three 32-bit limbs, ``_decide`` rounds such
+cells exactly in a few whole-array uint64 operations: with |x| = m 2^q,
+s = m 5^k 2^(q+k), and the bits of m 5^k below the point, formed from
+32-bit partial products with an explicit carry, settle s against the
+half-integer (the fixed-precision integer technique of Ryu printf, Adams,
+OOPSLA 2019).  Only the non-finite cells, the undecided cells outside that
+range (|x| under 10^-25 or from 10^17 on), and the rare cells next to a
+power of ten whose decimal exponent log10 puts one off go through Python's
+``'%.17g'``.  numpy lays out every other cell: the ``%f`` or ``%e`` form
+that ``%g`` picks, trailing zeros stripped, ``e±XX``.  So the output is
+byte-identical to ``'%.17g'`` by construction.
 
 Each cell is laid out in a 32-byte record of four 64-bit words, every piece
 at a fixed byte and every unused byte NUL, and deleting the NULs of a block
@@ -54,6 +63,9 @@ _EXTENDED = bool(_LD.nmant >= 63 and _LD.maxexp > 1140)
 # k = 16 - e over every decimal exponent e of a float64, -324 to 308; the
 # per-exponent tables are indexed by k - _K_MIN, the row of k in _POW128
 _K_MIN, _K_MAX = -292, 340
+# the undecided cells of 0 <= k <= _LIMB_K_MAX are decided exactly, with 5^k
+# in three 32-bit limbs: 5^41 < 2^96 < 5^42
+_LIMB_K_MAX = 41
 
 # A cell's text is laid out in a record of four little-endian 64-bit words,
 # every piece at a fixed byte and every unused byte NUL; deleting the NULs
@@ -132,6 +144,23 @@ def _digit_tables() -> tuple[np.ndarray, ...]:
     return four, ends, kept, moved, point, first.reshape(-1)
 
 
+def _limb_tables() -> tuple[np.ndarray, ...]:
+    """Per row k - _K_MIN, for 0 <= k <= _LIMB_K_MAX, where 5^k fits three
+    32-bit limbs: F = 5^k 2^(96 - len(5^k)), in [2^95, 2^96), as F >> 32
+    and its low limb, and the scale 2^(k + len(5^k)); and whether k lies
+    outside that range, where all three are 0."""
+    high, low = np.zeros((2, _K_MAX - _K_MIN + 1), _WORD)
+    scale = np.zeros(high.size)
+    outside = np.ones(high.size, bool)
+    for k in range(_LIMB_K_MAX + 1):
+        length = (5**k).bit_length()
+        f = 5**k << (96 - length)
+        i = k - _K_MIN
+        high[i], low[i], outside[i] = f >> 32, f & 0xFFFFFFFF, False
+        scale[i] = 2.0 ** (k + length)
+    return high, low, scale, outside
+
+
 if _EXTENDED:
     _POW128 = 128 * np.array([f"1e{k}" for k in range(_K_MIN, _K_MAX + 1)], np.longdouble)
     # (128 frac(s) + shift) % 128 < width = 2 shift - 128 marks an undecided
@@ -142,10 +171,14 @@ if _EXTENDED:
     _UNDECIDED_WIDTH = 2 * _UNDECIDED_SHIFT - 128
     _HEAD, _EXP_WORD, _POINT = _exponent_tables()
     _FOUR, _GROUP_END, _KEPT, _MOVED, _POINT_BYTE, _FIRST = _digit_tables()
-# 128 s in [128 * 10^16, 128 * 10^17 - 64) rounds to 17 digits: v - _V_LOW
-# below _V_SPAN, in wrapping unsigned arithmetic
+    _F_HIGH, _F_LOW, _SCALE, _OUTSIDE = _limb_tables()
+# v in [128 * 10^16, 128 * 10^17 - 66) rounds s to 17 digits under 10^17,
+# whether v decides it or _decide does: v - _V_LOW below _V_SPAN, in
+# wrapping unsigned arithmetic
 _V_LOW = np.uint64(128 * 10**16)
-_V_SPAN = np.uint64(128 * 10**17 - 64 - 128 * 10**16)
+_V_SPAN = np.uint64(128 * 10**17 - 66 - 128 * 10**16)
+# 0-d arrays: numpy scalars cost an array call twice as much
+_U1, _U7, _U32, _LIMB, _HALF = (np.array(c, _WORD) for c in (1, 7, 32, 2**32 - 1, 2**63))
 _COMMA_TO_NEWLINE = np.uint64(_word(b",", 5) ^ _word(b"\n", 5))
 _FALLBACK_FORMAT = b"%%-%d.17g" % _FALLBACK_WIDTH
 _SPACE_TO_NUL = bytes.maketrans(b" ", b"\0")
@@ -153,10 +186,36 @@ _SPACE_TO_NUL = bytes.maketrans(b" ", b"\0")
 
 def _fallback(cells: np.ndarray) -> bytes:
     """``'%.17g'`` of each cell, NUL-padded to ``_FALLBACK_WIDTH`` bytes: the
-    cells the vectorized path cannot decide.  A seam of its own, so that the
+    cells the vectorized path cannot round.  A seam of its own, so that the
     share of cells that take it can be counted."""
     text = (_FALLBACK_FORMAT * cells.size) % tuple(cells.tolist())
     return text.translate(_SPACE_TO_NUL)
+
+
+def _decide(a: np.ndarray, v: np.ndarray, row: np.ndarray) -> tuple[np.ndarray, ...]:
+    """s rounded to an integer exactly, ties to even as ``'%.17g'`` rounds,
+    for cells |x| = a whose ``v = floor(128 s)`` lies within 2 of an odd
+    multiple of 64, so that floor(s) is ``v >> 7`` and only frac(s) against
+    1/2 is open; and whether each cell lies outside the limb range, where
+    its rounding means nothing.  With F from the limb tables,
+    M = a 2^(k + len(5^k)) = m 2^d is an integer under 2^58 (1 <= d <= 5),
+    and s = M F / 2^96: frac(s) is R = M F mod 2^96, and s rounds up where
+    R + (floor(s) odd) exceeds 2^95."""
+    high, low = _F_HIGH.take(row), _F_LOW.take(row)
+    m = (a * _SCALE.take(row)).astype(np.uint64)
+    n = v >> _U7
+    # R + odd over 2^95: the ceiling of (R + odd) / 2^32, bits 32-95, over
+    # 2^63; the low limbs' product carries its high half, and its low half
+    # and the tie bit round that carry up
+    y = (m & _LIMB) * low
+    y += n & _U1
+    y += _LIMB
+    y >>= _U32
+    t = m * high
+    t += (m >> _U32) * low
+    t += y
+    n += t > _HALF
+    return n, _OUTSIDE.take(row)
 
 
 def _block(cells: np.ndarray, first_end: int, n_cols: int, rec: np.ndarray) -> bytes:
@@ -175,11 +234,14 @@ def _block(cells: np.ndarray, first_end: int, n_cols: int, rec: np.ndarray) -> b
     # to a power of ten; v = floor(128 s), s = |x| 10^k; 128 s < 2^64 even then
     row = 16 - _K_MIN - np.floor(np.log10(a)).astype(np.intp)
     v = np.multiply(a, _POW128.take(row), dtype=np.longdouble).astype(np.uint64)
-    verbatim = ((v + _UNDECIDED_SHIFT.take(row)) & 127) < _UNDECIDED_WIDTH.take(row)
+    n = ((v + 64) >> 7).view(np.int64)
+    undecided = ((v + _UNDECIDED_SHIFT.take(row)) & 127) < _UNDECIDED_WIDTH.take(row)
+    (at,) = np.nonzero(undecided)
+    if at.size:  # decided exactly, but for the cells outside the limb range
+        n[at], undecided[at] = _decide(a[at], v[at], row[at])
     # floor(s) below 10^16 or s rounding to 10^17: e is one off, which only
     # a cell next to a power of ten can make
-    verbatim |= special | ((v - _V_LOW) >= _V_SPAN)
-    n = ((v + 64) >> 7).view(np.int64)
+    verbatim = undecided | special | ((v - _V_LOW) >= _V_SPAN)
     n[verbatim | zero] = 0
 
     first = n // 10**16
@@ -228,8 +290,15 @@ def _block(cells: np.ndarray, first_end: int, n_cols: int, rec: np.ndarray) -> b
 def g17_lines(rows: np.ndarray) -> Iterator[bytes]:
     """ASCII text of a 2-d float array, ``'%.17g'`` cells joined by ``,`` and
     rows ended by ``\\n``, as ``bytes`` pieces of at most ``BLOCK_CELLS``
-    cells."""
+    cells.  An array of any other shape raises ``ValueError`` here, before
+    any piece is made."""
     rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2:
+        raise ValueError(f"g17_lines writes a 2-d array, not one of shape {rows.shape}")
+    return _pieces(rows)
+
+
+def _pieces(rows: np.ndarray) -> Iterator[bytes]:
     n_cols = rows.shape[1]
     cells = rows.reshape(-1)
     if not _EXTENDED or cells.size < _VECTOR_MIN_CELLS:

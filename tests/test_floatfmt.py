@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import importlib.util
+import math
+import re
+import sys
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -57,7 +62,10 @@ EDGE_CELLS = [
     *(float(_DIGITS[:p] + ".5") for p in range(1, 17)),
     *(float(_DIGITS[:p] + "." + _DIGITS[p:]) for p in range(1, 17)),
     0.5, 100.0, 120.0, 1000.5, 123000.0, 1.25e-5, 1.5e300, 0.1, 1.0, 10.0,
-    # cells that the seed-0 wide-smooth trajectory sends to '%.17g' itself
+    # s = n + 1/2 exactly, ties to even: n even rounds down, n odd up
+    1000000000000000.25, 1000000000000000.75,
+    # cells of the seed-0 wide-smooth trajectory whose 17th digit the
+    # longdouble product leaves open, and which _decide rounds exactly
     *map(float.fromhex, [
         "0x1.cca9729ae137fp-15", "0x1.9bab95702cf6bp-9", "0x1.97c34d990dd93p-7",
         "0x1.9a938f748245ap-8", "0x1.b912167bd6fbdp-5", "0x1.a4ffc60bf6b88p-4",
@@ -107,17 +115,134 @@ def test_the_scaled_powers_of_ten_are_correctly_rounded():
         assert error == 0 or shift == 66, k
 
 
+@pytest.mark.parametrize("shape", [(4, 6, 10), (2, 3, 4), (5,)], ids=str)
+def test_g17_lines_writes_only_2d_arrays(shape):
+    # a 3-d table, as large as the vectorized path takes or smaller, and a
+    # 1-d array; no piece is made before the error
+    with pytest.raises(ValueError, match=re.escape(f"2-d array, not one of shape {shape}")):
+        floatfmt.g17_lines(np.zeros(shape))
+
+
+def _nearest_to_a_tie(k: int, q: int, m0: int, odd: bool) -> int:
+    """The m near m0 whose s = m 5^k 2^(q + k) lies nearest to n + 1/2, n
+    odd or even as asked.  With u = -(q + k), that is m 5^k mod 2^(u + 1)
+    nearest to (2 odd + 1) 2^(u - 1): a closest-vector problem in the
+    2-d lattice of (m - m0, m 5^k mod 2^(u + 1)), solved by Lagrange's
+    reduction and Babai's rounding.  The residue is weighted so that
+    |m - m0| ~ 2^51 weighs as much as a residue 2^(u - 51) off, so s lands
+    within about 2^-51 of n + 1/2, or on it where that is a double."""
+    u = -(q + k)
+    if k < 0 or u <= 0:  # no integer 5^k, or s an integer
+        return m0
+    mod = 2 ** (u + 1)
+    weight = 2 ** max(102 - u, 0)
+    basis = [(1, weight * (5**k % mod)), (0, weight * mod)]
+    norm = lambda b: b[0] ** 2 + b[1] ** 2  # noqa: E731
+    while True:
+        basis.sort(key=norm)
+        (a0, a1), (b0, b1) = basis
+        mu = round(Fraction(a0 * b0 + a1 * b1, norm(basis[0])))
+        if mu == 0:
+            break
+        basis[1] = (b0 - mu * a0, b1 - mu * a1)
+    target = weight * (((2 * odd + 1) * 2 ** (u - 1) - m0 * 5**k) % mod)
+    det = a0 * b1 - a1 * b0
+    return m0 + round(Fraction(-target * b0, det)) * a0 + round(Fraction(a0 * target, det)) * b0
+
+
+@st.composite
+def near_ties(draw):
+    """A cell x whose s = x 10^k lies on n + 1/2, n even or odd, or within
+    about 2^-51 of it, or a few ulps either side of such a cell, for k over
+    the limb range and one past each end.  s = n + 1/2 exactly needs a
+    double (2n + 1) / 2^(k + 1), which exists for 1 <= k <= 24."""
+    k = draw(st.integers(-1, floatfmt._LIMB_K_MAX + 1))
+    n = draw(st.integers(10**16, 10**17 - 1))
+    mantissa, exponent = math.frexp(float(Fraction(2 * n + 1, 2) / Fraction(10) ** k))
+    m0, q = int(mantissa * 2**53), exponent - 53
+    m = _nearest_to_a_tie(k, q, m0, draw(st.booleans()))
+    x = math.ldexp(m if 2**52 <= m < 2**53 else m0, q)
+    ulps = draw(st.integers(-3, 3)) if draw(st.booleans()) else 0
+    return _from_bits(int(np.array(x).view(np.uint64)) + ulps)
+
+
+def _decided_by_limbs(x: float) -> bool:
+    """Whether _decide rounds x: s = |x| 10^k for k in the limb range, and
+    s at least 10^3 from 10^16 and 10^17, next to which log10 can put e one
+    off and send the cell to '%.17g'."""
+    e = int(("%.16e" % x).split("e")[1])
+    s = abs(Fraction(x)) * Fraction(10) ** (16 - e)
+    return 0 <= 16 - e <= floatfmt._LIMB_K_MAX and 10**16 + 10**3 <= s <= 10**17 - 10**3
+
+
 @pytest.mark.skipif(not EXTENDED, reason="longdouble is no wider than double here")
-def test_the_vectorized_path_decides_most_cells_of_a_wide_trajectory(tmp_path, monkeypatch):
-    # falling back on '%.17g' everywhere would be exact but slow
+@given(near_ties())
+def test_cells_on_and_next_to_a_rounding_tie_are_percent_17g(x):
+    fallback, counted = floatfmt._fallback, []
+
+    def counting(cells):
+        counted.extend(cells.tolist())
+        return fallback(cells)
+
+    table = np.array([[x, -x, 0.3]] * 3)
+    with mock.patch.object(floatfmt, "_fallback", counting):
+        assert _lines(table, floatfmt.BLOCK_CELLS) == percent_17g(table)
+    if _decided_by_limbs(x):
+        assert counted == []
+
+
+@pytest.mark.skipif(not EXTENDED, reason="longdouble is no wider than double here")
+def test_cells_nearest_a_tie_at_every_k_are_percent_17g(monkeypatch):
+    # for every k of the limb range and one past each end, the cells
+    # nearest a tie at 8 places of a binade, n even and odd: within about
+    # 2^-51 of n + 1/2, they round by every partial product and carry
+    counted = _counting_finite_fallback(monkeypatch)
+    cells = []
+    for k in range(-1, floatfmt._LIMB_K_MAX + 2):
+        q = math.frexp(float(Fraction(3 * 10**16) / Fraction(10) ** k))[1] - 53
+        for m0 in range(2**52 + 2**48, 2**53, 2**49):
+            for odd in (False, True):
+                m = _nearest_to_a_tie(k, q, m0, odd)
+                cells.append(math.ldexp(m if 2**52 <= m < 2**53 else m0, q))
+    table = np.array(cells).reshape(-1, 4)
+    assert _lines(table, floatfmt.BLOCK_CELLS) == percent_17g(table)
+    assert not any(map(_decided_by_limbs, counted))
+
+
+@pytest.mark.skipif(not floatfmt._EXTENDED, reason="no vectorized path here")
+def test_the_limb_tables_hold_5_to_the_k_for_every_covered_k():
+    for k in range(floatfmt._K_MIN, floatfmt._K_MAX + 1):
+        i = k - floatfmt._K_MIN
+        high, low = int(floatfmt._F_HIGH[i]), int(floatfmt._F_LOW[i])
+        scale, outside = float(floatfmt._SCALE[i]), bool(floatfmt._OUTSIDE[i])
+        if 0 <= k <= floatfmt._LIMB_K_MAX:
+            length = (5**k).bit_length()
+            assert high << 32 | low == 5**k << (96 - length) and low < 2**32, k
+            assert scale == 2.0 ** (k + length) and not outside, k
+        else:
+            assert outside, k
+    k = floatfmt._LIMB_K_MAX
+    assert (5**k).bit_length() <= 96 < (5 ** (k + 1)).bit_length()
+
+
+def _counting_finite_fallback(monkeypatch) -> list:
+    """Finite cells that reach ``_fallback`` from now on, appended to the
+    list returned."""
     fallback = floatfmt._fallback
     counted = []
 
     def counting(cells):
-        counted.append(cells.size)
+        counted.extend(cells[np.isfinite(cells)].tolist())
         return fallback(cells)
 
     monkeypatch.setattr(floatfmt, "_fallback", counting)
+    return counted
+
+
+@pytest.mark.skipif(not EXTENDED, reason="longdouble is no wider than double here")
+def test_the_vectorized_path_decides_every_finite_cell_of_a_wide_trajectory(tmp_path, monkeypatch):
+    # falling back on '%.17g' would be exact but slow
+    counted = _counting_finite_fallback(monkeypatch)
     cfg = tmp_path / "config.ini"
     cfg.write_text(
         "[problem]\nn_el = 1024\nforcing = smooth\npotential = paper_exponential\n"
@@ -128,4 +253,33 @@ def test_the_vectorized_path_decides_most_cells_of_a_wide_trajectory(tmp_path, m
     lines = (tmp_path / "out" / "trajectory.csv").read_text(encoding="utf-8").splitlines()
     cells = sum(len(line.split(",")) for line in lines[2:])
     assert cells == 33 * 1028
-    assert sum(counted) <= 0.1 * cells
+    assert counted == []
+
+
+def _ncvx_sweep_ops():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass looks its own module up by name
+    spec.loader.exec_module(module)
+    return module.make_ops("ncvx-sweep", 0)
+
+
+@pytest.mark.skipif(not EXTENDED, reason="longdouble is no wider than double here")
+def test_the_seed0_ncvx_sweep_sends_no_finite_cell_to_percent_17g(tmp_path, monkeypatch):
+    # their residual columns hold cells at k = 29..33, beyond the exact
+    # window of 10^k in longdouble, and _decide sees some of them
+    counted = _counting_finite_fallback(monkeypatch)
+    decide, ks = floatfmt._decide, set()
+
+    def spying(a, v, row):
+        ks.update((row + floatfmt._K_MIN).tolist())
+        return decide(a, v, row)
+
+    monkeypatch.setattr(floatfmt, "_decide", spying)
+    for i, op in enumerate(_ncvx_sweep_ops()):
+        cfg = tmp_path / f"{i}.ini"
+        cfg.write_text(op.config, encoding="utf-8")
+        main(["run", str(cfg), "--out", str(tmp_path / str(i)), "--quiet"])
+    assert counted == []
+    assert ks & set(range(29, 34))
