@@ -375,11 +375,14 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("[ladder] taus: must be non-empty")
     for tau in cfg.taus:
         if not _divides(tau, cfg.t_final):
-            raise ConfigError(f"[ladder] taus: {tau} does not divide t_final={cfg.t_final}")
+            raise ConfigError(f"[ladder] taus: {tau} must be > 0 and divide t_final={cfg.t_final}")
     if any(b >= a for a, b in zip(cfg.taus, cfg.taus[1:])):
         raise ConfigError("[ladder] taus: must be strictly decreasing")
     if cfg.tau_ref is not None and not _divides(cfg.tau_ref, cfg.t_final):
         raise ConfigError(f"[ladder] tau_ref: {cfg.tau_ref} must be > 0 and divide t_final")
+    # a reference no finer than the finest rung gives errors that do not fall
+    if cfg.tau_ref is not None and not cfg.tau_ref < min(cfg.taus):
+        raise ConfigError(f"[ladder] tau_ref: {cfg.tau_ref} must be < min(taus) = {min(cfg.taus)}")
     # every run holds an array of trajectory size, its N x (n_el+1) forcing
     # table, which numpy must be able to index; the reference tau underflows
     # to 0 for subnormal taus

@@ -5,9 +5,12 @@ fitted order of their errors.
 
 The estimates are sums and maxima over the steps, and a step's terms read
 only the two states before it, so one reducer, `EstimateSums`, takes them
-from a run's row blocks as the run yields them; `estimate_report` feeds
-it the blocks of a held trajectory, and a ladder run is reduced as it
-steps.  No diagnostic holds a trajectory it does not already have.
+from a run's row blocks as the run yields them: a block's stencils and
+second differences follow from its first differences by linearity, so it
+makes one product with gram_h and one Riesz solve for all three families;
+`estimate_report` feeds it the blocks of a held trajectory, and a ladder
+run is reduced as it steps.  No diagnostic holds a trajectory it does not
+already have.
 """
 
 from __future__ import annotations
@@ -126,18 +129,11 @@ def _stacked(rows: np.ndarray, total: int) -> np.ndarray:
     return np.repeat(rows, 2, axis=0) if len(rows) == 1 and total > 1 else rows
 
 
-def _quad_rows(left: np.ndarray, stack: np.ndarray, count: int) -> np.ndarray:
-    """The first ``count`` row-wise inner products of two stacks."""
-    return np.maximum(np.einsum("ij,ij->i", left, stack), 0.0)[:count]
-
-
-def _dual_rows(space: GalerkinSpace, stack: np.ndarray, count: int) -> tuple[np.ndarray, ...]:
-    """The H-embeddings of a stack's rows and the squared V*-norms of the
-    first ``count``, from one product with gram_h and one
-    multi-right-hand-side Riesz solve, both by the unchecked kernels."""
-    hw = _diagonal_product(space.gram_h.ab, stack)
-    z = space.gram_v.back_solve(hw.T)[0]
-    return hw, np.maximum(np.einsum("ij,ji->i", hw, z), 0.0)[:count]
+def _quad_rows(left: np.ndarray, right: np.ndarray, total: int) -> np.ndarray:
+    """The row-wise inner products of the rows of a family of ``total`` rows
+    in the run, each side stacked by ``_stacked``."""
+    stacks = (_stacked(rows, total) for rows in (left, right))
+    return np.maximum(np.einsum("ij,ij->i", *stacks), 0.0)[: len(left)]
 
 
 class EstimateSums:
@@ -149,21 +145,26 @@ class EstimateSums:
 
     The estimates are direct sums over the first differences
     d_n = u^n - u^{n-1}, stencils s_n = 1.5u^n - 2u^{n-1} + 0.5u^{n-2} and
-    second differences e_n = u^n - 2u^{n-1} + u^{n-2}.  In a block, the
-    H-embeddings of each family of d_n, s_n and e_n take one product with
-    gram_h and one multi-right-hand-side Riesz solve for their squared
-    V*-norms, and the u^n one product with gram_h and one with gram_v for
-    their squared norms.  Each family's row values are reduced by one
-    einsum per block, over a stack of two or more rows unless the family
-    has a single row, which is how the whole family reduces, so a row's
-    value does not depend on the block it lies in; the sums run over the
-    full per-row arrays, and the report has the same bits for every
-    partition of the run into blocks.  The products and solves are the
-    bands' unchecked kernels: a run's rows are finite, each step certified,
-    and ``estimate_report`` checks a held trajectory once.  ``weights`` are
-    the boundary quadrature weights used to lift nodal multipliers to
-    boundary functionals (all ones by default).  V*-norms of H-elements are
-    taken through their H-embedding.
+    second differences e_n = u^n - 2u^{n-1} + u^{n-2}, and all three
+    families come from the first: e_n = d_n - d_{n-1} and s_n = d_n + e_n/2.
+    In a block, one product with gram_h embeds the d_n and the e_n (one
+    stack), and one multi-right-hand-side Riesz solve takes the d_n's
+    representers; those of e_n and s_n, and the H-embeddings of s_n, follow
+    by linearity.  The e_n are embedded by the product, not as the
+    difference of the d_n's embeddings, which would lose |d_n| / |e_n| in
+    relative accuracy when the steps are fine; their representers enter
+    only the gap's tau/16 term.  The u^n take one product with gram_h and
+    one with gram_v for their squared norms.  Each family's row values are
+    reduced by one einsum per block, over a stack of two or more rows
+    unless the family has a single row, which is how the whole family
+    reduces, so a row's value does not depend on the block it lies in; the
+    sums run over the full per-row arrays, and the report has the same
+    bits for every partition of the run into blocks.  The products and
+    solves are the bands' unchecked kernels: a run's rows are finite, each
+    step certified, and ``estimate_report`` checks a held trajectory once.
+    ``weights`` are the boundary quadrature weights used to lift nodal
+    multipliers to boundary functionals (all ones by default).  V*-norms
+    of H-elements are taken through their H-embedding.
     """
 
     def __init__(
@@ -198,33 +199,42 @@ class EstimateSums:
     def _add_states(self, u: np.ndarray, xi: np.ndarray) -> None:
         """Reduce the next states u^n and the multipliers of their steps."""
         space, n = self.space, self.grid.N
-        win = np.concatenate([self._last, u])
-        # the first rows of the window with a d_n, and with s_n and e_n
-        i1, i2 = max(len(self._last), 1), max(len(self._last), 2)
-        # each row by the operations, in the order, of its formula
-        d = win[i1:] - win[i1 - 1 : -1]
-        twice = 2.0 * win[i2 - 1 : -1]
-        s = 1.5 * win[i2:]
-        s -= twice
-        s += 0.5 * win[i2 - 2 : -2]
-        e = win[i2:] - twice
-        e += win[i2 - 2 : -2]
-        # each family of a block as a stack, with its count of rows
-        (d, nd), (s, ns), (e, ne), (u, nu) = (
-            (_stacked(rows, total), len(rows))
-            for rows, total in ((d, n), (s, n - 1), (e, n - 1), (win[len(self._last) :], n + 1))
-        )
-        hw_e, e_sq = _dual_rows(space, e, ne)
-        self._terms.append((
-            _quad_rows(_diagonal_product(space.gram_v.ab, u), u, nu),  # ||u^n||_V^2
-            _quad_rows(_diagonal_product(space.gram_h.ab, u), u, nu),  # |u^n|_H^2
-            _dual_rows(space, d, nd)[1],  # ||d_n||_*^2
-            _dual_rows(space, s, ns)[1],  # ||s_n||_*^2
-            e_sq,  # ||e_n||_*^2
-            _quad_rows(hw_e, e, ne),  # |e_n|_H^2
+        # the state norms come first, before the differences' scratch is
+        # made, and s_n is formed in e_n's rows: a wide run peaks at its
+        # forcing table plus one block's scratch
+        terms = [
+            _quad_rows(_diagonal_product(space.gram_v.ab, u), u, n + 1),  # ||u^n||_V^2
+            _quad_rows(_diagonal_product(space.gram_h.ab, u), u, n + 1),  # |u^n|_H^2
             xi * self._w,  # the boundary functionals of xi^n
-        ))
-        if self._d1 is None and nd:
+        ]
+        win = np.concatenate([self._last, u])
+        # the first differences of the window and, below them in one stack for
+        # one product with gram_h, the second differences e_n = d_n - d_{n-1};
+        # the difference before the block (when two states are carried over)
+        # is there for the block's first e_n, and is no d_n of it
+        m = len(win) - 1
+        stack = np.empty((max(2 * m - 1, 0), space.dim))
+        d, e = stack[:m], stack[m:]
+        np.subtract(win[1:], win[:-1], out=d)
+        np.subtract(d[1:], d[:-1], out=e)
+        hd, he = np.split(_diagonal_product(space.gram_h.ab, stack), [m])
+        # one Riesz solve, of the d_n; the representers of e_n follow by
+        # linearity, and so do both rows of s_n = d_n + e_n / 2, which replace
+        # those of e_n once these are reduced
+        zd = space.gram_v.back_solve(hd.T)[0].T
+        ze = zd[1:] - zd[:-1]
+        first = max(len(self._last) - 1, 0)
+        terms += (
+            _quad_rows(hd[first:], zd[first:], n),  # ||d_n||_*^2
+            _quad_rows(he, ze, n - 1),  # ||e_n||_*^2
+            _quad_rows(he, e, n - 1),  # |e_n|_H^2
+        )
+        for rows, d_rows in ((he, hd), (ze, zd)):
+            rows *= 0.5
+            rows += d_rows[1:]
+        terms.append(_quad_rows(he, ze, n - 1))  # ||s_n||_*^2
+        self._terms.append(tuple(terms))
+        if self._d1 is None and len(d):
             self._d1 = d[0].copy()
         self._last = win[-2:].copy()
 
@@ -235,7 +245,7 @@ class EstimateSums:
         terms = [np.concatenate(values) for values in zip(*self._terms)]
         if not terms or len(terms[0]) != n + 1:
             raise ValueError(f"the {n + 1} rows of the run were not all added")
-        v_sq, h_sq, diff_sq, stencil_sq, second_sq, second_h, actions = terms
+        v_sq, h_sq, actions, diff_sq, second_sq, second_h, stencil_sq = terms
         gap = tau / 12.0 * (diff_sq[0] + stencil_sq.sum()) + tau / 16.0 * second_sq.sum()
         return EstimateReport(
             q3=tau * float(v_sq.sum()),

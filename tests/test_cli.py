@@ -535,6 +535,12 @@ def test_run_rejects_removed_flags(tmp_path, flag):
     [
         ("study", "taus = 0.25,0.125", "taus = 0.25,0.125\ntau_ref = 0.3", "[ladder] tau_ref"),
         ("study", "taus = 0.25,0.125", "taus = 0.25,0.125\ntau_ref = 0", "[ladder] tau_ref"),
+        # a reference no finer than the finest rung: study fitted an order of
+        # -0.995 (0.5) or nan (0.125), compare one of -0.99, each a PASS
+        ("study", "taus = 0.25,0.125", "taus = 0.25,0.125\ntau_ref = 0.5", "[ladder] tau_ref"),
+        ("compare", "taus = 0.25,0.125", "taus = 0.25,0.125\ntau_ref = 0.5", "[ladder] tau_ref"),
+        ("study", "taus = 0.25,0.125", "taus = 0.25,0.125\ntau_ref = 0.125", "[ladder] tau_ref"),
+        ("compare", "taus = 0.25,0.125", "taus = 0.25,0.125\ntau_ref = 0.125", "[ladder] tau_ref"),
         ("check", "n_samples = 20", "n_samples = 0", "[check] n_samples"),
     ],
 )
@@ -542,6 +548,15 @@ def test_invalid_values_exit_2_naming_the_key(tmp_path, capsys, command, old, ne
     rc, _ = run_cli(tmp_path, command, SMOOTH_TINY.replace(old, new))
     assert rc == 2
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tau", ["0", "-0.5", "nan", "inf"])
+def test_a_rung_that_is_no_positive_step_is_named_as_one(tmp_path, capsys, tau):
+    # not "does not divide t_final", which a step of 0 or nan does not say
+    rc, _ = run_cli(tmp_path, "study", SMOOTH_TINY.replace("taus = 0.25,0.125", f"taus = {tau}"))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"[ladder] taus: {float(tau)} must be > 0 and divide t_final=1.0" in err
 
 
 def hard_floats() -> np.ndarray:

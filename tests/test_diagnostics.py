@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import dataclasses
 import math
 import re
@@ -16,11 +17,13 @@ from rothe_hvi import (
     BDF2,
     GalerkinSpace,
     LinearRobin,
+    Mesh1D,
     NonconvexPiecewise,
     PaperExponential,
     RotheTrajectory,
     TimeGrid,
     ZeroPotential,
+    assemble_space,
     bdf2_identity_gap,
     bdf2_inequality_slack,
     estimate_report,
@@ -374,10 +377,11 @@ def test_peak_h_norm_stable_across_ladder():
 
 
 def _three_stack_report(traj, space, weights):
-    """The estimate quantities by the three full-trajectory stacks of first
-    differences, stencils and second differences, each through its own
-    H-product, Riesz solve and einsum: the formulas the row-block layer
-    must reproduce bit for bit."""
+    """The estimate quantities by the textbook formulas: the three
+    full-trajectory stacks of first differences, stencils and second
+    differences, each through its own H-product, Riesz solve and einsum.
+    The reducer keeps the bits of six of its fields and agrees on q7, q75
+    and gap_closed_form to rounding."""
 
     def quad_rows(rows, gram):
         return np.maximum(np.einsum("ij,ij->i", rows @ gram, rows), 0.0)
@@ -407,12 +411,65 @@ def _three_stack_report(traj, space, weights):
     )
 
 
+def _first_difference_report(traj, space, weights):
+    """The estimate quantities by the reducer's formulas over the whole
+    trajectory: the first differences d_n and the second differences
+    e_n = d_n - d_{n-1} through one H-product, the d_n through one Riesz
+    solve, and s_n = d_n + e_n / 2 by linearity: the formulas the row-block
+    layer must reproduce bit for bit."""
+
+    def rows_dot(left, right):
+        return np.maximum(np.einsum("ij,ij->i", left, right), 0.0)
+
+    u, tau = traj.u, traj.grid.tau
+    actions = traj.xi * np.asarray(weights, dtype=float)
+    d = u[1:] - u[:-1]
+    e = d[1:] - d[:-1]
+    hd, he = d @ space.gram_h, e @ space.gram_h
+    zd = space.solve_v(hd.T).T
+    ze = zd[1:] - zd[:-1]
+    diff_sq, second_sq = rows_dot(hd, zd), rows_dot(he, ze)
+    stencil_sq = rows_dot(hd[1:] + 0.5 * he, zd[1:] + 0.5 * ze)
+    q5_rows = np.maximum(np.einsum("ij,ji->i", actions, space.gram_u.solve(actions.T)), 0.0)
+    gap = tau / 12.0 * (diff_sq[0] + stencil_sq.sum()) + tau / 16.0 * second_sq.sum()
+    return (
+        tau * float(rows_dot(u @ space.gram_v, u).sum()),
+        float(np.sqrt(rows_dot(u @ space.gram_h, u).max())),
+        tau * float(q5_rows.sum()),
+        float(diff_sq[0]) / tau,
+        float(stencil_sq.sum()) / tau,
+        float(rows_dot(he, e).sum()),
+        float(gap),
+        space.h_norm(d[0]),
+        float(diff_sq.sum()) / tau,
+    )
+
+
+FIELDS = tuple(f.name for f in dataclasses.fields(diagnostics.EstimateReport))
+# the fields the first-difference formulas compute in the textbook's order
+# of operations, and those whose rounding they change
+KEPT_FIELDS = ("q3", "q4", "q5", "q6", "u1_u0_gap", "bv_bound")
+MOVED_FIELDS = ("q7", "q75", "gap_closed_form")
+
+
 def _bits(values) -> bytes:
     return np.array(values, dtype=np.float64).tobytes()
 
 
 def _report_bits(report) -> bytes:
-    return _bits([getattr(report, f.name) for f in dataclasses.fields(report)])
+    return _bits([getattr(report, name) for name in FIELDS])
+
+
+def _assert_the_report_of(report, traj, space, weights):
+    """Every bit of the first-difference formulas; the textbook's bits for
+    the six fields whose rounding they keep, and its values within 1e-12
+    relative for the other three."""
+    assert _report_bits(report) == _bits(_first_difference_report(traj, space, weights))
+    textbook = dict(zip(FIELDS, _three_stack_report(traj, space, weights)))
+    for name in KEPT_FIELDS:
+        assert _bits([getattr(report, name)]) == _bits([textbook[name]]), name
+    for name in MOVED_FIELDS:
+        assert getattr(report, name) == pytest.approx(textbook[name], rel=1e-12, abs=0.0), name
 
 
 def _ncvx_problem(n_el):
@@ -426,12 +483,11 @@ def _ncvx_problem(n_el):
     (BACKWARD_EULER, 1), (BACKWARD_EULER, 2), (BACKWARD_EULER, 4), (BACKWARD_EULER, 64),
     (BDF2, 2), (BDF2, 4), (BDF2, 64),
 ])
-def test_row_blocks_reproduce_the_three_stack_report_bit_for_bit(n_el, scheme, n_steps):
+def test_row_blocks_reproduce_the_first_difference_report_bit_for_bit(n_el, scheme, n_steps):
     problem = _ncvx_problem(n_el)
     traj = run_rothe(problem, TimeGrid(1.0, n_steps), scheme)
     report = estimate_report(traj, problem.space, problem.boundary.weights)
-    oracle = _three_stack_report(traj, problem.space, problem.boundary.weights)
-    assert _report_bits(report) == _bits(oracle)
+    _assert_the_report_of(report, traj, problem.space, problem.boundary.weights)
 
 
 @pytest.mark.parametrize("block_cells", [None, 1, 5 * 68, 6 * 68 + 7])
@@ -447,8 +503,7 @@ def test_a_report_over_several_row_blocks_keeps_its_bits(monkeypatch, block_cell
     traj = run_rothe(problem, TimeGrid(1.0, 512), BDF2)
     assert len(traj.u) > 2 * stepper.block_rows(68)
     report = estimate_report(traj, problem.space, problem.boundary.weights)
-    oracle = _three_stack_report(traj, problem.space, problem.boundary.weights)
-    assert _report_bits(report) == _bits(oracle)
+    _assert_the_report_of(report, traj, problem.space, problem.boundary.weights)
 
 
 @pytest.mark.parametrize("scheme, n_steps", [
@@ -466,8 +521,7 @@ def test_rows_longer_than_the_einsum_buffer_keep_their_bits(scheme, n_steps):
     problem = _ncvx_problem(16384)
     traj = run_rothe(problem, TimeGrid(1.0, n_steps), scheme, tol=1e-6)
     report = estimate_report(traj, problem.space, problem.boundary.weights)
-    oracle = _three_stack_report(traj, problem.space, problem.boundary.weights)
-    assert _report_bits(report) == _bits(oracle)
+    _assert_the_report_of(report, traj, problem.space, problem.boundary.weights)
 
 
 def _run_rows(traj) -> np.ndarray:
@@ -493,14 +547,164 @@ def test_the_reducer_gives_the_same_bits_for_every_partition_of_a_run(n_el, n_st
     # rows of 1,028 entries; at n_el = 16384 a row is longer than einsum's
     # buffer, and the steps are accepted at 1e-6 (see above)
     problem = _ncvx_problem(n_el)
+    space, weights = problem.space, problem.boundary.weights
     traj = run_rothe(problem, TimeGrid(1.0, n_steps), BDF2, tol=1e-6)
-    oracle = _bits(_three_stack_report(traj, problem.space, problem.boundary.weights))
     rows = _run_rows(traj)
+    reports = []
     for size in sizes:
-        sums = diagnostics.EstimateSums(problem.space, traj.grid, problem.boundary.weights)
+        sums = diagnostics.EstimateSums(space, traj.grid, weights)
         for start in range(0, len(rows), size):
             sums.add(rows[start : start + size])
-        assert _report_bits(sums.report()) == oracle, size
+        reports.append(sums.report())
+    _assert_the_report_of(reports[0], traj, space, weights)
+    assert {_report_bits(report) for report in reports} == {_report_bits(reports[0])}
+
+
+LD = np.longdouble
+TRAJECTORY_KINDS = ("smooth", "rough", "tiny tau")
+
+
+def _p1_trajectory(kind, n_el, n_steps, seed):
+    """The P1 space on Mesh1D(n_el) and a trajectory of n_steps on it, with
+    random multipliers: smooth in x and t at tau = 1/n_steps ("smooth") or at
+    a tau between 1e-6 and 1e-4 ("tiny tau"), or states of independent
+    normal entries on a scale between 1e-3 and 1e3 ("rough")."""
+    rng = np.random.default_rng(seed)
+    space, _ = assemble_space(Mesh1D(n_el))
+    x = np.linspace(0.0, 1.0, n_el + 1)
+    tau = 10.0 ** rng.uniform(-6.0, -4.0) if kind == "tiny tau" else 1.0 / n_steps
+    if kind == "rough":
+        u = rng.normal(size=(n_steps + 1, n_el + 1)) * 10.0 ** rng.uniform(-3.0, 3.0)
+    else:
+        t = tau * np.arange(n_steps + 1)[:, None]
+        c, w = rng.normal(size=4), rng.uniform(0.5, 3.0, size=2)
+        u = (c[0] * np.cos(w[0] * t + c[1]) * np.cos(np.pi * w[1] * x)
+             + c[2] * np.exp(-t) * (1.0 + c[3] * x * x))
+    traj = RotheTrajectory(grid=TimeGrid(tau * n_steps, n_steps), u=u,
+                           xi=rng.normal(size=(n_steps, 1)), per_step_residuals=np.zeros(n_steps))
+    return space, traj
+
+
+def _longdouble_solve(band, rhs):
+    """band^{-1} rhs for the columns of rhs in long double, by Gaussian
+    elimination without pivoting (every Gram is positive definite)."""
+    a, x = band.toarray().astype(LD), rhs.astype(LD)
+    for k in range(len(a) - 1):
+        f = a[k + 1 :, k] / a[k, k]
+        a[k + 1 :] -= np.outer(f, a[k])
+        x[k + 1 :] -= np.outer(f, x[k])
+    for k in range(len(a) - 1, -1, -1):
+        x[k] = (x[k] - a[k, k + 1 :] @ x[k + 1 :]) / a[k, k]
+    return x
+
+
+def _longdouble_report(traj, space, weights):
+    """The textbook formulas in long double on the trajectory's doubles:
+    64-bit significands form the stencils and second differences of close
+    states exactly, so the reference is far below double rounding."""
+    u, tau = traj.u.astype(LD), LD(traj.grid.tau)
+    gram_h, gram_v = (band.toarray().astype(LD) for band in (space.gram_h, space.gram_v))
+
+    def quad_rows(rows, gram):
+        return np.einsum("ij,ij->i", rows @ gram, rows)
+
+    def dual_sq_rows(rows):
+        w = rows @ gram_h
+        return np.einsum("ij,ji->i", w, _longdouble_solve(space.gram_v, w.T))
+
+    actions = traj.xi.astype(LD) * np.asarray(weights, dtype=LD)
+    diffs = u[1:] - u[:-1]
+    stencils = LD(1.5) * u[2:] - LD(2.0) * u[1:-1] + LD(0.5) * u[:-2]
+    seconds = u[2:] - LD(2.0) * u[1:-1] + u[:-2]
+    diff_sq, stencil_sq, second_sq = (dual_sq_rows(r) for r in (diffs, stencils, seconds))
+    q5_rows = np.einsum("ij,ji->i", actions, _longdouble_solve(space.gram_u, actions.T))
+    return dict(zip(FIELDS, (
+        tau * quad_rows(u, gram_v).sum(),
+        np.sqrt(quad_rows(u, gram_h).max()),
+        tau * q5_rows.sum(),
+        diff_sq[0] / tau,
+        stencil_sq.sum() / tau,
+        quad_rows(seconds, gram_h).sum(),
+        tau / 12 * (diff_sq[0] + stencil_sq.sum()) + tau / 16 * second_sq.sum(),
+        np.sqrt(quad_rows(diffs[:1], gram_h)[0]),
+        diff_sq.sum() / tau,
+    )))
+
+
+def _relative_errors(values, reference, names) -> np.ndarray:
+    """|value - reference| / |reference| per field (0 where both are 0)."""
+    errors = [abs(LD(values[name]) - reference[name]) for name in names]
+    return np.array([float(err / abs(reference[name])) if err else 0.0
+                     for err, name in zip(errors, names)])
+
+
+@given(
+    kind=st.sampled_from(TRAJECTORY_KINDS),
+    n_el=st.sampled_from([1, 2, 3, 4, 8, 16, 32]),
+    n_steps=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_every_field_lies_within_1e_12_of_a_long_double_evaluation(kind, n_el, n_steps, seed):
+    # with e_n = d_n - d_{n-1} and its own H-product, q75 keeps its accuracy
+    # at tiny tau; the row difference of the d_n's H-embeddings would lose
+    # |d_n| / |e_n|, some 1e-11 relative at tau = 1e-5
+    space, traj = _p1_trajectory(kind, n_el, n_steps, seed)
+    weights = np.ones(1)
+    report = dataclasses.asdict(estimate_report(traj, space, weights))
+    errors = _relative_errors(report, _longdouble_report(traj, space, weights), FIELDS)
+    assert errors.max() <= 1e-12, dict(zip(FIELDS, errors))
+
+
+@pytest.mark.parametrize("kind", TRAJECTORY_KINDS)
+def test_the_moved_fields_are_no_less_accurate_than_the_textbook(kind):
+    # on one trajectory either evaluation may lie the closer to the long
+    # double reference by a few ulps (both round the V*-norms through the
+    # same factor of gram_v, and the textbook's stencils round at the scale
+    # of |u| wherever a state changes sign), so the medians over 100
+    # trajectories are compared, to within one ulp
+    rng = np.random.default_rng(30)
+    ours, textbook = [], []
+    for _ in range(100):
+        n_el, n_steps = int(rng.choice([1, 2, 4, 8, 16, 32])), int(rng.integers(2, 13))
+        space, traj = _p1_trajectory(kind, n_el, n_steps, int(rng.integers(2**32)))
+        reference = _longdouble_report(traj, space, np.ones(1))
+        report = dataclasses.asdict(estimate_report(traj, space, np.ones(1)))
+        three = dict(zip(FIELDS, _three_stack_report(traj, space, np.ones(1))))
+        ours.append(_relative_errors(report, reference, MOVED_FIELDS))
+        textbook.append(_relative_errors(three, reference, MOVED_FIELDS))
+    ours, textbook = np.median(ours, axis=0), np.median(textbook, axis=0)
+    assert np.all(ours <= textbook + 2.3e-16), (ours, textbook)
+
+
+@pytest.mark.parametrize("carried", [0, 2])
+def test_a_block_makes_three_band_products_and_one_riesz_solve(monkeypatch, carried):
+    # ||u^n||_V, |u^n|_H and one stack of the d_n and e_n: a block with no
+    # state before it and one with two carried over
+    problem = _ncvx_problem(8)
+    space = problem.space
+    traj = run_rothe(problem, TimeGrid(1.0, 8), BDF2)
+    sums = diagnostics.EstimateSums(space, traj.grid, problem.boundary.weights)
+    if carried:
+        sums._add_states(traj.u[:3], traj.xi[:2])
+    calls = collections.Counter()
+    product = diagnostics._diagonal_product
+
+    def counted_product(ab, x):
+        calls["product"] += 1
+        return product(ab, x)
+
+    monkeypatch.setattr(diagnostics, "_diagonal_product", counted_product)
+    for name in ("gram_h", "gram_v", "gram_u"):
+        band = getattr(space, name)
+
+        def counted_solve(b, name=name, solve=band.back_solve):
+            calls[name] += 1
+            return solve(b)
+
+        monkeypatch.setitem(band.__dict__, "back_solve", counted_solve)
+    first = 3 if carried else 0
+    sums._add_states(traj.u[first : first + 4], traj.xi[max(first, 1) - 1 : first + 3])
+    assert calls == {"product": 3, "gram_v": 1}
 
 
 def test_a_run_streamed_through_the_reducer_reports_as_its_trajectory():
