@@ -103,14 +103,20 @@ s_warm finite and x's ddot in ``segment_kernel``; then the square of its
 residual in ``step_residuals`` and the residual against tol in
 ``residual_failure``; ``solve_step_inclusion`` checks tol > 0 first.
 Between these checks it does only arithmetic, through the kernels the
-operator bound when it was built (``back_solve`` for x), with no layout or
-shape decided again.  A step of a segment makes the array calls its
-arithmetic needs and no more, and no Python function but the root scan:
-three ufuncs for the two-step history, M's product and its sum, S's
-``back_solve``, x's ddot, and two ufuncs that write u into the row.  When g
-increases everywhere, which the table shows when g' > 0 at every piece's
-finite left end and z's one-sided limits do not fall at any kink, the
-boundary inclusion has at most one root and its scan stops at the first.
+operator bound when it was built (``solve_in_place`` for x), with no layout
+or shape decided again.  A step of a segment makes the array calls its
+arithmetic needs and no more, and no Python function but the root scan.  A
+two-step step on at most ``galerkin._DIRECT_HISTORY_MAX_N`` unknowns makes
+six: M's ``accumulate`` of 4/3 u^{n-1} and of -1/3 u^{n-2} into b (BLAS
+dsbmv with beta = 1), the copy of b into the state's row, S's solve
+overwriting that row with x, x's ddot and one BLAS daxpy that turns x into
+u in the row; on more, three ufuncs form the history in a work buffer and
+one ``accumulate`` adds it.  A first step makes five, one ``accumulate`` of
+u^{n-1}.  b stays in its row of the right-hand sides, which the
+certificate reads.  When g increases everywhere, which the table shows
+when g' > 0 at every piece's finite left end and z's one-sided limits do
+not fall at any kink, the boundary inclusion has at most one root and its
+scan stops at the first.
 ``step_residuals`` makes, for its whole stack, one stack product with S
 (``galerkin._diagonal_product``) and one solve by gram_v's bound kernel,
 then one ddot a step.
@@ -121,11 +127,12 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
-from .galerkin import GalerkinSpace, SymBand, _diagonal_product, as_band, blas
+from .galerkin import _DIRECT_HISTORY_MAX_N, GalerkinSpace, SymBand, _diagonal_product, as_band, blas
 from .potentials import ScalarPotential
 
 __all__ = [
@@ -150,8 +157,9 @@ _EPS = float(np.finfo(float).eps)
 _NEG_SIGN = -(1 << 63)  # minus the sign bit of a float's bit pattern
 _NON_FINITE_DATA = "non-finite right-hand side or warm start"
 # the two-step history's weights, as numpy scalars: a ufunc takes them with
-# less overhead than Python floats, and they round the same
-_4_3, _1_3 = np.float64(4.0 / 3.0), np.float64(1.0 / 3.0)
+# less overhead than Python floats, and they round the same; -1/3 is the
+# weight dsbmv adds u^{n-2} with
+_4_3, _1_3, _M1_3 = np.float64(4.0 / 3.0), np.float64(1.0 / 3.0), np.float64(-1.0 / 3.0)
 
 
 class NonConvergenceError(RuntimeError):
@@ -184,8 +192,12 @@ class StepProblem:
     (``trace_pairs``) as plain ints and floats, the step's vector ``shape``,
     ``flux_coef`` c tau, the ``lift`` c tau w and the ``inclusion``, the
     boundary inclusion's table for F = c tau w gamma.  It also holds the
-    band kernels a step calls on vectors of that shape: S's ``back_solve``,
-    and M's ``mass_product`` for the right-hand sides.
+    band kernels a step calls on vectors of that shape, bound once here:
+    ``solve_in_place``, S's solve (dpttrs, or dpbtrs for a wider band)
+    with ``overwrite_b=1``, which writes x = S^{-1} b over the contiguous
+    vector it is passed and returns it with LAPACK's info, and
+    ``mass_accumulate``, M's ``SymBand.accumulate``, which adds alpha M v
+    to a right-hand side in place.
     ValueError unless c_coef is 1 (first step) or 2/3 (two-step stencil),
     tau > 0, dim_u = 1 and c tau w gamma > 0; LinAlgError unless S is
     positive definite.
@@ -221,7 +233,8 @@ class StepProblem:
             dim=system.n, shape=(system.n,), flux_coef=flux_coef,
             lift=flux_coef * float(self.weights[0]),
             # the kernels a step calls once it has checked its shapes
-            back_solve=system.back_solve, mass_product=sp.gram_h.product,
+            solve_in_place=partial(system.back_solve, overwrite_b=1),
+            mass_accumulate=sp.gram_h.accumulate,
         )
         if not self.lift * self.gamma > 0:
             raise ValueError("the boundary weight and trace row must give c tau w gamma > 0")
@@ -442,7 +455,7 @@ def solve_boundary(p: StepProblem, rhs: np.ndarray, s_warm: float) -> tuple[np.n
     if rhs.shape != p.shape:
         raise ValueError(f"right-hand side has shape {rhs.shape}, expected {p.shape}")
     u, xi, iterations = np.empty(p.dim), np.empty(1), []
-    segment_kernel(p, rhs[None], u[None], xi, iterations, (None, None), None, s_warm=s_warm)
+    segment_kernel(p, rhs[None], u[None], xi, iterations, (), None, s_warm=s_warm)
     return u, xi.item(0), iterations[0]
 
 
@@ -456,19 +469,25 @@ def segment_kernel(
     inclusion is solved and u is written into the row of ``u`` and xi into
     ``xi``, and the step's iterations are appended to ``iterations``; so
     the steps solved before an error are as many as the counts appended.
+    The rows of ``u`` must be contiguous: the solve and daxpy overwrite
+    them.
 
-    The one-step stencil (``u_nm2`` None) adds M u^{n-1} and starts from
-    t u^{n-1}; the two-step stencil adds M (4/3 u^{n-1} - 1/3 u^{n-2}),
-    formed in the pair of vectors ``work``, and starts from the extrapolant
-    2u^{n-1} - u^{n-2}, whose boundary value is summed at the trace's
-    nonzero nodes as sum_k t_k (2 u^{n-1}_k - u^{n-2}_k): the float
+    The one-step stencil (``u_nm2`` None) adds M u^{n-1} by one
+    ``mass_accumulate`` and starts from t u^{n-1}.  The two-step stencil
+    adds M (4/3 u^{n-1} - 1/3 u^{n-2}): up to
+    ``galerkin._DIRECT_HISTORY_MAX_N`` unknowns by two ``mass_accumulate``
+    calls, 4/3 M u^{n-1} and then -1/3 M u^{n-2}, and above it formed in
+    the pair of vectors ``work`` and added by one.  It starts from the
+    extrapolant 2u^{n-1} - u^{n-2}, whose boundary value is summed at the
+    trace's nonzero nodes as sum_k t_k (2 u^{n-1}_k - u^{n-2}_k): the float
     operations, in their order, of ``StepProblem.boundary_value`` of the
-    whole extrapolant, which is never formed.  Each step's u is the
-    history of the next.  The boundary half is x = S^{-1} b by S's bound
-    ``back_solve``, t x summed at the trace's nonzero nodes, the root
-    nearest the warm start's boundary value (the smaller one on a tie) and
-    u = x - (c tau w xi) y, the product formed in ``work[1]`` (a new array
-    when None).  The operator's kernels and tables are read once a call.
+    whole extrapolant, which is never formed.  Each step's u is the history
+    of the next.  The boundary half copies b into the step's row of ``u``
+    and solves there, x = S^{-1} b by S's bound ``solve_in_place``; then it
+    sums t x at the trace's nonzero nodes, takes the root nearest the warm
+    start's boundary value (the smaller one on a tie) and makes the row
+    u = x - (c tau w xi) y by one BLAS daxpy.  The operator's kernels and
+    tables are read once a call.
 
     Two entries serve the single-step API, on one row: with ``u_nm1`` None
     the row is the whole right-hand side and ``s_warm`` its warm start's
@@ -476,18 +495,22 @@ def segment_kernel(
     history is added and the warm start's boundary value returned (the
     history half alone).  NumericalFailureError for a non-finite warm start
     or x, NonConvergenceError when no root is found."""
-    back_solve, mass_product, pairs, y = p.back_solve, p.mass_product, p.trace_pairs, p.y
+    solve, accumulate, pairs, y, dim = p.solve_in_place, p.mass_accumulate, p.trace_pairs, p.y, p.dim
     roots, factor, lift, isfinite = p.inclusion.roots, p.inclusion.factor, p.lift, math.isfinite
-    add, subtract, multiply, ddot, w0, w1 = np.add, np.subtract, np.multiply, blas.ddot, *work
+    ddot, daxpy, direct = blas.ddot, blas.daxpy, dim <= _DIRECT_HISTORY_MAX_N
     for i, b in enumerate(rhs):
         if u_nm2 is not None:
-            subtract(multiply(_4_3, u_nm1, w0), multiply(_1_3, u_nm2, w1), w0)
-            add(b, mass_product(w0), b)
+            if direct:  # b += 4/3 M u^{n-1}, then b += -1/3 M u^{n-2}
+                accumulate(_M1_3, u_nm2, accumulate(_4_3, u_nm1, b))
+            else:  # the history formed in work[0], then added once
+                w0, w1 = work
+                h = np.subtract(np.multiply(_4_3, u_nm1, w0), np.multiply(_1_3, u_nm2, w1), w0)
+                accumulate(1.0, h, b)
             s_warm = 0.0
             for k, t in pairs:
                 s_warm += t * (2.0 * u_nm1.item(k) - u_nm2.item(k))
         elif u_nm1 is not None:
-            add(b, mass_product(u_nm1), b)
+            accumulate(1.0, u_nm1, b)
             s_warm = 0.0
             for k, t in pairs:
                 s_warm += t * u_nm1.item(k)
@@ -495,7 +518,9 @@ def segment_kernel(
             return s_warm
         if not isfinite(s_warm):
             raise NumericalFailureError(_NON_FINITE_DATA)
-        x = back_solve(b)[0]  # a fresh array, non-finite when b is
+        x = u[i]
+        x[:] = b
+        solve(x)  # x = S^{-1} b in the row, non-finite when b is
         if not (isfinite(ddot(x, x)) or _finite(x)):  # _finite, its ddot inline
             raise NumericalFailureError("non-finite interior solve" if _finite(b) else _NON_FINITE_DATA)
         target = 0.0
@@ -508,12 +533,11 @@ def segment_kernel(
             )
         s = found[0] if len(found) == 1 else min(found, key=lambda r: (abs(r - s_warm), r))
         xi[i] = xi_n = (target - s) / factor
-        u_n = u[i]
-        subtract(x, multiply(lift * xi_n, y, w1), u_n)
+        daxpy(y, x, dim, -lift * xi_n)  # u = x - (c tau w xi) y, in the row
         iterations.append(its)
         if u_nm2 is not None:
             u_nm2 = u_nm1
-        u_nm1 = u_n
+        u_nm1 = x
     return None  # the steps are in u, xi and iterations
 
 

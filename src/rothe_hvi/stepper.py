@@ -26,9 +26,10 @@ one block that share one step operator, cut before a step whose forcing
 average is not finite.  It is solved by one call of the segment kernel
 (``inclusion_solver.segment_kernel``), which for each step adds the
 stencil's history to the step's right-hand side in a buffer the run
-reuses, solves its inclusion on the boundary and writes u and xi straight
-into the block's row, in two work buffers the run owns, and appends the
-step's iterations.  The segment is then certified by one residual check.
+reuses, solves for u in the state's row of the block, its inclusion on
+the boundary, and writes xi beside it, and appends the step's iterations;
+on a wide space it forms the two-step history in two work buffers the run
+owns.  The segment is then certified by one residual check.
 So a run may step past a failing step to its segment's end, but it
 yields and reports the same rows and the same failing step as a loop that
 certified each step before the next: the segment is certified before the
@@ -407,15 +408,19 @@ def run_blocks(
     read it.
 
     Deterministic: fixed iteration order, no randomness anywhere, so
-    identical inputs give bit-identical blocks.  The forcing table is built
-    when this is called, and a table that cannot be allocated raises
-    TrajectoryMemoryError there; so do an unknown scheme, a two-step run of
-    one step and a tol that is not > 0, as ValueError.  The blocks are
-    stepped when they are asked for, in floating-point state entered once
-    per block and left before it is yielded.  A block's steps are certified
-    a segment at a time (see the module docstring), so the loop may step
-    past a failing step to its segment's end; what it yields and raises is
-    the same as if each step were certified before the next.  The first
+    identical inputs give bit-identical blocks.  The bits are fixed per
+    BLAS and LAPACK kernel: a step's dsbmv with beta = 1, band solve, ddot
+    and daxpy round as the BLAS and LAPACK that scipy loads round them (one
+    that fuses a multiply and an add rounds once), so another build may
+    move the last bits.  The forcing table is built when this is called,
+    and a table that cannot be allocated raises TrajectoryMemoryError
+    there; so do an unknown scheme, a two-step run of one step and a tol
+    that is not > 0, as ValueError.  The blocks are stepped when they are
+    asked for, in floating-point state entered once per block and left
+    before it is yielded.  A block's steps are certified a segment at a
+    time (see the module docstring), so the loop may step past a failing
+    step to its segment's end; what it yields and raises is the same as if
+    each step were certified before the next.  The first
     failing step, one whose residual is above tol or not finite, whose
     boundary solve fails, whose forcing average is not finite, or whose
     step operator float64 cannot factor, yields the completed rows of its

@@ -42,28 +42,46 @@ def _band(rng: np.random.Generator, n: int, u: int, definite: bool) -> np.ndarra
     return np.asfortranarray(ab)
 
 
+def _in_place(call, operand: np.ndarray):
+    """Bits of ``call`` on a copy of the operand it overwrites, and whether
+    the array it returned is that copy."""
+    operand = operand.copy()
+    value = call(operand)
+    out = value[0] if isinstance(value, tuple) else value
+    return _bits(value), np.shares_memory(out, operand)
+
+
 def kernel_outputs(blas, lapack) -> dict:
-    """Bits of the six kernels the program calls, from the modules ``blas``
-    and ``lapack``, keyed by kernel and case, on data drawn from one seed."""
+    """Bits of the seven kernels the program calls, in every call form a
+    step makes, from the modules ``blas`` and ``lapack``, keyed by kernel
+    and case, on data drawn from one seed.  The overwriting forms (dsbmv
+    with beta = 1 into a given y, dpttrs and dpbtrs overwriting a 1-d
+    right-hand side, daxpy) also record whether the operand was written."""
     rng = np.random.default_rng(2024)
     out = {}
     for n in SIZES:
         x, y = rng.normal(size=(2, n))
         stack = np.asfortranarray(rng.normal(size=(n, STACK)))
         out[f"ddot n={n}"] = _bits(blas.ddot(x, y))
+        out[f"daxpy n={n}"] = _in_place(lambda z: blas.daxpy(x, z, n, -0.7), y)
         for u in BANDWIDTHS:
             for definite in (True, False):
                 case = f"n={n} u={u} {'definite' if definite else 'indefinite'}"
                 ab = _band(rng, n, u, definite)
                 out[f"dsbmv {case}"] = _bits(blas.dsbmv(u, 1.0, ab, x))
+                for alpha in (1.0, 4.0 / 3.0, -1.0 / 3.0):
+                    out[f"dsbmv beta=1 alpha={alpha!r} {case}"] = _in_place(
+                        lambda z: blas.dsbmv(u, alpha, ab, x, beta=1.0, y=z, overwrite_y=1), y)
                 c, _ = factor = lapack.dpbtrf(ab)
                 out[f"dpbtrf {case}"] = _bits(factor)
                 out[f"dpbtrs {case}"] = _bits(lapack.dpbtrs(c, x))
+                out[f"dpbtrs overwrite {case}"] = _in_place(lambda z: lapack.dpbtrs(c, z, overwrite_b=1), x)
                 out[f"dpbtrs stack {case}"] = _bits(lapack.dpbtrs(c, stack))
                 if u == 1 and n > 1:  # galerkin's _tridiagonal: dpttrf needs n >= 2
                     d, e, _ = factor = lapack.dpttrf(ab[1], ab[0, 1:])
                     out[f"dpttrf {case}"] = _bits(factor)
                     out[f"dpttrs {case}"] = _bits(lapack.dpttrs(d, e, x))
+                    out[f"dpttrs overwrite {case}"] = _in_place(lambda z: lapack.dpttrs(d, e, z, overwrite_b=1), x)
                     out[f"dpttrs stack {case}"] = _bits(lapack.dpttrs(d, e, stack))
     return out
 
@@ -73,6 +91,15 @@ def test_the_loaded_kernels_give_the_bits_of_scipy_linalg():
 
     ours = kernel_outputs(galerkin.blas, galerkin.lapack)
     assert ours == kernel_outputs(blas, lapack)
+    # every overwriting call wrote into its operand, and gave the bits of
+    # the call that returns a new array
+    overwritten = {key: bits for key, bits in ours.items()
+                   if key.startswith("daxpy") or "beta=1" in key or "overwrite" in key}
+    assert len(overwritten) == 4 + 4 * 2 * 2 * 4 + 3 * 2  # daxpy, dsbmv and dpbtrs, dpttrs
+    assert all(shared for _, shared in overwritten.values())
+    for key, (bits, _) in overwritten.items():
+        if "trs overwrite" in key:
+            assert bits == ours[key.replace(" overwrite", "")], key
     # an indefinite band's factorization stops at its negative diagonal entry
     infos = {key: bits[-1] for key, bits in ours.items() if "trf" in key}
     assert len(infos) == 4 * 2 * 2 + 3 * 2  # dpbtrf: sizes x widths x kinds; dpttrf

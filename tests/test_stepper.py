@@ -4,6 +4,7 @@ import math
 import struct
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ from rothe_hvi import (
     initial_step,
     run_rothe,
 )
-from rothe_hvi import galerkin, stepper
+from rothe_hvi import galerkin, inclusion_solver, stepper
 from rothe_hvi.cli import build_problem, parse_config
 from rothe_hvi.stepper import TrajectoryMemoryError
 
@@ -438,10 +439,35 @@ def _operators_of_layout(layout: str) -> list[StepProblem]:
             for c in (1.0, 2.0 / 3.0)]
 
 
+def _history_through_scipy(p: StepProblem, rhs: np.ndarray, u_nm1: np.ndarray, u_nm2=None):
+    """The right-hand side c tau F + M (history), spelled in the segment
+    kernel's order: up to galerkin._DIRECT_HISTORY_MAX_N columns each state
+    is added by scipy's dsbmv with beta = 1 with its own weight (4/3, then
+    -1/3), above it the history 4/3 u^{n-1} - 1/3 u^{n-2} is formed first
+    and added once; by dsbmv up to galerkin._DSBMV_MAX_N columns, past it
+    by SymBand.matvec, the diagonal loop.  The one-step stencil adds
+    M u^{n-1}."""
+    mass = p.space.gram_h
+    b = rhs.copy()
+    if u_nm2 is None:
+        terms = [(1.0, u_nm1)]
+    elif p.dim <= galerkin._DIRECT_HISTORY_MAX_N:
+        terms = [(4.0 / 3.0, u_nm1), (-1.0 / 3.0, u_nm2)]
+    else:
+        terms = [(1.0, (4.0 / 3.0) * u_nm1 - (1.0 / 3.0) * u_nm2)]
+    for alpha, v in terms:
+        if p.dim <= galerkin._DSBMV_MAX_N:
+            b = blas.dsbmv(mass.bandwidth, alpha, mass.ab, v, beta=1.0, y=b)
+        else:
+            assert alpha == 1.0
+            b = b + mass.matvec(v)
+    return b
+
+
 def _step_through_the_public_api(p: StepProblem, rhs: np.ndarray, s_warm: float):
     """u, xi and the residual of a step from the warm start's boundary value
     ``s_warm``, each band operation spelled through SymBand.solve,
-    SymBand.matvec and GalerkinSpace.dual_norm.  The residual's product is
+    scipy's daxpy and GalerkinSpace.dual_norm.  The residual's product is
     that of a one-row stack, which every step's certificate takes."""
     t = p.space.trace[0]
     nodes = np.flatnonzero(t)
@@ -457,38 +483,105 @@ def _step_through_the_public_api(p: StepProblem, rhs: np.ndarray, s_warm: float)
     roots, _ = p.inclusion.roots(target, s_warm)
     s = min(roots, key=lambda r: (abs(r - s_warm), r))
     xi = (target - s) / p.inclusion.factor
-    u = x - p.lift * xi * p.y
+    u = blas.daxpy(p.y, x.copy(), a=-(p.lift * xi))
     r = p.system.matvec(u[None])[0] - rhs
     r[nodes] += p.lift * xi * t[nodes]
     return u, xi, p.space.dual_norm(r)
 
 
-@pytest.mark.parametrize("layout", ["p1-64", "p1-1024", "dense"])
+@pytest.mark.parametrize("layout", ["p1-64", "p1-256", "p1-1024", "dense"])
 def test_a_step_through_the_bound_kernels_equals_the_public_band_api(layout):
-    # P1 at 64 elements multiplies a right-hand side's history by dsbmv, at
-    # 1024 one diagonal at a time; the dense band is factored by dpbtrf and
-    # solved by dpbtrs, and its trace row has several nonzero entries.  The
-    # reference takes the warm start's boundary value of the whole state, or
-    # of the whole extrapolant
+    # P1 at 64 elements adds each state of a right-hand side's history by
+    # dsbmv, at 256 the formed history by dsbmv and at 1024 the formed
+    # history one diagonal at a time; the dense band adds each state by
+    # dsbmv, is factored by dpbtrf and solved by dpbtrs, and its trace row
+    # has several nonzero entries.  The reference takes the warm start's
+    # boundary value of the whole state, or of the whole extrapolant
     one_step, two_step = _operators_of_layout(layout)
-    product = galerkin._diagonal_product if layout == "p1-1024" else blas.dsbmv
+    accumulate = galerkin._diagonal_accumulate if layout == "p1-1024" else galerkin._dsbmv_accumulate
     solve = lapack.dpbtrs if layout == "dense" else lapack.dpttrs
     for p in (one_step, two_step):
-        assert p.mass_product.func is product
-        assert p.back_solve.func is solve
-    mass = one_step.space.gram_h
+        assert p.mass_accumulate.func is accumulate
+        assert p.solve_in_place.func is solve
+        assert p.solve_in_place.keywords == {"overwrite_b": 1}
     u0, f1, f2 = np.random.default_rng(5).normal(size=(3, one_step.dim))
     u1, xi1, report1 = initial_step(one_step, u0, f1)
-    rhs1 = one_step.c_coef * one_step.tau * f1 + mass.matvec(u0)
+    rhs1 = _history_through_scipy(one_step, one_step.c_coef * one_step.tau * f1, u0)
     u, xi, residual = _step_through_the_public_api(one_step, rhs1, one_step.boundary_value(u0))
     assert (u1.tobytes(), xi1.tolist(), report1.residual) == (u.tobytes(), [xi], residual)
     assert xi != 0.0  # the flux term is part of the step
     u2, xi2, report2 = bdf2_step(two_step, u1, u0, f2)
-    hist = (4.0 / 3.0) * u1 - (1.0 / 3.0) * u0
-    rhs2 = two_step.c_coef * two_step.tau * f2 + mass.matvec(hist)
+    rhs2 = _history_through_scipy(two_step, two_step.c_coef * two_step.tau * f2, u1, u0)
     extrapolant = 2.0 * u1 - u0
     u, xi, residual = _step_through_the_public_api(two_step, rhs2, two_step.boundary_value(extrapolant))
     assert (u2.tobytes(), xi2.tolist(), report2.residual) == (u.tobytes(), [xi], residual)
+
+
+def _layout_problem(layout: str) -> RotheProblem:
+    """A run's problem on the space of ``_operators_of_layout(layout)``,
+    with the flux law LinearRobin(1.5), a load that varies in space and
+    time and a nonzero initial state."""
+    one_step = _operators_of_layout(layout)[0]
+    space, dim = one_step.space, one_step.dim
+    stiffness = one_step.stiff_scaled * (1.0 / one_step.tau)
+    profile = np.linspace(1.0, 2.0, dim)[None]
+    load = SeparableLoad(lambda t: np.cos(3.0 * t)[:, None], profile)
+    return RotheProblem(space, LinearOperatorA(stiffness), BoundaryFunctional(LinearRobin(1.5), np.ones(1)),
+                        load, np.sin(np.arange(dim)))
+
+
+def _guard_in_place_kernels(monkeypatch, p: StepProblem, calls: list) -> StepProblem:
+    """p with its overwriting solve and M's accumulate wrapped: each call
+    appends its name and whether the array it returns is the one it was
+    passed to overwrite."""
+    solve, accumulate = p.solve_in_place, p.mass_accumulate
+
+    def solve_in_place(b):
+        x, info = solve(b)
+        calls.append(("solve", np.shares_memory(x, b)))
+        return x, info
+
+    def mass_accumulate(alpha, x, y):
+        out = accumulate(alpha, x, y)
+        calls.append(("accumulate", np.shares_memory(out, y)))
+        return out
+
+    monkeypatch.setitem(vars(p), "solve_in_place", solve_in_place)
+    monkeypatch.setitem(vars(p), "mass_accumulate", mass_accumulate)
+    return p
+
+
+@pytest.mark.parametrize("layout", ["p1-64", "p1-256", "p1-1024", "dense"])
+def test_every_in_place_kernel_call_of_a_step_writes_into_its_operand(layout, monkeypatch):
+    # f2py copies an operand it cannot overwrite, a strided or read-only
+    # one, and returns the copy: the step would then leave b, not u, in the
+    # state's row.  Every overwriting call of the run's loop and of the
+    # single-step API must return the very array it was passed
+    calls = []
+
+    def daxpy(x, y, *args):
+        out = galerkin.blas.daxpy(x, y, *args)
+        calls.append(("daxpy", np.shares_memory(out, y)))
+        return out
+
+    monkeypatch.setattr(inclusion_solver, "blas", SimpleNamespace(ddot=galerkin.blas.ddot, daxpy=daxpy))
+    operator = stepper._step_operator
+    monkeypatch.setattr(stepper, "_step_operator",
+                        lambda *args: _guard_in_place_kernels(monkeypatch, operator(*args), calls))
+    grid = TimeGrid(0.25, 5)
+    rows = np.concatenate(list(stepper.run_blocks(_layout_problem(layout), grid, BDF2, 1e-8)))
+    # the first step adds one state, a two-step one two (direct) or one (formed)
+    adds = 1 + (grid.N - 1) * (2 if rows.shape[1] - 3 <= galerkin._DIRECT_HISTORY_MAX_N else 1)
+    assert sorted(name for name, _ in calls) == ["accumulate"] * adds + ["daxpy"] * 5 + ["solve"] * 5
+    assert all(shared for _, shared in calls), calls
+    calls.clear()
+    one_step, two_step = (_guard_in_place_kernels(monkeypatch, p, calls) for p in _operators_of_layout(layout))
+    u0, f1, f2 = np.random.default_rng(7).normal(size=(3, one_step.dim))
+    u1 = initial_step(one_step, u0, f1)[0]
+    bdf2_step(two_step, u1, u0, f2)
+    inclusion_solver.solve_step_inclusion(two_step, f2, 0.0)
+    assert [name for name, _ in calls].count("solve") == 3
+    assert all(shared for _, shared in calls), calls
 
 
 # the special values of a state's entries: signed zeros, the smallest and
@@ -519,6 +612,61 @@ def test_bdf2_step_passes_the_extrapolants_boundary_value_bit_for_bit(layout, u_
         bdf2_step(p, u_nm1, u_nm2, np.zeros(p.dim))
     expected = p.boundary_value(2.0 * u_nm1 - u_nm2)
     assert [struct.pack("<d", s) for s in passed] == [struct.pack("<d", expected)]
+
+
+def _random_p1_operator(rng: np.random.Generator, n_el: int, two_step: bool) -> StepProblem:
+    """The step operator of a P1 space on n_el random elements of (0, 1),
+    with its flux law LinearRobin(1.5) at the last node, at a random tau."""
+    h = rng.uniform(0.2, 1.0, n_el)
+    h /= h.sum()
+    mass, stiff = np.zeros((2, n_el + 1)), np.zeros((2, n_el + 1))
+    mass[1, :-1] += h / 3.0
+    mass[1, 1:] += h / 3.0
+    mass[0, 1:] = h / 6.0
+    stiff[1, :-1] += 1.0 / h
+    stiff[1, 1:] += 1.0 / h
+    stiff[0, 1:] = -1.0 / h
+    m, k = galerkin.SymBand(mass), galerkin.SymBand(stiff)
+    space = GalerkinSpace(gram_h=m, gram_v=m + k, trace=np.eye(1, n_el + 1, n_el), gram_u=[[1.0]])
+    c, tau = (2.0 / 3.0 if two_step else 1.0), 10.0 ** rng.uniform(-6.0, 0.0)
+    return StepProblem(space, (c * tau) * k, np.ones(1), LinearRobin(1.5), c, tau)
+
+
+@given(n_el=st.integers(1, 300), two_step=st.booleans(),
+       kind=st.sampled_from(("smooth", "rough", "nearly equal")), seed=st.integers(0, 2**32 - 1))
+def test_a_steps_right_hand_side_and_u_lie_within_their_rounding_bounds(n_el, two_step, kind, seed):
+    # b = c tau F + sum_j alpha_j M u^{n-j}, accumulated into c tau F by the
+    # segment kernel, within k eps (|c tau F| + sum_j |alpha_j| |M| |u^{n-j}|)
+    # of a long double evaluation, entry by entry (Higham 2002, 3.1): every
+    # term reaches b through at most 9 roundings, the weight, two products
+    # and six additions, and gamma_9 < 5 eps.  Given x = S^{-1} b, u = x -
+    # (c tau w xi) y is within 2 eps (|x| + |c tau w xi| |y|) of one: three
+    # roundings, fewer where daxpy fuses.  The draws cross the dimension
+    # where the kernel stops adding each state with its own weight
+    rng = np.random.default_rng(seed)
+    p = _random_p1_operator(rng, n_el, two_step)
+    eps, ld, nodes = np.finfo(float).eps, np.longdouble, np.linspace(0.0, 1.0, p.dim)
+    scale = 10.0 ** rng.uniform(-3.0, 3.0)
+    if kind == "rough":
+        u_nm1, u_nm2 = scale * rng.normal(size=(2, p.dim))
+    else:
+        u_nm1, u_nm2 = scale * np.sin(rng.uniform(1.0, 9.0, (2, 1)) * nodes + rng.uniform(0.0, 6.0, (2, 1)))
+        if kind == "nearly equal":
+            u_nm2 = u_nm1 * (1.0 + 1e-9 * rng.normal(size=p.dim))
+    history = [(ld(4) / ld(3), u_nm1), (-ld(1) / ld(3), u_nm2)] if two_step else [(ld(1), u_nm1)]
+    rhs = p.flux_coef * (scale * rng.normal(size=p.dim))
+    b = rhs.copy()
+    work = np.empty(p.dim), np.empty(p.dim)
+    s_warm = inclusion_solver.segment_kernel(p, b[None], None, None, [], work, u_nm1, u_nm2 if two_step else None)
+    m = p.space.gram_h.toarray()
+    exact = rhs.astype(ld) + sum(alpha * (m.astype(ld) @ v.astype(ld)) for alpha, v in history)
+    bound = 5.0 * eps * (np.abs(rhs) + sum(float(abs(alpha)) * (np.abs(m) @ np.abs(v)) for alpha, v in history))
+    assert np.all(np.abs((b - exact).astype(float)) <= bound)
+    x = p.system.solve(b)
+    u, xi, _ = inclusion_solver.solve_boundary(p, b, s_warm)
+    exact = x.astype(ld) - ld(p.lift) * ld(xi) * p.y.astype(ld)
+    bound = 2.0 * eps * (np.abs(x) + abs(p.lift * xi) * np.abs(p.y))
+    assert np.all(np.abs((u - exact).astype(float)) <= bound)
 
 
 # -- the deferred certificate: a step solves, its segment certifies ---------
