@@ -57,19 +57,13 @@ canonical form whose serialize/parse round trip is byte-identical.
 
 All CSV output starts with a `# schema_version=2` comment line and writes
 every float exactly as ``'%.17g' % x``.  A float table, such as
-``trajectory.csv``, goes through `floatfmt.g17_lines`: numpy formats it
-4,096 cells at a time, rounding exactly in integer arithmetic the cells
-whose 17th digit its extended-precision scaling leaves open, and hands to
-``'%.17g'`` only the non-finite cells, those open cells whose decimal
-exponent lies outside -25..16, the range of its integer limbs, and the
-rare cells next to a power of ten whose exponent log10 puts one off; a
-table of under 192 cells is formatted by ``'%.17g'`` throughout, which is
-faster there.  CSV files are written through a binary handle, so
-those ASCII blocks reach the file as they are.  ``trajectory.csv`` is
-written a row block of the run at a time, as the run yields it.  Estimate
-tables carry one interpolant-gap column, `gap_closed_form`, the exact
-squared L2(0,T;V*) gap.  Only `check` draws random samples, seeded by
-`--seed`.
+``trajectory.csv``, goes through `floatfmt.g17_lines`, which yields those
+bytes a block of cells at a time; how it decides them is stated there.  CSV
+files are written through a binary handle, so those ASCII blocks reach the
+file as they are.  ``trajectory.csv`` is written a row block of the run at a
+time, as the run yields it.  Estimate tables carry one interpolant-gap
+column, `gap_closed_form`, the exact squared L2(0,T;V*) gap.  Only `check`
+draws random samples, seeded by `--seed`.
 
 The first `main` call of a process sets glibc's allocator policy, where the
 C library has ``mallopt``: the mmap threshold at 32 MiB and the trim
@@ -534,14 +528,10 @@ def _write_csv(
     """Schema line, header and rows; ``rows`` is a list of cell lists, each
     cell formatted by ``_fmt``, a 2-d float array, or an iterator of 2-d
     float arrays written one after the other.  `floatfmt.g17_lines` writes
-    the cells of an array with the bytes of ``'%.17g'``, as ``_fmt`` does:
-    in blocks of ``BLOCK_CELLS``, through ``'%.17g'`` itself for non-finite
-    cells, for cells it cannot round whose decimal exponent lies outside its
-    integer limbs' range (-25..16), for cells next to a power of ten whose
-    exponent log10 puts one off, and for a table under its crossover size,
-    ``_VECTOR_MIN_CELLS``.  The file is
-    opened in binary mode: those blocks go to it as they are, and the
-    header and ``_fmt`` rows are encoded to UTF-8 once, as one text."""
+    the cells of an array with the bytes of ``'%.17g'``, as ``_fmt`` does,
+    a block of cells at a time.  The file is opened in binary mode: those
+    blocks go to it as they are, and the header and ``_fmt`` rows are
+    encoded to UTF-8 once, as one text."""
     head = f"# schema_version={SCHEMA_VERSION}\n" + ",".join(header) + "\n"
     with open(path, "wb") as fh:
         if isinstance(rows, np.ndarray):

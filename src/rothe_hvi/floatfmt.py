@@ -9,22 +9,23 @@ binary file as they are.
 
 The 17 significant digits of a finite nonzero cell x are ``s`` rounded to
 an integer, ties to even, where ``s = |x| 10^k``, k = 16 - e, lies in
-[10^16, 10^17).  numpy computes ``128 s`` in ``np.longdouble``, from a
-table of ``128 * 10^k``: with a 64-bit significand the table entry and the
-product round once each, so ``128 s`` is off by at most 1.19, or by 0.5
-where ``10^k`` is exact (0 <= k <= 27).  A cell whose ``128 s`` lies that
-close to an odd multiple of 64 leaves its rounding undecided there.  For
-0 <= k <= 41, where 5^k fits three 32-bit limbs, ``_decide`` rounds such
-cells exactly in a few whole-array uint64 operations: with |x| = m 2^q,
-s = m 5^k 2^(q+k), and the bits of m 5^k below the point, formed from
-32-bit partial products with an explicit carry, settle s against the
-half-integer (the fixed-precision integer technique of Ryu printf, Adams,
-OOPSLA 2019).  Only the non-finite cells, the undecided cells outside that
-range (|x| under 10^-25 or from 10^17 on), and the rare cells next to a
-power of ten whose decimal exponent log10 puts one off go through Python's
-``'%.17g'``.  numpy lays out every other cell: the ``%f`` or ``%e`` form
-that ``%g`` picks, trailing zeros stripped, ``e±XX``.  So the output is
-byte-identical to ``'%.17g'`` by construction.
+[10^16, 10^17).  ``_decide`` forms s exactly in integer arithmetic, the
+fixed-precision integer technique of Ryu printf (Adams, OOPSLA 2019), for
+0 <= k <= 41, where 5^k fits three 32-bit limbs: with L the bit length of
+5^k, M = |x| 2^(k + L) is an integer of two limbs, F = 5^k 2^(96 - L) one
+of three, and s = M F / 2^96.  Six 32-bit partial products, summed column
+by column with explicit carries, give floor(s) and the fraction's three
+limbs; s rounds up where the top fraction limb exceeds 2^31, and where it
+is exactly 2^31 the lower limbs and the parity of floor(s) decide.  The
+arithmetic is the same on every platform: it needs no float type wider
+than float64.  Only the non-finite cells, the cells outside that range
+(|x| under 10^-25 or from 10^17 on, where s is 0), and the rare cells
+next to a power of ten, where log10 can put the decimal exponent one off
+or s can round up to 10^17, go through Python's ``'%.17g'``; floor(s)
+outside [10^16, 10^17 - 1) marks all but the non-finite.  numpy lays out
+every other cell: the ``%f`` or ``%e`` form that ``%g`` picks, trailing
+zeros stripped, ``e±XX``.  So the output is byte-identical to ``'%.17g'``
+by construction.
 
 Each cell is laid out in a 32-byte record of four 64-bit words, every piece
 at a fixed byte and every unused byte NUL, and deleting the NULs of a block
@@ -34,10 +35,9 @@ byte on, through an unaligned view of the record, and only blocks that
 hold such a cell pay for that shift.  A block costs a fixed number of numpy
 calls: every per-exponent and per-digit table is indexed by one ``take``,
 trailing zeros are stripped by masks of the digit words, and the row ends
-flip their separator words in one strided update.  Where longdouble is
-narrower, and for tables under ``_VECTOR_MIN_CELLS`` cells, where the
-vectorized path's fixed cost exceeds the whole Python loop, every cell goes
-through ``'%.17g'``.
+flip their separator words in one strided update.  Tables under
+``_VECTOR_MIN_CELLS`` cells, where the vectorized path's fixed cost
+exceeds the whole Python loop, go through ``'%.17g'`` cell by cell.
 """
 
 from __future__ import annotations
@@ -50,21 +50,21 @@ __all__ = ["BLOCK_CELLS", "g17_lines"]
 
 BLOCK_CELLS = 4096
 
-# tables under this many cells take the Python loop, which is faster there;
-# measured on ncvx-sweep's table shapes (12 or 68 columns), one core: the
-# two paths cross at 160-200 cells
-_VECTOR_MIN_CELLS = 192
+# tables under this many cells take the Python loop, which is faster there.
+# Measured on row slices of the seed-0 ncvx-sweep tables, one core of a
+# 2-vCPU VM (Python 3.11, numpy 2.4), 31 alternations: median us a table,
+# loop / vectorized (ratio, vectorized faster in)
+#   12 columns: 144 cells 68.5 / 79.4 (0.86, 0);  156: 74.5 / 83.3 (0.92, 2)
+#               168: 80.1 / 82.3 (0.97, 2), again 79.2 / 76.6 (1.03, 28)
+#               180: 83.5 / 77.1 (1.09, 31);  192: 92.4 / 81.1 (1.14, 30)
+#   68 columns: 136 cells 62.9 / 78.2 (0.80, 0);  204: 96.5 / 83.4 (1.14, 31)
+_VECTOR_MIN_CELLS = 180
 
-_LD = np.finfo(np.longdouble)
-# a 64-bit significand, and an exponent range that holds 128 * 10^340, the
-# largest scale a subnormal needs
-_EXTENDED = bool(_LD.nmant >= 63 and _LD.maxexp > 1140)
-
-# k = 16 - e over every decimal exponent e of a float64, -324 to 308; the
-# per-exponent tables are indexed by k - _K_MIN, the row of k in _POW128
+# k = 16 - e over every decimal exponent e of a float64, -324 to 308; every
+# per-exponent table, the limb tables among them, is indexed by k - _K_MIN
 _K_MIN, _K_MAX = -292, 340
-# the undecided cells of 0 <= k <= _LIMB_K_MAX are decided exactly, with 5^k
-# in three 32-bit limbs: 5^41 < 2^96 < 5^42
+# _decide forms s for 0 <= k <= _LIMB_K_MAX, with 5^k in three 32-bit
+# limbs: 5^41 < 2^96 < 5^42
 _LIMB_K_MAX = 41
 
 # A cell's text is laid out in a record of four little-endian 64-bit words,
@@ -146,39 +146,28 @@ def _digit_tables() -> tuple[np.ndarray, ...]:
 
 def _limb_tables() -> tuple[np.ndarray, ...]:
     """Per row k - _K_MIN, for 0 <= k <= _LIMB_K_MAX, where 5^k fits three
-    32-bit limbs: F = 5^k 2^(96 - len(5^k)), in [2^95, 2^96), as F >> 32
-    and its low limb, and the scale 2^(k + len(5^k)); and whether k lies
-    outside that range, where all three are 0."""
-    high, low = np.zeros((2, _K_MAX - _K_MIN + 1), _WORD)
-    scale = np.zeros(high.size)
-    outside = np.ones(high.size, bool)
+    32-bit limbs: F = 5^k 2^(96 - len(5^k)), in [2^95, 2^96), as its limbs
+    from the lowest, and the scale 2^(k + len(5^k)) that makes |x| the
+    integer M.  Outside that range all four are 0, so that s is 0 there."""
+    limbs = np.zeros((3, _K_MAX - _K_MIN + 1), _WORD)
+    scale = np.zeros(limbs.shape[1])
     for k in range(_LIMB_K_MAX + 1):
         length = (5**k).bit_length()
         f = 5**k << (96 - length)
-        i = k - _K_MIN
-        high[i], low[i], outside[i] = f >> 32, f & 0xFFFFFFFF, False
-        scale[i] = 2.0 ** (k + length)
-    return high, low, scale, outside
+        limbs[:, k - _K_MIN] = [f >> 32 * j & 0xFFFFFFFF for j in range(3)]
+        scale[k - _K_MIN] = 2.0 ** (k + length)
+    return (*limbs, scale)
 
 
-if _EXTENDED:
-    _POW128 = 128 * np.array([f"1e{k}" for k in range(_K_MIN, _K_MAX + 1)], np.longdouble)
-    # (128 frac(s) + shift) % 128 < width = 2 shift - 128 marks an undecided
-    # cell: 128 frac(s) in 63..64 for an exact 10^k, 62..65 otherwise
-    _UNDECIDED_SHIFT = np.array(
-        [65 if 0 <= k <= 27 else 66 for k in range(_K_MIN, _K_MAX + 1)], np.uint64
-    )
-    _UNDECIDED_WIDTH = 2 * _UNDECIDED_SHIFT - 128
-    _HEAD, _EXP_WORD, _POINT = _exponent_tables()
-    _FOUR, _GROUP_END, _KEPT, _MOVED, _POINT_BYTE, _FIRST = _digit_tables()
-    _F_HIGH, _F_LOW, _SCALE, _OUTSIDE = _limb_tables()
-# v in [128 * 10^16, 128 * 10^17 - 66) rounds s to 17 digits under 10^17,
-# whether v decides it or _decide does: v - _V_LOW below _V_SPAN, in
-# wrapping unsigned arithmetic
-_V_LOW = np.uint64(128 * 10**16)
-_V_SPAN = np.uint64(128 * 10**17 - 66 - 128 * 10**16)
-# 0-d arrays: numpy scalars cost an array call twice as much
-_U1, _U7, _U32, _LIMB, _HALF = (np.array(c, _WORD) for c in (1, 7, 32, 2**32 - 1, 2**63))
+_HEAD, _EXP_WORD, _POINT = _exponent_tables()
+_FOUR, _GROUP_END, _KEPT, _MOVED, _POINT_BYTE, _FIRST = _digit_tables()
+_F0, _F1, _F2, _SCALE = _limb_tables()
+# 0-d arrays: numpy scalars cost an array call twice as much, and numpy
+# 1.24 casts a Python int by value; floor(s) - 10^16 below _S_SPAN, in
+# wrapping unsigned arithmetic, is 17 digits that stay 17 when rounded
+_U1, _U32, _LIMB, _HALF, _S_LOW, _S_SPAN = (
+    np.array(c, _WORD) for c in (1, 32, 2**32 - 1, 2**31, 10**16, 9 * 10**16 - 1)
+)
 _COMMA_TO_NEWLINE = np.uint64(_word(b",", 5) ^ _word(b"\n", 5))
 _FALLBACK_FORMAT = b"%%-%d.17g" % _FALLBACK_WIDTH
 _SPACE_TO_NUL = bytes.maketrans(b" ", b"\0")
@@ -192,30 +181,38 @@ def _fallback(cells: np.ndarray) -> bytes:
     return text.translate(_SPACE_TO_NUL)
 
 
-def _decide(a: np.ndarray, v: np.ndarray, row: np.ndarray) -> tuple[np.ndarray, ...]:
-    """s rounded to an integer exactly, ties to even as ``'%.17g'`` rounds,
-    for cells |x| = a whose ``v = floor(128 s)`` lies within 2 of an odd
-    multiple of 64, so that floor(s) is ``v >> 7`` and only frac(s) against
-    1/2 is open; and whether each cell lies outside the limb range, where
-    its rounding means nothing.  With F from the limb tables,
-    M = a 2^(k + len(5^k)) = m 2^d is an integer under 2^58 (1 <= d <= 5),
-    and s = M F / 2^96: frac(s) is R = M F mod 2^96, and s rounds up where
-    R + (floor(s) odd) exceeds 2^95."""
-    high, low = _F_HIGH.take(row), _F_LOW.take(row)
+def _decide(a: np.ndarray, row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """s = a 10^k rounded to an integer exactly, ties to even as ``'%.17g'``
+    rounds, for cells |x| = a of row k - _K_MIN; and whether floor(s) lies
+    outside [10^16, 10^17 - 1), where that rounding is not the cell's 17
+    digits: outside the limb range, where s is 0, or where k is one off.
+    In the limb range s = M F / 2^96, with F = F2 2^64 + F1 2^32 + F0 and
+    M = a 2^(k + len(5^k)) = M1 2^32 + M0 under 2^61, so that no column
+    overflows; M is an integer where floor(s) lies in the window, and
+    truncating it elsewhere only lowers s."""
     m = (a * _SCALE.take(row)).astype(np.uint64)
-    n = v >> _U7
-    # R + odd over 2^95: the ceiling of (R + odd) / 2^32, bits 32-95, over
-    # 2^63; the low limbs' product carries its high half, and its low half
-    # and the tie bit round that carry up
-    y = (m & _LIMB) * low
-    y += n & _U1
-    y += _LIMB
-    y >>= _U32
-    t = m * high
-    t += (m >> _U32) * low
-    t += y
-    n += t > _HALF
-    return n, _OUTSIDE.take(row)
+    m0, m1 = m & _LIMB, m >> _U32
+    f0, f1, f2 = _F0.take(row), _F1.take(row), _F2.take(row)
+    low, mid, high = m0 * f0, m0 * f1, m0 * f2
+    # the columns of 2^32 and 2^64, each under 2^62 with its carry in
+    c1 = m1 * f0
+    c1 += low >> _U32
+    c1 += mid & _LIMB
+    c2 = m1 * f1
+    c2 += mid >> _U32
+    c2 += c1 >> _U32
+    c2 += high & _LIMB
+    s = m1 * f2
+    s += high >> _U32
+    s += c2 >> _U32
+    outside = (s - _S_LOW) >= _S_SPAN
+    top = c2 & _LIMB  # the fraction's top limb, against 2^95
+    s += top > _HALF
+    (at,) = np.nonzero(top == _HALF)
+    if at.size:  # on the half or just above it: the lower limbs decide,
+        # and on the half the parity of floor(s)
+        s[at] += (((c1[at] | low[at]) << _U32) | (s[at] & _U1)) != 0
+    return s.view(np.int64), outside
 
 
 def _block(cells: np.ndarray, first_end: int, n_cols: int, rec: np.ndarray) -> bytes:
@@ -231,17 +228,10 @@ def _block(cells: np.ndarray, first_end: int, n_cols: int, rec: np.ndarray) -> b
     special = ~(a < np.inf)
     a[zero | special] = 1.0
     # the row k - _K_MIN of k = 16 - e, where log10 may put e one off next
-    # to a power of ten; v = floor(128 s), s = |x| 10^k; 128 s < 2^64 even then
+    # to a power of ten
     row = 16 - _K_MIN - np.floor(np.log10(a)).astype(np.intp)
-    v = np.multiply(a, _POW128.take(row), dtype=np.longdouble).astype(np.uint64)
-    n = ((v + 64) >> 7).view(np.int64)
-    undecided = ((v + _UNDECIDED_SHIFT.take(row)) & 127) < _UNDECIDED_WIDTH.take(row)
-    (at,) = np.nonzero(undecided)
-    if at.size:  # decided exactly, but for the cells outside the limb range
-        n[at], undecided[at] = _decide(a[at], v[at], row[at])
-    # floor(s) below 10^16 or s rounding to 10^17: e is one off, which only
-    # a cell next to a power of ten can make
-    verbatim = undecided | special | ((v - _V_LOW) >= _V_SPAN)
+    n, verbatim = _decide(a, row)
+    verbatim |= special
     n[verbatim | zero] = 0
 
     first = n // 10**16
@@ -301,7 +291,7 @@ def g17_lines(rows: np.ndarray) -> Iterator[bytes]:
 def _pieces(rows: np.ndarray) -> Iterator[bytes]:
     n_cols = rows.shape[1]
     cells = rows.reshape(-1)
-    if not _EXTENDED or cells.size < _VECTOR_MIN_CELLS:
+    if cells.size < _VECTOR_MIN_CELLS:
         line = b",".join([b"%.17g"] * n_cols) + b"\n"
         for row in rows.tolist():
             yield line % tuple(row)

@@ -16,8 +16,6 @@ from hypothesis import strategies as st
 from rothe_hvi import floatfmt
 from rothe_hvi.cli import main
 
-EXTENDED = np.finfo(np.longdouble).nmant > np.finfo(np.float64).nmant
-
 
 def percent_17g(table: np.ndarray) -> bytes:
     text = "".join(",".join("%.17g" % x for x in row) + "\n" for row in table.tolist())
@@ -44,8 +42,7 @@ def test_lines_are_percent_17g_for_any_bits_and_shape(table, block):
         pieces = list(floatfmt.g17_lines(table))
     assert all(type(piece) is bytes for piece in pieces)
     assert b"".join(pieces) == percent_17g(table)
-    if floatfmt._EXTENDED:
-        assert len(pieces) == -(-table.size // block)
+    assert len(pieces) == -(-table.size // block)
 
 
 DBL_MAX = float(np.finfo(np.float64).max)
@@ -62,10 +59,12 @@ EDGE_CELLS = [
     *(float(_DIGITS[:p] + ".5") for p in range(1, 17)),
     *(float(_DIGITS[:p] + "." + _DIGITS[p:]) for p in range(1, 17)),
     0.5, 100.0, 120.0, 1000.5, 123000.0, 1.25e-5, 1.5e300, 0.1, 1.0, 10.0,
+    # 0.118 of its 17th digit below 10^-14, so that its s rounds up to 10^17
+    1e-14,
     # s = n + 1/2 exactly, ties to even: n even rounds down, n odd up
     1000000000000000.25, 1000000000000000.75,
-    # cells of the seed-0 wide-smooth trajectory whose 17th digit the
-    # longdouble product leaves open, and which _decide rounds exactly
+    # cells of the seed-0 wide-smooth trajectory whose fraction of s lies
+    # within 1/64 of 1/2, so that the top fraction limb alone decides little
     *map(float.fromhex, [
         "0x1.cca9729ae137fp-15", "0x1.9bab95702cf6bp-9", "0x1.97c34d990dd93p-7",
         "0x1.9a938f748245ap-8", "0x1.b912167bd6fbdp-5", "0x1.a4ffc60bf6b88p-4",
@@ -101,18 +100,6 @@ def test_row_ends_fall_at_every_offset_of_a_block(block):
         shape = (2 * block + 1, n_cols)
         table = rng.choice(cells, size=shape) * rng.choice([-1.0, 1.0], size=shape)
         assert _lines(table, block) == percent_17g(table)
-
-
-@pytest.mark.skipif(not floatfmt._EXTENDED, reason="no vectorized path here")
-def test_the_scaled_powers_of_ten_are_correctly_rounded():
-    # the rounding bound of the vectorized path assumes 128 * 10^k within
-    # half an ulp, 2^-64 relative, for every k of the table, and exact for
-    # the k it treats as exact
-    powers = zip(range(floatfmt._K_MIN, floatfmt._K_MAX + 1), floatfmt._POW128)
-    for (k, value), shift in zip(powers, floatfmt._UNDECIDED_SHIFT):
-        error = abs(Fraction(*value.as_integer_ratio()) - 128 * Fraction(10) ** k)
-        assert error <= 128 * Fraction(10) ** k / 2**64, k
-        assert error == 0 or shift == 66, k
 
 
 @pytest.mark.parametrize("shape", [(4, 6, 10), (2, 3, 4), (5,)], ids=str)
@@ -175,7 +162,6 @@ def _decided_by_limbs(x: float) -> bool:
     return 0 <= 16 - e <= floatfmt._LIMB_K_MAX and 10**16 + 10**3 <= s <= 10**17 - 10**3
 
 
-@pytest.mark.skipif(not EXTENDED, reason="longdouble is no wider than double here")
 @given(near_ties())
 def test_cells_on_and_next_to_a_rounding_tie_are_percent_17g(x):
     fallback, counted = floatfmt._fallback, []
@@ -191,7 +177,6 @@ def test_cells_on_and_next_to_a_rounding_tie_are_percent_17g(x):
         assert counted == []
 
 
-@pytest.mark.skipif(not EXTENDED, reason="longdouble is no wider than double here")
 def test_cells_nearest_a_tie_at_every_k_are_percent_17g(monkeypatch):
     # for every k of the limb range and one past each end, the cells
     # nearest a tie at 8 places of a binade, n even and odd: within about
@@ -209,20 +194,39 @@ def test_cells_nearest_a_tie_at_every_k_are_percent_17g(monkeypatch):
     assert not any(map(_decided_by_limbs, counted))
 
 
-@pytest.mark.skipif(not floatfmt._EXTENDED, reason="no vectorized path here")
 def test_the_limb_tables_hold_5_to_the_k_for_every_covered_k():
     for k in range(floatfmt._K_MIN, floatfmt._K_MAX + 1):
         i = k - floatfmt._K_MIN
-        high, low = int(floatfmt._F_HIGH[i]), int(floatfmt._F_LOW[i])
-        scale, outside = float(floatfmt._SCALE[i]), bool(floatfmt._OUTSIDE[i])
+        limbs = [int(floatfmt._F0[i]), int(floatfmt._F1[i]), int(floatfmt._F2[i])]
+        scale = float(floatfmt._SCALE[i])
         if 0 <= k <= floatfmt._LIMB_K_MAX:
             length = (5**k).bit_length()
-            assert high << 32 | low == 5**k << (96 - length) and low < 2**32, k
-            assert scale == 2.0 ** (k + length) and not outside, k
-        else:
-            assert outside, k
+            assert all(limb < 2**32 for limb in limbs), k
+            assert limbs[2] << 64 | limbs[1] << 32 | limbs[0] == 5**k << (96 - length), k
+            assert scale == 2.0 ** (k + length), k
+        else:  # s is 0, so the cell goes to '%.17g'
+            assert limbs == [0, 0, 0] and scale == 0.0, k
     k = floatfmt._LIMB_K_MAX
     assert (5**k).bit_length() <= 96 < (5 ** (k + 1)).bit_length()
+
+
+def test_decide_keeps_only_17_digits_that_stay_17_when_rounded():
+    # of the doubles just below a power of ten in the limb range, only 1e-14
+    # has an s that rounds up to 10^17 at its own exponent, k = 31; log10
+    # puts it at k = 30, where floor(s) = 10^16 - 1.  Both rows must send
+    # it to '%.17g', and the window's ends keep 10^16 and 10^17 - 16
+    below = []
+    for k in range(floatfmt._LIMB_K_MAX + 1):
+        power = float(Fraction(10) ** (17 - k))  # the double nearest 10^(17 - k)
+        for x in (math.nextafter(power, 0.0), power):
+            if 10**17 - Fraction(1, 2) <= Fraction(x) * Fraction(10) ** k < 10**17:
+                below.append((k, x))
+    assert below == [(31, 1e-14)]
+    cells = np.array([1e-14, 1e-14, 1.0, 99999999999999984.0, 0.1, 1e16 - 2])
+    ks = np.array([31, 30, 16, 0, 17, 0])
+    n, outside = floatfmt._decide(cells, ks - floatfmt._K_MIN)
+    assert outside.tolist() == [True, True, False, False, False, True]
+    assert n[2:5].tolist() == [10**16, 99999999999999984, 10**16 + 1]
 
 
 def _counting_finite_fallback(monkeypatch) -> list:
@@ -239,7 +243,34 @@ def _counting_finite_fallback(monkeypatch) -> list:
     return counted
 
 
-@pytest.mark.skipif(not EXTENDED, reason="longdouble is no wider than double here")
+def _sent_to_percent_17g(x: float) -> bool:
+    """Whether a finite nonzero x goes to '%.17g': |x| outside [10^-25,
+    10^17), the limb range, or next to a power of ten where numpy's log10
+    rounds to the next integer and so puts k one off."""
+    a = abs(Fraction(x))
+    if not Fraction(1, 10**25) <= a < 10**17:
+        return True
+    e = math.floor(math.log10(abs(x)))
+    e += (a >= Fraction(10) ** (e + 1)) - (a < Fraction(10) ** e)
+    return math.floor(np.log10(abs(x))) != e
+
+
+def test_exactly_the_cells_outside_the_limb_range_reach_percent_17g(monkeypatch):
+    # the ends of the limb range and one ulp either side, the subnormals and
+    # the largest doubles; beside 1e17 log10 rounds 1e17 - 16 up to 17, the
+    # one cell inside the range that goes to '%.17g'
+    counted = _counting_finite_fallback(monkeypatch)
+    ends = [1e-25, 1e17]
+    cells = [np.nextafter(x, to) for x in ends for to in (0.0, x, np.inf)]
+    cells += [5e-324, 2.5e-320, 2.2250738585072009e-308, 2.2250738585072014e-308]
+    cells += [DBL_MAX, np.nextafter(DBL_MAX, 0.0)]
+    cells = [float(x) for x in cells]
+    table = np.array(cells + [-x for x in cells] + [0.3, -0.3]).reshape(-1, 2)
+    assert _lines(table, floatfmt.BLOCK_CELLS) == percent_17g(table)
+    assert sorted(counted) == sorted(x for x in table.reshape(-1) if _sent_to_percent_17g(x))
+    assert {x for x in counted if 1e-25 <= abs(x) < 1e17} == {1e17 - 16, 16 - 1e17}
+
+
 def test_the_vectorized_path_decides_every_finite_cell_of_a_wide_trajectory(tmp_path, monkeypatch):
     # falling back on '%.17g' would be exact but slow
     counted = _counting_finite_fallback(monkeypatch)
@@ -265,16 +296,15 @@ def _ncvx_sweep_ops():
     return module.make_ops("ncvx-sweep", 0)
 
 
-@pytest.mark.skipif(not EXTENDED, reason="longdouble is no wider than double here")
 def test_the_seed0_ncvx_sweep_sends_no_finite_cell_to_percent_17g(tmp_path, monkeypatch):
-    # their residual columns hold cells at k = 29..33, beyond the exact
-    # window of 10^k in longdouble, and _decide sees some of them
+    # every cell lies in the limb range, the residual column's too: its
+    # cells lie at k = 29..33, |x| from 1e-17 to 1e-12
     counted = _counting_finite_fallback(monkeypatch)
     decide, ks = floatfmt._decide, set()
 
-    def spying(a, v, row):
+    def spying(a, row):
         ks.update((row + floatfmt._K_MIN).tolist())
-        return decide(a, v, row)
+        return decide(a, row)
 
     monkeypatch.setattr(floatfmt, "_decide", spying)
     for i, op in enumerate(_ncvx_sweep_ops()):
@@ -282,4 +312,5 @@ def test_the_seed0_ncvx_sweep_sends_no_finite_cell_to_percent_17g(tmp_path, monk
         cfg.write_text(op.config, encoding="utf-8")
         main(["run", str(cfg), "--out", str(tmp_path / str(i)), "--quiet"])
     assert counted == []
+    assert ks <= set(range(floatfmt._LIMB_K_MAX + 1))
     assert ks & set(range(29, 34))
