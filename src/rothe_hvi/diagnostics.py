@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .galerkin import GalerkinSpace, _diagonal_product
+from .galerkin import GalerkinSpace, _diagonal_product, _row_dots
 from .stepper import BDF2, RotheProblem, RotheTrajectory, TimeGrid, block_rows, run_blocks
 
 __all__ = [
@@ -121,19 +121,11 @@ def _dual_u_sq_rows(space: GalerkinSpace, actions: np.ndarray) -> np.ndarray:
     return np.maximum(np.einsum("ij,ji->i", actions, space.gram_u.solve(actions.T)), 0.0)
 
 
-def _stacked(rows: np.ndarray, total: int) -> np.ndarray:
-    """The rows of a family of ``total`` rows in the run, a lone row stacked
-    with a copy of itself unless it is the whole family: einsum sums a lone
-    row of more than 8192 entries (its buffer) in another order than a row
-    of a stack."""
-    return np.repeat(rows, 2, axis=0) if len(rows) == 1 and total > 1 else rows
-
-
 def _quad_rows(left: np.ndarray, right: np.ndarray, total: int) -> np.ndarray:
     """The row-wise inner products of the rows of a family of ``total`` rows
-    in the run, each side stacked by ``_stacked``."""
-    stacks = (_stacked(rows, total) for rows in (left, right))
-    return np.maximum(np.einsum("ij,ij->i", *stacks), 0.0)[: len(left)]
+    in the run, by ``galerkin._row_dots``: a lone row is summed as a row of
+    a stack unless it is the whole family."""
+    return np.maximum(_row_dots(left, right, total == 1), 0.0)
 
 
 class EstimateSums:

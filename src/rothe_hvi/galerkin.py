@@ -25,19 +25,22 @@ one vector when it is built and that of its solve when it is factored.  The
 public ``matvec`` and ``solve`` check their operand and call the bound
 kernel, and so does ``GalerkinSpace.dual_norm``.  A caller that has checked
 its shapes already calls the kernels directly: a Rothe step calls S's
-solve, overwriting its operand, and M's ``accumulate``, and the certificate
-of a segment of steps calls gram_v's solve on the stack of their residuals.  That certificate
-multiplies the stack by S with ``_diagonal_product``, the loop every stack
-takes, not with the bound vector kernel.
+solve, overwriting its operand, and M's ``product``, once a step, and the
+certificate of a segment of steps calls gram_v's solve on the stack of
+their residuals.  That certificate multiplies the stack by S with
+``_diagonal_product``, the loop every stack takes, not with the bound
+vector kernel, and takes the squares of its rows, as the estimate reducer
+does, by ``_row_dots``: one einsum, in which a lone row is summed as a row
+of a stack.
 
-The kernels, BLAS dsbmv and ddot and LAPACK dpttrf, dpttrs, dpbtrf and
-dpbtrs, are scipy's f2py wrappers, the very functions that
+The kernels, BLAS dsbmv, ddot and daxpy and LAPACK dpttrf, dpttrs, dpbtrf
+and dpbtrs, are scipy's f2py wrappers, the very functions that
 ``scipy.linalg.blas`` and ``scipy.linalg.lapack`` re-export.  They live in
 two compiled modules, ``_fblas`` and ``_flapack``, which this module loads
 from their files in scipy's ``linalg`` directory, once the top-level
 ``scipy`` has done its platform set-up, and binds as ``blas`` and
-``lapack``; the step solver takes its ddot from here.  Importing the
-``scipy.linalg`` package instead would cost each command some 22 MB of
+``lapack``; the step solver takes its ddot and daxpy from here.  Importing
+the ``scipy.linalg`` package instead would cost each command some 22 MB of
 resident memory and 0.3 s of a 0.65 s cold start (Python 3.11, numpy 2.4,
 scipy 1.17, 2-vCPU VM), for the same compiled code.  A scipy without those
 files raises ImportError naming the directory searched.
@@ -73,17 +76,6 @@ _SYM_RTOL = 1e-12
 # 14 ns a column of a tridiagonal band against about 4 ns, so past some 600
 # columns the loop is faster (OpenBLAS, one core)
 _DSBMV_MAX_N = 512
-# largest n at which a two-step Rothe step adds each earlier state to its
-# right-hand side with its own weight, two ``accumulate`` calls, rather than
-# forming the weighted history in a work buffer (three ufuncs) and adding it
-# by one.  The direct form saves two calls, and costs a second pass over the
-# band, which outweighs them as n grows.  us a step (P1 on `smooth`, a
-# 256-step run_blocks with its certificate, median of 21 alternations,
-# OpenBLAS on one thread, 2-vCPU VM):
-#   n_el      8     32     64     96    128    192    256    384    510
-#   formed  12.41  13.55  15.38  16.31  19.32  21.16  23.41  30.23  37.52
-#   direct  10.36  12.00  14.22  15.66  18.90  21.63  24.58  33.93  41.06
-_DIRECT_HISTORY_MAX_N = 128
 
 
 def _load_extensions(directory: str, *names: str) -> list:
@@ -158,14 +150,10 @@ class SymBand:
     (``factor``) is computed once, on first use, and serves every solve.
 
     The kernels are bound once, so a call pays only for its arithmetic:
-    ``product`` (A x for one vector of n entries) and ``accumulate``
-    (``accumulate(alpha, x, y)`` adds alpha A x to the vector y in place
-    and returns y) when the band is built, and ``back_solve`` (A^{-1} b and
-    LAPACK's info, for b of n rows) when it is factored.  None checks its
-    operands; ``matvec`` and ``solve`` check theirs and then call them.
-    ``accumulate`` is dsbmv with beta = 1 where ``product`` is dsbmv, else
-    the diagonal loop's product added to y: with alpha 1, the bits of
-    y + A x.
+    ``product`` (A x, a new vector, for one vector of n entries) when the
+    band is built, and ``back_solve`` (A^{-1} b and LAPACK's info, for b of
+    n rows) when it is factored.  Neither checks its operands; ``matvec``
+    and ``solve`` check theirs and then call them.
     """
 
     __array_ufunc__ = None  # ndarray @ band defers to __rmatmul__
@@ -186,10 +174,8 @@ class SymBand:
         self.bandwidth, self.n = ab.shape[0] - 1, ab.shape[1]
         if by_dsbmv:
             self.product = partial(blas.dsbmv, self.bandwidth, 1.0, ab)
-            self.accumulate = partial(_dsbmv_accumulate, self.bandwidth, ab)
         else:
             self.product = partial(_diagonal_product, ab)
-            self.accumulate = partial(_diagonal_accumulate, ab)
 
     def __reduce__(self):
         return SymBand, (self.ab,)  # the kernels are bound anew, not pickled
@@ -282,18 +268,15 @@ def _diagonal_product(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _dsbmv_accumulate(u: int, ab: np.ndarray, alpha: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """y += alpha A x in place, and y, for the band ``ab`` of bandwidth u:
-    dsbmv with beta = 1 writing into y, its arguments passed by position
-    (incx, offx, beta, y, incy, offy, lower, overwrite_y)."""
-    return blas.dsbmv(u, alpha, ab, x, 1, 0, 1.0, y, 1, 0, 0, 1)
-
-
-def _diagonal_accumulate(ab: np.ndarray, alpha: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """y += alpha A x in place, and y, for the band ``ab``: the diagonal
-    loop's product, scaled unless alpha is 1, added to y."""
-    product = _diagonal_product(ab, x)
-    return np.add(y, product if alpha == 1.0 else alpha * product, out=y)
+def _row_dots(left: np.ndarray, right: np.ndarray, whole: bool = False) -> np.ndarray:
+    """The inner products of the rows of two (k, n) stacks, by one einsum.
+    einsum sums a lone row of more than 8192 entries (its buffer) in another
+    order than a row of a stack, so a lone row is stacked with a copy of
+    itself and has the same bits as in any stack; with ``whole``, when it
+    is a whole family of one row, it is summed as it is."""
+    if len(left) == 1 and not whole:
+        return np.einsum("ij,ij->i", np.repeat(left, 2, axis=0), np.repeat(right, 2, axis=0))[:1]
+    return np.einsum("ij,ij->i", left, right)
 
 
 def as_band(m, name: str) -> SymBand:

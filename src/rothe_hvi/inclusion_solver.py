@@ -61,7 +61,7 @@ the stencil's history to the right-hand side in place, solves the boundary
 inclusion, writes u and xi into arrays its caller owns and appends the
 step's iterations.  It reads the operator's bound kernels, trace pairs,
 root table, lift and y once a call.  The step loop calls it once a segment
-with the rows of its block and the run's work buffers.  ``solve_boundary``
+with the rows of its block.  ``solve_boundary``
 checks its operands and runs it on one row, entered at its boundary half
 with a given warm start's boundary value: u, xi and the iterations,
 uncertified; the single-step API forms its right-hand side by the kernel's
@@ -70,9 +70,10 @@ one operator: it recomputes each residual r = S u + c tau trace^T W xi - b
 from the solution, by one stack product with S for all k, then the flux
 term, which is nonzero only at the nodes where the trace is (one node for
 P1), and returns the V*-norm of each.  Those norms take one back-solve of
-the k residuals by gram_v and one BLAS ddot a residual, and each row goes
-through the operations, in their order, that it would take alone, so a
-step's residual has the same bits whatever the stack it is certified in.  A
+the k residuals by gram_v and one einsum for the k squares, and each row
+goes through the operations, in their order, that it takes in any stack
+(einsum sums a lone row as a row of a stack of two), so a step's residual
+has the same bits whatever the stack it is certified in.  A
 step is accepted only when its residual is at most tol;
 ``residual_failure`` gives the error of one that is not:
 NumericalFailureError for a non-finite residual, NonConvergenceError for
@@ -105,21 +106,22 @@ residual in ``step_residuals`` and the residual against tol in
 Between these checks it does only arithmetic, through the kernels the
 operator bound when it was built (``solve_in_place`` for x), with no layout
 or shape decided again.  A step of a segment makes the array calls its
-arithmetic needs and no more, and no Python function but the root scan.  A
-two-step step on at most ``galerkin._DIRECT_HISTORY_MAX_N`` unknowns makes
-six: M's ``accumulate`` of 4/3 u^{n-1} and of -1/3 u^{n-2} into b (BLAS
-dsbmv with beta = 1), the copy of b into the state's row, S's solve
-overwriting that row with x, x's ddot and one BLAS daxpy that turns x into
-u in the row; on more, three ufuncs form the history in a work buffer and
-one ``accumulate`` adds it.  A first step makes five, one ``accumulate`` of
-u^{n-1}.  b stays in its row of the right-hand sides, which the
-certificate reads.  When g increases everywhere, which the table shows
-when g' > 0 at every piece's finite left end and z's one-sided limits do
-not fall at any kink, the boundary inclusion has at most one root and its
-scan stops at the first.
+arithmetic needs and no more, and no Python function but the root scan.
+Each state is multiplied by M once: a step makes M u^{n-1} (BLAS dsbmv, or
+the diagonal loop past ``galerkin._DSBMV_MAX_N`` unknowns) and keeps it as
+the next step's M u^{n-2}, so a two-step step makes seven calls: that
+product, two BLAS daxpy that add 4/3 M u^{n-1} and -1/3 M u^{n-2} to b,
+the copy of b into the state's row, S's solve overwriting that row with x,
+x's ddot and one daxpy that turns x into u in the row.  A one-step step
+makes six, one daxpy adding M u^{n-1}, and a two-step segment makes
+M u^{n-2} once more at its start.  b stays in its row of the right-hand
+sides, which the certificate reads.  When g increases everywhere, which
+the table shows when g' > 0 at every piece's finite left end and z's
+one-sided limits do not fall at any kink, the boundary inclusion has at
+most one root and its scan stops at the first.
 ``step_residuals`` makes, for its whole stack, one stack product with S
-(``galerkin._diagonal_product``) and one solve by gram_v's bound kernel,
-then one ddot a step.
+(``galerkin._diagonal_product``), one solve by gram_v's bound kernel and
+one einsum (``galerkin._row_dots``).
 """
 
 from __future__ import annotations
@@ -132,7 +134,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .galerkin import _DIRECT_HISTORY_MAX_N, GalerkinSpace, SymBand, _diagonal_product, as_band, blas
+from .galerkin import GalerkinSpace, SymBand, _diagonal_product, _row_dots, as_band, blas
 from .potentials import ScalarPotential
 
 __all__ = [
@@ -156,10 +158,6 @@ _MAX_SCALAR_ITER = _NEWTON_STEPS + 64 + 1  # evaluations of g per bracket
 _EPS = float(np.finfo(float).eps)
 _NEG_SIGN = -(1 << 63)  # minus the sign bit of a float's bit pattern
 _NON_FINITE_DATA = "non-finite right-hand side or warm start"
-# the two-step history's weights, as numpy scalars: a ufunc takes them with
-# less overhead than Python floats, and they round the same; -1/3 is the
-# weight dsbmv adds u^{n-2} with
-_4_3, _1_3, _M1_3 = np.float64(4.0 / 3.0), np.float64(1.0 / 3.0), np.float64(-1.0 / 3.0)
 
 
 class NonConvergenceError(RuntimeError):
@@ -196,8 +194,8 @@ class StepProblem:
     ``solve_in_place``, S's solve (dpttrs, or dpbtrs for a wider band)
     with ``overwrite_b=1``, which writes x = S^{-1} b over the contiguous
     vector it is passed and returns it with LAPACK's info, and
-    ``mass_accumulate``, M's ``SymBand.accumulate``, which adds alpha M v
-    to a right-hand side in place.
+    ``mass_product``, M's ``SymBand.product``, which returns M v as a new
+    vector.
     ValueError unless c_coef is 1 (first step) or 2/3 (two-step stencil),
     tau > 0, dim_u = 1 and c tau w gamma > 0; LinAlgError unless S is
     positive definite.
@@ -234,7 +232,7 @@ class StepProblem:
             lift=flux_coef * float(self.weights[0]),
             # the kernels a step calls once it has checked its shapes
             solve_in_place=partial(system.back_solve, overwrite_b=1),
-            mass_accumulate=sp.gram_h.accumulate,
+            mass_product=sp.gram_h.product,
         )
         if not self.lift * self.gamma > 0:
             raise ValueError("the boundary weight and trace row must give c tau w gamma > 0")
@@ -455,12 +453,12 @@ def solve_boundary(p: StepProblem, rhs: np.ndarray, s_warm: float) -> tuple[np.n
     if rhs.shape != p.shape:
         raise ValueError(f"right-hand side has shape {rhs.shape}, expected {p.shape}")
     u, xi, iterations = np.empty(p.dim), np.empty(1), []
-    segment_kernel(p, rhs[None], u[None], xi, iterations, (), None, s_warm=s_warm)
+    segment_kernel(p, rhs[None], u[None], xi, iterations, None, s_warm=s_warm)
     return u, xi.item(0), iterations[0]
 
 
 def segment_kernel(
-    p: StepProblem, rhs: np.ndarray, u, xi, iterations: list, work: tuple, u_nm1, u_nm2=None,
+    p: StepProblem, rhs: np.ndarray, u, xi, iterations: list, u_nm1, u_nm2=None,
     s_warm: float = math.nan,
 ) -> float | None:
     """The steps of the operator p whose right-hand sides c tau F_n are the
@@ -472,12 +470,12 @@ def segment_kernel(
     The rows of ``u`` must be contiguous: the solve and daxpy overwrite
     them.
 
-    The one-step stencil (``u_nm2`` None) adds M u^{n-1} by one
-    ``mass_accumulate`` and starts from t u^{n-1}.  The two-step stencil
-    adds M (4/3 u^{n-1} - 1/3 u^{n-2}): up to
-    ``galerkin._DIRECT_HISTORY_MAX_N`` unknowns by two ``mass_accumulate``
-    calls, 4/3 M u^{n-1} and then -1/3 M u^{n-2}, and above it formed in
-    the pair of vectors ``work`` and added by one.  It starts from the
+    Each step makes one product with M, M u^{n-1} by M's bound
+    ``mass_product``, and keeps it for the next step, where it is
+    M u^{n-2}; a two-step segment makes M u^{n-2} once more, at its start.
+    The one-step stencil (``u_nm2`` None) adds M u^{n-1} to b by one BLAS
+    daxpy and starts from t u^{n-1}.  The two-step stencil adds
+    4/3 M u^{n-1} and then -1/3 M u^{n-2} by two, and starts from the
     extrapolant 2u^{n-1} - u^{n-2}, whose boundary value is summed at the
     trace's nonzero nodes as sum_k t_k (2 u^{n-1}_k - u^{n-2}_k): the float
     operations, in their order, of ``StepProblem.boundary_value`` of the
@@ -495,25 +493,23 @@ def segment_kernel(
     history is added and the warm start's boundary value returned (the
     history half alone).  NumericalFailureError for a non-finite warm start
     or x, NonConvergenceError when no root is found."""
-    solve, accumulate, pairs, y, dim = p.solve_in_place, p.mass_accumulate, p.trace_pairs, p.y, p.dim
+    solve, product, pairs, y, dim = p.solve_in_place, p.mass_product, p.trace_pairs, p.y, p.dim
     roots, factor, lift, isfinite = p.inclusion.roots, p.inclusion.factor, p.lift, math.isfinite
-    ddot, daxpy, direct = blas.ddot, blas.daxpy, dim <= _DIRECT_HISTORY_MAX_N
+    ddot, daxpy = blas.ddot, blas.daxpy
+    mu_nm2 = None if u_nm2 is None else product(u_nm2)
     for i, b in enumerate(rhs):
-        if u_nm2 is not None:
-            if direct:  # b += 4/3 M u^{n-1}, then b += -1/3 M u^{n-2}
-                accumulate(_M1_3, u_nm2, accumulate(_4_3, u_nm1, b))
-            else:  # the history formed in work[0], then added once
-                w0, w1 = work
-                h = np.subtract(np.multiply(_4_3, u_nm1, w0), np.multiply(_1_3, u_nm2, w1), w0)
-                accumulate(1.0, h, b)
+        if u_nm1 is not None:
+            mu_nm1 = product(u_nm1)
             s_warm = 0.0
-            for k, t in pairs:
-                s_warm += t * (2.0 * u_nm1.item(k) - u_nm2.item(k))
-        elif u_nm1 is not None:
-            accumulate(1.0, u_nm1, b)
-            s_warm = 0.0
-            for k, t in pairs:
-                s_warm += t * u_nm1.item(k)
+            if mu_nm2 is not None:  # b += 4/3 M u^{n-1}, then b += -1/3 M u^{n-2}
+                daxpy(mu_nm2, daxpy(mu_nm1, b, dim, 4.0 / 3.0), dim, -1.0 / 3.0)
+                for k, t in pairs:
+                    s_warm += t * (2.0 * u_nm1.item(k) - u_nm2.item(k))
+                u_nm2, mu_nm2 = u_nm1, mu_nm1
+            else:
+                daxpy(mu_nm1, b, dim, 1.0)
+                for k, t in pairs:
+                    s_warm += t * u_nm1.item(k)
         if u is None:
             return s_warm
         if not isfinite(s_warm):
@@ -535,8 +531,6 @@ def segment_kernel(
         xi[i] = xi_n = (target - s) / factor
         daxpy(y, x, dim, -lift * xi_n)  # u = x - (c tau w xi) y, in the row
         iterations.append(its)
-        if u_nm2 is not None:
-            u_nm2 = u_nm1
         u_nm1 = x
     return None  # the steps are in u, xi and iterations
 
@@ -547,9 +541,11 @@ def step_residuals(p: StepProblem, u: np.ndarray, rhs: np.ndarray, xi: np.ndarra
     multipliers xi, unchecked; NaN where a residual is not finite.
 
     One stack product with S, the flux term at the trace's nodes, one
-    back-solve of the k residuals by gram_v's bound kernel and one BLAS ddot
-    a residual: each row takes the operations, in their order, that it
-    would take alone.  A residual whose square is not finite goes through
+    back-solve of the k residuals by gram_v's bound kernel and one einsum
+    for the k squares (``galerkin._row_dots``, which stacks a lone row with
+    a copy of itself): each row takes the operations, in their order, that
+    it takes in any stack, so a step's residual has the same bits alone or
+    in any segment.  A residual whose square is not finite goes through
     ``GalerkinSpace.dual_norm``, which scans it and rescales a finite one.
     Overflow and invalid operations raise no warning."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -559,7 +555,7 @@ def step_residuals(p: StepProblem, u: np.ndarray, rhs: np.ndarray, xi: np.ndarra
         for k, t in p.trace_pairs:
             r[:, k] += lift_xi * t
         z = p.space.gram_v.back_solve(r.T)[0]  # (n, k), a column a residual
-        sq = np.fromiter(map(blas.ddot, r, z.T), float, len(r))
+        sq = _row_dots(r, z.T)
         out = np.sqrt(np.maximum(sq, 0.0))
     for i in np.flatnonzero(~np.isfinite(sq)).tolist():
         try:

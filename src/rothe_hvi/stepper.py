@@ -24,12 +24,11 @@ writer, the estimate reducer and `run_rothe`, which records a
 `RotheTrajectory`, each read the same blocks.  A segment is the steps of
 one block that share one step operator, cut before a step whose forcing
 average is not finite.  It is solved by one call of the segment kernel
-(``inclusion_solver.segment_kernel``), which for each step adds the
-stencil's history to the step's right-hand side in a buffer the run
+(``inclusion_solver.segment_kernel``), which for each step adds M times
+the stencil's history to the step's right-hand side in a buffer the run
 reuses, solves for u in the state's row of the block, its inclusion on
-the boundary, and writes xi beside it, and appends the step's iterations;
-on a wide space it forms the two-step history in two work buffers the run
-owns.  The segment is then certified by one residual check.
+the boundary, and writes xi beside it, and appends the step's iterations.
+The segment is then certified by one residual check.
 So a run may step past a failing step to its segment's end, but it
 yields and reports the same rows and the same failing step as a loop that
 certified each step before the next: the segment is certified before the
@@ -289,8 +288,7 @@ def _single_step(step: StepProblem, tol: float, f, u_nm1, u_nm2=None):
         if v is not None and v.shape != step.shape:
             raise ValueError(f"operand has shape {v.shape}, expected {step.shape}")
     rhs = step.flux_coef * f
-    work = np.empty(step.dim), np.empty(step.dim)
-    s_warm = segment_kernel(step, rhs[None], None, None, [], work, u_nm1, u_nm2)
+    s_warm = segment_kernel(step, rhs[None], None, None, [], u_nm1, u_nm2)
     return solve_step_inclusion(step, rhs, s_warm, tol)
 
 
@@ -304,13 +302,12 @@ def _block_steps(
     call, which writes u and xi into the block's rows, and certified at its
     end by one ``step_residuals`` call, before the switch to the two-step
     operator, at the block's end, and before an error of a later step is
-    reported.  The kernel's work buffers belong to the run, and the states
-    the stencil reads across a block's end are copies."""
+    reported.  The states the stencil reads across a block's end are
+    copies."""
     tau, dim, width = grid.tau, problem.space.dim, problem.space.dim + problem.space.dim_u + 2
     size = block_rows(width)
     times = grid.times()
     rhs = np.empty((min(size, grid.N), dim))  # c tau F_n + M history of a segment's steps
-    work = np.empty(dim), np.empty(dim)  # the segment kernel's
     u_nm2 = u_nm1 = problem.u0  # the states the stencil reads, held between segments
     two_step = False
     for start in range(0, grid.N + 1, size):
@@ -338,7 +335,7 @@ def _block_steps(
                     u = rows[seg - start : last - start, 1 : dim + 1]
                     # one boundary row: StepProblem checks dim_u = 1
                     segment_kernel(step, b, u, rows[seg - start : last - start, dim + 1],
-                                   iterations, work, u_nm1, u_nm2 if two_step else None)
+                                   iterations, u_nm1, u_nm2 if two_step else None)
                     if last == stop:
                         raise NumericalFailureError("non-finite forcing average")
                     u_nm2, u_nm1 = u[-2] if len(u) > 1 else u_nm1, u[-1]
@@ -409,8 +406,8 @@ def run_blocks(
 
     Deterministic: fixed iteration order, no randomness anywhere, so
     identical inputs give bit-identical blocks.  The bits are fixed per
-    BLAS and LAPACK kernel: a step's dsbmv with beta = 1, band solve, ddot
-    and daxpy round as the BLAS and LAPACK that scipy loads round them (one
+    BLAS and LAPACK kernel: a step's dsbmv, band solve, ddot and daxpy
+    round as the BLAS and LAPACK that scipy loads round them (one
     that fuses a multiply and an add rounds once), so another build may
     move the last bits.  The forcing table is built when this is called,
     and a table that cannot be allocated raises TrajectoryMemoryError

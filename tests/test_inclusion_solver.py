@@ -37,7 +37,7 @@ from rothe_hvi import (
     step_energy,
     verify_inclusion,
 )
-from rothe_hvi import inclusion_solver
+from rothe_hvi import inclusion_solver, stepper
 from rothe_hvi.cli import build_problem, parse_config
 from rothe_hvi.inclusion_solver import (
     _MAX_SCALAR_ITER,
@@ -367,6 +367,27 @@ def test_a_finite_residual_whose_square_overflows_is_rejected_by_size(n_el):
     residual = info.value.report.residual
     assert 0.0 < residual <= 1e-12 * p.space.dual_norm(rhs)
     assert str(info.value) == f"step residual {residual:.3e} above tol 1e-10"
+
+
+@pytest.mark.parametrize("n_el", [64, 1024, 16384])
+def test_a_steps_residual_has_the_same_bits_alone_in_a_pair_and_in_a_full_block(n_el):
+    # a segment holds one step up to a full row block of them, and the
+    # single-step API certifies one; at n_el = 16384 a row is longer than
+    # einsum's 8192-entry buffer, over which it sums a lone row in another
+    # order than a row of a stack
+    p, rhs, warm = fem_step(n_el, PaperExponential(1.0))
+    k = max(3, stepper.block_rows(p.dim + 3))
+    rng = np.random.default_rng(n_el)
+    u = warm + 1e-3 * rng.normal(size=(k, p.dim))
+    b = rhs + 1e-3 * rng.normal(size=(k, p.dim))
+    xi = rng.normal(size=k)
+    block = inclusion_solver.step_residuals(p, u, b, xi)
+    for i in range(k):
+        alone = inclusion_solver.step_residuals(p, u[i : i + 1], b[i : i + 1], xi[i : i + 1])
+        assert alone.tobytes() == block[i : i + 1].tobytes(), i
+    for i in range(k - 1):
+        pair = inclusion_solver.step_residuals(p, u[i : i + 2], b[i : i + 2], xi[i : i + 2])
+        assert pair.tobytes() == block[i : i + 2].tobytes(), i
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

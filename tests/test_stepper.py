@@ -441,34 +441,29 @@ def _operators_of_layout(layout: str) -> list[StepProblem]:
 
 def _history_through_scipy(p: StepProblem, rhs: np.ndarray, u_nm1: np.ndarray, u_nm2=None):
     """The right-hand side c tau F + M (history), spelled in the segment
-    kernel's order: up to galerkin._DIRECT_HISTORY_MAX_N columns each state
-    is added by scipy's dsbmv with beta = 1 with its own weight (4/3, then
-    -1/3), above it the history 4/3 u^{n-1} - 1/3 u^{n-2} is formed first
-    and added once; by dsbmv up to galerkin._DSBMV_MAX_N columns, past it
-    by SymBand.matvec, the diagonal loop.  The one-step stencil adds
-    M u^{n-1}."""
+    kernel's order: each state's product with M, by scipy's dsbmv up to
+    galerkin._DSBMV_MAX_N columns and past it by SymBand.matvec, the
+    diagonal loop, is added to c tau F by scipy's daxpy with its weight,
+    4/3 M u^{n-1} and then -1/3 M u^{n-2}.  The one-step stencil adds
+    M u^{n-1} with weight 1."""
     mass = p.space.gram_h
     b = rhs.copy()
-    if u_nm2 is None:
-        terms = [(1.0, u_nm1)]
-    elif p.dim <= galerkin._DIRECT_HISTORY_MAX_N:
-        terms = [(4.0 / 3.0, u_nm1), (-1.0 / 3.0, u_nm2)]
-    else:
-        terms = [(1.0, (4.0 / 3.0) * u_nm1 - (1.0 / 3.0) * u_nm2)]
+    terms = [(1.0, u_nm1)] if u_nm2 is None else [(4.0 / 3.0, u_nm1), (-1.0 / 3.0, u_nm2)]
     for alpha, v in terms:
         if p.dim <= galerkin._DSBMV_MAX_N:
-            b = blas.dsbmv(mass.bandwidth, alpha, mass.ab, v, beta=1.0, y=b)
+            product = blas.dsbmv(mass.bandwidth, 1.0, mass.ab, v)
         else:
-            assert alpha == 1.0
-            b = b + mass.matvec(v)
+            product = mass.matvec(v)
+        b = blas.daxpy(product, b, a=alpha)
     return b
 
 
 def _step_through_the_public_api(p: StepProblem, rhs: np.ndarray, s_warm: float):
     """u, xi and the residual of a step from the warm start's boundary value
-    ``s_warm``, each band operation spelled through SymBand.solve,
-    scipy's daxpy and GalerkinSpace.dual_norm.  The residual's product is
-    that of a one-row stack, which every step's certificate takes."""
+    ``s_warm``, each band operation spelled through SymBand.solve and
+    scipy's daxpy.  The residual's product is that of a one-row stack, and
+    its square the einsum of a stack of two copies, as every step's
+    certificate takes them."""
     t = p.space.trace[0]
     nodes = np.flatnonzero(t)
 
@@ -486,22 +481,24 @@ def _step_through_the_public_api(p: StepProblem, rhs: np.ndarray, s_warm: float)
     u = blas.daxpy(p.y, x.copy(), a=-(p.lift * xi))
     r = p.system.matvec(u[None])[0] - rhs
     r[nodes] += p.lift * xi * t[nodes]
-    return u, xi, p.space.dual_norm(r)
+    pair = np.stack([r, r])
+    square = np.einsum("ij,ij->i", pair, p.space.solve_v(pair.T).T)[0]
+    return u, xi, math.sqrt(max(square, 0.0))
 
 
 @pytest.mark.parametrize("layout", ["p1-64", "p1-256", "p1-1024", "dense"])
 def test_a_step_through_the_bound_kernels_equals_the_public_band_api(layout):
-    # P1 at 64 elements adds each state of a right-hand side's history by
-    # dsbmv, at 256 the formed history by dsbmv and at 1024 the formed
-    # history one diagonal at a time; the dense band adds each state by
-    # dsbmv, is factored by dpbtrf and solved by dpbtrs, and its trace row
-    # has several nonzero entries.  The reference takes the warm start's
-    # boundary value of the whole state, or of the whole extrapolant
+    # P1 at 64 and 256 elements multiplies each state of a right-hand
+    # side's history by dsbmv, at 1024 one diagonal at a time; the dense
+    # band multiplies by dsbmv, is factored by dpbtrf and solved by dpbtrs,
+    # and its trace row has several nonzero entries.  The reference takes
+    # the warm start's boundary value of the whole state, or of the whole
+    # extrapolant
     one_step, two_step = _operators_of_layout(layout)
-    accumulate = galerkin._diagonal_accumulate if layout == "p1-1024" else galerkin._dsbmv_accumulate
+    product = galerkin._diagonal_product if layout == "p1-1024" else blas.dsbmv
     solve = lapack.dpbtrs if layout == "dense" else lapack.dpttrs
     for p in (one_step, two_step):
-        assert p.mass_accumulate.func is accumulate
+        assert p.mass_product.func is product
         assert p.solve_in_place.func is solve
         assert p.solve_in_place.keywords == {"overwrite_b": 1}
     u0, f1, f2 = np.random.default_rng(5).normal(size=(3, one_step.dim))
@@ -531,33 +528,22 @@ def _layout_problem(layout: str) -> RotheProblem:
 
 
 def _guard_in_place_kernels(monkeypatch, p: StepProblem, calls: list) -> StepProblem:
-    """p with its overwriting solve and M's accumulate wrapped: each call
-    appends its name and whether the array it returns is the one it was
-    passed to overwrite."""
-    solve, accumulate = p.solve_in_place, p.mass_accumulate
+    """p with its overwriting solve wrapped: each call appends its name and
+    whether the array it returns is the one it was passed to overwrite."""
+    solve = p.solve_in_place
 
     def solve_in_place(b):
         x, info = solve(b)
         calls.append(("solve", np.shares_memory(x, b)))
         return x, info
 
-    def mass_accumulate(alpha, x, y):
-        out = accumulate(alpha, x, y)
-        calls.append(("accumulate", np.shares_memory(out, y)))
-        return out
-
     monkeypatch.setitem(vars(p), "solve_in_place", solve_in_place)
-    monkeypatch.setitem(vars(p), "mass_accumulate", mass_accumulate)
     return p
 
 
-@pytest.mark.parametrize("layout", ["p1-64", "p1-256", "p1-1024", "dense"])
-def test_every_in_place_kernel_call_of_a_step_writes_into_its_operand(layout, monkeypatch):
-    # f2py copies an operand it cannot overwrite, a strided or read-only
-    # one, and returns the copy: the step would then leave b, not u, in the
-    # state's row.  Every overwriting call of the run's loop and of the
-    # single-step API must return the very array it was passed
-    calls = []
+def _guard_daxpy(monkeypatch, calls: list) -> None:
+    """The step kernel's daxpy wrapped: each call appends its name and
+    whether the array it returns is the y it was passed to overwrite."""
 
     def daxpy(x, y, *args):
         out = galerkin.blas.daxpy(x, y, *args)
@@ -565,14 +551,25 @@ def test_every_in_place_kernel_call_of_a_step_writes_into_its_operand(layout, mo
         return out
 
     monkeypatch.setattr(inclusion_solver, "blas", SimpleNamespace(ddot=galerkin.blas.ddot, daxpy=daxpy))
+
+
+@pytest.mark.parametrize("layout", ["p1-64", "p1-256", "p1-1024", "dense"])
+def test_every_in_place_kernel_call_of_a_step_writes_into_its_operand(layout, monkeypatch):
+    # f2py copies an operand it cannot overwrite, a strided or read-only
+    # one, and returns the copy: the step would then leave b, not u, in the
+    # state's row, or leave the history out of b.  Every overwriting call
+    # of the run's loop and of the single-step API must return the very
+    # array it was passed
+    calls = []
+    _guard_daxpy(monkeypatch, calls)
     operator = stepper._step_operator
     monkeypatch.setattr(stepper, "_step_operator",
                         lambda *args: _guard_in_place_kernels(monkeypatch, operator(*args), calls))
     grid = TimeGrid(0.25, 5)
-    rows = np.concatenate(list(stepper.run_blocks(_layout_problem(layout), grid, BDF2, 1e-8)))
-    # the first step adds one state, a two-step one two (direct) or one (formed)
-    adds = 1 + (grid.N - 1) * (2 if rows.shape[1] - 3 <= galerkin._DIRECT_HISTORY_MAX_N else 1)
-    assert sorted(name for name, _ in calls) == ["accumulate"] * adds + ["daxpy"] * 5 + ["solve"] * 5
+    list(stepper.run_blocks(_layout_problem(layout), grid, BDF2, 1e-8))
+    # the first step adds one product to b, a two-step one two; each forms u
+    adds = 1 + 2 * (grid.N - 1)
+    assert sorted(name for name, _ in calls) == ["daxpy"] * (adds + grid.N) + ["solve"] * grid.N
     assert all(shared for _, shared in calls), calls
     calls.clear()
     one_step, two_step = (_guard_in_place_kernels(monkeypatch, p, calls) for p in _operators_of_layout(layout))
@@ -582,6 +579,53 @@ def test_every_in_place_kernel_call_of_a_step_writes_into_its_operand(layout, mo
     inclusion_solver.solve_step_inclusion(two_step, f2, 0.0)
     assert [name for name, _ in calls].count("solve") == 3
     assert all(shared for _, shared in calls), calls
+
+
+@pytest.mark.parametrize("scheme", ["bdf2", "backward_euler"])
+def test_each_step_makes_one_mass_product_and_adds_the_products_it_keeps(monkeypatch, scheme):
+    # 8 rows a block: the one-step segment of step 1 and the two-step
+    # segments of steps 2-7, 8-15 and 16-20 of BDF2; the one-step segments
+    # of steps 1-7, 8-15 and 16-20 of backward Euler.  Each step multiplies
+    # its newest earlier state by M, and a two-step segment multiplies its
+    # u^{n-2} once more, at its start.  b takes the history as those
+    # products themselves, added by daxpy with the stencil's weights, and
+    # a two-step step adds as M u^{n-2} the product the step before made:
+    # no buffer holds a formed history
+    monkeypatch.setattr(stepper, "BLOCK_CELLS", SMALL_BLOCK_CELLS)
+    products, adds = [], []
+    operator = stepper._step_operator
+
+    def counting(*args):
+        p = operator(*args)
+        product = p.mass_product
+
+        def mass_product(v):
+            products.append((v.tobytes(), product(v)))
+            return products[-1][1]
+
+        monkeypatch.setitem(vars(p), "mass_product", mass_product)
+        return p
+
+    def daxpy(x, y, n, a):
+        adds.append((x, a))
+        return galerkin.blas.daxpy(x, y, n, a)
+
+    monkeypatch.setattr(stepper, "_step_operator", counting)
+    monkeypatch.setattr(inclusion_solver, "blas", SimpleNamespace(ddot=galerkin.blas.ddot, daxpy=daxpy))
+    u = np.concatenate(list(stepper.run_blocks(_spiked_problem(3), SPIKED_GRID, scheme)))[:, 1:-2]
+    starts = [0, 6, 14] if scheme == "bdf2" else []  # u^{n-2} of each two-step segment
+    assert sorted(v for v, _ in products) == sorted(v.tobytes() for v in np.concatenate([u[:-1], u[starts]]))
+    made = {id(out) for _, out in products}
+    history = [(id(x), a) for x, a in adds if id(x) in made]
+    assert len(adds) - len(history) == SPIKED_GRID.N  # the daxpy that forms u
+    if scheme == "backward_euler":
+        assert [a for _, a in history] == [1.0] * 20
+        return
+    assert [a for _, a in history] == [1.0] + [4.0 / 3.0, -1.0 / 3.0] * 19
+    newest, oldest = history[1::2], history[2::2]
+    assert len({x for x, _ in newest}) == 19
+    # within a segment, M u^{n-2} is the product of the step before
+    assert [i for i in range(1, 19) if oldest[i][0] != newest[i - 1][0]] == [6, 14]
 
 
 # the special values of a state's entries: signed zeros, the smallest and
@@ -632,17 +676,23 @@ def _random_p1_operator(rng: np.random.Generator, n_el: int, two_step: bool) -> 
     return StepProblem(space, (c * tau) * k, np.ones(1), LinearRobin(1.5), c, tau)
 
 
-@given(n_el=st.integers(1, 300), two_step=st.booleans(),
+@given(n_el=st.integers(1, 2 * galerkin._DSBMV_MAX_N), two_step=st.booleans(),
        kind=st.sampled_from(("smooth", "rough", "nearly equal")), seed=st.integers(0, 2**32 - 1))
+# the largest band that dsbmv multiplies by, and the smallest that the
+# diagonal loop does
+@example(n_el=galerkin._DSBMV_MAX_N - 1, two_step=True, kind="rough", seed=1)
+@example(n_el=galerkin._DSBMV_MAX_N, two_step=True, kind="rough", seed=1)
 def test_a_steps_right_hand_side_and_u_lie_within_their_rounding_bounds(n_el, two_step, kind, seed):
-    # b = c tau F + sum_j alpha_j M u^{n-j}, accumulated into c tau F by the
-    # segment kernel, within k eps (|c tau F| + sum_j |alpha_j| |M| |u^{n-j}|)
-    # of a long double evaluation, entry by entry (Higham 2002, 3.1): every
-    # term reaches b through at most 9 roundings, the weight, two products
-    # and six additions, and gamma_9 < 5 eps.  Given x = S^{-1} b, u = x -
-    # (c tau w xi) y is within 2 eps (|x| + |c tau w xi| |y|) of one: three
-    # roundings, fewer where daxpy fuses.  The draws cross the dimension
-    # where the kernel stops adding each state with its own weight
+    # b = c tau F + sum_j alpha_j M u^{n-j}, each M u^{n-j} formed by M's
+    # product and added to c tau F by daxpy in the segment kernel, within
+    # k eps (|c tau F| + sum_j |alpha_j| |M| |u^{n-j}|) of a long double
+    # evaluation, entry by entry (Higham 2002, 3.1): every term reaches b
+    # through at most 7 roundings, the weight, the product with an entry of
+    # M, two additions within the tridiagonal product, the weight's product
+    # and two additions into b, and gamma_7 < 4 eps.  Given x = S^{-1} b,
+    # u = x - (c tau w xi) y is within 2 eps (|x| + |c tau w xi| |y|) of
+    # one: three roundings, fewer where daxpy fuses.  The draws cross the
+    # dimension past which M's product is the diagonal loop, not dsbmv
     rng = np.random.default_rng(seed)
     p = _random_p1_operator(rng, n_el, two_step)
     eps, ld, nodes = np.finfo(float).eps, np.longdouble, np.linspace(0.0, 1.0, p.dim)
@@ -656,11 +706,10 @@ def test_a_steps_right_hand_side_and_u_lie_within_their_rounding_bounds(n_el, tw
     history = [(ld(4) / ld(3), u_nm1), (-ld(1) / ld(3), u_nm2)] if two_step else [(ld(1), u_nm1)]
     rhs = p.flux_coef * (scale * rng.normal(size=p.dim))
     b = rhs.copy()
-    work = np.empty(p.dim), np.empty(p.dim)
-    s_warm = inclusion_solver.segment_kernel(p, b[None], None, None, [], work, u_nm1, u_nm2 if two_step else None)
+    s_warm = inclusion_solver.segment_kernel(p, b[None], None, None, [], u_nm1, u_nm2 if two_step else None)
     m = p.space.gram_h.toarray()
     exact = rhs.astype(ld) + sum(alpha * (m.astype(ld) @ v.astype(ld)) for alpha, v in history)
-    bound = 5.0 * eps * (np.abs(rhs) + sum(float(abs(alpha)) * (np.abs(m) @ np.abs(v)) for alpha, v in history))
+    bound = 4.0 * eps * (np.abs(rhs) + sum(float(abs(alpha)) * (np.abs(m) @ np.abs(v)) for alpha, v in history))
     assert np.all(np.abs((b - exact).astype(float)) <= bound)
     x = p.system.solve(b)
     u, xi, _ = inclusion_solver.solve_boundary(p, b, s_warm)
@@ -809,9 +858,9 @@ def test_a_consumer_writing_into_a_block_leaves_every_later_block_as_it_was(monk
 
 @pytest.mark.parametrize("scheme", ["bdf2", "backward_euler"])
 def test_a_run_whose_new_arrays_start_as_nan_gives_the_same_bytes(monkeypatch, scheme):
-    # the loop's work buffers and right-hand sides are reused np.empty
-    # arrays: a run that read one before writing it would depend on what the
-    # allocator hands back, so every np.empty of the run starts NaN-filled
+    # the loop's right-hand sides are a reused np.empty array: a run that
+    # read one before writing it would depend on what the allocator hands
+    # back, so every np.empty of the run starts NaN-filled
     monkeypatch.setattr(stepper, "BLOCK_CELLS", SMALL_BLOCK_CELLS)
     problem = _spiked_problem(3)
     clean = np.concatenate(list(stepper.run_blocks(problem, SPIKED_GRID, scheme)))
