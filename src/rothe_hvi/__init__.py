@@ -25,7 +25,6 @@ from .inclusion_solver import (
     SolveReport,
     StepProblem,
     solve_step_inclusion,
-    verify_inclusion,
 )
 from .stepper import (
     BACKWARD_EULER,

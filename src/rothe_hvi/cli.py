@@ -523,19 +523,17 @@ def _fmt(x) -> str:
 
 
 def _write_csv(
-    path: Path, header: Iterable[str], rows: Sequence[Sequence] | np.ndarray | Iterator[np.ndarray]
+    path: Path, header: Iterable[str], rows: Sequence[Sequence] | Iterator[np.ndarray]
 ) -> None:
     """Schema line, header and rows; ``rows`` is a list of cell lists, each
-    cell formatted by ``_fmt``, a 2-d float array, or an iterator of 2-d
-    float arrays written one after the other.  `floatfmt.g17_lines` writes
-    the cells of an array with the bytes of ``'%.17g'``, as ``_fmt`` does,
-    a block of cells at a time.  The file is opened in binary mode: those
-    blocks go to it as they are, and the header and ``_fmt`` rows are
-    encoded to UTF-8 once, as one text."""
+    cell formatted by ``_fmt``, or an iterator of 2-d float arrays written
+    one after the other.  `floatfmt.g17_lines` writes the cells of an array
+    with the bytes of ``'%.17g'``, as ``_fmt`` does, a block of cells at a
+    time.  The file is opened in binary mode: those blocks go to it as they
+    are, and the header and ``_fmt`` rows are encoded to UTF-8 once, as one
+    text."""
     head = f"# schema_version={SCHEMA_VERSION}\n" + ",".join(header) + "\n"
     with open(path, "wb") as fh:
-        if isinstance(rows, np.ndarray):
-            rows = iter([rows])
         if isinstance(rows, Iterator):
             fh.write(head.encode("utf-8"))
             for block in rows:

@@ -283,7 +283,6 @@ class LadderRow:
     tau: float
     report: EstimateReport
     error_at_T: float  # H-norm error vs the reference at t = T (nan if none)
-    u_final: np.ndarray  # u^N
 
 
 @dataclass(frozen=True)
@@ -320,9 +319,9 @@ def tau_ladder_study(
     reference: Optional[np.ndarray] = None,
 ) -> LadderStudy:
     """Run the scheme once per step size (decreasing, each dividing the
-    horizon) and collect per-run estimate reports and last states, plus the
-    terminal-time error against a reference's state at t = T when one is
-    supplied.  Each run is reduced as it steps; none is held."""
+    horizon) and collect per-run estimate reports, plus the terminal-time
+    error against a reference's state at t = T when one is supplied.  Each
+    run is reduced as it steps; none is held."""
     taus = [float(t) for t in taus]
     if not taus:
         raise ValueError("tau ladder must be non-empty")
@@ -334,9 +333,8 @@ def tau_ladder_study(
         grid = TimeGrid.of_step(t_final, tau)
         sums = EstimateSums(problem.space, grid, weights)
         (last,) = deque(map(sums.add, run_blocks(problem, grid, scheme, tol)), maxlen=1)
-        u_final = last[-1, 1 : problem.space.dim + 1].copy()
         err = float("nan")
         if reference is not None:
-            err = problem.space.h_norm(u_final - reference)
-        rows.append(LadderRow(tau, sums.report(), err, u_final))
+            err = problem.space.h_norm(last[-1, 1 : problem.space.dim + 1] - reference)
+        rows.append(LadderRow(tau, sums.report(), err))
     return LadderStudy(scheme, tuple(rows))

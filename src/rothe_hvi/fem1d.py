@@ -150,4 +150,4 @@ def make_initial(mesh: Mesh1D, space: GalerkinSpace, u0: Vectorized) -> np.ndarr
     the mass system solved against its load vector (5-point Gauss per
     element)."""
     x, w_phi = mesh._quadrature[5]
-    return space.solve_h(_load(u0(x), x, w_phi))
+    return space.gram_h.solve(_load(u0(x), x, w_phi))

@@ -23,15 +23,17 @@ band of full width.
 Each band decides its layout once: it binds the kernel of its product with
 one vector when it is built and that of its solve when it is factored.  The
 public ``matvec`` and ``solve`` check their operand and call the bound
-kernel, and so does ``GalerkinSpace.dual_norm``.  A caller that has checked
-its shapes already calls the kernels directly: a Rothe step calls S's
-solve, overwriting its operand, and M's ``product``, once a step, and the
-certificate of a segment of steps calls gram_v's solve on the stack of
-their residuals.  That certificate multiplies the stack by S with
-``_diagonal_product``, the loop every stack takes, not with the bound
-vector kernel, and takes the squares of its rows, as the estimate reducer
-does, by ``_row_dots``: one einsum, in which a lone row is summed as a row
-of a stack.
+kernel, and so does ``GalerkinSpace.dual_norm``, which checks its operand's
+shape on every call.  A space has no solve of its own: the Riesz map
+V* -> V is ``gram_v.solve`` and the H-projection's solve ``gram_h.solve``.
+A caller that has checked its shapes already calls the kernels directly: a
+Rothe step calls S's solve, overwriting its operand, and M's ``product``,
+once a step, and the certificate of a segment of steps calls gram_v's
+solve on the stack of their residuals.  That certificate multiplies the
+stack by S with ``_diagonal_product``, the loop every stack takes, not with
+the bound vector kernel, and takes the squares of its rows, as the estimate
+reducer does, by ``_row_dots``: one einsum, in which a lone row is summed
+as a row of a stack.
 
 The kernels, BLAS dsbmv, ddot and daxpy and LAPACK dpttrf, dpttrs, dpbtrf
 and dpbtrs, are scipy's f2py wrappers, the very functions that
@@ -71,10 +73,12 @@ __all__ = [
 ]
 
 _SYM_RTOL = 1e-12
-# largest n whose band-vector product goes through BLAS dsbmv: its fixed cost
-# is about 1 us against about 6 us for the diagonal loop, but it spends about
-# 14 ns a column of a tridiagonal band against about 4 ns, so past some 600
-# columns the loop is faster (OpenBLAS, one core)
+# largest n whose band-vector product goes through BLAS dsbmv.  On the P1
+# mass band dsbmv costs about 0.4 us plus 6.4 ns a column, the diagonal loop
+# about 3.3 us plus 1.5 ns: 0.43 against 3.34 us at n = 9, 2.27 against 3.62
+# at 257, 3.80 against 3.85 at 512, 4.60 against 4.11 at 641 and 6.96
+# against 4.88 at 1,025 (best of 15 timeit runs of 20,000 calls; OpenBLAS
+# 0.3.31 on one thread, numpy 2.4, 2-vCPU Xeon VM)
 _DSBMV_MAX_N = 512
 
 
@@ -354,7 +358,6 @@ class GalerkinSpace:
         object.__setattr__(self, "gram_v", gv)
         object.__setattr__(self, "trace", tr)
         object.__setattr__(self, "gram_u", gu)
-        object.__setattr__(self, "_vector_shape", (n,))
 
     @property
     def dim(self) -> int:
@@ -363,13 +366,6 @@ class GalerkinSpace:
     @property
     def dim_u(self) -> int:
         return self.trace.shape[0]
-
-    def solve_v(self, w: np.ndarray) -> np.ndarray:
-        """Solve gram_v x = w (Riesz map V* -> V)."""
-        return self.gram_v.solve(w)
-
-    def solve_h(self, w: np.ndarray) -> np.ndarray:
-        return self.gram_h.solve(w)
 
     def h_norm(self, v) -> float:
         v = _require_vector(v, self.dim)
@@ -386,10 +382,8 @@ class GalerkinSpace:
         it along, so w is scanned (ValueError) only when the square is not
         finite; a finite square is the whole evaluation.  A finite w whose
         square overflows is scaled by 1 / max|w| first.  The product is BLAS
-        ddot, which raises no floating-point warning on overflow.  An ndarray
-        of shape (dim,) is taken as it is, after one tuple compare."""
-        if w.__class__ is not np.ndarray or w.shape != self._vector_shape:
-            w = _require_vector(w, self.dim, "w")
+        ddot, which raises no floating-point warning on overflow."""
+        w = _require_vector(w, self.dim, "w")
         sq = blas.ddot(w, self.gram_v.back_solve(w)[0])
         if math.isfinite(sq):
             return math.sqrt(max(sq, 0.0))
@@ -399,17 +393,12 @@ class GalerkinSpace:
         w = w / scale
         return scale * math.sqrt(max(blas.ddot(w, self.gram_v.back_solve(w)[0]), 0.0))
 
-    def dual_u_norm(self, action) -> float:
-        """U*-norm of a boundary functional given by its action vector."""
-        a = _require_vector(action, self.dim_u, "action")
-        return float(np.sqrt(max(a @ self.gram_u.solve(a), 0.0)))
-
     @cached_property
     def trace_operator_norm(self) -> float:
         """sup ||trace v||_U / ||v||_V, the largest generalized singular value:
         the root of the top eigenvalue of the dim_u x dim_u pencil
         (trace gram_v^{-1} trace^T, gram_u^{-1})."""
-        b = self.trace @ self.solve_v(self.trace.T)
+        b = self.trace @ self.gram_v.solve(self.trace.T)
         g_u_inv = self.gram_u.solve(np.eye(self.dim_u))
         from scipy.linalg import eigvalsh  # on first use: see the module docstring
 

@@ -61,11 +61,10 @@ the stencil's history to the right-hand side in place, solves the boundary
 inclusion, writes u and xi into arrays its caller owns and appends the
 step's iterations.  It reads the operator's bound kernels, trace pairs,
 root table, lift and y once a call.  The step loop calls it once a segment
-with the rows of its block.  ``solve_boundary``
-checks its operands and runs it on one row, entered at its boundary half
-with a given warm start's boundary value: u, xi and the iterations,
-uncertified; the single-step API forms its right-hand side by the kernel's
-history half.  ``step_residuals`` certifies a stack of k solved steps of
+with the rows of its block; ``solve_step_inclusion`` runs it on one row,
+entered at its boundary half with a given warm start's boundary value, and
+the single-step API forms that row by the kernel's history half.
+``step_residuals`` certifies a stack of k solved steps of
 one operator: it recomputes each residual r = S u + c tau trace^T W xi - b
 from the solution, by one stack product with S for all k, then the flux
 term, which is nonzero only at the nodes where the trace is (one node for
@@ -77,9 +76,9 @@ has the same bits whatever the stack it is certified in.  A
 step is accepted only when its residual is at most tol;
 ``residual_failure`` gives the error of one that is not:
 NumericalFailureError for a non-finite residual, NonConvergenceError for
-one above tol.  ``solve_step_inclusion`` is the three calls on one step;
-the step loop of ``stepper.run_blocks`` solves a segment of steps and
-certifies them at once.  Only a single boundary row (dim_u = 1) is
+one above tol.  ``solve_step_inclusion`` checks its operands and makes the
+three calls on one step; the step loop of ``stepper.run_blocks`` solves a
+segment of steps and certifies them at once.  Only a single boundary row (dim_u = 1) is
 supported; a StepProblem on any other space raises ValueError.
 
 Each value of a step is checked for NaN/Inf at most once, and a non-finite
@@ -95,14 +94,14 @@ not finite: a NaN or Inf makes it so, and so does a finite vector large
 enough to overflow it, which the scan then passes.  The boundary value t x
 is read at the trace's nonzero nodes only.  The warm start enters as its
 boundary value alone, so a step forms no warm-start vector: the kernel's
-history half, or the caller of ``solve_boundary``, sums t u_warm over
-those nodes.
+history half, or the caller of ``solve_step_inclusion``, sums t u_warm
+over those nodes.
 
-So a step checks in this order: the shape of b against the operator's
-``shape`` in ``solve_boundary`` (the step loop's shapes are its own), then
-s_warm finite and x's ddot in ``segment_kernel``; then the square of its
-residual in ``step_residuals`` and the residual against tol in
-``residual_failure``; ``solve_step_inclusion`` checks tol > 0 first.
+So a step checks in this order: tol > 0, then the shape of b against the
+operator's ``shape``, in ``solve_step_inclusion`` (the step loop's shapes
+are its own); then s_warm finite and x's ddot in ``segment_kernel``; then
+the square of its residual in ``step_residuals`` and the residual against
+tol in ``residual_failure``.
 Between these checks it does only arithmetic, through the kernels the
 operator bound when it was built (``solve_in_place`` for x), with no layout
 or shape decided again.  A step of a segment makes the array calls its
@@ -130,7 +129,6 @@ import math
 import struct
 from dataclasses import dataclass, fields
 from functools import partial
-from typing import NamedTuple
 
 import numpy as np
 
@@ -140,14 +138,11 @@ from .potentials import ScalarPotential
 __all__ = [
     "StepProblem",
     "SolveReport",
-    "VerifyResult",
     "NonConvergenceError",
     "NumericalFailureError",
-    "solve_boundary",
     "step_residuals",
     "residual_failure",
     "solve_step_inclusion",
-    "verify_inclusion",
 ]
 
 # Newton steps per bracket before ``refine`` only bisects.  A bracket spans
@@ -258,12 +253,6 @@ class StepProblem:
 class SolveReport:
     iterations: int = 0  # scalar iterations of the boundary solve
     residual: float = math.nan  # V*-norm of the accepted step residual
-
-
-class VerifyResult(NamedTuple):
-    residual: float
-    membership_ok: bool
-    membership_gap: float
 
 
 # the float <-> key codec: a float's bit pattern read as a signed 64-bit
@@ -438,25 +427,6 @@ class _BoundaryInclusion:
         return out, iterations
 
 
-def solve_boundary(p: StepProblem, rhs: np.ndarray, s_warm: float) -> tuple[np.ndarray, float, int]:
-    """Solve the step inclusion with right-hand side ``rhs`` exactly on the
-    boundary, uncertified: u, xi and the iterations of the boundary solve.
-    ``s_warm`` is the warm start's boundary value t u_warm: of several roots
-    the one nearest it is taken.  A one-row ``segment_kernel`` entered at
-    its boundary half, after the check of rhs's shape.
-
-    Raises ValueError for a right-hand side of another shape than the
-    operator's, NumericalFailureError on non-finite data or interior solve
-    and NonConvergenceError, whose report holds the iterations, when no root
-    is found."""
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape != p.shape:
-        raise ValueError(f"right-hand side has shape {rhs.shape}, expected {p.shape}")
-    u, xi, iterations = np.empty(p.dim), np.empty(1), []
-    segment_kernel(p, rhs[None], u[None], xi, iterations, None, s_warm=s_warm)
-    return u, xi.item(0), iterations[0]
-
-
 def segment_kernel(
     p: StepProblem, rhs: np.ndarray, u, xi, iterations: list, u_nm1, u_nm2=None,
     s_warm: float = math.nan,
@@ -487,12 +457,13 @@ def segment_kernel(
     u = x - (c tau w xi) y by one BLAS daxpy.  The operator's kernels and
     tables are read once a call.
 
-    Two entries serve the single-step API, on one row: with ``u_nm1`` None
-    the row is the whole right-hand side and ``s_warm`` its warm start's
-    boundary value (the boundary half alone), and with ``u`` None the
-    history is added and the warm start's boundary value returned (the
-    history half alone).  NumericalFailureError for a non-finite warm start
-    or x, NonConvergenceError when no root is found."""
+    Two entries serve one step, on one row: with ``u_nm1`` None the row is
+    the whole right-hand side and ``s_warm`` its warm start's boundary
+    value (the boundary half alone, as ``solve_step_inclusion`` calls it),
+    and with ``u`` None the history is added and the warm start's boundary
+    value returned (the history half alone, as the single-step API calls
+    it).  NumericalFailureError for a non-finite warm start or x,
+    NonConvergenceError when no root is found."""
     solve, product, pairs, y, dim = p.solve_in_place, p.mass_product, p.trace_pairs, p.y, p.dim
     roots, factor, lift, isfinite = p.inclusion.roots, p.inclusion.factor, p.lift, math.isfinite
     ddot, daxpy = blas.ddot, blas.daxpy
@@ -582,40 +553,25 @@ def solve_step_inclusion(
     p: StepProblem, rhs: np.ndarray, s_warm: float, tol: float = 1e-10
 ) -> tuple[np.ndarray, np.ndarray, SolveReport]:
     """Solve the step inclusion with right-hand side ``rhs`` exactly on the
-    boundary (``solve_boundary``) and certify the V*-norm residual against
-    ``tol`` (``step_residuals`` of the one step, then ``residual_failure``).
-    ``s_warm`` is the warm start's boundary value t u_warm: of several roots
-    the one nearest it is taken.
+    boundary and certify the V*-norm residual against ``tol``: a one-row
+    ``segment_kernel`` entered at its boundary half, then ``step_residuals``
+    of the one step and ``residual_failure``.  ``s_warm`` is the warm
+    start's boundary value t u_warm: of several roots the one nearest it is
+    taken.
 
-    Raises NonConvergenceError with its report when no root is found or the
-    residual exceeds tol, and NumericalFailureError on non-finite data or
-    solutions."""
+    Raises ValueError for tol <= 0 or a right-hand side of another shape
+    than the operator's, NonConvergenceError with its report when no root is
+    found or the residual exceeds tol, and NumericalFailureError on
+    non-finite data or solutions."""
     if not tol > 0:
         raise ValueError("tol must be > 0")
     rhs = np.asarray(rhs, dtype=float)
-    u, xi, iterations = solve_boundary(p, rhs, s_warm)
-    xi = np.array([xi])
+    if rhs.shape != p.shape:
+        raise ValueError(f"right-hand side has shape {rhs.shape}, expected {p.shape}")
+    u, xi, iterations = np.empty(p.dim), np.empty(1), []
+    segment_kernel(p, rhs[None], u[None], xi, iterations, None, s_warm=s_warm)
     residual = step_residuals(p, u[None], rhs[None], xi).item(0)
-    failure = residual_failure(iterations, residual, tol)
+    failure = residual_failure(iterations[0], residual, tol)
     if failure is not None:
         raise failure
-    return u, xi, SolveReport(iterations, residual)
-
-
-def verify_inclusion(
-    p: StepProblem, rhs: np.ndarray, u: np.ndarray, xi: np.ndarray, tol: float
-) -> VerifyResult:
-    """Residual of the step equation with right-hand side ``rhs`` for a
-    given pair (NaN when it is not finite), plus the distance of xi to its
-    admissible interval, closed by a roundoff-sized margin in the boundary
-    value."""
-    rhs = np.asarray(rhs, dtype=float)
-    u = np.asarray(u, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    if rhs.shape != p.shape or u.shape != p.shape or xi.shape != (1,):
-        raise ValueError("rhs, u or xi has inconsistent dimensions")
-    resid = step_residuals(p, u[None], rhs[None], xi).item(0)
-    s = p.boundary_value(u)
-    lo, hi = p.potential.membership_interval(s, 1e-12 * (1.0 + abs(s)))
-    gap = max(lo - float(xi[0]), float(xi[0]) - hi, 0.0)
-    return VerifyResult(resid, gap <= tol, gap)
+    return u, xi, SolveReport(iterations[0], residual)

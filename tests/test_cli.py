@@ -606,7 +606,7 @@ def test_float_rows_are_written_byte_for_byte_as_the_cell_formatter_writes_them(
         for i, table in enumerate(tables):
             name = f"floats{i}_{vector_min}.csv"
             cols = [f"c{j}" for j in range(table.shape[1])]
-            _write_csv(tmp_path / name, cols, table)
+            _write_csv(tmp_path / name, cols, iter([table]))
             files.append((name, cols, list(table)))  # np.float64 cells, one at a time
     for name, hdr, cells in files:
         expected = "# schema_version=2\n" + ",".join(hdr) + "\n" + "".join(

@@ -85,7 +85,7 @@ def test_non_finite_arguments_raise():
         space.dual_norm(w)
     w[2] = np.inf
     with pytest.raises(ValueError):
-        space.solve_h(w)
+        space.gram_h.solve(w)
 
 
 @given(st.integers(1, 8), st.integers(0, 2**32 - 1))
@@ -262,8 +262,8 @@ def test_band_kernel_matches_dense_linear_algebra(dim, width, seed):
         band @ np.ones(dim + 1)  # BLAS alone would read the first dim entries
     with pytest.raises(ValueError):
         band.solve(np.ones(dim + 1))  # LAPACK alone would solve for the first dim
-    assert _rel_err(space.solve_h(x), np.linalg.solve(a, x)) <= 1e-12
-    assert _rel_err(space.solve_v(stack.T), sla.cho_solve(sla.cho_factor(a), stack.T)) <= 1e-12
+    assert _rel_err(space.gram_h.solve(x), np.linalg.solve(a, x)) <= 1e-12
+    assert _rel_err(space.gram_v.solve(stack.T), sla.cho_solve(sla.cho_factor(a), stack.T)) <= 1e-12
     assert _rel_err((band + 2.0 * band).toarray(), 3.0 * a) <= 1e-15
     # shifted below its least eigenvalue the matrix is indefinite
     shift = np.linalg.eigvalsh(a)[0] + 1.0
